@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-store bench-parallel bench-opt bench-index bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke obs-check cache-check index-check
+.PHONY: all build test bench bench-json bench-store bench-parallel bench-opt bench-index bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke parity-check benchmark-check
 
 all: build test
 
@@ -67,39 +67,36 @@ cover:
 loadsmoke:
 	$(GO) test -race -run TestLoadSmoke -count=1 -v ./cmd/xqd
 
-# Observability gate: over the differential seed block, every engine ×
-# mode × optimizer level × worker count configuration is evaluated with
-# tracing off and with a live span recorder attached, and the two runs
-# must agree byte for byte on results, errors, and fixpoint statistics.
-# Proves the obs layer is read-only instrumentation, never a participant.
-# The round-stats half pins the per-round fed/delta trace spans -O0 vs
-# -O1: the delta-fed step rewrite may shrink what steps consume, never
-# what the fixpoint feeds back or how many rounds it takes.
-obs-check:
-	$(GO) test -run 'TestTracingParity|TestRoundStatsParity' -count=1 ./internal/difftest
+# Parity gate: over the differential seed block, every engine × mode ×
+# optimizer level × worker count configuration is evaluated twice — with
+# and without one thing that must be invisible — and the two runs must
+# agree byte for byte on results, errors, and fixpoint statistics:
+#   tracing      off vs a live span recorder (obs is read-only);
+#   round stats  per-round fed/delta trace spans -O0 vs -O1 (the delta-fed
+#                step rewrite may shrink what steps consume, never what the
+#                fixpoint feeds back or how many rounds it takes);
+#   caching      uncached vs plan cache / result cache / both, each twice,
+#                and warm caches must record hits;
+#   indexes      NoIndex (every step walks the arena) vs the default (the
+#                step kernel may probe the name index), and a probe must
+#                have fired somewhere in the block.
+parity-check:
+	$(GO) test -run 'Parity$$' -count=1 ./internal/difftest
 
-# Caching gate: same seed block, every configuration evaluated uncached
-# and then under plan cache / result cache / both (each twice, so the
-# second pass serves from warm caches). Results, errors, and fixpoint
-# statistics must stay byte-identical, and warm caches must record hits.
-cache-check:
-	$(GO) test -run 'TestCachingParity' -count=1 ./internal/difftest
-
-# Index gate: same seed block, every configuration evaluated with the
-# name-index probe path disabled (pure arena scans) and enabled (the
-# production default). Results, errors, and fixpoint statistics must stay
-# byte-identical, and the probe path must have actually fired somewhere in
-# the block.
-index-check:
-	$(GO) test -run 'TestIndexParity' -count=1 ./internal/difftest
+# The benchmark is its own Go module (benchmark/go.mod, `replace repro =>
+# ../`), so `go build ./...` and `go test ./...` at the root never compile
+# it: a rename under internal/ would break `go run -C benchmark .` unseen.
+benchmark-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 # What CI runs (see .github/workflows/ci.yml). The -race pass covers the
 # concurrent store/xqd tests and the parallel fixpoint pools; the plain
 # pass runs the differential-harness seed block (internal/difftest); the
 # coverage step enforces the internal/algebra floor; loadsmoke gates the
-# overload/degradation contract; obs-check gates tracing-on/off parity;
-# cache-check gates caches-on/off parity; index-check gates indexed-vs-
-# scan parity.
+# overload/degradation contract; parity-check gates tracing, round-stats,
+# caching, and indexed-vs-scan parity; benchmark-check vets and tests the
+# separate benchmark/ module.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -107,9 +104,8 @@ ci:
 	$(GO) test -race ./...
 	$(MAKE) fuzz FUZZTIME=10s
 	$(MAKE) cover
-	$(MAKE) obs-check
-	$(MAKE) cache-check
-	$(MAKE) index-check
+	$(MAKE) parity-check
+	$(MAKE) benchmark-check
 	$(MAKE) loadsmoke
 
 # Differential fuzzing: random documents + random fixpoint queries, every
@@ -129,7 +125,7 @@ explain:
 	$(GO) test -run 'TestGolden' -count=1 ./internal/algebra/opt
 
 explain-update:
-	$(GO) test -run 'TestGolden' -count=1 -update ./internal/algebra/opt
+	$(GO) test -run 'TestGolden' -count=1 ./internal/algebra/opt -update
 	git --no-pager diff --stat internal/algebra/opt/testdata
 
 # The Table 2 cells tracked across PRs (see EXPERIMENTS.md, BENCH_1.json).

@@ -85,11 +85,10 @@ func (pc *PlanCache) Purge() {
 }
 
 // planKey identifies one compiled plan: the source text plus everything
-// that shapes compilation (including the NoIndex baseline switch, which
-// changes the optimized plan's shape). The rxp marker keeps a Regular
-// XPath translation and an XQuery of identical source text apart.
-func (q *Query) planKey(mode algebra.FixpointMode, strict, optimize, noIndex bool) string {
-	return fmt.Sprintf("m%d|s%t|o%t|i%t|x%t|%s", mode, strict, optimize, noIndex, q.rxp, q.src)
+// that shapes compilation. The rxp marker keeps a Regular XPath
+// translation and an XQuery of identical source text apart.
+func (q *Query) planKey(mode algebra.FixpointMode, strict, optimize bool) string {
+	return fmt.Sprintf("m%d|s%t|o%t|x%t|%s", mode, strict, optimize, q.rxp, q.src)
 }
 
 // srcHash is the result-cache plan-hash stand-in for the interpreter
@@ -263,12 +262,6 @@ func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, uint64, error) {
 	var optimize func(*algebra.Plan)
 	if opts.Opt != Opt0 {
 		optimize = opt.Optimize
-		if opts.NoIndex {
-			// Arena-scan baseline: same rule engine minus the index-scan
-			// rewrites, so NoIndex disables the whole feature — plan
-			// shape and execution path — not just the exec-time probe.
-			optimize = opt.OptimizeNoIndex
-		}
 	}
 	if opts.PlanCache == nil {
 		plan, err := algebra.CompilePlan(q.module, mode, opts.StrictAlgebraicCheck, optimize, opts.Trace)
@@ -281,7 +274,7 @@ func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, uint64, error) {
 		}
 		return plan, h, nil
 	}
-	key := q.planKey(mode, opts.StrictAlgebraicCheck, optimize != nil, opts.NoIndex)
+	key := q.planKey(mode, opts.StrictAlgebraicCheck, optimize != nil)
 	if v, ok := opts.PlanCache.plans.Get(key); ok {
 		cp := v.(cachedPlan)
 		return cp.plan, cp.hash, nil

@@ -220,7 +220,7 @@ func TestPlanCacheKeySeparatesRegularXPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xq.planKey(0, false, true, false) == rx.planKey(0, false, true, false) {
+	if xq.planKey(0, false, true) == rx.planKey(0, false, true) {
 		t.Fatal("plan keys collide across query languages")
 	}
 }

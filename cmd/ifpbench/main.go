@@ -320,9 +320,8 @@ func measureExperiment(e bench.Experiment, cfg measureConfig) ([]BenchEntry, err
 							name = fmt.Sprintf("%s/O=%d", name, tagged)
 						}
 						if cfg.tagIx {
-							// Both engines honour ix: the interpreter gates its
-							// dynamic probe, the relational engine compiles the
-							// arena-scan plan shape.
+							// Both engines honour ix: it is the step kernel's
+							// run-time NoIndex switch.
 							name = fmt.Sprintf("%s/ix=%d", name, ix)
 						}
 						if cfg.tagP {

@@ -153,10 +153,11 @@ type Options struct {
 	// Naïve/Delta drivers, all shard across it. 0 = runtime.GOMAXPROCS(0),
 	// 1 = sequential. Results are byte-identical at every setting.
 	Parallelism int
-	// NoIndex disables the relational step executor's name-index probe
-	// path (optimizer-flagged steps fall back to arena walks). Results
-	// are byte-identical either way — the knob exists for the difftest
-	// index-parity gate and the bench index sweep.
+	// NoIndex makes both engines answer every axis step by walking the
+	// arena instead of letting the step kernel (xdm.Step) probe the name
+	// index. Results are byte-identical either way and plans do not depend
+	// on it — the knob exists for the difftest index-parity gate (`make
+	// parity-check`) and the bench index sweep.
 	NoIndex bool
 	// Context, when non-nil, cancels evaluation: fixpoint rounds observe
 	// it between rounds and inside sharded operators, and the worker pool

@@ -134,6 +134,9 @@ func TestRelationalPaths(t *testing.T) {
 		{pre + `$d/item[2]/parent::shop/item[1]/name/string()`, "apple"},
 		{pre + `count($d/item/ancestor::shop)`, "1"},
 		{pre + `count($d/item/ancestor-or-self::*)`, "5"},
+		// An attribute's owner's content follows it in document order.
+		{pre + `$d/item[3]/@cat/following::name/string()`, "fig kiwi"},
+		{pre + `count($d/item[4]/@price/following::*)`, "1"},
 		{pre + `$d/item[1]/name/text()/string()`, "apple"},
 		{pre + `(($d/item[4], $d/item[2]) union $d/item[1])/name/string()`, "apple pear kiwi"},
 		{pre + `($d/item intersect $d/item[@cat = "a"])/name/string()`, "apple fig"},

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/xdm"
-	"repro/internal/xq/ast"
 )
 
 // Table is a materialized relation in columnar layout: one Column vector
@@ -122,9 +121,9 @@ type ExecContext struct {
 	// ranges across it (0 = GOMAXPROCS, 1 = sequential). Output order is
 	// chunk-deterministic: results are byte-identical at every setting.
 	Parallelism int
-	// NoIndex disables the name-index probe path: optimizer-flagged steps
-	// fall back to arena walks. Results are byte-identical either way —
-	// the toggle exists for the difftest parity gate and the bench sweep.
+	// NoIndex makes every step walk the arena instead of letting xdm.Step
+	// probe the name index. Results are byte-identical either way — the
+	// toggle exists for the difftest parity gate and the bench sweep.
 	NoIndex bool
 	// Ctx, when non-nil, cancels the execution between fixpoint rounds and
 	// inside the sharded operators; the pool always drains before the
@@ -156,9 +155,8 @@ type ExecContext struct {
 	muDeps    map[*Node]map[*Node]bool // µ node → rec-dependent body nodes
 	muSite    map[*Node]int            // µ node → Trace site index
 	docs      map[string]*xdm.Document
-	stepCache map[stepCacheKey][]xdm.NodeRef
-	segCache  map[segKey][]uint64 // shared step segments (SegShare path)
-	stepMu    sync.Mutex          // guards stepCache/segCache when step joins shard
+	segCache  map[segKey][]uint64 // per-query step segment memo (step.go)
+	stepMu    sync.Mutex          // guards segCache when step joins shard
 	// childNs threads descendant evaluation time through the profiled
 	// recursion so each operator's SelfNs excludes its children; see
 	// evalProfiled. Only the driving goroutine touches it.
@@ -174,21 +172,6 @@ func (ctx *ExecContext) cancelled() error { return par.CtxErr(ctx.Ctx) }
 // parMinRows is the smallest per-chunk row count worth a goroutine in the
 // sharded row-wise operators; below workers × this, they run sequentially.
 const parMinRows = 512
-
-// stepCacheKey caches axis-step results per (node, axis, test): documents
-// are immutable, so repeated step joins from the same node (every fixpoint
-// round re-steps from the same contexts) become lookups.
-type stepCacheKey struct {
-	doc  *xdm.Document
-	pre  int32
-	axis ast.Axis
-	kind ast.TestKind
-	name string
-	// Pushed-down value-equality filter (Node.ValEq): steps that differ
-	// only in the filter must not share cache entries.
-	val    string
-	hasVal bool
-}
 
 // MuRuns returns the fixpoint instrumentation collected so far.
 func (ctx *ExecContext) MuRuns() []MuRun {
@@ -209,7 +192,6 @@ func (ctx *ExecContext) init() {
 		ctx.muDeps = map[*Node]map[*Node]bool{}
 		ctx.muSite = map[*Node]int{}
 		ctx.docs = map[string]*xdm.Document{}
-		ctx.stepCache = map[stepCacheKey][]xdm.NodeRef{}
 		ctx.segCache = map[segKey][]uint64{}
 	}
 }
@@ -1103,110 +1085,6 @@ func materialize(c *Column) []xdm.Item {
 	return out
 }
 
-// evalStep is the XPath step join: the relational face of the staircase
-// join, answering axis steps with range scans over the pre/size/level
-// encoding in the xdm store. Each context row contributes one (source row,
-// result node) pair per match — the output is assembled as one gather of
-// the carried columns plus a fresh packed node column, so a step no longer
-// copies a row per match. Large inputs shard row ranges across the worker
-// pool — axis scans from distinct context nodes are independent — with
-// chunk-ordered concatenation, so the output row order never depends on
-// the worker count.
-func (ctx *ExecContext) evalStep(n *Node) (*Table, error) {
-	in, err := ctx.kid(n, 0)
-	if err != nil {
-		return nil, err
-	}
-	c := in.Col(n.ItemCol)
-	if n.SegShare && in.cols[c].IsPacked() {
-		// Optimizer-flagged node-only context over a packed column: assemble
-		// the output from shared per-(context,axis,test) segments instead of
-		// materializing a gather entry per match (step_seg.go). Generic
-		// columns (>64-doc degradation, mixed provenance) keep the classic
-		// path — both produce byte-identical tables.
-		return ctx.evalStepSeg(n, in, c)
-	}
-	var src []int32
-	var nodes *Column
-	workers := ctx.workers()
-	if workers <= 1 || in.n < 2*parMinRows {
-		if err := ctx.cancelled(); err != nil {
-			return nil, err
-		}
-		src, nodes = ctx.stepRange(n, in.cols[c], 0, in.n, false)
-	} else {
-		chunks := par.Chunks(in.n, workers, parMinRows)
-		srcs := make([][]int32, len(chunks))
-		outs := make([]*Column, len(chunks))
-		if err := par.Run(ctx.Ctx, workers, len(chunks), func(i int) error {
-			srcs[i], outs[i] = ctx.stepRange(n, in.cols[c], chunks[i][0], chunks[i][1], true)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		src = concatIndexChunks(srcs)
-		nodes = concatColumns(outs)
-	}
-	cols := make([]*Column, len(in.cols))
-	for i, col := range in.cols {
-		if i == c {
-			cols[i] = nodes
-			continue
-		}
-		cols[i] = col.gather(src)
-	}
-	return &Table{Cols: in.Cols, cols: cols, n: len(src)}, nil
-}
-
-// stepRange answers the step for rows [lo, hi) of the context column,
-// returning the source row index and result node per match. When the call
-// is one shard of a parallel step (shared), the axis-result cache is
-// accessed under stepMu; a raced miss computes the identical slice twice
-// and last-write-wins, which is safe because axis scans are pure functions
-// of immutable documents. Unsharded calls skip the lock — the plan walk is
-// single-threaded outside par.Run sections, so nothing else can touch the
-// cache concurrently. The result column shares the input's document
-// dictionary: every axis stays inside its context node's document, so a
-// packed input's dictionary already covers every match.
-func (ctx *ExecContext) stepRange(n *Node, col *Column, lo, hi int, shared bool) ([]int32, *Column) {
-	var src []int32
-	b := newColBuilder(hi - lo)
-	if col.IsPacked() {
-		b.shareDict(col.docs)
-	}
-	r := col.reader()
-	for i := lo; i < hi; i++ {
-		if !col.IsNodeAt(i) {
-			continue
-		}
-		node := r.node(i)
-		key := stepCacheKey{doc: node.D, pre: node.Pre, axis: n.Axis, kind: n.Test.Kind, name: n.Test.Name,
-			val: n.ValEq, hasVal: n.ValEqSet}
-		if shared {
-			ctx.stepMu.Lock()
-		}
-		matches, ok := ctx.stepCache[key]
-		if shared {
-			ctx.stepMu.Unlock()
-		}
-		if !ok {
-			matches = ctx.stepMatches(node, n)
-			if shared {
-				ctx.stepMu.Lock()
-			}
-			ctx.stepCache[key] = matches
-			if shared {
-				ctx.stepMu.Unlock()
-			}
-		}
-		for _, m := range matches {
-			src = append(src, int32(i))
-			b.appendNode(m)
-		}
-	}
-	return src, b.finish()
-}
-
 // concatIndexChunks flattens per-chunk index vectors in chunk order.
 func concatIndexChunks(outs [][]int32) []int32 {
 	total := 0
@@ -1218,70 +1096,6 @@ func concatIndexChunks(outs [][]int32) []int32 {
 		idx = append(idx, o...)
 	}
 	return idx
-}
-
-func axisNodes(node xdm.NodeRef, axis ast.Axis) []xdm.NodeRef {
-	switch axis {
-	case ast.AxisChild:
-		return node.Children()
-	case ast.AxisDescendant:
-		return node.Descendants(false)
-	case ast.AxisDescendantOrSelf:
-		return node.Descendants(true)
-	case ast.AxisAttribute:
-		return node.Attributes()
-	case ast.AxisSelf:
-		return []xdm.NodeRef{node}
-	case ast.AxisParent:
-		if p, ok := node.Parent(); ok {
-			return []xdm.NodeRef{p}
-		}
-		return nil
-	case ast.AxisAncestor:
-		return node.Ancestors(false)
-	case ast.AxisAncestorOrSelf:
-		return node.Ancestors(true)
-	case ast.AxisFollowingSibling:
-		return node.FollowingSiblings()
-	case ast.AxisPrecedingSibling:
-		return node.PrecedingSiblings()
-	case ast.AxisFollowing:
-		return node.Following()
-	case ast.AxisPreceding:
-		return node.Preceding()
-	}
-	return nil
-}
-
-// matchTest mirrors the interpreter's node-test semantics (the principal
-// node kind of the attribute axis is attribute, of every other axis
-// element).
-func matchTest(n xdm.NodeRef, t ast.NodeTest, axis ast.Axis) bool {
-	nameOK := func(pattern string) bool {
-		return pattern == "" || pattern == "*" || pattern == n.Name()
-	}
-	switch t.Kind {
-	case ast.TestName:
-		if axis == ast.AxisAttribute {
-			return n.Kind() == xdm.AttributeNode && nameOK(t.Name)
-		}
-		return n.Kind() == xdm.ElementNode && nameOK(t.Name)
-	case ast.TestAnyKind:
-		return true
-	case ast.TestText:
-		return n.Kind() == xdm.TextNode
-	case ast.TestComment:
-		return n.Kind() == xdm.CommentNode
-	case ast.TestPI:
-		return n.Kind() == xdm.PINode && (t.Name == "" || n.Name() == t.Name)
-	case ast.TestElement:
-		return n.Kind() == xdm.ElementNode && nameOK(t.Name)
-	case ast.TestAttr:
-		return n.Kind() == xdm.AttributeNode && nameOK(t.Name)
-	case ast.TestDocument:
-		return n.Kind() == xdm.DocumentNode
-	}
-	return false
 }
 
 func (ctx *ExecContext) evalIDLookup(n *Node) (*Table, error) {

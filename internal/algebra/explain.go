@@ -116,12 +116,6 @@ func describe(n *Node) string {
 			strings.Join(n.SortCols, ","), strings.Join(n.GroupCols, ","))
 	case OpStep:
 		s := fmt.Sprintf("step[%s::%s", n.Axis, n.Test)
-		if n.SegShare {
-			s += " seg"
-		}
-		if n.IndexProbe {
-			s += " ix"
-		}
 		if n.ValEqSet {
 			s += fmt.Sprintf(" eq=%q", n.ValEq)
 		}

@@ -151,17 +151,6 @@ type Node struct {
 	Axis    ast.Axis
 	Test    ast.NodeTest
 	ItemCol string // input node column consumed by step/id lookup
-	// SegShare makes the step executor assemble its output from shared
-	// per-(context,axis,test) match segments instead of materializing a
-	// gather entry per match. Set by the optimizer when the context column
-	// is known node-only; -O0 plans never carry it.
-	SegShare bool
-	// IndexProbe lets the step executor resolve the node test against the
-	// document's name index (posting-list merge over the context subtree
-	// window) instead of walking the arena. Set by the optimizer on
-	// concrete-name child/descendant/attribute steps; -O0 plans never
-	// carry it, and probed and walked results are byte-identical.
-	IndexProbe bool
 	// ValEq/ValEqSet push a value-equality σ into the step: only matches
 	// whose string value equals ValEq survive. Set by the optimizer when a
 	// semijoin pred compares the step's atomized column against a string

@@ -116,30 +116,11 @@ func linearBody(mu *algebra.Node) bool {
 	return true
 }
 
-// stepRules applies the two step rewrites to a step/id-lookup node n (with
-// already-rewritten children); old keys the property maps.
-func (r *rewriter) stepRules(old, n *algebra.Node) *algebra.Node {
-	// (a) Delta feed: re-root the context derivation chain on the ∆ leaf.
+// stepRules re-roots the context derivation chain of a step/id-lookup node
+// n (with already-rewritten children) on the ∆ leaf when that is sound.
+func (r *rewriter) stepRules(n *algebra.Node) *algebra.Node {
 	if kid := r.deltaChain(n.Kids[0]); kid != nil {
-		n = copyWithKids(n, []*algebra.Node{kid})
-	}
-	// (b) Segment sharing: a provably node-only context column lets the
-	// executor emit one shared per-(context,axis,test) segment instead of a
-	// gather entry per match. Safe anywhere — the flag only changes output
-	// assembly, never content — so it fires independently of (a).
-	if n.Op == algebra.OpStep && !n.SegShare &&
-		r.an.Props(old.Kids[0]).NodeOnly[n.ItemCol] {
-		m := copyWithKids(n, n.Kids)
-		m.SegShare = true
-		n = m
-	}
-	// (c) Index probe: a concrete-name child/descendant/attribute step may
-	// resolve against the document's name index (indexrules.go). Like (b),
-	// the flag never changes the match set, only how it is computed.
-	if !r.noIndex && !n.IndexProbe && indexEligible(n) {
-		m := copyWithKids(n, n.Kids)
-		m.IndexProbe = true
-		n = m
+		return copyWithKids(n, []*algebra.Node{kid})
 	}
 	return n
 }

@@ -121,8 +121,8 @@ func (c *conser) signature(n *algebra.Node) string {
 		fmt.Fprintf(&sb, "|%s/%s/%s/%v", n.Col,
 			strings.Join(n.SortCols, ","), strings.Join(n.GroupCols, ","), n.Desc)
 	case algebra.OpStep:
-		fmt.Fprintf(&sb, "|%d::%d:%s:%s:%v:%v:%v:%s", n.Axis, n.Test.Kind, n.Test.Name, n.ItemCol,
-			n.SegShare, n.IndexProbe, n.ValEqSet, n.ValEq)
+		fmt.Fprintf(&sb, "|%d::%d:%s:%s:%v:%s", n.Axis, n.Test.Kind, n.Test.Name, n.ItemCol,
+			n.ValEqSet, n.ValEq)
 	case algebra.OpIDLookup:
 		sb.WriteString("|" + n.ItemCol + "/" + n.Col)
 	case algebra.OpRecDelta:

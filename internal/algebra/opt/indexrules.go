@@ -3,20 +3,13 @@ package opt
 import (
 	"repro/internal/algebra"
 	"repro/internal/xdm"
-	"repro/internal/xq/ast"
 )
 
-// Index rules: steps that can be answered from the document name index
-// (internal/store snapshot sections, xdm.Index) instead of arena walks.
+// Value-equality pushdown: a σ on a step's atomized result moves into the
+// step itself (Node.ValEq), where the executor applies it to each context
+// node's matches once, before they are memoized and fanned out per row.
 //
-// (a) indexEligible flags concrete-name child/descendant/attribute steps
-// with IndexProbe. Like SegShare, the flag only changes how the executor
-// computes the (identical) match set — the probe path merges the name's
-// sorted posting list against the context subtree window, falling back to
-// the walk per node when the probe is not profitable — so it is safe on
-// any eligible step, and -O0 plans never carry it.
-//
-// (b) semiJoinRules pushes a value-equality σ into the stepped column. The
+// semiJoinRules pushes a value-equality σ into the stepped column. The
 // compiler lowers `step[pred = "const"]` to a semijoin whose left input
 // atomizes the step result (π* → ⊚data → step) and whose right side
 // atomizes an attached constant, joined on (iter-equality, item-equality).
@@ -36,22 +29,6 @@ import (
 // replaces the only consumer. Numeric constants stay out: untyped-vs-
 // numeric comparison casts both sides to xs:double, which is not string
 // equality and can raise dynamic errors the filter would suppress.
-
-// indexEligible reports whether the step's matches are exactly a posting
-// list cut: a concrete (non-wildcard) name over an axis/kind combination
-// whose principal node kind the index carries.
-func indexEligible(n *algebra.Node) bool {
-	if n.Op != algebra.OpStep || n.Test.Name == "" || n.Test.Name == "*" {
-		return false
-	}
-	switch n.Axis {
-	case ast.AxisAttribute:
-		return n.Test.Kind == ast.TestName || n.Test.Kind == ast.TestAttr
-	case ast.AxisChild, ast.AxisDescendant, ast.AxisDescendantOrSelf:
-		return n.Test.Kind == ast.TestName || n.Test.Kind == ast.TestElement
-	}
-	return false
-}
 
 // semiJoinRules pushes an eligible value-equality pred of a ⋉ into the
 // stepped column of its left input (see the file comment for soundness).

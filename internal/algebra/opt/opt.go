@@ -19,15 +19,7 @@ const maxPasses = 12
 // subtrees), µ sites are re-pointed at their rewritten operators, and the
 // loop-dependence property of the final DAG is published for the executor.
 // Plan.Raw keeps the verbatim compiler output for explain diagnostics.
-func Optimize(p *algebra.Plan) { optimize(p, false) }
-
-// OptimizeNoIndex runs the same rule engine with the index-scan rewrites
-// (step IndexProbe marking, value-equality σ pushdown) disabled — the
-// plans this PR's `make index-check` and `ifpbench -index-sweep` use as
-// the pure arena-scan baseline.
-func OptimizeNoIndex(p *algebra.Plan) { optimize(p, true) }
-
-func optimize(p *algebra.Plan, noIndex bool) {
+func Optimize(p *algebra.Plan) {
 	if p == nil || p.Root == nil {
 		return
 	}
@@ -35,7 +27,6 @@ func optimize(p *algebra.Plan, noIndex bool) {
 	strict := strictSites(p)
 	for i := 0; i < maxPasses; i++ {
 		r := newRewriter(root, deltaEligible(root, strict))
-		r.noIndex = noIndex
 		next := r.rewrite(root)
 		if !r.changed {
 			break
@@ -81,9 +72,9 @@ func remapMus(p *algebra.Plan, root *algebra.Node) {
 }
 
 // Annotate returns an explain annotation hook over root: for each node it
-// renders the inferred bottom-up properties (key sets, node-only columns,
-// loop dependence) plus the live columns when they are a strict subset of
-// the schema — exactly the evidence the rewrite rules act on.
+// renders the inferred bottom-up properties (key sets, loop dependence) plus
+// the live columns when they are a strict subset of the schema — exactly
+// the evidence the rewrite rules act on.
 func Annotate(root *algebra.Node) func(*algebra.Node) string {
 	an := Analyze(root)
 	live, _ := liveness(root)

@@ -472,7 +472,7 @@ func TestAnnotations(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := algebra.ExplainWith(plan.Root, opt.Annotate(plan.Root))
-	for _, want := range []string{"rec", "key=", "node=("} {
+	for _, want := range []string{"rec", "key=", "live=("} {
 		if !strings.Contains(out, want) {
 			t.Errorf("annotated explain misses %q:\n%s", want, out)
 		}

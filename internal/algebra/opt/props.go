@@ -3,13 +3,12 @@
 // Pathfinder's peephole optimization pipeline — the part of the paper's
 // MonetDB/XQuery substrate whose performance story rests on algebraic
 // rewriting rather than operator speed alone: property inference annotates
-// every plan node (live columns, key sets, duplicate-freedom, node-only
-// columns, loop dependence), and a rule engine applies semantics-preserving
-// rewrites to a fixed point (dead-column pruning, selection pushdown,
-// distinct elimination over keyed inputs, join→semijoin reduction,
-// projection collapsing) before a final hash-consing pass merges
-// structurally identical sub-plans so the executor's DAG memoization fires
-// on equal-but-not-pointer-shared subtrees.
+// every plan node (live columns, key sets, duplicate-freedom, loop
+// dependence), and a rule engine applies semantics-preserving rewrites to a
+// fixed point (dead-column pruning, selection pushdown, distinct elimination
+// over keyed inputs, join→semijoin reduction, projection collapsing) before
+// a final hash-consing pass merges structurally identical sub-plans so the
+// executor's DAG memoization fires on equal-but-not-pointer-shared subtrees.
 //
 // Every rewrite preserves the executed relation exactly — row multiset AND
 // row order — so -O0 and -O1 plans produce byte-identical results and
@@ -29,9 +28,6 @@ type Props struct {
 	// Any key set implies the full rows are duplicate-free. An empty key
 	// set means the relation holds at most one row.
 	Keys [][]string
-	// NodeOnly marks columns that provably hold nodes in every row — the
-	// columns the columnar executor packs to (doc-stamp, pre) words.
-	NodeOnly map[string]bool
 	// LoopDep reports whether the subtree reaches an OpRecBase leaf, i.e.
 	// the node must be re-evaluated on every fixpoint round.
 	LoopDep bool
@@ -81,7 +77,7 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 	if p, ok := a.props[n]; ok {
 		return p
 	}
-	p := &Props{NodeOnly: map[string]bool{}}
+	p := &Props{}
 	a.props[n] = p // DAGs are acyclic; pre-registering guards stray cycles
 	kids := make([]*Props, len(n.Kids))
 	for i, k := range n.Kids {
@@ -93,36 +89,19 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 		if len(n.Rows) <= 1 {
 			p.Keys = [][]string{{}}
 		}
-		for c, name := range n.LitCols {
-			nodeOnly := len(n.Rows) > 0
-			for _, row := range n.Rows {
-				if !row[c].IsNode() {
-					nodeOnly = false
-					break
-				}
-			}
-			if nodeOnly {
-				p.NodeOnly[name] = true
-			}
-		}
 	case algebra.OpDoc:
 		p.Keys = [][]string{{}}
-		p.NodeOnly["item"] = true
 	case algebra.OpRecBase, algebra.OpRecDelta, algebra.OpMu:
 		// µ results, recursion-base feeds, and per-round deltas are iterSets
 		// tables: nodes deduplicated per iteration, pos the per-iteration rank.
 		p.Keys = [][]string{{"item", "iter"}, {"iter", "pos"}}
-		p.NodeOnly["item"] = true
 		p.LoopDep = p.LoopDep || n.Op != algebra.OpMu
 	case algebra.OpProject:
 		// A key set survives a projection when every key column keeps at
-		// least one output name; node-onlyness follows the rename.
+		// least one output name.
 		outsOf := map[string][]string{}
 		for _, pr := range n.Proj {
 			outsOf[pr.In] = append(outsOf[pr.In], pr.Out)
-			if kids[0].NodeOnly[pr.In] {
-				p.NodeOnly[pr.Out] = true
-			}
 		}
 		for _, key := range kids[0].Keys {
 			mapped := make([]string, 0, len(key))
@@ -139,25 +118,17 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 				p.addKey(mapped)
 			}
 		}
-	case algebra.OpAttach:
+	case algebra.OpAttach, algebra.OpNumOp:
 		p.Keys = kids[0].Keys
-		p.copyNodeOnly(kids[0])
-		if n.Val.IsNode() {
-			p.NodeOnly[n.Col] = true
-		}
-	case algebra.OpSelect, algebra.OpSemiJoin, algebra.OpAntiJoin:
-		// Row subsets: left/input keys and column contents survive.
+	case algebra.OpSelect, algebra.OpSemiJoin, algebra.OpAntiJoin, algebra.OpDiff:
+		// Row subsets (a sub-bag of the left input, for \): its keys survive.
 		p.Keys = kids[0].Keys
-		p.copyNodeOnly(kids[0])
 	case algebra.OpDistinct:
-		p.copyNodeOnly(kids[0])
 		for _, k := range kids[0].Keys {
 			p.addKey(k)
 		}
 		p.addKey(append([]string{}, n.Kids[0].Schema()...))
 	case algebra.OpJoin:
-		p.copyNodeOnly(kids[0])
-		p.copyNodeOnly(kids[1])
 		var eqL, eqR []string
 		for _, pr := range n.Preds {
 			if pr.Cmp == algebra.NumEq {
@@ -179,42 +150,15 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 		}
 		p.addPairKeys(kids[0].Keys, kids[1].Keys)
 	case algebra.OpCross:
-		p.copyNodeOnly(kids[0])
-		p.copyNodeOnly(kids[1])
 		p.addPairKeys(kids[0].Keys, kids[1].Keys)
-	case algebra.OpUnion:
-		// Concatenation: no keys survive; a column stays node-only when it
-		// is node-only on both inputs (schemas align by name).
-		for c := range kids[0].NodeOnly {
-			if kids[1].NodeOnly[c] {
-				p.NodeOnly[c] = true
-			}
-		}
-	case algebra.OpDiff:
-		// A sub-bag of the left input.
-		p.Keys = kids[0].Keys
-		p.copyNodeOnly(kids[0])
 	case algebra.OpGroupCount:
 		p.addKey(append([]string{}, n.GroupCols...))
-		for _, c := range n.GroupCols {
-			if kids[0].NodeOnly[c] {
-				p.NodeOnly[c] = true
-			}
-		}
-	case algebra.OpNumOp:
-		p.Keys = kids[0].Keys
-		p.copyNodeOnly(kids[0])
-		if n.Num == algebra.NumRootOf && len(n.NumArgs) == 1 && kids[0].NodeOnly[n.NumArgs[0]] {
-			p.NodeOnly[n.Col] = true
-		}
 	case algebra.OpRowTag:
-		p.copyNodeOnly(kids[0])
 		for _, k := range kids[0].Keys {
 			p.addKey(k)
 		}
 		p.addKey([]string{n.Col})
 	case algebra.OpRowNum:
-		p.copyNodeOnly(kids[0])
 		for _, k := range kids[0].Keys {
 			p.addKey(k)
 		}
@@ -222,24 +166,19 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 	case algebra.OpStep:
 		// One output row per (input row, distinct axis match): a key not
 		// involving the replaced context column extends by it.
-		p.copyNodeOnly(kids[0])
-		p.NodeOnly[n.ItemCol] = true
 		for _, k := range kids[0].Keys {
 			if !contains(k, n.ItemCol) {
 				p.addKey(append(append([]string{}, k...), n.ItemCol))
 			}
 		}
-	case algebra.OpIDLookup:
-		// Repeated IDREF tokens can emit the same match twice per row: no
-		// keys survive.
-		p.copyNodeOnly(kids[0])
-		p.NodeOnly[n.ItemCol] = true
+	case algebra.OpUnion, algebra.OpIDLookup:
+		// No keys survive concatenation, and repeated IDREF tokens can emit
+		// the same match twice per row.
 	case algebra.OpCtor:
 		// At most one constructed node per live loop iteration.
 		if kids[0].HasKeyWithin(map[string]bool{"iter": true}) {
 			p.addKey([]string{"iter"})
 		}
-		p.NodeOnly["item"] = true
 	}
 	return p
 }
@@ -263,12 +202,6 @@ func (p *Props) addPairKeys(l, r [][]string) {
 		for _, kr := range r {
 			p.addKey(append(append([]string{}, kl...), kr...))
 		}
-	}
-}
-
-func (p *Props) copyNodeOnly(kid *Props) {
-	for c := range kid.NodeOnly {
-		p.NodeOnly[c] = true
 	}
 }
 
@@ -304,7 +237,7 @@ func equalStrings(a, b []string) bool {
 // Annotation renders a node's properties for explain output: live columns
 // are rendered by the rewriter (it owns liveness); this covers the
 // bottom-up properties. Deterministic and compact, e.g.
-// "key=(iter,item) node=(item) rec".
+// "key=(iter,item) rec".
 func (a *Analysis) Annotation(n *algebra.Node) string {
 	p, ok := a.props[n]
 	if !ok {
@@ -318,14 +251,6 @@ func (a *Analysis) Annotation(n *algebra.Node) string {
 		}
 		sort.Strings(keys)
 		parts = append(parts, "key="+strings.Join(keys, ""))
-	}
-	if len(p.NodeOnly) > 0 {
-		cols := make([]string, 0, len(p.NodeOnly))
-		for c := range p.NodeOnly {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		parts = append(parts, "node=("+strings.Join(cols, ",")+")")
 	}
 	if p.LoopDep {
 		parts = append(parts, "rec")

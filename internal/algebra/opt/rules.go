@@ -188,10 +188,7 @@ type rewriter struct {
 	// delta feed (deltarules.go); recDeltas interns the one ∆ leaf per base.
 	delta     map[*algebra.Node]bool
 	recDeltas map[*algebra.Node]*algebra.Node
-	// noIndex disables the index-scan rewrites (IndexProbe marking and
-	// value-equality σ pushdown), producing the arena-scan baseline plans.
-	noIndex bool
-	changed bool
+	changed   bool
 }
 
 func newRewriter(root *algebra.Node, delta map[*algebra.Node]bool) *rewriter {
@@ -309,14 +306,11 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 	case algebra.OpJoin:
 		return r.joinRules(old, n)
 	case algebra.OpSemiJoin:
-		if r.noIndex {
-			return n
-		}
 		return r.semiJoinRules(old, n)
 	case algebra.OpUnion:
 		return alignUnion(n)
 	case algebra.OpStep, algebra.OpIDLookup:
-		return r.stepRules(old, n)
+		return r.stepRules(n)
 	}
 	return n
 }
@@ -467,8 +461,8 @@ func copyWithKids(n *algebra.Node, kids []*algebra.Node) *algebra.Node {
 		Proj: n.Proj, Col: n.Col, Val: n.Val, Preds: n.Preds,
 		GroupCols: n.GroupCols, SortCols: n.SortCols,
 		Num: n.Num, NumArgs: n.NumArgs,
-		Axis: n.Axis, Test: n.Test, ItemCol: n.ItemCol, SegShare: n.SegShare,
-		IndexProbe: n.IndexProbe, ValEq: n.ValEq, ValEqSet: n.ValEqSet,
+		Axis: n.Axis, Test: n.Test, ItemCol: n.ItemCol,
+		ValEq: n.ValEq, ValEqSet: n.ValEqSet,
 		Ctor: n.Ctor, CtorName: n.CtorName,
 		Delta: n.Delta, RecBase: n.RecBase, Desc: n.Desc,
 		Template: n.Template, Bookkeeping: n.Bookkeeping,

@@ -3,11 +3,13 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
+	"repro/internal/xq/ast"
 	"repro/internal/xq/parser"
 )
 
@@ -124,37 +126,59 @@ func evalWith(t *testing.T, src string, mode FixpointMode, p int, mutate func(*P
 	return seq, runs
 }
 
-// TestSegShareMatchesClassic forces SegShare on every step of otherwise
-// verbatim plans and demands byte-identical serialized results against the
-// classic per-match gather path — across axes, empty steps, repeated
-// context nodes (the shared-segment case), sequential and parallel
-// execution (wide.xml crosses the 2·parMinRows sharding threshold).
-func TestSegShareMatchesClassic(t *testing.T) {
-	queries := []string{
-		`doc("shop.xml")/shop/item/name`,
-		`doc("shop.xml")/shop/item/@price`,
-		`doc("shop.xml")//name/text()`,
-		`doc("shop.xml")/shop/missing/child`,
-		`for $i in (1, 2, 3) return doc("shop.xml")/shop/item[@cat = "a"]/name`,
-		`doc("wide.xml")/r/i/t`,
-		`doc("wide.xml")/r/i/@k`,
-		`count(with $x seeded by doc("nest.xml")/n recurse $x/n)`,
+// TestStepFromGenericColumn steps from a context column the packed
+// representation cannot hold — node rows interleaved with atomic rows — so
+// evalStep takes its colBuilder assembly: atomic rows match nothing, node
+// rows fan out exactly as the step kernel says, the carried column is
+// run-expanded alongside, and a repeated context node (served by the segment
+// memo) matches like its first occurrence. 1 worker and a sharded run
+// (wide.xml crosses the 2·parMinRows threshold) must agree.
+func TestStepFromGenericColumn(t *testing.T) {
+	d, err := segDocs(t)("wide.xml")
+	if err != nil {
+		t.Fatal(err)
 	}
-	segShare := func(p *Plan) {
-		walkPlan(p.Root, func(n *Node) {
-			if n.Op == OpStep {
-				n.SegShare = true
+	test := ast.NodeTest{Kind: ast.TestName, Name: "t"}
+	var rows [][]xdm.Item
+	var want []string
+	r := xdm.NodeRef{D: d, Pre: 1}
+	for i, pre := range xdm.Step(nil, r, ast.AxisChild, ast.NodeTest{Kind: ast.TestName, Name: "i"}, true) {
+		ctxs := []xdm.NodeRef{{D: d, Pre: pre}}
+		if i%5 == 0 {
+			ctxs = append(ctxs, ctxs[0])
+		}
+		for _, c := range ctxs {
+			tag := xdm.NewInteger(int64(len(rows)))
+			rows = append(rows, []xdm.Item{tag, xdm.NewNode(c)})
+			for _, m := range xdm.Step(nil, c, ast.AxisChild, test, true) {
+				want = append(want, fmt.Sprintf("%d:%d", tag.Int(), m))
 			}
-		})
+		}
+		if i%3 == 0 {
+			rows = append(rows, []xdm.Item{xdm.NewInteger(int64(len(rows))), xdm.NewString("atom")})
+		}
 	}
-	for _, q := range queries {
-		for _, p := range []int{1, 3} {
-			want, _ := evalWith(t, q, ModeAuto, p, nil)
-			got, _ := evalWith(t, q, ModeAuto, p, segShare)
-			w, g := xmldoc.SerializeSequence(want), xmldoc.SerializeSequence(got)
-			if w != g {
-				t.Errorf("%s (p=%d): seg path diverges:\nclassic: %s\n    seg: %s", q, p, w, g)
-			}
+	lit := &Node{Op: OpLit, LitCols: []string{"tag", "item"}, Rows: rows}
+	step := &Node{Op: OpStep, Kids: []*Node{lit}, Axis: ast.AxisChild, Test: test, ItemCol: "item"}
+	for _, p := range []int{1, 3} {
+		ctx := &ExecContext{Parallelism: p}
+		in, err := Eval(lit, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.ColAt(in.Col("item")).IsPacked() {
+			t.Fatal("fixture context column is packed; the test would not reach the generic path")
+		}
+		out, err := Eval(step, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for i := 0; i < out.Len(); i++ {
+			got = append(got, fmt.Sprintf("%d:%d", out.At(i, 0).Int(), out.At(i, 1).Node().Pre))
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("p=%d: generic-context step diverges: %d rows, want %d", p, len(got), len(want))
 		}
 	}
 }

@@ -147,8 +147,8 @@ type Runner struct {
 	// Opt0 runs the relational engine on the compiler's verbatim plan
 	// (-O0); the default is the optimized plan, matching production.
 	Opt0 bool
-	// NoIndex disables the relational step executor's name-index probe
-	// path (the -index-sweep scan arm); results are byte-identical.
+	// NoIndex makes both engines walk the arena on every step (the
+	// -index-sweep scan arm); results are byte-identical.
 	NoIndex bool
 }
 
@@ -262,11 +262,6 @@ func (r *Runner) runRelational(m *ast.Module, alg core.Algorithm, docs func(stri
 	var optimize func(*algebra.Plan)
 	if !r.Opt0 {
 		optimize = opt.Optimize
-		if r.NoIndex {
-			// The arena-scan baseline the index sweep measures against:
-			// the feature off at the plan level too, not just exec time.
-			optimize = opt.OptimizeNoIndex
-		}
 	}
 	tr := obs.NewTrace("bench")
 	en, err := algebra.NewEngine(m, algebra.Options{

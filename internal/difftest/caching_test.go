@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// TestCachingParity is the caching gate (`make cache-check`): over the
+// TestCachingParity is the caching gate (`make parity-check`): over the
 // deterministic seed block, serving from the plan cache, the result cache,
 // or both must not change any engine's observable behaviour — results,
 // errors, and fixpoint statistics stay byte-identical with caches on vs

@@ -21,11 +21,11 @@ func TestRoundStatsParity(t *testing.T) {
 	}
 }
 
-// TestRoundStatsParityFamilies pins the same invariant on the paper's four
+// TestRoundStatsFamiliesParity pins the same invariant on the paper's four
 // query families — the plans whose optimized form actually carries the
-// recdelta and seg rewrites (bidder and hospital get both) — on seeded
+// recdelta rewrite (bidder and hospital) — on seeded
 // instances deep enough for several fixpoint rounds.
-func TestRoundStatsParityFamilies(t *testing.T) {
+func TestRoundStatsFamiliesParity(t *testing.T) {
 	families := []struct {
 		name  string
 		query string

@@ -13,10 +13,9 @@ import (
 // evaluated with the index path disabled (pure arena scans) to establish a
 // baseline, then with the index path enabled — the production default.
 // Both runs must agree byte-for-byte on the result string, the error, and
-// the fixpoint statistics. Both engines probe — the interpreter gates
-// dynamically per step, the relational engine on optimizer-flagged plan
-// nodes — and both must be invisible; the -O0 relational cells never
-// carry the IndexProbe flag, pinning that -O0 plans stay index-free.
+// the fixpoint statistics. Both engines answer steps through the one
+// kernel (xdm.Step), which decides walk-vs-probe per context node at run
+// time — at -O0 as at -O1 — and the choice must be invisible everywhere.
 func CheckIndexes(t testing.TB, c Case) {
 	t.Helper()
 	var q *ifpxq.Query

@@ -6,9 +6,9 @@ import (
 	"repro/internal/xdm"
 )
 
-// TestIndexParity is the index gate (`make index-check`): over the
-// deterministic seed block, the relational engine with index probing
-// enabled (the production default) must agree byte-for-byte — results,
+// TestIndexParity is the index gate (`make parity-check`): over the
+// deterministic seed block, both engines with index probing enabled (the
+// production default) must agree byte-for-byte — results,
 // errors, fixpoint statistics — with pure arena-scan execution in every
 // engine × mode × optimizer level × worker count configuration. It also
 // pins that the probe path actually ran somewhere in the block: a wiring

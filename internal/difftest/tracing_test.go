@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// TestTracingParity is the observability gate (`make obs-check`): over the
+// TestTracingParity is the observability gate (`make parity-check`): over the
 // deterministic seed block, attaching a span recorder must not change any
 // engine's observable behaviour — results, errors, and fixpoint statistics
 // stay byte-identical with tracing on vs off in every configuration.

@@ -45,21 +45,15 @@ type Index struct {
 	bytes      int64 // resident/serialized size of the index sections
 }
 
-// Package-wide probe/fallback counters: a probe is a step resolved against
-// a posting list, a fallback is an index-eligible step that walked the
-// arena instead (probe judged unprofitable). Exposed as monotonic totals
-// through xq -store-stats and xqd /metrics.
+// Package-wide probe/fallback counters, moved only by the step kernel
+// (step.go): a probe is a step resolved against a posting list, a fallback
+// is an index-eligible step that walked the arena instead (probe judged
+// unprofitable). Exposed as monotonic totals through xq -store-stats and
+// xqd /metrics.
 var (
 	indexProbes    atomic.Int64
 	indexFallbacks atomic.Int64
 )
-
-// CountIndexProbe records one index-probed step resolution.
-func CountIndexProbe() { indexProbes.Add(1) }
-
-// CountIndexFallback records one index-eligible step that fell back to the
-// arena walk.
-func CountIndexFallback() { indexFallbacks.Add(1) }
 
 // IndexCounters returns the process-wide probe/fallback totals.
 func IndexCounters() (probes, fallbacks int64) {

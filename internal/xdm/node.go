@@ -271,129 +271,6 @@ func (n NodeRef) Attribute(name string) (string, bool) {
 	return "", false
 }
 
-// Descendants returns all descendant nodes (attributes excluded), optionally
-// including n itself (descendant-or-self).
-func (n NodeRef) Descendants(orSelf bool) []NodeRef {
-	d := n.data()
-	var out []NodeRef
-	if orSelf {
-		out = append(out, n)
-	}
-	end := n.Pre + d.size
-	for i := n.Pre + 1; i <= end; i++ {
-		if n.D.nodes[i].kind == AttributeNode {
-			continue
-		}
-		out = append(out, NodeRef{n.D, i})
-	}
-	return out
-}
-
-// Ancestors returns the ancestors from parent to root, optionally including
-// n itself first (ancestor-or-self). Results are in reverse document order,
-// as axes deliver; callers ddo when needed.
-func (n NodeRef) Ancestors(orSelf bool) []NodeRef {
-	var out []NodeRef
-	if orSelf {
-		out = append(out, n)
-	}
-	cur := n
-	for {
-		p, ok := cur.Parent()
-		if !ok {
-			break
-		}
-		out = append(out, p)
-		cur = p
-	}
-	return out
-}
-
-// FollowingSiblings returns the following siblings in document order.
-// Attribute nodes have no siblings.
-func (n NodeRef) FollowingSiblings() []NodeRef {
-	if n.Kind() == AttributeNode {
-		return nil
-	}
-	p, ok := n.Parent()
-	if !ok {
-		return nil
-	}
-	var out []NodeRef
-	end := p.Pre + p.data().size
-	for i := n.Pre + n.data().size + 1; i <= end; {
-		nd := &n.D.nodes[i]
-		if nd.kind == AttributeNode {
-			i++
-			continue
-		}
-		if nd.parent == p.Pre {
-			out = append(out, NodeRef{n.D, i})
-		}
-		i += nd.size + 1
-	}
-	return out
-}
-
-// PrecedingSiblings returns the preceding siblings in reverse document order.
-func (n NodeRef) PrecedingSiblings() []NodeRef {
-	if n.Kind() == AttributeNode {
-		return nil
-	}
-	p, ok := n.Parent()
-	if !ok {
-		return nil
-	}
-	var out []NodeRef
-	for _, c := range p.Children() {
-		if c.Pre >= n.Pre {
-			break
-		}
-		out = append(out, c)
-	}
-	// reverse to axis order (nearest first)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-// Following returns all nodes after the subtree of n in document order,
-// excluding ancestors and attribute nodes (the XPath following axis).
-func (n NodeRef) Following() []NodeRef {
-	if n.Kind() == AttributeNode {
-		if p, ok := n.Parent(); ok {
-			return p.Following()
-		}
-		return nil
-	}
-	var out []NodeRef
-	for i := n.Pre + n.data().size + 1; i < int32(len(n.D.nodes)); i++ {
-		if n.D.nodes[i].kind == AttributeNode {
-			continue
-		}
-		out = append(out, NodeRef{n.D, i})
-	}
-	return out
-}
-
-// Preceding returns all nodes before n in reverse document order, excluding
-// ancestors and attribute nodes (the XPath preceding axis).
-func (n NodeRef) Preceding() []NodeRef {
-	anc := make(map[int32]bool)
-	for _, a := range n.Ancestors(false) {
-		anc[a.Pre] = true
-	}
-	var out []NodeRef
-	for i := n.Pre - 1; i > 0; i-- {
-		if n.D.nodes[i].kind == AttributeNode || anc[i] {
-			continue
-		}
-		out = append(out, NodeRef{n.D, i})
-	}
-	return out
-}
-
 // IsAncestorOf reports whether n is a proper ancestor of m.
 func (n NodeRef) IsAncestorOf(m NodeRef) bool {
 	if n.D != m.D {

@@ -47,6 +47,8 @@ type evaluator struct {
 	// 1024 eval calls keeps long non-fixpoint evaluations bounded without
 	// a clock read in the hot path.
 	evalTick uint
+	// stepBuf is evalAxisStep's scratch for the step kernel's output.
+	stepBuf []int32
 }
 
 func (ev *evaluator) eval(e ast.Expr, en *env, ctx dynCtx) (xdm.Sequence, error) {

@@ -237,6 +237,9 @@ func TestPathsAndAxes(t *testing.T) {
 		{doc + `$d/a[2]/preceding-sibling::a/@i/string()`, "1"},
 		{doc + `count($d/a[1]/following::b)`, "1"},
 		{doc + `count($d/a[2]/c/b/preceding::b)`, "2"},
+		// An attribute's owner's content follows it in document order.
+		{doc + `$d/a[1]/@i/following::b/string()`, "x y z"},
+		{`for $n in <a x="1"><b/><c/></a>/@x/following::* return name($n)`, "b c"},
 		{doc + `$d/a/self::a[1]/@i/string()`, "1 2"}, // step predicates apply per context node
 		{doc + `($d/a/self::a)[1]/@i/string()`, "1"},
 		{doc + `string(($d//b)[last()])`, "z"},

@@ -148,7 +148,7 @@ func matchesValueSet(n xdm.NodeRef, steps []*ast.AxisStep, set map[string]struct
 	rest := steps[1:]
 	found := false
 	visit := func(m xdm.NodeRef) bool {
-		if !matchNodeTest(m, st.Test, st.Axis) {
+		if !m.MatchesTest(st.Test, st.Axis) {
 			return true
 		}
 		if len(rest) == 0 {

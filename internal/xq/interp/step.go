@@ -57,50 +57,14 @@ func (ev *evaluator) evalAxisStep(n *ast.AxisStep, en *env, ctx dynCtx) (xdm.Seq
 		return nil, xdm.NewError(xdm.ErrType, "axis step applied to atomic value")
 	}
 	node := ctx.item.Node()
+	// The scratch is free again before any predicate runs (and re-enters
+	// this function): the ranks are turned into items first.
+	ev.stepBuf = xdm.Step(ev.stepBuf[:0], node, n.Axis, n.Test, ev.engine.opts.NoIndex)
 	var selected xdm.Sequence
-	probed := false
-	if !ev.engine.opts.NoIndex && stepIndexEligible(n.Axis, n.Test) {
-		if sel, ok := indexAxisNodes(node, n.Axis, n.Test); ok {
-			xdm.CountIndexProbe()
-			selected, probed = sel, true
-		} else {
-			xdm.CountIndexFallback()
-		}
-	}
-	if !probed {
-		var axisNodes []xdm.NodeRef
-		switch n.Axis {
-		case ast.AxisChild:
-			axisNodes = node.Children()
-		case ast.AxisDescendant:
-			axisNodes = node.Descendants(false)
-		case ast.AxisDescendantOrSelf:
-			axisNodes = node.Descendants(true)
-		case ast.AxisAttribute:
-			axisNodes = node.Attributes()
-		case ast.AxisSelf:
-			axisNodes = []xdm.NodeRef{node}
-		case ast.AxisParent:
-			if p, ok := node.Parent(); ok {
-				axisNodes = []xdm.NodeRef{p}
-			}
-		case ast.AxisAncestor:
-			axisNodes = node.Ancestors(false)
-		case ast.AxisAncestorOrSelf:
-			axisNodes = node.Ancestors(true)
-		case ast.AxisFollowingSibling:
-			axisNodes = node.FollowingSiblings()
-		case ast.AxisPrecedingSibling:
-			axisNodes = node.PrecedingSiblings()
-		case ast.AxisFollowing:
-			axisNodes = node.Following()
-		case ast.AxisPreceding:
-			axisNodes = node.Preceding()
-		}
-		for _, m := range axisNodes {
-			if matchNodeTest(m, n.Test, n.Axis) {
-				selected = append(selected, xdm.NewNode(m))
-			}
+	if len(ev.stepBuf) > 0 {
+		selected = make(xdm.Sequence, len(ev.stepBuf))
+		for i, pre := range ev.stepBuf {
+			selected[i] = xdm.NewNode(xdm.NodeRef{D: node.D, Pre: pre})
 		}
 	}
 	filtered, err := ev.applyPreds(selected, n.Preds, en)
@@ -114,33 +78,6 @@ func (ev *evaluator) evalAxisStep(n *ast.AxisStep, en *env, ctx dynCtx) (xdm.Seq
 		}
 	}
 	return filtered, nil
-}
-
-// matchNodeTest applies a node test; the principal node kind of the
-// attribute axis is attribute, of every other axis element.
-func matchNodeTest(n xdm.NodeRef, t ast.NodeTest, axis ast.Axis) bool {
-	switch t.Kind {
-	case ast.TestName:
-		if axis == ast.AxisAttribute {
-			return n.Kind() == xdm.AttributeNode && nameMatches(t.Name, n.Name())
-		}
-		return n.Kind() == xdm.ElementNode && nameMatches(t.Name, n.Name())
-	case ast.TestAnyKind:
-		return true
-	case ast.TestText:
-		return n.Kind() == xdm.TextNode
-	case ast.TestComment:
-		return n.Kind() == xdm.CommentNode
-	case ast.TestPI:
-		return n.Kind() == xdm.PINode && (t.Name == "" || n.Name() == t.Name)
-	case ast.TestElement:
-		return n.Kind() == xdm.ElementNode && nameMatches(t.Name, n.Name())
-	case ast.TestAttr:
-		return n.Kind() == xdm.AttributeNode && nameMatches(t.Name, n.Name())
-	case ast.TestDocument:
-		return n.Kind() == xdm.DocumentNode
-	}
-	return false
 }
 
 // applyPreds filters a sequence through predicates. A predicate whose
