@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-store bench-parallel bench-opt bench-index bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke parity-check benchmark-check
+.PHONY: all build test bench bench-json bench-check bench-baseline cover fmt-check fuzz explain explain-update vet lint ci clean loadsmoke parity-check benchmark-check
 
 all: build test
 
@@ -128,76 +128,41 @@ explain-update:
 	$(GO) test -run 'TestGolden' -count=1 ./internal/algebra/opt -update
 	git --no-pager diff --stat internal/algebra/opt/testdata
 
-# The Table 2 cells tracked across PRs (see EXPERIMENTS.md, BENCH_1.json).
+# The perf plane beside the benchmark contract (`go run -C benchmark .`,
+# see benchmark-check above): Table 2 and its oracle arms through one cell
+# runner (internal/bench), as a printed table / BENCH_<n>.json snapshot
+# (cmd/ifpbench) or under `go test -bench` (BenchmarkTable2/<cell id>).
+# `bench` is the quick look: the bare drivers and the smallest row.
 bench:
-	$(GO) test -run '^$$' -bench 'IFPCore|BidderNetworkSmall' -benchmem
+	$(GO) test -run '^$$' -bench 'IFPCore|Table2/T2.1/' -benchmem
 
-# next-bench prints the first unused BENCH_<n>.json name, so snapshots
-# accrue as a trajectory instead of overwriting each other. Only the
-# numbered trajectory files count: BENCH_baseline.json (the committed CI
-# gate baseline) and BENCH_pr.json (the transient bench-check snapshot,
-# removed by `make clean`) never shift the numbering.
-define next-bench
-$$(n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; echo BENCH_$$n.json)
-endef
+# bench-json writes BENCH_<N>.json for PR number N over all eight rows,
+# optionally along one axis (VARY=p=1,2 | opt=0,1 | ix=0,1). The number is
+# given, never guessed — the history has gaps (no BENCH_6/7/11–16), and a
+# first-gap rule would file a new snapshot between old ones — and an
+# existing snapshot is never overwritten.
+bench-json:
+	@test -n "$(N)" || { echo "usage: make bench-json N=<pr number> [VARY=p=1,2]"; exit 2; }
+	@test ! -e BENCH_$(N).json || { echo "BENCH_$(N).json exists; trajectory snapshots are not overwritten"; exit 1; }
+	$(GO) run ./cmd/ifpbench $(if $(VARY),-vary $(VARY)) -json BENCH_$(N).json
 
-# BENCH_CHECK_EXPS is the short bench-gate workload, kept to minutes per
-# PR while covering both relational fixpoint algorithms. T2.1 is the
-# shallow bidder cell; T2.4 (huge bidder network) is the step-dominated
-# cell where the interpreter's name-index probes buy 4.5× over arena
-# scans, so index-path regressions gate here; T2.8 (hospital pedigrees)
-# is the deep-recursion cell whose optimized plan carries the delta-fed
-# step rewrite (recdelta), so per-round step cost regressions on the
-# delta path gate here. Regenerate the committed baseline
-# (bench-baseline) whenever a PR moves these numbers on purpose.
-BENCH_CHECK_EXPS ?= T2.1,T2.4,T2.8
-
-# bench-check is the CI regression gate: measure the short workload into
-# BENCH_pr.json and compare against the committed BENCH_baseline.json.
-# allocs/op is deterministic and machine-independent, so it carries the
-# tight 25% gate; ns/op is measured on whatever runner CI hands out while
-# the baseline came from another machine entirely, so it only catches
-# catastrophic (>2×) slowdowns — anything tighter would flake on runner
-# variance rather than code. All cells gate — the interpreter cells are
-# where the index-probe path shows, the relational cells where the
-# fixpoint fabric does.
+# bench-check is the CI regression gate: measure all eight rows at the
+# default configuration into BENCH_pr.json and compare against the
+# committed BENCH_baseline.json, cell by cell on (id, p, opt, ix). The
+# tolerances (allocs/op +25 %, ns/op 2×, every cell gated) and the reasons
+# for them are constants in cmd/benchdiff/main.go. A full pass takes
+# minutes; T2.7 rel Naïve alone is ≈16 s/op.
 bench-check:
-	$(GO) run ./cmd/ifpbench -exp $(BENCH_CHECK_EXPS) -json BENCH_pr.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_pr.json \
-		-cells '' -ns-tolerance 1.0 -allocs-tolerance 0.25
+	$(GO) run ./cmd/ifpbench -json BENCH_pr.json
+	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_pr.json
 
 # bench-baseline refreshes the committed gate baseline from the same
-# workload bench-check measures.
+# workload bench-check measures; run it whenever a PR moves the numbers on
+# purpose.
 bench-baseline:
-	$(GO) run ./cmd/ifpbench -exp $(BENCH_CHECK_EXPS) -json BENCH_baseline.json
-
-# Machine-readable snapshot of the full-size experiments.
-bench-json:
-	@out=$(next-bench); echo "writing $$out"; $(GO) run ./cmd/ifpbench -json $$out
-
-# Document store benchmarks: cold parse vs snapshot read vs mmap open,
-# plus cold-/warm-cache query latency.
-bench-store:
-	@out=$(next-bench); echo "writing $$out"; $(GO) run ./cmd/ifpbench -store -json $$out
-
-# Worker-count sweep over the fixpoint workloads (see BENCH_3.json):
-# every cell measured at 1/2/4/8 fixpoint workers.
-bench-parallel:
-	@out=$(next-bench); echo "writing $$out"; $(GO) run ./cmd/ifpbench -parallel 1,2,4,8 -json $$out
-
-# Optimizer sweep (see BENCH_5.json): every cell measured with the plan
-# optimizer off and on (…/O=0 and …/O=1 entries), so what the rewrite
-# layer buys per cell stays diffable across PRs.
-bench-opt:
-	@out=$(next-bench); echo "writing $$out"; $(GO) run ./cmd/ifpbench -opt-sweep -json $$out
-
-# Index sweep (see BENCH_10.json): every cell measured with name-index
-# probing off and on (…/ix=0 and …/ix=1 entries), so what the persistent
-# snapshot indexes buy per cell stays diffable across PRs.
-bench-index:
-	@out=$(next-bench); echo "writing $$out"; $(GO) run ./cmd/ifpbench -index-sweep -json $$out
+	$(GO) run ./cmd/ifpbench -json BENCH_baseline.json
 
 clean:
-	rm -f ifpbench xq xqd distcheck xmlgen benchdiff *.test BENCH_snapshot*.json
+	rm -f ifpbench xq xqd distcheck xmlgen benchdiff *.test
 	rm -f cover.out cover.pkg.out BENCH_pr.json
 	rm -rf internal/difftest/testdata/fuzz

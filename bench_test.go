@@ -1,9 +1,8 @@
-// Benchmarks regenerating the paper's evaluation (Table 2): one benchmark
-// per table row and engine/algorithm cell, at scales tuned so a full
-// `go test -bench=. -benchmem` sweep stays in the minutes. The full-size
-// table is produced by `go run ./cmd/ifpbench` (see EXPERIMENTS.md).
+// Benchmarks regenerating the paper's evaluation (Table 2) cell by cell
+// through internal/bench's one cell runner — `go run ./cmd/ifpbench` prints
+// the same cells as a table (see EXPERIMENTS.md "Measuring").
 //
-// Ablation benches at the bottom cover the design choices DESIGN.md §7
+// Ablation benches below cover the design choices DESIGN.md §7
 // calls out: strict vs. extended algebraic check, loop-invariant hoisting
 // in µ/µ∆ (via forced plan invalidation), and the two engines on identical
 // plans.
@@ -44,124 +43,27 @@ func findFixpoint(m *ast.Module) *ast.Fixpoint {
 	return out
 }
 
-// benchDoc memoizes generated+parsed documents across benchmark runs.
-var benchDocs = map[string]*xdm.Document{}
-
-func docFor(b *testing.B, uri, xml string) DocResolver {
-	b.Helper()
-	key := fmt.Sprintf("%s/%d/%s", uri, len(xml), xml[:32])
-	d, ok := benchDocs[key]
-	if !ok {
-		var err error
-		d, err = xmldoc.ParseString(xml, uri)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchDocs[key] = d
-	}
-	return func(u string) (*xdm.Document, error) {
-		if u != uri {
-			return nil, xdm.Errorf(xdm.ErrDoc, "unknown doc %q", u)
-		}
-		return d, nil
+// BenchmarkTable2 is Table 2 under `go test -bench`: one sub-benchmark per
+// cell id (BenchmarkTable2/T2.4/rel/Delta) at the default configuration
+// (p=1 opt=1 ix=1), through the same bench.Prepared.Bench and at the same
+// document scales ifpbench measures, so a number here and a BENCH_<n>.json
+// entry with that id are the same measurement. Each reports the paper's
+// "nodes fed back" column as a nodes-fed metric.
+func BenchmarkTable2(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			prep, err := bench.Prepare(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range bench.Cells(bench.Default) {
+				b.Run(fmt.Sprintf("%s/%s", c.Engine, c.Alg), prep.Bench(c, new(bench.Outcome)))
+			}
+		})
 	}
 }
-
-func benchQuery(b *testing.B, query, uri, xml string, engine Engine, mode Mode) {
-	b.Helper()
-	docs := docFor(b, uri, xml)
-	q, err := Parse(query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fed int64
-	for i := 0; i < b.N; i++ {
-		res, err := q.Eval(Options{Engine: engine, Mode: mode, Docs: docs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fed = 0
-		for _, fp := range res.Fixpoints {
-			fed += fp.Stats.NodesFedBack
-		}
-	}
-	b.ReportMetric(float64(fed), "nodes-fed")
-}
-
-// ---- Table 2 rows ---------------------------------------------------------
 
 func auctionXML(scale float64) string { return xmlgen.Auction(xmlgen.FromScale(scale)) }
-
-// T2.1–T2.4: the XMark bidder network (Figure 10) at growing scales.
-func BenchmarkBidderNetworkSmall_InterpNaive(b *testing.B) {
-	benchQuery(b, bench.BidderNetworkQuery, "auction.xml", auctionXML(0.002), EngineInterpreter, ModeNaive)
-}
-func BenchmarkBidderNetworkSmall_InterpDelta(b *testing.B) {
-	benchQuery(b, bench.BidderNetworkQuery, "auction.xml", auctionXML(0.002), EngineInterpreter, ModeDelta)
-}
-func BenchmarkBidderNetworkSmall_RelNaive(b *testing.B) {
-	benchQuery(b, bench.BidderNetworkQuery, "auction.xml", auctionXML(0.002), EngineRelational, ModeNaive)
-}
-func BenchmarkBidderNetworkSmall_RelDelta(b *testing.B) {
-	benchQuery(b, bench.BidderNetworkQuery, "auction.xml", auctionXML(0.002), EngineRelational, ModeDelta)
-}
-func BenchmarkBidderNetworkMedium_InterpNaive(b *testing.B) {
-	benchQuery(b, bench.BidderNetworkQuery, "auction.xml", auctionXML(0.004), EngineInterpreter, ModeNaive)
-}
-func BenchmarkBidderNetworkMedium_InterpDelta(b *testing.B) {
-	benchQuery(b, bench.BidderNetworkQuery, "auction.xml", auctionXML(0.004), EngineInterpreter, ModeDelta)
-}
-func BenchmarkBidderNetworkMedium_RelDelta(b *testing.B) {
-	benchQuery(b, bench.BidderNetworkQuery, "auction.xml", auctionXML(0.004), EngineRelational, ModeDelta)
-}
-
-// T2.5: Romeo and Juliet dialogs (horizontal structural recursion).
-func BenchmarkDialogs_InterpNaive(b *testing.B) {
-	benchQuery(b, bench.DialogsQuery, "play.xml", xmlgen.Play(xmlgen.PlaySized()), EngineInterpreter, ModeNaive)
-}
-func BenchmarkDialogs_InterpDelta(b *testing.B) {
-	benchQuery(b, bench.DialogsQuery, "play.xml", xmlgen.Play(xmlgen.PlaySized()), EngineInterpreter, ModeDelta)
-}
-func BenchmarkDialogs_RelNaive(b *testing.B) {
-	benchQuery(b, bench.DialogsQuery, "play.xml", xmlgen.Play(xmlgen.PlaySized()), EngineRelational, ModeNaive)
-}
-func BenchmarkDialogs_RelDelta(b *testing.B) {
-	benchQuery(b, bench.DialogsQuery, "play.xml", xmlgen.Play(xmlgen.PlaySized()), EngineRelational, ModeDelta)
-}
-
-// T2.6–T2.7: curriculum consistency check (xlinkit Rule 5).
-func BenchmarkCurriculumMedium_InterpNaive(b *testing.B) {
-	benchQuery(b, bench.CurriculumQuery, "curriculum.xml",
-		xmlgen.Curriculum(xmlgen.CurriculumSized(200)), EngineInterpreter, ModeNaive)
-}
-func BenchmarkCurriculumMedium_InterpDelta(b *testing.B) {
-	benchQuery(b, bench.CurriculumQuery, "curriculum.xml",
-		xmlgen.Curriculum(xmlgen.CurriculumSized(200)), EngineInterpreter, ModeDelta)
-}
-func BenchmarkCurriculumMedium_RelDelta(b *testing.B) {
-	benchQuery(b, bench.CurriculumQuery, "curriculum.xml",
-		xmlgen.Curriculum(xmlgen.CurriculumSized(200)), EngineRelational, ModeDelta)
-}
-func BenchmarkCurriculumLarge_InterpDelta(b *testing.B) {
-	benchQuery(b, bench.CurriculumQuery, "curriculum.xml",
-		xmlgen.Curriculum(xmlgen.CurriculumSized(800)), EngineInterpreter, ModeDelta)
-}
-
-// T2.8: hospital hereditary-disease records.
-func BenchmarkHospital_InterpNaive(b *testing.B) {
-	benchQuery(b, bench.HospitalQuery, "hospital.xml",
-		xmlgen.Hospital(xmlgen.HospitalSized(10000)), EngineInterpreter, ModeNaive)
-}
-func BenchmarkHospital_InterpDelta(b *testing.B) {
-	benchQuery(b, bench.HospitalQuery, "hospital.xml",
-		xmlgen.Hospital(xmlgen.HospitalSized(10000)), EngineInterpreter, ModeDelta)
-}
-func BenchmarkHospital_RelDelta(b *testing.B) {
-	benchQuery(b, bench.HospitalQuery, "hospital.xml",
-		xmlgen.Hospital(xmlgen.HospitalSized(10000)), EngineRelational, ModeDelta)
-}
 
 // ---- ablations (DESIGN.md §7) ----------------------------------------------
 

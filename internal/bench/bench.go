@@ -1,16 +1,19 @@
 // Package bench defines the four query families of the paper's evaluation
-// (Section 5, Table 2) and a harness that regenerates the table: for every
-// experiment it runs Naïve and Delta on both engines (the direct
+// (Section 5, Table 2) and the one runner that regenerates the table: for
+// every experiment it measures Naïve and Delta on both engines (the direct
 // interpreter standing in for Saxon, the relational pipeline for
-// MonetDB/XQuery) and reports evaluation time, total nodes fed back, and
-// recursion depth.
+// MonetDB/XQuery) and reports evaluation time, allocations, total nodes
+// fed back, and recursion depth — optionally along one oracle axis (worker
+// count, optimizer level, index probing). End-to-end serving numbers are
+// the benchmark/ module's business, not this package's.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
-	"time"
+	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/algebra/opt"
@@ -66,10 +69,6 @@ type Experiment struct {
 	Query  string
 	DocURI string
 	DocXML func() string
-	// RelationalOnly marks workloads too large for the tree-at-a-time
-	// interpreter within the harness budget (both engines still run for
-	// the default sizes).
-	RelationalOnly bool
 }
 
 // Experiments returns the Table 2 rows. The scale factors are laptop-scale
@@ -115,73 +114,44 @@ const (
 	EngineRelational = "rel"    // relational pipeline (MonetDB/XQuery analog)
 )
 
-// Measurement is one (engine, algorithm) cell of Table 2.
-type Measurement struct {
-	Engine    string
-	Algorithm core.Algorithm
-	Elapsed   time.Duration
-	Stats     core.Stats
+// Cell is one measured point: an (engine, algorithm) cell of a Table 2 row
+// at one configuration.
+type Cell struct {
+	Engine string
+	Alg    core.Algorithm
+	Config
+}
+
+// Outcome is what one evaluation of a cell reports besides its cost: the
+// machine-independent Table 2 counters, which every arm of a -vary run
+// must agree on.
+type Outcome struct {
+	NodesFed  int64
+	Depth     int
 	ResultLen int
-	// Distributive reports the engine's own distributivity verdict for
-	// the query's fixpoint body (syntactic for interp, algebraic for rel).
+	// Distributive is the engine's own distributivity verdict for the
+	// query's fixpoint body (syntactic for interp, algebraic for rel).
 	Distributive bool
-	// Phases breaks the cell's last run into traced pipeline phases
-	// (compile/optimize/exec for rel, exec for interp), cumulative
-	// nanoseconds by phase name.
+	// Phases are the evaluation's traced pipeline phases (compile/
+	// optimize/exec for rel, exec for interp), cumulative ns by name.
 	Phases map[string]int64
+	// Err is why the evaluation failed; the counters are then meaningless.
+	Err error
 }
 
-// Row is one fully measured Table 2 row.
-type Row struct {
-	Exp          Experiment
-	DocBytes     int
-	Measurements []Measurement
-}
-
-// Runner executes experiments.
-type Runner struct {
-	MaxIterations int
-	// Parallelism is the fixpoint worker-pool width passed to both
-	// engines (0 = GOMAXPROCS, 1 = sequential).
-	Parallelism int
-	// Opt0 runs the relational engine on the compiler's verbatim plan
-	// (-O0); the default is the optimized plan, matching production.
-	Opt0 bool
-	// NoIndex makes both engines walk the arena on every step (the
-	// -index-sweep scan arm); results are byte-identical.
-	NoIndex bool
-}
-
-// docResolverFor parses the experiment's document once and serves it for
-// both engines.
-func docResolverFor(exp Experiment) (func(string) (*xdm.Document, error), int, error) {
-	xml := exp.DocXML()
-	doc, err := xmldoc.ParseString(xml, exp.DocURI)
-	if err != nil {
-		return nil, 0, err
-	}
-	return func(uri string) (*xdm.Document, error) {
-		if uri != exp.DocURI {
-			return nil, xdm.Errorf(xdm.ErrDoc, "unknown document %q", uri)
-		}
-		return doc, nil
-	}, len(xml), nil
-}
-
-// PreparedExperiment is an experiment with its document generated/parsed
-// and its query parsed, so individual cells can be measured without the
-// setup cost inside the timed region.
-type PreparedExperiment struct {
+// Prepared is an experiment with its document generated and parsed and its
+// query parsed, so cells are measured without the setup cost.
+type Prepared struct {
 	Exp      Experiment
 	DocBytes int
-	runner   *Runner
 	docs     func(string) (*xdm.Document, error)
 	module   *ast.Module
 }
 
 // Prepare generates and parses the experiment's document and query once.
-func (r *Runner) Prepare(exp Experiment) (*PreparedExperiment, error) {
-	docs, nbytes, err := docResolverFor(exp)
+func Prepare(exp Experiment) (*Prepared, error) {
+	xml := exp.DocXML()
+	doc, err := xmldoc.ParseString(xml, exp.DocURI)
 	if err != nil {
 		return nil, err
 	}
@@ -189,150 +159,247 @@ func (r *Runner) Prepare(exp Experiment) (*PreparedExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedExperiment{Exp: exp, DocBytes: nbytes, runner: r, docs: docs, module: m}, nil
-}
-
-// RunCell measures one (engine, algorithm) cell of the prepared
-// experiment. Engine is EngineInterp or EngineRelational.
-func (p *PreparedExperiment) RunCell(engine string, alg core.Algorithm) (Measurement, error) {
-	if engine == EngineRelational {
-		return p.runner.runRelational(p.module, alg, p.docs)
-	}
-	return p.runner.runInterp(p.module, alg, p.docs)
-}
-
-// Run measures one experiment on both engines and both algorithms.
-func (r *Runner) Run(exp Experiment) (*Row, error) {
-	p, err := r.Prepare(exp)
-	if err != nil {
-		return nil, err
-	}
-	m, docs := p.module, p.docs
-	row := &Row{Exp: exp, DocBytes: p.DocBytes}
-	for _, alg := range []core.Algorithm{core.Naive, core.Delta} {
-		im, err := r.runInterp(m, alg, docs)
-		if err != nil {
-			return nil, fmt.Errorf("%s interp %v: %w", exp.ID, alg, err)
+	docs := func(uri string) (*xdm.Document, error) {
+		if uri != exp.DocURI {
+			return nil, xdm.Errorf(xdm.ErrDoc, "unknown document %q", uri)
 		}
-		row.Measurements = append(row.Measurements, im)
-		rm, err := r.runRelational(m, alg, docs)
-		if err != nil {
-			return nil, fmt.Errorf("%s rel %v: %w", exp.ID, alg, err)
-		}
-		row.Measurements = append(row.Measurements, rm)
+		return doc, nil
 	}
-	return row, nil
+	return &Prepared{Exp: exp, DocBytes: len(xml), docs: docs, module: m}, nil
 }
 
-func (r *Runner) runInterp(m *ast.Module, alg core.Algorithm, docs func(string) (*xdm.Document, error)) (Measurement, error) {
-	mode := interp.ModeNaive
-	if alg == core.Delta {
-		mode = interp.ModeDelta
-	}
+// ID is the cell's stable identifier across PRs, e.g. "T2.4/rel/Delta".
+func (p *Prepared) ID(c Cell) string {
+	return fmt.Sprintf("%s/%s/%s", p.Exp.ID, c.Engine, c.Alg)
+}
+
+// eval evaluates the cell once, untimed.
+func (p *Prepared) eval(c Cell) Outcome {
 	tr := obs.NewTrace("bench")
-	en := interp.New(m, interp.Options{
-		Mode: mode, Docs: docs, MaxIterations: r.MaxIterations, Parallelism: r.Parallelism,
-		NoIndex: r.NoIndex, Trace: tr,
-	})
-	start := time.Now()
-	res, err := en.Eval()
-	elapsed := time.Since(start)
-	if err != nil {
-		return Measurement{}, err
+	var out Outcome
+	tally := func(s core.Stats) {
+		out.NodesFed += s.NodesFedBack
+		out.Depth = max(out.Depth, s.Depth)
 	}
-	meas := Measurement{Engine: EngineInterp, Algorithm: alg, Elapsed: elapsed,
-		ResultLen: len(res.Value), Phases: tr.PhaseNs()}
-	for _, run := range res.IFPRuns {
-		meas.Stats.PayloadCalls += run.Stats.PayloadCalls
-		meas.Stats.NodesFedBack += run.Stats.NodesFedBack
-		meas.Stats.ResultSize += run.Stats.ResultSize
-		if run.Stats.Depth > meas.Stats.Depth {
-			meas.Stats.Depth = run.Stats.Depth
+	if c.Engine == EngineRelational {
+		mode := algebra.ModeNaive
+		if c.Alg == core.Delta {
+			mode = algebra.ModeDelta
 		}
-		meas.Distributive = meas.Distributive || run.Distributive
-	}
-	return meas, nil
-}
-
-func (r *Runner) runRelational(m *ast.Module, alg core.Algorithm, docs func(string) (*xdm.Document, error)) (Measurement, error) {
-	mode := algebra.ModeNaive
-	if alg == core.Delta {
-		mode = algebra.ModeDelta
-	}
-	var optimize func(*algebra.Plan)
-	if !r.Opt0 {
-		optimize = opt.Optimize
-	}
-	tr := obs.NewTrace("bench")
-	en, err := algebra.NewEngine(m, algebra.Options{
-		Mode: mode, Docs: docs, MaxIterations: r.MaxIterations, Parallelism: r.Parallelism,
-		NoIndex: r.NoIndex, Optimize: optimize, Trace: tr,
-	})
-	if err != nil {
-		return Measurement{}, err
-	}
-	distributive := false
-	for _, site := range en.Plan().Mus {
-		distributive = distributive || site.Distributive
-	}
-	start := time.Now()
-	seq, runs, err := en.Eval()
-	elapsed := time.Since(start)
-	if err != nil {
-		return Measurement{}, err
-	}
-	meas := Measurement{Engine: EngineRelational, Algorithm: alg, Elapsed: elapsed,
-		ResultLen: len(seq), Distributive: distributive, Phases: tr.PhaseNs()}
-	for _, run := range runs {
-		meas.Stats.PayloadCalls += run.Stats.PayloadCalls
-		meas.Stats.NodesFedBack += run.Stats.NodesFedBack
-		meas.Stats.ResultSize += run.Stats.ResultSize
-		if run.Stats.Depth > meas.Stats.Depth {
-			meas.Stats.Depth = run.Stats.Depth
+		var optimize func(*algebra.Plan)
+		if c.Opt != 0 {
+			optimize = opt.Optimize
+		}
+		en, err := algebra.NewEngine(p.module, algebra.Options{
+			Mode: mode, Docs: p.docs, Parallelism: c.P,
+			NoIndex: c.Ix == 0, Optimize: optimize, Trace: tr,
+		})
+		if err != nil {
+			return Outcome{Err: err}
+		}
+		for _, site := range en.Plan().Mus {
+			out.Distributive = out.Distributive || site.Distributive
+		}
+		seq, ifps, err := en.Eval()
+		if err != nil {
+			return Outcome{Err: err}
+		}
+		out.ResultLen = len(seq)
+		for _, run := range ifps {
+			tally(run.Stats)
+		}
+	} else {
+		mode := interp.ModeNaive
+		if c.Alg == core.Delta {
+			mode = interp.ModeDelta
+		}
+		res, err := interp.New(p.module, interp.Options{
+			Mode: mode, Docs: p.docs, Parallelism: c.P, NoIndex: c.Ix == 0, Trace: tr,
+		}).Eval()
+		if err != nil {
+			return Outcome{Err: err}
+		}
+		out.ResultLen = len(res.Value)
+		for _, run := range res.IFPRuns {
+			tally(run.Stats)
+			out.Distributive = out.Distributive || run.Distributive
 		}
 	}
-	return meas, nil
+	out.Phases = tr.PhaseNs()
+	return out
 }
 
-// WriteTable renders measured rows in the layout of the paper's Table 2.
-func WriteTable(w io.Writer, rows []*Row) {
-	fmt.Fprintf(w, "%-26s │ %12s %12s │ %12s %12s │ %12s %12s │ %6s\n",
-		"Query", "Rel Naive", "Rel Delta", "Interp Naive", "Interp Delta",
-		"Fed(Naive)", "Fed(Delta)", "Depth")
-	fmt.Fprintln(w, strings.Repeat("─", 126))
-	for _, row := range rows {
-		get := func(engine string, alg core.Algorithm) Measurement {
-			for _, m := range row.Measurements {
-				if m.Engine == engine && m.Algorithm == alg {
-					return m
-				}
+// Bench returns the benchmark function of one cell — the only place a
+// Table 2 cell is timed. Run (ifpbench's table, -markdown and -json) drives
+// it through testing.Benchmark, BenchmarkTable2 through `go test -bench`.
+// The last evaluation's outcome lands in *last: testing.Benchmark discards
+// what b.Fatal prints, so a failure must reach Run some other way.
+func (p *Prepared) Bench(c Cell, last *Outcome) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			*last = p.eval(c)
+			if last.Err != nil {
+				b.Fatal(last.Err)
 			}
-			return Measurement{}
 		}
-		rn, rd := get(EngineRelational, core.Naive), get(EngineRelational, core.Delta)
-		in, id := get(EngineInterp, core.Naive), get(EngineInterp, core.Delta)
-		depth := rn.Stats.Depth
-		if in.Stats.Depth > depth {
-			depth = in.Stats.Depth
-		}
-		fmt.Fprintf(w, "%-26s │ %12s %12s │ %12s %12s │ %12d %12d │ %6d\n",
-			row.Exp.Name,
-			fmtDur(rn.Elapsed), fmtDur(rd.Elapsed),
-			fmtDur(in.Elapsed), fmtDur(id.Elapsed),
-			rn.Stats.NodesFedBack+in.Stats.NodesFedBack,
-			rd.Stats.NodesFedBack+id.Stats.NodesFedBack,
-			depth)
+		b.ReportMetric(float64(last.NodesFed), "nodes-fed")
 	}
 }
 
-func fmtDur(d time.Duration) string {
-	switch {
-	case d == 0:
-		return "-"
-	case d < time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
-	case d < time.Second:
-		return fmt.Sprintf("%dms", d.Milliseconds())
+// Cells lists the cells Run measures per experiment at one configuration.
+// The interpreter has no plan stage, so under opt=0 its cells would
+// duplicate the opt=1 ones and are left out.
+func Cells(cfg Config) []Cell {
+	var cells []Cell
+	for _, engine := range []string{EngineInterp, EngineRelational} {
+		if engine == EngineInterp && cfg.Opt == 0 {
+			continue
+		}
+		for _, alg := range []core.Algorithm{core.Naive, core.Delta} {
+			cells = append(cells, Cell{Engine: engine, Alg: alg, Config: cfg})
+		}
 	}
-	return fmt.Sprintf("%.2fs", d.Seconds())
+	return cells
+}
+
+// Run measures every cell of every experiment at each configuration and
+// returns one entry per (cell, configuration). It refuses to return a
+// snapshot in which two arms of one cell disagree on nodes fed back,
+// recursion depth or result length: the axes are oracle arms, and a
+// configuration that changes what the fixpoint computes is a bug, not a
+// data point.
+func Run(exps []Experiment, configs []Config, progress io.Writer) ([]Entry, error) {
+	var entries []Entry
+	for _, exp := range exps {
+		prep, err := Prepare(exp)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", exp.ID, err)
+		}
+		fmt.Fprintf(progress, "%s %s (document %d KiB)\n", exp.ID, exp.Name, prep.DocBytes/1024)
+		first := map[string]Entry{}
+		for _, cfg := range configs {
+			for _, c := range Cells(cfg) {
+				e, err := prep.measure(c)
+				if err != nil {
+					return nil, fmt.Errorf("%s %s: %w", e.ID, cfg.Label(), err)
+				}
+				fmt.Fprintf(progress, "  %-18s %-16s %10s %10d allocs/op\n", e.ID, cfg.Label(), fmtNs(e.NsOp), e.AllocsOp)
+				if ref, ok := first[e.ID]; !ok {
+					first[e.ID] = e
+				} else if err := armsAgree(ref, e); err != nil {
+					return nil, err
+				}
+				entries = append(entries, e)
+			}
+		}
+	}
+	return entries, nil
+}
+
+// armsAgree checks two arms of one cell against each other — the old
+// plane's counterpart of benchmark/'s oracle check.
+func armsAgree(ref, e Entry) error {
+	if e.NodesFed != ref.NodesFed || e.Depth != ref.Depth || e.ResultLen != ref.ResultLen {
+		return fmt.Errorf("%s: arm %s (nodes fed %d, depth %d, result length %d) disagrees with arm %s (%d, %d, %d)",
+			e.ID, e.Label(), e.NodesFed, e.Depth, e.ResultLen, ref.Label(), ref.NodesFed, ref.Depth, ref.ResultLen)
+	}
+	return nil
+}
+
+// measure runs one cell's Bench under testing.Benchmark and packages the
+// result as a snapshot entry.
+func (p *Prepared) measure(c Cell) (Entry, error) {
+	e := Entry{ID: p.ID(c), Exp: p.Exp.ID, Engine: c.Engine, Alg: c.Alg.String(), Config: c.Config}
+	// Collect between cells: an earlier cell's giant tables otherwise
+	// inflate the GC pacing target and tax every later cell — which skews
+	// exactly the cross-arm comparisons a -vary run exists to make.
+	runtime.GC()
+	runtime.GC()
+	var out Outcome
+	res := testing.Benchmark(p.Bench(c, &out))
+	if out.Err != nil {
+		return e, out.Err
+	}
+	if res.N == 0 {
+		return e, fmt.Errorf("benchmark produced no measurement")
+	}
+	e.NsOp = float64(res.NsPerOp())
+	e.BytesOp = res.AllocedBytesPerOp()
+	e.AllocsOp = res.AllocsPerOp()
+	e.NodesFed, e.Depth, e.ResultLen, e.PhaseNs = out.NodesFed, out.Depth, out.ResultLen, out.Phases
+	return e, nil
+}
+
+// WriteTable renders entries in the layout of the paper's Table 2, one row
+// per (experiment, configuration), as fixed-width text or as the markdown
+// table EXPERIMENTS.md embeds. Rows at a non-default configuration carry it
+// in brackets.
+func WriteTable(w io.Writer, entries []Entry, markdown bool) {
+	type rowKey struct {
+		exp string
+		Config
+	}
+	rows := map[rowKey]map[string]Entry{} // engine/alg → entry
+	var order []rowKey
+	for _, e := range entries {
+		k := rowKey{e.Exp, e.Config}
+		if rows[k] == nil {
+			rows[k] = map[string]Entry{}
+			order = append(order, k)
+		}
+		rows[k][e.Engine+"/"+e.Alg] = e
+	}
+	// The fed-back columns read rel/interp: the engines' Naïve counts
+	// differ (393 vs 275 on T2.1), so one summed number would hide both.
+	format := "%-42s │ %10s %10s │ %12s %12s │ %14s %14s │ %5d\n"
+	if markdown {
+		format = "| %s | %s | %s | %s | %s | %s | %s | %d |\n"
+		fmt.Fprintln(w, "| Query | Rel Naive | Rel Delta | Interp Naive | Interp Delta | Fed back Naive (rel/interp) | Fed back Delta (rel/interp) | Depth |")
+		fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|")
+	} else {
+		fmt.Fprintf(w, "%-42s │ %10s %10s │ %12s %12s │ %14s %14s │ %5s\n",
+			"Query", "Rel Naive", "Rel Delta", "Interp Naive", "Interp Delta",
+			"Fed(Naive)", "Fed(Delta)", "Depth")
+		fmt.Fprintln(w, strings.Repeat("─", 134))
+	}
+	for _, k := range order {
+		label := k.exp
+		if exp, ok := ExperimentByID(k.exp); ok {
+			label = exp.Name
+		}
+		if k.Config != Default {
+			label = fmt.Sprintf("%s [%s]", label, k.Label())
+		}
+		rn, rd := rows[k]["rel/Naive"], rows[k]["rel/Delta"]
+		in, id := rows[k]["interp/Naive"], rows[k]["interp/Delta"]
+		fmt.Fprintf(w, format, label,
+			fmtNs(rn.NsOp), fmtNs(rd.NsOp), fmtNs(in.NsOp), fmtNs(id.NsOp),
+			fmtFed(rn, in), fmtFed(rd, id), max(rn.Depth, in.Depth))
+	}
+}
+
+// fmtFed renders one fed-back column: the relational and the interpreter
+// cell's counts, "-" for a cell the run did not measure.
+func fmtFed(rel, interp Entry) string {
+	one := func(e Entry) string {
+		if e.ID == "" {
+			return "-"
+		}
+		return fmt.Sprint(e.NodesFed)
+	}
+	return one(rel) + "/" + one(interp)
+}
+
+// fmtNs renders a ns/op value for the table; an unmeasured cell is "-".
+func fmtNs(ns float64) string {
+	switch {
+	case ns == 0:
+		return "-"
+	case ns < 1e6:
+		return fmt.Sprintf("%.2fms", ns/1e6)
+	case ns < 1e9:
+		return fmt.Sprintf("%.0fms", ns/1e6)
+	}
+	return fmt.Sprintf("%.2fs", ns/1e9)
 }

@@ -3,22 +3,17 @@ package bench
 import (
 	"fmt"
 	"io"
-	"regexp"
+	"math"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
-// DiffOptions configure a snapshot comparison. Tolerances are relative:
-// 0.25 fails a cell whose current value exceeds baseline × 1.25. A nil
-// Cells pattern compares every cell present in both files.
-type DiffOptions struct {
-	Cells           *regexp.Regexp
-	NsTolerance     float64
-	AllocsTolerance float64
-}
-
-// CellDiff is the comparison of one benchmark cell.
+// CellDiff is the comparison of one cell at one configuration.
 type CellDiff struct {
-	Name         string
+	ID string
+	Config
 	BaseNs       float64
 	CurNs        float64
 	BaseAllocs   int64
@@ -32,26 +27,32 @@ type CellDiff struct {
 // Regressed reports whether either gated metric exceeded its tolerance.
 func (d CellDiff) Regressed() bool { return d.NsRegressed || d.AllocsRegred }
 
-// Diff compares the cells present in both snapshots (matched by exact
-// name, with any /p=N worker-count suffix intact) and flags regressions
-// beyond the tolerances. Cells present in only one file are skipped: the
-// gate protects tracked cells, it does not freeze the cell set.
-func Diff(baseline, current File, opts DiffOptions) []CellDiff {
-	base := make(map[string]Entry, len(baseline.Entries))
+// cellKey identifies an entry within a snapshot: the same id at ix=0 and
+// at ix=1 is two cells.
+type cellKey struct {
+	id string
+	Config
+}
+
+// Diff compares the cells present in both snapshots, matched on (id, p,
+// opt, ix), and flags regressions beyond the tolerances. Tolerances are
+// relative: 0.25 fails a cell whose current value exceeds baseline × 1.25.
+// Cells present in only one file are skipped: the gate protects tracked
+// cells, it does not freeze the cell set.
+func Diff(baseline, current File, nsTolerance, allocsTolerance float64) []CellDiff {
+	base := make(map[cellKey]Entry, len(baseline.Entries))
 	for _, e := range baseline.Entries {
-		base[e.Name] = e
+		base[cellKey{e.ID, e.Config}] = e
 	}
 	var out []CellDiff
 	for _, cur := range current.Entries {
-		b, ok := base[cur.Name]
+		b, ok := base[cellKey{cur.ID, cur.Config}]
 		if !ok {
 			continue
 		}
-		if opts.Cells != nil && !opts.Cells.MatchString(cur.Name) {
-			continue
-		}
 		d := CellDiff{
-			Name:       cur.Name,
+			ID:         cur.ID,
+			Config:     cur.Config,
 			BaseNs:     b.NsOp,
 			CurNs:      cur.NsOp,
 			BaseAllocs: b.AllocsOp,
@@ -59,15 +60,14 @@ func Diff(baseline, current File, opts DiffOptions) []CellDiff {
 		}
 		if b.NsOp > 0 {
 			d.NsRatio = cur.NsOp / b.NsOp
-			d.NsRegressed = d.NsRatio > 1+opts.NsTolerance
+			d.NsRegressed = d.NsRatio > 1+nsTolerance
 		}
 		if b.AllocsOp > 0 {
 			d.AllocsRatio = float64(cur.AllocsOp) / float64(b.AllocsOp)
-			d.AllocsRegred = d.AllocsRatio > 1+opts.AllocsTolerance
+			d.AllocsRegred = d.AllocsRatio > 1+allocsTolerance
 		}
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -75,17 +75,51 @@ func Diff(baseline, current File, opts DiffOptions) []CellDiff {
 // whether any cell regressed.
 func WriteDiff(w io.Writer, diffs []CellDiff) bool {
 	regressed := false
-	fmt.Fprintf(w, "%-60s %12s %12s %8s %10s %10s %8s\n",
-		"cell", "base ms", "cur ms", "Δns", "base allocs", "cur allocs", "Δallocs")
+	fmt.Fprintf(w, "%-20s %-16s %12s %12s %8s %11s %10s %8s\n",
+		"cell", "config", "base ms", "cur ms", "Δns", "base allocs", "cur allocs", "Δallocs")
 	for _, d := range diffs {
 		mark := ""
 		if d.Regressed() {
 			mark = "  << REGRESSION"
 			regressed = true
 		}
-		fmt.Fprintf(w, "%-60s %12.2f %12.2f %+7.1f%% %10d %10d %+7.1f%%%s\n",
-			d.Name, d.BaseNs/1e6, d.CurNs/1e6, (d.NsRatio-1)*100,
+		fmt.Fprintf(w, "%-20s %-16s %12.2f %12.2f %+7.1f%% %11d %10d %+7.1f%%%s\n",
+			d.ID, d.Label(), d.BaseNs/1e6, d.CurNs/1e6, (d.NsRatio-1)*100,
 			d.BaseAllocs, d.CurAllocs, (d.AllocsRatio-1)*100, mark)
 	}
 	return regressed
+}
+
+// prNumber extracts N from a BENCH_<N>.json path; files named otherwise
+// (BENCH_baseline.json) sort after every numbered one.
+func prNumber(path string) int {
+	name := strings.TrimSuffix(filepath.Base(path), ".json")
+	n, err := strconv.Atoi(strings.TrimPrefix(name, "BENCH_"))
+	if err != nil {
+		return math.MaxInt
+	}
+	return n
+}
+
+// WriteTrajectory prints one cell across PRs: one line per snapshot that
+// holds id at the default configuration, ordered by PR number (BENCH_10
+// after BENCH_9). Files that are not v2 snapshots — the frozen v1 records —
+// are named on skipped and passed over.
+func WriteTrajectory(w, skipped io.Writer, id string, paths []string) {
+	paths = append([]string(nil), paths...)
+	sort.SliceStable(paths, func(i, j int) bool { return prNumber(paths[i]) < prNumber(paths[j]) })
+	fmt.Fprintf(w, "%-22s %12s %12s %12s %10s %6s\n", id, "ms/op", "MB/op", "allocs/op", "nodes fed", "depth")
+	for _, path := range paths {
+		f, err := ReadFile(path)
+		if err != nil {
+			fmt.Fprintf(skipped, "skipping %v\n", err)
+			continue
+		}
+		for _, e := range f.Entries {
+			if e.ID == id && e.Config == Default {
+				fmt.Fprintf(w, "%-22s %12.2f %12.1f %12d %10d %6d\n", filepath.Base(path),
+					e.NsOp/1e6, float64(e.BytesOp)/1e6, e.AllocsOp, e.NodesFed, e.Depth)
+			}
+		}
+	}
 }

@@ -1,20 +1,13 @@
 package difftest
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 	"time"
 
 	ifpxq "repro"
 	"repro/internal/xdm"
 )
-
-// combo is one (engine, mode) cell of the differential grid; budgets must
-// behave identically across every cell.
-type combo struct {
-	engine ifpxq.Engine
-	mode   ifpxq.Mode
-}
 
 // CheckBudgets asserts the resource-budget contract differentially:
 //
@@ -36,86 +29,32 @@ type combo struct {
 // are guaranteed to trip everywhere.
 func CheckBudgets(t testing.TB, c Case) {
 	t.Helper()
-	var q *ifpxq.Query
-	var err error
-	if c.RegularXPath {
-		q, err = ifpxq.ParseRegularXPath(c.Query)
-	} else {
-		q, err = ifpxq.Parse(c.Query)
-	}
-	if err != nil {
-		t.Fatalf("seed %d: parse %q: %v", c.Seed, c.Query, err)
-	}
-	doc, err := ifpxq.ParseDocument(c.XML, c.URI)
-	if err != nil {
-		t.Fatalf("seed %d: document: %v", c.Seed, err)
-	}
-	docs := ifpxq.DocsFromDocuments(map[string]*xdm.Document{c.URI: doc})
-	root := xdm.NewNode(doc.Root())
+	h := load(t, c)
 
-	engines := []ifpxq.Engine{ifpxq.EngineInterpreter}
-	if !c.RegularXPath {
-		engines = append(engines, ifpxq.EngineRelational)
-	}
+	// Budget-free baselines per cell, from the walk's first configuration
+	// of each (-O1, p=1). A case some cell cannot evaluate is Check's
+	// business, not this harness's — skip it here.
+	base := map[combo]outcome{}
 	var combos []combo
-	for _, engine := range engines {
-		for _, mode := range []ifpxq.Mode{ifpxq.ModeNaive, ifpxq.ModeAuto} {
-			combos = append(combos, combo{engine, mode})
-		}
-	}
-	mkOpts := func(cb combo, opt ifpxq.OptLevel, p int) ifpxq.Options {
-		opts := ifpxq.Options{Engine: cb.engine, Mode: cb.mode, Docs: docs, Parallelism: p, Opt: opt}
-		if c.RegularXPath {
-			opts.ContextItem = &root
-		}
-		return opts
-	}
-
-	// Budget-free baselines per cell. A case some cell cannot evaluate is
-	// Check's business, not this harness's — skip it here.
-	base := map[combo]*ifpxq.Result{}
-	for _, cb := range combos {
-		res, err := q.Eval(mkOpts(cb, ifpxq.Opt1, 1))
-		if err != nil {
+	evaluable := true
+	h.walk(func(k config, opts ifpxq.Options) {
+		if _, seen := base[k.combo]; seen || !evaluable {
 			return
 		}
-		base[cb] = res
-	}
-
-	// forGrid runs fn over the full configuration grid.
-	forGrid := func(fn func(cb combo, opt ifpxq.OptLevel, p int, opts ifpxq.Options)) {
-		for _, cb := range combos {
-			optLevels := OptLevels
-			if cb.engine == ifpxq.EngineInterpreter {
-				optLevels = OptLevels[:1]
-			}
-			for _, opt := range optLevels {
-				for _, p := range Parallelisms {
-					fn(cb, opt, p, mkOpts(cb, opt, p))
-				}
-			}
-		}
+		base[k.combo] = h.eval(opts)
+		combos = append(combos, k.combo)
+		evaluable = base[k.combo].err == ""
+	})
+	if !evaluable {
+		return
 	}
 
 	// 1. Generous budgets are invisible: byte-identical results and stats.
-	forGrid(func(cb combo, opt ifpxq.OptLevel, p int, opts ifpxq.Options) {
+	h.walk(func(k config, opts ifpxq.Options) {
 		opts.Deadline = time.Now().Add(time.Hour)
 		opts.MaxRounds = 1 << 20
 		opts.MaxRows = 1 << 40
-		res, err := q.Eval(opts)
-		if err != nil {
-			t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: generous budget introduced error: %v",
-				c.Seed, cb.engine, cb.mode, optName(opt), p, err)
-			return
-		}
-		if got, want := res.String(), base[cb].String(); got != want {
-			t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: generous budget changed the result",
-				c.Seed, cb.engine, cb.mode, optName(opt), p)
-		}
-		if !reflect.DeepEqual(res.Fixpoints, base[cb].Fixpoints) {
-			t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: generous budget changed fixpoint stats:\n base: %+v\n got: %+v",
-				c.Seed, cb.engine, cb.mode, optName(opt), p, base[cb].Fixpoints, res.Fixpoints)
-		}
+		sameOutcome(t, fmt.Sprintf("seed %d %v: generous budget vs none", c.Seed, k), base[k.combo], h.eval(opts))
 	})
 
 	// checkTrip runs a budget expected to trip across the full grid and
@@ -123,28 +62,26 @@ func CheckBudgets(t testing.TB, c Case) {
 	// partial Result.
 	checkTrip := func(name string, code xdm.ErrCode, set func(*ifpxq.Options)) {
 		var wantMsg string
-		forGrid(func(cb combo, opt ifpxq.OptLevel, p int, opts ifpxq.Options) {
+		h.walk(func(k config, opts ifpxq.Options) {
 			set(&opts)
-			res, err := q.Eval(opts)
+			res, err := h.q.Eval(opts)
 			if err == nil {
-				t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: %s budget did not trip",
-					c.Seed, cb.engine, cb.mode, optName(opt), p, name)
+				t.Errorf("seed %d %v: %s budget did not trip", c.Seed, k, name)
 				return
 			}
 			if got := xdm.CodeOf(err); got != code {
-				t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: %s budget tripped with code %s, want %s (err: %v)",
-					c.Seed, cb.engine, cb.mode, optName(opt), p, name, got, code, err)
+				t.Errorf("seed %d %v: %s budget tripped with code %s, want %s (err: %v)",
+					c.Seed, k, name, got, code, err)
 				return
 			}
 			if wantMsg == "" {
 				wantMsg = err.Error()
 			} else if err.Error() != wantMsg {
-				t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: %s truncation message diverges:\n got: %q\nwant: %q",
-					c.Seed, cb.engine, cb.mode, optName(opt), p, name, err.Error(), wantMsg)
+				t.Errorf("seed %d %v: %s truncation message diverges:\n got: %q\nwant: %q",
+					c.Seed, k, name, err.Error(), wantMsg)
 			}
 			if res == nil {
-				t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: %s truncation returned a nil partial Result",
-					c.Seed, cb.engine, cb.mode, optName(opt), p, name)
+				t.Errorf("seed %d %v: %s truncation returned a nil partial Result", c.Seed, k, name)
 			}
 		})
 	}
@@ -157,10 +94,10 @@ func CheckBudgets(t testing.TB, c Case) {
 
 	// 3+4. Round and row budgets: only on cases whose trip point is
 	// engine-independent (see doc comment).
-	ref := base[combos[0]].Fixpoints
+	ref := base[combos[0]].fixpoints
 	gated := len(ref) == 1 && ref[0].Executions == 1
 	for _, cb := range combos[1:] {
-		fps := base[cb].Fixpoints
+		fps := base[cb].fixpoints
 		gated = gated && len(fps) == 1 && fps[0].Executions == 1 &&
 			fps[0].Stats.Depth == ref[0].Stats.Depth &&
 			fps[0].Stats.ResultSize == ref[0].Stats.ResultSize

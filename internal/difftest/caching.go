@@ -1,11 +1,10 @@
 package difftest
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	ifpxq "repro"
-	"repro/internal/xdm"
 )
 
 // CheckCaching proves the caching layer is invisible to results: every
@@ -22,58 +21,11 @@ import (
 // hits against them.
 func CheckCaching(t testing.TB, c Case) {
 	t.Helper()
-	var q *ifpxq.Query
-	var err error
-	if c.RegularXPath {
-		q, err = ifpxq.ParseRegularXPath(c.Query)
-	} else {
-		q, err = ifpxq.Parse(c.Query)
-	}
-	if err != nil {
-		t.Fatalf("seed %d: parse %q: %v", c.Seed, c.Query, err)
-	}
+	h := load(t, c)
 
-	doc, err := ifpxq.ParseDocument(c.XML, c.URI)
-	if err != nil {
-		t.Fatalf("seed %d: document: %v", c.Seed, err)
-	}
-	docs := ifpxq.DocsFromDocuments(map[string]*xdm.Document{c.URI: doc})
-	root := xdm.NewNode(doc.Root())
-
-	engines := []ifpxq.Engine{ifpxq.EngineInterpreter}
-	if !c.RegularXPath {
-		engines = append(engines, ifpxq.EngineRelational)
-	}
-
-	type cfg struct {
-		engine ifpxq.Engine
-		mode   ifpxq.Mode
-		opt    ifpxq.OptLevel
-		p      int
-	}
-	forEach := func(fn func(k cfg, opts ifpxq.Options)) {
-		for _, engine := range engines {
-			for _, mode := range []ifpxq.Mode{ifpxq.ModeNaive, ifpxq.ModeAuto} {
-				optLevels := OptLevels
-				if engine == ifpxq.EngineInterpreter {
-					optLevels = OptLevels[:1] // no plan stage: -O is a no-op
-				}
-				for _, opt := range optLevels {
-					for _, p := range Parallelisms {
-						opts := ifpxq.Options{Engine: engine, Mode: mode, Docs: docs, Parallelism: p, Opt: opt}
-						if c.RegularXPath {
-							opts.ContextItem = &root
-						}
-						fn(cfg{engine, mode, opt, p}, opts)
-					}
-				}
-			}
-		}
-	}
-
-	baseline := map[cfg]outcome{}
-	forEach(func(k cfg, opts ifpxq.Options) {
-		baseline[k] = evalOutcome(q, opts)
+	baseline := map[config]outcome{}
+	h.walk(func(k config, opts ifpxq.Options) {
+		baseline[k] = h.eval(opts)
 	})
 
 	for _, cc := range []struct {
@@ -97,22 +49,10 @@ func CheckCaching(t testing.TB, c Case) {
 		// a result cached at one parallelism serves every other (results
 		// are byte-identical at every worker count).
 		for pass := 0; pass < 2; pass++ {
-			forEach(func(k cfg, opts ifpxq.Options) {
+			h.walk(func(k config, opts ifpxq.Options) {
 				opts.PlanCache, opts.ResultCache = pc, rc
-				got := evalOutcome(q, opts)
-				want := baseline[k]
-				if got.err != want.err {
-					t.Errorf("seed %d caches=%s pass=%d engine=%v mode=%v -O%s p=%d: caching changes the error: %q vs %q",
-						c.Seed, cc.name, pass, k.engine, k.mode, optName(k.opt), k.p, got.err, want.err)
-				}
-				if got.result != want.result {
-					t.Errorf("seed %d caches=%s pass=%d engine=%v mode=%v -O%s p=%d: caching changes the result",
-						c.Seed, cc.name, pass, k.engine, k.mode, optName(k.opt), k.p)
-				}
-				if !reflect.DeepEqual(got.fixpoints, want.fixpoints) {
-					t.Errorf("seed %d caches=%s pass=%d engine=%v mode=%v -O%s p=%d: caching changes fixpoint stats:\nuncached: %+v\n  cached: %+v",
-						c.Seed, cc.name, pass, k.engine, k.mode, optName(k.opt), k.p, want.fixpoints, got.fixpoints)
-				}
+				sameOutcome(t, fmt.Sprintf("seed %d %v: caches=%s pass=%d vs uncached", c.Seed, k, cc.name, pass),
+					baseline[k], h.eval(opts))
 			})
 		}
 		// A cache that populated entries in pass one must have hit in

@@ -7,7 +7,6 @@ import (
 
 	ifpxq "repro"
 	"repro/internal/obs"
-	"repro/internal/xdm"
 )
 
 // CheckRoundStats proves the optimizer's delta-fed step rewrite is
@@ -24,43 +23,34 @@ func CheckRoundStats(t testing.TB, c Case) {
 	if c.RegularXPath {
 		return // translated plans share the relational pipeline via difftest.Check
 	}
-	q, err := ifpxq.Parse(c.Query)
-	if err != nil {
-		t.Fatalf("seed %d: parse %q: %v", c.Seed, c.Query, err)
+	h := load(t, c)
+	type run struct {
+		out   outcome
+		spans string
 	}
-	doc, err := ifpxq.ParseDocument(c.XML, c.URI)
-	if err != nil {
-		t.Fatalf("seed %d: document: %v", c.Seed, err)
+	type cell struct {
+		mode ifpxq.Mode
+		p    int
 	}
-	docs := ifpxq.DocsFromDocuments(map[string]*xdm.Document{c.URI: doc})
-
-	for _, mode := range []ifpxq.Mode{ifpxq.ModeNaive, ifpxq.ModeAuto} {
-		for _, p := range Parallelisms {
-			var spans [2]string
-			var outs [2]outcome
-			for i, opt := range []ifpxq.OptLevel{ifpxq.Opt0, ifpxq.Opt1} {
-				tr := obs.NewTrace("deltastats")
-				opts := ifpxq.Options{
-					Engine: ifpxq.EngineRelational, Mode: mode,
-					Docs: docs, Parallelism: p, Opt: opt, Trace: tr,
-				}
-				outs[i] = evalOutcome(q, opts)
-				spans[i] = roundSpans(tr)
-			}
-			if outs[0].err != outs[1].err {
-				t.Errorf("seed %d mode=%v p=%d: -O0 and -O1 disagree on the error: %q vs %q",
-					c.Seed, mode, p, outs[0].err, outs[1].err)
-			}
-			if outs[0].result != outs[1].result {
-				t.Errorf("seed %d mode=%v p=%d: -O0 and -O1 disagree on the result",
-					c.Seed, mode, p)
-			}
-			if spans[0] != spans[1] {
-				t.Errorf("seed %d mode=%v p=%d: per-round stats diverge between -O0 and -O1:\n-O0:\n%s\n-O1:\n%s",
-					c.Seed, mode, p, spans[0], spans[1])
-			}
+	optimized := map[cell]run{} // the walk visits -O1 before -O0
+	h.walk(func(k config, opts ifpxq.Options) {
+		if k.engine != ifpxq.EngineRelational {
+			return
 		}
-	}
+		tr := obs.NewTrace("deltastats")
+		opts.Trace = tr
+		got := run{h.eval(opts), roundSpans(tr)}
+		if k.opt == ifpxq.Opt1 {
+			optimized[cell{k.mode, k.p}] = got
+			return
+		}
+		o1 := optimized[cell{k.mode, k.p}]
+		sameOutcome(t, fmt.Sprintf("seed %d %v vs -O1", c.Seed, k), o1.out, got.out)
+		if got.spans != o1.spans {
+			t.Errorf("seed %d %v: per-round stats diverge between -O0 and -O1:\n-O0:\n%s\n-O1:\n%s",
+				c.Seed, k, got.spans, o1.spans)
+		}
+	})
 }
 
 // roundSpans renders a trace's round spans with durations elided: one

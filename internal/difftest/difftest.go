@@ -188,13 +188,28 @@ return $a + count(with $x seeded by $c/prerequisites recurse $x/child::nosuch)`,
 	return c
 }
 
-// optName renders an OptLevel the way the CLIs spell it (-O0/-O1), so a
-// reported divergence names the flag that reproduces it.
-func optName(l ifpxq.OptLevel) string {
-	if l == ifpxq.Opt0 {
-		return "0"
+// config is one point of the differential matrix.
+type config struct {
+	combo
+	opt ifpxq.OptLevel
+	p   int
+}
+
+// combo is one (engine, mode) cell of the matrix. Instrumentation is
+// comparable within a cell; only result bytes are comparable across cells.
+type combo struct {
+	engine ifpxq.Engine
+	mode   ifpxq.Mode
+}
+
+// String names the flags that reproduce the configuration (-O0/-O1 as the
+// CLIs spell them).
+func (k config) String() string {
+	o := 1
+	if k.opt == ifpxq.Opt0 {
+		o = 0
 	}
-	return "1"
+	return fmt.Sprintf("engine=%v mode=%v -O%d p=%d", k.engine, k.mode, o, k.p)
 }
 
 // outcome is one evaluation's observable behaviour.
@@ -202,6 +217,95 @@ type outcome struct {
 	result    string
 	err       string
 	fixpoints []ifpxq.FixpointStats
+}
+
+// harness is a case parsed once, ready to be evaluated under every
+// configuration.
+type harness struct {
+	q    *ifpxq.Query
+	opts ifpxq.Options // Docs, and ContextItem for Regular XPath cases
+	// engines is the interpreter alone for Regular XPath cases (interpreter
+	// surface only), both engines otherwise.
+	engines []ifpxq.Engine
+}
+
+// load parses the case's query and document, failing the test on either.
+func load(t testing.TB, c Case) *harness {
+	t.Helper()
+	h := &harness{engines: []ifpxq.Engine{ifpxq.EngineInterpreter, ifpxq.EngineRelational}}
+	var err error
+	if c.RegularXPath {
+		h.q, err = ifpxq.ParseRegularXPath(c.Query)
+		h.engines = h.engines[:1]
+	} else {
+		h.q, err = ifpxq.Parse(c.Query)
+	}
+	if err != nil {
+		t.Fatalf("seed %d: parse %q: %v", c.Seed, c.Query, err)
+	}
+	doc, err := ifpxq.ParseDocument(c.XML, c.URI)
+	if err != nil {
+		t.Fatalf("seed %d: document: %v", c.Seed, err)
+	}
+	h.opts.Docs = ifpxq.DocsFromDocuments(map[string]*xdm.Document{c.URI: doc})
+	if c.RegularXPath {
+		root := xdm.NewNode(doc.Root())
+		h.opts.ContextItem = &root
+	}
+	return h
+}
+
+// walk is the one enumeration of the differential matrix: engine × mode ×
+// optimizer level × worker count, each (engine, mode) cell starting at its
+// baseline configuration (-O1, p=1). The interpreter has no plan stage —
+// -O is a no-op there — so only the relational engine multiplies by the
+// optimizer dimension.
+func (h *harness) walk(fn func(k config, opts ifpxq.Options)) {
+	for _, engine := range h.engines {
+		for _, mode := range []ifpxq.Mode{ifpxq.ModeNaive, ifpxq.ModeAuto} {
+			optLevels := OptLevels
+			if engine == ifpxq.EngineInterpreter {
+				optLevels = OptLevels[:1]
+			}
+			for _, opt := range optLevels {
+				for _, p := range Parallelisms {
+					opts := h.opts
+					opts.Engine, opts.Mode, opts.Opt, opts.Parallelism = engine, mode, opt, p
+					fn(config{combo{engine, mode}, opt, p}, opts)
+				}
+			}
+		}
+	}
+}
+
+// eval runs one configuration and captures its observable behaviour.
+func (h *harness) eval(opts ifpxq.Options) outcome {
+	var got outcome
+	res, err := h.q.Eval(opts)
+	if err != nil {
+		got.err = err.Error()
+	} else {
+		got.result = res.String()
+		got.fixpoints = res.Fixpoints
+	}
+	return got
+}
+
+// sameOutcome is the one three-way comparison: two evaluations that must be
+// indistinguishable agree on the error, the result bytes, and the fixpoint
+// statistics. label says which seed and configuration, and what differed
+// between the two runs.
+func sameOutcome(t testing.TB, label string, want, got outcome) {
+	t.Helper()
+	if got.err != want.err {
+		t.Errorf("%s: error diverges: %q vs %q", label, got.err, want.err)
+	}
+	if got.result != want.result {
+		t.Errorf("%s: result diverges:\nwant: %.200q\n got: %.200q", label, want.result, got.result)
+	}
+	if !reflect.DeepEqual(got.fixpoints, want.fixpoints) {
+		t.Errorf("%s: fixpoint stats diverge:\nwant: %+v\n got: %+v", label, want.fixpoints, got.fixpoints)
+	}
 }
 
 // Check evaluates the case under every (engine, mode, optimizer level,
@@ -214,85 +318,31 @@ type outcome struct {
 //     yield the byte-identical result string.
 func Check(t testing.TB, c Case) {
 	t.Helper()
-	var q *ifpxq.Query
-	var err error
-	if c.RegularXPath {
-		q, err = ifpxq.ParseRegularXPath(c.Query)
-	} else {
-		q, err = ifpxq.Parse(c.Query)
-	}
-	if err != nil {
-		t.Fatalf("seed %d: parse %q: %v", c.Seed, c.Query, err)
-	}
-
-	doc, err := ifpxq.ParseDocument(c.XML, c.URI)
-	if err != nil {
-		t.Fatalf("seed %d: document: %v", c.Seed, err)
-	}
-	docs := ifpxq.DocsFromDocuments(map[string]*xdm.Document{c.URI: doc})
-	root := xdm.NewNode(doc.Root())
-
-	engines := []ifpxq.Engine{ifpxq.EngineInterpreter}
-	if !c.RegularXPath {
-		engines = append(engines, ifpxq.EngineRelational)
-	}
-	var agreed string
-	haveAgreed := false
-	for _, engine := range engines {
-		for _, mode := range []ifpxq.Mode{ifpxq.ModeNaive, ifpxq.ModeAuto} {
-			optLevels := OptLevels
-			if engine == ifpxq.EngineInterpreter {
-				optLevels = OptLevels[:1] // no plan stage: -O is a no-op
-			}
-			var base outcome
-			first := true
-			for _, opt := range optLevels {
-				for _, p := range Parallelisms {
-					opts := ifpxq.Options{Engine: engine, Mode: mode, Docs: docs, Parallelism: p, Opt: opt}
-					if c.RegularXPath {
-						opts.ContextItem = &root
-					}
-					res, err := q.Eval(opts)
-					var got outcome
-					if err != nil {
-						got.err = err.Error()
-					} else {
-						got.result = res.String()
-						got.fixpoints = res.Fixpoints
-					}
-					if first {
-						base, first = got, false
-						continue
-					}
-					if got.err != base.err {
-						t.Errorf("seed %d engine=%v mode=%v: error diverges (-O%s p=%d): %q vs baseline %q",
-							c.Seed, engine, mode, optName(opt), p, got.err, base.err)
-					}
-					if got.result != base.result {
-						t.Errorf("seed %d engine=%v mode=%v: result diverges from baseline (-O%s p=%d)",
-							c.Seed, engine, mode, optName(opt), p)
-					}
-					if !reflect.DeepEqual(got.fixpoints, base.fixpoints) {
-						t.Errorf("seed %d engine=%v mode=%v: fixpoint stats diverge (-O%s p=%d):\n base: %+v\n got: %+v",
-							c.Seed, engine, mode, optName(opt), p, base.fixpoints, got.fixpoints)
-					}
-				}
-			}
-			if base.err != "" {
-				// An engine may reject a query outside its surface; that is
-				// not a differential failure as long as it rejects it
-				// identically at every worker count (checked above).
-				continue
-			}
-			if !haveAgreed {
-				agreed, haveAgreed = base.result, true
-			} else if base.result != agreed {
-				t.Errorf("seed %d engine=%v mode=%v: result diverges from other configurations\n got: %.200q\nwant: %.200q",
-					c.Seed, engine, mode, base.result, agreed)
-			}
+	h := load(t, c)
+	base := map[combo]outcome{}
+	var agreed *outcome
+	h.walk(func(k config, opts ifpxq.Options) {
+		got := h.eval(opts)
+		b, seen := base[k.combo]
+		if seen {
+			sameOutcome(t, fmt.Sprintf("seed %d %v vs the cell's -O1 p=1 baseline", c.Seed, k), b, got)
+			return
 		}
-	}
-	if !haveAgreed {
+		base[k.combo] = got
+		if got.err != "" {
+			// An engine may reject a query outside its surface; that is
+			// not a differential failure as long as it rejects it
+			// identically in every configuration of the cell.
+			return
+		}
+		if agreed == nil {
+			agreed = &got
+		} else if got.result != agreed.result {
+			t.Errorf("seed %d %v: result diverges from other configurations\n got: %.200q\nwant: %.200q",
+				c.Seed, k, got.result, agreed.result)
+		}
+	})
+	if agreed == nil {
 		t.Errorf("seed %d: no configuration evaluated the query successfully", c.Seed)
 	}
 }

@@ -1,12 +1,11 @@
 package difftest
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	ifpxq "repro"
 	"repro/internal/obs"
-	"repro/internal/xdm"
 )
 
 // CheckTracing proves the observability layer is read-only: every
@@ -22,86 +21,24 @@ import (
 // trace's round capacity, which is counted in Dropped).
 func CheckTracing(t testing.TB, c Case) {
 	t.Helper()
-	var q *ifpxq.Query
-	var err error
-	if c.RegularXPath {
-		q, err = ifpxq.ParseRegularXPath(c.Query)
-	} else {
-		q, err = ifpxq.Parse(c.Query)
-	}
-	if err != nil {
-		t.Fatalf("seed %d: parse %q: %v", c.Seed, c.Query, err)
-	}
+	h := load(t, c)
+	h.walk(func(k config, opts ifpxq.Options) {
+		plain := h.eval(opts)
+		tr := obs.NewTrace("difftest")
+		opts.Trace = tr
+		traced := h.eval(opts)
+		sameOutcome(t, fmt.Sprintf("seed %d %v: traced vs plain", c.Seed, k), plain, traced)
 
-	doc, err := ifpxq.ParseDocument(c.XML, c.URI)
-	if err != nil {
-		t.Fatalf("seed %d: document: %v", c.Seed, err)
-	}
-	docs := ifpxq.DocsFromDocuments(map[string]*xdm.Document{c.URI: doc})
-	root := xdm.NewNode(doc.Root())
-
-	engines := []ifpxq.Engine{ifpxq.EngineInterpreter}
-	if !c.RegularXPath {
-		engines = append(engines, ifpxq.EngineRelational)
-	}
-	for _, engine := range engines {
-		for _, mode := range []ifpxq.Mode{ifpxq.ModeNaive, ifpxq.ModeAuto} {
-			optLevels := OptLevels
-			if engine == ifpxq.EngineInterpreter {
-				optLevels = OptLevels[:1] // no plan stage: -O is a no-op
-			}
-			for _, opt := range optLevels {
-				for _, p := range Parallelisms {
-					opts := ifpxq.Options{Engine: engine, Mode: mode, Docs: docs, Parallelism: p, Opt: opt}
-					if c.RegularXPath {
-						opts.ContextItem = &root
-					}
-					plain := evalOutcome(q, opts)
-
-					tr := obs.NewTrace("difftest")
-					opts.Trace = tr
-					traced := evalOutcome(q, opts)
-
-					if traced.err != plain.err {
-						t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: tracing changes the error: %q vs %q",
-							c.Seed, engine, mode, optName(opt), p, traced.err, plain.err)
-					}
-					if traced.result != plain.result {
-						t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: tracing changes the result",
-							c.Seed, engine, mode, optName(opt), p)
-					}
-					if !reflect.DeepEqual(traced.fixpoints, plain.fixpoints) {
-						t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: tracing changes fixpoint stats:\n plain: %+v\ntraced: %+v",
-							c.Seed, engine, mode, optName(opt), p, plain.fixpoints, traced.fixpoints)
-					}
-
-					// A trace attached to a run that iterated fixpoints must
-					// hold the round spans (modulo capacity overflow).
-					iterated := false
-					for _, fp := range traced.fixpoints {
-						if fp.Stats.Depth > 0 {
-							iterated = true
-						}
-					}
-					if iterated && len(tr.Rounds()) == 0 && tr.Dropped() == 0 {
-						t.Errorf("seed %d engine=%v mode=%v -O%s p=%d: fixpoints iterated but the trace recorded no rounds",
-							c.Seed, engine, mode, optName(opt), p)
-					}
-				}
+		// A trace attached to a run that iterated fixpoints must hold the
+		// round spans (modulo capacity overflow).
+		iterated := false
+		for _, fp := range traced.fixpoints {
+			if fp.Stats.Depth > 0 {
+				iterated = true
 			}
 		}
-	}
-}
-
-// evalOutcome runs one configuration and captures its observable behaviour.
-func evalOutcome(q *ifpxq.Query, opts ifpxq.Options) outcome {
-	var got outcome
-	res, err := q.Eval(opts)
-	if err != nil {
-		got.err = err.Error()
-	} else {
-		got.result = res.String()
-		got.fixpoints = res.Fixpoints
-	}
-	return got
+		if iterated && len(tr.Rounds()) == 0 && tr.Dropped() == 0 {
+			t.Errorf("seed %d %v: fixpoints iterated but the trace recorded no rounds", c.Seed, k)
+		}
+	})
 }
