@@ -68,7 +68,7 @@ loadsmoke:
 	$(GO) test -race -run TestLoadSmoke -count=1 -v ./cmd/xqd
 
 # Parity gate: over the differential seed block, every engine × mode ×
-# optimizer level × worker count configuration is evaluated twice — with
+# optimizer level configuration is evaluated twice — with
 # and without one thing that must be invisible — and the two runs must
 # agree byte for byte on results, errors, and fixpoint statistics:
 #   tracing      off vs a live span recorder (obs is read-only);
@@ -91,7 +91,7 @@ benchmark-check:
 	$(GO) test -C benchmark ./...
 
 # What CI runs (see .github/workflows/ci.yml). The -race pass covers the
-# concurrent store/xqd tests and the parallel fixpoint pools; the plain
+# concurrent store/xqd tests and the admission controller; the plain
 # pass runs the differential-harness seed block (internal/difftest); the
 # coverage step enforces the internal/algebra floor; loadsmoke gates the
 # overload/degradation contract; parity-check gates tracing, round-stats,
@@ -109,7 +109,7 @@ ci:
 	$(MAKE) loadsmoke
 
 # Differential fuzzing: random documents + random fixpoint queries, every
-# engine/mode/optimizer-level/worker-count combination must agree byte for
+# engine/mode/optimizer-level combination must agree byte for
 # byte. CI runs a short smoke; leave FUZZTIME unset locally for an
 # open-ended hunt.
 FUZZTIME ?= 60s
@@ -137,12 +137,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'IFPCore|Table2/T2.1/' -benchmem
 
 # bench-json writes BENCH_<N>.json for PR number N over all eight rows,
-# optionally along one axis (VARY=p=1,2 | opt=0,1 | ix=0,1). The number is
+# optionally along one axis (VARY=opt=0,1 | ix=0,1). The number is
 # given, never guessed — the history has gaps (no BENCH_6/7/11–16), and a
 # first-gap rule would file a new snapshot between old ones — and an
 # existing snapshot is never overwritten.
 bench-json:
-	@test -n "$(N)" || { echo "usage: make bench-json N=<pr number> [VARY=p=1,2]"; exit 2; }
+	@test -n "$(N)" || { echo "usage: make bench-json N=<pr number> [VARY=opt=0,1]"; exit 2; }
 	@test ! -e BENCH_$(N).json || { echo "BENCH_$(N).json exists; trajectory snapshots are not overwritten"; exit 1; }
 	$(GO) run ./cmd/ifpbench $(if $(VARY),-vary $(VARY)) -json BENCH_$(N).json
 

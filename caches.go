@@ -196,9 +196,7 @@ func cloneResult(r *Result) *Result {
 // mode/strict/opt — repeating them is harmless), and every budget knob
 // that changes the observable outcome deterministically. Deadline stays
 // out: it is wall-clock, and since only complete results cache, a hit
-// can only ever be faster than the deadline demanded. Parallelism stays
-// out because results are byte-identical at every worker count (a
-// difftest invariant).
+// can only ever be faster than the deadline demanded.
 func resultKey(o *Options, hash uint64) string {
 	return fmt.Sprintf("e%d|m%d|s%t|o%t|h%016x|i%d|r%d|w%d",
 		o.Engine, o.Mode, o.StrictAlgebraicCheck, o.Opt != Opt0, hash,
@@ -207,7 +205,7 @@ func resultKey(o *Options, hash uint64) string {
 
 // uriCollector wraps a DocResolver to record which URIs an evaluation
 // successfully resolved — the cached result's dependency set. Safe for
-// concurrent use (parallel evaluators resolve from several goroutines).
+// concurrent use.
 type uriCollector struct {
 	next DocResolver
 	mu   sync.Mutex
@@ -294,8 +292,7 @@ func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, uint64, error) {
 func relationalEngine(plan *algebra.Plan, opts *Options, budget *xdm.Budget, docs DocResolver, prof *obs.PlanProfile) *algebra.Engine {
 	return algebra.NewEngineFromPlan(plan, algebra.Options{
 		MaxIterations: opts.MaxIterations, Docs: docs,
-		Parallelism: opts.Parallelism, NoIndex: opts.NoIndex,
-		Context: opts.Context,
-		Budget:  budget, Trace: opts.Trace, Prof: prof,
+		NoIndex: opts.NoIndex, Context: opts.Context,
+		Budget: budget, Trace: opts.Trace, Prof: prof,
 	})
 }

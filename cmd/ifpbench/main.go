@@ -2,14 +2,14 @@
 // evaluation times, allocations, nodes fed back, and recursion depths for
 // the four query families on both engines (direct interpreter = the Saxon
 // column, relational pipeline = the MonetDB/XQuery column). It measures
-// what only this table needs — the Naïve oracle cells and the -O0, ix=0 and
-// p>1 oracle arms, with machine-independent counters; anything end to end
+// what only this table needs — the Naïve oracle cells and the -O0 and ix=0
+// oracle arms, with machine-independent counters; anything end to end
 // (latency through xqd, caches, cold document opens) is measured by
 // `go run -C benchmark .`.
 //
 // Usage:
 //
-//	ifpbench                   # all Table 2 rows at p=1 opt=1 ix=1
+//	ifpbench                   # all Table 2 rows at opt=1 ix=1
 //	ifpbench -exp T2.1,T2.6    # a subset
 //	ifpbench -list             # list experiments
 //	ifpbench -markdown         # EXPERIMENTS.md-style table
@@ -17,7 +17,6 @@
 //	                           # cell id + p/opt/ix fields, ns/op,
 //	                           # allocs/op, nodes fed, depth per cell) that
 //	                           # benchdiff compares across PRs
-//	ifpbench -vary p=1,2       # every cell at each worker count
 //	ifpbench -vary opt=0,1     # verbatim vs optimized relational plans
 //	                           # (interp has no plan: measured at opt=1 only)
 //	ifpbench -vary ix=0,1      # arena scans vs name-index probes
@@ -44,7 +43,7 @@ func main() {
 		jsonPath = flag.String("json", "", "also write a machine-readable snapshot to this file")
 		vary     bench.Vary
 	)
-	flag.Var(&vary, "vary", "measure every cell along one axis: `key=v1[,v2…]` with key p (workers), opt (0|1) or ix (0|1)")
+	flag.Var(&vary, "vary", "measure every cell along one axis: `key=v1[,v2…]` with key opt (0|1) or ix (0|1)")
 	flag.Parse()
 
 	exps := bench.Experiments()

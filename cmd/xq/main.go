@@ -9,9 +9,12 @@
 // Usage:
 //
 //	xq -q 'count(doc("data.xml")//item)' [-dir .] [-engine interp|rel]
-//	   [-mode auto|naive|delta] [-p workers] [-O 0|1] [-explain] [-stats]
+//	   [-mode auto|naive|delta] [-O 0|1] [-explain] [-stats]
 //	xq -f query.xq -dir testdata
 //	xq -q '...' -store snapshots/ -mmap -store-stats
+//
+// -p is accepted and ignored for one release: every evaluation is
+// sequential.
 package main
 
 import (
@@ -43,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeStats = fs.Bool("store-stats", false, "print document cache statistics")
 		engine     = fs.String("engine", "interp", "engine: interp (tree-at-a-time) or rel (relational)")
 		mode       = fs.String("mode", "auto", "fixpoint algorithm: auto, naive, delta")
-		parallel   = fs.Int("p", 0, "fixpoint worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
+		parallel   = fs.Int("p", 0, "deprecated and ignored: every evaluation is sequential")
 		optLevel   = fs.Int("O", 1, "relational plan optimizer level: 0 = verbatim plan, 1 = rewrite rules on")
 		explain    = fs.Bool("explain", false, "print the relational plans (raw and, at -O1, optimized) instead of evaluating")
 		analyze    = fs.Bool("analyze", false, "EXPLAIN ANALYZE: run the query and print phases, the plan annotated with actuals, and per-round fixpoint spans")
@@ -51,6 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *parallel != 0 {
+		fmt.Fprintln(stderr, "xq: -p is deprecated and ignored; every evaluation is sequential")
 	}
 
 	fatal := func(err error) int {
@@ -100,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := ifpxq.Options{Docs: ifpxq.DocsFromDir(*dir), Parallelism: *parallel, Opt: level}
+	opts := ifpxq.Options{Docs: ifpxq.DocsFromDir(*dir), Opt: level}
 	var st *ifpxq.Store
 	if *storeDir != "" {
 		var err error

@@ -128,28 +128,33 @@ func TestStoreStatsOutput(t *testing.T) {
 	}
 }
 
+// TestParallelFlagAndStats: -stats prints the fixpoint counters on both
+// engines, which agree on the answer, and the deprecated -p is accepted
+// with a warning and changes nothing.
 func TestParallelFlagAndStats(t *testing.T) {
 	storeDir, dirDir := fixtures(t)
 	query := `for $c in doc("curriculum.xml")/curriculum/course
 	          where exists($c intersect (with $x seeded by $c recurse $x/id(./prerequisites/pre_code)))
 	          return $c/@code/string()`
 	var base string
-	for _, p := range []string{"1", "4"} {
-		for _, engine := range []string{"interp", "rel"} {
-			code, out, stderr := runXQ(t, "-store", storeDir, "-dir", dirDir,
-				"-engine", engine, "-p", p, "-stats", "-q", query)
-			if code != 0 {
-				t.Fatalf("p=%s engine=%s: exit %d stderr %q", p, engine, code, stderr)
-			}
-			if base == "" {
-				base = out
-			} else if out != base {
-				t.Fatalf("p=%s engine=%s: output diverges", p, engine)
-			}
-			if !strings.Contains(stderr, "fixpoint 1:") {
-				t.Fatalf("p=%s engine=%s: -stats printed nothing:\n%s", p, engine, stderr)
-			}
+	for _, engine := range []string{"interp", "rel"} {
+		code, out, stderr := runXQ(t, "-store", storeDir, "-dir", dirDir,
+			"-engine", engine, "-stats", "-q", query)
+		if code != 0 {
+			t.Fatalf("engine=%s: exit %d stderr %q", engine, code, stderr)
 		}
+		if base == "" {
+			base = out
+		} else if out != base {
+			t.Fatalf("engine=%s: output diverges", engine)
+		}
+		if !strings.Contains(stderr, "fixpoint 1:") || strings.Contains(stderr, "deprecated") {
+			t.Fatalf("engine=%s: want -stats output and no deprecation warning:\n%s", engine, stderr)
+		}
+	}
+	code, out, stderr := runXQ(t, "-store", storeDir, "-dir", dirDir, "-p", "4", "-q", query)
+	if code != 0 || out != base || !strings.Contains(stderr, "-p is deprecated and ignored") {
+		t.Fatalf("-p 4: exit %d, output equal %v, stderr %q", code, out == base, stderr)
 	}
 }
 

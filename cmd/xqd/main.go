@@ -6,8 +6,8 @@
 // documents it touches for exactly its own lifetime.
 //
 // The server is built to survive overload. Every query passes an
-// admission controller (a weighted semaphore whose unit is fixpoint
-// worker slots, with a bounded FIFO wait queue); requests that do not fit
+// admission controller (a semaphore counting concurrently evaluating
+// queries, with a bounded FIFO wait queue); requests that do not fit
 // are shed with 429 + Retry-After instead of stacking goroutines. Every
 // admitted query runs under a resource budget — wall-clock deadline,
 // fixpoint round cap, row-materialization cap — and a truncated query
@@ -20,9 +20,13 @@
 //
 //	xqd -store snapshots/ [-addr :8090] [-mmap] [-cache-bytes N] [-cache-docs N]
 //	    [-plan-cache N] [-result-cache N]
-//	    [-p workers] [-O 0|1] [-query-timeout 30s] [-max-concurrent N]
-//	    [-queue-limit N] [-queue-timeout 15s] [-max-p N] [-max-body N]
+//	    [-O 0|1] [-query-timeout 30s] [-max-concurrent N]
+//	    [-queue-limit N] [-queue-timeout 15s] [-max-body N]
 //	    [-max-rows N] [-max-rounds N] [-drain-timeout 10s]
+//
+// Every query evaluates its fixpoint rounds sequentially; the server's
+// parallelism is across requests. -p and -max-p are accepted and ignored
+// for one release (a start-up log line says so when either is set).
 //
 // Repeat queries are served from two caches layered over the store: a
 // compiled-plan cache (parsed queries + optimized relational plans, keyed
@@ -34,13 +38,13 @@
 //
 // Endpoints:
 //
-//	GET/POST /query?q=…&engine=interp|rel&mode=auto|naive|delta&p=N&opt=0|1&timeout_ms=N&cache=0|1
+//	GET/POST /query?q=…&engine=interp|rel&mode=auto|naive|delta&opt=0|1&timeout_ms=N&cache=0|1
 //	    evaluates q (POST bodies carry the query text when q is absent)
 //	    and returns JSON including elapsed_us and doc_wait_us — the part
 //	    of the latency spent resolving documents, 0 on a warm cache.
-//	    p overrides the server's fixpoint worker-pool width for this
-//	    request (capped at -max-p); timeout_ms tightens the deadline below
-//	    -query-timeout; evaluation is cancelled when the client disconnects.
+//	    timeout_ms tightens the deadline below -query-timeout; evaluation
+//	    is cancelled when the client disconnects. Unknown parameters
+//	    (including the retired p=N) are ignored.
 //	GET /stats    cache, admission, and overload counters plus per-document
 //	    arena statistics
 //	GET /healthz  liveness probe; 503 while draining or when the admission
@@ -70,7 +74,6 @@ import (
 	ifpxq "repro"
 	"repro/internal/admission"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/store"
 	"repro/internal/xdm"
 )
@@ -94,14 +97,14 @@ func main() {
 		noParse    = flag.Bool("no-parse", false, "serve snapshots only, never parse XML")
 		planCacheN = flag.Int("plan-cache", 256, "compiled-plan cache entries (0 = disabled); also bounds the parsed-query cache")
 		resCacheN  = flag.Int("result-cache", 512, "result cache entries (0 = disabled); entries flush when any store document changes")
-		parallel   = flag.Int("p", 1, "default fixpoint worker-pool width per query (0 = GOMAXPROCS)")
+		parallel   = flag.Int("p", 1, "deprecated and ignored: every query evaluates sequentially")
 		optLevel   = flag.Int("O", 1, "default relational plan optimizer level (0 = verbatim plan)")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query evaluation deadline (0 = unbounded); ?timeout_ms= can only tighten it")
-		maxConc      = flag.Int64("max-concurrent", 0, "admission capacity in worker slots (0 = 4×GOMAXPROCS)")
+		maxConc      = flag.Int64("max-concurrent", 0, "admission capacity in concurrently evaluating queries (0 = 4×GOMAXPROCS)")
 		queueLimit   = flag.Int("queue-limit", 64, "admission wait-queue length; beyond it requests are shed with 429")
 		queueTimeout = flag.Duration("queue-timeout", 15*time.Second, "max time a request waits for admission before a 429")
-		maxP         = flag.Int("max-p", 0, "cap on per-request ?p= worker width (0 = 4×GOMAXPROCS)")
+		maxP         = flag.Int("max-p", 0, "deprecated and ignored: every query evaluates sequentially")
 		maxBody      = flag.Int64("max-body", 1<<20, "max POST body bytes; larger queries get 413")
 		maxRows      = flag.Int64("max-rows", 0, "per-query row-materialization budget (0 = unbounded)")
 		maxRounds    = flag.Int("max-rounds", 0, "per-query fixpoint round budget (0 = engine default cap)")
@@ -130,16 +133,12 @@ func main() {
 	}
 	srv := newServer(st)
 	srv.setCaches(*planCacheN, *resCacheN)
-	srv.parallelism = *parallel
 	srv.opt0 = *optLevel == 0
 	srv.logRequests = *logRequests
 	srv.queryTimeout = *queryTimeout
 	srv.maxBody = *maxBody
 	srv.maxRows = *maxRows
 	srv.maxRounds = *maxRounds
-	if *maxP > 0 {
-		srv.maxP = *maxP
-	}
 	capacity := *maxConc
 	if capacity <= 0 {
 		capacity = int64(4 * runtime.GOMAXPROCS(0))
@@ -166,8 +165,11 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	log.Printf("xqd: serving store %s on %s (mmap=%v, p=%d, O=%d, capacity=%d, queue=%d, query-timeout=%s)",
-		*storeDir, *addr, *mmap, *parallel, *optLevel, capacity, *queueLimit, *queryTimeout)
+	log.Printf("xqd: serving store %s on %s (mmap=%v, O=%d, capacity=%d, queue=%d, query-timeout=%s)",
+		*storeDir, *addr, *mmap, *optLevel, capacity, *queueLimit, *queryTimeout)
+	if *parallel != 1 || *maxP != 0 {
+		log.Printf("xqd: -p and -max-p are deprecated and ignored; every query evaluates sequentially")
+	}
 
 	if *debugAddr != "" {
 		// pprof lives on its own listener so profiling endpoints are never
@@ -209,12 +211,6 @@ func main() {
 type server struct {
 	store *store.Store
 	ctrl  *admission.Controller
-	// parallelism is the default per-query fixpoint worker-pool width;
-	// requests override it with ?p=, capped at maxP. The server already
-	// parallelizes across requests, so the default keeps each query
-	// sequential.
-	parallelism int
-	maxP        int
 	// opt0 disables the relational plan optimizer by default; requests
 	// override per query with ?opt=0|1.
 	opt0 bool
@@ -312,7 +308,7 @@ func newServerMetrics(s *server) *serverMetrics {
 		admStat(func(st admission.Stats) float64 { return float64(st.TimedOut) }))
 	reg.CounterFunc("xqd_admission_cancelled_total", "Waiters whose context ended first.",
 		admStat(func(st admission.Stats) float64 { return float64(st.Cancelled) }))
-	reg.GaugeFunc("xqd_admission_in_flight", "Worker-slot weight currently admitted.",
+	reg.GaugeFunc("xqd_admission_in_flight", "Queries currently admitted.",
 		admStat(func(st admission.Stats) float64 { return float64(st.InFlight) }))
 	reg.GaugeFunc("xqd_admission_waiting", "Current admission queue length.",
 		admStat(func(st admission.Stats) float64 { return float64(st.Waiting) }))
@@ -378,8 +374,6 @@ func newServerMetrics(s *server) *serverMetrics {
 func newServer(st *store.Store) *server {
 	s := &server{
 		store:        st,
-		parallelism:  1,
-		maxP:         4 * runtime.GOMAXPROCS(0),
 		queryTimeout: 30 * time.Second,
 		maxBody:      1 << 20,
 		started:      time.Now(),
@@ -543,26 +537,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		badRequest(fmt.Errorf("missing query: pass ?q= or a POST body"))
 		return
 	}
-	opts := ifpxq.Options{Parallelism: s.parallelism}
+	var opts ifpxq.Options
 	if s.opt0 {
 		opts.Opt = ifpxq.Opt0
 	}
-	if pv := r.URL.Query().Get("p"); pv != "" {
-		p, err := strconv.Atoi(pv)
-		if err != nil || p < 0 {
-			badRequest(fmt.Errorf("bad worker count %q (need an integer ≥ 0)", pv))
-			return
-		}
-		opts.Parallelism = p
-	}
-	// Resolve the effective worker width now: it is both the evaluation
-	// parallelism (capped at -max-p; results are byte-identical at every
-	// width, so capping is safe) and the admission weight.
-	eff := par.Workers(opts.Parallelism)
-	if s.maxP > 0 && eff > s.maxP {
-		eff = s.maxP
-	}
-	opts.Parallelism = eff
 	switch r.URL.Query().Get("opt") {
 	case "":
 	case "0":
@@ -642,7 +620,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	acquireStart := time.Now()
-	release, err := s.ctrl.Acquire(r.Context(), int64(eff))
+	release, err := s.ctrl.Acquire(r.Context())
 	queueWait = time.Since(acquireStart)
 	s.metrics.queueWait.Observe(queueWait.Seconds())
 	if err != nil {

@@ -156,11 +156,10 @@ func TestQueryErrors(t *testing.T) {
 }
 
 // TestConcurrentParallelQueries drives one xqd server with concurrent
-// requests that each run parallel fixpoint rounds (?p=2..4) over a cache
-// held at one document for a two-document working set, so worker pools
-// inside queries race against eviction/reload under pins across queries.
-// Every response must match the sequential (p=1) answer byte for byte.
-// Run under -race.
+// fixpoint requests over a cache held at one document for a two-document
+// working set, so queries running in parallel race against eviction and
+// reload under each other's pins. Every response must match the answer of
+// a lone request byte for byte. Run under -race.
 func TestConcurrentParallelQueries(t *testing.T) {
 	dir := t.TempDir()
 	uris := []string{"curriculum.xml", "hospital.xml"}
@@ -199,7 +198,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		want[i] = make([]string, 2)
 		for e, engine := range []string{"interp", "rel"} {
 			var resp queryResponse
-			if code := getJSON(t, hs.URL+"/query?engine="+engine+"&p=1&q="+url.QueryEscape(q), &resp); code != http.StatusOK {
+			if code := getJSON(t, hs.URL+"/query?engine="+engine+"&q="+url.QueryEscape(q), &resp); code != http.StatusOK {
 				t.Fatalf("baseline q%d %s: status %d", i, engine, code)
 			}
 			want[i][e] = resp.Result
@@ -217,9 +216,8 @@ func TestConcurrentParallelQueries(t *testing.T) {
 				i := (w + r) % len(qs)
 				e := (w + r/2) % 2
 				engine := []string{"interp", "rel"}[e]
-				p := 2 + (w+r)%3
-				hresp, err := http.Get(fmt.Sprintf("%s/query?engine=%s&p=%d&q=%s",
-					hs.URL, engine, p, url.QueryEscape(qs[i])))
+				hresp, err := http.Get(fmt.Sprintf("%s/query?engine=%s&q=%s",
+					hs.URL, engine, url.QueryEscape(qs[i])))
 				if err != nil {
 					errs <- err
 					return
@@ -233,11 +231,11 @@ func TestConcurrentParallelQueries(t *testing.T) {
 					return
 				}
 				if code != http.StatusOK {
-					errs <- fmt.Errorf("worker %d q%d %s p=%d: status %d", w, i, engine, p, code)
+					errs <- fmt.Errorf("worker %d q%d %s: status %d", w, i, engine, code)
 					return
 				}
 				if resp.Result != want[i][e] {
-					errs <- fmt.Errorf("worker %d q%d %s p=%d: result diverged from p=1", w, i, engine, p)
+					errs <- fmt.Errorf("worker %d q%d %s: result diverged from the lone request's", w, i, engine)
 					return
 				}
 			}
@@ -250,11 +248,6 @@ func TestConcurrentParallelQueries(t *testing.T) {
 	}
 	if s := st.Cache().Stats(); s.Evictions == 0 {
 		t.Error("cache never evicted: capacity pressure not exercised")
-	}
-
-	var e errorResponse
-	if code := getJSON(t, hs.URL+"/query?p=nope&q="+url.QueryEscape(qs[0]), &e); code != http.StatusBadRequest {
-		t.Fatalf("bad p: status %d", code)
 	}
 }
 

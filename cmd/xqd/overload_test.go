@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/par/leaktest"
+	"repro/internal/leaktest"
 	"repro/internal/store"
 )
 
@@ -68,16 +69,14 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestParamValidation: negative ?p= is a 400; an absurd ?p= is capped at
-// the server's max-p and still answers byte-identically.
+// TestParamValidation: a malformed ?timeout_ms= is a 400, while the retired
+// ?p= is ignored like any unknown parameter — any value answers exactly as
+// a request without it.
 func TestParamValidation(t *testing.T) {
-	_, hs := testServer(t, store.Options{}, func(s *server) { s.maxP = 2 })
+	_, hs := testServer(t, store.Options{})
 	q := url.QueryEscape(fixpointQuery)
 
 	var e errorResponse
-	if code := getJSON(t, hs.URL+"/query?p=-1&q="+q, &e); code != http.StatusBadRequest {
-		t.Fatalf("p=-1: status %d, want 400", code)
-	}
 	if code := getJSON(t, hs.URL+"/query?timeout_ms=0&q="+q, &e); code != http.StatusBadRequest {
 		t.Fatalf("timeout_ms=0: status %d, want 400", code)
 	}
@@ -85,15 +84,21 @@ func TestParamValidation(t *testing.T) {
 		t.Fatalf("timeout_ms=abc: status %d, want 400", code)
 	}
 
-	var base, capped queryResponse
-	if code := getJSON(t, hs.URL+"/query?p=1&q="+q, &base); code != http.StatusOK {
-		t.Fatalf("p=1: status %d", code)
+	// The reply minus its per-request fields (query id, timings).
+	reply := func(params string) queryResponse {
+		t.Helper()
+		var r queryResponse
+		if code := getJSON(t, hs.URL+"/query?cache=0&q="+q+params, &r); code != http.StatusOK {
+			t.Fatalf("%q: status %d, want 200", params, code)
+		}
+		r.QueryID, r.ElapsedUs, r.DocWaitUs = "", 0, 0
+		return r
 	}
-	if code := getJSON(t, hs.URL+"/query?p=4096&q="+q, &capped); code != http.StatusOK {
-		t.Fatalf("p=4096: status %d, want 200 (capped at max-p)", code)
-	}
-	if capped.Result != base.Result {
-		t.Fatalf("capped-p result diverges: %q vs %q", capped.Result, base.Result)
+	base := reply("")
+	for _, p := range []string{"&p=-1", "&p=4096", "&p=nope"} {
+		if got := reply(p); !reflect.DeepEqual(got, base) {
+			t.Fatalf("%q: reply diverges from the one without p:\n got: %+v\nwant: %+v", p, got, base)
+		}
 	}
 }
 
@@ -105,7 +110,7 @@ func TestDeadlineTruncation(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	var e errorResponse
-	code := getJSON(t, hs.URL+"/query?timeout_ms=100&p=3&q="+url.QueryEscape(runawayQuery), &e)
+	code := getJSON(t, hs.URL+"/query?timeout_ms=100&q="+url.QueryEscape(runawayQuery), &e)
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422 (%+v)", code, e)
 	}
@@ -149,7 +154,7 @@ func holdSlot(t *testing.T, base string, ms int) chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, err := http.Get(fmt.Sprintf("%s/query?p=1&timeout_ms=%d&q=%s", base, ms, url.QueryEscape(runawayQuery)))
+		resp, err := http.Get(fmt.Sprintf("%s/query?timeout_ms=%d&q=%s", base, ms, url.QueryEscape(runawayQuery)))
 		if err == nil {
 			resp.Body.Close()
 		}

@@ -147,11 +147,7 @@ type Options struct {
 	Store *store.Store
 	// ContextItem sets the initial context item (interpreter only).
 	ContextItem *xdm.Item
-	// Parallelism is the fixpoint-round worker-pool width shared by both
-	// engines: per-iteration absorption, step joins, and join probes in
-	// the relational µ/µ∆, and the accumulation in the interpreter's
-	// Naïve/Delta drivers, all shard across it. 0 = runtime.GOMAXPROCS(0),
-	// 1 = sequential. Results are byte-identical at every setting.
+	// Deprecated: ignored; every evaluation is sequential.
 	Parallelism int
 	// NoIndex makes both engines answer every axis step by walking the
 	// arena instead of letting the step kernel (xdm.Step) probe the name
@@ -159,9 +155,9 @@ type Options struct {
 	// on it — the knob exists for the difftest index-parity gate (`make
 	// parity-check`) and the bench index sweep.
 	NoIndex bool
-	// Context, when non-nil, cancels evaluation: fixpoint rounds observe
-	// it between rounds and inside sharded operators, and the worker pool
-	// is fully drained before the context's error is returned.
+	// Context, when non-nil, cancels evaluation: both engines observe it
+	// between fixpoint rounds, and the relational executor also before
+	// each step and join.
 	Context context.Context
 	// Deadline, when non-zero, bounds the evaluation's wall-clock time.
 	// It is checked on entry, between fixpoint rounds in both engines, at
@@ -408,7 +404,7 @@ func (r *Result) Count() int { return len(r.Items) }
 func (q *Query) Eval(opts Options) (*Result, error) {
 	budget := opts.budget()
 	// The entry check makes an already-expired deadline fail identically
-	// across every engine, mode, optimizer level, and worker count: no
+	// across every engine, mode, and optimizer level: no
 	// engine runs a single operator first.
 	if err := budget.CheckDeadline(); err != nil {
 		return &Result{}, err
@@ -514,9 +510,8 @@ func (q *Query) newInterpEngine(opts *Options, budget *xdm.Budget, docs DocResol
 	return interp.New(q.module, interp.Options{
 		Mode: mode, MaxIterations: opts.MaxIterations,
 		Docs: docs, ContextItem: opts.ContextItem,
-		Parallelism: opts.Parallelism, Context: opts.Context,
-		NoIndex: opts.NoIndex,
-		Budget:  budget, Trace: opts.Trace,
+		Context: opts.Context, NoIndex: opts.NoIndex,
+		Budget: budget, Trace: opts.Trace,
 	})
 }
 

@@ -1,11 +1,10 @@
 // Package admission is the concurrency gate in front of query execution:
-// a weighted semaphore (capacity measured in worker slots, so a query
-// evaluating with p workers holds p units) with a bounded FIFO wait queue
-// and a queue deadline. Under overload it degrades in the only order that
-// keeps a server alive: admit what fits, queue a bounded amount of
-// patience, and shed the rest immediately — callers turn sheds into
-// 429 + Retry-After instead of letting unbounded goroutines pile up until
-// the process dies.
+// a semaphore whose capacity counts concurrently evaluating queries, with
+// a bounded FIFO wait queue and a queue deadline. Under overload it
+// degrades in the only order that keeps a server alive: admit what fits,
+// queue a bounded amount of patience, and shed the rest immediately —
+// callers turn sheds into 429 + Retry-After instead of letting unbounded
+// goroutines pile up until the process dies.
 package admission
 
 import (
@@ -27,9 +26,8 @@ var (
 
 // Options configure a Controller.
 type Options struct {
-	// Capacity is the total weight admitted concurrently (required > 0).
-	// Weights are worker slots: admitting a p-worker query takes p units,
-	// so one greedy request cannot monopolize the pool by asking wide.
+	// Capacity is the number of queries admitted concurrently (required
+	// > 0).
 	Capacity int64
 	// QueueLimit bounds the wait queue; a request arriving with the queue
 	// full is shed immediately. 0 means no queue: anything that does not
@@ -48,31 +46,26 @@ type Stats struct {
 	Shed      int64 `json:"shed"`       // immediate rejections (queue full)
 	TimedOut  int64 `json:"timed_out"`  // rejections after the queue deadline
 	Cancelled int64 `json:"cancelled"`  // waiters whose context ended first
-	InFlight  int64 `json:"in_flight"`  // weight currently admitted
+	InFlight  int64 `json:"in_flight"`  // queries currently admitted
 	Waiting   int   `json:"waiting"`    // current queue length
-	Capacity  int64 `json:"capacity"`   // configured weight capacity
+	Capacity  int64 `json:"capacity"`   // configured query capacity
 	QueueCap  int   `json:"queue_cap"`  // configured queue limit
 	PeakQueue int   `json:"peak_queue"` // high-water queue length
 }
 
-// Controller is the weighted-semaphore admission gate. Safe for
-// concurrent use.
+// Controller is the semaphore admission gate. Safe for concurrent use.
 type Controller struct {
 	mu   sync.Mutex
 	opts Options
-	// inflight is the admitted weight; queue is FIFO — released capacity
+	// inflight counts admitted queries; queue is FIFO — released capacity
 	// always goes to the longest waiter first, so no waiter starves while
-	// the queue deadline still has patience for it.
+	// the queue deadline still has patience for it. Each waiter's channel
+	// is closed under mu when it is admitted.
 	inflight int64
-	queue    []*waiter
+	queue    []chan struct{}
 
 	admitted, queuedN, shed, timedOut, cancelled int64
 	peakQueue                                    int
-}
-
-type waiter struct {
-	weight int64
-	ready  chan struct{} // closed under c.mu when admitted
 }
 
 // New builds a Controller. It panics on a non-positive capacity — an
@@ -88,34 +81,26 @@ func New(opts Options) *Controller {
 	return &Controller{opts: opts}
 }
 
-// Acquire requests weight units of capacity, waiting in the bounded FIFO
-// queue if necessary. On success it returns a release function (idempotent;
+// Acquire requests one unit of capacity, waiting in the bounded FIFO queue
+// if necessary. On success it returns a release function (idempotent;
 // callers defer it). On failure it returns ErrShed, ErrQueueTimeout, or
-// the context's error. A weight above the capacity is clamped to it —
-// such a request is admissible, just alone.
-func (c *Controller) Acquire(ctx context.Context, weight int64) (func(), error) {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > c.opts.Capacity {
-		weight = c.opts.Capacity
-	}
-
+// the context's error.
+func (c *Controller) Acquire(ctx context.Context) (func(), error) {
 	c.mu.Lock()
-	// Admit immediately only when nobody is queued ahead: FIFO fairness —
-	// a narrow request must not overtake a wide one that is still waiting.
-	if len(c.queue) == 0 && c.inflight+weight <= c.opts.Capacity {
-		c.inflight += weight
+	// Capacity only frees up through dispatchLocked, which drains the queue
+	// first, so a free slot implies nobody is waiting ahead of this request.
+	if c.inflight < c.opts.Capacity {
+		c.inflight++
 		c.admitted++
 		c.mu.Unlock()
-		return c.releaser(weight), nil
+		return c.releaser(), nil
 	}
 	if len(c.queue) >= c.opts.QueueLimit {
 		c.shed++
 		c.mu.Unlock()
 		return nil, ErrShed
 	}
-	w := &waiter{weight: weight, ready: make(chan struct{})}
+	w := make(chan struct{})
 	c.queue = append(c.queue, w)
 	c.queuedN++
 	if len(c.queue) > c.peakQueue {
@@ -134,64 +119,57 @@ func (c *Controller) Acquire(ctx context.Context, weight int64) (func(), error) 
 		done = ctx.Done()
 	}
 	select {
-	case <-w.ready:
-		return c.releaser(weight), nil
+	case <-w:
+		return c.releaser(), nil
 	case <-timeout:
 		if c.abandon(w, &c.timedOut) {
 			return nil, ErrQueueTimeout
 		}
-		// Admission raced the timer and won: the weight is already ours.
-		return c.releaser(weight), nil
+		// Admission raced the timer and won: the slot is already ours.
+		return c.releaser(), nil
 	case <-done:
 		if c.abandon(w, &c.cancelled) {
 			return nil, ctx.Err()
 		}
-		return c.releaser(weight), nil
+		return c.releaser(), nil
 	}
 }
 
 // abandon removes a waiter that gave up, or reports false if it was
-// admitted concurrently (in which case the caller owns the weight).
-func (c *Controller) abandon(w *waiter, counter *int64) bool {
+// admitted concurrently (in which case the caller owns the slot).
+func (c *Controller) abandon(w chan struct{}, counter *int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, q := range c.queue {
 		if q == w {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			*counter++
-			// Removing a waiter can unblock those behind it (a narrow
-			// request may fit where the abandoned wide one did not).
-			c.dispatchLocked()
 			return true
 		}
 	}
 	return false
 }
 
-// releaser returns the idempotent release closure for an admitted weight.
-func (c *Controller) releaser(weight int64) func() {
+// releaser returns the idempotent release closure for an admitted query.
+func (c *Controller) releaser() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			c.mu.Lock()
-			c.inflight -= weight
+			c.inflight--
 			c.dispatchLocked()
 			c.mu.Unlock()
 		})
 	}
 }
 
-// dispatchLocked admits queued waiters, FIFO, while they fit.
+// dispatchLocked hands free slots to queued waiters, FIFO.
 func (c *Controller) dispatchLocked() {
-	for len(c.queue) > 0 {
-		w := c.queue[0]
-		if c.inflight+w.weight > c.opts.Capacity {
-			return
-		}
+	for len(c.queue) > 0 && c.inflight < c.opts.Capacity {
+		close(c.queue[0])
 		c.queue = c.queue[1:]
-		c.inflight += w.weight
+		c.inflight++
 		c.admitted++
-		close(w.ready)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 
 func TestAcquireImmediate(t *testing.T) {
 	c := New(Options{Capacity: 4, QueueLimit: 4})
-	release, err := c.Acquire(context.Background(), 2)
+	release, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	st := c.Stats()
-	if st.Admitted != 1 || st.InFlight != 2 {
-		t.Fatalf("stats = %+v, want admitted=1 inflight=2", st)
+	if st.Admitted != 1 || st.InFlight != 1 {
+		t.Fatalf("stats = %+v, want admitted=1 inflight=1", st)
 	}
 	release()
 	release() // idempotent
@@ -25,26 +25,14 @@ func TestAcquireImmediate(t *testing.T) {
 	}
 }
 
-func TestWeightClampedToCapacity(t *testing.T) {
-	c := New(Options{Capacity: 2})
-	release, err := c.Acquire(context.Background(), 100)
-	if err != nil {
-		t.Fatalf("Acquire(100): %v", err)
-	}
-	defer release()
-	if st := c.Stats(); st.InFlight != 2 {
-		t.Fatalf("inflight = %d, want clamped 2", st.InFlight)
-	}
-}
-
 func TestShedWhenQueueFull(t *testing.T) {
 	c := New(Options{Capacity: 1, QueueLimit: 0})
-	release, err := c.Acquire(context.Background(), 1)
+	release, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("first Acquire: %v", err)
 	}
 	defer release()
-	if _, err := c.Acquire(context.Background(), 1); !errors.Is(err, ErrShed) {
+	if _, err := c.Acquire(context.Background()); !errors.Is(err, ErrShed) {
 		t.Fatalf("second Acquire err = %v, want ErrShed", err)
 	}
 	st := c.Stats()
@@ -58,13 +46,13 @@ func TestShedWhenQueueFull(t *testing.T) {
 
 func TestQueueTimeout(t *testing.T) {
 	c := New(Options{Capacity: 1, QueueLimit: 4, QueueTimeout: 20 * time.Millisecond})
-	release, err := c.Acquire(context.Background(), 1)
+	release, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("first Acquire: %v", err)
 	}
 	defer release()
 	start := time.Now()
-	if _, err := c.Acquire(context.Background(), 1); !errors.Is(err, ErrQueueTimeout) {
+	if _, err := c.Acquire(context.Background()); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("queued Acquire err = %v, want ErrQueueTimeout", err)
 	}
 	if waited := time.Since(start); waited < 15*time.Millisecond {
@@ -78,7 +66,7 @@ func TestQueueTimeout(t *testing.T) {
 
 func TestContextCancelWhileQueued(t *testing.T) {
 	c := New(Options{Capacity: 1, QueueLimit: 4})
-	release, err := c.Acquire(context.Background(), 1)
+	release, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("first Acquire: %v", err)
 	}
@@ -88,7 +76,7 @@ func TestContextCancelWhileQueued(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := c.Acquire(ctx, 1); !errors.Is(err, context.Canceled) {
+	if _, err := c.Acquire(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued Acquire err = %v, want context.Canceled", err)
 	}
 	if st := c.Stats(); st.Cancelled != 1 || st.Waiting != 0 {
@@ -98,7 +86,7 @@ func TestContextCancelWhileQueued(t *testing.T) {
 
 func TestFIFOHandoff(t *testing.T) {
 	c := New(Options{Capacity: 1, QueueLimit: 8})
-	release, err := c.Acquire(context.Background(), 1)
+	release, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("first Acquire: %v", err)
 	}
@@ -114,7 +102,7 @@ func TestFIFOHandoff(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			close(ready)
-			rel, err := c.Acquire(context.Background(), 1)
+			rel, err := c.Acquire(context.Background())
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
@@ -141,50 +129,6 @@ func TestFIFOHandoff(t *testing.T) {
 	}
 }
 
-func TestNarrowWaiterDoesNotOvertakeWideOne(t *testing.T) {
-	c := New(Options{Capacity: 4, QueueLimit: 8})
-	release, err := c.Acquire(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("first Acquire: %v", err)
-	}
-
-	wideAdmitted := make(chan struct{})
-	go func() {
-		rel, err := c.Acquire(context.Background(), 4) // cannot fit alongside 3
-		if err != nil {
-			t.Errorf("wide Acquire: %v", err)
-			return
-		}
-		close(wideAdmitted)
-		rel()
-	}()
-	for c.Stats().Waiting < 1 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Weight 1 would fit (3+1 <= 4), but FIFO order must hold it behind the
-	// queued wide request, which cannot be admitted yet.
-	done := make(chan error, 1)
-	go func() {
-		rel, err := c.Acquire(context.Background(), 1)
-		if err == nil {
-			<-wideAdmitted // it must only run after the wide request
-			rel()
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("narrow request finished before wide waiter (err=%v)", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-
-	release()
-	if err := <-done; err != nil {
-		t.Fatalf("narrow Acquire: %v", err)
-	}
-}
-
 func TestConcurrentChurn(t *testing.T) {
 	c := New(Options{Capacity: 3, QueueLimit: 64, QueueTimeout: time.Second})
 	var wg sync.WaitGroup
@@ -192,7 +136,7 @@ func TestConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, err := c.Acquire(context.Background(), 1+int64(i%3))
+			rel, err := c.Acquire(context.Background())
 			if err != nil {
 				t.Errorf("Acquire: %v", err)
 				return

@@ -1,11 +1,18 @@
 package algebra
 
 import (
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/leaktest"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
+	"repro/internal/xmlgen"
 	"repro/internal/xq/dist"
 	"repro/internal/xq/interp"
 	"repro/internal/xq/parser"
@@ -309,6 +316,119 @@ return $c/@code/string()`
 	}
 	if runs[0].Executions != 1 {
 		t.Errorf("µ executions = %d, want 1 — the relational fixpoint runs all iterations at once", runs[0].Executions)
+	}
+}
+
+// closureQuery is the xlinkit consistency check over a generated
+// curriculum: the loop-lifted fixpoint carries every course's prerequisite
+// closure at once, which puts thousands of rows through the step joins,
+// join probes and per-iteration absorbs each round.
+const closureQuery = `
+for $c in doc("curriculum.xml")/curriculum/course
+where exists($c intersect (with $x seeded by $c recurse $x/id(./prerequisites/pre_code)))
+return $c/@code/string()`
+
+func curriculumDocs(t *testing.T, courses int) func(string) (*xdm.Document, error) {
+	t.Helper()
+	doc, err := xmldoc.ParseString(xmlgen.Curriculum(xmlgen.CurriculumSized(courses)), "curriculum.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(uri string) (*xdm.Document, error) { return doc, nil }
+}
+
+func evalClosure(t *testing.T, opts Options) (xdm.Sequence, []MuRun, error) {
+	t.Helper()
+	m, err := parser.Parse(closureQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := NewEngine(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return en.Eval()
+}
+
+// TestMuParallelMatchesSequential: Options.Parallelism is deprecated and
+// ignored, so any width evaluates exactly like the default — the same
+// sequence and the same µ instrumentation.
+func TestMuParallelMatchesSequential(t *testing.T) {
+	docs := curriculumDocs(t, 260)
+	for _, mode := range []FixpointMode{ModeNaive, ModeDelta} {
+		want, wantRuns, err := evalClosure(t, Options{Mode: mode, Docs: docs})
+		if err != nil {
+			t.Fatalf("mode=%v: %v", mode, err)
+		}
+		got, gotRuns, err := evalClosure(t, Options{Mode: mode, Docs: docs, Parallelism: 4})
+		if err != nil {
+			t.Fatalf("mode=%v Parallelism=4: %v", mode, err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRuns, wantRuns) {
+			t.Fatalf("mode=%v: Parallelism=4 changed the evaluation", mode)
+		}
+	}
+}
+
+// TestMuCancellation cancels a fixpoint mid-execution: the engine must
+// return the context's error and leave no goroutine behind, and an
+// already-cancelled context must refuse to start rounds at all.
+func TestMuCancellation(t *testing.T) {
+	before := runtime.NumGoroutine()
+	docs := curriculumDocs(t, 260)
+
+	pre, cancelPre := context.WithCancel(context.Background())
+	cancelPre()
+	if _, _, err := evalClosure(t, Options{Docs: docs, Context: pre}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: got %v, want context.Canceled", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := evalClosure(t, Options{Docs: docs, Context: ctx})
+		done <- err
+	}()
+	time.Sleep(2 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		// A fast machine may finish the whole query before cancel lands;
+		// the only acceptable non-nil error is the context's.
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("mid-run cancel: got %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancelled evaluation did not return")
+	}
+	leaktest.Wait(t, before)
+}
+
+// TestMuErrorDeterministic forces a type error inside a fixpoint round (a
+// body yielding non-nodes): every evaluation, in every mode and on a fresh
+// engine each time, must fail with the same typed error.
+func TestMuErrorDeterministic(t *testing.T) {
+	docs := curriculumDocs(t, 120)
+	m, err := parser.Parse(`with $x seeded by doc("curriculum.xml")/curriculum/course
+	                        recurse ($x/id(./prerequisites/pre_code), 42)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i, mode := range []FixpointMode{ModeAuto, ModeNaive, ModeDelta, ModeAuto} {
+		en, err := NewEngine(m, Options{Mode: mode, Docs: docs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, evalErr := en.Eval()
+		if xdm.CodeOf(evalErr) != xdm.ErrType {
+			t.Fatalf("mode=%v: got %v, want a type error", mode, evalErr)
+		}
+		if i == 0 {
+			want = evalErr.Error()
+		} else if evalErr.Error() != want {
+			t.Fatalf("mode=%v: error %q differs from the first run's %q", mode, evalErr.Error(), want)
+		}
 	}
 }
 

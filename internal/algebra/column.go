@@ -68,7 +68,7 @@ func (c *Column) IsNodeAt(i int) bool {
 
 // reader iterates one column with a per-loop document cache, so unpacking
 // runs of same-document nodes costs one map lookup per run, not per row.
-// A reader is single-goroutine state; parallel shards each make their own.
+// A reader is single-goroutine state.
 type reader struct {
 	col  *Column
 	last uint64 // last stamp (high half) resolved, 0 = none
@@ -100,8 +100,7 @@ func (r *reader) node(i int) xdm.NodeRef {
 // docDict maps the stamp half of packed identities back to documents.
 // It is append-only while exactly one builder owns it and strictly
 // read-only once any column references it — builders seeded with a shared
-// dictionary clone before growing, so concurrent shards never observe a
-// mutation.
+// dictionary clone before growing, so no column ever observes a mutation.
 type docDict struct {
 	m map[uint32]*xdm.Document
 }

@@ -31,11 +31,6 @@ type Plan struct {
 	// raw-vs-optimized diagnostics. Root == Raw until an optimizer runs.
 	Raw *Node
 	Mus []*MuSite
-	// LoopDeps, when set by an optimizer pass, marks every node of the
-	// optimized DAG whose subtree reaches an OpRecBase leaf (the
-	// loop-dependence property). The executor's fixpoint driver consumes it
-	// instead of re-walking each µ body per execution.
-	LoopDeps map[*Node]bool
 }
 
 // MuSite describes one compiled fixpoint.

@@ -30,14 +30,13 @@ type Options struct {
 	// when false the extended rules (left input of `\`) apply.
 	Strict bool
 	Docs   func(uri string) (*xdm.Document, error)
-	// Parallelism is the worker-pool width for µ/µ∆ round internals
-	// (0 = GOMAXPROCS, 1 = sequential); results are byte-identical at
-	// every setting.
+	// Deprecated: ignored; every evaluation is sequential.
 	Parallelism int
 	// NoIndex disables the name-index probe path in the step executor;
 	// results are byte-identical either way (difftest CheckIndexes).
 	NoIndex bool
-	// Context, when non-nil, cancels execution between and within rounds.
+	// Context, when non-nil, cancels execution between rounds and before
+	// each step or join.
 	Context context.Context
 	// Budget, when non-nil, bounds execution: every freshly materialized
 	// table is charged against the row budget, and the fixpoint drivers
@@ -130,9 +129,7 @@ func (e *Engine) Plan() *Plan { return e.plan }
 func (e *Engine) Eval() (xdm.Sequence, []MuRun, error) {
 	ctx := &ExecContext{
 		Docs: e.opts.Docs, MaxIterations: e.opts.MaxIterations,
-		Parallelism: e.opts.Parallelism, NoIndex: e.opts.NoIndex,
-		Ctx:      e.opts.Context,
-		LoopDeps: e.plan.LoopDeps, Budget: e.opts.Budget,
+		NoIndex: e.opts.NoIndex, Ctx: e.opts.Context, Budget: e.opts.Budget,
 		Trace: e.opts.Trace, Prof: e.opts.Prof,
 	}
 	stopExec := e.opts.Trace.StartPhase("exec")

@@ -6,12 +6,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/xdm"
 )
 
@@ -116,31 +114,18 @@ type ExecContext struct {
 	Docs func(uri string) (*xdm.Document, error)
 	// MaxIterations bounds fixpoint rounds (0 = core.DefaultMaxIterations).
 	MaxIterations int
-	// Parallelism is the worker-pool width for the µ/µ∆ round internals —
-	// step joins, join probes, and per-iteration absorption all shard row
-	// ranges across it (0 = GOMAXPROCS, 1 = sequential). Output order is
-	// chunk-deterministic: results are byte-identical at every setting.
-	Parallelism int
 	// NoIndex makes every step walk the arena instead of letting xdm.Step
 	// probe the name index. Results are byte-identical either way — the
 	// toggle exists for the difftest parity gate and the bench sweep.
 	NoIndex bool
-	// Ctx, when non-nil, cancels the execution between fixpoint rounds and
-	// inside the sharded operators; the pool always drains before the
-	// context's error is returned.
+	// Ctx, when non-nil, cancels the execution: every fixpoint round, step
+	// and join polls it before doing work. Eval replaces a nil Ctx with
+	// context.Background().
 	Ctx context.Context
-	// LoopDeps, when set (Plan.LoopDeps, filled by the optimizer), is the
-	// precomputed loop-dependence property: the nodes whose subtree reaches
-	// an OpRecBase leaf. The fixpoint driver scopes it to each µ body
-	// instead of re-deriving the property with its own walk; nil (-O0)
-	// falls back to recDependents.
-	LoopDeps map[*Node]bool
 	// Budget, when non-nil, bounds the execution: eval charges each freshly
 	// computed operator table against the row budget and polls the deadline,
 	// and evalMu adds per-round deadline/round checks plus feed and growth
-	// charges. All check sites run on the driving goroutine at points whose
-	// order does not depend on the worker count, so a truncation error is
-	// byte-identical at every parallelism setting.
+	// charges.
 	Budget *xdm.Budget
 	// Trace, when non-nil, records one span per fixpoint round at every µ
 	// site; Prof, when non-nil, accumulates per-operator actuals. Both are
@@ -156,22 +141,11 @@ type ExecContext struct {
 	muSite    map[*Node]int            // µ node → Trace site index
 	docs      map[string]*xdm.Document
 	segCache  map[segKey][]uint64 // per-query step segment memo (step.go)
-	stepMu    sync.Mutex          // guards segCache when step joins shard
 	// childNs threads descendant evaluation time through the profiled
 	// recursion so each operator's SelfNs excludes its children; see
-	// evalProfiled. Only the driving goroutine touches it.
+	// evalProfiled.
 	childNs int64
 }
-
-// workers is the normalized pool width.
-func (ctx *ExecContext) workers() int { return par.Workers(ctx.Parallelism) }
-
-// cancelled reports the context's error, if any.
-func (ctx *ExecContext) cancelled() error { return par.CtxErr(ctx.Ctx) }
-
-// parMinRows is the smallest per-chunk row count worth a goroutine in the
-// sharded row-wise operators; below workers × this, they run sequentially.
-const parMinRows = 512
 
 // MuRuns returns the fixpoint instrumentation collected so far.
 func (ctx *ExecContext) MuRuns() []MuRun {
@@ -184,6 +158,9 @@ func (ctx *ExecContext) MuRuns() []MuRun {
 }
 
 func (ctx *ExecContext) init() {
+	if ctx.Ctx == nil {
+		ctx.Ctx = context.Background()
+	}
 	if ctx.memo == nil {
 		ctx.memo = map[*Node]*Table{}
 		ctx.binding = map[*Node]*Table{}
@@ -714,7 +691,7 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 		idx2 = map[ikey2][]int32{}
 		nidx2 = map[[2]uint64][]int32{}
 	}
-	var ka, kb [2]ikey // stack scratch for promoted keys
+	var ka, kb [2]ikey // stack scratch for promoted build and probe keys
 	switch len(eq) {
 	case 1:
 		if rEqCols[0].IsPacked() {
@@ -751,111 +728,80 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 			}
 		}
 	}
-	lThetaCols := make([]*Column, len(theta))
-	rThetaCols := make([]*Column, len(theta))
+	lReaders := make([]reader, len(theta))
+	rReaders := make([]reader, len(theta))
 	for i, p := range theta {
-		lThetaCols[i] = l.cols[l.Col(p.L)]
-		rThetaCols[i] = r.cols[r.Col(p.R)]
+		lReaders[i] = l.cols[l.Col(p.L)].reader()
+		rReaders[i] = r.cols[r.Col(p.R)].reader()
 	}
-	// probe matches one probe-side row range against the (now read-only)
-	// hash indexes, producing matched index pairs — materialization is a
-	// single gather after all chunks return. Sharded probing hands each
-	// chunk its own readers and candidates scratch; per-chunk outputs
-	// concatenate in chunk order, so the join's row order is identical at
-	// every worker count.
-	probe := func(lo, hi int) ([]int32, []int32) {
-		var li, ri []int32
-		var candidates []int32
-		var pka, pkb [2]ikey // per-shard stack scratch for promoted keys
-		lReaders := make([]reader, len(theta))
-		rReaders := make([]reader, len(theta))
-		for i := range theta {
-			lReaders[i] = lThetaCols[i].reader()
-			rReaders[i] = rThetaCols[i].reader()
-		}
-		var pa, pb reader
-		if len(eq) >= 1 {
-			pa = lEqCols[0].reader()
-		}
-		if len(eq) == 2 {
-			pb = lEqCols[1].reader()
-		}
-		for row := lo; row < hi; row++ {
-			matched := false
-			candidates = candidates[:0]
-			switch len(eq) {
-			case 1:
-				if lEqCols[0].IsPacked() {
-					candidates = append(candidates, nidx1[lEqCols[0].packed[row]]...)
-					break
-				}
-				if it := lEqCols[0].items[row]; it.IsNode() {
-					candidates = append(candidates, nidx1[nodeKey64(it.Node())]...)
-				} else {
-					for _, k := range pka[:probeIKeys(&pka, it)] {
-						candidates = append(candidates, idx1[k]...)
-					}
-				}
-			case 2:
-				ia, ib := pa.item(row), pb.item(row)
-				if ia.IsNode() && ib.IsNode() {
-					candidates = append(candidates, nidx2[[2]uint64{nodeKey64(ia.Node()), nodeKey64(ib.Node())}]...)
-					break
-				}
-				na, nb := probeIKeys(&pka, ia), probeIKeys(&pkb, ib)
-				for _, a := range pka[:na] {
-					for _, b := range pkb[:nb] {
-						candidates = append(candidates, idx2[ikey2{a, b}]...)
-					}
-				}
-			default:
-				for i := 0; i < r.n; i++ {
-					candidates = append(candidates, int32(i))
-				}
-			}
-			for _, cand := range candidates {
-				ok := true
-				for i := range theta {
-					if !predHolds(lReaders[i].item(row), rReaders[i].item(int(cand)), theta[i].Cmp) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				matched = true
-				if semi {
-					break
-				}
-				li = append(li, int32(row))
-				ri = append(ri, cand)
-			}
-			if semi && matched != anti {
-				li = append(li, int32(row))
-			}
-		}
-		return li, ri
+	// Probe the (now read-only) hash indexes row by row, collecting matched
+	// index pairs; materialization is a single gather afterwards.
+	if err := ctx.Ctx.Err(); err != nil {
+		return nil, err
 	}
 	var li, ri []int32
-	workers := ctx.workers()
-	if workers <= 1 || l.n < 2*parMinRows {
-		if err := ctx.cancelled(); err != nil {
-			return nil, err
+	var candidates []int32
+	var pa, pb reader
+	if len(eq) >= 1 {
+		pa = lEqCols[0].reader()
+	}
+	if len(eq) == 2 {
+		pb = lEqCols[1].reader()
+	}
+	for row := 0; row < l.n; row++ {
+		matched := false
+		candidates = candidates[:0]
+		switch len(eq) {
+		case 1:
+			if lEqCols[0].IsPacked() {
+				candidates = append(candidates, nidx1[lEqCols[0].packed[row]]...)
+				break
+			}
+			if it := lEqCols[0].items[row]; it.IsNode() {
+				candidates = append(candidates, nidx1[nodeKey64(it.Node())]...)
+			} else {
+				for _, k := range ka[:probeIKeys(&ka, it)] {
+					candidates = append(candidates, idx1[k]...)
+				}
+			}
+		case 2:
+			ia, ib := pa.item(row), pb.item(row)
+			if ia.IsNode() && ib.IsNode() {
+				candidates = append(candidates, nidx2[[2]uint64{nodeKey64(ia.Node()), nodeKey64(ib.Node())}]...)
+				break
+			}
+			na, nb := probeIKeys(&ka, ia), probeIKeys(&kb, ib)
+			for _, a := range ka[:na] {
+				for _, b := range kb[:nb] {
+					candidates = append(candidates, idx2[ikey2{a, b}]...)
+				}
+			}
+		default:
+			for i := 0; i < r.n; i++ {
+				candidates = append(candidates, int32(i))
+			}
 		}
-		li, ri = probe(0, l.n)
-	} else {
-		chunks := par.Chunks(l.n, workers, parMinRows)
-		louts := make([][]int32, len(chunks))
-		routs := make([][]int32, len(chunks))
-		if err := par.Run(ctx.Ctx, workers, len(chunks), func(i int) error {
-			louts[i], routs[i] = probe(chunks[i][0], chunks[i][1])
-			return nil
-		}); err != nil {
-			return nil, err
+		for _, cand := range candidates {
+			ok := true
+			for i := range theta {
+				if !predHolds(lReaders[i].item(row), rReaders[i].item(int(cand)), theta[i].Cmp) {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			matched = true
+			if semi {
+				break
+			}
+			li = append(li, int32(row))
+			ri = append(ri, cand)
 		}
-		li = concatIndexChunks(louts)
-		ri = concatIndexChunks(routs)
+		if semi && matched != anti {
+			li = append(li, int32(row))
+		}
 	}
 	if semi {
 		return l.gather(li), nil
@@ -1083,19 +1029,6 @@ func materialize(c *Column) []xdm.Item {
 		out[i] = r.item(i)
 	}
 	return out
-}
-
-// concatIndexChunks flattens per-chunk index vectors in chunk order.
-func concatIndexChunks(outs [][]int32) []int32 {
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	idx := make([]int32, 0, total)
-	for _, o := range outs {
-		idx = append(idx, o...)
-	}
-	return idx
 }
 
 func (ctx *ExecContext) evalIDLookup(n *Node) (*Table, error) {

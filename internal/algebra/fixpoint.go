@@ -1,12 +1,10 @@
 package algebra
 
 import (
-	"context"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/xdm"
 )
 
@@ -69,9 +67,8 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 			useDelta = useDelta || dep.RecBase == n.RecBase
 		}
 	}
-	workers := ctx.workers()
 	body := func(feed, delta *iterSets) (*iterSets, error) {
-		if err := ctx.cancelled(); err != nil {
+		if err := ctx.Ctx.Err(); err != nil {
 			return nil, err
 		}
 		run.Stats.PayloadCalls++
@@ -105,9 +102,9 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newIterSetsN(out, workers, ctx.Ctx)
+		return newIterSets(out)
 	}
-	seed, err := newIterSetsN(seedT, workers, ctx.Ctx)
+	seed, err := newIterSets(seedT)
 	if err != nil {
 		return nil, err
 	}
@@ -135,10 +132,7 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			delta, err = res.absorbN(out, workers, ctx.Ctx)
-			if err != nil {
-				return nil, err
-			}
+			delta = res.absorb(out)
 			if tr != nil {
 				tr.AddRound(site, round+1, int64(fed), int64(delta.size()), tr.Now()-t0)
 			}
@@ -167,10 +161,7 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			d, err := res.absorbN(out, workers, ctx.Ctx)
-			if err != nil {
-				return nil, err
-			}
+			d := res.absorb(out)
 			if tr != nil {
 				tr.AddRound(site, round+1, int64(fed), int64(d.size()), tr.Now()-t0)
 			}
@@ -197,42 +188,22 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 
 // bodyDeps returns the µ body's rec-dependent node set — the nodes whose
 // memo entries must drop every round while everything else stays hoisted —
-// cached per µ site across re-executions. When the optimizer annotated the
-// plan (ctx.LoopDeps), the set is read off the precomputed loop-dependence
-// property: the walk prunes at the first property-false node (nothing below
-// it can reach a recursion base). Unoptimized plans (-O0) fall back to the
-// self-contained recDependents derivation.
+// derived once per µ site and cached across re-executions. -O0 and -O1
+// plans take the same derivation.
 func (ctx *ExecContext) bodyDeps(mu *Node) map[*Node]bool {
-	if d, ok := ctx.muDeps[mu]; ok {
-		return d
-	}
-	var d map[*Node]bool
-	if ctx.LoopDeps != nil {
-		d = map[*Node]bool{}
-		var walk func(n *Node)
-		walk = func(n *Node) {
-			if !ctx.LoopDeps[n] || d[n] {
-				return
-			}
-			d[n] = true
-			for _, k := range n.Kids {
-				walk(k)
-			}
-		}
-		walk(mu.Kids[1])
-	} else {
+	d, ok := ctx.muDeps[mu]
+	if !ok {
 		d = RecDependents(mu.Kids[1])
+		ctx.muDeps[mu] = d
 	}
-	ctx.muDeps[mu] = d
 	return d
 }
 
 // RecDependents collects the sub-plan nodes reachable from root that
-// contain an OpRecBase (the loop-dependence property); these must be
-// re-evaluated on every fixpoint round while everything else stays hoisted
-// in the memo cache. Exported so the plan optimizer publishes exactly this
-// derivation as Plan.LoopDeps — the -O0 fallback above and the -O1
-// property can never desynchronize.
+// contain an OpRecBase or OpRecDelta leaf (the loop-dependence property);
+// these must be re-evaluated on every fixpoint round while everything else
+// stays hoisted in the memo cache. Exported for the optimizer's delta-feed
+// rule, which reads the same set off a µ body.
 func RecDependents(root *Node) map[*Node]bool {
 	memo := map[*Node]bool{}
 	var walk func(n *Node) bool
@@ -284,16 +255,11 @@ func emptyIterSets() *iterSets {
 
 // newIterSets ingests an iter|…|item table, deduplicating per iter and
 // sorting into document order. Non-node items are a type error: the IFP is
-// defined over node()* (Definition 2.1).
-func newIterSets(t *Table) (*iterSets, error) { return newIterSetsN(t, 1, nil) }
-
-// newIterSetsN is newIterSets with the per-iteration document-order sorts
-// sharded across the worker pool. Ingest stays sequential (it builds the
-// shared iter map); each set's sort is independent, so sharding them
-// changes nothing observable. A packed item column feeds node references
-// straight off the identity vector — no Item is ever built; only a generic
-// column can carry the non-node values Definition 2.1 rules out.
-func newIterSetsN(t *Table, workers int, cctx context.Context) (*iterSets, error) {
+// defined over node()* (Definition 2.1). A packed item column feeds node
+// references straight off the identity vector — no Item is ever built;
+// only a generic column can carry the non-node values Definition 2.1 rules
+// out.
+func newIterSets(t *Table) (*iterSets, error) {
 	s := emptyIterSets()
 	iters := t.ColAt(t.Col("iter")).reader()
 	items := t.ColAt(t.Col("item"))
@@ -304,20 +270,7 @@ func newIterSetsN(t *Table, workers int, cctx context.Context) (*iterSets, error
 		}
 		s.add(iters.item(i), itemR.node(i))
 	}
-	if workers <= 1 || len(s.sets) < 2 {
-		s.sortAll()
-		return s, nil
-	}
-	sets := make([]*iterSet, 0, len(s.sets))
-	for _, set := range s.sets {
-		sets = append(sets, set)
-	}
-	if err := par.Run(cctx, workers, len(sets), func(i int) error {
-		xdm.SortNodes(sets[i].nodes)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	s.sortAll()
 	return s, nil
 }
 
@@ -351,103 +304,31 @@ func (s *iterSets) size() int { return s.n }
 
 // absorb folds another family — each of its sets already sorted, as
 // newIterSets leaves them — into s in place and returns the genuinely new
-// part: per iteration, the nodes not previously in s, in document order.
-// It replaces the minus-then-plus rebuild of the original implementation;
-// the returned delta is read-only (fed back through table, never mutated).
+// part: per iteration, the nodes not previously in s, in document order,
+// with iterations in o's order. The returned delta is read-only (fed back
+// through table, never mutated); the minus-then-plus rebuild in
+// itersets_test.go is its reference oracle.
 func (s *iterSets) absorb(o *iterSets) *iterSets {
-	delta, _ := s.absorbN(o, 1, nil)
-	return delta
-}
-
-// absorbN is absorb with the per-iteration work sharded across the worker
-// pool: within one round, distinct iterations' sets are disjoint — their
-// bitmap dedups and sorted-run merges never touch shared state — so they
-// shard freely. Set creation (phase 1) and the bookkeeping that fixes the
-// delta's iteration order (phase 3) stay sequential; only the O(nodes)
-// middle runs on workers. The delta is assembled in o's iteration order,
-// making the result byte-identical at every worker count. The only error
-// is the context's, with s possibly part-mutated — callers abort the whole
-// execution on cancellation, so the partial state is never observed.
-func (s *iterSets) absorbN(o *iterSets, workers int, cctx context.Context) (*iterSets, error) {
-	type target struct{ oset, set *iterSet }
-	targets := make([]target, len(o.iters))
-	for i, iter := range o.iters {
+	delta := emptyIterSets()
+	for _, iter := range o.iters {
 		ik := itemIKey(iter)
-		targets[i] = target{oset: o.sets[ik], set: s.set(ik, iter)}
-	}
-	fresh := make([][]xdm.NodeRef, len(targets))
-	absorbOne := func(i int) {
-		t := targets[i]
-		var f []xdm.NodeRef
-		for _, nd := range t.oset.nodes {
-			if t.set.seen.Add(nd) {
-				f = append(f, nd)
+		set := s.set(ik, iter)
+		var fresh []xdm.NodeRef
+		for _, nd := range o.sets[ik].nodes {
+			if set.seen.Add(nd) {
+				fresh = append(fresh, nd)
 			}
 		}
-		if len(f) > 0 {
-			t.set.nodes = xdm.MergeSortedNodes(t.set.nodes, f)
-		}
-		fresh[i] = f
-	}
-	if workers > 1 && len(targets) > 1 {
-		if err := par.Run(cctx, workers, len(targets), func(i int) error {
-			absorbOne(i)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range targets {
-			absorbOne(i)
-		}
-	}
-	delta := emptyIterSets()
-	for i, iter := range o.iters {
-		f := fresh[i]
-		if len(f) == 0 {
+		if len(fresh) == 0 {
 			continue
 		}
-		s.n += len(f)
-		delta.sets[itemIKey(iter)] = &iterSet{rep: iter, nodes: f}
+		set.nodes = xdm.MergeSortedNodes(set.nodes, fresh)
+		s.n += len(fresh)
+		delta.sets[ik] = &iterSet{rep: iter, nodes: fresh}
 		delta.iters = append(delta.iters, iter)
-		delta.n += len(f)
+		delta.n += len(fresh)
 	}
-	return delta, nil
-}
-
-// plus returns the union s ∪ o (per iteration) as a freshly built family.
-// It is the pre-absorb reference implementation, kept as the oracle for
-// the equivalence property tests — production code uses absorb.
-func (s *iterSets) plus(o *iterSets) *iterSets {
-	out := emptyIterSets()
-	for _, iter := range s.iters {
-		for _, n := range s.sets[itemIKey(iter)].nodes {
-			out.add(iter, n)
-		}
-	}
-	for _, iter := range o.iters {
-		for _, n := range o.sets[itemIKey(iter)].nodes {
-			out.add(iter, n)
-		}
-	}
-	out.sortAll()
-	return out
-}
-
-// minus returns s \ o (per iteration); reference oracle twin of plus.
-func (s *iterSets) minus(o *iterSets) *iterSets {
-	out := emptyIterSets()
-	for _, iter := range s.iters {
-		drop := o.sets[itemIKey(iter)]
-		for _, n := range s.sets[itemIKey(iter)].nodes {
-			if drop != nil && drop.seen.Has(n) {
-				continue
-			}
-			out.add(iter, n)
-		}
-	}
-	out.sortAll()
-	return out
+	return delta
 }
 
 // table materializes the sets as an iter|pos|item relation with pos the

@@ -10,7 +10,7 @@ import (
 
 // These property tests drive randomized node batches through the
 // incremental iterSets accumulator (absorb) and through the original
-// rebuild-everything implementation (plus/minus, kept as oracles) and
+// rebuild-everything implementation (plus/minus, defined below) and
 // assert identical observable state after every round: sizes, per-round
 // deltas, and the full iter|pos|item materialization, byte for byte.
 
@@ -47,6 +47,41 @@ func randBatch(rng *rand.Rand, docs []*xdm.Document, iters []xdm.Item, rows int)
 		out = append(out, []xdm.Item{iter, xdm.NewInteger(int64(i)), xdm.NewNode(xdm.NodeRef{D: d, Pre: pre})})
 	}
 	return NewTable([]string{"iter", "pos", "item"}, out)
+}
+
+// plus returns the union s ∪ o (per iteration) as a freshly built family:
+// the pre-absorb reference implementation, kept as the oracle for the
+// equivalence property tests.
+func (s *iterSets) plus(o *iterSets) *iterSets {
+	out := emptyIterSets()
+	for _, iter := range s.iters {
+		for _, n := range s.sets[itemIKey(iter)].nodes {
+			out.add(iter, n)
+		}
+	}
+	for _, iter := range o.iters {
+		for _, n := range o.sets[itemIKey(iter)].nodes {
+			out.add(iter, n)
+		}
+	}
+	out.sortAll()
+	return out
+}
+
+// minus returns s \ o (per iteration); reference oracle twin of plus.
+func (s *iterSets) minus(o *iterSets) *iterSets {
+	out := emptyIterSets()
+	for _, iter := range s.iters {
+		drop := o.sets[itemIKey(iter)]
+		for _, n := range s.sets[itemIKey(iter)].nodes {
+			if drop != nil && drop.seen.Has(n) {
+				continue
+			}
+			out.add(iter, n)
+		}
+	}
+	out.sortAll()
+	return out
 }
 
 func itemsIdentical(a, b xdm.Item) bool {

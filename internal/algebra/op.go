@@ -180,10 +180,9 @@ type Node struct {
 	// treats them as transparent instead, which is equivalent.
 	Bookkeeping bool
 
-	// schema memoizes Schema(). Atomic because compiled plans are shared —
-	// across parallel fixpoint workers and, via the plan cache, across
-	// concurrent evaluations — and any of them may first-touch a node's
-	// schema; racing computations produce identical column lists, so
+	// schema memoizes Schema(). Atomic because compiled plans are shared
+	// across concurrent evaluations via the plan cache, and any of them may
+	// first-touch a node's schema; racing computations produce identical column lists, so
 	// last-store-wins publication is sound.
 	schema atomic.Pointer[[]string]
 }

@@ -54,10 +54,9 @@ func renderAnalyze(t *testing.T, query, uri, xml string) string {
 		t.Fatal(err)
 	}
 	rep, err := q.Analyze(ifpxq.Options{
-		Engine:      ifpxq.EngineRelational,
-		Docs:        ifpxq.DocsFromStrings(map[string]string{uri: xml}),
-		Parallelism: 1,
-		Trace:       obs.NewTrace("golden"),
+		Engine: ifpxq.EngineRelational,
+		Docs:   ifpxq.DocsFromStrings(map[string]string{uri: xml}),
+		Trace:  obs.NewTrace("golden"),
 	})
 	if err != nil {
 		t.Fatal(err)

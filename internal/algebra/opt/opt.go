@@ -16,8 +16,7 @@ const maxPasses = 12
 // Optimize rewrites a compiled plan in place: the rule engine runs to a
 // fixed point, a hash-consing pass merges structurally identical sub-plans
 // (so the executor's per-node memoization fires on equal-but-not-shared
-// subtrees), µ sites are re-pointed at their rewritten operators, and the
-// loop-dependence property of the final DAG is published for the executor.
+// subtrees), and µ sites are re-pointed at their rewritten operators.
 // Plan.Raw keeps the verbatim compiler output for explain diagnostics.
 func Optimize(p *algebra.Plan) {
 	if p == nil || p.Root == nil {
@@ -36,10 +35,6 @@ func Optimize(p *algebra.Plan) {
 	root = hashCons(root)
 	p.Root = root
 	remapMus(p, root)
-	// Publish the loop-dependence property over the final DAG with the
-	// executor's own derivation, so -O0 (which re-derives) and -O1 (which
-	// consumes this map) can never disagree.
-	p.LoopDeps = algebra.RecDependents(root)
 }
 
 // remapMus re-points every µ site at its counterpart in the optimized DAG.

@@ -189,9 +189,6 @@ func TestPlanKeepsRawRoot(t *testing.T) {
 	if p.Raw == nil || p.Raw == p.Root {
 		t.Fatalf("optimizer should preserve the raw root separately (raw=%p root=%p)", p.Raw, p.Root)
 	}
-	if p.LoopDeps == nil {
-		t.Fatal("optimizer should publish the loop-dependence property")
-	}
 }
 
 func TestMuSitesRemapped(t *testing.T) {

@@ -56,8 +56,8 @@ func TestExpandRunsMatchesGather(t *testing.T) {
 }
 
 // segDocs serves the step/fixpoint fixtures: the shared shop/curriculum
-// documents plus a wide document that pushes the segment path over the
-// parallel sharding threshold and a nested one for child-axis closures.
+// documents plus a wide document with thousands of step rows and a nested
+// one for child-axis closures.
 func segDocs(t testing.TB) func(string) (*xdm.Document, error) {
 	t.Helper()
 	base := docs(t)
@@ -107,15 +107,15 @@ func walkPlan(root *Node, visit func(*Node)) {
 	walk(root)
 }
 
-// evalWith compiles src and evaluates it with the given mode, parallelism,
-// and plan mutation hook (nil = verbatim plan).
-func evalWith(t *testing.T, src string, mode FixpointMode, p int, mutate func(*Plan)) (xdm.Sequence, []MuRun) {
+// evalWith compiles src and evaluates it with the given mode and plan
+// mutation hook (nil = verbatim plan).
+func evalWith(t *testing.T, src string, mode FixpointMode, mutate func(*Plan)) (xdm.Sequence, []MuRun) {
 	t.Helper()
 	m, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	en, err := NewEngine(m, Options{Mode: mode, Docs: segDocs(t), Parallelism: p, Optimize: mutate})
+	en, err := NewEngine(m, Options{Mode: mode, Docs: segDocs(t), Optimize: mutate})
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
@@ -131,8 +131,7 @@ func evalWith(t *testing.T, src string, mode FixpointMode, p int, mutate func(*P
 // evalStep takes its colBuilder assembly: atomic rows match nothing, node
 // rows fan out exactly as the step kernel says, the carried column is
 // run-expanded alongside, and a repeated context node (served by the segment
-// memo) matches like its first occurrence. 1 worker and a sharded run
-// (wide.xml crosses the 2·parMinRows threshold) must agree.
+// memo) matches like its first occurrence.
 func TestStepFromGenericColumn(t *testing.T) {
 	d, err := segDocs(t)("wide.xml")
 	if err != nil {
@@ -160,32 +159,30 @@ func TestStepFromGenericColumn(t *testing.T) {
 	}
 	lit := &Node{Op: OpLit, LitCols: []string{"tag", "item"}, Rows: rows}
 	step := &Node{Op: OpStep, Kids: []*Node{lit}, Axis: ast.AxisChild, Test: test, ItemCol: "item"}
-	for _, p := range []int{1, 3} {
-		ctx := &ExecContext{Parallelism: p}
-		in, err := Eval(lit, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if in.ColAt(in.Col("item")).IsPacked() {
-			t.Fatal("fixture context column is packed; the test would not reach the generic path")
-		}
-		out, err := Eval(step, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for i := 0; i < out.Len(); i++ {
-			got = append(got, fmt.Sprintf("%d:%d", out.At(i, 0).Int(), out.At(i, 1).Node().Pre))
-		}
-		if len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("p=%d: generic-context step diverges: %d rows, want %d", p, len(got), len(want))
-		}
+	ctx := &ExecContext{}
+	in, err := Eval(lit, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.ColAt(in.Col("item")).IsPacked() {
+		t.Fatal("fixture context column is packed; the test would not reach the generic path")
+	}
+	out, err := Eval(step, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i := 0; i < out.Len(); i++ {
+		got = append(got, fmt.Sprintf("%d:%d", out.At(i, 0).Int(), out.At(i, 1).Node().Pre))
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("generic-context step diverges: %d rows, want %d", len(got), len(want))
 	}
 }
 
 // aliasDeltas rewrites recursion-base occurrences onto OpRecDelta leaves —
-// the executor-side shape the optimizer's delta-feed rewrite produces — and
-// republishes loop deps. With all=true every occurrence moves to the delta
+// the executor-side shape the optimizer's delta-feed rewrite produces. With
+// all=true every occurrence moves to the delta
 // feed (the body stops reading the base entirely); with all=false only the
 // first DFS occurrence moves, so the executor must bind base and delta
 // feeds side by side.
@@ -207,7 +204,6 @@ func aliasDeltas(all bool) func(*Plan) {
 				done = true
 			}
 		})
-		p.LoopDeps = RecDependents(p.Root)
 	}
 }
 
@@ -231,34 +227,31 @@ func TestRecDeltaFeedMatches(t *testing.T) {
 		  recurse $x/id(./prerequisites/pre_code)`, ModeDelta, true},
 	}
 	for _, c := range cases {
-		for _, p := range []int{1, 3} {
-			fired := 0
-			hook := func(pl *Plan) {
-				aliasDeltas(c.all)(pl)
-				walkPlan(pl.Root, func(n *Node) {
-					if n.Op == OpRecDelta {
-						fired++
-					}
-				})
-			}
-			want, wantRuns := evalWith(t, c.query, c.mode, p, nil)
-			got, gotRuns := evalWith(t, c.query, c.mode, p, hook)
-			if fired == 0 {
-				t.Fatalf("%s: aliasDeltas rewrote nothing — vacuous case", c.query)
-			}
-			w, g := xmldoc.SerializeSequence(want), xmldoc.SerializeSequence(got)
-			if w != g {
-				t.Errorf("%s (mode=%v p=%d): delta feed diverges:\nbase:  %s\ndelta: %s",
-					c.query, c.mode, p, w, g)
-			}
-			if len(wantRuns) != len(gotRuns) {
-				t.Fatalf("%s (mode=%v p=%d): µ site count diverges", c.query, c.mode, p)
-			}
-			for i := range wantRuns {
-				if wantRuns[i].Stats != gotRuns[i].Stats {
-					t.Errorf("%s (mode=%v p=%d): fixpoint stats diverge: %+v vs %+v",
-						c.query, c.mode, p, wantRuns[i].Stats, gotRuns[i].Stats)
+		fired := 0
+		hook := func(pl *Plan) {
+			aliasDeltas(c.all)(pl)
+			walkPlan(pl.Root, func(n *Node) {
+				if n.Op == OpRecDelta {
+					fired++
 				}
+			})
+		}
+		want, wantRuns := evalWith(t, c.query, c.mode, nil)
+		got, gotRuns := evalWith(t, c.query, c.mode, hook)
+		if fired == 0 {
+			t.Fatalf("%s: aliasDeltas rewrote nothing — vacuous case", c.query)
+		}
+		w, g := xmldoc.SerializeSequence(want), xmldoc.SerializeSequence(got)
+		if w != g {
+			t.Errorf("%s (mode=%v): delta feed diverges:\nbase:  %s\ndelta: %s", c.query, c.mode, w, g)
+		}
+		if len(wantRuns) != len(gotRuns) {
+			t.Fatalf("%s (mode=%v): µ site count diverges", c.query, c.mode)
+		}
+		for i := range wantRuns {
+			if wantRuns[i].Stats != gotRuns[i].Stats {
+				t.Errorf("%s (mode=%v): fixpoint stats diverge: %+v vs %+v",
+					c.query, c.mode, wantRuns[i].Stats, gotRuns[i].Stats)
 			}
 		}
 	}

@@ -3,8 +3,8 @@
 // every experiment it measures Naïve and Delta on both engines (the direct
 // interpreter standing in for Saxon, the relational pipeline for
 // MonetDB/XQuery) and reports evaluation time, allocations, total nodes
-// fed back, and recursion depth — optionally along one oracle axis (worker
-// count, optimizer level, index probing). End-to-end serving numbers are
+// fed back, and recursion depth — optionally along one oracle axis
+// (optimizer level, index probing). End-to-end serving numbers are
 // the benchmark/ module's business, not this package's.
 package bench
 
@@ -191,7 +191,7 @@ func (p *Prepared) eval(c Cell) Outcome {
 			optimize = opt.Optimize
 		}
 		en, err := algebra.NewEngine(p.module, algebra.Options{
-			Mode: mode, Docs: p.docs, Parallelism: c.P,
+			Mode: mode, Docs: p.docs,
 			NoIndex: c.Ix == 0, Optimize: optimize, Trace: tr,
 		})
 		if err != nil {
@@ -214,7 +214,7 @@ func (p *Prepared) eval(c Cell) Outcome {
 			mode = interp.ModeDelta
 		}
 		res, err := interp.New(p.module, interp.Options{
-			Mode: mode, Docs: p.docs, Parallelism: c.P, NoIndex: c.Ix == 0, Trace: tr,
+			Mode: mode, Docs: p.docs, NoIndex: c.Ix == 0, Trace: tr,
 		}).Eval()
 		if err != nil {
 			return Outcome{Err: err}

@@ -16,10 +16,13 @@ import (
 // BENCH_1, BENCH_2 and BENCH_8, which no tool reads.
 const SnapshotSchema = "ifpxq-bench/v2"
 
-// Config is one point on the three oracle axes a cell can be measured
-// along. Every axis leaves results, nodes fed back and depth unchanged.
+// Config is one point on the oracle axes a cell can be measured along.
+// Every axis leaves results, nodes fed back and depth unchanged.
 type Config struct {
-	P   int `json:"p"`   // fixpoint worker-pool width
+	// P is the fixpoint worker-pool width the cell was measured at. Every
+	// evaluation is sequential now, so new entries always carry 1; the
+	// field stays so BENCH_3 and BENCH_17's p>1 arms remain distinct cells.
+	P   int `json:"p"`
 	Opt int `json:"opt"` // 0 = the compiler's verbatim relational plan, 1 = optimized
 	Ix  int `json:"ix"`  // 0 = every step walks the arena, 1 = name-index probes allowed
 }
@@ -30,8 +33,8 @@ var Default = Config{P: 1, Opt: 1, Ix: 1}
 
 func (c Config) Label() string { return fmt.Sprintf("p=%d opt=%d ix=%d", c.P, c.Opt, c.Ix) }
 
-// Vary is ifpbench's one sweep axis, `-vary key=v1[,v2…]` with key p, opt
-// or ix: one axis per run, every other setting at its default.
+// Vary is ifpbench's one sweep axis, `-vary key=v1[,v2…]` with key opt or
+// ix: one axis per run, every other setting at its default.
 type Vary struct {
 	Key    string
 	Values []int
@@ -52,10 +55,10 @@ func (v *Vary) Set(s string) error {
 	}
 	key, list, ok := strings.Cut(s, "=")
 	if !ok || list == "" {
-		return fmt.Errorf("want key=v1[,v2…] with key p, opt or ix")
+		return fmt.Errorf("want key=v1[,v2…] with key opt or ix")
 	}
-	if key != "p" && key != "opt" && key != "ix" {
-		return fmt.Errorf("unknown key %q (want p, opt or ix)", key)
+	if key != "opt" && key != "ix" {
+		return fmt.Errorf("unknown key %q (want opt or ix)", key)
 	}
 	var values []int
 	for _, part := range strings.Split(list, ",") {
@@ -63,9 +66,7 @@ func (v *Vary) Set(s string) error {
 		switch {
 		case err != nil:
 			return fmt.Errorf("bad value %q for %s", part, key)
-		case key == "p" && n < 1:
-			return fmt.Errorf("bad worker count %d (p=0 would mean GOMAXPROCS, which a snapshot cannot name)", n)
-		case key != "p" && n != 0 && n != 1:
+		case n != 0 && n != 1:
 			return fmt.Errorf("bad value %d for %s (want 0 or 1)", n, key)
 		}
 		values = append(values, n)
@@ -83,12 +84,9 @@ func (v *Vary) Configs() []Config {
 	var out []Config
 	for _, n := range v.Values {
 		c := Default
-		switch v.Key {
-		case "p":
-			c.P = n
-		case "opt":
+		if v.Key == "opt" {
 			c.Opt = n
-		case "ix":
+		} else {
 			c.Ix = n
 		}
 		out = append(out, c)

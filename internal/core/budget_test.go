@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/par/leaktest"
+	"repro/internal/leaktest"
 	"repro/internal/xdm"
 )
 
@@ -42,26 +42,22 @@ func TestBudgetRoundsTruncateIdentically(t *testing.T) {
 	seed, body := chainFixture(10)
 	var msgs []string
 	for _, alg := range []Algorithm{Naive, Delta} {
-		for _, p := range []int{1, 3} {
-			budget := xdm.NewBudget(time.Time{}, 3, 0)
-			_, st, err := RunWith(alg, seed, body, Config{Budget: budget, Parallelism: p})
-			if err == nil {
-				t.Fatalf("%v p=%d: 3-round budget did not truncate a depth-9 closure", alg, p)
-			}
-			if xdm.CodeOf(err) != xdm.ErrRounds {
-				t.Fatalf("%v p=%d: code = %v, want ErrRounds (err: %v)", alg, p, xdm.CodeOf(err), err)
-			}
-			// Partial stats must reflect the rounds that did run.
-			if st.PayloadCalls == 0 {
-				t.Fatalf("%v p=%d: truncated run reports zero payload calls", alg, p)
-			}
-			msgs = append(msgs, err.Error())
+		budget := xdm.NewBudget(time.Time{}, 3, 0)
+		_, st, err := RunWith(alg, seed, body, Config{Budget: budget})
+		if err == nil {
+			t.Fatalf("%v: 3-round budget did not truncate a depth-9 closure", alg)
 		}
+		if xdm.CodeOf(err) != xdm.ErrRounds {
+			t.Fatalf("%v: code = %v, want ErrRounds (err: %v)", alg, xdm.CodeOf(err), err)
+		}
+		// Partial stats must reflect the rounds that did run.
+		if st.PayloadCalls == 0 {
+			t.Fatalf("%v: truncated run reports zero payload calls", alg)
+		}
+		msgs = append(msgs, err.Error())
 	}
-	for _, m := range msgs[1:] {
-		if m != msgs[0] {
-			t.Fatalf("truncation messages diverge across algorithm/parallelism:\n%q\nvs\n%q", m, msgs[0])
-		}
+	if msgs[1] != msgs[0] {
+		t.Fatalf("truncation messages diverge across algorithms:\n%q\nvs\n%q", msgs[1], msgs[0])
 	}
 }
 
@@ -69,22 +65,18 @@ func TestBudgetRowsTruncateIdentically(t *testing.T) {
 	seed, body := chainFixture(20)
 	var msgs []string
 	for _, alg := range []Algorithm{Naive, Delta} {
-		for _, p := range []int{1, 3} {
-			budget := xdm.NewBudget(time.Time{}, 0, 5)
-			_, _, err := RunWith(alg, seed, body, Config{Budget: budget, Parallelism: p})
-			if err == nil {
-				t.Fatalf("%v p=%d: 5-row budget did not truncate a 20-node closure", alg, p)
-			}
-			if xdm.CodeOf(err) != xdm.ErrRows {
-				t.Fatalf("%v p=%d: code = %v, want ErrRows (err: %v)", alg, p, xdm.CodeOf(err), err)
-			}
-			msgs = append(msgs, err.Error())
+		budget := xdm.NewBudget(time.Time{}, 0, 5)
+		_, _, err := RunWith(alg, seed, body, Config{Budget: budget})
+		if err == nil {
+			t.Fatalf("%v: 5-row budget did not truncate a 20-node closure", alg)
 		}
+		if xdm.CodeOf(err) != xdm.ErrRows {
+			t.Fatalf("%v: code = %v, want ErrRows (err: %v)", alg, xdm.CodeOf(err), err)
+		}
+		msgs = append(msgs, err.Error())
 	}
-	for _, m := range msgs[1:] {
-		if m != msgs[0] {
-			t.Fatalf("truncation messages diverge across algorithm/parallelism:\n%q\nvs\n%q", m, msgs[0])
-		}
+	if msgs[1] != msgs[0] {
+		t.Fatalf("truncation messages diverge across algorithms:\n%q\nvs\n%q", msgs[1], msgs[0])
 	}
 }
 
@@ -107,22 +99,29 @@ func TestBudgetGenerousIsInvisible(t *testing.T) {
 	}
 }
 
-// TestBudgetTruncationDrainsWorkers checks the unwinding contract under
-// -race: a budget tripping mid-computation must not strand pool
-// goroutines, at any worker count. Run under -race.
-func TestBudgetTruncationDrainsWorkers(t *testing.T) {
+// TestBudgetTruncationUnwinds checks the unwinding contract: a budget
+// tripping mid-computation returns a typed budget error and no result,
+// leaves no goroutine behind, and does not disturb the next run.
+func TestBudgetTruncationUnwinds(t *testing.T) {
 	seed, body := chainFixture(40)
 	before := runtime.NumGoroutine()
 	for _, alg := range []Algorithm{Naive, Delta} {
-		for _, p := range []int{2, 4} {
-			for _, budget := range []*xdm.Budget{
-				xdm.NewBudget(time.Time{}, 4, 0),
-				xdm.NewBudget(time.Time{}, 0, 9),
-				xdm.NewBudget(time.Now().Add(-time.Second), 0, 0),
-			} {
-				if _, _, err := RunWith(alg, seed, body, Config{Budget: budget, Parallelism: p}); err == nil {
-					t.Fatalf("%v p=%d: budget did not truncate", alg, p)
-				}
+		free, freeStats, err := RunWith(alg, seed, body, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []*xdm.Budget{
+			xdm.NewBudget(time.Time{}, 4, 0),
+			xdm.NewBudget(time.Time{}, 0, 9),
+			xdm.NewBudget(time.Now().Add(-time.Second), 0, 0),
+		} {
+			res, _, err := RunWith(alg, seed, body, Config{Budget: budget})
+			if !xdm.IsBudget(err) || res != nil {
+				t.Fatalf("%v: got result of %d items and error %v, want a budget error alone", alg, len(res), err)
+			}
+			again, againStats, err := RunWith(alg, seed, body, Config{})
+			if err != nil || len(again) != len(free) || againStats != freeStats {
+				t.Fatalf("%v: the run after a truncation diverges: %d rows %+v (%v)", alg, len(again), againStats, err)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"context"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/xdm"
 )
 
@@ -79,13 +78,8 @@ type Config struct {
 	// MaxIterations bounds fixpoint rounds; <= 0 selects
 	// DefaultMaxIterations.
 	MaxIterations int
-	// Parallelism is the worker-pool width for the per-round delta
-	// accumulation (0 = GOMAXPROCS, 1 = sequential). Results and stats are
-	// byte-identical at every setting.
-	Parallelism int
-	// Context, when non-nil, cancels the computation between rounds and
-	// inside the sharded accumulation; the run returns the context's error
-	// with the worker pool fully drained.
+	// Context, when non-nil, cancels the computation between rounds; the
+	// run returns the context's error.
 	Context context.Context
 	// Budget, when non-nil, bounds the computation: the deadline and the
 	// round budget are checked between rounds, and the feed plus each
@@ -109,6 +103,9 @@ func Run(alg Algorithm, seed xdm.Sequence, body Payload, maxIter int) (xdm.Seque
 
 // RunWith is Run with a full Config.
 func RunWith(alg Algorithm, seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
+	if cfg.Context == nil {
+		cfg.Context = context.Background()
+	}
 	if alg == Delta {
 		return runDelta(seed, body, cfg)
 	}
@@ -133,7 +130,7 @@ func checkNodes(s xdm.Sequence, role string) error {
 // through xdm.Union would pay. (The *feed* is still the whole accumulated
 // set — that is what makes Naïve naïve.)
 func RunNaive(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return runNaive(seed, body, Config{MaxIterations: maxIter})
+	return RunWith(Naive, seed, body, Config{MaxIterations: maxIter})
 }
 
 func runNaive(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
@@ -162,7 +159,7 @@ func runNaive(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats,
 		if err := checkBudgetRound(cfg.Budget, round, len(feed)); err != nil {
 			return nil, st, err
 		}
-		if err := par.CtxErr(cfg.Context); err != nil {
+		if err := cfg.Context.Err(); err != nil {
 			return nil, st, err
 		}
 		t0 = cfg.Trace.Now()
@@ -170,7 +167,7 @@ func runNaive(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats,
 		if err != nil {
 			return nil, st, err
 		}
-		fresh, err := absorbSharded(&acc, step, cfg)
+		fresh, err := acc.Absorb(step)
 		if err != nil {
 			return nil, st, err
 		}
@@ -199,7 +196,7 @@ func runNaive(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats,
 // document order — `except res` and `∆ union res` collapse into one
 // incremental pass over the answer.
 func RunDelta(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return runDelta(seed, body, Config{MaxIterations: maxIter})
+	return RunWith(Delta, seed, body, Config{MaxIterations: maxIter})
 }
 
 func runDelta(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
@@ -228,7 +225,7 @@ func runDelta(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats,
 		if err := checkBudgetRound(cfg.Budget, round, len(delta)); err != nil {
 			return nil, st, err
 		}
-		if err := par.CtxErr(cfg.Context); err != nil {
+		if err := cfg.Context.Err(); err != nil {
 			return nil, st, err
 		}
 		fed := len(delta)
@@ -237,7 +234,7 @@ func runDelta(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats,
 		if err != nil {
 			return nil, st, err
 		}
-		delta, err = absorbSharded(&acc, step, cfg)
+		delta, err = acc.Absorb(step)
 		if err != nil {
 			return nil, st, err
 		}
@@ -269,55 +266,6 @@ func checkBudgetRound(b *xdm.Budget, round, feedLen int) error {
 		return err
 	}
 	return b.ChargeRows(feedLen)
-}
-
-// absorbMinChunk is the smallest per-worker slice of a round's answer
-// worth a goroutine; below p × this, absorption stays sequential.
-const absorbMinChunk = 2048
-
-// absorbSharded is Accumulator.Absorb with the membership screen sharded
-// across the worker pool. Phase 1 runs read-only against the accumulated
-// set: each chunk of the round's answer drops the nodes already absorbed —
-// in converged regions that is most of the answer, and a bitmap read per
-// node is all it costs. Phase 2 absorbs the surviving candidates
-// sequentially in chunk order; duplicates *within* the round survive phase
-// 1 and are collapsed there, by exactly the seen.Add the sequential path
-// would have spent on them. Because phase 1 only ever removes items the
-// sequential path would also have rejected, the returned delta — and every
-// later round — is byte-identical to Absorb's at any worker count.
-func absorbSharded(acc *xdm.Accumulator, step xdm.Sequence, cfg Config) ([]xdm.NodeRef, error) {
-	workers := par.Workers(cfg.Parallelism)
-	if workers <= 1 || len(step) < 2*absorbMinChunk {
-		if err := par.CtxErr(cfg.Context); err != nil {
-			return nil, err
-		}
-		return acc.Absorb(step)
-	}
-	chunks := par.Chunks(len(step), workers, absorbMinChunk)
-	cand := make([][]xdm.NodeRef, len(chunks))
-	err := par.Run(cfg.Context, workers, len(chunks), func(i int) error {
-		for _, it := range step[chunks[i][0]:chunks[i][1]] {
-			if !it.IsNode() {
-				return xdm.NewError(xdm.ErrType, "expected node()*, found "+it.Kind().String())
-			}
-			if n := it.Node(); !acc.Has(n) {
-				cand[i] = append(cand[i], n)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, c := range cand {
-		total += len(c)
-	}
-	flat := make([]xdm.NodeRef, 0, total)
-	for _, c := range cand {
-		flat = append(flat, c...)
-	}
-	return acc.AbsorbNodes(flat), nil
 }
 
 // seedAccumulator runs the seeding payload application shared by both

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/leaktest"
 	"repro/internal/xdm"
 )
 
@@ -158,6 +162,53 @@ func TestDivergenceGuard(t *testing.T) {
 	_, _, err = RunDelta(xdm.NodeSeq(verts), payload, 32)
 	if xdm.CodeOf(err) != xdm.ErrIFP {
 		t.Errorf("delta divergence: %v", err)
+	}
+}
+
+// TestRunWithCancellation cancels mid-computation: the run must return the
+// context's error and leave no goroutine behind.
+func TestRunWithCancellation(t *testing.T) {
+	before := runtime.NumGoroutine()
+	seed, payload := chainFixture(40)
+	for _, alg := range []Algorithm{Naive, Delta} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		counting := func(xs xdm.Sequence) (xdm.Sequence, error) {
+			calls++
+			if calls == 3 {
+				cancel()
+			}
+			return payload(xs)
+		}
+		_, _, err := RunWith(alg, seed, counting, Config{Context: ctx})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: got %v, want context.Canceled", alg, err)
+		}
+		if calls != 3 {
+			t.Fatalf("%v: %d payload calls, want the run to stop after the cancelling third", alg, calls)
+		}
+	}
+	leaktest.Wait(t, before)
+}
+
+// TestRunWithPayloadError checks a payload error in a later round surfaces
+// unchanged from both drivers.
+func TestRunWithPayloadError(t *testing.T) {
+	seed, payload := chainFixture(40)
+	boom := errors.New("payload failed at round 4")
+	for _, alg := range []Algorithm{Naive, Delta} {
+		calls := 0
+		failing := func(xs xdm.Sequence) (xdm.Sequence, error) {
+			calls++
+			if calls == 4 {
+				return nil, boom
+			}
+			return payload(xs)
+		}
+		if _, _, err := RunWith(alg, seed, failing, Config{}); !errors.Is(err, boom) {
+			t.Fatalf("%v: got %v, want %v", alg, err, boom)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 //   - budgets that are hit truncate identically: an already-expired
 //     deadline, a round budget below the recursion depth, and a row budget
 //     below the fixpoint size each fail in every (engine, mode, optimizer
-//     level, parallelism) configuration with the same typed code and the
+//     level) configuration with the same typed code and the
 //     byte-identical error message, and return a non-nil partial Result.
 //
 // The round and row grids only run on cases where the trip point is
@@ -32,7 +32,7 @@ func CheckBudgets(t testing.TB, c Case) {
 	h := load(t, c)
 
 	// Budget-free baselines per cell, from the walk's first configuration
-	// of each (-O1, p=1). A case some cell cannot evaluate is Check's
+	// of each (-O1). A case some cell cannot evaluate is Check's
 	// business, not this harness's — skip it here.
 	base := map[combo]outcome{}
 	var combos []combo

@@ -8,7 +8,7 @@ import (
 )
 
 // CheckCaching proves the caching layer is invisible to results: every
-// (engine, mode, optimizer level, parallelism) configuration is evaluated
+// (engine, mode, optimizer level) configuration is evaluated
 // uncached to establish a baseline, then re-evaluated under each cache
 // configuration — plan cache only, result cache only, both — with the
 // caches shared across the whole matrix and each configuration run twice,
@@ -45,9 +45,7 @@ func CheckCaching(t testing.TB, c Case) {
 			rc = ifpxq.NewResultCache(64, nil)
 		}
 		// Two passes over the full matrix with the caches shared: the
-		// first populates, the second must serve hits — and also proves
-		// a result cached at one parallelism serves every other (results
-		// are byte-identical at every worker count).
+		// first populates, the second must serve hits.
 		for pass := 0; pass < 2; pass++ {
 			h.walk(func(k config, opts ifpxq.Options) {
 				opts.PlanCache, opts.ResultCache = pc, rc

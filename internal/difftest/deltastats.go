@@ -10,8 +10,8 @@ import (
 )
 
 // CheckRoundStats proves the optimizer's delta-fed step rewrite is
-// invisible to the fixpoint accounting: for every (mode, parallelism)
-// configuration of the relational engine, the per-round trace spans —
+// invisible to the fixpoint accounting: for every mode of the relational
+// engine, the per-round trace spans —
 // site label, round number, nodes fed, delta size — must be identical
 // between -O0 (which never carries the rewrite) and -O1 (which may feed
 // eligible step chains from the round's delta). Only durations may
@@ -28,11 +28,7 @@ func CheckRoundStats(t testing.TB, c Case) {
 		out   outcome
 		spans string
 	}
-	type cell struct {
-		mode ifpxq.Mode
-		p    int
-	}
-	optimized := map[cell]run{} // the walk visits -O1 before -O0
+	optimized := map[ifpxq.Mode]run{} // the walk visits -O1 before -O0
 	h.walk(func(k config, opts ifpxq.Options) {
 		if k.engine != ifpxq.EngineRelational {
 			return
@@ -41,10 +37,10 @@ func CheckRoundStats(t testing.TB, c Case) {
 		opts.Trace = tr
 		got := run{h.eval(opts), roundSpans(tr)}
 		if k.opt == ifpxq.Opt1 {
-			optimized[cell{k.mode, k.p}] = got
+			optimized[k.mode] = got
 			return
 		}
-		o1 := optimized[cell{k.mode, k.p}]
+		o1 := optimized[k.mode]
 		sameOutcome(t, fmt.Sprintf("seed %d %v vs -O1", c.Seed, k), o1.out, got.out)
 		if got.spans != o1.spans {
 			t.Errorf("seed %d %v: per-round stats diverge between -O0 and -O1:\n-O0:\n%s\n-O1:\n%s",

@@ -2,11 +2,10 @@
 // engines: from one integer seed it derives a random document (through
 // internal/xmlgen) and a random fixpoint or Regular XPath query, then
 // checks that every evaluation strategy the repository offers — Naïve vs
-// Delta (the paper's Figure 3 pair), tree-at-a-time vs relational,
-// sequential vs parallel rounds, and verbatim (-O0) vs optimized (-O1)
-// relational plans — produces byte-identical results and, within one
-// engine and mode, identical instrumentation at every worker count and
-// optimizer level. Calvanese et al.'s observation that fixpoint semantics admit many
+// Delta (the paper's Figure 3 pair), tree-at-a-time vs relational, and
+// verbatim (-O0) vs optimized (-O1) relational plans — produces
+// byte-identical results and, within one engine and mode, identical
+// instrumentation at every optimizer level. Calvanese et al.'s observation that fixpoint semantics admit many
 // equivalent evaluation strategies is exactly what makes this harness
 // decisive: any divergence is a bug in some engine, never in the query.
 package difftest
@@ -29,26 +28,21 @@ type Case struct {
 	XML   string
 	Query string
 	// RegularXPath marks context-item-driven cases (interpreter surface
-	// only; still differential across modes and worker counts).
+	// only; still differential across modes).
 	RegularXPath bool
 }
-
-// Parallelisms are the worker-pool widths every case is evaluated at; the
-// first must be 1 (the sequential baseline).
-var Parallelisms = []int{1, 3}
 
 // OptLevels are the relational plan-optimizer levels every case is
 // evaluated at; the first must be the optimized default (the baseline
 // configuration). The interpreter engine has no plan stage — the flag is a
 // no-op there — so only the relational engine multiplies by this
 // dimension; the -O0/-O1 parity the optimizer promises (byte-identical
-// results AND identical fixpoint statistics) is checked per (mode, worker
-// count) against the shared baseline.
+// results AND identical fixpoint statistics) is checked per mode against
+// the shared baseline.
 var OptLevels = []ifpxq.OptLevel{ifpxq.Opt1, ifpxq.Opt0}
 
 // Generate derives a case from a seed. Documents are kept small — tens to
-// a few hundred nodes — so thousands of cases stay cheap; the engines'
-// sharding thresholds do not gate correctness, only goroutine count.
+// a few hundred nodes — so thousands of cases stay cheap.
 func Generate(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed))
 	c := Case{Seed: seed}
@@ -192,7 +186,6 @@ return $a + count(with $x seeded by $c/prerequisites recurse $x/child::nosuch)`,
 type config struct {
 	combo
 	opt ifpxq.OptLevel
-	p   int
 }
 
 // combo is one (engine, mode) cell of the matrix. Instrumentation is
@@ -209,7 +202,7 @@ func (k config) String() string {
 	if k.opt == ifpxq.Opt0 {
 		o = 0
 	}
-	return fmt.Sprintf("engine=%v mode=%v -O%d p=%d", k.engine, k.mode, o, k.p)
+	return fmt.Sprintf("engine=%v mode=%v -O%d", k.engine, k.mode, o)
 }
 
 // outcome is one evaluation's observable behaviour.
@@ -256,8 +249,8 @@ func load(t testing.TB, c Case) *harness {
 }
 
 // walk is the one enumeration of the differential matrix: engine × mode ×
-// optimizer level × worker count, each (engine, mode) cell starting at its
-// baseline configuration (-O1, p=1). The interpreter has no plan stage —
+// optimizer level, each (engine, mode) cell starting at its baseline
+// configuration (-O1). The interpreter has no plan stage —
 // -O is a no-op there — so only the relational engine multiplies by the
 // optimizer dimension.
 func (h *harness) walk(fn func(k config, opts ifpxq.Options)) {
@@ -268,11 +261,9 @@ func (h *harness) walk(fn func(k config, opts ifpxq.Options)) {
 				optLevels = OptLevels[:1]
 			}
 			for _, opt := range optLevels {
-				for _, p := range Parallelisms {
-					opts := h.opts
-					opts.Engine, opts.Mode, opts.Opt, opts.Parallelism = engine, mode, opt, p
-					fn(config{combo{engine, mode}, opt, p}, opts)
-				}
+				opts := h.opts
+				opts.Engine, opts.Mode, opts.Opt = engine, mode, opt
+				fn(config{combo{engine, mode}, opt}, opts)
 			}
 		}
 	}
@@ -308,12 +299,12 @@ func sameOutcome(t testing.TB, label string, want, got outcome) {
 	}
 }
 
-// Check evaluates the case under every (engine, mode, optimizer level,
-// parallelism) configuration and fails the test on any divergence:
+// Check evaluates the case under every (engine, mode, optimizer level)
+// configuration and fails the test on any divergence:
 //
 //   - within one (engine, mode): results AND fixpoint stats must be
-//     identical at every worker count and every optimizer level, and an
-//     error must be the same error in every configuration;
+//     identical at every optimizer level, and an error must be the same
+//     error in every configuration;
 //   - across engines and modes: every configuration that succeeds must
 //     yield the byte-identical result string.
 func Check(t testing.TB, c Case) {
@@ -325,7 +316,7 @@ func Check(t testing.TB, c Case) {
 		got := h.eval(opts)
 		b, seen := base[k.combo]
 		if seen {
-			sameOutcome(t, fmt.Sprintf("seed %d %v vs the cell's -O1 p=1 baseline", c.Seed, k), b, got)
+			sameOutcome(t, fmt.Sprintf("seed %d %v vs the cell's -O1 baseline", c.Seed, k), b, got)
 			return
 		}
 		base[k.combo] = got

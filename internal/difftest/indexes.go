@@ -8,7 +8,7 @@ import (
 )
 
 // CheckIndexes proves the name-index probe path is invisible to results:
-// every (engine, mode, optimizer level, parallelism) configuration is
+// every (engine, mode, optimizer level) configuration is
 // evaluated with the index path disabled (pure arena scans) to establish a
 // baseline, then with the index path enabled — the production default.
 // Both runs must agree byte-for-byte on the result string, the error, and

@@ -10,7 +10,7 @@ import (
 // deterministic seed block, both engines with index probing enabled (the
 // production default) must agree byte-for-byte — results,
 // errors, fixpoint statistics — with pure arena-scan execution in every
-// engine × mode × optimizer level × worker count configuration. It also
+// engine × mode × optimizer level configuration. It also
 // pins that the probe path actually ran somewhere in the block: a wiring
 // regression that silently disabled probing would otherwise keep this
 // green while the index went dead.

@@ -9,7 +9,7 @@ import (
 )
 
 // CheckTracing proves the observability layer is read-only: every
-// (engine, mode, optimizer level, parallelism) configuration is evaluated
+// (engine, mode, optimizer level) configuration is evaluated
 // twice — once untraced, once with a live span recorder — and the two
 // runs must agree byte-for-byte on the result string, on the error, and
 // on the fixpoint statistics. Tracing that perturbed evaluation order,

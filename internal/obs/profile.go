@@ -35,8 +35,8 @@ func NewPlanProfile() *PlanProfile { return &PlanProfile{ops: map[any]*OpStats{}
 
 // Op returns the mutable stats cell for a plan node, creating it on first
 // use; nil on a nil profile. The executor mutates the cell directly from
-// the single driving goroutine (sharded operator internals never touch it),
-// so per-field updates need no further locking.
+// the single goroutine evaluating the plan, so per-field updates need no
+// further locking.
 func (p *PlanProfile) Op(key any) *OpStats {
 	if p == nil {
 		return nil

@@ -420,8 +420,7 @@ func (c *Cache) Docs() []DocInfo {
 
 // Session tracks the documents one query evaluation touches, holding one
 // pin per distinct URI so they stay resident — with stable node identity —
-// until Close. Safe for concurrent use (a parallel evaluator may resolve
-// from several goroutines).
+// until Close. Safe for concurrent use.
 type Session struct {
 	c    *Cache
 	mu   sync.Mutex

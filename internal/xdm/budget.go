@@ -21,7 +21,7 @@ import (
 //
 // Error messages embed only the configured limits — never elapsed time or
 // running totals — so a truncation error is byte-identical across engines,
-// fixpoint modes, optimizer levels, and worker counts whenever the same
+// fixpoint modes and optimizer levels whenever the same
 // budget class trips (internal/difftest asserts exactly this).
 type Budget struct {
 	deadline  time.Time
@@ -69,7 +69,7 @@ func (b *Budget) CheckRound(round int) error {
 // ChargeRows accounts n rows materialized and reports ErrRows once the
 // cumulative total exceeds the budget. Charges happen at deterministic
 // sequential points of each engine (table materialization, fixpoint feed
-// and growth), so the trip point does not vary with the worker count.
+// and growth), so the trip point is the same on every run.
 func (b *Budget) ChargeRows(n int) error {
 	if b == nil || b.maxRows <= 0 {
 		return nil

@@ -182,19 +182,6 @@ func (a *Accumulator) Absorb(s Sequence) ([]NodeRef, error) {
 	return fresh, nil
 }
 
-// AbsorbNodes is Absorb over a node slice (no item unwrapping). The input
-// is not modified; the returned delta aliases no caller memory.
-func (a *Accumulator) AbsorbNodes(ns []NodeRef) []NodeRef {
-	var fresh []NodeRef
-	for _, n := range ns {
-		if a.seen.Add(n) {
-			fresh = append(fresh, n)
-		}
-	}
-	a.merge(fresh)
-	return fresh
-}
-
 // merge folds the (freshly discovered, mutually distinct) nodes into the
 // sorted accumulated slice. The fresh run is sorted once — it is at most
 // one round's delta — and then merged with the accumulated run.

@@ -53,9 +53,7 @@ type Options struct {
 	MaxCallDepth  int // user-defined function recursion; 0 = 8192
 	ContextItem   *xdm.Item
 	Docs          DocResolver
-	// Parallelism is the worker-pool width for the fixpoint drivers'
-	// per-round accumulation (0 = GOMAXPROCS, 1 = sequential); results are
-	// byte-identical at every setting.
+	// Deprecated: ignored; every evaluation is sequential.
 	Parallelism int
 	// Context, when non-nil, cancels fixpoint computations between rounds.
 	Context context.Context

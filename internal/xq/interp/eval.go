@@ -621,7 +621,6 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 	}
 	cfg := core.Config{
 		MaxIterations: ev.engine.opts.MaxIterations,
-		Parallelism:   ev.engine.opts.Parallelism,
 		Context:       ev.engine.opts.Context,
 		Budget:        ev.engine.opts.Budget,
 	}

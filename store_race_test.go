@@ -3,9 +3,7 @@
 // through ONE shared store cache whose capacity is far below the working
 // set, so documents are constantly evicted and reloaded while concurrent
 // queries hold pins — and every result must still be byte-identical to
-// the single-threaded answer. Each worker also runs its queries with a
-// different fixpoint worker-pool width, so intra-query round sharding
-// races against inter-query cache churn.
+// the single-threaded answer.
 package ifpxq
 
 import (
@@ -86,14 +84,13 @@ recurse $x/parents/patient[diagnosis = "hd"])`, uri)
 			for r := 0; r < rounds; r++ {
 				i := (w*rounds + r*5) % docCount
 				e := (w + r) % len(engines)
-				p := 1 + (w+r)%3 // fixpoint pool widths 1–3 across workers
-				res, err := queries[i].Eval(Options{Engine: engines[e], Store: st, Parallelism: p})
+				res, err := queries[i].Eval(Options{Engine: engines[e], Store: st})
 				if err != nil {
-					errs <- fmt.Errorf("worker %d doc %d engine %v p=%d: %w", w, i, engines[e], p, err)
+					errs <- fmt.Errorf("worker %d doc %d engine %v: %w", w, i, engines[e], err)
 					return
 				}
 				if got := res.String(); got != want[i][e] {
-					errs <- fmt.Errorf("worker %d doc %d engine %v p=%d: result diverged from single-threaded run", w, i, engines[e], p)
+					errs <- fmt.Errorf("worker %d doc %d engine %v: result diverged from single-threaded run", w, i, engines[e])
 					return
 				}
 			}
