@@ -10,6 +10,7 @@ package ifpxq
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -169,9 +170,31 @@ func BenchmarkAblationHoisting(b *testing.B) {
 	})
 }
 
-// BenchmarkIFPCore measures the bare Naïve/Delta drivers over a synthetic
-// linked structure (no query machinery): the asymptotic gap the paper's
-// §2.1 analysis predicts.
+// chainFamily is BenchmarkIFPCore's fixpoint family: node references in
+// document order, the interpreter's shape.
+type chainFamily []xdm.NodeRef
+
+func (f chainFamily) Len() int { return len(f) }
+
+// childBody is the bare payload $x/* with no query machinery: children of
+// the feed, absorbed into an xdm.Accumulator as the interpreter does.
+type childBody struct{ acc xdm.Accumulator }
+
+func (b *childBody) Step(feed, _ chainFamily) (chainFamily, error) {
+	var out xdm.Sequence
+	for _, n := range feed {
+		for _, c := range n.Children() {
+			out = append(out, xdm.NewNode(c))
+		}
+	}
+	return b.acc.Absorb(out)
+}
+
+func (b *childBody) Res() chainFamily { return b.acc.Nodes() }
+
+// BenchmarkIFPCore measures core's fixpoint loop over a synthetic linked
+// structure (no query machinery): the asymptotic gap the paper's §2.1
+// analysis predicts.
 func BenchmarkIFPCore(b *testing.B) {
 	// Build a chain document c0 → c1 → … → c399 via child nesting.
 	bld := xdm.NewBuilder("chain")
@@ -183,28 +206,16 @@ func BenchmarkIFPCore(b *testing.B) {
 		bld.EndElement()
 	}
 	doc := bld.Done()
-	payload := func(xs xdm.Sequence) (xdm.Sequence, error) {
-		var out xdm.Sequence
-		for _, it := range xs {
-			for _, c := range it.Node().Children() {
-				out = append(out, xdm.NewNode(c))
+	seed := chainFamily{{D: doc, Pre: 1}}
+	for _, alg := range []core.Algorithm{core.Naive, core.Delta} {
+		b.Run(strings.ToLower(alg.String()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sites := core.NewSites[int, *core.Site](core.Config{})
+				x := sites.Enter(0, func() (*core.Site, string) { return &core.Site{Algorithm: alg}, "" })
+				if _, err := core.Run(x, seed, &childBody{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		return out, nil
+		})
 	}
-	seed := xdm.NodeSeq([]xdm.NodeRef{{D: doc, Pre: 1}})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunNaive(seed, payload, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("delta", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunDelta(seed, payload, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -198,9 +198,9 @@ func cloneResult(r *Result) *Result {
 // out: it is wall-clock, and since only complete results cache, a hit
 // can only ever be faster than the deadline demanded.
 func resultKey(o *Options, hash uint64) string {
-	return fmt.Sprintf("e%d|m%d|s%t|o%t|h%016x|i%d|r%d|w%d",
+	return fmt.Sprintf("e%d|m%d|s%t|o%t|h%016x|r%d|w%d",
 		o.Engine, o.Mode, o.StrictAlgebraicCheck, o.Opt != Opt0, hash,
-		o.MaxIterations, o.MaxRounds, o.MaxRows)
+		o.MaxRounds, o.MaxRows)
 }
 
 // uriCollector wraps a DocResolver to record which URIs an evaluation
@@ -291,8 +291,7 @@ func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, uint64, error) {
 // already baked into the plan.
 func relationalEngine(plan *algebra.Plan, opts *Options, budget *xdm.Budget, docs DocResolver, prof *obs.PlanProfile) *algebra.Engine {
 	return algebra.NewEngineFromPlan(plan, algebra.Options{
-		MaxIterations: opts.MaxIterations, Docs: docs,
-		NoIndex: opts.NoIndex, Context: opts.Context,
+		Docs: docs, NoIndex: opts.NoIndex, Context: opts.Context,
 		Budget: budget, Trace: opts.Trace, Prof: prof,
 	})
 }

@@ -262,7 +262,7 @@ func TestTimeoutTightensUnboundedDeadline(t *testing.T) {
 	if !strings.Contains(e.Error, "deadline") {
 		t.Fatalf("error does not mention the deadline: %q", e.Error)
 	}
-	if n := srv.snapshot().Timeouts; n != 1 {
+	if n := srv.metrics.truncations.With("IFPX0002").Value(); n != 1 {
 		t.Fatalf("timeouts counter = %d, want 1", n)
 	}
 }

@@ -66,7 +66,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -225,8 +224,6 @@ type server struct {
 	maxRows      int64
 	maxRounds    int
 	started      time.Time
-	countersMu   sync.Mutex
-	counters     serverCounters
 	draining     atomic.Bool
 	metrics      *serverMetrics
 	// logRequests emits one structured line per /query request through
@@ -236,32 +233,10 @@ type server struct {
 	mux         *http.ServeMux
 }
 
-// serverCounters are the server-lifetime counters /stats reports. They live
-// behind one mutex and are snapshotted as a single struct read, so /stats
-// never reports a torn view (e.g. a timeout counted whose query is missing
-// from the total).
-type serverCounters struct {
-	Queries  int64 // successfully answered queries
-	Timeouts int64 // queries truncated by the deadline budget
-	Panics   int64 // handler panics recovered to 500s
-}
-
-func (s *server) count(f func(*serverCounters)) {
-	s.countersMu.Lock()
-	f(&s.counters)
-	s.countersMu.Unlock()
-}
-
-func (s *server) snapshot() serverCounters {
-	s.countersMu.Lock()
-	defer s.countersMu.Unlock()
-	return s.counters
-}
-
-// serverMetrics is the hand-rolled Prometheus plane: per-request counters
-// updated on the hot path, plus Func gauges/counters that read the
-// admission controller, the document cache, and the server counters at
-// scrape time so no state is tracked twice.
+// serverMetrics is the server's one stats plane, served as Prometheus text
+// on /metrics and read back by /stats: per-request counters updated on the
+// hot path, plus Func gauges/counters that read the admission controller
+// and the caches at scrape time so no state is tracked twice.
 type serverMetrics struct {
 	reg         *obs.Registry
 	queries     *obs.CounterVec   // xqd_queries_total{outcome}
@@ -270,6 +245,7 @@ type serverMetrics struct {
 	latency     *obs.HistogramVec // xqd_query_seconds{engine}
 	rounds      *obs.Counter      // xqd_fixpoint_rounds_total
 	rows        *obs.Counter      // xqd_result_rows_total
+	panics      *obs.Counter      // xqd_panics_total
 }
 
 func newServerMetrics(s *server) *serverMetrics {
@@ -282,6 +258,7 @@ func newServerMetrics(s *server) *serverMetrics {
 		latency:     reg.HistogramVec("xqd_query_seconds", "Evaluation wall time per engine.", nil, "engine"),
 		rounds:      reg.Counter("xqd_fixpoint_rounds_total", "Fixpoint rounds executed across all queries (including truncated ones)."),
 		rows:        reg.Counter("xqd_result_rows_total", "Result items returned by successful queries."),
+		panics:      reg.Counter("xqd_panics_total", "Handler panics recovered to 500s."),
 	}
 	reg.GaugeFunc("xqd_uptime_seconds", "Seconds since server start (monotonic clock).", func() float64 {
 		return time.Since(s.started).Seconds()
@@ -291,9 +268,6 @@ func newServerMetrics(s *server) *serverMetrics {
 			return 1
 		}
 		return 0
-	})
-	reg.CounterFunc("xqd_panics_total", "Handler panics recovered to 500s.", func() float64 {
-		return float64(s.snapshot().Panics)
 	})
 	admStat := func(pick func(admission.Stats) float64) func() float64 {
 		return func() float64 { return pick(s.ctrl.Stats()) }
@@ -415,7 +389,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if rec == http.ErrAbortHandler {
 				panic(rec)
 			}
-			s.count(func(c *serverCounters) { c.Panics++ })
+			s.metrics.panics.Inc()
 			log.Printf("xqd: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
 			writeErrorCode(w, http.StatusInternalServerError, codePanic,
 				fmt.Errorf("internal error (recovered panic)"))
@@ -695,9 +669,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusNotFound
 			out = "not_found"
 		}
-		if xdm.CodeOf(err) == xdm.ErrDeadline {
-			s.count(func(c *serverCounters) { c.Timeouts++ })
-		}
 		resp := errorResponse{}
 		if xdm.IsBudget(err) {
 			out = "truncated"
@@ -710,7 +681,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(status, string(xdm.CodeOf(err)), err, out, resp)
 		return
 	}
-	s.count(func(c *serverCounters) { c.Queries++ })
 	rows = int64(res.Count())
 	s.metrics.rows.Add(rows)
 	resp := queryResponse{
@@ -754,15 +724,15 @@ type storeJSON struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// One struct read under one lock: the counters are mutually consistent.
-	// time.Since reads the monotonic clock carried by started, so uptime
-	// never jumps with wall-clock adjustments.
-	c := s.snapshot()
+	// The counters are the /metrics series: queries answered, deadline
+	// truncations, recovered panics. time.Since reads the monotonic clock
+	// carried by started, so uptime never jumps with wall-clock adjustments.
+	m := s.metrics
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeS:     time.Since(s.started).Seconds(),
-		Queries:     c.Queries,
-		Timeouts:    c.Timeouts,
-		Panics:      c.Panics,
+		Queries:     m.queries.With("ok").Value(),
+		Timeouts:    m.truncations.With(string(xdm.ErrDeadline)).Value(),
+		Panics:      m.panics.Value(),
 		Draining:    s.draining.Load(),
 		Admission:   s.ctrl.Stats(),
 		Store:       storeJSON{Dir: s.store.Dir(), Mmap: s.store.Mmap()},

@@ -117,7 +117,7 @@ func TestDeadlineTruncation(t *testing.T) {
 	if e.Code != "IFPX0002" {
 		t.Fatalf("code %q, want IFPX0002", e.Code)
 	}
-	if n := srv.snapshot().Timeouts; n != 1 {
+	if n := srv.metrics.truncations.With("IFPX0002").Value(); n != 1 {
 		t.Fatalf("timeouts counter = %d, want 1", n)
 	}
 	// The server must still answer ordinary queries afterwards.
@@ -323,7 +323,7 @@ func TestPanicRecovery(t *testing.T) {
 	if e.Code != codePanic {
 		t.Fatalf("code %q, want %q", e.Code, codePanic)
 	}
-	if n := srv.snapshot().Panics; n != 1 {
+	if n := srv.metrics.panics.Value(); n != 1 {
 		t.Fatalf("panics counter = %d, want 1", n)
 	}
 	var q queryResponse

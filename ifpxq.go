@@ -126,9 +126,8 @@ func DocsChain(resolvers ...DocResolver) DocResolver {
 
 // Options configure evaluation.
 type Options struct {
-	Engine        Engine
-	Mode          Mode
-	MaxIterations int
+	Engine Engine
+	Mode   Mode
 	// StrictAlgebraicCheck uses Table 1's exact push rules in the
 	// relational engine's auto decision (default false = extended rules).
 	StrictAlgebraicCheck bool
@@ -169,9 +168,9 @@ type Options struct {
 	// MaxRounds bounds the post-seed rounds of every fixpoint site (per
 	// execution). The paper's µ/µ∆ deliberately admit unbounded recursion;
 	// MaxRounds turns a runaway site into a typed xdm.ErrRounds error.
-	// Unlike MaxIterations (the divergence backstop, an ErrIFP), this is a
+	// Unlike core.RoundCap (the divergence backstop, an ErrIFP), this is a
 	// per-request allowance with its own budget-exceeded code. 0 = no
-	// bound beyond MaxIterations.
+	// bound beyond core.RoundCap.
 	MaxRounds int
 	// MaxRows bounds the rows the evaluation may materialize, cumulatively:
 	// fixpoint feeds and growth in both engines, plus every operator table
@@ -365,13 +364,11 @@ func (q *Query) Explain(level OptLevel) (*PlanExplanation, error) {
 	return out, nil
 }
 
-// FixpointStats instruments one fixpoint site's execution.
-type FixpointStats struct {
-	Algorithm    core.Algorithm
-	Distributive bool
-	Executions   int
-	Stats        core.Stats
-}
+// FixpointStats instruments one fixpoint site's execution: the algorithm
+// that ran, the site's own distributivity certificate, and the Table 2
+// counters aggregated over its executions. Result.Fixpoints lists the
+// sites in first-execution order on both engines.
+type FixpointStats = core.Site
 
 // Result is an evaluation outcome.
 type Result struct {
@@ -472,30 +469,12 @@ func tracedDocs(tr *obs.Trace, docs DocResolver) DocResolver {
 // relationalResult executes the relational engine and packages its outcome
 // under the Result/budget-error contract documented on Eval.
 func relationalResult(en *algebra.Engine) (*Result, error) {
-	distributive := false
-	for _, site := range en.Plan().Mus {
-		distributive = distributive || site.Distributive || site.DistributiveExt
-	}
 	seq, runs, err := en.Eval()
-	res := &Result{}
+	var fps []FixpointStats
 	for _, run := range runs {
-		alg := core.Naive
-		if run.Delta {
-			alg = core.Delta
-		}
-		res.Fixpoints = append(res.Fixpoints, FixpointStats{
-			Algorithm: alg, Distributive: distributive,
-			Executions: run.Executions, Stats: run.Stats,
-		})
+		fps = append(fps, run.Site)
 	}
-	if err != nil {
-		if xdm.IsBudget(err) {
-			return res, err
-		}
-		return nil, err
-	}
-	res.Items = seq
-	return res, nil
+	return result(seq, fps, err)
 }
 
 // newInterpEngine builds the interpreter engine for one evaluation.
@@ -508,8 +487,7 @@ func (q *Query) newInterpEngine(opts *Options, budget *xdm.Budget, docs DocResol
 		mode = interp.ModeDelta
 	}
 	return interp.New(q.module, interp.Options{
-		Mode: mode, MaxIterations: opts.MaxIterations,
-		Docs: docs, ContextItem: opts.ContextItem,
+		Mode: mode, Docs: docs, ContextItem: opts.ContextItem,
 		Context: opts.Context, NoIndex: opts.NoIndex,
 		Budget: budget, Trace: opts.Trace,
 	})
@@ -519,27 +497,27 @@ func (q *Query) newInterpEngine(opts *Options, budget *xdm.Budget, docs DocResol
 // under the Result/budget-error contract documented on Eval.
 func interpResult(en *interp.Engine) (*Result, error) {
 	out, err := en.Eval()
-	if err != nil {
-		if out != nil && xdm.IsBudget(err) {
-			res := &Result{}
-			for _, run := range out.IFPRuns {
-				res.Fixpoints = append(res.Fixpoints, FixpointStats{
-					Algorithm: run.Algorithm, Distributive: run.Distributive,
-					Executions: run.Executions, Stats: run.Stats,
-				})
-			}
-			return res, err
-		}
+	if out == nil {
 		return nil, err
 	}
-	res := &Result{Items: out.Value}
+	var fps []FixpointStats
 	for _, run := range out.IFPRuns {
-		res.Fixpoints = append(res.Fixpoints, FixpointStats{
-			Algorithm: run.Algorithm, Distributive: run.Distributive,
-			Executions: run.Executions, Stats: run.Stats,
-		})
+		fps = append(fps, run.Site)
 	}
-	return res, nil
+	return result(out.Value, fps, err)
+}
+
+// result applies the contract documented on Eval: a budget truncation
+// keeps the partial fixpoint stats and drops the items, every other error
+// drops both.
+func result(items xdm.Sequence, fps []FixpointStats, err error) (*Result, error) {
+	if err == nil {
+		return &Result{Items: items, Fixpoints: fps}, nil
+	}
+	if xdm.IsBudget(err) {
+		return &Result{Fixpoints: fps}, err
+	}
+	return nil, err
 }
 
 // EvalString parses and evaluates in one step.

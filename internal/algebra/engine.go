@@ -24,8 +24,7 @@ const (
 
 // Options configure an Engine.
 type Options struct {
-	Mode          FixpointMode
-	MaxIterations int
+	Mode FixpointMode
 	// Strict selects the Table 1-exact push rules for the auto decision;
 	// when false the extended rules (left input of `\`) apply.
 	Strict bool
@@ -39,8 +38,8 @@ type Options struct {
 	// each step or join.
 	Context context.Context
 	// Budget, when non-nil, bounds execution: every freshly materialized
-	// table is charged against the row budget, and the fixpoint drivers
-	// check the deadline and round budget between rounds. Budget errors
+	// table is charged against the row budget, and core's fixpoint loop
+	// checks the deadline and round budget between rounds. Budget errors
 	// unwind with the MuRun stats collected so far.
 	Budget *xdm.Budget
 	// Optimize, when non-nil, rewrites the compiled plan between
@@ -125,18 +124,28 @@ func NewEngineFromPlan(plan *Plan, opts Options) *Engine {
 func (e *Engine) Plan() *Plan { return e.plan }
 
 // Eval executes the plan and returns the result sequence plus fixpoint
-// instrumentation.
+// instrumentation, one MuRun per µ site in first-execution order.
 func (e *Engine) Eval() (xdm.Sequence, []MuRun, error) {
 	ctx := &ExecContext{
-		Docs: e.opts.Docs, MaxIterations: e.opts.MaxIterations,
-		NoIndex: e.opts.NoIndex, Ctx: e.opts.Context, Budget: e.opts.Budget,
-		Trace: e.opts.Trace, Prof: e.opts.Prof,
+		Docs: e.opts.Docs, NoIndex: e.opts.NoIndex, Ctx: e.opts.Context,
+		Budget: e.opts.Budget, Trace: e.opts.Trace, Prof: e.opts.Prof,
 	}
 	stopExec := e.opts.Trace.StartPhase("exec")
 	t, err := Eval(e.plan.Root, ctx)
 	stopExec()
-	if err != nil {
-		return nil, ctx.MuRuns(), err
+	var runs []MuRun
+	for mu, run := range ctx.sites.All() {
+		// Each site reports its own certificate under the default extended
+		// rules, found by the recursion base the optimizer never clones.
+		for _, site := range e.plan.Mus {
+			if site.Mu.RecBase == mu.RecBase {
+				run.Distributive = site.Distributive || site.DistributiveExt
+			}
+		}
+		runs = append(runs, *run)
 	}
-	return ResultSequence(t), ctx.MuRuns(), nil
+	if err != nil {
+		return nil, runs, err
+	}
+	return ResultSequence(t), runs, nil
 }

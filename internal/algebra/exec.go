@@ -101,19 +101,18 @@ func (t *Table) Col(name string) int {
 	return i
 }
 
-// MuRun instruments one µ/µ∆ operator site.
+// MuRun instruments one µ/µ∆ operator site: Delta marks µ∆, and core's
+// record carries the site's own distributivity certificate and its Table 2
+// counters aggregated over executions.
 type MuRun struct {
-	Delta      bool
-	Executions int
-	Stats      core.Stats
+	Delta bool
+	core.Site
 }
 
 // ExecContext carries everything one plan execution needs.
 type ExecContext struct {
 	// Docs resolves fn:doc URIs.
 	Docs func(uri string) (*xdm.Document, error)
-	// MaxIterations bounds fixpoint rounds (0 = core.DefaultMaxIterations).
-	MaxIterations int
 	// NoIndex makes every step walk the arena instead of letting xdm.Step
 	// probe the name index. Results are byte-identical either way — the
 	// toggle exists for the difftest parity gate and the bench sweep.
@@ -124,8 +123,8 @@ type ExecContext struct {
 	Ctx context.Context
 	// Budget, when non-nil, bounds the execution: eval charges each freshly
 	// computed operator table against the row budget and polls the deadline,
-	// and evalMu adds per-round deadline/round checks plus feed and growth
-	// charges.
+	// evalMu charges the feed tables it binds, and core's fixpoint loop adds
+	// the per-round deadline and round checks plus feed and growth charges.
 	Budget *xdm.Budget
 	// Trace, when non-nil, records one span per fixpoint round at every µ
 	// site; Prof, when non-nil, accumulates per-operator actuals. Both are
@@ -136,25 +135,14 @@ type ExecContext struct {
 	memo      map[*Node]*Table
 	binding   map[*Node]*Table // OpRecBase → current feed
 	deltaBind map[*Node]*Table // OpRecBase → current round's delta (OpRecDelta reads)
-	muAgg     map[*Node]*MuRun
+	sites     *core.Sites[*Node, *MuRun]
 	muDeps    map[*Node]map[*Node]bool // µ node → rec-dependent body nodes
-	muSite    map[*Node]int            // µ node → Trace site index
 	docs      map[string]*xdm.Document
 	segCache  map[segKey][]uint64 // per-query step segment memo (step.go)
 	// childNs threads descendant evaluation time through the profiled
 	// recursion so each operator's SelfNs excludes its children; see
 	// evalProfiled.
 	childNs int64
-}
-
-// MuRuns returns the fixpoint instrumentation collected so far.
-func (ctx *ExecContext) MuRuns() []MuRun {
-	out := make([]MuRun, 0, len(ctx.muAgg))
-	for _, r := range ctx.muAgg {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stats.NodesFedBack > out[j].Stats.NodesFedBack })
-	return out
 }
 
 func (ctx *ExecContext) init() {
@@ -165,9 +153,8 @@ func (ctx *ExecContext) init() {
 		ctx.memo = map[*Node]*Table{}
 		ctx.binding = map[*Node]*Table{}
 		ctx.deltaBind = map[*Node]*Table{}
-		ctx.muAgg = map[*Node]*MuRun{}
+		ctx.sites = core.NewSites[*Node, *MuRun](core.Config{Context: ctx.Ctx, Budget: ctx.Budget, Trace: ctx.Trace})
 		ctx.muDeps = map[*Node]map[*Node]bool{}
-		ctx.muSite = map[*Node]int{}
 		ctx.docs = map[string]*xdm.Document{}
 		ctx.segCache = map[segKey][]uint64{}
 	}

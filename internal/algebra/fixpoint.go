@@ -9,11 +9,11 @@ import (
 )
 
 // evalMu executes the algebraic fixpoint operators µ (Naïve) and µ∆
-// (Delta) of Section 4.1. Unlike the interpreter, the relational fixpoint
-// is set-oriented: one µ execution iterates the body over *all* live
-// iterations of the enclosing loop simultaneously (the way MonetDB/XQuery
-// evaluates the bidder network's per-person recursion in bulk), converging
-// when no iteration's node set grows.
+// (Delta) of Section 4.1 through core's loop. Unlike the interpreter, the
+// relational fixpoint is set-oriented: one µ execution iterates the body
+// over *all* live iterations of the enclosing loop simultaneously (the way
+// MonetDB/XQuery evaluates the bidder network's per-person recursion in
+// bulk), converging when no iteration's node set grows.
 //
 // Loop-invariant hoisting: sub-plans that do not depend on the recursion
 // base stay memoized across rounds; only base-dependent nodes re-evaluate.
@@ -28,163 +28,101 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := ctx.muAgg[n]
-	if run == nil {
-		run = &MuRun{Delta: n.Delta}
-		ctx.muAgg[n] = run
-	}
-	run.Executions++
-	tr := ctx.Trace
-	var site int
-	if tr != nil {
-		var ok bool
-		site, ok = ctx.muSite[n]
-		if !ok {
-			label := "µ"
-			if n.Delta {
-				label = "µ∆"
-			}
-			site = tr.AddSite(label)
-			ctx.muSite[n] = site
+	x := ctx.sites.Enter(n, func() (*MuRun, string) {
+		if n.Delta {
+			return &MuRun{Delta: true, Site: core.Site{Algorithm: core.Delta}}, "µ∆"
 		}
+		return &MuRun{}, "µ"
+	})
+	seed, err := newIterSets(seedT)
+	if err != nil {
+		return nil, err
 	}
-	maxIter := ctx.MaxIterations
-	if maxIter <= 0 {
-		maxIter = core.DefaultMaxIterations
-	}
-	deps := ctx.bodyDeps(n)
+	body := &muBody{ctx: ctx, mu: n, deps: ctx.bodyDeps(n)}
 	// The optimizer's delta-fed step rewrite replaces eligible recursion-base
 	// chains with OpRecDelta leaves. Bind only the feeds the body actually
 	// reads: -O0 plans never contain recdelta, so useDelta stays false and
 	// the evaluation (tables built, budget charges, stats) is byte-identical
 	// to the unrewritten path.
-	useBase, useDelta := false, false
-	for dep := range deps {
+	for dep := range body.deps {
 		switch dep.Op {
 		case OpRecBase:
-			useBase = useBase || dep == n.RecBase
+			body.useBase = body.useBase || dep == n.RecBase
 		case OpRecDelta:
-			useDelta = useDelta || dep.RecBase == n.RecBase
+			body.useDelta = body.useDelta || dep.RecBase == n.RecBase
 		}
 	}
-	body := func(feed, delta *iterSets) (*iterSets, error) {
-		if err := ctx.Ctx.Err(); err != nil {
-			return nil, err
-		}
-		run.Stats.PayloadCalls++
-		run.Stats.NodesFedBack += int64(feed.size())
-		for dep := range deps {
-			delete(ctx.memo, dep)
-		}
-		// The previous round's feed table and rec-dependent intermediates
-		// become collectible here: their memo entries were just dropped,
-		// and columnar tables own their vectors outright — no shared slab
-		// pins O(rounds × result) rows across rounds.
-		var ft *Table
-		if useBase || !useDelta {
-			ft = feed.table()
-			if err := ctx.chargeTable(ft); err != nil {
-				return nil, err
-			}
-			ctx.binding[n.RecBase] = ft
-		}
-		if useDelta {
-			dt := ft
-			if delta != feed || dt == nil {
-				dt = delta.table()
-				if err := ctx.chargeTable(dt); err != nil {
-					return nil, err
-				}
-			}
-			ctx.deltaBind[n.RecBase] = dt
-		}
-		out, err := ctx.eval(n.Kids[1])
-		if err != nil {
-			return nil, err
-		}
-		return newIterSets(out)
-	}
-	seed, err := newIterSets(seedT)
+	res, err := core.Run(x, seed, body)
 	if err != nil {
 		return nil, err
-	}
-	t0 := tr.Now()
-	res, err := body(seed, seed)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.AddRound(site, 0, int64(seed.size()), int64(res.size()), tr.Now()-t0)
-	}
-	budget := ctx.Budget
-	if n.Delta {
-		delta := res
-		for round := 0; delta.size() > 0; round++ {
-			if round >= maxIter {
-				return nil, xdm.Errorf(xdm.ErrIFP, "µ∆ did not converge within %d rounds", maxIter)
-			}
-			if err := budget.CheckRound(round); err != nil {
-				return nil, err
-			}
-			fed := delta.size()
-			t0 = tr.Now()
-			out, err := body(delta, delta)
-			if err != nil {
-				return nil, err
-			}
-			delta = res.absorb(out)
-			if tr != nil {
-				tr.AddRound(site, round+1, int64(fed), int64(delta.size()), tr.Now()-t0)
-			}
-			if err := budget.ChargeRows(delta.size()); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Naïve µ still feeds the accumulated family, but delta-fed body
-		// fragments (OpRecDelta) see only the genuinely new part of the
-		// previous round: round 0's delta is res itself (everything is new
-		// relative to ∅), thereafter the exact absorb delta. For a body
-		// certified linear in the recursion variable this is answer- and
-		// stats-preserving — see the delta-feed rule in opt/deltarules.go.
-		prev := res
-		for round := 0; ; round++ {
-			if round >= maxIter {
-				return nil, xdm.Errorf(xdm.ErrIFP, "µ did not converge within %d rounds", maxIter)
-			}
-			if err := budget.CheckRound(round); err != nil {
-				return nil, err
-			}
-			fed := res.size()
-			t0 = tr.Now()
-			out, err := body(res, prev)
-			if err != nil {
-				return nil, err
-			}
-			d := res.absorb(out)
-			if tr != nil {
-				tr.AddRound(site, round+1, int64(fed), int64(d.size()), tr.Now()-t0)
-			}
-			if d.size() == 0 {
-				break
-			}
-			prev = d
-			if err := budget.ChargeRows(d.size()); err != nil {
-				return nil, err
-			}
-		}
 	}
 	delete(ctx.binding, n.RecBase)
 	delete(ctx.deltaBind, n.RecBase)
-	for dep := range deps {
+	for dep := range body.deps {
 		delete(ctx.memo, dep)
 	}
-	if d := run.Stats.PayloadCalls/run.Executions - 1; d > run.Stats.Depth {
-		run.Stats.Depth = d
-	}
-	run.Stats.ResultSize += res.size()
 	return res.table(), nil
 }
+
+// muBody is the relational side of one µ/µ∆ execution: it binds the feed
+// (OpRecBase) and ∆ (OpRecDelta) tables, drops the rec-dependent memo
+// entries so the body re-evaluates, and absorbs the answer into res.
+type muBody struct {
+	ctx               *ExecContext
+	mu                *Node
+	deps              map[*Node]bool
+	useBase, useDelta bool
+	res               *iterSets
+}
+
+// Step evaluates the body once. Naïve µ still feeds the accumulated family,
+// but delta-fed body fragments (OpRecDelta) see only the genuinely new part
+// of the previous round — for a body certified linear in the recursion
+// variable this is answer- and stats-preserving (the delta-feed rule in
+// opt/deltarules.go).
+func (b *muBody) Step(feed, delta *iterSets) (*iterSets, error) {
+	ctx := b.ctx
+	for dep := range b.deps {
+		delete(ctx.memo, dep)
+	}
+	// The previous round's feed table and rec-dependent intermediates
+	// become collectible here: their memo entries were just dropped,
+	// and columnar tables own their vectors outright — no shared slab
+	// pins O(rounds × result) rows across rounds.
+	var ft *Table
+	if b.useBase || !b.useDelta {
+		ft = feed.table()
+		if err := ctx.chargeTable(ft); err != nil {
+			return nil, err
+		}
+		ctx.binding[b.mu.RecBase] = ft
+	}
+	if b.useDelta {
+		dt := ft
+		if delta != feed || dt == nil {
+			dt = delta.table()
+			if err := ctx.chargeTable(dt); err != nil {
+				return nil, err
+			}
+		}
+		ctx.deltaBind[b.mu.RecBase] = dt
+	}
+	out, err := ctx.eval(b.mu.Kids[1])
+	if err != nil {
+		return nil, err
+	}
+	answer, err := newIterSets(out)
+	if err != nil {
+		return nil, err
+	}
+	if b.res == nil { // the seeding application: everything is new
+		b.res = answer
+		return answer, nil
+	}
+	return b.res.absorb(answer), nil
+}
+
+func (b *muBody) Res() *iterSets { return b.res }
 
 // bodyDeps returns the µ body's rec-dependent node set — the nodes whose
 // memo entries must drop every round while everything else stays hoisted —
@@ -300,7 +238,8 @@ func (s *iterSets) sortAll() {
 	}
 }
 
-func (s *iterSets) size() int { return s.n }
+// Len is the family's node count over all iterations.
+func (s *iterSets) Len() int { return s.n }
 
 // absorb folds another family — each of its sets already sorted, as
 // newIterSets leaves them — into s in place and returns the genuinely new

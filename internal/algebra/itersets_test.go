@@ -144,13 +144,13 @@ func TestIterSetsAbsorbMatchesPlusMinusOracle(t *testing.T) {
 			delta := acc.absorb(out)
 			odelta := out.minus(oracle)
 			oracle = oracle.plus(odelta)
-			if delta.size() != odelta.size() {
-				t.Fatalf("trial %d round %d: delta size %d, oracle %d", trial, round, delta.size(), odelta.size())
+			if delta.Len() != odelta.Len() {
+				t.Fatalf("trial %d round %d: delta size %d, oracle %d", trial, round, delta.Len(), odelta.Len())
 			}
 			requireTablesIdentical(t, fmt.Sprintf("trial %d round %d delta", trial, round),
 				delta.table(), odelta.table())
-			if acc.size() != oracle.size() {
-				t.Fatalf("trial %d round %d: accumulated size %d, oracle %d", trial, round, acc.size(), oracle.size())
+			if acc.Len() != oracle.Len() {
+				t.Fatalf("trial %d round %d: accumulated size %d, oracle %d", trial, round, acc.Len(), oracle.Len())
 			}
 			requireTablesIdentical(t, fmt.Sprintf("trial %d round %d accumulated", trial, round),
 				acc.table(), oracle.table())
@@ -169,17 +169,17 @@ func TestIterSetsAbsorbEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := acc.size()
+	before := acc.Len()
 	replay, err := newIterSets(seedT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	delta := acc.absorb(replay)
-	if delta.size() != 0 {
-		t.Fatalf("re-absorbing known nodes produced a delta of %d", delta.size())
+	if delta.Len() != 0 {
+		t.Fatalf("re-absorbing known nodes produced a delta of %d", delta.Len())
 	}
-	if acc.size() != before {
-		t.Fatalf("size changed: %d -> %d", before, acc.size())
+	if acc.Len() != before {
+		t.Fatalf("size changed: %d -> %d", before, acc.Len())
 	}
 }
 

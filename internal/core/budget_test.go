@@ -25,7 +25,7 @@ func TestBudgetDeadlineTruncates(t *testing.T) {
 	seed, body := chainFixture(10)
 	for _, alg := range []Algorithm{Naive, Delta} {
 		budget := xdm.NewBudget(time.Now().Add(-time.Millisecond), 0, 0)
-		res, _, err := RunWith(alg, seed, body, Config{Budget: budget})
+		res, _, err := runWith(alg, seed, body, Config{Budget: budget}, 0)
 		if err == nil {
 			t.Fatalf("%v: expired deadline did not truncate", alg)
 		}
@@ -43,7 +43,7 @@ func TestBudgetRoundsTruncateIdentically(t *testing.T) {
 	var msgs []string
 	for _, alg := range []Algorithm{Naive, Delta} {
 		budget := xdm.NewBudget(time.Time{}, 3, 0)
-		_, st, err := RunWith(alg, seed, body, Config{Budget: budget})
+		_, st, err := runWith(alg, seed, body, Config{Budget: budget}, 0)
 		if err == nil {
 			t.Fatalf("%v: 3-round budget did not truncate a depth-9 closure", alg)
 		}
@@ -66,7 +66,7 @@ func TestBudgetRowsTruncateIdentically(t *testing.T) {
 	var msgs []string
 	for _, alg := range []Algorithm{Naive, Delta} {
 		budget := xdm.NewBudget(time.Time{}, 0, 5)
-		_, _, err := RunWith(alg, seed, body, Config{Budget: budget})
+		_, _, err := runWith(alg, seed, body, Config{Budget: budget}, 0)
 		if err == nil {
 			t.Fatalf("%v: 5-row budget did not truncate a 20-node closure", alg)
 		}
@@ -83,12 +83,12 @@ func TestBudgetRowsTruncateIdentically(t *testing.T) {
 func TestBudgetGenerousIsInvisible(t *testing.T) {
 	seed, body := chainFixture(12)
 	for _, alg := range []Algorithm{Naive, Delta} {
-		free, freeStats, err := RunWith(alg, seed, body, Config{})
+		free, freeStats, err := runWith(alg, seed, body, Config{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		budget := xdm.NewBudget(time.Now().Add(time.Hour), 1<<20, 1<<40)
-		got, gotStats, err := RunWith(alg, seed, body, Config{Budget: budget})
+		got, gotStats, err := runWith(alg, seed, body, Config{Budget: budget}, 0)
 		if err != nil {
 			t.Fatalf("%v: generous budget errored: %v", alg, err)
 		}
@@ -106,7 +106,7 @@ func TestBudgetTruncationUnwinds(t *testing.T) {
 	seed, body := chainFixture(40)
 	before := runtime.NumGoroutine()
 	for _, alg := range []Algorithm{Naive, Delta} {
-		free, freeStats, err := RunWith(alg, seed, body, Config{})
+		free, freeStats, err := runWith(alg, seed, body, Config{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +115,11 @@ func TestBudgetTruncationUnwinds(t *testing.T) {
 			xdm.NewBudget(time.Time{}, 0, 9),
 			xdm.NewBudget(time.Now().Add(-time.Second), 0, 0),
 		} {
-			res, _, err := RunWith(alg, seed, body, Config{Budget: budget})
+			res, _, err := runWith(alg, seed, body, Config{Budget: budget}, 0)
 			if !xdm.IsBudget(err) || res != nil {
 				t.Fatalf("%v: got result of %d items and error %v, want a budget error alone", alg, len(res), err)
 			}
-			again, againStats, err := RunWith(alg, seed, body, Config{})
+			again, againStats, err := runWith(alg, seed, body, Config{}, 0)
 			if err != nil || len(again) != len(free) || againStats != freeStats {
 				t.Fatalf("%v: the run after a truncation diverges: %d rows %+v (%v)", alg, len(again), againStats, err)
 			}

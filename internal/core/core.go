@@ -1,23 +1,23 @@
 // Package core implements the paper's inflationary fixed point (IFP)
 // semantics (Definition 2.1) and its two evaluation algorithms, Naïve and
-// Delta (Figure 3), independent of any particular XQuery engine. Both the
-// direct interpreter (internal/xq/interp) and the relational back-end
-// (internal/algebra/exec) drive their fixpoints through this package so
-// that instrumentation — iterations, nodes fed back — is uniform across
-// engines, matching the columns of the paper's Table 2.
+// Delta (Figure 3), independent of any particular XQuery engine. The two
+// algorithms are one loop that differs only in what it feeds back — res for
+// Naïve, ∆ for Delta — and that loop, Run, is the only fixpoint loop in the
+// repository: the direct interpreter (internal/xq/interp) runs it over one
+// node sequence, the relational back-end (internal/algebra) over its
+// per-iteration node sets (§4.1's µ and µ∆). The divergence cap, the budget
+// gates, cancellation, the Table 2 counters and the per-round trace spans
+// therefore live here once, and Sites aggregates each evaluation's fixpoint
+// sites the same way for both engines.
 package core
 
 import (
 	"context"
+	"iter"
 
 	"repro/internal/obs"
 	"repro/internal/xdm"
 )
-
-// Payload is the recursion body e_rec regarded as a function of the
-// recursion variable: it maps a node sequence bound to $x to the node
-// sequence e_rec($x).
-type Payload func(xdm.Sequence) (xdm.Sequence, error)
 
 // Algorithm selects the fixpoint evaluation strategy.
 type Algorithm uint8
@@ -68,242 +68,204 @@ func (s *Stats) Add(o Stats) {
 	s.ResultSize += o.ResultSize
 }
 
-// DefaultMaxIterations bounds fixpoint rounds; bodies invoking node
-// constructors can make the IFP undefined (Definition 2.1), which this
-// bound turns into an IFPX0001 error instead of divergence.
-const DefaultMaxIterations = 1 << 20
+// RoundCap bounds the post-seed rounds of every fixpoint execution; bodies
+// invoking node constructors can make the IFP undefined (Definition 2.1),
+// which this bound turns into an IFPX0001 error instead of divergence.
+const RoundCap = 1 << 20
 
-// Config tunes one fixpoint computation beyond the algorithm choice.
+// Family is an engine's node-set family as the loop sees it: the
+// interpreter's one node sequence, or the relational engine's sets of all
+// live iterations at once. The loop only needs its size — nodes fed back,
+// rows charged, and trace spans are all family sizes.
+type Family interface{ Len() int }
+
+// Body is an engine's side of one fixpoint execution over its family F.
+type Body[F Family] interface {
+	// Step applies e_rec once with the recursion variable bound to feed,
+	// absorbs the answer into the accumulated result res, and returns ∆:
+	// the answer's nodes not yet in res. The first call is the seeding
+	// application (feed is the seed) and establishes res. delta is the
+	// previous application's ∆ — the seed itself on the first call — which
+	// a body may read even when feed is res (the relational engine's
+	// OpRecDelta leaves under naïve µ).
+	Step(feed, delta F) (F, error)
+	// Res returns the accumulated result res.
+	Res() F
+}
+
+// Config is what every fixpoint of one evaluation shares.
 type Config struct {
-	// MaxIterations bounds fixpoint rounds; <= 0 selects
-	// DefaultMaxIterations.
-	MaxIterations int
-	// Context, when non-nil, cancels the computation between rounds; the
-	// run returns the context's error.
+	// Context, when non-nil, cancels the evaluation: it is polled before
+	// every payload application, and the run returns its error.
 	Context context.Context
-	// Budget, when non-nil, bounds the computation: the deadline and the
-	// round budget are checked between rounds, and the feed plus each
-	// round's absorbed growth are charged against the row budget. Budget
-	// errors unwind with the Stats collected so far.
+	// Budget, when non-nil, bounds the evaluation. Before every post-seed
+	// round the loop checks the deadline, then the round budget, then
+	// charges the feed against the row budget; after every application it
+	// charges the growth. Budget errors unwind with the Stats collected so
+	// far.
 	Budget *xdm.Budget
-	// Trace, when non-nil, records one span per round (feed size, absorbed
-	// growth, duration) under the TraceSite index, round 0 being the
-	// seeding application. Recording is read-only instrumentation: results
-	// and Stats are byte-identical with and without it (internal/difftest
+	// Trace, when non-nil, records one span per round (feed size, growth,
+	// duration) under the site's trace index, round 0 being the seeding
+	// application. Recording is read-only instrumentation: results and
+	// Stats are byte-identical with and without it (internal/difftest
 	// CheckTracing).
-	Trace     *obs.Trace
-	TraceSite int
+	Trace *obs.Trace
 }
 
-// Run computes the IFP of the payload seeded by seed using the requested
-// algorithm. maxIter <= 0 selects DefaultMaxIterations.
-func Run(alg Algorithm, seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return RunWith(alg, seed, body, Config{MaxIterations: maxIter})
+// Site is one syntactic fixpoint site's report: the algorithm its engine
+// chose, whether the body was certified distributive, and the Table 2
+// counters aggregated over every execution of the site.
+type Site struct {
+	Algorithm    Algorithm
+	Distributive bool
+	Executions   int
+	Stats        Stats
 }
 
-// RunWith is Run with a full Config.
-func RunWith(alg Algorithm, seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
+func (s *Site) site() *Site { return s }
+
+// Record is an engine's own report of one site. It embeds Site, whose
+// counters the registry aggregates, next to whatever else the engine
+// reports (the interpreter's variable and Figure 5 rule).
+type Record interface{ site() *Site }
+
+// Sites is one evaluation's fixpoint site registry. K identifies a
+// syntactic site in the engine's program (an AST node, a plan node); R is
+// the engine's record of it.
+type Sites[K comparable, R Record] struct {
+	cfg   Config
+	execs map[K]Exec
+	keys  []K
+	recs  []R
+}
+
+// NewSites starts the registry of one evaluation.
+func NewSites[K comparable, R Record](cfg Config) *Sites[K, R] {
 	if cfg.Context == nil {
 		cfg.Context = context.Background()
 	}
-	if alg == Delta {
-		return runDelta(seed, body, cfg)
-	}
-	return runNaive(seed, body, cfg)
+	return &Sites[K, R]{cfg: cfg, execs: map[K]Exec{}}
 }
 
-func checkNodes(s xdm.Sequence, role string) error {
-	if !s.AllNodes() {
-		return xdm.NewError(xdm.ErrType, "inflationary fixed point "+role+" must be of type node()*")
+// Enter readies one more execution of key's site. The first execution
+// registers the site — describe supplies the engine's record and the trace
+// label — so sites are numbered, traced, and reported in first-execution
+// order.
+func (s *Sites[K, R]) Enter(key K, describe func() (R, string)) Exec {
+	x, ok := s.execs[key]
+	if !ok {
+		rec, label := describe()
+		x = Exec{cfg: &s.cfg, site: rec.site(), trace: s.cfg.Trace.AddSite(label)}
+		s.execs[key] = x
+		s.keys = append(s.keys, key)
+		s.recs = append(s.recs, rec)
 	}
-	return nil
+	return x
 }
 
-// RunNaive is algorithm Naïve (Figure 3(a)):
+// All yields every registered site with its record, in first-execution
+// order.
+func (s *Sites[K, R]) All() iter.Seq2[K, R] {
+	return func(yield func(K, R) bool) {
+		for i, k := range s.keys {
+			if !yield(k, s.recs[i]) {
+				return
+			}
+		}
+	}
+}
+
+// Exec is one execution of a registered site, as Sites.Enter hands it out.
+type Exec struct {
+	cfg   *Config
+	site  *Site
+	trace int
+}
+
+// Run computes one execution of the site's inflationary fixed point from
+// the seed family, with the site's algorithm: Naïve (Figure 3(a))
 //
 //	res ← e_rec(e_seed);
 //	do res ← e_rec(res) union res while res grows
 //
-// The accumulated result lives in an xdm.Accumulator: each round's answer
-// is absorbed by bitmap membership tests and a sorted-run merge, so the
-// union costs O(|answer|) instead of the full re-sort that round-tripping
-// through xdm.Union would pay. (The *feed* is still the whole accumulated
-// set — that is what makes Naïve naïve.)
-func RunNaive(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return RunWith(Naive, seed, body, Config{MaxIterations: maxIter})
-}
-
-func runNaive(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	var st Stats
-	var acc xdm.Accumulator
-	t0 := cfg.Trace.Now()
-	if err := seedAccumulator(&acc, seed, body, &st); err != nil {
-		return nil, st, err
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.AddRound(cfg.TraceSite, 0, int64(len(seed)), int64(acc.Len()), cfg.Trace.Now()-t0)
-	}
-	if err := cfg.Budget.ChargeRows(acc.Len()); err != nil {
-		return nil, st, err
-	}
-	feed := acc.Sequence()
-	for round := 0; ; round++ {
-		if round >= maxIter {
-			return nil, st, xdm.Errorf(xdm.ErrIFP,
-				"inflationary fixed point did not converge within %d iterations", maxIter)
-		}
-		if err := checkBudgetRound(cfg.Budget, round, len(feed)); err != nil {
-			return nil, st, err
-		}
-		if err := cfg.Context.Err(); err != nil {
-			return nil, st, err
-		}
-		t0 = cfg.Trace.Now()
-		step, err := applyTo(body, feed, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		fresh, err := acc.Absorb(step)
-		if err != nil {
-			return nil, st, err
-		}
-		if cfg.Trace != nil {
-			cfg.Trace.AddRound(cfg.TraceSite, round+1, int64(len(feed)), int64(len(fresh)), cfg.Trace.Now()-t0)
-		}
-		if len(fresh) == 0 { // res is inflationary: no growth ⇒ fixpoint
-			st.Depth = st.PayloadCalls - 1
-			st.ResultSize = acc.Len()
-			return feed, st, nil
-		}
-		if err := cfg.Budget.ChargeRows(len(fresh)); err != nil {
-			return nil, st, err
-		}
-		feed = acc.Sequence()
-	}
-}
-
-// RunDelta is algorithm Delta (Figure 3(b)):
+// or Delta (Figure 3(b))
 //
 //	res ← e_rec(e_seed); ∆ ← res;
 //	do ∆ ← e_rec(∆) except res; res ← ∆ union res while res grows
 //
-// ∆ falls out of the accumulator for free: Absorb returns exactly the
-// nodes of the round's answer not yet in res, deduplicated and in
-// document order — `except res` and `∆ union res` collapse into one
-// incremental pass over the answer.
-func RunDelta(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
-	return RunWith(Delta, seed, body, Config{MaxIterations: maxIter})
+// The body's Step performs `except res` and `union res` as one incremental
+// absorb, so the two algorithms differ only in the feed. The execution's
+// counters are added to the site's, also when it fails.
+func Run[F Family](x Exec, seed F, body Body[F]) (F, error) {
+	return run(x, seed, body, RoundCap)
 }
 
-func runDelta(seed xdm.Sequence, body Payload, cfg Config) (xdm.Sequence, Stats, error) {
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
+func run[F Family](x Exec, seed F, body Body[F], roundCap int) (F, error) {
 	var st Stats
-	var acc xdm.Accumulator
-	t0 := cfg.Trace.Now()
-	if err := seedAccumulator(&acc, seed, body, &st); err != nil {
-		return nil, st, err
+	defer func() {
+		x.site.Executions++
+		x.site.Stats.Add(st)
+	}()
+	var none F
+	budget := x.cfg.Budget
+	delta, err := apply(x, body, 0, seed, seed, &st)
+	if err != nil {
+		return none, err
 	}
-	if cfg.Trace != nil {
-		cfg.Trace.AddRound(cfg.TraceSite, 0, int64(len(seed)), int64(acc.Len()), cfg.Trace.Now()-t0)
+	if err := budget.ChargeRows(delta.Len()); err != nil {
+		return none, err
 	}
-	if err := cfg.Budget.ChargeRows(acc.Len()); err != nil {
-		return nil, st, err
-	}
-	delta := acc.Nodes()
-	for round := 0; len(delta) > 0; round++ {
-		if round >= maxIter {
-			return nil, st, xdm.Errorf(xdm.ErrIFP,
-				"inflationary fixed point did not converge within %d iterations", maxIter)
+	for round := 0; x.site.Algorithm == Naive || delta.Len() > 0; round++ {
+		if round >= roundCap {
+			return none, xdm.Errorf(xdm.ErrIFP,
+				"inflationary fixed point did not converge within %d iterations", roundCap)
 		}
-		if err := checkBudgetRound(cfg.Budget, round, len(delta)); err != nil {
-			return nil, st, err
+		feed := delta
+		if x.site.Algorithm == Naive {
+			feed = body.Res()
 		}
-		if err := cfg.Context.Err(); err != nil {
-			return nil, st, err
+		// Deadline first (wall clock beats counters), then the round budget,
+		// then the feed: a tripped budget never pays for one more round.
+		if err := budget.CheckDeadline(); err != nil {
+			return none, err
 		}
-		fed := len(delta)
-		t0 = cfg.Trace.Now()
-		step, err := applyTo(body, xdm.NodeSeq(delta), &st)
-		if err != nil {
-			return nil, st, err
+		if err := budget.CheckRound(round); err != nil {
+			return none, err
 		}
-		delta, err = acc.Absorb(step)
-		if err != nil {
-			return nil, st, err
+		if err := budget.ChargeRows(feed.Len()); err != nil {
+			return none, err
 		}
-		if cfg.Trace != nil {
-			cfg.Trace.AddRound(cfg.TraceSite, round+1, int64(fed), int64(len(delta)), cfg.Trace.Now()-t0)
+		if delta, err = apply(x, body, round+1, feed, delta, &st); err != nil {
+			return none, err
 		}
-		if err := cfg.Budget.ChargeRows(len(delta)); err != nil {
-			return nil, st, err
+		if delta.Len() == 0 { // res is inflationary: no growth ⇒ fixpoint
+			break
+		}
+		if err := budget.ChargeRows(delta.Len()); err != nil {
+			return none, err
 		}
 	}
 	st.Depth = st.PayloadCalls - 1
-	st.ResultSize = acc.Len()
-	return acc.Sequence(), st, nil
+	st.ResultSize = body.Res().Len()
+	return body.Res(), nil
 }
 
-// checkBudgetRound is the per-round budget gate shared by both drivers:
-// deadline first (wall clock beats counters), then the round budget, then
-// the feed about to be handed to the payload charged against the row
-// budget. It runs before the payload application, so a tripped budget
-// never pays for one more round.
-func checkBudgetRound(b *xdm.Budget, round, feedLen int) error {
-	if b == nil {
-		return nil
+// apply is one payload application: the cancellation poll, the Table 2
+// counters, and the round's trace span around the body's Step.
+func apply[F Family](x Exec, body Body[F], round int, feed, delta F, st *Stats) (F, error) {
+	if err := x.cfg.Context.Err(); err != nil {
+		var none F
+		return none, err
 	}
-	if err := b.CheckDeadline(); err != nil {
-		return err
-	}
-	if err := b.CheckRound(round); err != nil {
-		return err
-	}
-	return b.ChargeRows(feedLen)
-}
-
-// seedAccumulator runs the seeding payload application shared by both
-// algorithms and absorbs its answer as the initial res.
-func seedAccumulator(acc *xdm.Accumulator, seed xdm.Sequence, body Payload, st *Stats) error {
-	if err := checkNodes(seed, "seed"); err != nil {
-		return err
-	}
-	ddoSeed, err := xdm.DDO(seed)
-	if err != nil {
-		return err
-	}
-	first, err := applyTo(body, ddoSeed, st)
-	if err != nil {
-		return err
-	}
-	_, err = acc.Absorb(first)
-	return err
-}
-
-// applyTo feeds in — already in distinct document order, as the recursion
-// variable is bound to a node *set* — into the payload and type-checks the
-// answer, updating the instrumentation counters. Unlike the pre-accumulator
-// applyPayload it does not ddo-normalize the answer: the caller's Absorb
-// deduplicates and orders incrementally. The checkNodes call overlaps with
-// Absorb's own per-item node check but is kept for error parity with the
-// oracle drivers: the role-specific "body result" message is part of the
-// byte-identical-behavior contract (and a tag check per item is noise next
-// to the payload evaluation itself).
-func applyTo(body Payload, in xdm.Sequence, st *Stats) (xdm.Sequence, error) {
+	// Measured before Step: the feed may alias res, which Step grows.
+	fed := int64(feed.Len())
 	st.PayloadCalls++
-	st.NodesFedBack += int64(len(in))
-	out, err := body(in)
-	if err != nil {
-		return nil, err
+	st.NodesFedBack += fed
+	tr := x.cfg.Trace
+	t0 := tr.Now()
+	d, err := body.Step(feed, delta)
+	if err == nil {
+		tr.AddRound(x.trace, round, fed, int64(d.Len()), tr.Now()-t0)
 	}
-	if err := checkNodes(out, "body result"); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return d, err
 }

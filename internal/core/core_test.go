@@ -14,7 +14,7 @@ import (
 
 // graphDoc builds a document whose element nodes form the vertex set of a
 // directed graph, plus a successor payload over an adjacency list. This is
-// the relational-style harness for the IFP drivers: closure via the
+// the relational-style harness for the IFP loop: closure via the
 // fixpoint must equal closure via plain BFS.
 func graphDoc(n int) (*xdm.Document, []xdm.NodeRef) {
 	b := xdm.NewBuilder("graph")
@@ -33,6 +33,63 @@ func graphDoc(n int) (*xdm.Document, []xdm.NodeRef) {
 		}
 	}
 	return d, verts
+}
+
+// Payload is the recursion body e_rec regarded as a function of the
+// recursion variable: it maps the node sequence bound to $x to e_rec($x).
+type Payload func(xdm.Sequence) (xdm.Sequence, error)
+
+// nodes is the family the tests drive the loop over — the interpreter's:
+// node references in distinct document order.
+type nodes []xdm.NodeRef
+
+func (n nodes) Len() int { return len(n) }
+
+// seqBody adapts a Payload to Body the way the interpreter does: bind the
+// feed as a sequence, type-check the answer, absorb it into an
+// xdm.Accumulator.
+type seqBody struct {
+	payload Payload
+	acc     xdm.Accumulator
+}
+
+func (b *seqBody) Step(feed, _ nodes) (nodes, error) {
+	out, err := b.payload(xdm.NodeSeq(feed))
+	if err != nil {
+		return nil, err
+	}
+	if err := checkNodes(out, "body result"); err != nil {
+		return nil, err
+	}
+	return b.acc.Absorb(out)
+}
+
+func (b *seqBody) Res() nodes { return b.acc.Nodes() }
+
+func checkNodes(s xdm.Sequence, role string) error {
+	if !s.AllNodes() {
+		return xdm.NewError(xdm.ErrType, "inflationary fixed point "+role+" must be of type node()*")
+	}
+	return nil
+}
+
+// runWith runs one fixpoint of payload from seed under cfg through the
+// registry and Run's loop; roundCap > 0 lowers the divergence cap so tests
+// can reach it.
+func runWith(alg Algorithm, seed xdm.Sequence, payload Payload, cfg Config, roundCap int) (xdm.Sequence, Stats, error) {
+	if err := checkNodes(seed, "seed"); err != nil {
+		return nil, Stats{}, err
+	}
+	ns, err := xdm.DDONodes(seed)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if roundCap <= 0 {
+		roundCap = RoundCap
+	}
+	x := NewSites[int, *Site](cfg).Enter(0, func() (*Site, string) { return &Site{Algorithm: alg}, alg.String() })
+	res, err := run(x, nodes(ns), &seqBody{payload: payload}, roundCap)
+	return xdm.NodeSeq(res), x.site.Stats, err
 }
 
 func successorPayload(verts []xdm.NodeRef, adj [][]int) Payload {
@@ -77,11 +134,11 @@ func TestNaiveDeltaChain(t *testing.T) {
 	payload := successorPayload(verts, adj)
 	seed := xdm.Sequence{xdm.NewNode(verts[0])}
 
-	resN, stN, err := RunNaive(seed, payload, 0)
+	resN, stN, err := runWith(Naive, seed, payload, Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resD, stD, err := RunDelta(seed, payload, 0)
+	resD, stD, err := runWith(Delta, seed, payload, Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +166,7 @@ func TestCycleTerminates(t *testing.T) {
 	adj := [][]int{{1}, {2}, {0}} // 3-cycle
 	payload := successorPayload(verts, adj)
 	seed := xdm.Sequence{xdm.NewNode(verts[0])}
-	res, st, err := RunDelta(seed, payload, 0)
+	res, st, err := runWith(Delta, seed, payload, Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +181,11 @@ func TestCycleTerminates(t *testing.T) {
 func TestEmptySeed(t *testing.T) {
 	_, verts := graphDoc(2)
 	payload := successorPayload(verts, [][]int{{1}, {}})
-	resN, _, err := RunNaive(nil, payload, 0)
+	resN, _, err := runWith(Naive, nil, payload, Config{}, 0)
 	if err != nil || len(resN) != 0 {
 		t.Errorf("naive on empty seed: %v, %v", resN, err)
 	}
-	resD, _, err := RunDelta(nil, payload, 0)
+	resD, _, err := runWith(Delta, nil, payload, Config{}, 0)
 	if err != nil || len(resD) != 0 {
 		t.Errorf("delta on empty seed: %v, %v", resD, err)
 	}
@@ -136,14 +193,14 @@ func TestEmptySeed(t *testing.T) {
 
 func TestSeedTypeError(t *testing.T) {
 	payload := func(xs xdm.Sequence) (xdm.Sequence, error) { return nil, nil }
-	if _, _, err := RunNaive(xdm.Sequence{xdm.NewInteger(1)}, payload, 0); xdm.CodeOf(err) != xdm.ErrType {
+	if _, _, err := runWith(Naive, xdm.Sequence{xdm.NewInteger(1)}, payload, Config{}, 0); xdm.CodeOf(err) != xdm.ErrType {
 		t.Errorf("atomic seed: %v", err)
 	}
 	_, verts := graphDoc(1)
 	bad := func(xs xdm.Sequence) (xdm.Sequence, error) {
 		return xdm.Sequence{xdm.NewInteger(1)}, nil
 	}
-	if _, _, err := RunNaive(xdm.NodeSeq(verts), bad, 0); xdm.CodeOf(err) != xdm.ErrType {
+	if _, _, err := runWith(Naive, xdm.NodeSeq(verts), bad, Config{}, 0); xdm.CodeOf(err) != xdm.ErrType {
 		t.Errorf("atomic body result: %v", err)
 	}
 }
@@ -155,11 +212,11 @@ func TestDivergenceGuard(t *testing.T) {
 		return xdm.Sequence{xdm.NewNode(xdm.NewLeafDoc(xdm.TextNode, "", "t"))}, nil
 	}
 	_, verts := graphDoc(1)
-	_, _, err := RunNaive(xdm.NodeSeq(verts), payload, 32)
+	_, _, err := runWith(Naive, xdm.NodeSeq(verts), payload, Config{}, 32)
 	if xdm.CodeOf(err) != xdm.ErrIFP {
 		t.Errorf("naive divergence: %v", err)
 	}
-	_, _, err = RunDelta(xdm.NodeSeq(verts), payload, 32)
+	_, _, err = runWith(Delta, xdm.NodeSeq(verts), payload, Config{}, 32)
 	if xdm.CodeOf(err) != xdm.ErrIFP {
 		t.Errorf("delta divergence: %v", err)
 	}
@@ -180,7 +237,7 @@ func TestRunWithCancellation(t *testing.T) {
 			}
 			return payload(xs)
 		}
-		_, _, err := RunWith(alg, seed, counting, Config{Context: ctx})
+		_, _, err := runWith(alg, seed, counting, Config{Context: ctx}, 0)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: got %v, want context.Canceled", alg, err)
@@ -193,7 +250,7 @@ func TestRunWithCancellation(t *testing.T) {
 }
 
 // TestRunWithPayloadError checks a payload error in a later round surfaces
-// unchanged from both drivers.
+// unchanged under both algorithms.
 func TestRunWithPayloadError(t *testing.T) {
 	seed, payload := chainFixture(40)
 	boom := errors.New("payload failed at round 4")
@@ -206,7 +263,7 @@ func TestRunWithPayloadError(t *testing.T) {
 			}
 			return payload(xs)
 		}
-		if _, _, err := RunWith(alg, seed, failing, Config{}); !errors.Is(err, boom) {
+		if _, _, err := runWith(alg, seed, failing, Config{}, 0); !errors.Is(err, boom) {
 			t.Fatalf("%v: got %v, want %v", alg, err, boom)
 		}
 	}
@@ -235,11 +292,11 @@ func TestQuickNaiveEqualsDeltaOnDistributivePayloads(t *testing.T) {
 			}
 		}
 		payload := successorPayload(verts, adj)
-		resN, stN, err := RunNaive(seedSeq, payload, 0)
+		resN, stN, err := runWith(Naive, seedSeq, payload, Config{}, 0)
 		if err != nil {
 			return false
 		}
-		resD, stD, err := RunDelta(seedSeq, payload, 0)
+		resD, stD, err := runWith(Delta, seedSeq, payload, Config{}, 0)
 		if err != nil {
 			return false
 		}
@@ -298,11 +355,11 @@ func TestQuickDeltaSubsetOfNaive(t *testing.T) {
 			}
 			return base(xs)
 		}
-		resN, _, err := RunNaive(seedSeq, payload, 0)
+		resN, _, err := runWith(Naive, seedSeq, payload, Config{}, 0)
 		if err != nil {
 			return false
 		}
-		resD, _, err := RunDelta(seedSeq, payload, 0)
+		resD, _, err := runWith(Delta, seedSeq, payload, Config{}, 0)
 		if err != nil {
 			return false
 		}

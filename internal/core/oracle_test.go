@@ -8,7 +8,7 @@ import (
 	"repro/internal/xdm"
 )
 
-// Property tests: the incremental accumulator drivers (RunNaive/RunDelta)
+// Property tests: the incremental accumulator loop (Run)
 // must return byte-identical results — item order, dedup, and every
 // Table 2 counter — to the original materializing drivers preserved at
 // the bottom of this file, over randomized graph payloads spanning
@@ -101,11 +101,11 @@ func TestDriversMatchOracleOnRandomGraphs(t *testing.T) {
 		seed := randSeed(rng, docs, 1+rng.Intn(6))
 		what := fmt.Sprintf("trial %d", trial)
 
-		nres, nst, nerr := RunNaive(seed, body, 0)
+		nres, nst, nerr := runWith(Naive, seed, body, Config{}, 0)
 		ores, ost, oerr := runNaiveOracle(seed, body, 0)
 		requireSameRun(t, what+" naive", nres, ores, nst, ost, nerr, oerr)
 
-		dres, dst, derr := RunDelta(seed, body, 0)
+		dres, dst, derr := runWith(Delta, seed, body, Config{}, 0)
 		odres, odst, oderr := runDeltaOracle(seed, body, 0)
 		requireSameRun(t, what+" delta", dres, odres, dst, odst, derr, oderr)
 	}
@@ -124,7 +124,7 @@ func TestDriversMatchOracleOnEmptySeed(t *testing.T) {
 	}
 	_ = doc
 	for _, alg := range []Algorithm{Naive, Delta} {
-		got, gst, gerr := Run(alg, nil, body, 0)
+		got, gst, gerr := runWith(alg, nil, body, Config{}, 0)
 		var want xdm.Sequence
 		var wst Stats
 		var werr error
@@ -145,7 +145,7 @@ func TestDriversMatchOracleOnNonNodeOutput(t *testing.T) {
 	body := func(xs xdm.Sequence) (xdm.Sequence, error) {
 		return xdm.Sequence{xdm.NewInteger(42)}, nil
 	}
-	_, _, gerr := RunDelta(seed, body, 0)
+	_, _, gerr := runWith(Delta, seed, body, Config{}, 0)
 	_, _, werr := runDeltaOracle(seed, body, 0)
 	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 		t.Fatalf("error mismatch: %v vs oracle %v", gerr, werr)
@@ -167,7 +167,7 @@ func TestDriversMatchOracleOnDivergence(t *testing.T) {
 		return out, nil
 	}
 	seed := xdm.NodeSeq([]xdm.NodeRef{{D: docs[0], Pre: 1}})
-	_, gst, gerr := RunDelta(seed, body, 5)
+	_, gst, gerr := runWith(Delta, seed, body, Config{}, 5)
 	_, wst, werr := runDeltaOracle(seed, body, 5)
 	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 		t.Fatalf("divergence error mismatch: %v vs %v", gerr, werr)
@@ -180,12 +180,12 @@ func TestDriversMatchOracleOnDivergence(t *testing.T) {
 // The pre-accumulator fixpoint drivers, preserved verbatim as test
 // oracles. They round-trip every round through xdm.Union / xdm.Except —
 // re-materializing and re-sorting the full accumulated result — which is
-// exactly the cost the incremental drivers in core.go exist to avoid.
+// exactly the cost the incremental loop in core.go exists to avoid.
 
-// runNaiveOracle is the original RunNaive (Figure 3(a), materializing).
+// runNaiveOracle is the original Naïve driver (Figure 3(a), materializing).
 func runNaiveOracle(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
 	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
+		maxIter = RoundCap
 	}
 	var st Stats
 	if err := checkNodes(seed, "seed"); err != nil {
@@ -217,10 +217,10 @@ func runNaiveOracle(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence,
 	}
 }
 
-// runDeltaOracle is the original RunDelta (Figure 3(b), materializing).
+// runDeltaOracle is the original Delta driver (Figure 3(b), materializing).
 func runDeltaOracle(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
 	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
+		maxIter = RoundCap
 	}
 	var st Stats
 	if err := checkNodes(seed, "seed"); err != nil {

@@ -1,6 +1,6 @@
 // Package leaktest is the shared goroutine-leak check for tests whose code
 // under test starts goroutines or must unwind cleanly after an error or a
-// cancellation (the fixpoint drivers, xqd's request handling): teardown can
+// cancellation (the fixpoint loop, xqd's request handling): teardown can
 // be asynchronous, so the check polls for the count to return to its
 // pre-test baseline instead of sampling once. It lives in its own package
 // so production code never links the testing machinery.

@@ -13,7 +13,7 @@ import (
 // not just observe afterwards.
 //
 // A Budget is built once per evaluation and shared by every engine layer
-// that evaluation touches: the fixpoint drivers check the deadline and the
+// that evaluation touches: the fixpoint loop checks the deadline and the
 // round budget between rounds, and the relational executor charges every
 // freshly materialized table against the row budget. All methods are
 // nil-receiver safe (a nil *Budget enforces nothing), so call sites need

@@ -87,7 +87,7 @@ func TestAccumulatorMatchesUnionExceptOracle(t *testing.T) {
 					t.Fatalf("trial %d round %d: delta[%d] = %v, oracle %v", trial, round, i, fresh[i], wantDelta[i].Node())
 				}
 			}
-			got := acc.Sequence()
+			got := NodeSeq(acc.Nodes())
 			if len(got) != len(oracle) {
 				t.Fatalf("trial %d round %d: accumulated %d, oracle %d", trial, round, len(got), len(oracle))
 			}
@@ -99,7 +99,7 @@ func TestAccumulatorMatchesUnionExceptOracle(t *testing.T) {
 			if acc.Len() != len(oracle) {
 				t.Fatalf("trial %d round %d: Len = %d, oracle %d", trial, round, acc.Len(), len(oracle))
 			}
-			if len(oracle) > 0 && !acc.Has(oracle[len(oracle)-1].Node()) {
+			if len(oracle) > 0 && !acc.seen.Has(oracle[len(oracle)-1].Node()) {
 				t.Fatalf("trial %d round %d: Has misses a member", trial, round)
 			}
 		}

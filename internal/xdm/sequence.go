@@ -50,11 +50,14 @@ func (s Sequence) AllNodes() bool {
 // document order and removes duplicate identities. Non-node items yield an
 // XPTY0004 error.
 func DDO(s Sequence) (Sequence, error) {
+	ns, err := DDONodes(s)
+	return NodeSeq(ns), err
+}
+
+// DDONodes is DDO returning the node references themselves (nil on error).
+func DDONodes(s Sequence) ([]NodeRef, error) {
 	ns, err := s.Nodes()
-	if err != nil {
-		return nil, err
-	}
-	return NodeSeq(dedupSorted(ns)), nil
+	return dedupSorted(ns), err
 }
 
 func dedupSorted(ns []NodeRef) []NodeRef {
@@ -136,8 +139,8 @@ func nodeSet(ns []NodeRef) map[NodeRef]bool {
 	return m
 }
 
-// Accumulator is a persistent sorted node-set accumulator for fixpoint
-// drivers: it maintains the accumulated result in document order across
+// Accumulator is a persistent sorted node-set accumulator for the
+// interpreter's fixpoints: it maintains the accumulated result in document order across
 // rounds and absorbs each round's answer incrementally, so one round costs
 // O(|answer| + |new|) instead of the full re-sort/re-dedup that Union and
 // Except perform. Membership tests run against per-document bitmaps
@@ -156,13 +159,6 @@ func (a *Accumulator) Len() int { return len(a.nodes) }
 // Nodes returns the accumulated nodes in document order. The slice is
 // owned by the accumulator; callers must not modify it.
 func (a *Accumulator) Nodes() []NodeRef { return a.nodes }
-
-// Sequence materializes the accumulated set as an item sequence in
-// document order.
-func (a *Accumulator) Sequence() Sequence { return NodeSeq(a.nodes) }
-
-// Has reports membership of a node identity.
-func (a *Accumulator) Has(n NodeRef) bool { return a.seen.Has(n) }
 
 // Absorb folds a round's answer into the set: items not yet members are
 // added, and returned — deduplicated and in document order — as the

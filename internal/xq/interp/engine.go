@@ -7,7 +7,6 @@ package interp
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -48,11 +47,10 @@ type DocResolver func(uri string) (*xdm.Document, error)
 
 // Options configure an Engine.
 type Options struct {
-	Mode          Mode
-	MaxIterations int // fixpoint rounds; 0 = core.DefaultMaxIterations
-	MaxCallDepth  int // user-defined function recursion; 0 = 8192
-	ContextItem   *xdm.Item
-	Docs          DocResolver
+	Mode         Mode
+	MaxCallDepth int // user-defined function recursion; 0 = 8192
+	ContextItem  *xdm.Item
+	Docs         DocResolver
 	// Deprecated: ignored; every evaluation is sequential.
 	Parallelism int
 	// Context, when non-nil, cancels fixpoint computations between rounds.
@@ -60,9 +58,9 @@ type Options struct {
 	// NoIndex disables name-index probing of axis steps (the arena-walk
 	// baseline); results are byte-identical either way.
 	NoIndex bool
-	// Budget, when non-nil, bounds the evaluation: fixpoint drivers check
-	// the deadline and round budget between rounds and charge feeds and
-	// growth against the row budget (through internal/core), and the tree
+	// Budget, when non-nil, bounds the evaluation: core's fixpoint loop
+	// checks the deadline and round budget between rounds and charges feeds
+	// and growth against the row budget, and the tree
 	// evaluator polls the deadline on a sampled counter so long
 	// non-recursive evaluations are also cut off. Budget errors unwind with
 	// the partial IFPRuns collected so far.
@@ -74,17 +72,16 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// IFPRun reports one (aggregated) fixpoint site's execution: which
-// algorithm ran, whether the body was certified distributive, and the
-// Table 2 instrumentation counters. Fixpoints nested under for-loops
-// execute once per binding; their counters aggregate per syntactic site.
+// IFPRun reports one (aggregated) fixpoint site's execution: the recursion
+// variable, the Figure 5 rule (or blocking reason) behind the syntactic
+// distributivity verdict, and core's record — which algorithm ran, whether
+// the body was certified distributive, and the Table 2 counters. Fixpoints
+// nested under for-loops execute once per binding; their counters
+// aggregate per syntactic site.
 type IFPRun struct {
-	Var          string
-	Algorithm    core.Algorithm
-	Distributive bool
-	Rule         string // Figure 5 rule or blocking reason
-	Executions   int
-	Stats        core.Stats
+	Var  string
+	Rule string
+	core.Site
 }
 
 // Result is a query evaluation outcome.
@@ -140,9 +137,10 @@ func (en *Engine) AddDoc(uri string, d *xdm.Document) { en.docCache[uri] = d }
 func (en *Engine) Eval() (*Result, error) {
 	defer en.opts.Trace.StartPhase("exec")()
 	ev := &evaluator{
-		engine:  en,
-		ifpAgg:  map[*ast.Fixpoint]*IFPRun{},
-		ifpSite: map[*ast.Fixpoint]int{},
+		engine: en,
+		sites: core.NewSites[*ast.Fixpoint, *IFPRun](core.Config{
+			Context: en.opts.Context, Budget: en.opts.Budget, Trace: en.opts.Trace,
+		}),
 		globals: map[string]xdm.Sequence{},
 	}
 	var ctx dynCtx
@@ -170,14 +168,13 @@ func (en *Engine) Eval() (*Result, error) {
 	return res, nil
 }
 
-// runs snapshots the per-site fixpoint instrumentation in a deterministic
+// runs snapshots the per-site fixpoint instrumentation in first-execution
 // order.
 func (ev *evaluator) runs() []IFPRun {
 	var out []IFPRun
-	for _, run := range ev.ifpAgg {
+	for _, run := range ev.sites.All() {
 		out = append(out, *run)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Var < out[j].Var })
 	return out
 }
 

@@ -41,8 +41,7 @@ type evaluator struct {
 	globals   map[string]xdm.Sequence
 	globalEnv *env
 	callDepth int
-	ifpAgg    map[*ast.Fixpoint]*IFPRun
-	ifpSite   map[*ast.Fixpoint]int // fixpoint site → Trace site index
+	sites     *core.Sites[*ast.Fixpoint, *IFPRun]
 	// evalTick samples the budget deadline check: one time.Now() per
 	// 1024 eval calls keeps long non-fixpoint evaluations bounded without
 	// a clock read in the hot path.
@@ -593,50 +592,63 @@ func nameMatches(pattern, name string) bool {
 }
 
 // evalFixpoint implements `with $x seeded by e_seed recurse e_rec`
-// (Definition 2.1), selecting the algorithm per the engine mode. Counters
-// are aggregated per syntactic fixpoint site so an IFP nested in a
-// for-loop (e.g. the bidder network query) reports totals across bindings.
+// (Definition 2.1) through core's loop, selecting the algorithm per the
+// engine mode. Counters are aggregated per syntactic fixpoint site so an
+// IFP nested in a for-loop (e.g. the bidder network query) reports totals
+// across bindings.
 func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Sequence, error) {
 	seed, err := ev.eval(n.Seed, en, ctx)
 	if err != nil {
 		return nil, err
 	}
-	run := ev.ifpAgg[n]
-	if run == nil {
-		alg := core.Naive
+	x := ev.sites.Enter(n, func() (*IFPRun, string) {
 		res := ev.engine.distCheck(n)
-		switch ev.engine.opts.Mode {
-		case ModeAuto:
-			if res.Safe {
-				alg = core.Delta
-			}
-		case ModeDelta:
+		alg := core.Naive
+		if mode := ev.engine.opts.Mode; mode == ModeDelta || mode == ModeAuto && res.Safe {
 			alg = core.Delta
 		}
-		run = &IFPRun{Var: n.Var, Algorithm: alg, Distributive: res.Safe, Rule: res.Rule}
-		ev.ifpAgg[n] = run
+		return &IFPRun{Var: n.Var, Rule: res.Rule, Site: core.Site{Algorithm: alg, Distributive: res.Safe}},
+			"$" + n.Var + " " + alg.String()
+	})
+	// The recursion variable is bound to a node *set*: the seed family is
+	// the seed in distinct document order.
+	ddo, err := xdm.DDONodes(seed)
+	if err != nil {
+		return nil, xdm.NewError(xdm.ErrType, "inflationary fixed point seed must be of type node()*")
 	}
-	payload := func(xs xdm.Sequence) (xdm.Sequence, error) {
-		return ev.eval(n.Body, en.bind(n.Var, xs), ctx)
-	}
-	cfg := core.Config{
-		MaxIterations: ev.engine.opts.MaxIterations,
-		Context:       ev.engine.opts.Context,
-		Budget:        ev.engine.opts.Budget,
-	}
-	if tr := ev.engine.opts.Trace; tr != nil {
-		site, ok := ev.ifpSite[n]
-		if !ok {
-			site = tr.AddSite("$" + n.Var + " " + run.Algorithm.String())
-			ev.ifpSite[n] = site
-		}
-		cfg.Trace, cfg.TraceSite = tr, site
-	}
-	val, stats, err := core.RunWith(run.Algorithm, seed, payload, cfg)
-	run.Executions++
-	run.Stats.Add(stats)
+	res, err := core.Run(x, nodes(ddo), &ifpBody{ev: ev, fp: n, env: en, ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	return val, nil
+	return xdm.NodeSeq(res), nil
 }
+
+// nodes is the interpreter's fixpoint family: node references in distinct
+// document order.
+type nodes []xdm.NodeRef
+
+func (ns nodes) Len() int { return len(ns) }
+
+// ifpBody is the interpreter's side of one fixpoint execution: it binds
+// the feed to the recursion variable, evaluates the body, and absorbs the
+// answer into an xdm.Accumulator, whose Absorb yields ∆ in document order.
+type ifpBody struct {
+	ev  *evaluator
+	fp  *ast.Fixpoint
+	env *env
+	ctx dynCtx
+	acc xdm.Accumulator
+}
+
+func (b *ifpBody) Step(feed, _ nodes) (nodes, error) {
+	out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.NodeSeq(feed)), b.ctx)
+	if err != nil {
+		return nil, err
+	}
+	if !out.AllNodes() {
+		return nil, xdm.NewError(xdm.ErrType, "inflationary fixed point body result must be of type node()*")
+	}
+	return b.acc.Absorb(out)
+}
+
+func (b *ifpBody) Res() nodes { return b.acc.Nodes() }

@@ -3,6 +3,7 @@ package interp
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
@@ -505,15 +506,19 @@ return $c/@code/string()`
 	}
 }
 
+// TestFixpointUndefinedWithConstructors: a body minting a fresh node every
+// round never converges (Definition 2.1 leaves the IFP undefined). The
+// interpreter runs it until something cuts it off — core's RoundCap
+// (IFPX0001, core's TestDivergenceGuard) or, as here, a round budget.
 func TestFixpointUndefinedWithConstructors(t *testing.T) {
 	_, err := EvalString(
 		`with $x seeded by <a/> recurse <b/>`,
-		Options{MaxIterations: 50})
+		Options{Budget: xdm.NewBudget(time.Time{}, 50, 0)})
 	if err == nil {
-		t.Fatal("constructor body IFP terminated, want divergence error")
+		t.Fatal("constructor body IFP terminated, want it cut off")
 	}
-	if xdm.CodeOf(err) != xdm.ErrIFP {
-		t.Errorf("divergence error code = %v, want IFPX0001", err)
+	if xdm.CodeOf(err) != xdm.ErrRounds {
+		t.Errorf("error code = %v, want IFPX0003", err)
 	}
 }
 
