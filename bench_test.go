@@ -2,10 +2,10 @@
 // through internal/bench's one cell runner — `go run ./cmd/ifpbench` prints
 // the same cells as a table (see EXPERIMENTS.md "Measuring").
 //
-// Ablation benches below cover the design choices DESIGN.md §7
-// calls out: strict vs. extended algebraic check, loop-invariant hoisting
-// in µ/µ∆ (via forced plan invalidation), and the two engines on identical
-// plans.
+// Ablation benches below measure three design choices of the relational
+// engine: the cost of the distributivity checks themselves, strict vs.
+// extended algebraic check, and loop-invariant hoisting in µ/µ∆ (via
+// forced plan invalidation).
 package ifpxq
 
 import (
@@ -66,7 +66,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func auctionXML(scale float64) string { return xmlgen.Auction(xmlgen.FromScale(scale)) }
 
-// ---- ablations (DESIGN.md §7) ----------------------------------------------
+// ---- ablations --------------------------------------------------------------
 
 // BenchmarkAblationDistributivityChecks measures the cost of the two
 // distributivity approximations themselves (they run once per query plan).

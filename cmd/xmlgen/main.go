@@ -1,6 +1,7 @@
 // Command xmlgen generates the synthetic workloads of the paper's
 // evaluation: XMark-style auction data, curriculum and hospital instances,
-// and play markup (DESIGN.md §5 documents the substitutions).
+// and play markup (EXPERIMENTS.md, "Faithfulness notes", documents the
+// substitutions).
 //
 // Usage:
 //

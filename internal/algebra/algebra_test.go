@@ -467,6 +467,12 @@ func TestDifferentialCorpus(t *testing.T) {
 		`doc("curriculum.xml")/curriculum/course/id(prerequisites/pre_code)/@code/string()`,
 		q1,
 		`count(with $x seeded by doc("curriculum.xml")/curriculum/course recurse $x/id(./prerequisites/pre_code))`,
+		// One value kernel: integers beyond 2⁵³ stay exact in joins and
+		// arithmetic, and untyped operands are trimmed before the cast.
+		"let $s := (9007199254740993, 9007199254740992) return for $x in $s, $y in $s where $x = $y return 1",
+		"9007199254740993 + 0", "9007199254740993 idiv 1", "9007199254740993 mod 2",
+		"9007199254740993 = 9007199254740992", "9007199254740993 = 9007199254740992.0",
+		`data(<a> 5 </a>) + 1`, `data(<a> 5 </a>) = 5`,
 	}
 	for _, src := range corpus {
 		m, err := parser.Parse(src)
@@ -492,6 +498,27 @@ func TestDifferentialCorpus(t *testing.T) {
 		got := xmldoc.SerializeSequence(rs)
 		if got != want {
 			t.Errorf("engines disagree on %q:\n  interp: %q\n  rel:    %q", src, want, got)
+		}
+	}
+}
+
+// TestArithmeticGlossesToNaN pins the relational engine's documented gloss:
+// every error of the xdm arithmetic kernel — division by zero, overflow, a
+// non-numeric operand — yields NaN, where the interpreter raises it.
+func TestArithmeticGlossesToNaN(t *testing.T) {
+	for _, src := range []string{
+		"7 idiv 0", "7 mod 0", "1 div 0", `"3" + 1`, "true() + 1",
+		"3037000500 * 3037000500", "-(-9223372036854775807 - 1)",
+	} {
+		if got := relStr(t, src); got != "NaN" {
+			t.Errorf("%s = %q on rel, want NaN", src, got)
+		}
+		m, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := interp.New(m, interp.Options{}).Eval(); err == nil {
+			t.Errorf("%s: interpreter raised no error", src)
 		}
 	}
 }

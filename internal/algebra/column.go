@@ -8,14 +8,15 @@ import (
 
 // Column is one attribute vector of a Table. Storage is type-tagged: a
 // column holding only nodes packs each value into the (doc-stamp, pre)
-// uint64 identity of keys.go — 8 bytes per value, and exactly the key that
-// dedup, joins, and fixpoint accumulation consume, so key extraction from a
-// packed column is a plain slice read. Everything else (and any column that
-// ever held a non-node) stores full xdm.Items. Columns are immutable once
-// built; tables alias them freely (projection and rename are pointer
-// copies), which is why every constructor hands out fresh backing slices.
+// uint64 identity word of xdm.NodeWord — 8 bytes per value, and exactly the
+// xdm.Key that dedup and fixpoint accumulation consume, so key extraction
+// from a packed column is a plain slice read. Everything else (and any
+// column that ever held a non-node) stores full xdm.Items. Columns are
+// immutable once built; tables alias them freely (projection and rename
+// are pointer copies), which is why every constructor hands out fresh
+// backing slices.
 type Column struct {
-	// packed holds nodeKey64 identities when the column is node-only;
+	// packed holds xdm.NodeWord identities when the column is node-only;
 	// docs maps the stamp half back to the document. items is the generic
 	// fallback. Exactly one of packed/items is non-nil for non-empty
 	// columns; an empty column has both nil and counts as packed.
@@ -64,6 +65,14 @@ func (c *Column) IsNodeAt(i int) bool {
 		return c.items[i].IsNode()
 	}
 	return true
+}
+
+// key returns value i's exact identity; a packed word is its own key.
+func (c *Column) key(i int) xdm.Key {
+	if c.items != nil {
+		return xdm.KeyOf(c.items[i])
+	}
+	return xdm.NodeKey(c.packed[i])
 }
 
 // reader iterates one column with a per-loop document cache, so unpacking
@@ -223,7 +232,7 @@ func (b *colBuilder) appendNode(n xdm.NodeRef) {
 		b.dict.intern(n.D)
 	}
 	b.lastDoc = n.D
-	b.packed = append(b.packed, nodeKey64(n))
+	b.packed = append(b.packed, xdm.NodeWord(n))
 }
 
 func (b *colBuilder) append(it xdm.Item) {
@@ -272,7 +281,7 @@ func repeatColumn(it xdm.Item, n int) *Column {
 	if it.IsNode() {
 		d := newDocDict()
 		d.intern(it.Node().D)
-		k := nodeKey64(it.Node())
+		k := xdm.NodeWord(it.Node())
 		packed := make([]uint64, n)
 		for i := range packed {
 			packed[i] = k

@@ -420,7 +420,9 @@ func (c *compiler) liftEnv(env cenv, mapT *Node) (cenv, error) {
 // compileCondition compiles a boolean-context expression to the relation
 // of iterations whose effective boolean value is true. Conditions compile
 // to semijoin-shaped plans (no false-fill), which is what keeps
-// where-clauses transparent to the ∪ push-up (DESIGN.md §7.4).
+// where-clauses transparent to the ∪ push-up of the algebraic
+// distributivity check: ⋉ admits the push (distcheck.go, Table 1), while a
+// false-fill would need the difference operator, which blocks it.
 func (c *compiler) compileCondition(e ast.Expr, loop *Node, env cenv) (*Node, error) {
 	switch n := e.(type) {
 	case *ast.Binary:

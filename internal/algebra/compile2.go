@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/xdm"
@@ -350,7 +351,7 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 		// fn:string(()) is "" and fn:number(()) is NaN: fill empty iters.
 		var fillVal xdm.Item
 		if n.Name == "number" {
-			fillVal = xdm.NewDouble(nan())
+			fillVal = xdm.NewDouble(math.NaN())
 		} else {
 			fillVal = xdm.NewString("")
 		}
@@ -404,11 +405,6 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 		return project(r, pp("iter", "iter"), pp("pos", "pos"), pp("item", "r")), nil
 	}
 	return nil, unsupported("function %s#%d", n.Name, len(n.Args))
-}
-
-func nan() float64 {
-	var f float64
-	return f / f
 }
 
 // compileFixpoint lowers `with $x seeded by e_seed recurse e_rec` to the µ
@@ -477,7 +473,8 @@ func (c *compiler) compileAttrCtor(n *ast.AttrCtor, loop *Node, env cenv) (*Node
 		return nil, unsupported("computed attribute name")
 	}
 	// Literal-only multi-part values fold at compile time; a single
-	// expression part is supported; mixed parts are not (DESIGN.md §6).
+	// expression part is supported; mixed parts are not, because joining
+	// them needs a per-iteration string concatenation the algebra lacks.
 	allLit := true
 	folded := ""
 	for _, p := range n.Content {
@@ -514,7 +511,7 @@ func ResultSequence(t *Table) xdm.Sequence {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return compareItems(posVals[order[a]], posVals[order[b]]) < 0
+		return xdm.CompareOrder(posVals[order[a]], posVals[order[b]]) < 0
 	})
 	out := make(xdm.Sequence, 0, len(order))
 	for _, i := range order {

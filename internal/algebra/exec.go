@@ -3,14 +3,15 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/xdm"
+	"repro/internal/xq/ast"
 )
 
 // Table is a materialized relation in columnar layout: one Column vector
@@ -415,27 +416,22 @@ func (ctx *ExecContext) evalOp(n *Node) (*Table, error) {
 		if len(n.GroupCols) != 1 {
 			return nil, xdm.Errorf(xdm.ErrType, "algebra: grouped count supports one group column, got %d", len(n.GroupCols))
 		}
-		g := in.cols[in.Col(n.GroupCols[0])].reader()
-		slot := map[ikey]int{}
-		var reps []xdm.Item
-		var counts []int64
+		g := in.cols[in.Col(n.GroupCols[0])]
+		var counts rowCounter
+		var firsts []int32 // each group's first row, in input order
+		key := make([]xdm.Key, 1)
 		for r := 0; r < in.n; r++ {
-			it := g.item(r)
-			k := itemIKey(it)
-			i, ok := slot[k]
-			if !ok {
-				i = len(reps)
-				slot[k] = i
-				reps = append(reps, it)
-				counts = append(counts, 0)
+			key[0] = g.key(r)
+			if counts.add(key, 1) == 1 {
+				firsts = append(firsts, int32(r))
 			}
-			counts[i]++
 		}
-		cvals := make([]xdm.Item, len(counts))
-		for i, c := range counts {
-			cvals[i] = xdm.NewInteger(c)
+		cvals := make([]xdm.Item, len(firsts))
+		for i, r := range firsts {
+			key[0] = g.key(int(r))
+			cvals[i] = xdm.NewInteger(int64(counts.add(key, 0)))
 		}
-		return NewColTable(n.Schema(), []*Column{columnFromItems(reps), genericColumn(cvals)}), nil
+		return NewColTable(n.Schema(), []*Column{g.gather(firsts), genericColumn(cvals)}), nil
 	case OpNumOp:
 		return ctx.evalNumOp(n)
 	case OpRowTag:
@@ -471,33 +467,13 @@ func joinGather(names []string, l *Table, li []int32, r *Table, ri []int32) *Tab
 	return &Table{Cols: names, cols: cols, n: len(li)}
 }
 
-// distinctTable is δ over the full row. Single packed columns deduplicate
-// on the stored identity words directly; general rows go through the
-// rowSet scratch-row path.
+// distinctTable is δ over the full row: the first row of each identity.
 func distinctTable(in *Table) *Table {
+	var counts rowCounter
+	row := make([]xdm.Key, len(in.cols))
 	var sel []int32
-	if len(in.cols) == 1 && in.cols[0].IsPacked() {
-		set := newRowSet(1)
-		for i, k := range in.cols[0].packed {
-			if set.insertPacked1(k) {
-				sel = append(sel, int32(i))
-			}
-		}
-		return in.gather(sel)
-	}
-	idx := make([]int, len(in.cols))
-	readers := make([]reader, len(in.cols))
-	for i, c := range in.cols {
-		idx[i] = i
-		readers[i] = c.reader()
-	}
-	set := newRowSet(len(idx))
-	row := make([]xdm.Item, len(in.cols))
 	for r := 0; r < in.n; r++ {
-		for c := range readers {
-			row[c] = readers[c].item(r)
-		}
-		if set.insert(row, idx) {
+		if counts.add(rowKeys(row, in.cols, r), 1) == 1 {
 			sel = append(sel, int32(r))
 		}
 	}
@@ -505,128 +481,24 @@ func distinctTable(in *Table) *Table {
 }
 
 // diffTable is bag difference (EXCEPT ALL) with right columns aligned to
-// the left schema by name; single packed columns count identity words
-// directly.
+// the left schema by name.
 func diffTable(l, r *Table) *Table {
-	ridx := make([]int, len(l.Cols))
+	rcols := make([]*Column, len(l.Cols))
 	for i, c := range l.Cols {
-		ridx[i] = r.Col(c)
+		rcols[i] = r.cols[r.Col(c)]
+	}
+	var counts rowCounter
+	row := make([]xdm.Key, len(l.cols))
+	for i := 0; i < r.n; i++ {
+		counts.add(rowKeys(row, rcols, i), 1)
 	}
 	var sel []int32
-	if len(l.cols) == 1 && l.cols[0].IsPacked() && r.cols[ridx[0]].IsPacked() {
-		counts := newRowCounter(1)
-		for _, k := range r.cols[ridx[0]].packed {
-			counts.addPacked1(k, 1)
-		}
-		for i, k := range l.cols[0].packed {
-			if counts.addPacked1(k, 0) > 0 {
-				counts.addPacked1(k, -1)
-				continue
-			}
+	for i := 0; i < l.n; i++ {
+		if counts.add(rowKeys(row, l.cols, i), -1) < 0 {
 			sel = append(sel, int32(i))
 		}
-		return l.gather(sel)
-	}
-	counts := newRowCounter(len(l.Cols))
-	rrow := make([]xdm.Item, len(ridx))
-	rIdent := make([]int, len(ridx))
-	rReaders := make([]reader, len(ridx))
-	for i, c := range ridx {
-		rIdent[i] = i
-		rReaders[i] = r.cols[c].reader()
-	}
-	for i := 0; i < r.n; i++ {
-		for c := range rReaders {
-			rrow[c] = rReaders[c].item(i)
-		}
-		counts.add(rrow, rIdent, 1)
-	}
-	lReaders := make([]reader, len(l.cols))
-	for i, c := range l.cols {
-		lReaders[i] = c.reader()
-	}
-	lrow := make([]xdm.Item, len(l.cols))
-	for i := 0; i < l.n; i++ {
-		for c := range lReaders {
-			lrow[c] = lReaders[c].item(i)
-		}
-		if counts.add(lrow, rIdent, 0) > 0 {
-			counts.add(lrow, rIdent, -1)
-			continue
-		}
-		sel = append(sel, int32(i))
 	}
 	return l.gather(sel)
-}
-
-// ---- keys and comparisons ---------------------------------------------
-
-func nodeKey(n xdm.NodeRef) string {
-	return "o\x00" + strconv.FormatInt(n.D.Stamp(), 36) + ":" + strconv.FormatInt(int64(n.Pre), 36)
-}
-
-// exactKey is the identity key used by δ, \ and grouping (no promotion).
-func exactKey(it xdm.Item) string {
-	switch it.Kind() {
-	case xdm.KNode:
-		return nodeKey(it.Node())
-	case xdm.KString:
-		return "s\x00" + it.StringValue()
-	case xdm.KUntyped:
-		return "u\x00" + it.StringValue()
-	case xdm.KInteger:
-		return "i\x00" + strconv.FormatInt(it.Int(), 10)
-	case xdm.KDouble:
-		return "d\x00" + strconv.FormatFloat(it.Float(), 'g', -1, 64)
-	case xdm.KBoolean:
-		if it.Bool() {
-			return "b1"
-		}
-		return "b0"
-	}
-	return "?"
-}
-
-// compareItems orders items for ϱ and result extraction: nodes by document
-// order, numerics numerically, everything else by string value; distinct
-// classes order node < numeric < other (a total, deterministic order).
-func compareItems(a, b xdm.Item) int {
-	class := func(it xdm.Item) int {
-		switch {
-		case it.IsNode():
-			return 0
-		case it.IsNumeric():
-			return 1
-		default:
-			return 2
-		}
-	}
-	ca, cb := class(a), class(b)
-	if ca != cb {
-		return ca - cb
-	}
-	switch ca {
-	case 0:
-		an, bn := a.Node(), b.Node()
-		if an.Same(bn) {
-			return 0
-		}
-		if an.Before(bn) {
-			return -1
-		}
-		return 1
-	case 1:
-		av, bv := a.NumberValue(), b.NumberValue()
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-		return 0
-	default:
-		return strings.Compare(a.StringValue(), b.StringValue())
-	}
 }
 
 // ---- joins --------------------------------------------------------------
@@ -651,130 +523,76 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 	if len(eq) > 2 {
 		return nil, xdm.Errorf(xdm.ErrType, "algebra: joins support at most two equality predicates")
 	}
-	// Build a hash index on the right side over the equality predicates;
-	// the (build, probe) key-namespace scheme guarantees each matching
-	// pair meets under exactly one key, so no match deduplication needed.
-	rEqCols := make([]*Column, len(eq))
-	lEqCols := make([]*Column, len(eq))
-	for i, p := range eq {
-		lEqCols[i] = l.cols[l.Col(p.L)]
-		rEqCols[i] = r.cols[r.Col(p.R)]
+	preds := append(eq, theta...)
+	lr := make([]reader, len(preds))
+	rr := make([]reader, len(preds))
+	for i, p := range preds {
+		lr[i] = l.cols[l.Col(p.L)].reader()
+		rr[i] = r.cols[r.Col(p.R)].reader()
 	}
-	// Node-identity keys bypass the promotion-namespace machinery: a node
-	// only ever meets another node, under exactly its packed identity, so
-	// both sides skip the per-row []ikey key-slice allocation — and when a
-	// key column is packed, the stored word *is* the hash key, read straight
-	// off the vector. Indexes are allocated for the arity actually joined on
-	// (lookups on the unused nil maps are legal and always miss).
-	var idx1 map[ikey][]int32
-	var idx2 map[ikey2][]int32
-	var nidx1 map[uint64][]int32
-	var nidx2 map[[2]uint64][]int32
-	switch len(eq) {
-	case 1:
-		idx1 = map[ikey][]int32{}
-		nidx1 = map[uint64][]int32{}
-	case 2:
-		idx2 = map[ikey2][]int32{}
-		nidx2 = map[[2]uint64][]int32{}
+	// Build a hash index on the right side over the equality predicates
+	// (a second predicate pairs its key with the first's; a single one pairs
+	// with the zero key). xdm.EqKeys makes each matching pair meet under
+	// exactly one key, so matches need no deduplication — and need no
+	// compare unless a key is inexact (an integer beyond 2⁵³): such pairs
+	// are confirmed with the equality predicates themselves.
+	var idx joinIndex
+	var keys [2][2]xdm.Key // stack scratch: per-predicate keys of one row
+	var inexact []bool     // build rows holding an inexact key; nil while none do
+	eqKeys := func(rd []reader, row int, probe bool) (nk [2]int, exact bool) {
+		nk, exact, keys[1][0] = [2]int{1, 1}, true, xdm.Key{}
+		for i := range eq {
+			var e bool
+			nk[i], e = xdm.EqKeys(&keys[i], rd[i].item(row), probe)
+			exact = exact && e
+		}
+		return nk, exact
 	}
-	var ka, kb [2]ikey // stack scratch for promoted build and probe keys
-	switch len(eq) {
-	case 1:
-		if rEqCols[0].IsPacked() {
-			for ri, k := range rEqCols[0].packed {
-				nidx1[k] = append(nidx1[k], int32(ri))
+	for ri := 0; ri < r.n && len(eq) > 0; ri++ {
+		nk, exact := eqKeys(rr, ri, false)
+		if !exact {
+			if inexact == nil {
+				inexact = make([]bool, r.n)
 			}
-			break
+			inexact[ri] = true
 		}
-		for ri, it := range rEqCols[0].items {
-			if it.IsNode() {
-				k := nodeKey64(it.Node())
-				nidx1[k] = append(nidx1[k], int32(ri))
-				continue
-			}
-			for _, k := range ka[:buildIKeys(&ka, it)] {
-				idx1[k] = append(idx1[k], int32(ri))
-			}
-		}
-	case 2:
-		ra, rb := rEqCols[0].reader(), rEqCols[1].reader()
-		for ri := 0; ri < r.n; ri++ {
-			ia, ib := ra.item(ri), rb.item(ri)
-			if ia.IsNode() && ib.IsNode() {
-				k := [2]uint64{nodeKey64(ia.Node()), nodeKey64(ib.Node())}
-				nidx2[k] = append(nidx2[k], int32(ri))
-				continue
-			}
-			na, nb := buildIKeys(&ka, ia), buildIKeys(&kb, ib)
-			for _, a := range ka[:na] {
-				for _, b := range kb[:nb] {
-					k := ikey2{a, b}
-					idx2[k] = append(idx2[k], int32(ri))
-				}
+		for _, a := range keys[0][:nk[0]] {
+			for _, b := range keys[1][:nk[1]] {
+				idx.add([2]xdm.Key{a, b}, int32(ri))
 			}
 		}
 	}
-	lReaders := make([]reader, len(theta))
-	rReaders := make([]reader, len(theta))
-	for i, p := range theta {
-		lReaders[i] = l.cols[l.Col(p.L)].reader()
-		rReaders[i] = r.cols[r.Col(p.R)].reader()
-	}
-	// Probe the (now read-only) hash indexes row by row, collecting matched
-	// index pairs; materialization is a single gather afterwards.
+	// Probe the (now read-only) index row by row, collecting matched index
+	// pairs; materialization is a single gather afterwards.
 	if err := ctx.Ctx.Err(); err != nil {
 		return nil, err
 	}
 	var li, ri []int32
 	var candidates []int32
-	var pa, pb reader
-	if len(eq) >= 1 {
-		pa = lEqCols[0].reader()
-	}
-	if len(eq) == 2 {
-		pb = lEqCols[1].reader()
-	}
 	for row := 0; row < l.n; row++ {
-		matched := false
+		matched, exact := false, true
 		candidates = candidates[:0]
-		switch len(eq) {
-		case 1:
-			if lEqCols[0].IsPacked() {
-				candidates = append(candidates, nidx1[lEqCols[0].packed[row]]...)
-				break
-			}
-			if it := lEqCols[0].items[row]; it.IsNode() {
-				candidates = append(candidates, nidx1[nodeKey64(it.Node())]...)
-			} else {
-				for _, k := range ka[:probeIKeys(&ka, it)] {
-					candidates = append(candidates, idx1[k]...)
-				}
-			}
-		case 2:
-			ia, ib := pa.item(row), pb.item(row)
-			if ia.IsNode() && ib.IsNode() {
-				candidates = append(candidates, nidx2[[2]uint64{nodeKey64(ia.Node()), nodeKey64(ib.Node())}]...)
-				break
-			}
-			na, nb := probeIKeys(&ka, ia), probeIKeys(&kb, ib)
-			for _, a := range ka[:na] {
-				for _, b := range kb[:nb] {
-					candidates = append(candidates, idx2[ikey2{a, b}]...)
-				}
-			}
-		default:
+		if len(eq) == 0 {
 			for i := 0; i < r.n; i++ {
 				candidates = append(candidates, int32(i))
 			}
+		} else {
+			var nk [2]int
+			nk, exact = eqKeys(lr, row, true)
+			for _, a := range keys[0][:nk[0]] {
+				for _, b := range keys[1][:nk[1]] {
+					candidates = append(candidates, idx.rows([2]xdm.Key{a, b})...)
+				}
+			}
 		}
 		for _, cand := range candidates {
+			first := len(eq) // keys decided the equality predicates …
+			if !exact || inexact != nil && inexact[cand] {
+				first = 0 // … unless one of them was inexact
+			}
 			ok := true
-			for i := range theta {
-				if !predHolds(lReaders[i].item(row), rReaders[i].item(int(cand)), theta[i].Cmp) {
-					ok = false
-					break
-				}
+			for i := first; i < len(preds) && ok; i++ {
+				ok = predHolds(lr[i].item(row), rr[i].item(int(cand)), preds[i].Cmp)
 			}
 			if !ok {
 				continue
@@ -817,23 +635,8 @@ func predHolds(a, b xdm.Item, k NumKind) bool {
 	return err == nil && ok
 }
 
-func numToCompOp(k NumKind) xdm.CompOp {
-	switch k {
-	case NumEq, NumValCmpEq:
-		return xdm.OpEq
-	case NumNe:
-		return xdm.OpNe
-	case NumLt:
-		return xdm.OpLt
-	case NumLe:
-		return xdm.OpLe
-	case NumGt:
-		return xdm.OpGt
-	case NumGe:
-		return xdm.OpGe
-	}
-	return xdm.OpEq
-}
+// numToCompOp maps NumEq … NumGe onto xdm.OpEq … xdm.OpGe (same order).
+func numToCompOp(k NumKind) xdm.CompOp { return xdm.CompOp(k - NumEq) }
 
 // ---- row-wise operators --------------------------------------------------
 
@@ -858,42 +661,19 @@ func (ctx *ExecContext) evalNumOp(n *Node) (*Table, error) {
 }
 
 // applyNumOp computes one ⊚ application over the fetched argument items.
-// The relational engine glosses dynamic type errors (it computes over flat
-// columns, not sequences): a failed comparison yields false, failed
-// arithmetic yields NaN. DESIGN.md §7 records this deliberate divergence
-// from the interpreter.
+// The relational engine glosses dynamic errors, because it computes over
+// flat columns rather than sequences and compileIf evaluates both branches
+// of a conditional over the whole loop: a failed comparison yields false,
+// and any error of the xdm arithmetic kernel yields NaN. EXPERIMENTS.md
+// ("Faithfulness notes", Engine divergences) lists every gloss.
 func applyNumOp(kind NumKind, args []xdm.Item) xdm.Item {
 	arg := func(i int) xdm.Item { return args[i] }
 	switch kind {
 	case NumAdd, NumSub, NumMul, NumDiv, NumIDiv, NumMod:
-		a := xdm.AtomizeItem(arg(0)).NumberValue()
-		b := xdm.AtomizeItem(arg(1)).NumberValue()
-		var f float64
-		switch kind {
-		case NumAdd:
-			f = a + b
-		case NumSub:
-			f = a - b
-		case NumMul:
-			f = a * b
-		case NumDiv:
-			f = a / b
-		case NumIDiv:
-			return xdm.NewInteger(int64(a / b))
-		case NumMod:
-			f = a - b*float64(int64(a/b))
-		}
-		if f == float64(int64(f)) && arg(0).Kind() == xdm.KInteger && arg(1).Kind() == xdm.KInteger {
-			return xdm.NewInteger(int64(f))
-		}
-		return xdm.NewDouble(f)
+		return orNaN(xdm.Arith(ast.OpAdd+ast.BinOp(kind-NumAdd), arg(0), arg(1)))
 	case NumNeg:
-		a := xdm.AtomizeItem(arg(0))
-		if a.Kind() == xdm.KInteger {
-			return xdm.NewInteger(-a.Int())
-		}
-		return xdm.NewDouble(-a.NumberValue())
-	case NumEq, NumNe, NumLt, NumLe, NumGt, NumGe, NumValCmpEq:
+		return orNaN(xdm.Negate(arg(0)))
+	case NumEq, NumNe, NumLt, NumLe, NumGt, NumGe:
 		ok, err := xdm.GeneralCompareItems(arg(0), arg(1), numToCompOp(kind))
 		return xdm.NewBoolean(err == nil && ok)
 	case NumAnd:
@@ -937,6 +717,14 @@ func applyNumOp(kind NumKind, args []xdm.Item) xdm.Item {
 	return xdm.Item{}
 }
 
+// orNaN is the relational gloss of a failed arithmetic: NaN.
+func orNaN(it xdm.Item, err error) xdm.Item {
+	if err != nil {
+		return xdm.NewDouble(math.NaN())
+	}
+	return it
+}
+
 func truthy(it xdm.Item) bool {
 	b, err := xdm.EBV(xdm.Singleton(it))
 	return err == nil && b
@@ -947,13 +735,9 @@ func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Materialize the sort and group key columns once: the sort makes
-	// O(n log n) random accesses, which packed columns answer fastest from
-	// a flat item slice.
-	gvals := make([][]xdm.Item, len(n.GroupCols))
-	for i, c := range n.GroupCols {
-		gvals[i] = materialize(in.cols[in.Col(c)])
-	}
+	// Materialize the sort key columns once: the sort makes O(n log n)
+	// random accesses, which packed columns answer fastest from a flat item
+	// slice.
 	svals := make([][]xdm.Item, len(n.SortCols))
 	for i, c := range n.SortCols {
 		svals[i] = materialize(in.cols[in.Col(c)])
@@ -964,7 +748,7 @@ func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		for _, s := range svals {
-			if c := compareItems(s[order[a]], s[order[b]]); c != 0 {
+			if c := xdm.CompareOrder(s[order[a]], s[order[b]]); c != 0 {
 				if n.Desc {
 					return c > 0
 				}
@@ -973,34 +757,16 @@ func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 		}
 		return false
 	})
-	ranks := make([]int64, in.n)
-	switch len(gvals) {
-	case 0:
-		var c int64
-		for _, ri := range order {
-			c++
-			ranks[ri] = c
-		}
-	default:
-		if len(gvals) > 2 {
-			return nil, xdm.Errorf(xdm.ErrType, "algebra: row numbering supports at most two partition columns")
-		}
-		counters := newRowCounter(len(gvals))
-		gidx := make([]int, len(gvals))
-		for i := range gidx {
-			gidx[i] = i
-		}
-		grow := make([]xdm.Item, len(gvals))
-		for _, ri := range order {
-			for c := range gvals {
-				grow[c] = gvals[c][ri]
-			}
-			ranks[ri] = int64(counters.add(grow, gidx, 1))
-		}
+	// Each row's rank is its running count within its partition.
+	gcols := make([]*Column, len(n.GroupCols))
+	for i, c := range n.GroupCols {
+		gcols[i] = in.cols[in.Col(c)]
 	}
+	var counts rowCounter
+	grow := make([]xdm.Key, len(gcols))
 	rvals := make([]xdm.Item, in.n)
-	for i, rk := range ranks {
-		rvals[i] = xdm.NewInteger(rk)
+	for _, ri := range order {
+		rvals[ri] = xdm.NewInteger(int64(counts.add(rowKeys(grow, gcols, ri), 1)))
 	}
 	return NewColTable(n.Schema(), append(aliasCols(in), genericColumn(rvals))), nil
 }

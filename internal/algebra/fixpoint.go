@@ -182,13 +182,13 @@ type iterSet struct {
 // the µ loop. Items are deduplicated per iteration and kept in document
 // order.
 type iterSets struct {
-	iters []xdm.Item        // distinct iter values, insertion order
-	sets  map[ikey]*iterSet // iter key → per-iteration set
+	iters []xdm.Item           // distinct iter values, insertion order
+	sets  map[xdm.Key]*iterSet // iter key → per-iteration set
 	n     int
 }
 
 func emptyIterSets() *iterSets {
-	return &iterSets{sets: map[ikey]*iterSet{}}
+	return &iterSets{sets: map[xdm.Key]*iterSet{}}
 }
 
 // newIterSets ingests an iter|…|item table, deduplicating per iter and
@@ -212,7 +212,7 @@ func newIterSets(t *Table) (*iterSets, error) {
 	return s, nil
 }
 
-func (s *iterSets) set(ik ikey, iter xdm.Item) *iterSet {
+func (s *iterSets) set(ik xdm.Key, iter xdm.Item) *iterSet {
 	set, ok := s.sets[ik]
 	if !ok {
 		set = &iterSet{rep: iter}
@@ -223,7 +223,7 @@ func (s *iterSets) set(ik ikey, iter xdm.Item) *iterSet {
 }
 
 func (s *iterSets) add(iter xdm.Item, node xdm.NodeRef) bool {
-	set := s.set(itemIKey(iter), iter)
+	set := s.set(xdm.KeyOf(iter), iter)
 	if !set.seen.Add(node) {
 		return false
 	}
@@ -250,7 +250,7 @@ func (s *iterSets) Len() int { return s.n }
 func (s *iterSets) absorb(o *iterSets) *iterSets {
 	delta := emptyIterSets()
 	for _, iter := range o.iters {
-		ik := itemIKey(iter)
+		ik := xdm.KeyOf(iter)
 		set := s.set(ik, iter)
 		var fresh []xdm.NodeRef
 		for _, nd := range o.sets[ik].nodes {
@@ -278,12 +278,12 @@ func (s *iterSets) absorb(o *iterSets) *iterSets {
 func (s *iterSets) table() *Table {
 	order := make([]xdm.Item, len(s.iters))
 	copy(order, s.iters)
-	sort.SliceStable(order, func(i, j int) bool { return compareItems(order[i], order[j]) < 0 })
+	sort.SliceStable(order, func(i, j int) bool { return xdm.CompareOrder(order[i], order[j]) < 0 })
 	iterV := make([]xdm.Item, 0, s.n)
 	posV := make([]xdm.Item, 0, s.n)
 	itemB := newColBuilder(s.n)
 	for _, iter := range order {
-		for i, n := range s.sets[itemIKey(iter)].nodes {
+		for i, n := range s.sets[xdm.KeyOf(iter)].nodes {
 			iterV = append(iterV, iter)
 			posV = append(posV, xdm.NewInteger(int64(i+1)))
 			itemB.appendNode(n)
@@ -308,12 +308,12 @@ func (ctx *ExecContext) evalCtor(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	iterR := content.ColAt(content.Col("iter")).reader()
+	iterC := content.ColAt(content.Col("iter"))
 	posVals := materialize(content.ColAt(content.Col("pos")))
 	itemVals := materialize(content.ColAt(content.Col("item")))
-	byIter := map[ikey][]int32{}
+	byIter := map[xdm.Key][]int32{}
 	for i := 0; i < content.Len(); i++ {
-		k := itemIKey(iterR.item(i))
+		k := iterC.key(i)
 		byIter[k] = append(byIter[k], int32(i))
 	}
 	loopIter := loop.ColAt(loop.Col("iter")).reader()
@@ -322,9 +322,9 @@ func (ctx *ExecContext) evalCtor(n *Node) (*Table, error) {
 	var scratch []xdm.Item // reused across loop rows; buildCtorNode copies out
 	for li := 0; li < loop.Len(); li++ {
 		iter := loopIter.item(li)
-		idx := byIter[itemIKey(iter)]
+		idx := byIter[xdm.KeyOf(iter)]
 		sort.SliceStable(idx, func(a, b int) bool {
-			return compareItems(posVals[idx[a]], posVals[idx[b]]) < 0
+			return xdm.CompareOrder(posVals[idx[a]], posVals[idx[b]]) < 0
 		})
 		scratch = scratch[:0]
 		for _, r := range idx {

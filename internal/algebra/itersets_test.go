@@ -55,12 +55,12 @@ func randBatch(rng *rand.Rand, docs []*xdm.Document, iters []xdm.Item, rows int)
 func (s *iterSets) plus(o *iterSets) *iterSets {
 	out := emptyIterSets()
 	for _, iter := range s.iters {
-		for _, n := range s.sets[itemIKey(iter)].nodes {
+		for _, n := range s.sets[xdm.KeyOf(iter)].nodes {
 			out.add(iter, n)
 		}
 	}
 	for _, iter := range o.iters {
-		for _, n := range o.sets[itemIKey(iter)].nodes {
+		for _, n := range o.sets[xdm.KeyOf(iter)].nodes {
 			out.add(iter, n)
 		}
 	}
@@ -72,8 +72,8 @@ func (s *iterSets) plus(o *iterSets) *iterSets {
 func (s *iterSets) minus(o *iterSets) *iterSets {
 	out := emptyIterSets()
 	for _, iter := range s.iters {
-		drop := o.sets[itemIKey(iter)]
-		for _, n := range s.sets[itemIKey(iter)].nodes {
+		drop := o.sets[xdm.KeyOf(iter)]
+		for _, n := range s.sets[xdm.KeyOf(iter)].nodes {
 			if drop != nil && drop.seen.Has(n) {
 				continue
 			}
@@ -84,15 +84,7 @@ func (s *iterSets) minus(o *iterSets) *iterSets {
 	return out
 }
 
-func itemsIdentical(a, b xdm.Item) bool {
-	if a.IsNode() != b.IsNode() {
-		return false
-	}
-	if a.IsNode() {
-		return a.Node().Same(b.Node())
-	}
-	return exactKey(a) == exactKey(b)
-}
+func itemsIdentical(a, b xdm.Item) bool { return xdm.KeyOf(a) == xdm.KeyOf(b) }
 
 func requireTablesIdentical(t *testing.T, what string, got, want *Table) {
 	t.Helper()
@@ -183,49 +175,61 @@ func TestIterSetsAbsorbEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestRowSetPackedMatchesGeneric: the packed pk fast path and the generic
-// ikey path agree on distinctness across mixed item kinds.
+// TestRowSetPackedMatchesGeneric: a row counter draws the same
+// distinct-row boundaries whether a node column is packed (its stored
+// words are the keys) or generic (each item is keyed by xdm.KeyOf), across
+// mixed item kinds — including integers beyond 2⁵³, which stay distinct.
 func TestRowSetPackedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	doc := randDoc(rng, 30, "a.xml")
-	mk := func() []xdm.Item {
-		switch rng.Intn(5) {
-		case 0:
-			return []xdm.Item{xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})}
-		case 1:
-			return []xdm.Item{xdm.NewInteger(int64(rng.Intn(5)))}
+	mk := func() xdm.Item {
+		switch rng.Intn(6) {
+		case 0, 1:
+			return xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})
 		case 2:
-			// Neighbors beyond 2⁵³: the ikey num field collapses them
-			// through float64, and the packed path must draw the exact
-			// same distinct-row boundaries.
-			return []xdm.Item{xdm.NewInteger(int64(1)<<53 + int64(rng.Intn(3)))}
+			return xdm.NewInteger(int64(rng.Intn(5)))
 		case 3:
-			return []xdm.Item{xdm.NewString(fmt.Sprintf("s%d", rng.Intn(5)))}
+			return xdm.NewInteger(int64(1)<<53 + int64(rng.Intn(3)))
+		case 4:
+			return xdm.NewString(fmt.Sprintf("s%d", rng.Intn(5)))
 		default:
-			return []xdm.Item{xdm.NewBoolean(rng.Intn(2) == 0)}
+			return xdm.NewBoolean(rng.Intn(2) == 0)
 		}
 	}
-	for _, width := range []int{1, 2} {
-		set := newRowSet(width)
+	for _, width := range []int{1, 2, 3} {
+		rows := make([][]xdm.Item, 500)
+		for i := range rows {
+			rows[i] = make([]xdm.Item, width)
+			for c := range rows[i] {
+				rows[i][c] = mk()
+			}
+		}
+		// Column 0 as nodes only, so it packs; the other columns stay mixed.
+		for i := range rows {
+			rows[i][0] = xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})
+		}
+		tab := NewTable(make([]string, width), rows)
+		if !tab.ColAt(0).IsPacked() {
+			t.Fatal("node column did not pack")
+		}
+		generic := make([]*Column, width)
+		for c := range generic {
+			generic[c] = genericColumn(materialize(tab.ColAt(c)))
+		}
+		var packed, plain rowCounter
+		kp, kg := make([]xdm.Key, width), make([]xdm.Key, width)
 		seen := map[string]bool{}
-		for i := 0; i < 500; i++ {
-			row := make([]xdm.Item, 0, width)
-			idx := make([]int, width)
-			for c := 0; c < width; c++ {
-				row = append(row, mk()[0])
-				idx[c] = c
-			}
-			// The oracle is the generic ikey identity — what every row
-			// used before the packed fast path existed.
+		for i, row := range rows {
 			key := ""
-			for _, c := range idx {
-				key += fmt.Sprintf("%#v\x01", itemIKey(row[c]))
+			for _, it := range row {
+				key += xdm.KeyOf(it).String() + "\x01"
 			}
-			got := set.insert(row, idx)
 			want := !seen[key]
 			seen[key] = true
-			if got != want {
-				t.Fatalf("width %d row %d (%s): insert = %v, want %v", width, i, key, got, want)
+			gotP := packed.add(rowKeys(kp, tab.cols, i), 1) == 1
+			gotG := plain.add(rowKeys(kg, generic, i), 1) == 1
+			if gotP != want || gotG != want {
+				t.Fatalf("width %d row %d: new = %v packed, %v generic, want %v", width, i, gotP, gotG, want)
 			}
 		}
 	}

@@ -1,349 +1,87 @@
 package algebra
 
 import (
-	"math"
 	"strings"
 
 	"repro/internal/xdm"
 )
 
-// ikey is a comparable exact-identity key for one item: node identity for
-// nodes, (kind, value) for atomics. Namespace kinds > 64 encode the
-// general-comparison promotion namespaces used by hash joins.
-type ikey struct {
-	kind uint8
-	doc  *xdm.Document
-	pre  int32
-	num  float64
-	str  string
+// Hash maps in the executor key each row on one pair of xdm.Keys. A pair
+// with no string key is stored under its word projection (xdm.Key.Word),
+// which hashes as plain memory, so only pairs holding a string pay for
+// string hashing; the projection is a view of the one key, and a pair
+// lands in the same map every time.
+func pairWords(k [2]xdm.Key) ([2]xdm.Word, bool) {
+	a, aok := k[0].Word()
+	b, bok := k[1].Word()
+	return [2]xdm.Word{a, b}, aok && bok
 }
 
-const (
-	ikNode uint8 = iota
-	ikString
-	ikUntyped
-	ikInteger
-	ikDouble
-	ikBoolTrue
-	ikBoolFalse
-	// join namespaces (buildKeys/probeKeys)
-	ikJoinStr // string-comparison namespace
-	ikJoinN   // numeric namespace probed by numerics
-	ikJoinM   // numeric namespace probed by untyped
-)
-
-func itemIKey(it xdm.Item) ikey {
-	switch it.Kind() {
-	case xdm.KNode:
-		n := it.Node()
-		return ikey{kind: ikNode, doc: n.D, pre: n.Pre}
-	case xdm.KString:
-		return ikey{kind: ikString, str: it.StringValue()}
-	case xdm.KUntyped:
-		return ikey{kind: ikUntyped, str: it.StringValue()}
-	case xdm.KInteger:
-		return ikey{kind: ikInteger, num: float64(it.Int())}
-	case xdm.KDouble:
-		return ikey{kind: ikDouble, num: it.Float()}
-	case xdm.KBoolean:
-		if it.Bool() {
-			return ikey{kind: ikBoolTrue}
-		}
-		return ikey{kind: ikBoolFalse}
-	}
-	return ikey{kind: 255}
-}
-
-// ikey2 and ikey3 are composite row keys.
-type ikey2 struct{ a, b ikey }
-type ikey3 struct{ a, b, c ikey }
-
-// nodeKey64 packs a node identity into a single word: the document's
-// global creation stamp in the high half, the preorder rank in the low.
-// Stamps are a monotone counter starting at 1; the packing is injective
-// for the first 2³² documents of a process, and the guard turns the
-// (constructor-heavy-server) overflow case into a loud failure instead of
-// silent key collisions in joins, dedup, and fixpoint accumulation.
-func nodeKey64(n xdm.NodeRef) uint64 {
-	stamp := uint64(n.D.Stamp())
-	if stamp>>32 != 0 {
-		panic("algebra: document stamp exceeds the packed node-key space (2^32 documents)")
-	}
-	return stamp<<32 | uint64(uint32(n.Pre))
-}
-
-// pk is a packed exact-identity key: a kind tag plus one word of payload.
-// Only kinds whose identity fits a word pack — nodes, integers, booleans;
-// strings (and doubles, whose NaN map semantics the ikey float field
-// deliberately preserves) fall back to the generic ikey path.
-type pk struct {
-	tag uint64 // 1 = node, 2 = integer, 3 = boolean
-	val uint64
-}
-
-// packItem reports whether the item's exact identity fits a pk. Integers
-// pack as the bits of their float64 image — the same collapse the ikey
-// num field applies — so packed and generic paths draw identical
-// distinct-row boundaries for every value, including integers beyond 2⁵³.
-func packItem(it xdm.Item) (pk, bool) {
-	switch it.Kind() {
-	case xdm.KNode:
-		return pk{1, nodeKey64(it.Node())}, true
-	case xdm.KInteger:
-		return pk{2, math.Float64bits(float64(it.Int()))}, true
-	case xdm.KBoolean:
-		if it.Bool() {
-			return pk{3, 1}, true
-		}
-		return pk{3, 0}, true
-	}
-	return pk{}, false
-}
-
-type pk2 struct{ a, b pk }
-
-// buildIKeys/probeIKeys realize general-comparison promotion through
-// multi-key insertion and probing (see the scheme documented on buildKeys).
-// An item yields at most two keys, so callers pass a stack array to fill
-// and get a count back — joins insert and probe millions of rows, and a
-// heap-allocated key slice per row was the executor's top allocation site.
-func buildIKeys(dst *[2]ikey, it xdm.Item) int {
-	switch it.Kind() {
-	case xdm.KNode:
-		n := it.Node()
-		dst[0] = ikey{kind: ikNode, doc: n.D, pre: n.Pre}
-		return 1
-	case xdm.KString:
-		dst[0] = ikey{kind: ikJoinStr, str: it.StringValue()}
-		return 1
-	case xdm.KUntyped:
-		dst[0] = ikey{kind: ikJoinStr, str: it.StringValue()}
-		if f, err := xdm.ParseDouble(strings.TrimSpace(it.StringValue())); err == nil {
-			dst[1] = ikey{kind: ikJoinN, num: f}
-			return 2
-		}
-		return 1
-	case xdm.KInteger:
-		f := float64(it.Int())
-		dst[0] = ikey{kind: ikJoinN, num: f}
-		dst[1] = ikey{kind: ikJoinM, num: f}
-		return 2
-	case xdm.KDouble:
-		dst[0] = ikey{kind: ikJoinN, num: it.Float()}
-		dst[1] = ikey{kind: ikJoinM, num: it.Float()}
-		return 2
-	case xdm.KBoolean:
-		if it.Bool() {
-			dst[0] = ikey{kind: ikBoolTrue}
-		} else {
-			dst[0] = ikey{kind: ikBoolFalse}
-		}
-		return 1
-	}
-	dst[0] = ikey{kind: 255}
-	return 1
-}
-
-func probeIKeys(dst *[2]ikey, it xdm.Item) int {
-	switch it.Kind() {
-	case xdm.KNode:
-		n := it.Node()
-		dst[0] = ikey{kind: ikNode, doc: n.D, pre: n.Pre}
-		return 1
-	case xdm.KString:
-		dst[0] = ikey{kind: ikJoinStr, str: it.StringValue()}
-		return 1
-	case xdm.KUntyped:
-		dst[0] = ikey{kind: ikJoinStr, str: it.StringValue()}
-		if f, err := xdm.ParseDouble(strings.TrimSpace(it.StringValue())); err == nil {
-			dst[1] = ikey{kind: ikJoinM, num: f}
-			return 2
-		}
-		return 1
-	case xdm.KInteger:
-		dst[0] = ikey{kind: ikJoinN, num: float64(it.Int())}
-		return 1
-	case xdm.KDouble:
-		dst[0] = ikey{kind: ikJoinN, num: it.Float()}
-		return 1
-	case xdm.KBoolean:
-		if it.Bool() {
-			dst[0] = ikey{kind: ikBoolTrue}
-		} else {
-			dst[0] = ikey{kind: ikBoolFalse}
-		}
-		return 1
-	}
-	dst[0] = ikey{kind: 255}
-	return 1
-}
-
-// rowSet tracks distinct rows of width 1–3 without string building; wider
-// rows fall back to encoded strings. Rows whose key items all pack (nodes,
-// integers, booleans — the loop-lifted iter|item shape) take the compact
-// pk maps; unpackable rows use the generic ikey maps. The two key spaces
-// cannot collide: a packable item's ikey never equals an unpackable one's.
-type rowSet struct {
-	w  int
-	p1 map[pk]struct{}
-	p2 map[pk2]struct{}
-	k1 map[ikey]struct{}
-	k2 map[ikey2]struct{}
-	k3 map[ikey3]struct{}
-	ks map[string]struct{}
-}
-
-func newRowSet(width int) *rowSet {
-	s := &rowSet{w: width}
-	switch width {
-	case 1:
-		s.p1 = map[pk]struct{}{}
-	case 2:
-		s.p2 = map[pk2]struct{}{}
-	case 3:
-		s.k3 = map[ikey3]struct{}{}
-	default:
-		s.ks = map[string]struct{}{}
-	}
-	return s
-}
-
-// insertPacked1 inserts a width-1 node row by its packed identity word —
-// the value a packed column stores, so deduplicating such a column never
-// rebuilds an Item or recomputes a key.
-func (s *rowSet) insertPacked1(k uint64) bool {
-	key := pk{1, k}
-	if _, dup := s.p1[key]; dup {
-		return false
-	}
-	s.p1[key] = struct{}{}
-	return true
-}
-
-// insert reports whether the row was new.
-func (s *rowSet) insert(row []xdm.Item, idx []int) bool {
-	switch s.w {
-	case 1:
-		if k, ok := packItem(row[idx[0]]); ok {
-			if _, dup := s.p1[k]; dup {
-				return false
-			}
-			s.p1[k] = struct{}{}
-			return true
-		}
-		k := itemIKey(row[idx[0]])
-		if _, dup := s.k1[k]; dup {
-			return false
-		}
-		if s.k1 == nil {
-			s.k1 = map[ikey]struct{}{}
-		}
-		s.k1[k] = struct{}{}
-	case 2:
-		ka, aok := packItem(row[idx[0]])
-		kb, bok := packItem(row[idx[1]])
-		if aok && bok {
-			k := pk2{ka, kb}
-			if _, dup := s.p2[k]; dup {
-				return false
-			}
-			s.p2[k] = struct{}{}
-			return true
-		}
-		k := ikey2{itemIKey(row[idx[0]]), itemIKey(row[idx[1]])}
-		if _, dup := s.k2[k]; dup {
-			return false
-		}
-		if s.k2 == nil {
-			s.k2 = map[ikey2]struct{}{}
-		}
-		s.k2[k] = struct{}{}
-	case 3:
-		k := ikey3{itemIKey(row[idx[0]]), itemIKey(row[idx[1]]), itemIKey(row[idx[2]])}
-		if _, dup := s.k3[k]; dup {
-			return false
-		}
-		s.k3[k] = struct{}{}
-	default:
-		parts := make([]string, len(idx))
-		for i, c := range idx {
-			parts[i] = exactKey(row[c])
-		}
-		k := strings.Join(parts, "\x01")
-		if _, dup := s.ks[k]; dup {
-			return false
-		}
-		s.ks[k] = struct{}{}
-	}
-	return true
-}
-
-// rowCounter counts row multiplicities (bag difference), with the same
-// packed fast paths as rowSet.
+// rowCounter counts rows by identity — duplicate elimination, bag
+// difference, grouping and ϱ's partitions all count this way.
 type rowCounter struct {
-	w  int
-	p1 map[pk]int
-	p2 map[pk2]int
-	k1 map[ikey]int
-	k2 map[ikey2]int
-	ks map[string]int
+	words map[[2]xdm.Word]int
+	keys  map[[2]xdm.Key]int
 }
 
-func newRowCounter(width int) *rowCounter {
-	c := &rowCounter{w: width}
-	switch width {
-	case 1:
-		c.p1 = map[pk]int{}
-	case 2:
-		c.p2 = map[pk2]int{}
-	default:
-		c.ks = map[string]int{}
+// add adds delta to the row's count and returns the new count; the first
+// add(row, 1) of a row returns 1. A row of one cell pairs it with the zero
+// key, and a row wider than two folds its tail cells into one string key.
+func (c *rowCounter) add(row []xdm.Key, delta int) int {
+	var k [2]xdm.Key
+	copy(k[:], row)
+	if len(row) > 2 {
+		tail := make([]string, len(row)-1)
+		for i, cell := range row[1:] {
+			tail[i] = cell.String()
+		}
+		k[1] = xdm.KeyOf(xdm.NewString(strings.Join(tail, ",")))
 	}
-	return c
-}
-
-// addPacked1 counts a width-1 node row by its packed identity word
-// (packed-column twin of insertPacked1).
-func (c *rowCounter) addPacked1(k uint64, delta int) int {
-	key := pk{1, k}
-	c.p1[key] += delta
-	return c.p1[key]
-}
-
-func (c *rowCounter) add(row []xdm.Item, idx []int, delta int) int {
-	switch c.w {
-	case 1:
-		if k, ok := packItem(row[idx[0]]); ok {
-			c.p1[k] += delta
-			return c.p1[k]
+	if w, ok := pairWords(k); ok {
+		if c.words == nil {
+			c.words = map[[2]xdm.Word]int{}
 		}
-		if c.k1 == nil {
-			c.k1 = map[ikey]int{}
-		}
-		k := itemIKey(row[idx[0]])
-		c.k1[k] += delta
-		return c.k1[k]
-	case 2:
-		ka, aok := packItem(row[idx[0]])
-		kb, bok := packItem(row[idx[1]])
-		if aok && bok {
-			k := pk2{ka, kb}
-			c.p2[k] += delta
-			return c.p2[k]
-		}
-		if c.k2 == nil {
-			c.k2 = map[ikey2]int{}
-		}
-		k := ikey2{itemIKey(row[idx[0]]), itemIKey(row[idx[1]])}
-		c.k2[k] += delta
-		return c.k2[k]
-	default:
-		parts := make([]string, len(idx))
-		for i, cc := range idx {
-			parts[i] = exactKey(row[cc])
-		}
-		k := strings.Join(parts, "\x01")
-		c.ks[k] += delta
-		return c.ks[k]
+		c.words[w] += delta
+		return c.words[w]
 	}
+	if c.keys == nil {
+		c.keys = map[[2]xdm.Key]int{}
+	}
+	c.keys[k] += delta
+	return c.keys[k]
+}
+
+// joinIndex maps a pair of xdm.EqKeys to the build rows holding it.
+type joinIndex struct {
+	words map[[2]xdm.Word][]int32
+	keys  map[[2]xdm.Key][]int32
+}
+
+func (x *joinIndex) add(k [2]xdm.Key, row int32) {
+	if w, ok := pairWords(k); ok {
+		if x.words == nil {
+			x.words = map[[2]xdm.Word][]int32{}
+		}
+		x.words[w] = append(x.words[w], row)
+		return
+	}
+	if x.keys == nil {
+		x.keys = map[[2]xdm.Key][]int32{}
+	}
+	x.keys[k] = append(x.keys[k], row)
+}
+
+func (x *joinIndex) rows(k [2]xdm.Key) []int32 {
+	if w, ok := pairWords(k); ok {
+		return x.words[w]
+	}
+	return x.keys[k]
+}
+
+// rowKeys fills dst with the keys of row r of cols.
+func rowKeys(dst []xdm.Key, cols []*Column, r int) []xdm.Key {
+	for c, col := range cols {
+		dst[c] = col.key(r)
+	}
+	return dst
 }

@@ -84,7 +84,6 @@ const (
 	NumStringOf // fn:string on one item
 	NumNumberOf // fn:number on one item
 	NumNameOf   // fn:name on one node
-	NumValCmpEq // value comparison (strict, no existential fill) — same as general on single items
 	NumRootOf   // document root of a node
 	NumIs       // node identity
 	NumPrecedes // <<
@@ -96,8 +95,7 @@ var numNames = map[NumKind]string{
 	NumMod: "mod", NumNeg: "neg", NumEq: "=", NumNe: "!=", NumLt: "<",
 	NumLe: "<=", NumGt: ">", NumGe: ">=", NumAnd: "and", NumOr: "or",
 	NumNot: "not", NumTruthy: "ebv", NumAtomize: "data", NumStringOf: "string",
-	NumNumberOf: "number", NumNameOf: "name", NumValCmpEq: "eq",
-	NumRootOf: "root", NumIs: "is", NumPrecedes: "<<", NumFollows: ">>",
+	NumNumberOf: "number", NumNameOf: "name", NumRootOf: "root", NumIs: "is", NumPrecedes: "<<", NumFollows: ">>",
 }
 
 // String names the ⊚ operator.

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/algebra"
@@ -93,7 +92,7 @@ func (c *conser) signature(n *algebra.Node) string {
 				// Length-prefix each cell: string values may contain any
 				// delimiter, and an ambiguous encoding would let two
 				// different literal tables alias one signature.
-				s := itemSig(it)
+				s := xdm.KeyOf(it).String()
 				fmt.Fprintf(&sb, "%d:%s", len(s), s)
 			}
 		}
@@ -104,7 +103,7 @@ func (c *conser) signature(n *algebra.Node) string {
 			sb.WriteString("|" + p.Out + ":" + p.In)
 		}
 	case algebra.OpAttach:
-		sb.WriteString("|" + n.Col + "=" + itemSig(n.Val))
+		sb.WriteString("|" + n.Col + "=" + xdm.KeyOf(n.Val).String())
 	case algebra.OpSelect:
 		sb.WriteString("|" + n.Col)
 	case algebra.OpJoin, algebra.OpSemiJoin, algebra.OpAntiJoin:
@@ -131,29 +130,4 @@ func (c *conser) signature(n *algebra.Node) string {
 		fmt.Fprintf(&sb, "|rb%d", c.id(n.RecBase))
 	}
 	return sb.String()
-}
-
-// itemSig is an exact-identity key for a constant item: nodes by document
-// identity, atomics by (kind, value). Mirrors the executor's exactKey
-// boundaries so consing never merges values the executor distinguishes.
-func itemSig(it xdm.Item) string {
-	switch it.Kind() {
-	case xdm.KNode:
-		n := it.Node()
-		return fmt.Sprintf("n%p:%d", n.D, n.Pre)
-	case xdm.KString:
-		return "s" + it.StringValue()
-	case xdm.KUntyped:
-		return "u" + it.StringValue()
-	case xdm.KInteger:
-		return "i" + strconv.FormatInt(it.Int(), 10)
-	case xdm.KDouble:
-		return "d" + strconv.FormatFloat(it.Float(), 'g', -1, 64)
-	case xdm.KBoolean:
-		if it.Bool() {
-			return "b1"
-		}
-		return "b0"
-	}
-	return "?"
 }

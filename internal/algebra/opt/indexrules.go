@@ -37,7 +37,7 @@ func (r *rewriter) semiJoinRules(old, n *algebra.Node) *algebra.Node {
 		return n
 	}
 	for i, p := range n.Preds {
-		if p.Cmp != algebra.NumEq && p.Cmp != algebra.NumValCmpEq {
+		if p.Cmp != algebra.NumEq {
 			continue
 		}
 		val, ok := constStringFor(n.Kids[1], p.R)

@@ -113,14 +113,15 @@ func writeFields(h io.Writer, n *algebra.Node) {
 	io.WriteString(h, sb.String())
 }
 
-// stableItemSig is itemSig with process-stable node identity: nodes key
-// by (document URI, stamp-free pre) instead of the heap address. Literal
-// tables in compiled plans normally hold atomics only, but a context
-// item bound as a node literal must still hash deterministically.
+// stableItemSig is an item's exact-identity signature (xdm.Key) with
+// process-stable node identity: nodes key by (document URI, stamp-free
+// pre) instead of the document stamp. Literal tables in compiled plans
+// normally hold atomics only, but a context item bound as a node literal
+// must still hash deterministically.
 func stableItemSig(it xdm.Item) string {
 	if it.Kind() == xdm.KNode {
 		n := it.Node()
 		return fmt.Sprintf("n%s:%d", n.D.URI, n.Pre)
 	}
-	return itemSig(it)
+	return xdm.KeyOf(it).String()
 }

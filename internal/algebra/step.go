@@ -68,7 +68,7 @@ func (ctx *ExecContext) stepRows(n *Node, col *Column) ([]int32, *Column) {
 			continue
 		}
 		node := r.node(i)
-		key := segKey{word: nodeKey64(node), axis: n.Axis, kind: n.Test.Kind, name: n.Test.Name,
+		key := segKey{word: xdm.NodeWord(node), axis: n.Axis, kind: n.Test.Kind, name: n.Test.Name,
 			val: n.ValEq, hasVal: n.ValEqSet}
 		seg, ok := ctx.segCache[key]
 		if !ok {

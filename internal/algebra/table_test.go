@@ -115,7 +115,7 @@ func TestTableMatchesRowOracle(t *testing.T) {
 			requireTableMatchesOracle(t, fmt.Sprintf("gather %v", idx), tab.gather(idx), oracle.gather(idx))
 		}
 
-		// Per-column invariants: packed columns hold exactly the nodeKey64
+		// Per-column invariants: packed columns hold exactly the xdm.NodeWord
 		// identities of their items, and readers agree with Item.
 		for c := 0; c < width; c++ {
 			col := tab.ColAt(c)
@@ -130,7 +130,7 @@ func TestTableMatchesRowOracle(t *testing.T) {
 				if col.IsNodeAt(i) != oracle.rows[i][c].IsNode() {
 					t.Fatalf("trial %d: col %d IsNodeAt(%d) mismatch", trial, c, i)
 				}
-				if col.IsPacked() && col.Packed()[i] != nodeKey64(oracle.rows[i][c].Node()) {
+				if col.IsPacked() && col.Packed()[i] != xdm.NodeWord(oracle.rows[i][c].Node()) {
 					t.Fatalf("trial %d: col %d packed identity %d mismatch", trial, c, i)
 				}
 			}
@@ -225,7 +225,7 @@ func TestDistinctAndDiffMatchRowOracle(t *testing.T) {
 	rowKey := func(row []xdm.Item) string {
 		k := ""
 		for _, it := range row {
-			k += exactKey(it) + "\x01"
+			k += xdm.KeyOf(it).String() + "\x01"
 		}
 		return k
 	}

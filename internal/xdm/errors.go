@@ -14,6 +14,7 @@ const (
 	ErrUndefVar ErrCode = "XPST0008" // undefined variable/function
 	ErrArity    ErrCode = "XPST0017" // wrong number of arguments
 	ErrDivZero  ErrCode = "FOAR0001" // division by zero
+	ErrOverflow ErrCode = "FOAR0002" // numeric operation overflow
 	ErrDoc      ErrCode = "FODC0002" // error retrieving resource
 	ErrUserFail ErrCode = "FOER0000" // fn:error
 	ErrIFP      ErrCode = "IFPX0001" // inflationary fixed point diverged / misuse

@@ -123,7 +123,7 @@ func (it Item) NumberValue() float64 {
 		}
 		return 0
 	default:
-		f, err := ParseDouble(strings.TrimSpace(it.StringValue()))
+		f, err := ParseDouble(trimWS(it.StringValue()))
 		if err != nil {
 			return math.NaN()
 		}

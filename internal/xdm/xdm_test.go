@@ -371,3 +371,31 @@ func TestQuickGeneralCompareSymmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestArenaRoundTrip: a document exported through VisitArena/VisitIDs and
+// reloaded by an ArenaLoader has the same arena and stats under a fresh
+// stamp, and the loader refuses an image whose parent links are corrupt.
+func TestArenaRoundTrip(t *testing.T) {
+	d, _ := buildTestDoc(t)
+	load := func(corrupt bool) (*Document, error) {
+		l := NewArenaLoader(d.URI, d.Len())
+		d.VisitArena(func(pre int, kind NodeKind, name, value string, parent, size, level int32) {
+			if corrupt && pre == 2 {
+				parent = 5
+			}
+			l.SetNode(pre, kind, name, value, parent, size, level)
+		})
+		d.VisitIDs(l.RegisterID)
+		return l.Done()
+	}
+	got, err := load(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats() != d.Stats() || got.Stamp() == d.Stamp() || got.Root().StringValue() != d.Root().StringValue() {
+		t.Errorf("reloaded %+v (stamp %d), want %+v under a fresh stamp", got.Stats(), got.Stamp(), d.Stats())
+	}
+	if _, err := load(true); err == nil {
+		t.Error("loader accepted a node whose parent follows it")
+	}
+}

@@ -1,9 +1,10 @@
 // Package xmlgen generates the synthetic XML workloads of the paper's
 // evaluation (Section 5, Table 2). Each generator is a substitution for a
-// data source this repository cannot ship (DESIGN.md §5): an XMark-style
-// auction document (bidder network), a ToXgene-style curriculum and
-// hospital instance, and Shakespeare-style play markup (Romeo and Juliet
-// dialogs). All generators are deterministic given a seed.
+// data source this repository cannot ship (EXPERIMENTS.md, "Faithfulness
+// notes"): an XMark-style auction document (bidder network), a
+// ToXgene-style curriculum and hospital instance, and Shakespeare-style
+// play markup (Romeo and Juliet dialogs). All generators are deterministic
+// given a seed.
 package xmlgen
 
 import (

@@ -24,7 +24,7 @@ const (
 )
 
 // Literal is an integer, double, or string literal. Decimal literals are
-// folded into doubles (see DESIGN.md §6).
+// folded into doubles (EXPERIMENTS.md, "Faithfulness notes").
 type Literal struct {
 	Kind  LitKind
 	Str   string

@@ -149,21 +149,17 @@ func (ev *evaluator) eval(e ast.Expr, en *env, ctx dynCtx) (xdm.Sequence, error)
 		if err != nil {
 			return nil, err
 		}
-		v = xdm.Atomize(v)
 		if len(v) == 0 {
 			return nil, nil
 		}
 		if len(v) > 1 {
 			return nil, xdm.NewError(xdm.ErrType, "unary '-' over multi-item sequence")
 		}
-		it, err := toNumeric(v[0])
+		it, err := xdm.Negate(v[0])
 		if err != nil {
 			return nil, err
 		}
-		if it.Kind() == xdm.KInteger {
-			return xdm.Singleton(xdm.NewInteger(-it.Int())), nil
-		}
-		return xdm.Singleton(xdm.NewDouble(-it.Float())), nil
+		return xdm.Singleton(it), nil
 	case *ast.Slash:
 		return ev.evalSlash(n, en, ctx)
 	case *ast.AxisStep:
@@ -201,6 +197,7 @@ func (ev *evaluator) evalFor(n *ast.For, en *env, ctx dynCtx) (xdm.Sequence, err
 	}
 	if n.OrderBy != nil {
 		keys := make([]*xdm.Item, len(in))
+		var numeric, other bool
 		for i, it := range in {
 			kenv := en.bind(n.Var, xdm.Singleton(it))
 			if n.Pos != "" {
@@ -217,10 +214,23 @@ func (ev *evaluator) evalFor(n *ast.For, en *env, ctx dynCtx) (xdm.Sequence, err
 			if len(kv) == 1 {
 				k := kv[0]
 				keys[i] = &k
+				numeric, other = numeric || k.IsNumeric(), other || !k.IsNumeric()
 			}
 		}
+		if numeric && other {
+			return nil, xdm.NewError(xdm.ErrType, "order by keys mix numeric and non-numeric values")
+		}
 		sort.SliceStable(order, func(a, b int) bool {
-			c := compareOrderKeys(keys[order[a]], keys[order[b]])
+			var c int
+			switch ka, kb := keys[order[a]], keys[order[b]]; {
+			case ka == nil && kb == nil:
+			case ka == nil: // the empty key sorts least
+				c = -1
+			case kb == nil:
+				c = 1
+			default:
+				c = xdm.CompareOrder(*ka, *kb)
+			}
 			if n.OrderBy.Descending {
 				return c > 0
 			}
@@ -240,44 +250,6 @@ func (ev *evaluator) evalFor(n *ast.For, en *env, ctx dynCtx) (xdm.Sequence, err
 		out = append(out, v...)
 	}
 	return out, nil
-}
-
-// compareOrderKeys orders order-by keys: empty sequence sorts least;
-// numerics compare numerically (NaN least), otherwise string comparison.
-func compareOrderKeys(a, b *xdm.Item) int {
-	if a == nil && b == nil {
-		return 0
-	}
-	if a == nil {
-		return -1
-	}
-	if b == nil {
-		return 1
-	}
-	if a.IsNumeric() || b.IsNumeric() {
-		x, y := a.NumberValue(), b.NumberValue()
-		switch {
-		case x != x && y != y:
-			return 0
-		case x != x:
-			return -1
-		case y != y:
-			return 1
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	}
-	xs, ys := a.StringValue(), b.StringValue()
-	switch {
-	case xs < ys:
-		return -1
-	case xs > ys:
-		return 1
-	}
-	return 0
 }
 
 func (ev *evaluator) evalBinary(n *ast.Binary, en *env, ctx dynCtx) (xdm.Sequence, error) {
@@ -378,7 +350,17 @@ func (ev *evaluator) evalBinary(n *ast.Binary, en *env, ctx dynCtx) (xdm.Sequenc
 		}
 		return out, nil
 	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpIDiv, ast.OpMod:
-		return arith(n.Op, l, r)
+		if len(l) == 0 || len(r) == 0 {
+			return nil, nil
+		}
+		if len(l) > 1 || len(r) > 1 {
+			return nil, xdm.NewError(xdm.ErrType, "arithmetic over multi-item sequence")
+		}
+		it, err := xdm.Arith(n.Op, l[0], r[0])
+		if err != nil {
+			return nil, err
+		}
+		return xdm.Singleton(it), nil
 	case ast.OpUnion:
 		return xdm.Union(l, r)
 	case ast.OpIntersect:
@@ -428,81 +410,6 @@ func singleInteger(s xdm.Sequence) (int64, bool, error) {
 		}
 	}
 	return 0, false, xdm.NewError(xdm.ErrType, "expected xs:integer, found "+it.Kind().String())
-}
-
-// toNumeric casts an atomized item to a numeric per the arithmetic rules:
-// untyped casts to xs:double, booleans are type errors.
-func toNumeric(it xdm.Item) (xdm.Item, error) {
-	switch it.Kind() {
-	case xdm.KInteger, xdm.KDouble:
-		return it, nil
-	case xdm.KUntyped:
-		f, err := xdm.ParseDouble(it.StringValue())
-		if err != nil {
-			return xdm.Item{}, xdm.NewError(xdm.ErrCast, "cannot cast to xs:double: "+it.StringValue())
-		}
-		return xdm.NewDouble(f), nil
-	}
-	return xdm.Item{}, xdm.NewError(xdm.ErrType, "arithmetic over "+it.Kind().String())
-}
-
-func arith(op ast.BinOp, l, r xdm.Sequence) (xdm.Sequence, error) {
-	la, ra := xdm.Atomize(l), xdm.Atomize(r)
-	if len(la) == 0 || len(ra) == 0 {
-		return nil, nil
-	}
-	if len(la) > 1 || len(ra) > 1 {
-		return nil, xdm.NewError(xdm.ErrType, "arithmetic over multi-item sequence")
-	}
-	x, err := toNumeric(la[0])
-	if err != nil {
-		return nil, err
-	}
-	y, err := toNumeric(ra[0])
-	if err != nil {
-		return nil, err
-	}
-	bothInt := x.Kind() == xdm.KInteger && y.Kind() == xdm.KInteger
-	switch op {
-	case ast.OpAdd:
-		if bothInt {
-			return xdm.Singleton(xdm.NewInteger(x.Int() + y.Int())), nil
-		}
-		return xdm.Singleton(xdm.NewDouble(x.NumberValue() + y.NumberValue())), nil
-	case ast.OpSub:
-		if bothInt {
-			return xdm.Singleton(xdm.NewInteger(x.Int() - y.Int())), nil
-		}
-		return xdm.Singleton(xdm.NewDouble(x.NumberValue() - y.NumberValue())), nil
-	case ast.OpMul:
-		if bothInt {
-			return xdm.Singleton(xdm.NewInteger(x.Int() * y.Int())), nil
-		}
-		return xdm.Singleton(xdm.NewDouble(x.NumberValue() * y.NumberValue())), nil
-	case ast.OpDiv:
-		// div over integers produces xs:decimal in XQuery; this subset
-		// folds decimals into doubles (DESIGN.md §6).
-		if bothInt && y.Int() == 0 {
-			return nil, xdm.NewError(xdm.ErrDivZero, "division by zero")
-		}
-		return xdm.Singleton(xdm.NewDouble(x.NumberValue() / y.NumberValue())), nil
-	case ast.OpIDiv:
-		yi := y.NumberValue()
-		if yi == 0 {
-			return nil, xdm.NewError(xdm.ErrDivZero, "integer division by zero")
-		}
-		return xdm.Singleton(xdm.NewInteger(int64(x.NumberValue() / yi))), nil
-	case ast.OpMod:
-		if bothInt {
-			if y.Int() == 0 {
-				return nil, xdm.NewError(xdm.ErrDivZero, "modulus by zero")
-			}
-			return xdm.Singleton(xdm.NewInteger(x.Int() % y.Int())), nil
-		}
-		a, b := x.NumberValue(), y.NumberValue()
-		return xdm.Singleton(xdm.NewDouble(a - b*float64(int64(a/b)))), nil
-	}
-	return nil, xdm.Errorf(xdm.ErrType, "interp: unhandled arithmetic %s", op)
 }
 
 func (ev *evaluator) evalTypeswitch(n *ast.TypeSwitch, en *env, ctx dynCtx) (xdm.Sequence, error) {

@@ -468,29 +468,31 @@ func init() {
 		"min":         {1, 1, biMinMax(true)},
 		"max":         {1, 1, biMinMax(false)},
 		"sum": {1, 2, func(_ *evaluator, args []xdm.Sequence, _ dynCtx) (xdm.Sequence, error) {
-			seq := xdm.Atomize(args[0])
-			if len(seq) == 0 {
+			if len(args[0]) == 0 {
 				if len(args) == 2 {
 					return args[1], nil
 				}
 				return xdm.Singleton(xdm.NewInteger(0)), nil
 			}
-			return numericFold(seq, func(acc, v float64) float64 { return acc + v }, 0)
+			sum, err := numericSum(args[0])
+			if err != nil {
+				return nil, err
+			}
+			return xdm.Singleton(sum), nil
 		}},
 		"avg": {1, 1, func(_ *evaluator, args []xdm.Sequence, _ dynCtx) (xdm.Sequence, error) {
-			seq := xdm.Atomize(args[0])
-			if len(seq) == 0 {
+			if len(args[0]) == 0 {
 				return nil, nil
 			}
-			sum := 0.0
-			for _, it := range seq {
-				v, err := toNumeric(it)
-				if err != nil {
-					return nil, err
-				}
-				sum += v.NumberValue()
+			sum, err := numericSum(args[0])
+			if err != nil {
+				return nil, err
 			}
-			return xdm.Singleton(xdm.NewDouble(sum / float64(len(seq)))), nil
+			avg, err := xdm.Arith(ast.OpDiv, sum, xdm.NewInteger(int64(len(args[0]))))
+			if err != nil {
+				return nil, err
+			}
+			return xdm.Singleton(avg), nil
 		}},
 		"abs":     {1, 1, biMath(math.Abs)},
 		"floor":   {1, 1, biMath(math.Floor)},
@@ -609,14 +611,21 @@ func biMath(f func(float64) float64) builtinFn {
 		if len(seq) > 1 {
 			return nil, xdm.NewError(xdm.ErrType, "numeric function over multi-item sequence")
 		}
-		it, err := toNumeric(seq[0])
+		it, err := xdm.ToNumeric(seq[0])
 		if err != nil {
 			return nil, err
 		}
-		if it.Kind() == xdm.KInteger {
-			return xdm.Singleton(xdm.NewInteger(int64(f(float64(it.Int()))))), nil
+		if it.Kind() == xdm.KDouble {
+			return xdm.Singleton(xdm.NewDouble(f(it.Float()))), nil
 		}
-		return xdm.Singleton(xdm.NewDouble(f(it.Float()))), nil
+		// An integer is its own floor, ceiling and round; f moves it only
+		// when it is fn:abs of a negative, which Negate computes exactly.
+		if i := float64(it.Int()); f(i) != i {
+			if it, err = xdm.Negate(it); err != nil {
+				return nil, err
+			}
+		}
+		return xdm.Singleton(it), nil
 	}
 }
 
@@ -661,17 +670,16 @@ func biMinMax(isMin bool) builtinFn {
 			}
 		}
 		if numeric {
-			best, err := toNumeric(seq[0])
+			best, err := xdm.ToNumeric(seq[0])
 			if err != nil {
 				return nil, err
 			}
 			for _, it := range seq[1:] {
-				v, err := toNumeric(it)
+				v, err := xdm.ToNumeric(it)
 				if err != nil {
 					return nil, err
 				}
-				if (isMin && v.NumberValue() < best.NumberValue()) ||
-					(!isMin && v.NumberValue() > best.NumberValue()) {
+				if c := xdm.CompareOrder(v, best); isMin && c < 0 || !isMin && c > 0 {
 					best = v
 				}
 			}
@@ -688,27 +696,17 @@ func biMinMax(isMin bool) builtinFn {
 	}
 }
 
-func numericFold(seq xdm.Sequence, f func(acc, v float64) float64, init float64) (xdm.Sequence, error) {
-	allInt := true
-	acc := init
-	var accI int64
-	for _, it := range seq {
-		v, err := toNumeric(it)
+// numericSum adds a non-empty sequence left to right with xdm.Arith, so
+// integers stay exact until a double joins the sum.
+func numericSum(seq xdm.Sequence) (xdm.Item, error) {
+	sum, err := xdm.ToNumeric(seq[0])
+	for _, it := range seq[1:] {
 		if err != nil {
-			return nil, err
+			break
 		}
-		if v.Kind() != xdm.KInteger {
-			allInt = false
-		}
-		acc = f(acc, v.NumberValue())
-		if v.Kind() == xdm.KInteger {
-			accI += v.Int()
-		}
+		sum, err = xdm.Arith(ast.OpAdd, sum, it)
 	}
-	if allInt {
-		return xdm.Singleton(xdm.NewInteger(accI)), nil
-	}
-	return xdm.Singleton(xdm.NewDouble(acc)), nil
+	return sum, err
 }
 
 func biSubstring(_ *evaluator, args []xdm.Sequence, _ dynCtx) (xdm.Sequence, error) {

@@ -579,3 +579,75 @@ func TestRecursionDepthGuard(t *testing.T) {
 		t.Errorf("unbounded recursion: %v, want depth error", err)
 	}
 }
+
+// TestArithmeticKernel pins the interpreter's arithmetic to the xdm kernel:
+// integers stay exact in int64 beyond 2⁵³, overflow raises FOAR0002,
+// division by zero FOAR0001, and untyped operands are whitespace-trimmed
+// before the cast to xs:double.
+func TestArithmeticKernel(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"9007199254740993 + 0", "9007199254740993"},
+		{"9007199254740993 idiv 1", "9007199254740993"},
+		{"9007199254740993 mod 2", "1"},
+		{"-9223372036854775807 - 1", "-9223372036854775808"},
+		{"data(<a> 5 </a>) + 1", "6"},
+		{"sum((9007199254740993, 1))", "9007199254740994"},
+		{"avg((1, 2))", "1.5"},
+		{"abs(-9007199254740993)", "9007199254740993"},
+		{"floor(9007199254740993)", "9007199254740993"},
+		{"max((9007199254740993, 9007199254740992))", "9007199254740993"},
+		{"7.5 idiv 2", "3"},
+		{"-7 mod 2", "-1"},
+		{"1.0 div 0", "INF"},
+		{"-(0.0)", "-0"},
+	} {
+		if got := evalStr(t, c.in); got != c.want {
+			t.Errorf("%s = %q, want %q", c.in, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		in   string
+		code xdm.ErrCode
+	}{
+		{"3037000500 * 3037000500", xdm.ErrOverflow},
+		{"9223372036854775807 + 1", xdm.ErrOverflow},
+		{"-(-9223372036854775807 - 1)", xdm.ErrOverflow},
+		{"(-9223372036854775807 - 1) idiv -1", xdm.ErrOverflow},
+		{"sum((9223372036854775807, 1))", xdm.ErrOverflow},
+		{"(1 div 0.0) idiv 1", xdm.ErrOverflow},
+		{"7 idiv 0", xdm.ErrDivZero},
+		{"7 mod 0", xdm.ErrDivZero},
+		{"1 div 0", xdm.ErrDivZero},
+		{"1.5 idiv 0", xdm.ErrDivZero},
+		{`"3" + 1`, xdm.ErrType},
+		{"true() + 1", xdm.ErrType},
+		{"data(<a>x</a>) + 1", xdm.ErrCast},
+	} {
+		if err := evalErr(t, c.in); xdm.CodeOf(err) != c.code {
+			t.Errorf("%s: error %v, want code %s", c.in, err, c.code)
+		}
+	}
+}
+
+// TestOrderByTotalOrder: order by sorts through xdm.CompareOrder, so
+// integers beyond 2⁵³ sort by value and the empty key sorts least, and keys
+// mixing numeric and non-numeric values raise XPTY0004 — in every input
+// order — instead of sorting by a non-transitive comparator.
+func TestOrderByTotalOrder(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"for $x in (9007199254740993, 9007199254740992) order by $x return $x", "9007199254740992 9007199254740993"},
+		{"for $x in (9007199254740992, 9007199254740993) order by $x descending return $x", "9007199254740993 9007199254740992"},
+		{"for $x in (3, 1, 2) order by (if ($x = 2) then () else $x) return $x", "2 1 3"},
+		{`for $x in ("10", "9", "9.5") order by $x return $x`, "10 9 9.5"},
+	} {
+		if got := evalStr(t, c.in); got != c.want {
+			t.Errorf("%s = %q, want %q", c.in, got, c.want)
+		}
+	}
+	for _, seq := range []string{`("10", "9", 9.5)`, `(9.5, "10", "9")`, `("9", 9.5, "10")`} {
+		src := "for $x in " + seq + " order by $x return $x"
+		if err := evalErr(t, src); xdm.CodeOf(err) != xdm.ErrType {
+			t.Errorf("%s: error %v, want %s", src, err, xdm.ErrType)
+		}
+	}
+}
