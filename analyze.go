@@ -26,7 +26,8 @@ type AnalyzeReport struct {
 	Phases []obs.Phase
 	// Plan is the executed relational plan, each operator annotated with
 	// the optimizer's inferred properties and the measured actuals
-	// (calls, rows in/out, self time, gathers, alloc estimate). Empty for
+	// (calls, rows in/out, self time, gathers, alloc estimate, and the rows
+	// a ϱ had to sort when there were any). Empty for
 	// the interpreter engine, which has no plan stage.
 	Plan string
 	// Sites holds the per-round spans of every fixpoint site, in the
@@ -133,6 +134,9 @@ func analyzeAnnotator(root *algebra.Node, prof *obs.PlanProfile) func(*algebra.N
 		if st, ok := prof.Stats(n); ok {
 			parts = append(parts, fmt.Sprintf("calls=%d in=%d out=%d self=%s gathers=%d mem~%s",
 				st.Calls, st.RowsIn, st.RowsOut, fmtNs(st.SelfNs), st.Gathers, fmtBytes(st.AllocBytes)))
+			if st.Sorted > 0 {
+				parts = append(parts, fmt.Sprintf("sorted=%d", st.Sorted))
+			}
 		} else {
 			parts = append(parts, "never executed")
 		}

@@ -1,6 +1,10 @@
 package ifpxq
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/xdm"
+)
 
 // evalFixpoints evaluates src over one in-memory document t.xml and
 // returns the per-site fixpoint stats.
@@ -93,6 +97,35 @@ func TestFixpointsReportOwnCertificate(t *testing.T) {
 						engine, mode, i, fp.Distributive, reps[i])
 				}
 			}
+		}
+	}
+}
+
+// TestConstructorBodiesNeverConverge: a body that constructs a node mints a
+// fresh one every round, so `recurse <b/>` has no fixpoint even though it
+// does not read $x. Both engines re-apply the constructor every round and
+// end on the round budget in every mode and at both optimizer levels; a
+// body that constructs only while a condition holds converges on both.
+func TestConstructorBodiesNeverConverge(t *testing.T) {
+	q := MustParse(`count(with $x seeded by <a/> recurse <b/>)`)
+	for _, engine := range bothEngines {
+		for _, mode := range []Mode{ModeNaive, ModeDelta, ModeAuto} {
+			for _, level := range []OptLevel{Opt0, Opt1} {
+				_, err := q.Eval(Options{Engine: engine, Mode: mode, Opt: level, MaxRounds: 50})
+				if xdm.CodeOf(err) != xdm.ErrRounds {
+					t.Errorf("engine %d mode %d opt %d: got %v, want %s", engine, mode, level, err, xdm.ErrRounds)
+				}
+			}
+		}
+	}
+	bounded := MustParse(`count(with $x seeded by <a/> recurse if (count($x) < 3) then <b/> else ())`)
+	for _, engine := range bothEngines {
+		res, err := bounded.Eval(Options{Engine: engine, Mode: ModeNaive, MaxRounds: 50})
+		if err != nil {
+			t.Fatalf("engine %d: bounded constructor body: %v", engine, err)
+		}
+		if got := res.String(); got != "3" {
+			t.Errorf("engine %d: bounded constructor body = %s, want 3", engine, got)
 		}
 	}
 }

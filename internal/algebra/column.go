@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/xdm"
@@ -73,6 +74,16 @@ func (c *Column) key(i int) xdm.Key {
 		return xdm.KeyOf(c.items[i])
 	}
 	return xdm.NodeKey(c.packed[i])
+}
+
+// compareAt orders values a and b by xdm.CompareOrder. A packed column
+// compares its identity words: NodeWord puts the document stamp above the
+// preorder rank, so word order is document order.
+func (c *Column) compareAt(a, b int) int {
+	if c.items != nil {
+		return xdm.CompareOrder(c.items[a], c.items[b])
+	}
+	return cmp.Compare(c.packed[a], c.packed[b])
 }
 
 // reader iterates one column with a per-loop document cache, so unpacking

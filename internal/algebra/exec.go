@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -100,6 +100,15 @@ func (t *Table) Col(name string) int {
 		panic(fmt.Sprintf("algebra: unknown column %q in %v", name, t.Cols))
 	}
 	return i
+}
+
+// colsNamed returns the column vectors of the named columns, in order.
+func (t *Table) colsNamed(names []string) []*Column {
+	cols := make([]*Column, len(names))
+	for i, name := range names {
+		cols[i] = t.cols[t.Col(name)]
+	}
+	return cols
 }
 
 // MuRun instruments one µ/µ∆ operator site: Delta marks µ∆, and core's
@@ -730,45 +739,86 @@ func truthy(it xdm.Item) bool {
 	return err == nil && b
 }
 
+// evalRowNum is ϱ: each row's rank within its partition (the rows sharing
+// the GroupCols values) in SortCols order, ties in input order — the ranks
+// a stable sort followed by a running count per partition gives. Step
+// output mostly arrives in that order already (xdm.Step emits each context
+// node's matches in axis order), so a linear run scan is tried first and
+// the sort is the fallback; ANALYZE counts the rows that took it.
 func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 	in, err := ctx.kid(n, 0)
 	if err != nil {
 		return nil, err
 	}
-	// Materialize the sort key columns once: the sort makes O(n log n)
-	// random accesses, which packed columns answer fastest from a flat item
-	// slice.
-	svals := make([][]xdm.Item, len(n.SortCols))
-	for i, c := range n.SortCols {
-		svals[i] = materialize(in.cols[in.Col(c)])
-	}
-	order := make([]int, in.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		for _, s := range svals {
-			if c := xdm.CompareOrder(s[order[a]], s[order[b]]); c != 0 {
-				if n.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
+	gcols, scols := in.colsNamed(n.GroupCols), in.colsNamed(n.SortCols)
+	ranks := make([]xdm.Item, in.n)
+	if !runRanks(ranks, gcols, scols, n.Desc) {
+		sortRanks(ranks, gcols, scols, n.Desc)
+		if st := ctx.Prof.Op(n); st != nil {
+			st.Sorted += int64(in.n)
 		}
-		return false
-	})
-	// Each row's rank is its running count within its partition.
-	gcols := make([]*Column, len(n.GroupCols))
-	for i, c := range n.GroupCols {
-		gcols[i] = in.cols[in.Col(c)]
 	}
+	return NewColTable(n.Schema(), append(aliasCols(in), genericColumn(ranks))), nil
+}
+
+// runRanks ranks each row by its offset in its partition's run and reports
+// whether those are the sort's ranks: they are when every partition is one
+// contiguous run whose sort key never goes backwards, because a stable sort
+// leaves such a partition in input order. One partition probe per run.
+func runRanks(ranks []xdm.Item, gcols, scols []*Column, desc bool) bool {
+	var runs rowCounter
+	grow := make([]xdm.Key, len(gcols))
+	start := 0
+	for r := range ranks {
+		if r == 0 || !sameKeys(gcols, r-1, r) {
+			if runs.add(rowKeys(grow, gcols, r), 1) > 1 {
+				return false // the partition already had a run
+			}
+			start = r
+		} else if compareRows(scols, desc, r-1, r) > 0 {
+			return false
+		}
+		ranks[r] = xdm.NewInteger(int64(r - start + 1))
+	}
+	return true
+}
+
+// sortRanks is ϱ's general path: a stable sort of the row indices on the
+// sort columns, then each row's running count within its partition.
+func sortRanks(ranks []xdm.Item, gcols, scols []*Column, desc bool) {
+	order := make([]int32, len(ranks))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return compareRows(scols, desc, int(a), int(b)) })
 	var counts rowCounter
 	grow := make([]xdm.Key, len(gcols))
-	rvals := make([]xdm.Item, in.n)
-	for _, ri := range order {
-		rvals[ri] = xdm.NewInteger(int64(counts.add(rowKeys(grow, gcols, ri), 1)))
+	for _, r := range order {
+		ranks[r] = xdm.NewInteger(int64(counts.add(rowKeys(grow, gcols, int(r)), 1)))
 	}
-	return NewColTable(n.Schema(), append(aliasCols(in), genericColumn(rvals))), nil
+}
+
+// compareRows orders rows a and b on the sort columns (reversed when desc).
+func compareRows(scols []*Column, desc bool, a, b int) int {
+	for _, c := range scols {
+		if o := c.compareAt(a, b); o != 0 {
+			if desc {
+				return -o
+			}
+			return o
+		}
+	}
+	return 0
+}
+
+// sameKeys reports whether rows a and b hold the same identities in cols.
+func sameKeys(cols []*Column, a, b int) bool {
+	for _, c := range cols {
+		if c.key(a) != c.key(b) {
+			return false
+		}
+	}
+	return true
 }
 
 // materialize flattens a column into an item slice (random-access reads).

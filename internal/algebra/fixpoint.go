@@ -138,10 +138,13 @@ func (ctx *ExecContext) bodyDeps(mu *Node) map[*Node]bool {
 }
 
 // RecDependents collects the sub-plan nodes reachable from root that
-// contain an OpRecBase or OpRecDelta leaf (the loop-dependence property);
-// these must be re-evaluated on every fixpoint round while everything else
-// stays hoisted in the memo cache. Exported for the optimizer's delta-feed
-// rule, which reads the same set off a µ body.
+// contain an OpRecBase or OpRecDelta leaf (the loop-dependence property) or
+// a constructor; these must be re-evaluated on every fixpoint round while
+// everything else stays hoisted in the memo cache. A constructor mints
+// fresh nodes on every application (Definition 2.1), so it is never
+// loop-invariant even when it does not read the recursion variable.
+// Exported for the optimizer's delta-feed rule, which reads the same set
+// off a µ body.
 func RecDependents(root *Node) map[*Node]bool {
 	memo := map[*Node]bool{}
 	var walk func(n *Node) bool
@@ -151,7 +154,7 @@ func RecDependents(root *Node) map[*Node]bool {
 		}
 		leaf := n.Op == OpRecBase || n.Op == OpRecDelta
 		memo[n] = leaf // guards against cycles (none expected)
-		dep := leaf
+		dep := leaf || n.Op == OpCtor
 		for _, k := range n.Kids {
 			if walk(k) {
 				dep = true

@@ -19,6 +19,9 @@ type OpStats struct {
 	// output tables hold.
 	Gathers    int64
 	AllocBytes int64
+	// Sorted counts the rows a row-numbering operator ranked by a
+	// comparison sort rather than by a scan of input already in rank order.
+	Sorted int64
 }
 
 // PlanProfile accumulates OpStats keyed by plan node. The key type is
