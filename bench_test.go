@@ -170,27 +170,21 @@ func BenchmarkAblationHoisting(b *testing.B) {
 	})
 }
 
-// chainFamily is BenchmarkIFPCore's fixpoint family: node references in
-// document order, the interpreter's shape.
-type chainFamily []xdm.NodeRef
-
-func (f chainFamily) Len() int { return len(f) }
-
 // childBody is the bare payload $x/* with no query machinery: children of
-// the feed, absorbed into an xdm.Accumulator as the interpreter does.
-type childBody struct{ acc xdm.Accumulator }
+// the feed, handed back as iteration 0 of a batch, as the interpreter does.
+type childBody struct{ out xdm.Family }
 
-func (b *childBody) Step(feed, _ chainFamily) (chainFamily, error) {
-	var out xdm.Sequence
-	for _, n := range feed {
+func (b *childBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+	b.out.Reset()
+	for _, n := range feed.Nodes(0) {
 		for _, c := range n.Children() {
-			out = append(out, xdm.NewNode(c))
+			if err := b.out.Add(0, xdm.NewNode(c)); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return b.acc.Absorb(out)
+	return &b.out, nil
 }
-
-func (b *childBody) Res() chainFamily { return b.acc.Nodes() }
 
 // BenchmarkIFPCore measures core's fixpoint loop over a synthetic linked
 // structure (no query machinery): the asymptotic gap the paper's §2.1
@@ -206,13 +200,16 @@ func BenchmarkIFPCore(b *testing.B) {
 		bld.EndElement()
 	}
 	doc := bld.Done()
-	seed := chainFamily{{D: doc, Pre: 1}}
+	var seed xdm.Family
+	if err := seed.Add(0, xdm.NewNode(xdm.NodeRef{D: doc, Pre: 1})); err != nil {
+		b.Fatal(err)
+	}
 	for _, alg := range []core.Algorithm{core.Naive, core.Delta} {
 		b.Run(strings.ToLower(alg.String()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sites := core.NewSites[int, *core.Site](core.Config{})
 				x := sites.Enter(0, func() (*core.Site, string) { return &core.Site{Algorithm: alg}, "" })
-				if _, err := core.Run(x, seed, &childBody{}); err != nil {
+				if _, err := core.Run(x, &seed, &childBody{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,10 +20,10 @@ import (
 // base stay memoized across rounds; only base-dependent nodes re-evaluate.
 //
 // Accumulation is incremental (the point of the paper's Delta algorithm
-// carried down to the data structures): the accumulated per-iteration sets
-// are mutated in place by absorb, which deduplicates each round's answer
-// against per-document bitmaps and merges sorted runs — no round rebuilds
-// or re-sorts what previous rounds already established.
+// carried down to the data structures): each round's answer is absorbed in
+// place into one xdm.Family, whose iterations are the loop's iter values
+// mapped to dense ids — no round rebuilds or re-sorts what previous rounds
+// already established.
 func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	seedT, err := ctx.kid(n, 0)
 	if err != nil {
@@ -34,11 +35,11 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 		}
 		return &MuRun{}, "µ"
 	})
-	seed, err := newIterSets(seedT)
+	body := &muBody{ctx: ctx, mu: n, deps: ctx.bodyDeps(n), ids: map[xdm.Key]int32{}}
+	seed, err := body.batch(seedT)
 	if err != nil {
 		return nil, err
 	}
-	body := &muBody{ctx: ctx, mu: n, deps: ctx.bodyDeps(n)}
 	// The optimizer's delta-fed step rewrite replaces eligible recursion-base
 	// chains with OpRecDelta leaves. Bind only the feeds the body actually
 	// reads: -O0 plans never contain recdelta, so useDelta stays false and
@@ -61,18 +62,23 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	for dep := range body.deps {
 		delete(ctx.memo, dep)
 	}
-	return res.table(), nil
+	return body.table(res), nil
 }
 
 // muBody is the relational side of one µ/µ∆ execution: it binds the feed
 // (OpRecBase) and ∆ (OpRecDelta) tables, drops the rec-dependent memo
-// entries so the body re-evaluates, and absorbs the answer into res.
+// entries so the body re-evaluates, and hands the answer to core's loop as
+// a batch. Each distinct iter value becomes a dense family iteration id the
+// first time the execution meets it.
 type muBody struct {
 	ctx               *ExecContext
 	mu                *Node
 	deps              map[*Node]bool
 	useBase, useDelta bool
-	res               *iterSets
+	ids               map[xdm.Key]int32 // iter value → iteration id
+	iters             []xdm.Item        // iteration id → iter value
+	order             []int32           // ids by xdm.CompareOrder of their iter values
+	out               xdm.Family        // the batch, reused across rounds
 }
 
 // Step evaluates the body once. Naïve µ still feeds the accumulated family,
@@ -80,7 +86,7 @@ type muBody struct {
 // of the previous round — for a body certified linear in the recursion
 // variable this is answer- and stats-preserving (the delta-feed rule in
 // opt/deltarules.go).
-func (b *muBody) Step(feed, delta *iterSets) (*iterSets, error) {
+func (b *muBody) Step(feed, delta *xdm.Family) (*xdm.Family, error) {
 	ctx := b.ctx
 	for dep := range b.deps {
 		delete(ctx.memo, dep)
@@ -91,7 +97,7 @@ func (b *muBody) Step(feed, delta *iterSets) (*iterSets, error) {
 	// pins O(rounds × result) rows across rounds.
 	var ft *Table
 	if b.useBase || !b.useDelta {
-		ft = feed.table()
+		ft = b.table(feed)
 		if err := ctx.chargeTable(ft); err != nil {
 			return nil, err
 		}
@@ -100,7 +106,7 @@ func (b *muBody) Step(feed, delta *iterSets) (*iterSets, error) {
 	if b.useDelta {
 		dt := ft
 		if delta != feed || dt == nil {
-			dt = delta.table()
+			dt = b.table(delta)
 			if err := ctx.chargeTable(dt); err != nil {
 				return nil, err
 			}
@@ -111,18 +117,56 @@ func (b *muBody) Step(feed, delta *iterSets) (*iterSets, error) {
 	if err != nil {
 		return nil, err
 	}
-	answer, err := newIterSets(out)
-	if err != nil {
-		return nil, err
-	}
-	if b.res == nil { // the seeding application: everything is new
-		b.res = answer
-		return answer, nil
-	}
-	return b.res.absorb(answer), nil
+	return b.batch(out)
 }
 
-func (b *muBody) Res() *iterSets { return b.res }
+// batch refills the batch from an iter|…|item table. The family
+// rejects the non-node items Definition 2.1 rules out.
+func (b *muBody) batch(t *Table) (*xdm.Family, error) {
+	b.out.Reset()
+	iterC := t.ColAt(t.Col("iter"))
+	iterR, itemR := iterC.reader(), t.ColAt(t.Col("item")).reader()
+	for i := 0; i < t.Len(); i++ {
+		k := iterC.key(i)
+		id, ok := b.ids[k]
+		if !ok {
+			id = int32(len(b.iters))
+			b.ids[k] = id
+			b.iters = append(b.iters, iterR.item(i))
+		}
+		if err := b.out.Add(id, itemR.item(i)); err != nil {
+			return nil, err
+		}
+	}
+	return &b.out, nil
+}
+
+// table materializes a family as an iter|pos|item relation with pos the
+// document-order rank within each iteration, iterations in xdm.CompareOrder
+// of their iter values; the order is re-sorted only when new ids appeared.
+// The layout is columnar: three vectors for the whole family — the item
+// column packed to identity words — instead of one row allocation per node,
+// which is what makes the per-round µ feed cheap.
+func (b *muBody) table(f *xdm.Family) *Table {
+	if len(b.order) < len(b.iters) {
+		for id := len(b.order); id < len(b.iters); id++ {
+			b.order = append(b.order, int32(id))
+		}
+		slices.SortStableFunc(b.order, func(x, y int32) int { return xdm.CompareOrder(b.iters[x], b.iters[y]) })
+	}
+	iterV := make([]xdm.Item, 0, f.Len())
+	posV := make([]xdm.Item, 0, f.Len())
+	itemB := newColBuilder(f.Len())
+	for _, id := range b.order {
+		for i, n := range f.Nodes(id) {
+			iterV = append(iterV, b.iters[id])
+			posV = append(posV, xdm.NewInteger(int64(i+1)))
+			itemB.appendNode(n)
+		}
+	}
+	return NewColTable([]string{"iter", "pos", "item"},
+		[]*Column{genericColumn(iterV), genericColumn(posV), itemB.finish()})
+}
 
 // bodyDeps returns the µ body's rec-dependent node set — the nodes whose
 // memo entries must drop every round while everything else stays hoisted —
@@ -171,129 +215,6 @@ func RecDependents(root *Node) map[*Node]bool {
 		}
 	}
 	return out
-}
-
-// iterSet is one iteration's node set: members in document order plus a
-// per-document bitmap for O(1) identity tests.
-type iterSet struct {
-	rep   xdm.Item
-	nodes []xdm.NodeRef
-	seen  xdm.NodeSet
-}
-
-// iterSets is the per-iteration node-set family: the value flowing around
-// the µ loop. Items are deduplicated per iteration and kept in document
-// order.
-type iterSets struct {
-	iters []xdm.Item           // distinct iter values, insertion order
-	sets  map[xdm.Key]*iterSet // iter key → per-iteration set
-	n     int
-}
-
-func emptyIterSets() *iterSets {
-	return &iterSets{sets: map[xdm.Key]*iterSet{}}
-}
-
-// newIterSets ingests an iter|…|item table, deduplicating per iter and
-// sorting into document order. Non-node items are a type error: the IFP is
-// defined over node()* (Definition 2.1). A packed item column feeds node
-// references straight off the identity vector — no Item is ever built;
-// only a generic column can carry the non-node values Definition 2.1 rules
-// out.
-func newIterSets(t *Table) (*iterSets, error) {
-	s := emptyIterSets()
-	iters := t.ColAt(t.Col("iter")).reader()
-	items := t.ColAt(t.Col("item"))
-	itemR := items.reader()
-	for i := 0; i < t.Len(); i++ {
-		if !items.IsNodeAt(i) {
-			return nil, xdm.NewError(xdm.ErrType, "inflationary fixed point over non-node items")
-		}
-		s.add(iters.item(i), itemR.node(i))
-	}
-	s.sortAll()
-	return s, nil
-}
-
-func (s *iterSets) set(ik xdm.Key, iter xdm.Item) *iterSet {
-	set, ok := s.sets[ik]
-	if !ok {
-		set = &iterSet{rep: iter}
-		s.sets[ik] = set
-		s.iters = append(s.iters, iter)
-	}
-	return set
-}
-
-func (s *iterSets) add(iter xdm.Item, node xdm.NodeRef) bool {
-	set := s.set(xdm.KeyOf(iter), iter)
-	if !set.seen.Add(node) {
-		return false
-	}
-	set.nodes = append(set.nodes, node)
-	s.n++
-	return true
-}
-
-func (s *iterSets) sortAll() {
-	for _, set := range s.sets {
-		xdm.SortNodes(set.nodes)
-	}
-}
-
-// Len is the family's node count over all iterations.
-func (s *iterSets) Len() int { return s.n }
-
-// absorb folds another family — each of its sets already sorted, as
-// newIterSets leaves them — into s in place and returns the genuinely new
-// part: per iteration, the nodes not previously in s, in document order,
-// with iterations in o's order. The returned delta is read-only (fed back
-// through table, never mutated); the minus-then-plus rebuild in
-// itersets_test.go is its reference oracle.
-func (s *iterSets) absorb(o *iterSets) *iterSets {
-	delta := emptyIterSets()
-	for _, iter := range o.iters {
-		ik := xdm.KeyOf(iter)
-		set := s.set(ik, iter)
-		var fresh []xdm.NodeRef
-		for _, nd := range o.sets[ik].nodes {
-			if set.seen.Add(nd) {
-				fresh = append(fresh, nd)
-			}
-		}
-		if len(fresh) == 0 {
-			continue
-		}
-		set.nodes = xdm.MergeSortedNodes(set.nodes, fresh)
-		s.n += len(fresh)
-		delta.sets[ik] = &iterSet{rep: iter, nodes: fresh}
-		delta.iters = append(delta.iters, iter)
-		delta.n += len(fresh)
-	}
-	return delta
-}
-
-// table materializes the sets as an iter|pos|item relation with pos the
-// document-order rank within each iteration. Iterations are emitted in a
-// deterministic order. The layout is columnar: three vectors for the whole
-// family — the item column packed to identity words — instead of one row
-// allocation per node, which is what makes the per-round µ feed cheap.
-func (s *iterSets) table() *Table {
-	order := make([]xdm.Item, len(s.iters))
-	copy(order, s.iters)
-	sort.SliceStable(order, func(i, j int) bool { return xdm.CompareOrder(order[i], order[j]) < 0 })
-	iterV := make([]xdm.Item, 0, s.n)
-	posV := make([]xdm.Item, 0, s.n)
-	itemB := newColBuilder(s.n)
-	for _, iter := range order {
-		for i, n := range s.sets[xdm.KeyOf(iter)].nodes {
-			iterV = append(iterV, iter)
-			posV = append(posV, xdm.NewInteger(int64(i+1)))
-			itemB.appendNode(n)
-		}
-	}
-	return NewColTable([]string{"iter", "pos", "item"},
-		[]*Column{genericColumn(iterV), genericColumn(posV), itemB.finish()})
 }
 
 // evalCtor executes a constructor operator: Kids[0] is the loop relation

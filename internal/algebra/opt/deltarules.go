@@ -28,8 +28,8 @@ import (
 //     h[o←res_{k-1}] per occurrence o. The res_{k-1}-fed terms were all
 //     produced (and absorbed) in round k-1 — absorb deduplicates them to
 //     nothing — so feeding d_{k-1} to the rewritten occurrences changes no
-//     absorb delta, no convergence round, and (because the round's table is
-//     re-sorted into document order by newIterSets) not a byte of output.
+//     absorb delta, no convergence round, and (because the family absorb
+//     puts each iteration back in document order) not a byte of output.
 //     The feed itself stays the accumulated table, so NodesFedBack and the
 //     per-round fed/delta trace spans are untouched (difftest pins this).
 //

@@ -92,8 +92,9 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 	case algebra.OpDoc:
 		p.Keys = [][]string{{}}
 	case algebra.OpRecBase, algebra.OpRecDelta, algebra.OpMu:
-		// µ results, recursion-base feeds, and per-round deltas are iterSets
-		// tables: nodes deduplicated per iteration, pos the per-iteration rank.
+		// µ results, recursion-base feeds, and per-round deltas are
+		// materialized xdm.Family tables: nodes deduplicated per iteration,
+		// pos the per-iteration rank.
 		p.Keys = [][]string{{"item", "iter"}, {"iter", "pos"}}
 		p.LoopDep = p.LoopDep || n.Op != algebra.OpMu
 	case algebra.OpProject:

@@ -162,7 +162,7 @@ func kidRequirements(n *algebra.Node, live colset) []colset {
 	case algebra.OpCtor:
 		return []colset{{"iter": true}, {"iter": true, "pos": true, "item": true}}
 	case algebra.OpMu:
-		// µ ingests seed and body through newIterSets, which reads exactly
+		// µ ingests seed and body into its xdm.Family, reading exactly
 		// iter and item: the per-round pos ranks are recomputed from
 		// document order, so upstream pos machinery is dead through µ.
 		return []colset{{"iter": true, "item": true}, {"iter": true, "item": true}}

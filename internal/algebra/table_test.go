@@ -15,6 +15,30 @@ import (
 // computes, byte for byte, across packed, generic, mixed, wide, and empty
 // shapes.
 
+// randDoc builds a random element tree with n nodes.
+func randDoc(rng *rand.Rand, n int, uri string) *xdm.Document {
+	b := xdm.NewBuilder(uri)
+	open := 0
+	b.StartElement("r")
+	open++
+	for i := 0; i < n; i++ {
+		switch {
+		case open > 1 && rng.Intn(3) == 0:
+			b.EndElement()
+			open--
+		default:
+			b.StartElement(fmt.Sprintf("e%d", rng.Intn(5)))
+			open++
+		}
+	}
+	for ; open > 0; open-- {
+		b.EndElement()
+	}
+	return b.Done()
+}
+
+func itemsIdentical(a, b xdm.Item) bool { return xdm.KeyOf(a) == xdm.KeyOf(b) }
+
 // rowOracle is the old row-major table: the reference the columnar
 // implementation is checked against.
 type rowOracle struct {
@@ -263,5 +287,65 @@ func TestDistinctAndDiffMatchRowOracle(t *testing.T) {
 			wantDiff.rows = append(wantDiff.rows, row)
 		}
 		requireTableMatchesOracle(t, "diff", diffTable(ltab, rtab), wantDiff)
+	}
+}
+
+// TestRowSetPackedMatchesGeneric: a row counter draws the same
+// distinct-row boundaries whether a node column is packed (its stored
+// words are the keys) or generic (each item is keyed by xdm.KeyOf), across
+// mixed item kinds — including integers beyond 2⁵³, which stay distinct.
+func TestRowSetPackedMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	doc := randDoc(rng, 30, "a.xml")
+	mk := func() xdm.Item {
+		switch rng.Intn(6) {
+		case 0, 1:
+			return xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})
+		case 2:
+			return xdm.NewInteger(int64(rng.Intn(5)))
+		case 3:
+			return xdm.NewInteger(int64(1)<<53 + int64(rng.Intn(3)))
+		case 4:
+			return xdm.NewString(fmt.Sprintf("s%d", rng.Intn(5)))
+		default:
+			return xdm.NewBoolean(rng.Intn(2) == 0)
+		}
+	}
+	for _, width := range []int{1, 2, 3} {
+		rows := make([][]xdm.Item, 500)
+		for i := range rows {
+			rows[i] = make([]xdm.Item, width)
+			for c := range rows[i] {
+				rows[i][c] = mk()
+			}
+		}
+		// Column 0 as nodes only, so it packs; the other columns stay mixed.
+		for i := range rows {
+			rows[i][0] = xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})
+		}
+		tab := NewTable(make([]string, width), rows)
+		if !tab.ColAt(0).IsPacked() {
+			t.Fatal("node column did not pack")
+		}
+		generic := make([]*Column, width)
+		for c := range generic {
+			generic[c] = genericColumn(materialize(tab.ColAt(c)))
+		}
+		var packed, plain rowCounter
+		kp, kg := make([]xdm.Key, width), make([]xdm.Key, width)
+		seen := map[string]bool{}
+		for i, row := range rows {
+			key := ""
+			for _, it := range row {
+				key += xdm.KeyOf(it).String() + "\x01"
+			}
+			want := !seen[key]
+			seen[key] = true
+			gotP := packed.add(rowKeys(kp, tab.cols, i), 1) == 1
+			gotG := plain.add(rowKeys(kg, generic, i), 1) == 1
+			if gotP != want || gotG != want {
+				t.Fatalf("width %d row %d: new = %v packed, %v generic, want %v", width, i, gotP, gotG, want)
+			}
+		}
 	}
 }

@@ -3,12 +3,13 @@
 // Delta (Figure 3), independent of any particular XQuery engine. The two
 // algorithms are one loop that differs only in what it feeds back — res for
 // Naïve, ∆ for Delta — and that loop, Run, is the only fixpoint loop in the
-// repository: the direct interpreter (internal/xq/interp) runs it over one
-// node sequence, the relational back-end (internal/algebra) over its
-// per-iteration node sets (§4.1's µ and µ∆). The divergence cap, the budget
-// gates, cancellation, the Table 2 counters and the per-round trace spans
-// therefore live here once, and Sites aggregates each evaluation's fixpoint
-// sites the same way for both engines.
+// repository. Both engines run it over one node-set family, xdm.Family: the
+// relational back-end (internal/algebra) holds every live iteration of
+// §4.1's µ and µ∆ in it, the direct interpreter (internal/xq/interp) its one
+// binding as iteration 0. The divergence cap, the budget gates,
+// cancellation, the Table 2 counters and the per-round trace spans therefore
+// live here once, and Sites aggregates each evaluation's fixpoint sites the
+// same way for both engines.
 package core
 
 import (
@@ -73,24 +74,16 @@ func (s *Stats) Add(o Stats) {
 // which this bound turns into an IFPX0001 error instead of divergence.
 const RoundCap = 1 << 20
 
-// Family is an engine's node-set family as the loop sees it: the
-// interpreter's one node sequence, or the relational engine's sets of all
-// live iterations at once. The loop only needs its size — nodes fed back,
-// rows charged, and trace spans are all family sizes.
-type Family interface{ Len() int }
-
-// Body is an engine's side of one fixpoint execution over its family F.
-type Body[F Family] interface {
-	// Step applies e_rec once with the recursion variable bound to feed,
-	// absorbs the answer into the accumulated result res, and returns ∆:
-	// the answer's nodes not yet in res. The first call is the seeding
-	// application (feed is the seed) and establishes res. delta is the
-	// previous application's ∆ — the seed itself on the first call — which
-	// a body may read even when feed is res (the relational engine's
-	// OpRecDelta leaves under naïve µ).
-	Step(feed, delta F) (F, error)
-	// Res returns the accumulated result res.
-	Res() F
+// Body is an engine's side of one fixpoint execution: e_rec.
+type Body interface {
+	// Step applies e_rec once with the recursion variable bound to feed and
+	// returns the answer as an xdm.Family batch, which the loop absorbs
+	// into res. The first call is the seeding application (feed is the
+	// seed). delta is the previous application's ∆ — the seed itself on
+	// the first call — which a body may read even when feed is res (the
+	// relational engine's OpRecDelta leaves under naïve µ). feed and delta
+	// are valid only during the call, and the batch until the next one.
+	Step(feed, delta *xdm.Family) (*xdm.Family, error)
 }
 
 // Config is what every fixpoint of one evaluation shares.
@@ -183,7 +176,7 @@ type Exec struct {
 }
 
 // Run computes one execution of the site's inflationary fixed point from
-// the seed family, with the site's algorithm: Naïve (Figure 3(a))
+// the seed batch, with the site's algorithm: Naïve (Figure 3(a))
 //
 //	res ← e_rec(e_seed);
 //	do res ← e_rec(res) union res while res grows
@@ -193,79 +186,87 @@ type Exec struct {
 //	res ← e_rec(e_seed); ∆ ← res;
 //	do ∆ ← e_rec(∆) except res; res ← ∆ union res while res grows
 //
-// The body's Step performs `except res` and `union res` as one incremental
-// absorb, so the two algorithms differ only in the feed. The execution's
-// counters are added to the site's, also when it fails.
-func Run[F Family](x Exec, seed F, body Body[F]) (F, error) {
+// `except res` and `union res` are one incremental xdm.Family.Absorb, so
+// the two algorithms differ only in the feed. The execution's counters are
+// added to the site's, also when it fails.
+func Run(x Exec, seed *xdm.Family, body Body) (*xdm.Family, error) {
 	return run(x, seed, body, RoundCap)
 }
 
-func run[F Family](x Exec, seed F, body Body[F], roundCap int) (F, error) {
+func run(x Exec, seed *xdm.Family, body Body, roundCap int) (*xdm.Family, error) {
 	var st Stats
 	defer func() {
 		x.site.Executions++
 		x.site.Stats.Add(st)
 	}()
-	var none F
 	budget := x.cfg.Budget
-	delta, err := apply(x, body, 0, seed, seed, &st)
+	// res first holds the seed in distinct document order, round 0's feed;
+	// apply empties it before absorbing e_rec(e_seed).
+	res := new(xdm.Family)
+	res.Absorb(seed)
+	delta, err := apply(x, body, res, 0, res, res, &st)
 	if err != nil {
-		return none, err
+		return nil, err
 	}
 	if err := budget.ChargeRows(delta.Len()); err != nil {
-		return none, err
+		return nil, err
 	}
 	for round := 0; x.site.Algorithm == Naive || delta.Len() > 0; round++ {
 		if round >= roundCap {
-			return none, xdm.Errorf(xdm.ErrIFP,
+			return nil, xdm.Errorf(xdm.ErrIFP,
 				"inflationary fixed point did not converge within %d iterations", roundCap)
 		}
 		feed := delta
 		if x.site.Algorithm == Naive {
-			feed = body.Res()
+			feed = res
 		}
 		// Deadline first (wall clock beats counters), then the round budget,
 		// then the feed: a tripped budget never pays for one more round.
 		if err := budget.CheckDeadline(); err != nil {
-			return none, err
+			return nil, err
 		}
 		if err := budget.CheckRound(round); err != nil {
-			return none, err
+			return nil, err
 		}
 		if err := budget.ChargeRows(feed.Len()); err != nil {
-			return none, err
+			return nil, err
 		}
-		if delta, err = apply(x, body, round+1, feed, delta, &st); err != nil {
-			return none, err
+		if delta, err = apply(x, body, res, round+1, feed, delta, &st); err != nil {
+			return nil, err
 		}
 		if delta.Len() == 0 { // res is inflationary: no growth ⇒ fixpoint
 			break
 		}
 		if err := budget.ChargeRows(delta.Len()); err != nil {
-			return none, err
+			return nil, err
 		}
 	}
 	st.Depth = st.PayloadCalls - 1
-	st.ResultSize = body.Res().Len()
-	return body.Res(), nil
+	st.ResultSize = res.Len()
+	return res, nil
 }
 
 // apply is one payload application: the cancellation poll, the Table 2
-// counters, and the round's trace span around the body's Step.
-func apply[F Family](x Exec, body Body[F], round int, feed, delta F, st *Stats) (F, error) {
+// counters, and the round's trace span around the body's Step and the
+// absorb of its answer into res. It returns ∆.
+func apply(x Exec, body Body, res *xdm.Family, round int, feed, delta *xdm.Family, st *Stats) (*xdm.Family, error) {
 	if err := x.cfg.Context.Err(); err != nil {
-		var none F
-		return none, err
+		return nil, err
 	}
-	// Measured before Step: the feed may alias res, which Step grows.
+	// Measured before Step: the feed may alias res, which the absorb grows.
 	fed := int64(feed.Len())
 	st.PayloadCalls++
 	st.NodesFedBack += fed
 	tr := x.cfg.Trace
 	t0 := tr.Now()
-	d, err := body.Step(feed, delta)
-	if err == nil {
-		tr.AddRound(x.trace, round, fed, int64(d.Len()), tr.Now()-t0)
+	answer, err := body.Step(feed, delta)
+	if err != nil {
+		return nil, err
 	}
-	return d, err
+	if round == 0 { // res held the seed; Definition 2.1 leaves it out
+		res.Reset()
+	}
+	d := res.Absorb(answer)
+	tr.AddRound(x.trace, round, fed, int64(d.Len()), tr.Now()-t0)
+	return d, nil
 }

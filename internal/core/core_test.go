@@ -39,48 +39,39 @@ func graphDoc(n int) (*xdm.Document, []xdm.NodeRef) {
 // recursion variable: it maps the node sequence bound to $x to e_rec($x).
 type Payload func(xdm.Sequence) (xdm.Sequence, error)
 
-// nodes is the family the tests drive the loop over — the interpreter's:
-// node references in distinct document order.
-type nodes []xdm.NodeRef
-
-func (n nodes) Len() int { return len(n) }
-
 // seqBody adapts a Payload to Body the way the interpreter does: bind the
-// feed as a sequence, type-check the answer, absorb it into an
-// xdm.Accumulator.
+// feed as a sequence and hand the answer back as iteration 0 of a batch.
 type seqBody struct {
 	payload Payload
-	acc     xdm.Accumulator
+	out     xdm.Family
 }
 
-func (b *seqBody) Step(feed, _ nodes) (nodes, error) {
-	out, err := b.payload(xdm.NodeSeq(feed))
+func (b *seqBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+	out, err := b.payload(xdm.NodeSeq(feed.Nodes(0)))
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNodes(out, "body result"); err != nil {
-		return nil, err
-	}
-	return b.acc.Absorb(out)
+	return b.batch(out)
 }
 
-func (b *seqBody) Res() nodes { return b.acc.Nodes() }
-
-func checkNodes(s xdm.Sequence, role string) error {
-	if !s.AllNodes() {
-		return xdm.NewError(xdm.ErrType, "inflationary fixed point "+role+" must be of type node()*")
+// batch refills the batch with s as iteration 0; the family type-checks
+// the items.
+func (b *seqBody) batch(s xdm.Sequence) (*xdm.Family, error) {
+	b.out.Reset()
+	for _, it := range s {
+		if err := b.out.Add(0, it); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return &b.out, nil
 }
 
 // runWith runs one fixpoint of payload from seed under cfg through the
 // registry and Run's loop; roundCap > 0 lowers the divergence cap so tests
 // can reach it.
 func runWith(alg Algorithm, seed xdm.Sequence, payload Payload, cfg Config, roundCap int) (xdm.Sequence, Stats, error) {
-	if err := checkNodes(seed, "seed"); err != nil {
-		return nil, Stats{}, err
-	}
-	ns, err := xdm.DDONodes(seed)
+	body := &seqBody{payload: payload}
+	batch, err := body.batch(seed)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -88,8 +79,11 @@ func runWith(alg Algorithm, seed xdm.Sequence, payload Payload, cfg Config, roun
 		roundCap = RoundCap
 	}
 	x := NewSites[int, *Site](cfg).Enter(0, func() (*Site, string) { return &Site{Algorithm: alg}, alg.String() })
-	res, err := run(x, nodes(ns), &seqBody{payload: payload}, roundCap)
-	return xdm.NodeSeq(res), x.site.Stats, err
+	res, err := run(x, batch, body, roundCap)
+	if err != nil {
+		return nil, x.site.Stats, err
+	}
+	return xdm.NodeSeq(res.Nodes(0)), x.site.Stats, nil
 }
 
 func successorPayload(verts []xdm.NodeRef, adj [][]int) Payload {

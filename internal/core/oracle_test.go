@@ -182,13 +182,24 @@ func TestDriversMatchOracleOnDivergence(t *testing.T) {
 // re-materializing and re-sorting the full accumulated result — which is
 // exactly the cost the incremental loop in core.go exists to avoid.
 
+// checkNodes is the drivers' node()* check (Definition 2.1), raising the
+// error xdm.Family.Add raises.
+func checkNodes(s xdm.Sequence) error {
+	for _, it := range s {
+		if !it.IsNode() {
+			return xdm.NewError(xdm.ErrType, "inflationary fixed point over a non-node item of type "+it.Kind().String())
+		}
+	}
+	return nil
+}
+
 // runNaiveOracle is the original Naïve driver (Figure 3(a), materializing).
 func runNaiveOracle(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence, Stats, error) {
 	if maxIter <= 0 {
 		maxIter = RoundCap
 	}
 	var st Stats
-	if err := checkNodes(seed, "seed"); err != nil {
+	if err := checkNodes(seed); err != nil {
 		return nil, st, err
 	}
 	res, err := applyPayloadOracle(body, seed, &st)
@@ -223,7 +234,7 @@ func runDeltaOracle(seed xdm.Sequence, body Payload, maxIter int) (xdm.Sequence,
 		maxIter = RoundCap
 	}
 	var st Stats
-	if err := checkNodes(seed, "seed"); err != nil {
+	if err := checkNodes(seed); err != nil {
 		return nil, st, err
 	}
 	res, err := applyPayloadOracle(body, seed, &st)
@@ -265,7 +276,7 @@ func applyPayloadOracle(body Payload, in xdm.Sequence, st *Stats) (xdm.Sequence,
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNodes(out, "body result"); err != nil {
+	if err := checkNodes(out); err != nil {
 		return nil, err
 	}
 	return xdm.DDO(out)

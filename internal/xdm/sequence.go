@@ -36,28 +36,12 @@ func (s Sequence) Nodes() ([]NodeRef, error) {
 	return out, nil
 }
 
-// AllNodes reports whether every item in the sequence is a node.
-func (s Sequence) AllNodes() bool {
-	for _, it := range s {
-		if !it.IsNode() {
-			return false
-		}
-	}
-	return true
-}
-
 // DDO implements fs:distinct-doc-order: sorts an all-node sequence into
 // document order and removes duplicate identities. Non-node items yield an
 // XPTY0004 error.
 func DDO(s Sequence) (Sequence, error) {
-	ns, err := DDONodes(s)
-	return NodeSeq(ns), err
-}
-
-// DDONodes is DDO returning the node references themselves (nil on error).
-func DDONodes(s Sequence) ([]NodeRef, error) {
 	ns, err := s.Nodes()
-	return dedupSorted(ns), err
+	return NodeSeq(dedupSorted(ns)), err
 }
 
 func dedupSorted(ns []NodeRef) []NodeRef {
@@ -137,87 +121,6 @@ func nodeSet(ns []NodeRef) map[NodeRef]bool {
 		m[n] = true
 	}
 	return m
-}
-
-// Accumulator is a persistent sorted node-set accumulator for the
-// interpreter's fixpoints: it maintains the accumulated result in document order across
-// rounds and absorbs each round's answer incrementally, so one round costs
-// O(|answer| + |new|) instead of the full re-sort/re-dedup that Union and
-// Except perform. Membership tests run against per-document bitmaps
-// (NodeSet); merging is a sorted-run merge, never a comparison sort of the
-// accumulated set.
-//
-// The zero value is an empty accumulator.
-type Accumulator struct {
-	seen  NodeSet
-	nodes []NodeRef // accumulated members, document order
-}
-
-// Len reports the accumulated cardinality.
-func (a *Accumulator) Len() int { return len(a.nodes) }
-
-// Nodes returns the accumulated nodes in document order. The slice is
-// owned by the accumulator; callers must not modify it.
-func (a *Accumulator) Nodes() []NodeRef { return a.nodes }
-
-// Absorb folds a round's answer into the set: items not yet members are
-// added, and returned — deduplicated and in document order — as the
-// round's delta (the Except(step, res) of algorithm Delta). Non-node items
-// yield an XPTY0004 error, matching Sequence.Nodes.
-func (a *Accumulator) Absorb(s Sequence) ([]NodeRef, error) {
-	var fresh []NodeRef
-	for _, it := range s {
-		if !it.IsNode() {
-			return nil, NewError(ErrType, "expected node()*, found "+it.Kind().String())
-		}
-		if n := it.Node(); a.seen.Add(n) {
-			fresh = append(fresh, n)
-		}
-	}
-	a.merge(fresh)
-	return fresh, nil
-}
-
-// merge folds the (freshly discovered, mutually distinct) nodes into the
-// sorted accumulated slice. The fresh run is sorted once — it is at most
-// one round's delta — and then merged with the accumulated run.
-func (a *Accumulator) merge(fresh []NodeRef) {
-	if len(fresh) == 0 {
-		return
-	}
-	SortNodes(fresh)
-	a.nodes = MergeSortedNodes(a.nodes, fresh)
-}
-
-// MergeSortedNodes merges two document-ordered runs with no common member
-// into one document-ordered run. When every node of b falls after a's
-// maximum (monotone discovery, the common case for preorder traversals)
-// the merge degenerates to an append reusing a's spare capacity; a full
-// merge allocates with headroom so repeated interleaving amortizes. The
-// result may alias a's backing array; b is never aliased or modified.
-func MergeSortedNodes(a, b []NodeRef) []NodeRef {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append(make([]NodeRef, 0, len(b)), b...)
-	}
-	if a[len(a)-1].Before(b[0]) {
-		return append(a, b...)
-	}
-	out := make([]NodeRef, 0, 2*(len(a)+len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Before(b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // SetEqual implements the paper's set-equality (s=) for node sequences:

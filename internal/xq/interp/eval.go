@@ -517,45 +517,46 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 		return &IFPRun{Var: n.Var, Rule: res.Rule, Site: core.Site{Algorithm: alg, Distributive: res.Safe}},
 			"$" + n.Var + " " + alg.String()
 	})
-	// The recursion variable is bound to a node *set*: the seed family is
+	// The recursion variable is bound to a node *set*: core's loop feeds
 	// the seed in distinct document order.
-	ddo, err := xdm.DDONodes(seed)
-	if err != nil {
-		return nil, xdm.NewError(xdm.ErrType, "inflationary fixed point seed must be of type node()*")
-	}
-	res, err := core.Run(x, nodes(ddo), &ifpBody{ev: ev, fp: n, env: en, ctx: ctx})
+	body := &ifpBody{ev: ev, fp: n, env: en, ctx: ctx}
+	seedBatch, err := body.batch(seed)
 	if err != nil {
 		return nil, err
 	}
-	return xdm.NodeSeq(res), nil
+	res, err := core.Run(x, seedBatch, body)
+	if err != nil {
+		return nil, err
+	}
+	return xdm.NodeSeq(res.Nodes(0)), nil
 }
 
-// nodes is the interpreter's fixpoint family: node references in distinct
-// document order.
-type nodes []xdm.NodeRef
-
-func (ns nodes) Len() int { return len(ns) }
-
 // ifpBody is the interpreter's side of one fixpoint execution: it binds
-// the feed to the recursion variable, evaluates the body, and absorbs the
-// answer into an xdm.Accumulator, whose Absorb yields ∆ in document order.
+// the feed to the recursion variable, evaluates the body, and hands the
+// answer to core's loop as iteration 0 of a batch.
 type ifpBody struct {
 	ev  *evaluator
 	fp  *ast.Fixpoint
 	env *env
 	ctx dynCtx
-	acc xdm.Accumulator
+	out xdm.Family // the batch, reused across rounds
 }
 
-func (b *ifpBody) Step(feed, _ nodes) (nodes, error) {
-	out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.NodeSeq(feed)), b.ctx)
+func (b *ifpBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+	out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.NodeSeq(feed.Nodes(0))), b.ctx)
 	if err != nil {
 		return nil, err
 	}
-	if !out.AllNodes() {
-		return nil, xdm.NewError(xdm.ErrType, "inflationary fixed point body result must be of type node()*")
-	}
-	return b.acc.Absorb(out)
+	return b.batch(out)
 }
 
-func (b *ifpBody) Res() nodes { return b.acc.Nodes() }
+// batch refills the batch with s as iteration 0.
+func (b *ifpBody) batch(s xdm.Sequence) (*xdm.Family, error) {
+	b.out.Reset()
+	for _, it := range s {
+		if err := b.out.Add(0, it); err != nil {
+			return nil, err
+		}
+	}
+	return &b.out, nil
+}
