@@ -76,6 +76,31 @@ func (c *Column) key(i int) xdm.Key {
 	return xdm.NodeKey(c.packed[i])
 }
 
+// intOnly reports whether every value is an xs:integer (an empty column
+// holds none that is not).
+func (c *Column) intOnly() bool {
+	if len(c.packed) > 0 {
+		return false
+	}
+	for _, it := range c.items {
+		if it.Kind() != xdm.KInteger {
+			return false
+		}
+	}
+	return true
+}
+
+// textOnly reports whether every value atomizes to an xs:string or an
+// xs:untypedAtomic: strings, untyped atomics and nodes.
+func (c *Column) textOnly() bool {
+	for _, it := range c.items {
+		if k := it.Kind(); k != xdm.KString && k != xdm.KUntyped && k != xdm.KNode {
+			return false
+		}
+	}
+	return true
+}
+
 // compareAt orders values a and b by xdm.CompareOrder. A packed column
 // compares its identity words: NodeWord puts the document stamp above the
 // preorder rank, so word order is document order.

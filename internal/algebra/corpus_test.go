@@ -74,6 +74,11 @@ func TestDifferentialCorpus(t *testing.T) {
 		`for $i in ("b", "a") return (with $x seeded by doc("shop.xml")/shop/item[@cat = $i] recurse $x/*)/string()`,
 		`(with $x seeded by (doc("shop.xml")/shop/item[1], <z><y>t</y></z>) recurse $x/*)/string()`,
 		`for $i in (2, 1) return count(with $x seeded by (doc("shop.xml")/shop/item[position() = $i], <z><y/></z>) recurse $x/*)`,
+		// Value joins reach every key derivation: mixed classes (EqKeys),
+		// untyped against untyped, and string against untyped.
+		`for $v in (10, "10", 10.0, " 10 ", "1e1") return count(doc("shop.xml")/shop/item[@price = $v])`,
+		`for $i in doc("shop.xml")/shop/item, $j in doc("shop.xml")/shop/item where $i/@price = $j/@price return ($i/name/string(), $j/name/string())`,
+		`for $c in ("a", "b") return doc("shop.xml")/shop/item[@cat = $c]/name/string()`,
 	}
 	type level struct {
 		name     string

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -263,15 +264,15 @@ func opGathers(op OpKind) bool {
 
 // approxBytes estimates a table's resident bytes: a packed node column
 // costs one 8-byte identity word per row, a generic column one xdm.Item
-// (interface header, 16 bytes) per row — the vector payload only, ignoring
-// per-column headers.
+// struct per row — the vector payload only, ignoring per-column headers
+// and the strings items point to.
 func (t *Table) approxBytes() int64 {
 	var b int64
 	for _, c := range t.cols {
 		if c.IsPacked() {
 			b += 8 * int64(c.Len())
 		} else {
-			b += 16 * int64(c.Len())
+			b += int64(unsafe.Sizeof(xdm.Item{})) * int64(c.Len())
 		}
 	}
 	return b
@@ -426,19 +427,20 @@ func (ctx *ExecContext) evalOp(n *Node) (*Table, error) {
 			return nil, xdm.Errorf(xdm.ErrType, "algebra: grouped count supports one group column, got %d", len(n.GroupCols))
 		}
 		g := in.cols[in.Col(n.GroupCols[0])]
-		var counts rowCounter
-		var firsts []int32 // each group's first row, in input order
-		key := make([]xdm.Key, 1)
+		keys := identityKeys([]*Column{g})[0]
+		groups := newHashIndex(in.n, 0)
+		counts := make([]int64, in.n) // per group, at its first row
+		var firsts []int32            // each group's first row, in input order
 		for r := 0; r < in.n; r++ {
-			key[0] = g.key(r)
-			if counts.add(key, 1) == 1 {
-				firsts = append(firsts, int32(r))
+			f := groups.claim(keys.at(r), int32(r))
+			if f == int32(r) {
+				firsts = append(firsts, f)
 			}
+			counts[f]++
 		}
 		cvals := make([]xdm.Item, len(firsts))
 		for i, r := range firsts {
-			key[0] = g.key(int(r))
-			cvals[i] = xdm.NewInteger(int64(counts.add(key, 0)))
+			cvals[i] = xdm.NewInteger(counts[r])
 		}
 		return NewColTable(n.Schema(), []*Column{g.gather(firsts), genericColumn(cvals)}), nil
 	case OpNumOp:
@@ -478,11 +480,11 @@ func joinGather(names []string, l *Table, li []int32, r *Table, ri []int32) *Tab
 
 // distinctTable is δ over the full row: the first row of each identity.
 func distinctTable(in *Table) *Table {
-	var counts rowCounter
-	row := make([]xdm.Key, len(in.cols))
+	keys := identityKeys(in.cols)[0]
+	seen := newHashIndex(in.n, 0)
 	var sel []int32
 	for r := 0; r < in.n; r++ {
-		if counts.add(rowKeys(row, in.cols, r), 1) == 1 {
+		if seen.claim(keys.at(r), int32(r)) == int32(r) {
 			sel = append(sel, int32(r))
 		}
 	}
@@ -490,22 +492,26 @@ func distinctTable(in *Table) *Table {
 }
 
 // diffTable is bag difference (EXCEPT ALL) with right columns aligned to
-// the left schema by name.
+// the left schema by name: each right row cancels one left row of its
+// identity.
 func diffTable(l, r *Table) *Table {
 	rcols := make([]*Column, len(l.Cols))
 	for i, c := range l.Cols {
 		rcols[i] = r.cols[r.Col(c)]
 	}
-	var counts rowCounter
-	row := make([]xdm.Key, len(l.cols))
+	keys := identityKeys(l.cols, rcols)
+	rows := newHashIndex(r.n, 0)
+	counts := make([]int32, r.n) // right rows per identity, at its first row
 	for i := 0; i < r.n; i++ {
-		counts.add(rowKeys(row, rcols, i), 1)
+		counts[rows.claim(keys[1].at(i), int32(i))]++
 	}
 	var sel []int32
 	for i := 0; i < l.n; i++ {
-		if counts.add(rowKeys(row, l.cols, i), -1) < 0 {
-			sel = append(sel, int32(i))
+		if f := rows.lookup(keys[0].at(i)); f != noEntry && counts[f] > 0 {
+			counts[f]--
+			continue
 		}
+		sel = append(sel, int32(i))
 	}
 	return l.gather(sel)
 }
@@ -539,64 +545,59 @@ func (ctx *ExecContext) evalJoin(n *Node, semi, anti bool) (*Table, error) {
 		lr[i] = l.cols[l.Col(p.L)].reader()
 		rr[i] = r.cols[r.Col(p.R)].reader()
 	}
-	// Build a hash index on the right side over the equality predicates
-	// (a second predicate pairs its key with the first's; a single one pairs
-	// with the zero key). xdm.EqKeys makes each matching pair meet under
-	// exactly one key, so matches need no deduplication — and need no
-	// compare unless a key is inexact (an integer beyond 2⁵³): such pairs
-	// are confirmed with the equality predicates themselves.
-	var idx joinIndex
-	var keys [2][2]xdm.Key // stack scratch: per-predicate keys of one row
-	var inexact []bool     // build rows holding an inexact key; nil while none do
-	eqKeys := func(rd []reader, row int, probe bool) (nk [2]int, exact bool) {
-		nk, exact, keys[1][0] = [2]int{1, 1}, true, xdm.Key{}
-		for i := range eq {
-			var e bool
-			nk[i], e = xdm.EqKeys(&keys[i], rd[i].item(row), probe)
-			exact = exact && e
-		}
-		return nk, exact
+	// Hash the right side on the equality predicates. joinKeys makes each
+	// matching pair meet under exactly one key pair, so matches need no
+	// deduplication — and need no compare unless a key is inexact (an
+	// integer beyond 2⁵³): such pairs are confirmed with the equality
+	// predicates themselves. A build row files under up to fan key pairs,
+	// as entry row·fan+slot.
+	lv, rv := make([]eqVec, len(eq)), make([]eqVec, len(eq))
+	fan := 1
+	for i, p := range eq {
+		lv[i], rv[i] = joinKeys(l.cols[l.Col(p.L)], r.cols[r.Col(p.R)])
+		fan *= rv[i].stride
 	}
-	for ri := 0; ri < r.n && len(eq) > 0; ri++ {
-		nk, exact := eqKeys(rr, ri, false)
-		if !exact {
-			if inexact == nil {
-				inexact = make([]bool, r.n)
-			}
-			inexact[ri] = true
-		}
-		for _, a := range keys[0][:nk[0]] {
-			for _, b := range keys[1][:nk[1]] {
-				idx.add([2]xdm.Key{a, b}, int32(ri))
+	var idx hashIndex
+	var pairs [4][2]uint64 // stack scratch: one row's key pairs
+	if len(eq) > 0 {
+		idx = newHashIndex(r.n, r.n*fan)
+		for row := r.n - 1; row >= 0; row-- {
+			ps := keyPairs(pairs[:0], rv, row)
+			for slot := len(ps) - 1; slot >= 0; slot-- {
+				idx.push(ps[slot], int32(row*fan+slot))
 			}
 		}
 	}
-	// Probe the (now read-only) index row by row, collecting matched index
-	// pairs; materialization is a single gather afterwards.
+	// Probe the (now read-only) index row by row, walking the matched chains
+	// merged in ascending build-row order, and collect matched index pairs;
+	// materialization is a single gather afterwards.
 	if err := ctx.Ctx.Err(); err != nil {
 		return nil, err
 	}
 	var li, ri []int32
-	var candidates []int32
 	for row := 0; row < l.n; row++ {
-		matched, exact := false, true
-		candidates = candidates[:0]
-		if len(eq) == 0 {
-			for i := 0; i < r.n; i++ {
-				candidates = append(candidates, int32(i))
+		var chains chainMerge
+		exact := true
+		if len(eq) > 0 {
+			for _, p := range keyPairs(pairs[:0], lv, row) {
+				chains.add(idx.lookup(p))
 			}
-		} else {
-			var nk [2]int
-			nk, exact = eqKeys(lr, row, true)
-			for _, a := range keys[0][:nk[0]] {
-				for _, b := range keys[1][:nk[1]] {
-					candidates = append(candidates, idx.rows([2]xdm.Key{a, b})...)
-				}
-			}
+			exact = !rowInexact(lv, row)
 		}
-		for _, cand := range candidates {
+		matched := false
+		for c := int32(0); ; c++ {
+			cand := c // no equality predicate: every build row is a candidate
+			if len(eq) > 0 {
+				e, ok := chains.pop(idx.next)
+				if !ok {
+					break
+				}
+				cand = e / int32(fan)
+			} else if int(cand) >= r.n {
+				break
+			}
 			first := len(eq) // keys decided the equality predicates …
-			if !exact || inexact != nil && inexact[cand] {
+			if !exact || rowInexact(rv, int(cand)) {
 				first = 0 // … unless one of them was inexact
 			}
 			ok := true
@@ -750,10 +751,10 @@ func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	gcols, scols := in.colsNamed(n.GroupCols), in.colsNamed(n.SortCols)
+	parts, scols := identityKeys(in.colsNamed(n.GroupCols))[0], in.colsNamed(n.SortCols)
 	ranks := make([]xdm.Item, in.n)
-	if !runRanks(ranks, gcols, scols, n.Desc) {
-		sortRanks(ranks, gcols, scols, n.Desc)
+	if !runRanks(ranks, parts, scols, n.Desc) {
+		sortRanks(ranks, parts, scols, n.Desc)
 		if st := ctx.Prof.Op(n); st != nil {
 			st.Sorted += int64(in.n)
 		}
@@ -765,13 +766,18 @@ func (ctx *ExecContext) evalRowNum(n *Node) (*Table, error) {
 // whether those are the sort's ranks: they are when every partition is one
 // contiguous run whose sort key never goes backwards, because a stable sort
 // leaves such a partition in input order. One partition probe per run.
-func runRanks(ranks []xdm.Item, gcols, scols []*Column, desc bool) bool {
-	var runs rowCounter
-	grow := make([]xdm.Key, len(gcols))
+func runRanks(ranks []xdm.Item, parts rowKeys, scols []*Column, desc bool) bool {
+	nruns := 0
+	for r := range ranks {
+		if r == 0 || parts.at(r-1) != parts.at(r) {
+			nruns++
+		}
+	}
+	runs := newHashIndex(nruns, 0)
 	start := 0
 	for r := range ranks {
-		if r == 0 || !sameKeys(gcols, r-1, r) {
-			if runs.add(rowKeys(grow, gcols, r), 1) > 1 {
+		if r == 0 || parts.at(r-1) != parts.at(r) {
+			if runs.claim(parts.at(r), int32(r)) != int32(r) {
 				return false // the partition already had a run
 			}
 			start = r
@@ -785,16 +791,18 @@ func runRanks(ranks []xdm.Item, gcols, scols []*Column, desc bool) bool {
 
 // sortRanks is ϱ's general path: a stable sort of the row indices on the
 // sort columns, then each row's running count within its partition.
-func sortRanks(ranks []xdm.Item, gcols, scols []*Column, desc bool) {
+func sortRanks(ranks []xdm.Item, parts rowKeys, scols []*Column, desc bool) {
 	order := make([]int32, len(ranks))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return compareRows(scols, desc, int(a), int(b)) })
-	var counts rowCounter
-	grow := make([]xdm.Key, len(gcols))
+	seen := newHashIndex(len(ranks), 0)
+	counts := make([]int64, len(ranks)) // per partition, at its first sorted row
 	for _, r := range order {
-		ranks[r] = xdm.NewInteger(int64(counts.add(rowKeys(grow, gcols, int(r)), 1)))
+		f := seen.claim(parts.at(int(r)), r)
+		counts[f]++
+		ranks[r] = xdm.NewInteger(counts[f])
 	}
 }
 
@@ -809,16 +817,6 @@ func compareRows(scols []*Column, desc bool, a, b int) int {
 		}
 	}
 	return 0
-}
-
-// sameKeys reports whether rows a and b hold the same identities in cols.
-func sameKeys(cols []*Column, a, b int) bool {
-	for _, c := range cols {
-		if c.key(a) != c.key(b) {
-			return false
-		}
-	}
-	return true
 }
 
 // materialize flattens a column into an item slice (random-access reads).

@@ -232,21 +232,25 @@ func (ctx *ExecContext) evalCtor(n *Node) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	iterC := content.ColAt(content.Col("iter"))
 	posVals := materialize(content.ColAt(content.Col("pos")))
 	itemVals := materialize(content.ColAt(content.Col("item")))
-	byIter := map[xdm.Key][]int32{}
-	for i := 0; i < content.Len(); i++ {
-		k := iterC.key(i)
-		byIter[k] = append(byIter[k], int32(i))
+	loopIterC := loop.ColAt(loop.Col("iter"))
+	keys := identityKeys([]*Column{content.ColAt(content.Col("iter"))}, []*Column{loopIterC})
+	byIter := newHashIndex(content.Len(), content.Len())
+	for i := content.Len() - 1; i >= 0; i-- {
+		byIter.push(keys[0].at(i), int32(i))
 	}
-	loopIter := loop.ColAt(loop.Col("iter")).reader()
+	loopIter := loopIterC.reader()
 	iterV := make([]xdm.Item, 0, loop.Len())
 	itemV := make([]xdm.Item, 0, loop.Len())
+	var idx []int32
 	var scratch []xdm.Item // reused across loop rows; buildCtorNode copies out
 	for li := 0; li < loop.Len(); li++ {
 		iter := loopIter.item(li)
-		idx := byIter[xdm.KeyOf(iter)]
+		idx = idx[:0]
+		for e := byIter.lookup(keys[1].at(li)); e != noEntry; e = byIter.next[e] {
+			idx = append(idx, e)
+		}
 		sort.SliceStable(idx, func(a, b int) bool {
 			return xdm.CompareOrder(posVals[idx[a]], posVals[idx[b]]) < 0
 		})

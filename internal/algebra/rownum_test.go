@@ -35,15 +35,12 @@ func rowNumOracle(in *Table, n *Node) []xdm.Item {
 		}
 		return false
 	})
-	gcols := make([]*Column, len(n.GroupCols))
-	for i, c := range n.GroupCols {
-		gcols[i] = in.cols[in.Col(c)]
-	}
-	var counts rowCounter
-	grow := make([]xdm.Key, len(gcols))
+	parts := identityKeys(in.colsNamed(n.GroupCols))[0]
+	counts := map[[2]uint64]int64{}
 	rvals := make([]xdm.Item, in.n)
 	for _, ri := range order {
-		rvals[ri] = xdm.NewInteger(int64(counts.add(rowKeys(grow, gcols, ri), 1)))
+		counts[parts.at(ri)]++
+		rvals[ri] = xdm.NewInteger(counts[parts.at(ri)])
 	}
 	return rvals
 }

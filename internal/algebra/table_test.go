@@ -96,20 +96,42 @@ func randItem(rng *rand.Rand, docs []*xdm.Document, nodeBias int) xdm.Item {
 
 // randTable draws a random table and its oracle twin: per-column node
 // bias 0 (pure generic), 10 (pure packed → node column), or mixed, over
-// widths from 1 (packed fast paths) to 6 (the wide-row string-key
-// fallbacks) and row counts including 0 (empty columns).
+// widths from 1 (packed fast paths) to 6 (rows wide enough to fold) and
+// row counts including 0 (empty columns).
 func randTable(rng *rand.Rand, docs []*xdm.Document, width, rows int) (*Table, *rowOracle) {
-	cols := make([]string, width)
-	bias := make([]int, width)
+	classes := make([]int, width)
+	for c := range classes {
+		classes[c] = []int{0, 10, 5}[rng.Intn(3)]
+	}
+	return classTable(rng, docs, classes, rows)
+}
+
+// Column classes beyond randItem's node biases (0 to 10): columns holding
+// only integers (some beyond 2⁵³) or only strings.
+const (
+	colInts    = -1
+	colStrings = -2
+)
+
+// classTable draws a table whose column c holds values of classes[c]: a
+// node bias of randItem, colInts or colStrings.
+func classTable(rng *rand.Rand, docs []*xdm.Document, classes []int, rows int) (*Table, *rowOracle) {
+	cols := make([]string, len(classes))
 	for c := range cols {
 		cols[c] = fmt.Sprintf("c%d", c)
-		bias[c] = []int{0, 10, 5}[rng.Intn(3)]
 	}
 	data := make([][]xdm.Item, rows)
 	for r := range data {
-		row := make([]xdm.Item, width)
-		for c := range row {
-			row[c] = randItem(rng, docs, bias[c])
+		row := make([]xdm.Item, len(classes))
+		for c, class := range classes {
+			switch class {
+			case colInts:
+				row[c] = xdm.NewInteger(int64(rng.Intn(7)) + []int64{0, 1 << 53}[rng.Intn(2)])
+			case colStrings:
+				row[c] = xdm.NewString(fmt.Sprintf("s%d", rng.Intn(7)))
+			default:
+				row[c] = randItem(rng, docs, class)
+			}
 		}
 		data[r] = row
 	}
@@ -253,12 +275,27 @@ func TestDistinctAndDiffMatchRowOracle(t *testing.T) {
 		}
 		return k
 	}
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(6000 + trial)))
 		docs := []*xdm.Document{randDoc(rng, 25, "a.xml")}
+		// Each column of ∖'s right input takes the left's class or, in some
+		// trials, one of its own, so the two inputs may disagree in class.
 		width := 1 + rng.Intn(5)
-		ltab, loracle := randTable(rng, docs, width, rng.Intn(40))
-		rtab, roracle := randTable(rng, docs, width, rng.Intn(40))
+		pool := []int{0, 10, 5, colInts, colStrings}
+		lclasses, rclasses := make([]int, width), make([]int, width)
+		for c := range lclasses {
+			lclasses[c], rclasses[c] = pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			if trial%2 == 0 {
+				rclasses[c] = lclasses[c]
+			}
+		}
+		ltab, loracle := classTable(rng, docs, lclasses, rng.Intn(40))
+		_, roracle := classTable(rng, docs, rclasses, rng.Intn(40))
+		// Copies of left rows give ∖ something to cancel at every width.
+		for i := rng.Intn(len(loracle.rows) + 1); i > 0; i-- {
+			roracle.rows = append(roracle.rows, loracle.rows[rng.Intn(len(loracle.rows))])
+		}
+		rtab := NewTable(roracle.cols, roracle.rows)
 		// Align the right oracle's schema with the left's (same names).
 		rtab.Cols = ltab.Cols
 		roracle.cols = loracle.cols
@@ -290,50 +327,60 @@ func TestDistinctAndDiffMatchRowOracle(t *testing.T) {
 	}
 }
 
-// TestRowSetPackedMatchesGeneric: a row counter draws the same
-// distinct-row boundaries whether a node column is packed (its stored
-// words are the keys) or generic (each item is keyed by xdm.KeyOf), across
-// mixed item kinds — including integers beyond 2⁵³, which stay distinct.
+// TestRowSetPackedMatchesGeneric: identity keys draw the same distinct-row
+// boundaries whichever derivation a column group takes — packed node words,
+// int64 words, or ids interned from xdm.KeyOf — across mixed item kinds,
+// including integers beyond 2⁵³, which stay distinct, and rows wide enough
+// to fold. Within one group, a packed column and its generic twin key every
+// row alike.
 func TestRowSetPackedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	doc := randDoc(rng, 30, "a.xml")
-	mk := func() xdm.Item {
-		switch rng.Intn(6) {
-		case 0, 1:
-			return xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})
-		case 2:
+	node := func() xdm.Item { return xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))}) }
+	integer := func() xdm.Item {
+		if rng.Intn(2) == 0 {
 			return xdm.NewInteger(int64(rng.Intn(5)))
-		case 3:
-			return xdm.NewInteger(int64(1)<<53 + int64(rng.Intn(3)))
-		case 4:
+		}
+		return xdm.NewInteger(int64(1)<<53 + int64(rng.Intn(3)))
+	}
+	mixed := func() xdm.Item {
+		switch rng.Intn(4) {
+		case 0:
+			return node()
+		case 1:
+			return integer()
+		case 2:
 			return xdm.NewString(fmt.Sprintf("s%d", rng.Intn(5)))
 		default:
 			return xdm.NewBoolean(rng.Intn(2) == 0)
 		}
 	}
-	for _, width := range []int{1, 2, 3} {
+	for _, width := range []int{1, 2, 3, 4} {
+		// Column 0 holds nodes only, so it packs; column 1 integers only;
+		// the other columns stay mixed.
+		gen := []func() xdm.Item{node, integer, mixed, mixed}
 		rows := make([][]xdm.Item, 500)
 		for i := range rows {
 			rows[i] = make([]xdm.Item, width)
 			for c := range rows[i] {
-				rows[i][c] = mk()
+				rows[i][c] = gen[c]()
 			}
-		}
-		// Column 0 as nodes only, so it packs; the other columns stay mixed.
-		for i := range rows {
-			rows[i][0] = xdm.NewNode(xdm.NodeRef{D: doc, Pre: int32(rng.Intn(doc.Len()))})
 		}
 		tab := NewTable(make([]string, width), rows)
 		if !tab.ColAt(0).IsPacked() {
 			t.Fatal("node column did not pack")
 		}
 		generic := make([]*Column, width)
+		strs := make([]*Column, width)
 		for c := range generic {
 			generic[c] = genericColumn(materialize(tab.ColAt(c)))
+			strs[c] = genericColumn([]xdm.Item{xdm.NewString("x")})
 		}
-		var packed, plain rowCounter
-		kp, kg := make([]xdm.Key, width), make([]xdm.Key, width)
+		typed := identityKeys(tab.cols)[0]
+		// A string column in every group forces every group to intern.
+		joint := identityKeys(tab.cols, generic, strs)
 		seen := map[string]bool{}
+		seenTyped, seenJoint := map[[2]uint64]bool{}, map[[2]uint64]bool{}
 		for i, row := range rows {
 			key := ""
 			for _, it := range row {
@@ -341,10 +388,13 @@ func TestRowSetPackedMatchesGeneric(t *testing.T) {
 			}
 			want := !seen[key]
 			seen[key] = true
-			gotP := packed.add(rowKeys(kp, tab.cols, i), 1) == 1
-			gotG := plain.add(rowKeys(kg, generic, i), 1) == 1
-			if gotP != want || gotG != want {
-				t.Fatalf("width %d row %d: new = %v packed, %v generic, want %v", width, i, gotP, gotG, want)
+			gotT, gotJ := !seenTyped[typed.at(i)], !seenJoint[joint[0].at(i)]
+			seenTyped[typed.at(i)], seenJoint[joint[0].at(i)] = true, true
+			if gotT != want || gotJ != want {
+				t.Fatalf("width %d row %d: new = %v typed, %v interned, want %v", width, i, gotT, gotJ, want)
+			}
+			if joint[0].at(i) != joint[1].at(i) {
+				t.Fatalf("width %d row %d: packed and generic twins key apart", width, i)
 			}
 		}
 	}

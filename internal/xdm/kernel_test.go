@@ -81,11 +81,6 @@ func TestKeyOfIsIdentity(t *testing.T) {
 			if got, want := KeyOf(a).String() == KeyOf(b).String(), identical(a, b); got != want {
 				t.Errorf("key strings of %v and %v: equal = %v, want %v", a, b, got, want)
 			}
-			wa, aok := KeyOf(a).Word()
-			wb, bok := KeyOf(b).Word()
-			if aok && bok && (wa == wb) != identical(a, b) {
-				t.Errorf("word projections of %v and %v disagree with identity", a, b)
-			}
 		}
 	}
 }

@@ -42,14 +42,6 @@ func KeyOf(it Item) Key {
 // packed identity words is already a column of keys.
 func NodeKey(w uint64) Key { return Key{kind: KNode, w: w} }
 
-// Word is a Key without its string part: two unpadded words.
-type Word struct{ kind, w uint64 }
-
-// Word projects the key onto its word part. ok is true when the word is
-// the whole key — for every key but a non-empty string's — so hash maps
-// can key such keys on a Word, which hashes as plain memory.
-func (k Key) Word() (w Word, ok bool) { return Word{uint64(k.kind), k.w}, k.s == "" }
-
 // String renders the key unambiguously, for signatures built as text.
 func (k Key) String() string { return fmt.Sprintf("%d:%x:%q", k.kind, k.w, k.s) }
 
