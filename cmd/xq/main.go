@@ -178,9 +178,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stats {
 		for i, fp := range res.Fixpoints {
 			fmt.Fprintf(stderr,
-				"fixpoint %d: %v distributive=%v executions=%d depth=%d fed-back=%d result=%d\n",
+				"fixpoint %d: %v distributive=%v executions=%d depth=%d fed-back=%d result=%d body-inputs=%d\n",
 				i+1, fp.Algorithm, fp.Distributive, fp.Executions,
-				fp.Stats.Depth, fp.Stats.NodesFedBack, fp.Stats.ResultSize)
+				fp.Stats.Depth, fp.Stats.NodesFedBack, fp.Stats.ResultSize, fp.BodyInputs)
 		}
 	}
 	return 0

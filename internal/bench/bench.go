@@ -129,6 +129,10 @@ type Outcome struct {
 	NodesFed  int64
 	Depth     int
 	ResultLen int
+	// BodyInputs counts the nodes the fixpoint body was evaluated on
+	// (core.Site.BodyInputs); it is physical work, which the arms need not
+	// agree on.
+	BodyInputs int64
 	// Distributive is the engine's own distributivity verdict for the
 	// query's fixpoint body (syntactic for interp, algebraic for rel).
 	Distributive bool
@@ -177,9 +181,10 @@ func (p *Prepared) ID(c Cell) string {
 func (p *Prepared) eval(c Cell) Outcome {
 	tr := obs.NewTrace("bench")
 	var out Outcome
-	tally := func(s core.Stats) {
-		out.NodesFed += s.NodesFedBack
-		out.Depth = max(out.Depth, s.Depth)
+	tally := func(s core.Site) {
+		out.NodesFed += s.Stats.NodesFedBack
+		out.Depth = max(out.Depth, s.Stats.Depth)
+		out.BodyInputs += s.BodyInputs
 	}
 	if c.Engine == EngineRelational {
 		mode := algebra.ModeNaive
@@ -206,7 +211,7 @@ func (p *Prepared) eval(c Cell) Outcome {
 		}
 		out.ResultLen = len(seq)
 		for _, run := range ifps {
-			tally(run.Stats)
+			tally(run.Site)
 		}
 	} else {
 		mode := interp.ModeNaive
@@ -221,7 +226,7 @@ func (p *Prepared) eval(c Cell) Outcome {
 		}
 		out.ResultLen = len(res.Value)
 		for _, run := range res.IFPRuns {
-			tally(run.Stats)
+			tally(run.Site)
 			out.Distributive = out.Distributive || run.Distributive
 		}
 	}
@@ -328,6 +333,7 @@ func (p *Prepared) measure(c Cell) (Entry, error) {
 	e.BytesOp = res.AllocedBytesPerOp()
 	e.AllocsOp = res.AllocsPerOp()
 	e.NodesFed, e.Depth, e.ResultLen, e.PhaseNs = out.NodesFed, out.Depth, out.ResultLen, out.Phases
+	e.BodyInputs = out.BodyInputs
 	return e, nil
 }
 

@@ -171,15 +171,18 @@ return $a + count(with $x seeded by $c/prerequisites recurse $x/child::nosuch)`,
 		}
 		c.URI, c.XML = "hospital.xml", xmlgen.Hospital(cfg)
 		c.RegularXPath = true
-		exprs := []string{
-			`(child::patient/child::parents/child::patient)+`,
-			`child::patient/(child::parents/child::patient)*`,
-			`(descendant::patient[child::diagnosis])+`,
-			`(child::patient | child::patient/child::parents/child::patient)+`,
-		}
-		c.Query = "child::hospital/" + exprs[rng.Intn(len(exprs))]
+		c.Query = "child::hospital/" + regularClosures[rng.Intn(len(regularClosures))]
 	}
 	return c
+}
+
+// regularClosures are the Regular XPath paths Generate applies below the
+// hospital root.
+var regularClosures = []string{
+	`(child::patient/child::parents/child::patient)+`,
+	`child::patient/(child::parents/child::patient)*`,
+	`(descendant::patient[child::diagnosis])+`,
+	`(child::patient | child::patient/child::parents/child::patient)+`,
 }
 
 // config is one point of the differential matrix.

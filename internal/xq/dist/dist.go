@@ -50,8 +50,36 @@ func Safe(e ast.Expr, v string, resolve Resolver) bool {
 
 // Check runs the ds$x(·) rules on e with recursion variable $v.
 func Check(e ast.Expr, v string, resolve Resolver) Result {
+	// Node constructors mint fresh identities on every evaluation (ε in
+	// Table 1), so e() ∪ e() is never identity-set-equal to e(): a body
+	// that constructs nodes, itself or in any user-defined function it
+	// reaches through calls, is rejected outright (§3.2).
+	if where := constructorIn(e, "recursion body", resolve, map[*ast.FuncDecl]bool{}); where != "" {
+		return unsafe("node constructor in " + where)
+	}
 	c := &checker{resolve: resolve, inProgress: map[funcKey]bool{}}
 	return c.check(e, v)
+}
+
+// constructorIn names where a node constructor is reached from e: e itself
+// (named where), or the first user-defined function holding one among
+// those e calls, directly or transitively. It returns "" when there is
+// none. seen holds the functions already searched, which ends cycles.
+func constructorIn(e ast.Expr, where string, resolve Resolver, seen map[*ast.FuncDecl]bool) string {
+	if ast.ContainsConstructor(e) {
+		return where
+	}
+	found := ""
+	ast.Walk(e, func(x ast.Expr) bool {
+		if call, ok := x.(*ast.FuncCall); ok {
+			if decl := resolve(call.Name, len(call.Args)); decl != nil && !seen[decl] {
+				seen[decl] = true
+				found = constructorIn(decl.Body, call.Name+"()", resolve, seen)
+			}
+		}
+		return found == ""
+	})
+	return found
 }
 
 // funcKey guards against following cycles through recursive user functions.
@@ -73,12 +101,6 @@ func safe(rule string) Result     { return Result{Safe: true, Rule: rule} }
 func (c *checker) check(e ast.Expr, v string) Result {
 	if e == nil {
 		return safe("CONST")
-	}
-	// Node constructors mint fresh identities on every evaluation (ε in
-	// Table 1), so e() ∪ e() is never identity-set-equal to e(): any body
-	// containing a constructor is rejected outright (§3.2).
-	if ast.ContainsConstructor(e) {
-		return unsafe("node constructor in recursion body")
 	}
 	// CONST: an expression in which $v does not occur free is constant in
 	// $v; constants are distributive under set semantics (e ∪ e s= e).
@@ -104,6 +126,9 @@ func (c *checker) check(e ast.Expr, v string) Result {
 		if ast.IsFree(x.R, v) {
 			return unsafe("$" + v + " occurs on the right of '/' (evaluated against the whole set)")
 		}
+		if readsPosition(x.R) {
+			return unsafe("position() or last() on the right of '/' observes the whole set")
+		}
 		if r := c.check(x.L, v); !r.Safe {
 			return r
 		}
@@ -116,7 +141,7 @@ func (c *checker) check(e ast.Expr, v string) Result {
 			if ast.IsFree(p, v) {
 				return unsafe("$" + v + " occurs inside a filter predicate")
 			}
-			if !existentialPred(p) {
+			if !existentialPred(p) || readsPosition(p) {
 				return unsafe("filter predicate may be positional")
 			}
 		}
@@ -253,6 +278,29 @@ func (c *checker) checkCall(x *ast.FuncCall, v string) Result {
 		return unsafe("body of " + x.Name + "(): " + r.Rule)
 	}
 	return safe("FUN")
+}
+
+// readsPosition reports whether e calls position() or last() against its
+// own focus. Predicates and the right of a nested '/' have a focus of
+// their own and are not searched.
+func readsPosition(e ast.Expr) bool {
+	found := false
+	ast.Walk(e, func(x ast.Expr) bool {
+		switch n := x.(type) {
+		case *ast.FuncCall:
+			found = found || len(n.Args) == 0 && (n.Name == "position" || n.Name == "last")
+		case *ast.Slash:
+			found = found || readsPosition(n.L)
+			return false
+		case *ast.Filter:
+			found = found || readsPosition(n.E)
+			return false
+		case *ast.AxisStep:
+			return false
+		}
+		return !found
+	})
+	return found
 }
 
 // existentialPred conservatively recognizes predicates with existential

@@ -38,6 +38,8 @@ func TestCheckRules(t *testing.T) {
 		{`if (1 = 1) then $x/a else $x/b`, true, "IF"},
 		{`doc("d.xml")/r/a`, true, "CONST"},
 		{`($x/a)[b]`, true, "FILTER"},
+		{`$x/a[position() = 1]`, true, "STEP"},
+		{`$x/(a[last()] | b/c[position() = 2])`, true, "STEP"},
 		// Blockers.
 		{`if (count($x) > 2) then $x/a else ()`, false, ""},
 		{`if (count($x/self::a)) then $x/* else ()`, false, ""},
@@ -46,6 +48,9 @@ func TestCheckRules(t *testing.T) {
 		{`doc("d.xml")/id($x)`, false, ""},
 		{`($x/a)[2]`, false, ""},
 		{`($x/a)[last()]`, false, ""},
+		{`($x/a)[position() = 1]`, false, ""},
+		{`$x/(if (position() = 1) then . else ())`, false, ""},
+		{`$x/(if (last() > 1) then a else ())`, false, ""},
 		{`for $y at $i in $x return $y/a`, false, ""},
 		{`for $y in $x return $x/a`, false, ""},
 		{`let $y := $x/a return $y/b`, false, ""},
@@ -123,6 +128,42 @@ with $x seeded by doc("d.xml")/r recurse loop($x)`)
 	})
 	if Safe(fp.Body, fp.Var, ModuleResolver(m)) {
 		t.Fatal("self-recursive call wrongly certified")
+	}
+}
+
+// TestCheckFollowsCallsToConstructors: a constructor behind a user-defined
+// call rejects the body like an inline one, however indirect the call,
+// also when the call's arguments are constant in $x (rule CONST alone
+// would certify it) and when the functions call each other in a cycle.
+// The verdict names the function that constructs.
+func TestCheckFollowsCallsToConstructors(t *testing.T) {
+	cases := []struct{ prolog, body, reason string }{
+		{``, `$x/b | <c/>/self::b`, "node constructor in recursion body"},
+		{`declare function f($n) { <c/> };`, `$x/b | f(1)/self::b`, "node constructor in f()"},
+		{`declare function f($n) { <c/> }; declare function g($n) { f($n) };`,
+			`$x/b | g(1)/self::b`, "node constructor in f()"},
+		{`declare function f($n) { if ($n) then g($n) else <c/> }; declare function g($n) { f($n) };`,
+			`$x/b | g(1)/self::b`, "node constructor in f()"},
+		{`declare function f($n) { <c/> };`, `for $y in $x return $y/b[f(1)]`, "node constructor in f()"},
+	}
+	for _, c := range cases {
+		m, err := parser.Parse(c.prolog + ` 1`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Check(expr(t, c.body), "x", ModuleResolver(m))
+		if res.Safe || res.Rule != c.reason {
+			t.Errorf("Check(%q) = %v (%s), want unsafe (%s)", c.body, res.Safe, res.Rule, c.reason)
+		}
+	}
+	// A cycle of functions that construct nothing is searched once and
+	// leaves the verdict to the rules.
+	m, err := parser.Parse(`declare function f($n) { g($n) }; declare function g($n) { f($n) }; 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := Check(expr(t, `$x/b | f(1)/self::b`), "x", ModuleResolver(m)); !res.Safe {
+		t.Errorf("constructor-free cycle rejected: %s", res.Rule)
 	}
 }
 

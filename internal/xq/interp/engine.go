@@ -3,6 +3,13 @@
 // the LiXQuery-class AST directly over xdm node stores and computes
 // inflationary fixed points through internal/core, choosing between Naïve
 // and Delta per the syntactic distributivity check (or a forced mode).
+//
+// A Delta site whose body is certified distributive is tabled (table.go):
+// from its second execution under the same bindings and focus on — a µ
+// under a for, as in the bidder network and curriculum queries — its body
+// is evaluated once per distinct node over the whole evaluation and each
+// node's answer is reused. Naïve sites and uncertified bodies always
+// evaluate the body on the whole feed.
 package interp
 
 import (
@@ -142,6 +149,7 @@ func (en *Engine) Eval() (*Result, error) {
 			Context: en.opts.Context, Budget: en.opts.Budget, Trace: en.opts.Trace,
 		}),
 		globals: map[string]xdm.Sequence{},
+		tabled:  map[*ast.Fixpoint]*siteTable{},
 	}
 	var ctx dynCtx
 	if en.opts.ContextItem != nil {

@@ -20,12 +20,20 @@ func (e *env) bind(name string, val xdm.Sequence) *env {
 }
 
 func (e *env) lookup(name string) (xdm.Sequence, bool) {
-	for cur := e; cur != nil; cur = cur.next {
-		if cur.name == name {
-			return cur.val, true
-		}
+	if c := e.cell(name); c != nil {
+		return c.val, true
 	}
 	return nil, false
+}
+
+// cell is the binding $name resolves to in e, or nil.
+func (e *env) cell(name string) *env {
+	for cur := e; cur != nil; cur = cur.next {
+		if cur.name == name {
+			return cur
+		}
+	}
+	return nil
 }
 
 // dynCtx is the dynamic context: context item, position, and size.
@@ -42,6 +50,9 @@ type evaluator struct {
 	globalEnv *env
 	callDepth int
 	sites     *core.Sites[*ast.Fixpoint, *IFPRun]
+	// tabled holds the tabling state of every site that runs Delta on a
+	// certified body (table.go).
+	tabled map[*ast.Fixpoint]*siteTable
 	// evalTick samples the budget deadline check: one time.Now() per
 	// 1024 eval calls keeps long non-fixpoint evaluations bounded without
 	// a clock read in the hot path.
@@ -514,12 +525,18 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 		if mode := ev.engine.opts.Mode; mode == ModeDelta || mode == ModeAuto && res.Safe {
 			alg = core.Delta
 		}
+		if alg == core.Delta && res.Safe {
+			ev.tabled[n] = newSiteTable(n)
+		}
 		return &IFPRun{Var: n.Var, Rule: res.Rule, Site: core.Site{Algorithm: alg, Distributive: res.Safe}},
 			"$" + n.Var + " " + alg.String()
 	})
 	// The recursion variable is bound to a node *set*: core's loop feeds
 	// the seed in distinct document order.
 	body := &ifpBody{ev: ev, fp: n, env: en, ctx: ctx}
+	if st := ev.tabled[n]; st != nil {
+		body.tab = st.enter(en, ctx)
+	}
 	seedBatch, err := body.batch(seed)
 	if err != nil {
 		return nil, err
@@ -533,16 +550,23 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 
 // ifpBody is the interpreter's side of one fixpoint execution: it binds
 // the feed to the recursion variable, evaluates the body, and hands the
-// answer to core's loop as iteration 0 of a batch.
+// answer to core's loop as iteration 0 of a batch. With a table (tab), it
+// evaluates the body only on fed nodes the table does not answer.
 type ifpBody struct {
-	ev  *evaluator
-	fp  *ast.Fixpoint
-	env *env
-	ctx dynCtx
-	out xdm.Family // the batch, reused across rounds
+	ev        *evaluator
+	fp        *ast.Fixpoint
+	env       *env
+	ctx       dynCtx
+	tab       *table
+	evaluated int        // fed nodes the last Step evaluated the body on
+	out       xdm.Family // the batch, reused across rounds
 }
 
 func (b *ifpBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+	if b.tab != nil {
+		return b.tabledStep(feed)
+	}
+	b.evaluated = feed.Len()
 	out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.NodeSeq(feed.Nodes(0))), b.ctx)
 	if err != nil {
 		return nil, err
@@ -550,13 +574,24 @@ func (b *ifpBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
 	return b.batch(out)
 }
 
+// Evaluated implements core.TabledBody.
+func (b *ifpBody) Evaluated() int { return b.evaluated }
+
 // batch refills the batch with s as iteration 0.
 func (b *ifpBody) batch(s xdm.Sequence) (*xdm.Family, error) {
 	b.out.Reset()
-	for _, it := range s {
-		if err := b.out.Add(0, it); err != nil {
-			return nil, err
-		}
+	if err := b.add(s); err != nil {
+		return nil, err
 	}
 	return &b.out, nil
+}
+
+// add appends s to the batch as iteration 0.
+func (b *ifpBody) add(s xdm.Sequence) error {
+	for _, it := range s {
+		if err := b.out.Add(0, it); err != nil {
+			return err
+		}
+	}
+	return nil
 }
