@@ -180,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr,
 				"fixpoint %d: %v distributive=%v executions=%d depth=%d fed-back=%d result=%d body-inputs=%d\n",
 				i+1, fp.Algorithm, fp.Distributive, fp.Executions,
-				fp.Stats.Depth, fp.Stats.NodesFedBack, fp.Stats.ResultSize, fp.BodyInputs)
+				fp.Stats.Depth, fp.Stats.NodesFedBack, fp.Stats.ResultSize, fp.BodyInputs())
 		}
 	}
 	return 0

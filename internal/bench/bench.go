@@ -184,7 +184,7 @@ func (p *Prepared) eval(c Cell) Outcome {
 	tally := func(s core.Site) {
 		out.NodesFed += s.Stats.NodesFedBack
 		out.Depth = max(out.Depth, s.Stats.Depth)
-		out.BodyInputs += s.BodyInputs
+		out.BodyInputs += s.BodyInputs()
 	}
 	if c.Engine == EngineRelational {
 		mode := algebra.ModeNaive

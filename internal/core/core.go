@@ -86,15 +86,6 @@ type Body interface {
 	Step(feed, delta *xdm.Family) (*xdm.Family, error)
 }
 
-// A TabledBody answers some fed nodes from earlier applications instead of
-// evaluating e_rec on them (the interpreter's tabled µ). Evaluated reports
-// how many fed nodes its last Step evaluated e_rec on; any other Body
-// evaluates it on every node fed.
-type TabledBody interface {
-	Body
-	Evaluated() int
-}
-
 // Config is what every fixpoint of one evaluation shares.
 type Config struct {
 	// Context, when non-nil, cancels the evaluation: it is polled before
@@ -122,13 +113,18 @@ type Site struct {
 	Distributive bool
 	Executions   int
 	Stats        Stats
-	// BodyInputs counts the nodes e_rec was evaluated on over every
-	// execution: Stats.NodesFedBack, less the fed nodes a TabledBody
-	// answered from its table. It is physical work, not a Table 2 counter.
-	BodyInputs int64
+	// TableHits counts the fed nodes the engine answered from earlier
+	// applications instead of evaluating e_rec on them (the interpreter's
+	// tabled µ); core's loop never sets it.
+	TableHits int64
 }
 
 func (s *Site) site() *Site { return s }
+
+// BodyInputs is the number of nodes e_rec was evaluated on over every
+// execution: the nodes fed back, less the table hits. It is physical work,
+// not a Table 2 counter.
+func (s Site) BodyInputs() int64 { return s.Stats.NodesFedBack - s.TableHits }
 
 // Record is an engine's own report of one site. It embeds Site, whose
 // counters the registry aggregates, next to whatever else the engine
@@ -208,18 +204,16 @@ func Run(x Exec, seed *xdm.Family, body Body) (*xdm.Family, error) {
 
 func run(x Exec, seed *xdm.Family, body Body, roundCap int) (*xdm.Family, error) {
 	var st Stats
-	var inputs int64
 	defer func() {
 		x.site.Executions++
 		x.site.Stats.Add(st)
-		x.site.BodyInputs += inputs
 	}()
 	budget := x.cfg.Budget
 	// res first holds the seed in distinct document order, round 0's feed;
 	// apply empties it before absorbing e_rec(e_seed).
 	res := new(xdm.Family)
 	res.Absorb(seed)
-	delta, err := apply(x, body, res, 0, res, res, &st, &inputs)
+	delta, err := apply(x, body, res, 0, res, res, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +240,7 @@ func run(x Exec, seed *xdm.Family, body Body, roundCap int) (*xdm.Family, error)
 		if err := budget.ChargeRows(feed.Len()); err != nil {
 			return nil, err
 		}
-		if delta, err = apply(x, body, res, round+1, feed, delta, &st, &inputs); err != nil {
+		if delta, err = apply(x, body, res, round+1, feed, delta, &st); err != nil {
 			return nil, err
 		}
 		if delta.Len() == 0 { // res is inflationary: no growth ⇒ fixpoint
@@ -263,9 +257,8 @@ func run(x Exec, seed *xdm.Family, body Body, roundCap int) (*xdm.Family, error)
 
 // apply is one payload application: the cancellation poll, the Table 2
 // counters, and the round's trace span around the body's Step and the
-// absorb of its answer into res. It returns ∆ and adds the nodes e_rec was
-// evaluated on to *inputs.
-func apply(x Exec, body Body, res *xdm.Family, round int, feed, delta *xdm.Family, st *Stats, inputs *int64) (*xdm.Family, error) {
+// absorb of its answer into res. It returns ∆.
+func apply(x Exec, body Body, res *xdm.Family, round int, feed, delta *xdm.Family, st *Stats) (*xdm.Family, error) {
 	if err := x.cfg.Context.Err(); err != nil {
 		return nil, err
 	}
@@ -276,11 +269,6 @@ func apply(x Exec, body Body, res *xdm.Family, round int, feed, delta *xdm.Famil
 	tr := x.cfg.Trace
 	t0 := tr.Now()
 	answer, err := body.Step(feed, delta)
-	if tb, ok := body.(TabledBody); ok {
-		*inputs += int64(tb.Evaluated())
-	} else {
-		*inputs += fed
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,9 @@ func constructorIn(e ast.Expr, where string, resolve Resolver, seen map[*ast.Fun
 		if call, ok := x.(*ast.FuncCall); ok {
 			if decl := resolve(call.Name, len(call.Args)); decl != nil && !seen[decl] {
 				seen[decl] = true
-				found = constructorIn(decl.Body, call.Name+"()", resolve, seen)
+				if where := constructorIn(decl.Body, call.Name+"()", resolve, seen); where != "" {
+					found = where
+				}
 			}
 		}
 		return found == ""

@@ -145,6 +145,12 @@ func TestCheckFollowsCallsToConstructors(t *testing.T) {
 		{`declare function f($n) { if ($n) then g($n) else <c/> }; declare function g($n) { f($n) };`,
 			`$x/b | g(1)/self::b`, "node constructor in f()"},
 		{`declare function f($n) { <c/> };`, `for $y in $x return $y/b[f(1)]`, "node constructor in f()"},
+		// A constructor-free call searched after the constructing one
+		// leaves the verdict standing.
+		{`declare function f($n) { <c/> }; declare function h($n) { $n };`,
+			`$x/b | f(1) | h(1)`, "node constructor in f()"},
+		{`declare function f($n) { <c/> }; declare function h($n) { $n }; declare function g($n) { (f($n), h($n)) };`,
+			`$x/b | g(1)/self::c`, "node constructor in f()"},
 	}
 	for _, c := range cases {
 		m, err := parser.Parse(c.prolog + ` 1`)

@@ -525,11 +525,11 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 		if mode := ev.engine.opts.Mode; mode == ModeDelta || mode == ModeAuto && res.Safe {
 			alg = core.Delta
 		}
+		run := &IFPRun{Var: n.Var, Rule: res.Rule, Site: core.Site{Algorithm: alg, Distributive: res.Safe}}
 		if alg == core.Delta && res.Safe {
-			ev.tabled[n] = newSiteTable(n)
+			ev.tabled[n] = newSiteTable(n, &run.TableHits)
 		}
-		return &IFPRun{Var: n.Var, Rule: res.Rule, Site: core.Site{Algorithm: alg, Distributive: res.Safe}},
-			"$" + n.Var + " " + alg.String()
+		return run, "$" + n.Var + " " + alg.String()
 	})
 	// The recursion variable is bound to a node *set*: core's loop feeds
 	// the seed in distinct document order.
@@ -553,29 +553,26 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 // answer to core's loop as iteration 0 of a batch. With a table (tab), it
 // evaluates the body only on fed nodes the table does not answer.
 type ifpBody struct {
-	ev        *evaluator
-	fp        *ast.Fixpoint
-	env       *env
-	ctx       dynCtx
-	tab       *table
-	evaluated int        // fed nodes the last Step evaluated the body on
-	out       xdm.Family // the batch, reused across rounds
+	ev  *evaluator
+	fp  *ast.Fixpoint
+	env *env
+	ctx dynCtx
+	tab *table
+	out xdm.Family // the batch, reused across rounds
 }
 
 func (b *ifpBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
-	if b.tab != nil {
+	// An empty feed (an empty seed) is evaluated whole: e(∅) is the body's
+	// constant part, which no node's entry answers on its own.
+	if b.tab != nil && feed.Len() > 0 {
 		return b.tabledStep(feed)
 	}
-	b.evaluated = feed.Len()
 	out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.NodeSeq(feed.Nodes(0))), b.ctx)
 	if err != nil {
 		return nil, err
 	}
 	return b.batch(out)
 }
-
-// Evaluated implements core.TabledBody.
-func (b *ifpBody) Evaluated() int { return b.evaluated }
 
 // batch refills the batch with s as iteration 0.
 func (b *ifpBody) batch(s xdm.Sequence) (*xdm.Family, error) {

@@ -13,46 +13,45 @@ import (
 // the bidder network) need evaluate its body only once per distinct node
 // over the whole evaluation. core's loop is unchanged: it still feeds
 // every ∆ and counts it, so the Table 2 counters stay the logical ones;
-// only Site.BodyInputs shows the physical work.
+// Site.TableHits counts the fed nodes a table answered.
 
 // siteTable is the tabling state of one fixpoint site that runs Delta on a
 // certified body; no other site has one.
 type siteTable struct {
 	free []string // the body's free variables other than the recursion variable
-	cur  *table   // the bindings of the site's last execution
+	hits *int64   // the site's core.Site.TableHits
+	cur  *table   // the table of the site's last bindings
 }
 
 // table maps nodes to their body answers, valid under one set of bindings.
 type table struct {
 	cells   []*env // the env cell each free variable resolved to, or nil
 	ctx     dynCtx
+	hits    *int64
 	answers map[xdm.NodeRef]xdm.Sequence
 }
 
-func newSiteTable(fp *ast.Fixpoint) *siteTable {
+func newSiteTable(fp *ast.Fixpoint, hits *int64) *siteTable {
 	var free []string
 	for v := range ast.FreeVars(fp.Body) {
 		if v != fp.Var {
 			free = append(free, v)
 		}
 	}
-	return &siteTable{free: free}
+	return &siteTable{free: free, hits: hits}
 }
 
-// enter returns the table one more execution of the site may use: the
-// current one when the site already ran under the same bindings and focus,
-// nil otherwise — a first execution under some bindings evaluates the
-// body set-at-a-time and starts a fresh table for the next. An execution
-// keeps the table enter gave it, so a re-entrant execution under other
-// bindings cannot write into it.
+// enter returns the table one more execution of the site uses, or nil. A
+// first execution under some bindings and focus evaluates the body
+// set-at-a-time, as an untabled site does, and starts a fresh table for
+// them; a later execution under the same ones gets that table. An
+// execution keeps what enter gave it, so a re-entrant execution under
+// other bindings cannot write into its table.
 func (s *siteTable) enter(en *env, ctx dynCtx) *table {
 	if t := s.cur; t != nil && t.ctx == ctx && t.boundIn(en, s.free) {
-		if t.answers == nil {
-			t.answers = map[xdm.NodeRef]xdm.Sequence{}
-		}
 		return t
 	}
-	t := &table{cells: make([]*env, len(s.free)), ctx: ctx}
+	t := &table{cells: make([]*env, len(s.free)), ctx: ctx, hits: s.hits, answers: map[xdm.NodeRef]xdm.Sequence{}}
 	for i, v := range s.free {
 		t.cells[i] = en.cell(v)
 	}
@@ -77,11 +76,11 @@ func (t *table) boundIn(en *env, free []string) bool {
 // budget, which so bounds the table's memory too.
 func (b *ifpBody) tabledStep(feed *xdm.Family) (*xdm.Family, error) {
 	b.out.Reset()
-	b.evaluated = 0
 	for _, n := range feed.Nodes(0) {
 		ans, ok := b.tab.answers[n]
-		if !ok {
-			b.evaluated++
+		if ok {
+			*b.tab.hits++
+		} else {
 			out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.Singleton(xdm.NewNode(n))), b.ctx)
 			if err != nil {
 				return nil, err
