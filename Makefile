@@ -74,14 +74,20 @@ loadsmoke:
 # and without one thing that must be invisible — and the two runs must
 # agree byte for byte on results, errors, and fixpoint statistics:
 #   tracing      off vs a live span recorder (obs is read-only);
-#   round stats  per-round fed/delta trace spans -O0 vs -O1 (the delta-fed
-#                step rewrite may shrink what steps consume, never what the
-#                fixpoint feeds back or how many rounds it takes);
+#   round stats  per-round fed/delta/evaluated trace spans -O0 vs -O1 (a
+#                plan rewrite may change what operators cost, never what
+#                the fixpoint feeds back, the keys a tabled µ evaluates, or
+#                how many rounds it takes);
 #   caching      uncached vs plan cache / result cache / both, each twice,
 #                and warm caches must record hits;
 #   indexes      NoIndex (every step walks the arena) vs the default (the
 #                step kernel may probe the name index), and a probe must
 #                have fired somewhere in the block.
+# Two gates check the certificates the tabled µ of both engines rests on:
+# seed split (a certified body answers a node set, its parts and each node
+# alike) and certificates (every generated body a certificate accepts is
+# distributive by brute force under the interpreter's Naïve, and a body
+# compiled iteration-free answers a node the same under other bindings).
 parity-check:
 	$(GO) test -run 'Parity$$' -count=1 ./internal/difftest
 

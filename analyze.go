@@ -204,7 +204,7 @@ func (r *AnalyzeReport) Render() string {
 			shown = shown[:maxRenderedRounds]
 		}
 		for _, rd := range shown {
-			fmt.Fprintf(&b, "  round %d: fed=%d delta=%d %s\n", rd.Round, rd.Fed, rd.Delta, fmtNs(rd.DurNs))
+			fmt.Fprintf(&b, "  round %d: fed=%d delta=%d evaluated=%d %s\n", rd.Round, rd.Fed, rd.Delta, rd.Evaluated, fmtNs(rd.DurNs))
 		}
 		if elided > 0 {
 			fmt.Fprintf(&b, "  ... %d more rounds\n", elided)

@@ -2,7 +2,8 @@
 //
 //	benchdiff BASE CUR
 //	    gates regressions: exits non-zero when any cell present in both
-//	    files, matched on (id, p, opt, ix), exceeds a tolerance below
+//	    files, matched on (id, p, opt, ix), exceeds a tolerance below or
+//	    changes its body_inputs count
 //	benchdiff -trajectory T2.4/rel/Delta BENCH_*.json
 //	    prints one cell at the default configuration across PRs, in PR order
 package main
@@ -21,9 +22,9 @@ import (
 // from another machine entirely, so it only catches catastrophic slowdowns;
 // anything tighter would flake on runner variance rather than code. All
 // cells gate: the interpreter cells are where the index-probe path shows,
-// the relational cells where the fixpoint fabric does. Regenerate the
-// baseline (`make bench-baseline`) whenever a PR moves the numbers on
-// purpose.
+// the relational cells where the fixpoint fabric does. body_inputs is a
+// count, so bench.Diff gates it exactly. Regenerate the baseline (`make
+// bench-baseline`) whenever a PR moves the numbers on purpose.
 const (
 	allocsTolerance = 0.25 // fail above +25 %
 	nsTolerance     = 1.0  // fail above 2×
@@ -60,7 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 	if bench.WriteDiff(os.Stdout, diffs) {
-		fmt.Fprintf(os.Stderr, "benchdiff: regression beyond tolerance (ns +%.0f%%, allocs +%.0f%%)\n",
+		fmt.Fprintf(os.Stderr, "benchdiff: regression beyond tolerance (ns +%.0f%%, allocs +%.0f%%, body_inputs exact)\n",
 			nsTolerance*100, allocsTolerance*100)
 		os.Exit(1)
 	}

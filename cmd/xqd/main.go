@@ -751,10 +751,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeErrorCode(w, status, string(xdm.CodeOf(err)), err)
-}
-
 func writeErrorCode(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
 }

@@ -174,14 +174,6 @@ func (d *docDict) intern(doc *xdm.Document) {
 	d.m[uint32(doc.Stamp())] = doc
 }
 
-func (d *docDict) clone() *docDict {
-	out := newDocDict()
-	for s, doc := range d.m {
-		out.m[s] = doc
-	}
-	return out
-}
-
 // maxPackedDocs bounds the dictionary size a builder will grow before
 // degrading to generic storage: packing is a win when many nodes share few
 // documents (steps, fixpoint feeds), and a loss for constructor output,
@@ -199,7 +191,6 @@ type colBuilder struct {
 	dict    *docDict
 	lastDoc *xdm.Document // builder-local intern fast path
 	hint    int           // expected value count; backing allocated lazily
-	ownDict bool          // false while dict is shared with a source column
 	generic bool
 }
 
@@ -208,15 +199,6 @@ type colBuilder struct {
 // that turns out generic never pays for a discarded packed vector.
 func newColBuilder(n int) *colBuilder {
 	return &colBuilder{hint: n}
-}
-
-// shareDict seeds the builder with a source column's dictionary without
-// copying it; the builder clones on first growth (appendNode of a document
-// the source never saw), so the shared map is never mutated.
-func (b *colBuilder) shareDict(d *docDict) {
-	if b.dict == nil && d != nil {
-		b.dict, b.ownDict = d, false
-	}
 }
 
 func (b *colBuilder) len() int {
@@ -254,16 +236,13 @@ func (b *colBuilder) appendNode(n xdm.NodeRef) {
 		b.packed = make([]uint64, 0, b.hint)
 	}
 	if b.dict == nil {
-		b.dict, b.ownDict = newDocDict(), true
+		b.dict = newDocDict()
 	}
 	if b.lastDoc != n.D && !b.dict.has(n.D) {
 		if len(b.dict.m) >= maxPackedDocs {
 			b.degrade()
 			b.items = append(b.items, xdm.NewNode(n))
 			return
-		}
-		if !b.ownDict {
-			b.dict, b.ownDict = b.dict.clone(), true
 		}
 		b.dict.intern(n.D)
 	}

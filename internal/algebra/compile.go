@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/xdm"
 	"repro/internal/xq/ast"
@@ -39,6 +40,11 @@ type MuSite struct {
 	Var             string
 	Distributive    bool // strict Table 1 push-up verdict
 	DistributiveExt bool // extended verdict (left-of-\ pushes, §6 remark)
+	// IterationFree marks a body that reads nothing but its recursion
+	// variable and prolog globals — no other variable and not the outer
+	// focus — so e({n}) is the same in every iteration of the enclosing
+	// loop. Such a body is compiled against Mu.Keys (see compileFixpoint).
+	IterationFree bool
 }
 
 // CompileModule lowers a parsed module to a relational plan. Loop-lifting
@@ -46,7 +52,7 @@ type MuSite struct {
 // compiles to an iter|pos|item relation relative to a loop relation of
 // live iterations.
 func CompileModule(m *ast.Module) (*Plan, error) {
-	c := &compiler{module: m, hoisted: map[ast.Expr]*Node{}, globalNames: map[string]bool{}}
+	c := &compiler{module: m, hoisted: map[ast.Expr]*Node{}, globals: map[string]*Node{}}
 	loop := NewLit([]string{"iter"}, [][]xdm.Item{{xdm.NewInteger(1)}})
 	env := cenv{vars: map[string]*Node{}}
 	for _, v := range m.Vars {
@@ -54,8 +60,8 @@ func CompileModule(m *ast.Module) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		env = env.bind(v.Name, p)
-		c.globalNames[v.Name] = true
+		env.vars[v.Name] = p // a global, not a local binding
+		c.globals[v.Name] = p
 	}
 	c.topLoop = loop
 	c.topEnv = env
@@ -66,11 +72,6 @@ func CompileModule(m *ast.Module) (*Plan, error) {
 	return &Plan{Root: root, Raw: root, Mus: c.mus}, nil
 }
 
-// CompileExpr compiles a single expression (tests, Regular XPath).
-func CompileExpr(e ast.Expr) (*Plan, error) {
-	return CompileModule(&ast.Module{Body: e})
-}
-
 type compiler struct {
 	module      *ast.Module
 	mus         []*MuSite
@@ -78,7 +79,7 @@ type compiler struct {
 	topLoop     *Node
 	topEnv      cenv
 	hoisted     map[ast.Expr]*Node
-	globalNames map[string]bool
+	globals     map[string]*Node // prolog globals, compiled in the top loop
 }
 
 // isInvariant reports whether an expression's value is the same in every
@@ -87,14 +88,9 @@ type compiler struct {
 // (conservative), no fixpoints. Such subexpressions are compiled once in
 // the top loop and crossed into inner iteration spaces — the classic
 // loop-invariant hoisting Pathfinder performs as a plan rewrite.
-func (c *compiler) isInvariant(e ast.Expr) bool {
-	if usesContextFreely(e) {
+func (c *compiler) isInvariant(e ast.Expr, env cenv) bool {
+	if usesContextFreely(e) || !c.readsGlobalsOnly(e, env, "") {
 		return false
-	}
-	for v := range ast.FreeVars(e) {
-		if !c.globalNames[v] {
-			return false
-		}
 	}
 	ok := true
 	ast.Walk(e, func(x ast.Expr) bool {
@@ -109,6 +105,26 @@ func (c *compiler) isInvariant(e ast.Expr) bool {
 		return ok
 	})
 	return ok
+}
+
+// readsGlobalsOnly reports whether every free variable of e other than
+// except is a prolog global that env does not shadow.
+func (c *compiler) readsGlobalsOnly(e ast.Expr, env cenv, except string) bool {
+	for v := range ast.FreeVars(e) {
+		if v != except && (c.globals[v] == nil || env.local[v]) {
+			return false
+		}
+	}
+	return true
+}
+
+// globalEnv binds every prolog global in loop's iteration space.
+func (c *compiler) globalEnv(loop *Node) cenv {
+	env := cenv{vars: make(map[string]*Node, len(c.globals))}
+	for name, g := range c.globals {
+		env.vars[name] = &Node{Op: OpCross, Kids: []*Node{loop, project(g, pp("pos", "pos"), pp("item", "item"))}}
+	}
+	return env
 }
 
 // usesContextFreely reports whether e consumes the *outer* dynamic context
@@ -154,22 +170,25 @@ func usesContextFreely(e ast.Expr) bool {
 	}
 }
 
-// cenv is the compile-time environment: variable plans (iter|pos|item) and
+// cenv is the compile-time environment: variable plans (iter|pos|item),
+// the names bound locally (every variable but the prolog globals), and
 // the context item/position/size plans (iter|item).
 type cenv struct {
-	vars map[string]*Node
-	dot  *Node
-	pos  *Node
-	last *Node
+	vars  map[string]*Node
+	local map[string]bool
+	dot   *Node
+	pos   *Node
+	last  *Node
 }
 
 func (e cenv) bind(name string, p *Node) cenv {
-	vars := make(map[string]*Node, len(e.vars)+1)
-	for k, v := range e.vars {
-		vars[k] = v
+	out := e
+	out.vars, out.local = maps.Clone(e.vars), maps.Clone(e.local)
+	if out.local == nil {
+		out.local = map[string]bool{}
 	}
-	vars[name] = p
-	return cenv{vars: vars, dot: e.dot, pos: e.pos, last: e.last}
+	out.vars[name], out.local[name] = p, true
+	return out
 }
 
 // ---- small plan-construction helpers ------------------------------------
@@ -214,13 +233,6 @@ func rowtag(kid *Node, col string) *Node {
 
 func rownum(kid *Node, col string, sortCols, groupCols []string) *Node {
 	return &Node{Op: OpRowNum, Kids: []*Node{kid}, Col: col, SortCols: sortCols, GroupCols: groupCols}
-}
-
-// qpos re-derives a dense pos from arbitrary order keys (pure bookkeeping).
-func renumber(q *Node, sortCols []string) *Node {
-	rn := rownum(q, "npos", sortCols, []string{"iter"})
-	rn.Bookkeeping = true
-	return project(rn, pp("iter", "iter"), pp("pos", "npos"), pp("item", "item"))
 }
 
 // ddoNodes implements fs:ddo on a plan: distinct over (iter,item), pos =
@@ -407,7 +419,7 @@ func (c *compiler) liftEnv(env cenv, mapT *Node) (cenv, error) {
 		}
 		return project(j, cols...)
 	}
-	out := cenv{vars: make(map[string]*Node, len(env.vars))}
+	out := cenv{vars: make(map[string]*Node, len(env.vars)), local: env.local}
 	for k, v := range env.vars {
 		out.vars[k] = lift(v)
 	}

@@ -95,7 +95,7 @@ func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, en
 		lifted.dot = project(mapT, pp("iter", "inner"), pp("item", "item"))
 		lifted.pos = project(mapT, pp("iter", "inner"), pp("item", "prank"))
 		lifted.last = nil // excluded by predsUsePosLast
-		ci, err := c.compileCondition(p, innerLoop, lifted)
+		ci, err := c.compilePredicate(p, innerLoop, lifted)
 		if err != nil {
 			return nil, err
 		}
@@ -114,11 +114,11 @@ func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, en
 func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) (*Node, error) {
 	allBoolean := true
 	for _, p := range st.Preds {
-		if lit, ok := p.(*ast.Literal); ok && lit.Kind == ast.LitInteger {
+		if mayBeNumeric(p) {
 			allBoolean = false
 		}
 	}
-	if c.topLoop != nil && loop != c.topLoop && allBoolean && c.isInvariant(l) {
+	if c.topLoop != nil && loop != c.topLoop && allBoolean && c.isInvariant(l, env) {
 		top, ok := c.hoisted[st]
 		if !ok {
 			bare := &ast.AxisStep{Axis: st.Axis, Test: st.Test} // predicates stay per-loop
@@ -215,10 +215,8 @@ func (c *compiler) compilePreds(q *Node, preds []ast.Expr, loop *Node, env cenv,
 			q = project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
 			continue
 		}
-		if staticallyNumeric(p) {
-			return nil, unsupported("dynamic numeric predicate [%s]", ast.Format(p))
-		}
-		// Boolean predicate: one inner iteration per candidate row.
+		// Boolean or run-time positional predicate: one inner iteration per
+		// candidate row.
 		mapT := rowtag(ranked, "pinner")
 		innerLoop := project(mapT, pp("iter", "pinner"))
 		lifted, err := c.liftEnv(env, project(mapT, pp("iter", "iter"), pp("pos", "pos"),
@@ -232,7 +230,7 @@ func (c *compiler) compilePreds(q *Node, preds []ast.Expr, loop *Node, env cenv,
 		szJoin := join(mapT, project(cnt, pp("citer", "iter"), pp("sz", "sz")),
 			JoinPred{L: "iter", R: "citer", Cmp: NumEq})
 		lifted.last = project(szJoin, pp("iter", "pinner"), pp("item", "sz"))
-		ci, err := c.compileCondition(p, innerLoop, lifted)
+		ci, err := c.compilePredicate(p, innerLoop, lifted)
 		if err != nil {
 			return nil, err
 		}
@@ -243,24 +241,47 @@ func (c *compiler) compilePreds(q *Node, preds []ast.Expr, loop *Node, env cenv,
 	return q, nil
 }
 
-func staticallyNumeric(e ast.Expr) bool {
+// compilePredicate compiles a predicate in its inner iteration space (one
+// iteration per candidate row, env.pos the row's rank) to the iterations
+// whose row it keeps. A predicate that may be numeric is decided per row at
+// run time: a number keeps the row at that position, anything else keeps
+// it by its effective boolean value — so `item[$i]` selects one item.
+func (c *compiler) compilePredicate(p ast.Expr, loop *Node, env cenv) (*Node, error) {
+	if !mayBeNumeric(p) {
+		return c.compileCondition(p, loop, env)
+	}
+	v, err := c.compile(p, loop, env)
+	if err != nil {
+		return nil, err
+	}
+	j := join(v, project(env.pos, pp("piter", "iter"), pp("prank", "item")),
+		JoinPred{L: "iter", R: "piter", Cmp: NumEq})
+	return iters(sel(numop(j, "keep", NumPredicate, "item", "prank"), "keep")), nil
+}
+
+// mayBeNumeric reports whether a predicate's value may be a number, which
+// makes it a position test; the rest are plain conditions.
+func mayBeNumeric(e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.Literal:
 		return x.Kind != ast.LitString
-	case *ast.Unary:
-		return true
 	case *ast.Binary:
 		switch x.Op {
 		case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpIDiv, ast.OpMod:
 			return true
 		}
+		return false
+	case *ast.Slash:
+		return producesAtomics(x.R) && mayBeNumeric(x.R)
+	case *ast.AxisStep, *ast.RootExpr, *ast.Quantified, *ast.ElemCtor, *ast.AttrCtor, *ast.TextCtor:
+		return false
 	case *ast.FuncCall:
 		switch x.Name {
-		case "count", "sum", "number", "string-length":
-			return true
+		case "not", "exists", "empty", "true", "false", "boolean", "string", "name", "local-name", "root", "id":
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 const maxInlineDepth = 64
@@ -292,7 +313,7 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 			}
 			fresh := fmt.Sprintf("%s\x00%d", prm.Name, c.inlineDepth)
 			body = ast.Substitute(body, prm.Name, &ast.VarRef{Name: fresh})
-			callEnv.vars[fresh] = argPlan
+			callEnv = callEnv.bind(fresh, argPlan)
 		}
 		return c.compile(body, loop, callEnv)
 	}
@@ -412,18 +433,33 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 // bound to the recursion-base placeholder and the executor feeds the
 // placeholder each round. Whether µ or µ∆ runs is decided by the engine
 // after the algebraic distributivity check.
+//
+// An iteration-free body answers a node the same way in every iteration of
+// loop, so it is compiled against its own loop, the key leaf mu.Keys, with
+// the globals lifted into it: evalMu binds the key leaf to one iteration
+// per node it evaluates, or to loop itself, and loop rides along as
+// Kids[2].
 func (c *compiler) compileFixpoint(n *ast.Fixpoint, loop *Node, env cenv) (*Node, error) {
 	seed, err := c.compile(n.Seed, loop, env)
 	if err != nil {
 		return nil, err
 	}
-	rb := &Node{Op: OpRecBase}
-	body, err := c.compile(n.Body, loop, env.bind(n.Var, rb))
+	mu := &Node{Op: OpMu, RecBase: &Node{Op: OpRecBase}}
+	site := &MuSite{Mu: mu, Var: n.Var,
+		IterationFree: !usesContextFreely(n.Body) && c.readsGlobalsOnly(n.Body, env, n.Var)}
+	bodyLoop, bodyEnv := loop, env
+	if site.IterationFree {
+		mu.Keys = &Node{Op: OpRecBase, LitCols: []string{"iter"}}
+		bodyLoop, bodyEnv = mu.Keys, c.globalEnv(mu.Keys)
+	}
+	body, err := c.compile(n.Body, bodyLoop, bodyEnv.bind(n.Var, mu.RecBase))
 	if err != nil {
 		return nil, err
 	}
-	mu := &Node{Op: OpMu, Kids: []*Node{seed, body}, RecBase: rb}
-	site := &MuSite{Mu: mu, Var: n.Var}
+	mu.Kids = []*Node{seed, body}
+	if site.IterationFree {
+		mu.Kids = append(mu.Kids, loop)
+	}
 	site.Distributive = CheckDistributive(mu, true)
 	site.DistributiveExt = CheckDistributive(mu, false)
 	c.mus = append(c.mus, site)

@@ -79,6 +79,25 @@ func TestDifferentialCorpus(t *testing.T) {
 		`for $v in (10, "10", 10.0, " 10 ", "1e1") return count(doc("shop.xml")/shop/item[@price = $v])`,
 		`for $i in doc("shop.xml")/shop/item, $j in doc("shop.xml")/shop/item where $i/@price = $j/@price return ($i/name/string(), $j/name/string())`,
 		`for $c in ("a", "b") return doc("shop.xml")/shop/item[@cat = $c]/name/string()`,
+		// A predicate that may be numeric is a position test when it is
+		// one, per context node on a step, over the sequence on a filter,
+		// and an effective boolean value otherwise.
+		`for $i in (3, 1, 2) return doc("shop.xml")/shop/item[$i]/name/string()`,
+		`for $i in (3, 1, 2) return (doc("shop.xml")//name)[$i]/string()`,
+		`for $i in (2, 1.0, 2.5, 9) return count(doc("shop.xml")//item[$i])`,
+		`for $p in doc("shop.xml")/shop/item/@price return doc("shop.xml")/shop/item[data($p) div 10]/name/string()`,
+		`for $i in (1, 2) return doc("shop.xml")/shop/item[$i + 1][$i]/name/string()`,
+		`for $s in ("x", "") return count(doc("shop.xml")/shop/item[$s])`,
+		`doc("shop.xml")/shop/item[name][last() - 1]/name/string()`,
+		`for $i in (3, 1) return (with $x seeded by doc("shop.xml")/shop/item[$i] recurse $x/following-sibling::item[1])/name/string()`,
+		`for $i in (1, 2) return count(with $x seeded by doc("shop.xml")/shop recurse $x/item[$i])`,
+		// Node-keyed µ: an enclosing iteration with an empty seed still
+		// takes the body's constant part e(∅), and a body reading an
+		// enclosing variable or the outer focus keys per iteration.
+		`for $p in (1, 2) return count(with $x seeded by doc("shop.xml")/shop/item[$p > 5] recurse ($x/name | doc("shop.xml")/shop))`,
+		`for $p in (1, 7) return count(with $x seeded by doc("shop.xml")/shop/item[$p > 5] recurse ($x/name | doc("shop.xml")/shop))`,
+		`for $c in ("a", "c") return (with $x seeded by doc("shop.xml")/shop/item[1] recurse $x/following-sibling::item[@cat = $c])/name/string()`,
+		`for $i in doc("shop.xml")/shop/item return $i/count(with $x seeded by . recurse ($x/following-sibling::item, ./name))`,
 	}
 	type level struct {
 		name     string

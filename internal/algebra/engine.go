@@ -81,17 +81,19 @@ func CompilePlan(m *ast.Module, mode FixpointMode, strict bool, optimize func(*P
 		return nil, err
 	}
 	for _, site := range plan.Mus {
+		// The certificate auto mode picks µ∆ by also tables the body under
+		// every mode (fixpoint.go).
+		site.Mu.Tabled = site.DistributiveExt
+		if strict {
+			site.Mu.Tabled = site.Distributive
+		}
 		switch mode {
 		case ModeNaive:
 			site.Mu.Delta = false
 		case ModeDelta:
 			site.Mu.Delta = true
 		default:
-			if strict {
-				site.Mu.Delta = site.Distributive
-			} else {
-				site.Mu.Delta = site.DistributiveExt
-			}
+			site.Mu.Delta = site.Mu.Tabled
 		}
 	}
 	if optimize != nil {

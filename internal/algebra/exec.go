@@ -143,13 +143,12 @@ type ExecContext struct {
 	Trace *obs.Trace
 	Prof  *obs.PlanProfile
 
-	memo      map[*Node]*Table
-	binding   map[*Node]*Table // OpRecBase → current feed
-	deltaBind map[*Node]*Table // OpRecBase → current round's delta (OpRecDelta reads)
-	sites     *core.Sites[*Node, *MuRun]
-	muDeps    map[*Node]map[*Node]bool // µ node → rec-dependent body nodes
-	docs      map[string]*xdm.Document
-	segCache  map[segKey][]uint64 // per-query step segment memo (step.go)
+	memo     map[*Node]*Table
+	binding  map[*Node]*Table // OpRecBase → current feed or key loop
+	sites    *core.Sites[*Node, *MuRun]
+	muDeps   map[*Node]map[*Node]bool // µ node → rec-dependent body nodes
+	docs     map[string]*xdm.Document
+	segCache map[segKey][]uint64 // per-query step segment memo (step.go)
 	// childNs threads descendant evaluation time through the profiled
 	// recursion so each operator's SelfNs excludes its children; see
 	// evalProfiled.
@@ -163,7 +162,6 @@ func (ctx *ExecContext) init() {
 	if ctx.memo == nil {
 		ctx.memo = map[*Node]*Table{}
 		ctx.binding = map[*Node]*Table{}
-		ctx.deltaBind = map[*Node]*Table{}
 		ctx.sites = core.NewSites[*Node, *MuRun](core.Config{Context: ctx.Ctx, Budget: ctx.Budget, Trace: ctx.Trace})
 		ctx.muDeps = map[*Node]map[*Node]bool{}
 		ctx.docs = map[string]*xdm.Document{}
@@ -181,18 +179,19 @@ func (ctx *ExecContext) eval(n *Node) (*Table, error) {
 	if t, ok := ctx.memo[n]; ok {
 		return t, nil
 	}
+	evalOp := ctx.evalOp
 	if ctx.Prof != nil {
-		return ctx.evalProfiled(n)
+		evalOp = ctx.evalProfiled
 	}
-	t, err := ctx.evalOp(n)
+	t, err := evalOp(n)
 	if err != nil {
 		return nil, err
 	}
-	if n.Op != OpRecBase && n.Op != OpRecDelta {
+	if n.Op != OpRecBase {
 		ctx.memo[n] = t
 		// A memoized table was freshly materialized by this operator:
-		// charge it. OpRecBase/OpRecDelta are exempt — they alias the current
-		// fixpoint feeds, which evalMu charges once per round where built.
+		// charge it. OpRecBase is exempt — it aliases the current fixpoint
+		// feed, which evalMu charges once per round where built.
 		if err := ctx.chargeTable(t); err != nil {
 			return nil, err
 		}
@@ -200,8 +199,8 @@ func (ctx *ExecContext) eval(n *Node) (*Table, error) {
 	return t, nil
 }
 
-// evalProfiled is eval's EXPLAIN ANALYZE twin: identical memoization and
-// budget charging, plus per-operator actuals. Self time is derived with a
+// evalProfiled is evalOp plus the EXPLAIN ANALYZE per-operator actuals,
+// which eval selects when a profile is attached. Self time is derived with a
 // child-time accumulator threaded through the recursion: each call zeroes
 // ctx.childNs for its own children and, on return, adds its total into the
 // parent's accumulator — so SelfNs is wall time minus descendant time, and
@@ -230,10 +229,6 @@ func (ctx *ExecContext) evalProfiled(n *Node) (*Table, error) {
 			st.RowsIn += int64(kt.Len())
 		} else if bt, ok := ctx.binding[k]; ok {
 			st.RowsIn += int64(bt.Len())
-		} else if k.Op == OpRecDelta {
-			if dt, ok := ctx.deltaBind[k.RecBase]; ok {
-				st.RowsIn += int64(dt.Len())
-			}
 		}
 	}
 	st.RowsOut += int64(t.Len())
@@ -241,12 +236,6 @@ func (ctx *ExecContext) evalProfiled(n *Node) (*Table, error) {
 		st.Gathers += int64(t.Len()) * int64(len(t.cols))
 	}
 	st.AllocBytes += t.approxBytes()
-	if n.Op != OpRecBase && n.Op != OpRecDelta {
-		ctx.memo[n] = t
-		if err := ctx.chargeTable(t); err != nil {
-			return nil, err
-		}
-	}
 	return t, nil
 }
 
@@ -322,12 +311,6 @@ func (ctx *ExecContext) evalOp(n *Node) (*Table, error) {
 		t, ok := ctx.binding[n]
 		if !ok {
 			return nil, xdm.NewError(xdm.ErrIFP, "recursion base referenced outside fixpoint")
-		}
-		return t, nil
-	case OpRecDelta:
-		t, ok := ctx.deltaBind[n.RecBase]
-		if !ok {
-			return nil, xdm.NewError(xdm.ErrIFP, "recursion delta referenced outside fixpoint")
 		}
 		return t, nil
 	case OpProject:
@@ -686,12 +669,12 @@ func applyNumOp(kind NumKind, args []xdm.Item) xdm.Item {
 	case NumEq, NumNe, NumLt, NumLe, NumGt, NumGe:
 		ok, err := xdm.GeneralCompareItems(arg(0), arg(1), numToCompOp(kind))
 		return xdm.NewBoolean(err == nil && ok)
-	case NumAnd:
-		return xdm.NewBoolean(truthy(arg(0)) && truthy(arg(1)))
-	case NumOr:
-		return xdm.NewBoolean(truthy(arg(0)) || truthy(arg(1)))
-	case NumNot:
-		return xdm.NewBoolean(!truthy(arg(0)))
+	case NumPredicate:
+		if arg(0).IsNumeric() {
+			ok, err := xdm.GeneralCompareItems(arg(0), arg(1), xdm.OpEq)
+			return xdm.NewBoolean(err == nil && ok)
+		}
+		return xdm.NewBoolean(truthy(arg(0)))
 	case NumTruthy:
 		return xdm.NewBoolean(truthy(arg(0)))
 	case NumAtomize:

@@ -74,9 +74,10 @@ func describe(n *Node) string {
 	case OpDoc:
 		return fmt.Sprintf("doc(%q)", n.URI)
 	case OpRecBase:
+		if n.LitCols != nil {
+			return "keys"
+		}
 		return "recbase"
-	case OpRecDelta:
-		return "recdelta"
 	case OpProject:
 		parts := make([]string, len(n.Proj))
 		for i, p := range n.Proj {

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -35,30 +34,22 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 		}
 		return &MuRun{}, "µ"
 	})
-	body := &muBody{ctx: ctx, mu: n, deps: ctx.bodyDeps(n), ids: map[xdm.Key]int32{}}
+	body := &muBody{ctx: ctx, mu: n, deps: ctx.bodyDeps(n), hits: &x.Site().TableHits, ids: map[xdm.Key]int32{}}
+	if n.Keys != nil {
+		if body.loop, err = ctx.kid(n, 2); err != nil {
+			return nil, err
+		}
+	}
 	seed, err := body.batch(seedT)
 	if err != nil {
 		return nil, err
-	}
-	// The optimizer's delta-fed step rewrite replaces eligible recursion-base
-	// chains with OpRecDelta leaves. Bind only the feeds the body actually
-	// reads: -O0 plans never contain recdelta, so useDelta stays false and
-	// the evaluation (tables built, budget charges, stats) is byte-identical
-	// to the unrewritten path.
-	for dep := range body.deps {
-		switch dep.Op {
-		case OpRecBase:
-			body.useBase = body.useBase || dep == n.RecBase
-		case OpRecDelta:
-			body.useDelta = body.useDelta || dep.RecBase == n.RecBase
-		}
 	}
 	res, err := core.Run(x, seed, body)
 	if err != nil {
 		return nil, err
 	}
 	delete(ctx.binding, n.RecBase)
-	delete(ctx.deltaBind, n.RecBase)
+	delete(ctx.binding, n.Keys)
 	for dep := range body.deps {
 		delete(ctx.memo, dep)
 	}
@@ -66,58 +57,154 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 }
 
 // muBody is the relational side of one µ/µ∆ execution: it binds the feed
-// (OpRecBase) and ∆ (OpRecDelta) tables, drops the rec-dependent memo
-// entries so the body re-evaluates, and hands the answer to core's loop as
-// a batch. Each distinct iter value becomes a dense family iteration id the
-// first time the execution meets it.
+// (OpRecBase) table, drops the rec-dependent memo entries so the body
+// re-evaluates, and hands the answer to core's loop as a batch. Each
+// distinct iter value becomes a dense family iteration id the first time
+// the execution meets it.
+//
+// A tabled site's body is certified distributive, e(X) = ∪_{x∈X} e({x})
+// (§3), so a node's answer never needs computing twice, and every round —
+// Naïve's too, since e(res_k) ⊆ res_k ∪ e(∆_k) — is answered from ∆ alone.
+// Keyed by (iteration, node), ∆ is all the body needs: a fed node outside
+// it was answered in an earlier round. An iteration-free body is keyed by
+// the node alone: the body plan runs once per round on the nodes no
+// earlier round answered, each in its own key iteration, and the round's
+// batch is ∆ joined with the memoized answers on the node. core still
+// feeds and counts every row, so the Table 2 counters stay the logical
+// ones; the fed rows the body was not evaluated on are the site's
+// TableHits.
 type muBody struct {
-	ctx               *ExecContext
-	mu                *Node
-	deps              map[*Node]bool
-	useBase, useDelta bool
-	ids               map[xdm.Key]int32 // iter value → iteration id
-	iters             []xdm.Item        // iteration id → iter value
-	order             []int32           // ids by xdm.CompareOrder of their iter values
-	out               xdm.Family        // the batch, reused across rounds
+	ctx   *ExecContext
+	mu    *Node
+	deps  map[*Node]bool
+	hits  *int64            // the site's core.Site.TableHits
+	ids   map[xdm.Key]int32 // iter value → iteration id
+	iters []xdm.Item        // iteration id → iter value
+	order []int32           // ids by xdm.CompareOrder of their iter values
+	out   xdm.Family        // the batch, reused across rounds
+	loop  *Table            // the enclosing loop, when the body is compiled against mu.Keys
+
+	keys    map[xdm.NodeRef]int32 // node → key iteration, iteration-free bodies
+	answers xdm.Family            // key iteration → its answer
+	scratch xdm.Family
 }
 
-// Step evaluates the body once. Naïve µ still feeds the accumulated family,
-// but delta-fed body fragments (OpRecDelta) see only the genuinely new part
-// of the previous round — for a body certified linear in the recursion
-// variable this is answer- and stats-preserving (the delta-feed rule in
-// opt/deltarules.go).
+// Step evaluates the body for one payload application.
 func (b *muBody) Step(feed, delta *xdm.Family) (*xdm.Family, error) {
-	ctx := b.ctx
-	for dep := range b.deps {
-		delete(ctx.memo, dep)
+	switch {
+	case b.mu.Tabled && b.mu.Keys != nil:
+		return b.keyedStep(feed, delta)
+	case b.mu.Tabled:
+		*b.hits += int64(feed.Len() - delta.Len())
+		feed = delta
 	}
-	// The previous round's feed table and rec-dependent intermediates
-	// become collectible here: their memo entries were just dropped,
-	// and columnar tables own their vectors outright — no shared slab
-	// pins O(rounds × result) rows across rounds.
-	var ft *Table
-	if b.useBase || !b.useDelta {
-		ft = b.table(feed)
-		if err := ctx.chargeTable(ft); err != nil {
-			return nil, err
-		}
-		ctx.binding[b.mu.RecBase] = ft
-	}
-	if b.useDelta {
-		dt := ft
-		if delta != feed || dt == nil {
-			dt = b.table(delta)
-			if err := ctx.chargeTable(dt); err != nil {
-				return nil, err
-			}
-		}
-		ctx.deltaBind[b.mu.RecBase] = dt
-	}
-	out, err := ctx.eval(b.mu.Kids[1])
+	out, err := b.eval(b.table(feed), b.loop)
 	if err != nil {
 		return nil, err
 	}
 	return b.batch(out)
+}
+
+// keyedStep is Step on a tabled iteration-free body: each node ∆ brings
+// that no round answered gets a key iteration, the body plan runs once over
+// those, and every ∆ row takes its node's answer. In round 0 an iteration
+// of the enclosing loop with an empty seed still takes the body's constant
+// part, e(∅), which one more key iteration with no node answers.
+func (b *muBody) keyedStep(feed, delta *xdm.Family) (*xdm.Family, error) {
+	first := b.keys == nil
+	if first {
+		b.keys = map[xdm.NodeRef]int32{}
+	}
+	var ids []int32
+	var nodes []xdm.NodeRef
+	for id := range int32(len(b.iters)) {
+		for _, n := range delta.Nodes(id) {
+			if _, ok := b.keys[n]; !ok {
+				k := int32(len(b.keys))
+				b.keys[n] = k
+				ids, nodes = append(ids, k), append(nodes, n)
+			}
+		}
+	}
+	var emptySeeded []int32
+	if first {
+		iterC := b.loop.ColAt(b.loop.Col("iter"))
+		iterR := iterC.reader()
+		for i := 0; i < b.loop.Len(); i++ {
+			k := iterC.key(i)
+			if _, seeded := b.ids[k]; !seeded {
+				emptySeeded = append(emptySeeded, b.iterID(k, iterR.item(i)))
+			}
+		}
+		if len(emptySeeded) > 0 {
+			// The zero NodeRef holds e(∅)'s key, so no node takes its id.
+			b.keys[xdm.NodeRef{}] = int32(len(b.keys))
+			ids = append(ids, b.keys[xdm.NodeRef{}])
+		}
+	}
+	*b.hits += int64(feed.Len() - len(nodes))
+	if len(ids) > 0 {
+		if err := b.answer(ids, nodes); err != nil {
+			return nil, err
+		}
+	}
+	b.out.Reset()
+	for id := range int32(len(b.iters)) {
+		for _, n := range delta.Nodes(id) {
+			b.out.AddNodes(id, b.answers.Nodes(b.keys[n]))
+		}
+	}
+	for _, id := range emptySeeded {
+		b.out.AddNodes(id, b.answers.Nodes(b.keys[xdm.NodeRef{}]))
+	}
+	return &b.out, nil
+}
+
+// answer evaluates the body on key iterations ids, the first len(nodes) of
+// which feed one node each, and memoizes their answers. The memo is charged
+// to the row budget.
+func (b *muBody) answer(ids []int32, nodes []xdm.NodeRef) error {
+	iterV := make([]xdm.Item, len(ids))
+	for i, k := range ids {
+		iterV[i] = xdm.NewInteger(int64(k))
+	}
+	feed := NewColTable([]string{"iter", "pos", "item"}, []*Column{
+		genericColumn(iterV[:len(nodes)]), repeatColumn(xdm.NewInteger(1), len(nodes)), packedNodeColumn(nodes)})
+	keys := NewColTable([]string{"iter"}, []*Column{genericColumn(iterV)})
+	if err := b.ctx.chargeTable(keys); err != nil {
+		return err
+	}
+	out, err := b.eval(feed, keys)
+	if err != nil {
+		return err
+	}
+	b.scratch.Reset()
+	iterR, itemR := out.ColAt(out.Col("iter")).reader(), out.ColAt(out.Col("item")).reader()
+	for i := 0; i < out.Len(); i++ {
+		if err := b.scratch.Add(int32(iterR.item(i).Int()), itemR.item(i)); err != nil {
+			return err
+		}
+	}
+	return b.ctx.Budget.ChargeRows(b.answers.Absorb(&b.scratch).Len())
+}
+
+// eval binds the feed (and the key loop, for a body compiled against one)
+// and evaluates the body plan afresh. The previous round's tables become
+// collectible here: their memo entries are dropped, and columnar tables own
+// their vectors outright.
+func (b *muBody) eval(feed, keys *Table) (*Table, error) {
+	ctx := b.ctx
+	for dep := range b.deps {
+		delete(ctx.memo, dep)
+	}
+	if err := ctx.chargeTable(feed); err != nil {
+		return nil, err
+	}
+	ctx.binding[b.mu.RecBase] = feed
+	if b.mu.Keys != nil {
+		ctx.binding[b.mu.Keys] = keys
+	}
+	return ctx.eval(b.mu.Kids[1])
 }
 
 // batch refills the batch from an iter|…|item table. The family
@@ -127,18 +214,23 @@ func (b *muBody) batch(t *Table) (*xdm.Family, error) {
 	iterC := t.ColAt(t.Col("iter"))
 	iterR, itemR := iterC.reader(), t.ColAt(t.Col("item")).reader()
 	for i := 0; i < t.Len(); i++ {
-		k := iterC.key(i)
-		id, ok := b.ids[k]
-		if !ok {
-			id = int32(len(b.iters))
-			b.ids[k] = id
-			b.iters = append(b.iters, iterR.item(i))
-		}
-		if err := b.out.Add(id, itemR.item(i)); err != nil {
+		if err := b.out.Add(b.iterID(iterC.key(i), iterR.item(i)), itemR.item(i)); err != nil {
 			return nil, err
 		}
 	}
 	return &b.out, nil
+}
+
+// iterID returns the iteration id of the iter value v with key k,
+// assigning the next one the first time.
+func (b *muBody) iterID(k xdm.Key, v xdm.Item) int32 {
+	id, ok := b.ids[k]
+	if !ok {
+		id = int32(len(b.iters))
+		b.ids[k] = id
+		b.iters = append(b.iters, v)
+	}
+	return id
 }
 
 // table materializes a family as an iter|pos|item relation with pos the
@@ -175,28 +267,27 @@ func (b *muBody) table(f *xdm.Family) *Table {
 func (ctx *ExecContext) bodyDeps(mu *Node) map[*Node]bool {
 	d, ok := ctx.muDeps[mu]
 	if !ok {
-		d = RecDependents(mu.Kids[1])
+		d = recDependents(mu.Kids[1])
 		ctx.muDeps[mu] = d
 	}
 	return d
 }
 
-// RecDependents collects the sub-plan nodes reachable from root that
-// contain an OpRecBase or OpRecDelta leaf (the loop-dependence property) or
-// a constructor; these must be re-evaluated on every fixpoint round while
-// everything else stays hoisted in the memo cache. A constructor mints
-// fresh nodes on every application (Definition 2.1), so it is never
-// loop-invariant even when it does not read the recursion variable.
-// Exported for the optimizer's delta-feed rule, which reads the same set
-// off a µ body.
-func RecDependents(root *Node) map[*Node]bool {
+// recDependents collects the sub-plan nodes reachable from root that
+// contain an OpRecBase leaf (the recursion base or a key loop: the
+// loop-dependence property) or a constructor; these must be re-evaluated
+// on every fixpoint round while everything else stays hoisted in the memo
+// cache. A constructor mints fresh nodes on every application (Definition
+// 2.1), so it is never loop-invariant even when it does not read the
+// recursion variable.
+func recDependents(root *Node) map[*Node]bool {
 	memo := map[*Node]bool{}
 	var walk func(n *Node) bool
 	walk = func(n *Node) bool {
 		if v, ok := memo[n]; ok {
 			return v
 		}
-		leaf := n.Op == OpRecBase || n.Op == OpRecDelta
+		leaf := n.Op == OpRecBase
 		memo[n] = leaf // guards against cycles (none expected)
 		dep := leaf || n.Op == OpCtor
 		for _, k := range n.Kids {
@@ -251,9 +342,7 @@ func (ctx *ExecContext) evalCtor(n *Node) (*Table, error) {
 		for e := byIter.lookup(keys[1].at(li)); e != noEntry; e = byIter.next[e] {
 			idx = append(idx, e)
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return xdm.CompareOrder(posVals[idx[a]], posVals[idx[b]]) < 0
-		})
+		slices.SortStableFunc(idx, func(a, b int32) int { return xdm.CompareOrder(posVals[a], posVals[b]) })
 		scratch = scratch[:0]
 		for _, r := range idx {
 			scratch = append(scratch, itemVals[r])

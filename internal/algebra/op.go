@@ -42,7 +42,10 @@ const (
 	OpIDLookup                 // fn:id lookup join against the document ID index
 	OpCtor                     // ε/τ…: node constructor (element/attribute/text)
 	OpMu                       // µ / µ∆: inflationary fixed point
-	OpRecDelta                 // ∆: per-round delta of a recursion base (optimizer-introduced)
+	// OpRecDelta is reserved and never emitted: node-keyed µ retired the
+	// optimizer's delta-fed leaf, and the constant stays only until the
+	// benchmark module's operator-class map stops naming it.
+	OpRecDelta
 )
 
 var opNames = map[OpKind]string{
@@ -76,25 +79,23 @@ const (
 	NumLe
 	NumGt
 	NumGe
-	NumAnd
-	NumOr
-	NumNot
-	NumTruthy   // EBV of a single item
-	NumAtomize  // fn:data on one item
-	NumStringOf // fn:string on one item
-	NumNumberOf // fn:number on one item
-	NumNameOf   // fn:name on one node
-	NumRootOf   // document root of a node
-	NumIs       // node identity
-	NumPrecedes // <<
-	NumFollows  // >>
+	NumPredicate // predicate truth: a number is a position test against arg 2, else EBV
+	NumTruthy    // EBV of a single item
+	NumAtomize   // fn:data on one item
+	NumStringOf  // fn:string on one item
+	NumNumberOf  // fn:number on one item
+	NumNameOf    // fn:name on one node
+	NumRootOf    // document root of a node
+	NumIs        // node identity
+	NumPrecedes  // <<
+	NumFollows   // >>
 )
 
 var numNames = map[NumKind]string{
 	NumAdd: "+", NumSub: "-", NumMul: "*", NumDiv: "div", NumIDiv: "idiv",
 	NumMod: "mod", NumNeg: "neg", NumEq: "=", NumNe: "!=", NumLt: "<",
-	NumLe: "<=", NumGt: ">", NumGe: ">=", NumAnd: "and", NumOr: "or",
-	NumNot: "not", NumTruthy: "ebv", NumAtomize: "data", NumStringOf: "string",
+	NumLe: "<=", NumGt: ">", NumGe: ">=", NumPredicate: "pred",
+	NumTruthy: "ebv", NumAtomize: "data", NumStringOf: "string",
 	NumNumberOf: "number", NumNameOf: "name", NumRootOf: "root", NumIs: "is", NumPrecedes: "<<", NumFollows: ">>",
 }
 
@@ -159,11 +160,15 @@ type Node struct {
 	Ctor     CtorKind
 	CtorName string // static name ("" means Kids[1] provides per-iter names)
 	// OpMu: Kids[0] = seed, Kids[1] = body (containing the OpRecBase leaf),
-	// RecBase points at that leaf so the executor can rebind it.
-	// OpRecDelta reuses RecBase to name the site whose per-round delta it
-	// reads; the node is a leaf (the feed is bound by evalMu, not computed).
+	// RecBase points at that leaf so the executor can rebind it. An
+	// iteration-free body is compiled against Keys, a second OpRecBase leaf
+	// of schema iter that evalMu binds to the round's key iterations, and
+	// Kids[2] is then the enclosing loop. Tabled marks a site whose body is
+	// certified distributive: it is evaluated once per key (fixpoint.go).
 	Delta   bool
+	Tabled  bool
 	RecBase *Node
+	Keys    *Node
 	// Desc makes OpRowNum number in descending sort order (reverse axes).
 	Desc bool
 
@@ -201,8 +206,11 @@ func (n *Node) Schema() []string {
 		schema = n.LitCols
 	case OpDoc:
 		schema = []string{"item"}
-	case OpRecBase, OpRecDelta:
+	case OpRecBase:
 		schema = []string{"iter", "pos", "item"}
+		if n.LitCols != nil { // a key loop leaf
+			schema = n.LitCols
+		}
 	case OpProject:
 		cols := make([]string, len(n.Proj))
 		for i, p := range n.Proj {
@@ -241,21 +249,6 @@ func (n *Node) Schema() []string {
 func (n *Node) HasCol(col string) bool {
 	for _, c := range n.Schema() {
 		if c == col {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsRecBase reports whether the sub-DAG under n reaches an OpRecBase
-// (or optimizer-introduced OpRecDelta) leaf (memoized externally by the
-// callers that need it in bulk).
-func (n *Node) ContainsRecBase() bool {
-	if n.Op == OpRecBase || n.Op == OpRecDelta {
-		return true
-	}
-	for _, k := range n.Kids {
-		if k.ContainsRecBase() {
 			return true
 		}
 	}

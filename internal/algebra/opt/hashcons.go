@@ -124,10 +124,6 @@ func (c *conser) signature(n *algebra.Node) string {
 			n.ValEqSet, n.ValEq)
 	case algebra.OpIDLookup:
 		sb.WriteString("|" + n.ItemCol + "/" + n.Col)
-	case algebra.OpRecDelta:
-		// A delta leaf's identity is the recursion site it reads: duplicate
-		// leaves minted for the same base merge into one shared node.
-		fmt.Fprintf(&sb, "|rb%d", c.id(n.RecBase))
 	}
 	return sb.String()
 }

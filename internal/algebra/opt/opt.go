@@ -23,9 +23,8 @@ func Optimize(p *algebra.Plan) {
 		return
 	}
 	root := p.Root
-	strict := strictSites(p)
 	for i := 0; i < maxPasses; i++ {
-		r := newRewriter(root, deltaEligible(root, strict))
+		r := newRewriter(root)
 		next := r.rewrite(root)
 		if !r.changed {
 			break

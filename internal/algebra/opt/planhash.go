@@ -35,18 +35,19 @@ func PlanHash(root *algebra.Node) uint64 {
 		for _, k := range n.Kids {
 			visit(k)
 		}
-		if (n.Op == algebra.OpMu || n.Op == algebra.OpRecDelta) && n.RecBase != nil {
-			// The rec-base backlink is part of µ's (and a delta leaf's)
-			// identity. For µ the leaf was visited via the body; a delta leaf
-			// may precede its base in DFS order (or the base may be fully
-			// rewritten away), so assign its id on demand — still
+		if n.Op == algebra.OpMu {
+			// The rec-base and key-loop backlinks are part of µ's identity.
+			// A leaf the body no longer reads gets its id on demand — still
 			// deterministic, ids follow first-mention order.
-			id, ok := ids[n.RecBase]
-			if !ok {
-				id = len(ids)
-				ids[n.RecBase] = id
+			for _, leaf := range []*algebra.Node{n.RecBase, n.Keys} {
+				if leaf == nil {
+					continue
+				}
+				if _, ok := ids[leaf]; !ok {
+					ids[leaf] = len(ids)
+				}
+				fmt.Fprintf(h, "@%d", ids[leaf])
 			}
-			fmt.Fprintf(h, "@%d", id)
 		}
 		fmt.Fprint(h, ")")
 	}
@@ -61,6 +62,9 @@ func writeFields(h io.Writer, n *algebra.Node) {
 	if n.Delta {
 		sb.WriteString("|D")
 	}
+	if n.Tabled {
+		sb.WriteString("|tab")
+	}
 	if n.Desc {
 		sb.WriteString("|desc")
 	}
@@ -71,7 +75,7 @@ func writeFields(h io.Writer, n *algebra.Node) {
 		sb.WriteString("|B")
 	}
 	switch n.Op {
-	case algebra.OpLit:
+	case algebra.OpLit, algebra.OpRecBase:
 		sb.WriteString("|" + strings.Join(n.LitCols, ","))
 		for _, row := range n.Rows {
 			sb.WriteByte('|')

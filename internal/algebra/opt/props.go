@@ -16,6 +16,7 @@
 package opt
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,9 +33,6 @@ type Props struct {
 	// the node must be re-evaluated on every fixpoint round.
 	LoopDep bool
 }
-
-// Distinct reports whether the node's rows are provably duplicate-free.
-func (p *Props) Distinct() bool { return len(p.Keys) > 0 }
 
 // HasKeyWithin reports whether some key set is contained in cols.
 func (p *Props) HasKeyWithin(cols map[string]bool) bool {
@@ -54,12 +52,17 @@ func (p *Props) HasKeyWithin(cols map[string]bool) bool {
 }
 
 // maxKeys bounds the key sets tracked per node (join/cross products would
-// otherwise grow combinatorially).
-const maxKeys = 4
+// otherwise grow combinatorially); maxKeyCols sizes the scratch a key is
+// assembled in before addKey copies it.
+const (
+	maxKeys    = 4
+	maxKeyCols = 8
+)
 
 // Analysis memoizes inferred properties over one plan DAG.
 type Analysis struct {
 	props map[*algebra.Node]*Props
+	slab  []Props // backing store handed out by infer, a chunk at a time
 }
 
 // Analyze infers properties bottom-up for every node reachable from root.
@@ -77,9 +80,17 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 	if p, ok := a.props[n]; ok {
 		return p
 	}
-	p := &Props{}
+	if len(a.slab) == 0 {
+		a.slab = make([]Props, 64)
+	}
+	p := &a.slab[0]
+	a.slab = a.slab[1:]
 	a.props[n] = p // DAGs are acyclic; pre-registering guards stray cycles
-	kids := make([]*Props, len(n.Kids))
+	var kidBuf [3]*Props
+	kids := kidBuf[:0]
+	for range n.Kids {
+		kids = append(kids, nil)
+	}
 	for i, k := range n.Kids {
 		kids[i] = a.infer(k)
 		p.LoopDep = p.LoopDep || kids[i].LoopDep
@@ -91,31 +102,29 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 		}
 	case algebra.OpDoc:
 		p.Keys = [][]string{{}}
-	case algebra.OpRecBase, algebra.OpRecDelta, algebra.OpMu:
-		// µ results, recursion-base feeds, and per-round deltas are
-		// materialized xdm.Family tables: nodes deduplicated per iteration,
-		// pos the per-iteration rank.
+	case algebra.OpRecBase, algebra.OpMu:
+		// µ results and recursion-base feeds are materialized xdm.Family
+		// tables: nodes deduplicated per iteration, pos the per-iteration
+		// rank. A key loop holds each key iteration once.
 		p.Keys = [][]string{{"item", "iter"}, {"iter", "pos"}}
-		p.LoopDep = p.LoopDep || n.Op != algebra.OpMu
+		if n.LitCols != nil {
+			p.Keys = [][]string{{"iter"}}
+		}
+		p.LoopDep = p.LoopDep || n.Op == algebra.OpRecBase
 	case algebra.OpProject:
 		// A key set survives a projection when every key column keeps at
-		// least one output name.
-		outsOf := map[string][]string{}
-		for _, pr := range n.Proj {
-			outsOf[pr.In] = append(outsOf[pr.In], pr.Out)
-		}
+		// least one output name (the first that reads it).
 		for _, key := range kids[0].Keys {
-			mapped := make([]string, 0, len(key))
-			ok := true
+			var buf [maxKeyCols]string
+			mapped := buf[:0]
 			for _, c := range key {
-				outs := outsOf[c]
-				if len(outs) == 0 {
-					ok = false
+				i := slices.IndexFunc(n.Proj, func(pr algebra.ProjPair) bool { return pr.In == c })
+				if i < 0 {
 					break
 				}
-				mapped = append(mapped, outs[0])
+				mapped = append(mapped, n.Proj[i].Out)
 			}
-			if ok {
+			if len(mapped) == len(key) {
 				p.addKey(mapped)
 			}
 		}
@@ -128,7 +137,7 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 		for _, k := range kids[0].Keys {
 			p.addKey(k)
 		}
-		p.addKey(append([]string{}, n.Kids[0].Schema()...))
+		p.addKey(n.Kids[0].Schema())
 	case algebra.OpJoin:
 		var eqL, eqR []string
 		for _, pr := range n.Preds {
@@ -153,7 +162,7 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 	case algebra.OpCross:
 		p.addPairKeys(kids[0].Keys, kids[1].Keys)
 	case algebra.OpGroupCount:
-		p.addKey(append([]string{}, n.GroupCols...))
+		p.addKey(n.GroupCols)
 	case algebra.OpRowTag:
 		for _, k := range kids[0].Keys {
 			p.addKey(k)
@@ -163,13 +172,15 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 		for _, k := range kids[0].Keys {
 			p.addKey(k)
 		}
-		p.addKey(append(append([]string{}, n.GroupCols...), n.Col))
+		var buf [maxKeyCols]string
+		p.addKey(append(append(buf[:0], n.GroupCols...), n.Col))
 	case algebra.OpStep:
 		// One output row per (input row, distinct axis match): a key not
 		// involving the replaced context column extends by it.
 		for _, k := range kids[0].Keys {
 			if !contains(k, n.ItemCol) {
-				p.addKey(append(append([]string{}, k...), n.ItemCol))
+				var buf [maxKeyCols]string
+				p.addKey(append(append(buf[:0], k...), n.ItemCol))
 			}
 		}
 	case algebra.OpUnion, algebra.OpIDLookup:
@@ -184,6 +195,7 @@ func (a *Analysis) infer(n *algebra.Node) *Props {
 	return p
 }
 
+// addKey records a copy of key, sorted, unless it is already known.
 func (p *Props) addKey(key []string) {
 	if len(p.Keys) >= maxKeys {
 		return

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"repro/internal/algebra"
 )
 
@@ -48,13 +50,12 @@ func liveness(root *algebra.Node) (map[*algebra.Node]colset, map[*algebra.Node]i
 		queue = queue[1:]
 		reqs := kidRequirements(n, live[n])
 		for i, k := range n.Kids {
-			l := live[k]
-			if l == nil {
-				l = colset{}
-				live[k] = l
-			}
-			for c := range reqs[i] {
-				l[c] = true
+			if l := live[k]; l == nil {
+				live[k] = reqs[i] // requirement sets are fresh per call
+			} else {
+				for c := range reqs[i] {
+					l[c] = true
+				}
 			}
 			pending[k]--
 			if pending[k] == 0 {
@@ -165,7 +166,8 @@ func kidRequirements(n *algebra.Node, live colset) []colset {
 		// µ ingests seed and body into its xdm.Family, reading exactly
 		// iter and item: the per-round pos ranks are recomputed from
 		// document order, so upstream pos machinery is dead through µ.
-		return []colset{{"iter": true, "item": true}, {"iter": true, "item": true}}
+		// The enclosing loop of an iteration-free body is read for iter.
+		return []colset{{"iter": true, "item": true}, {"iter": true, "item": true}, {"iter": true}}[:len(n.Kids)]
 	}
 	// Leaves (lit, doc, recbase) have no children.
 	reqs := make([]colset, len(n.Kids))
@@ -184,19 +186,14 @@ type rewriter struct {
 	an      *Analysis
 	semi    map[*algebra.Node]bool // joins convertible under a δ∘π context
 	memo    map[*algebra.Node]*algebra.Node
-	// delta marks recursion bases whose step consumers may read the round's
-	// delta feed (deltarules.go); recDeltas interns the one ∆ leaf per base.
-	delta     map[*algebra.Node]bool
-	recDeltas map[*algebra.Node]*algebra.Node
-	changed   bool
+	changed bool
 }
 
-func newRewriter(root *algebra.Node, delta map[*algebra.Node]bool) *rewriter {
+func newRewriter(root *algebra.Node) *rewriter {
 	live, parents := liveness(root)
 	r := &rewriter{
 		live: live, parents: parents, an: Analyze(root),
 		semi: map[*algebra.Node]bool{}, memo: map[*algebra.Node]*algebra.Node{},
-		delta: delta, recDeltas: map[*algebra.Node]*algebra.Node{},
 	}
 	r.findSemiJoinContexts(root)
 	return r
@@ -309,8 +306,6 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 		return r.semiJoinRules(old, n)
 	case algebra.OpUnion:
 		return alignUnion(n)
-	case algebra.OpStep, algebra.OpIDLookup:
-		return r.stepRules(n)
 	}
 	return n
 }
@@ -319,17 +314,19 @@ func (r *rewriter) projectRules(old, n *algebra.Node) *algebra.Node {
 	// Dead-column pruning: drop pairs no ancestor reads (keeping at least
 	// one — a zero-column table would lose its row count).
 	live := r.live[old]
-	var pairs []algebra.ProjPair
-	for _, p := range n.Proj {
-		if live[p.Out] {
-			pairs = append(pairs, p)
+	if slices.ContainsFunc(n.Proj, func(p algebra.ProjPair) bool { return !live[p.Out] }) {
+		var pairs []algebra.ProjPair
+		for _, p := range n.Proj {
+			if live[p.Out] {
+				pairs = append(pairs, p)
+			}
 		}
-	}
-	if len(pairs) == 0 {
-		pairs = n.Proj[:1]
-	}
-	if len(pairs) != len(n.Proj) {
-		n = &algebra.Node{Op: algebra.OpProject, Kids: n.Kids, Proj: pairs}
+		if len(pairs) == 0 {
+			pairs = n.Proj[:1]
+		}
+		if len(pairs) != len(n.Proj) {
+			n = &algebra.Node{Op: algebra.OpProject, Kids: n.Kids, Proj: pairs}
+		}
 	}
 	// π∘π collapsing: compose the rename maps into one projection.
 	if kid := n.Kids[0]; kid.Op == algebra.OpProject {
@@ -464,7 +461,7 @@ func copyWithKids(n *algebra.Node, kids []*algebra.Node) *algebra.Node {
 		Axis: n.Axis, Test: n.Test, ItemCol: n.ItemCol,
 		ValEq: n.ValEq, ValEqSet: n.ValEqSet,
 		Ctor: n.Ctor, CtorName: n.CtorName,
-		Delta: n.Delta, RecBase: n.RecBase, Desc: n.Desc,
+		Delta: n.Delta, Tabled: n.Tabled, RecBase: n.RecBase, Keys: n.Keys, Desc: n.Desc,
 		Template: n.Template, Bookkeeping: n.Bookkeeping,
 	}
 }

@@ -179,90 +179,3 @@ func TestStepFromGenericColumn(t *testing.T) {
 		t.Errorf("generic-context step diverges: %d rows, want %d", len(got), len(want))
 	}
 }
-
-// aliasDeltas rewrites recursion-base occurrences onto OpRecDelta leaves —
-// the executor-side shape the optimizer's delta-feed rewrite produces. With
-// all=true every occurrence moves to the delta
-// feed (the body stops reading the base entirely); with all=false only the
-// first DFS occurrence moves, so the executor must bind base and delta
-// feeds side by side.
-func aliasDeltas(all bool) func(*Plan) {
-	return func(p *Plan) {
-		deltas := map[*Node]*Node{}
-		done := false
-		walkPlan(p.Root, func(n *Node) {
-			for i, k := range n.Kids {
-				if k.Op != OpRecBase || (done && !all) {
-					continue
-				}
-				d, ok := deltas[k]
-				if !ok {
-					d = &Node{Op: OpRecDelta, RecBase: k}
-					deltas[k] = d
-				}
-				n.Kids[i] = d
-				done = true
-			}
-		})
-	}
-}
-
-// TestRecDeltaFeedMatches moves recursion-base occurrences onto the round's
-// delta feed and pins results and fixpoint statistics against the
-// unrewritten plan. At µ∆ sites evalMu passes body(delta, delta), so the
-// substitution is exact aliasing for any body; the naïve cases are the
-// pure-closure shape for which the paper's distributivity argument makes
-// the semi-naive feed answer- and stats-preserving.
-func TestRecDeltaFeedMatches(t *testing.T) {
-	cases := []struct {
-		query string
-		mode  FixpointMode
-		all   bool
-	}{
-		{`count(with $x seeded by doc("nest.xml")/n recurse $x/n)`, ModeNaive, true},
-		{`count(with $x seeded by doc("nest.xml")/n recurse $x/n)`, ModeNaive, false},
-		{`count(with $x seeded by doc("nest.xml")/n recurse $x/n)`, ModeDelta, true},
-		{`count(with $x seeded by doc("nest.xml")/n recurse $x/n)`, ModeDelta, false},
-		{`with $x seeded by doc("curriculum.xml")//course[@code = "c1"]
-		  recurse $x/id(./prerequisites/pre_code)`, ModeDelta, true},
-	}
-	for _, c := range cases {
-		fired := 0
-		hook := func(pl *Plan) {
-			aliasDeltas(c.all)(pl)
-			walkPlan(pl.Root, func(n *Node) {
-				if n.Op == OpRecDelta {
-					fired++
-				}
-			})
-		}
-		want, wantRuns := evalWith(t, c.query, c.mode, nil)
-		got, gotRuns := evalWith(t, c.query, c.mode, hook)
-		if fired == 0 {
-			t.Fatalf("%s: aliasDeltas rewrote nothing — vacuous case", c.query)
-		}
-		w, g := xmldoc.SerializeSequence(want), xmldoc.SerializeSequence(got)
-		if w != g {
-			t.Errorf("%s (mode=%v): delta feed diverges:\nbase:  %s\ndelta: %s", c.query, c.mode, w, g)
-		}
-		if len(wantRuns) != len(gotRuns) {
-			t.Fatalf("%s (mode=%v): µ site count diverges", c.query, c.mode)
-		}
-		for i := range wantRuns {
-			if wantRuns[i].Stats != gotRuns[i].Stats {
-				t.Errorf("%s (mode=%v): fixpoint stats diverge: %+v vs %+v",
-					c.query, c.mode, wantRuns[i].Stats, gotRuns[i].Stats)
-			}
-		}
-	}
-}
-
-// TestRecDeltaOutsideFixpointErrors pins the guard: a ∆ leaf evaluated with
-// no enclosing fixpoint binding is a plan bug and must fail loudly.
-func TestRecDeltaOutsideFixpointErrors(t *testing.T) {
-	rb := &Node{Op: OpRecBase}
-	en := NewEngineFromPlan(&Plan{Root: &Node{Op: OpRecDelta, RecBase: rb}}, Options{})
-	if _, _, err := en.Eval(); err == nil || !strings.Contains(err.Error(), "outside fixpoint") {
-		t.Fatalf("want outside-fixpoint error, got %v", err)
-	}
-}

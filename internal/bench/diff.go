@@ -22,10 +22,17 @@ type CellDiff struct {
 	AllocsRatio  float64 // cur/base
 	NsRegressed  bool
 	AllocsRegred bool
+	// BaseInputs and CurInputs are the cell's body_inputs. A count is a
+	// deterministic property of the code, so any change fails the gate
+	// (InputsChanged) until the baseline is refreshed on purpose.
+	BaseInputs    int64
+	CurInputs     int64
+	InputsChanged bool
 }
 
-// Regressed reports whether either gated metric exceeded its tolerance.
-func (d CellDiff) Regressed() bool { return d.NsRegressed || d.AllocsRegred }
+// Regressed reports whether a gated metric exceeded its tolerance or a
+// gated count changed.
+func (d CellDiff) Regressed() bool { return d.NsRegressed || d.AllocsRegred || d.InputsChanged }
 
 // cellKey identifies an entry within a snapshot: the same id at ix=0 and
 // at ix=1 is two cells.
@@ -37,8 +44,9 @@ type cellKey struct {
 // Diff compares the cells present in both snapshots, matched on (id, p,
 // opt, ix), and flags regressions beyond the tolerances. Tolerances are
 // relative: 0.25 fails a cell whose current value exceeds baseline × 1.25.
-// Cells present in only one file are skipped: the gate protects tracked
-// cells, it does not freeze the cell set.
+// body_inputs gates exactly, wherever the baseline recorded it. Cells
+// present in only one file are skipped: the gate protects tracked cells,
+// it does not freeze the cell set.
 func Diff(baseline, current File, nsTolerance, allocsTolerance float64) []CellDiff {
 	base := make(map[cellKey]Entry, len(baseline.Entries))
 	for _, e := range baseline.Entries {
@@ -57,7 +65,10 @@ func Diff(baseline, current File, nsTolerance, allocsTolerance float64) []CellDi
 			CurNs:      cur.NsOp,
 			BaseAllocs: b.AllocsOp,
 			CurAllocs:  cur.AllocsOp,
+			BaseInputs: b.BodyInputs,
+			CurInputs:  cur.BodyInputs,
 		}
+		d.InputsChanged = b.BodyInputs != 0 && cur.BodyInputs != b.BodyInputs
 		if b.NsOp > 0 {
 			d.NsRatio = cur.NsOp / b.NsOp
 			d.NsRegressed = d.NsRatio > 1+nsTolerance
@@ -75,17 +86,20 @@ func Diff(baseline, current File, nsTolerance, allocsTolerance float64) []CellDi
 // whether any cell regressed.
 func WriteDiff(w io.Writer, diffs []CellDiff) bool {
 	regressed := false
-	fmt.Fprintf(w, "%-20s %-16s %12s %12s %8s %11s %10s %8s\n",
-		"cell", "config", "base ms", "cur ms", "Δns", "base allocs", "cur allocs", "Δallocs")
+	fmt.Fprintf(w, "%-20s %-16s %12s %12s %8s %11s %10s %8s %12s\n",
+		"cell", "config", "base ms", "cur ms", "Δns", "base allocs", "cur allocs", "Δallocs", "body inputs")
 	for _, d := range diffs {
-		mark := ""
-		if d.Regressed() {
-			mark = "  << REGRESSION"
-			regressed = true
+		mark, inputs := "", fmt.Sprint(d.CurInputs)
+		if d.InputsChanged {
+			mark, inputs = "  << BODY INPUTS CHANGED", fmt.Sprintf("%d→%d", d.BaseInputs, d.CurInputs)
 		}
-		fmt.Fprintf(w, "%-20s %-16s %12.2f %12.2f %+7.1f%% %11d %10d %+7.1f%%%s\n",
+		if d.NsRegressed || d.AllocsRegred {
+			mark = "  << REGRESSION"
+		}
+		regressed = regressed || d.Regressed()
+		fmt.Fprintf(w, "%-20s %-16s %12.2f %12.2f %+7.1f%% %11d %10d %+7.1f%% %12s%s\n",
 			d.ID, d.Label(), d.BaseNs/1e6, d.CurNs/1e6, (d.NsRatio-1)*100,
-			d.BaseAllocs, d.CurAllocs, (d.AllocsRatio-1)*100, mark)
+			d.BaseAllocs, d.CurAllocs, (d.AllocsRatio-1)*100, inputs, mark)
 	}
 	return regressed
 }

@@ -112,10 +112,11 @@ type Entry struct {
 	// ResultLen is the length of the query's result sequence; absent in
 	// files converted from v1.
 	ResultLen int `json:"result_len,omitempty"`
-	// BodyInputs is the nodes the fixpoint body was evaluated on: nodes_fed
-	// unless the interpreter tabled the site. Reported only — arms need not
-	// agree on it and benchdiff does not gate it; absent in files written
-	// before it was recorded.
+	// BodyInputs is the nodes (keys, on the relational engine) the fixpoint
+	// body was evaluated on: below nodes_fed where a tabled site answered
+	// fed nodes from earlier applications. Arms need not agree on it;
+	// benchdiff gates it exactly. Absent in files written before it was
+	// recorded.
 	BodyInputs int64 `json:"body_inputs,omitempty"`
 	// PhaseNs breaks the cell's last evaluation into traced pipeline
 	// phases (cumulative ns by phase name). Absent in files written before

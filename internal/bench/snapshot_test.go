@@ -119,6 +119,22 @@ func TestDiffKeysOnIDAndConfig(t *testing.T) {
 	}
 }
 
+// TestDiffGatesBodyInputsExactly: a body_inputs count that moves either
+// way fails the gate; a baseline that did not record it gates nothing.
+func TestDiffGatesBodyInputsExactly(t *testing.T) {
+	withInputs := func(e Entry, n int64) Entry { e.BodyInputs = n; return e }
+	base := cell("T2.2/rel/Delta", Default, 50e6, 1000)
+	for _, c := range []struct {
+		base, cur int64
+		flagged   bool
+	}{{350, 350, false}, {350, 38, true}, {38, 39, true}, {0, 38, false}} {
+		d := Diff(NewFile([]Entry{withInputs(base, c.base)}), NewFile([]Entry{withInputs(base, c.cur)}), 1.0, 0.25)
+		if len(d) != 1 || d[0].InputsChanged != c.flagged || d[0].Regressed() != c.flagged {
+			t.Errorf("body inputs %d → %d: %+v, want flagged=%v", c.base, c.cur, d, c.flagged)
+		}
+	}
+}
+
 // TestTrajectoryOrdersByPRNumber: BENCH_10 comes after BENCH_9, files that
 // are not v2 are named and skipped, and only default-configuration entries
 // of the requested cell print.

@@ -80,9 +80,11 @@ type Body interface {
 	// returns the answer as an xdm.Family batch, which the loop absorbs
 	// into res. The first call is the seeding application (feed is the
 	// seed). delta is the previous application's ∆ — the seed itself on
-	// the first call — which a body may read even when feed is res (the
-	// relational engine's OpRecDelta leaves under naïve µ). feed and delta
-	// are valid only during the call, and the batch until the next one.
+	// the first call — which a body certified distributive may evaluate
+	// instead of feed even when feed is res (the relational engine's
+	// tabled µ under Naïve), because e(res) ⊆ res ∪ e(∆) then. feed and
+	// delta are valid only during the call, and the batch until the next
+	// one.
 	Step(feed, delta *xdm.Family) (*xdm.Family, error)
 }
 
@@ -184,6 +186,10 @@ type Exec struct {
 	trace int
 }
 
+// Site is the report of the execution's site, for the engine to count its
+// TableHits on.
+func (x Exec) Site() *Site { return x.site }
+
 // Run computes one execution of the site's inflationary fixed point from
 // the seed batch, with the site's algorithm: Naïve (Figure 3(a))
 //
@@ -267,7 +273,7 @@ func apply(x Exec, body Body, res *xdm.Family, round int, feed, delta *xdm.Famil
 	st.PayloadCalls++
 	st.NodesFedBack += fed
 	tr := x.cfg.Trace
-	t0 := tr.Now()
+	t0, hits := tr.Now(), x.site.TableHits
 	answer, err := body.Step(feed, delta)
 	if err != nil {
 		return nil, err
@@ -276,6 +282,6 @@ func apply(x Exec, body Body, res *xdm.Family, round int, feed, delta *xdm.Famil
 		res.Reset()
 	}
 	d := res.Absorb(answer)
-	tr.AddRound(x.trace, round, fed, int64(d.Len()), tr.Now()-t0)
+	tr.AddRound(x.trace, round, fed, int64(d.Len()), fed-(x.site.TableHits-hits), tr.Now()-t0)
 	return d, nil
 }

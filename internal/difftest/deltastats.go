@@ -9,15 +9,14 @@ import (
 	"repro/internal/obs"
 )
 
-// CheckRoundStats proves the optimizer's delta-fed step rewrite is
-// invisible to the fixpoint accounting: for every mode of the relational
-// engine, the per-round trace spans —
-// site label, round number, nodes fed, delta size — must be identical
-// between -O0 (which never carries the rewrite) and -O1 (which may feed
-// eligible step chains from the round's delta). Only durations may
-// differ. A rewrite that altered convergence, fed-back counts, or delta
-// sizes would surface here round by round, with more precision than the
-// end-to-end result comparison.
+// CheckRoundStats proves the optimizer is invisible to the fixpoint
+// accounting: for every mode of the relational engine, the per-round trace
+// spans — site label, round number, nodes fed, delta size, and the keys a
+// tabled site evaluated — must be identical between -O0 (the compiler's
+// plan) and -O1 (the rewritten one). Only durations may differ. A rewrite
+// that altered convergence, fed-back counts, delta sizes, or what the
+// node-keyed µ answers from its memo would surface here round by round,
+// with more precision than the end-to-end result comparison.
 func CheckRoundStats(t testing.TB, c Case) {
 	t.Helper()
 	if c.RegularXPath {
@@ -50,7 +49,7 @@ func CheckRoundStats(t testing.TB, c Case) {
 }
 
 // roundSpans renders a trace's round spans with durations elided: one
-// "label round fed delta" line per span, in recording order.
+// "label round fed delta evaluated" line per span, in recording order.
 func roundSpans(tr *obs.Trace) string {
 	sites := tr.Sites()
 	var sb strings.Builder
@@ -59,7 +58,7 @@ func roundSpans(tr *obs.Trace) string {
 		if r.Site >= 0 && r.Site < len(sites) {
 			label = sites[r.Site]
 		}
-		fmt.Fprintf(&sb, "%s round=%d fed=%d delta=%d\n", label, r.Round, r.Fed, r.Delta)
+		fmt.Fprintf(&sb, "%s round=%d fed=%d delta=%d evaluated=%d\n", label, r.Round, r.Fed, r.Delta, r.Evaluated)
 	}
 	if d := tr.Dropped(); d > 0 {
 		fmt.Fprintf(&sb, "dropped=%d\n", d)

@@ -7,11 +7,11 @@ import (
 	"repro/internal/xmlgen"
 )
 
-// TestRoundStatsParity gates the delta-fed step rewrite: over the
-// deterministic seed block, every relational configuration must report
-// byte-identical per-round fed/delta trace spans at -O0 and -O1 — the
-// rewrite may only shrink what the step operators consume, never what
-// the fixpoint feeds back or how fast it converges.
+// TestRoundStatsParity gates the optimizer against the fixpoint
+// accounting: over the deterministic seed block, every relational
+// configuration must report byte-identical per-round fed/delta/evaluated
+// trace spans at -O0 and -O1 — a rewrite may change what operators cost,
+// never what the fixpoint feeds back, evaluates, or how fast it converges.
 func TestRoundStatsParity(t *testing.T) {
 	for seed := int64(1); seed <= 32; seed++ {
 		seed := seed
@@ -22,9 +22,8 @@ func TestRoundStatsParity(t *testing.T) {
 }
 
 // TestRoundStatsFamiliesParity pins the same invariant on the paper's four
-// query families — the plans whose optimized form actually carries the
-// recdelta rewrite (bidder and hospital) — on seeded
-// instances deep enough for several fixpoint rounds.
+// query families on seeded instances deep enough for several fixpoint
+// rounds, where tabled sites answer most rounds from their memo.
 func TestRoundStatsFamiliesParity(t *testing.T) {
 	families := []struct {
 		name  string
@@ -44,9 +43,8 @@ func TestRoundStatsFamiliesParity(t *testing.T) {
 		{"hospital", bench.HospitalQuery, "hospital.xml",
 			xmlgen.Hospital(xmlgen.HospitalConfig{
 				Patients: 40, Depth: 4, DiseaseFraction: 0.3, Seed: 11})},
-		// Pure pedigree closure: strict-certified AND structurally linear,
-		// so this is the family whose *naive* µ site carries the delta-fed
-		// step chain at runtime (the four above only carry it at µ∆ sites).
+		// Pure pedigree closure: a strict-certified naive µ site, fed ∆
+		// under Naïve by its table.
 		{"pedigree-closure",
 			`count(with $x seeded by doc("hospital.xml")/hospital/patient
 recurse $x/parents/patient)`,

@@ -56,7 +56,21 @@ func Generate(seed int64) Case {
 			Seed:          rng.Int63(),
 		}
 		c.URI, c.XML = "curriculum.xml", xmlgen.Curriculum(cfg)
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
+		case 3:
+			// Numeric variable predicates: a position test per context node
+			// on a step (distributive in $x) reading a global, the
+			// enclosing for, or a local shadowing the global, and over the
+			// whole sequence on a filter (not distributive).
+			c.Query = fmt.Sprintf(`
+declare variable $j := %d;
+for $i in (%d, %d)
+let $c := doc(%q)/curriculum/course[$i]
+return (count(with $x seeded by $c recurse $x/id(./prerequisites/pre_code[$j])),
+        count(with $x seeded by $c recurse $x/id(./prerequisites/pre_code[$i])),
+        count(with $x seeded by $c recurse ($x/id(./prerequisites/pre_code))[$j]),
+        for $j in (1, 2) return count(with $x seeded by $c recurse $x/id(./prerequisites/pre_code[$j])))`,
+				1+rng.Intn(3), 1+rng.Intn(n), 1+rng.Intn(n), c.URI)
 		case 0:
 			c.Query = fmt.Sprintf(`
 for $c in doc(%q)/curriculum/course

@@ -23,14 +23,17 @@ type Phase struct {
 }
 
 // Round is one fixpoint round at one site: how many rows were fed into the
-// payload, how many genuinely new rows the round produced (the delta), and
-// how long the round took. Round 0 is the seeding application.
+// payload, how many genuinely new rows the round produced (the delta), on
+// how many of the fed rows the body was evaluated (fewer than fed when a
+// tabled site answered the rest from earlier rounds), and how long the
+// round took. Round 0 is the seeding application.
 type Round struct {
-	Site  int   `json:"site"`
-	Round int   `json:"round"`
-	Fed   int64 `json:"fed"`
-	Delta int64 `json:"delta"`
-	DurNs int64 `json:"dur_ns"`
+	Site      int   `json:"site"`
+	Round     int   `json:"round"`
+	Fed       int64 `json:"fed"`
+	Delta     int64 `json:"delta"`
+	Evaluated int64 `json:"evaluated"`
+	DurNs     int64 `json:"dur_ns"`
 }
 
 // DefaultRoundCap bounds the per-trace round storage. A trace is a
@@ -133,7 +136,7 @@ func (t *Trace) AddSite(label string) int {
 // AddRound records one fixpoint round. Past the trace's round capacity the
 // round is dropped and counted — the truncation marker readers check via
 // Dropped — so a runaway site cannot grow the trace without bound.
-func (t *Trace) AddRound(site, round int, fed, delta, durNs int64) {
+func (t *Trace) AddRound(site, round int, fed, delta, evaluated, durNs int64) {
 	if t == nil {
 		return
 	}
@@ -141,7 +144,7 @@ func (t *Trace) AddRound(site, round int, fed, delta, durNs int64) {
 	if len(t.rounds) >= t.cap {
 		t.dropped++
 	} else {
-		t.rounds = append(t.rounds, Round{Site: site, Round: round, Fed: fed, Delta: delta, DurNs: durNs})
+		t.rounds = append(t.rounds, Round{Site: site, Round: round, Fed: fed, Delta: delta, Evaluated: evaluated, DurNs: durNs})
 	}
 	t.mu.Unlock()
 }

@@ -15,7 +15,7 @@ func TestNilTraceAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(1000, func() {
 		tr.StartPhase("exec")()
 		tr.AddPhase("exec", 0, 1)
-		tr.AddRound(0, 1, 10, 5, 100)
+		tr.AddRound(0, 1, 10, 5, 10, 100)
 		tr.AddSite("µ")
 		_ = tr.Now()
 		_ = tr.ID()
@@ -72,7 +72,7 @@ func TestTraceConcurrentRounds(t *testing.T) {
 			defer wg.Done()
 			site := tr.AddSite("µ")
 			for i := 0; i < perWorker; i++ {
-				tr.AddRound(site, i, int64(i), int64(i/2), 10)
+				tr.AddRound(site, i, int64(i), int64(i/2), int64(i), 10)
 				tr.AddPhase("exec", 0, 1)
 			}
 		}(w)
@@ -94,7 +94,7 @@ func TestTraceConcurrentRounds(t *testing.T) {
 func TestTraceRingOverflow(t *testing.T) {
 	tr := NewTraceCap("q-over", 16)
 	for i := 0; i < 100; i++ {
-		tr.AddRound(0, i, 1, 1, 1)
+		tr.AddRound(0, i, 1, 1, 1, 1)
 	}
 	if got := len(tr.Rounds()); got != 16 {
 		t.Fatalf("kept %d rounds; want 16", got)

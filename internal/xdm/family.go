@@ -72,6 +72,16 @@ func (f *Family) Add(iter int32, it Item) error {
 	return nil
 }
 
+// AddNodes appends the pairs (iter, n) for every node n to the batch f.
+func (f *Family) AddNodes(iter int32, nodes []NodeRef) {
+	if len(nodes) == 0 {
+		return
+	}
+	s := f.set(iter)
+	s.nodes = append(s.nodes, nodes...)
+	f.n += len(nodes)
+}
+
 // Reset empties f, keeping its buffers for the next batch.
 func (f *Family) Reset() {
 	f.first.reset()

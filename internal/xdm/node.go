@@ -13,8 +13,9 @@
 package xdm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -453,5 +454,10 @@ func NewLeafDoc(kind NodeKind, name, value string) NodeRef {
 // SortNodes sorts node references into document order in place
 // (stamp-major, preorder-minor) without removing duplicates.
 func SortNodes(ns []NodeRef) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].Before(ns[j]) })
+	slices.SortFunc(ns, func(a, b NodeRef) int {
+		if a.D != b.D {
+			return cmp.Compare(a.D.stamp, b.D.stamp)
+		}
+		return cmp.Compare(a.Pre, b.Pre)
+	})
 }
