@@ -104,7 +104,8 @@ benchmark-check:
 # coverage step enforces the per-package floors; loadsmoke gates the
 # overload/degradation contract; parity-check gates tracing, round-stats,
 # caching, and indexed-vs-scan parity; benchmark-check vets and tests the
-# separate benchmark/ module.
+# separate benchmark/ module; one iteration of BenchmarkCachedReply keeps
+# the xqd reply-path benchmark compiling and running.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -115,6 +116,7 @@ ci:
 	$(MAKE) parity-check
 	$(MAKE) benchmark-check
 	$(MAKE) loadsmoke
+	$(GO) test -run '^$$' -bench CachedReply -benchtime 1x ./cmd/xqd
 
 # Differential fuzzing: random documents + random fixpoint queries, every
 # engine/mode/optimizer-level combination must agree byte for

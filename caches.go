@@ -110,6 +110,9 @@ func (q *Query) srcHash() uint64 {
 // revalidates those documents against disk first, so a file rewrite
 // invalidates the result even before any query re-acquires the document.
 // Only complete results cache — errors and budget truncations never do.
+// Every hit on an entry shares its Items, which are read-only, and its
+// one rendering: the entry is serialized once, by the first String call
+// on the evaluated result or on any hit.
 // Safe for concurrent use; a nil *ResultCache disables caching.
 type ResultCache struct {
 	rc *plancache.ResultCache
@@ -176,19 +179,23 @@ func (rc *ResultCache) get(key string) (*Result, bool) {
 
 // put inserts a complete result computed at generation gen (read before
 // the evaluation started — if the store moved mid-evaluation the insert
-// is dropped or flushed rather than trusted).
+// is dropped or flushed rather than trusted). It gives res a fresh
+// rendering first, which the entry shares, so the evaluating caller's
+// own String call primes every later hit.
 func (rc *ResultCache) put(key string, gen int64, res *Result, uris []string) {
 	if rc == nil {
 		return
 	}
+	res.text = &rendering{}
 	rc.rc.Put(key, gen, resultEntry{res: cloneResult(res), uris: uris})
 }
 
-// cloneResult is a shallow copy: the item sequence is shared (results
-// are read-only by contract) but the stats slice is private, so a caller
-// appending to Fixpoints cannot corrupt the cached entry.
+// cloneResult is a shallow copy: the item sequence and the rendering are
+// shared (results are read-only by contract) but the stats slice is
+// private, so a caller appending to Fixpoints cannot corrupt the cached
+// entry.
 func cloneResult(r *Result) *Result {
-	return &Result{Items: r.Items, Fixpoints: append([]FixpointStats(nil), r.Fixpoints...)}
+	return &Result{Items: r.Items, Fixpoints: append([]FixpointStats(nil), r.Fixpoints...), text: r.text}
 }
 
 // resultKey assembles the full result-cache key: engine, everything that

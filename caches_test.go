@@ -2,8 +2,10 @@ package ifpxq
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/xdm"
 )
@@ -206,6 +208,104 @@ func TestResultCacheInvalidatedByStoreRewrite(t *testing.T) {
 }
 
 // TestPlanCacheKeySeparatesRegularXPath: an XQuery and a Regular XPath
+// TestResultCacheRendersOnce: a cached entry is serialized once. The
+// miss and its hits render what an uncached evaluation renders, the hits
+// read one backing string, concurrent first renderings agree, and after
+// a store rewrite the next result renders the new items, not the old text.
+func TestResultCacheRendersOnce(t *testing.T) {
+	dir := t.TempDir()
+	save := func(xml string) {
+		t.Helper()
+		d, err := ParseDocument(xml, "d.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveSnapshot(filepath.Join(dir, "d.xml.xqs"), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save(`<r><a x="1"/><b/></r>`)
+	st, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rc := NewResultCache(16, st)
+	q := MustParse(`doc("d.xml")//a`)
+	eval := func(opts Options) *Result {
+		t.Helper()
+		res, err := q.Eval(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	uncached := func(engine Engine) string {
+		t.Helper()
+		return eval(Options{Engine: engine, Store: st}).String()
+	}
+
+	rel := Options{Engine: EngineRelational, Store: st, ResultCache: rc}
+	want := uncached(EngineRelational)
+	if want != `<a x="1"/>` {
+		t.Fatalf("uncached eval: %q", want)
+	}
+	miss, hit1, hit2 := eval(rel), eval(rel), eval(rel)
+	for i, res := range []*Result{miss, hit1, hit2} {
+		if got := res.String(); got != want {
+			t.Fatalf("evaluation %d renders %q, want %q", i, got, want)
+		}
+	}
+	if s := rc.Stats(); s.Hits != 2 || s.Misses != 1 {
+		t.Fatalf("result stats %+v", s)
+	}
+	if unsafe.StringData(hit1.String()) != unsafe.StringData(hit2.String()) ||
+		unsafe.StringData(miss.String()) != unsafe.StringData(hit1.String()) {
+		t.Fatal("a hit re-serialized its cached entry")
+	}
+
+	// An entry nobody has rendered yet, rendered by eight hits at once.
+	interp := Options{Engine: EngineInterpreter, Store: st, ResultCache: rc}
+	eval(interp)
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := q.Eval(interp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res.String()
+		}()
+	}
+	wg.Wait()
+	if s := rc.Stats(); s.Hits != 10 || s.Misses != 2 {
+		t.Fatalf("result stats after concurrent hits %+v", s)
+	}
+	for i, g := range got {
+		if g != want || unsafe.StringData(g) != unsafe.StringData(got[0]) {
+			t.Fatalf("concurrent hit %d renders %q at %p, want %q at %p",
+				i, g, unsafe.StringData(g), want, unsafe.StringData(got[0]))
+		}
+	}
+
+	time.Sleep(10 * time.Millisecond) // ensure mtime advances
+	save(`<r><a x="2"/><a x="3"/></r>`)
+	want = `<a x="2"/><a x="3"/>`
+	if got := eval(rel).String(); got != want {
+		t.Fatalf("eval after rewrite renders %q, want %q", got, want)
+	}
+	if got := eval(rel).String(); got != want {
+		t.Fatalf("hit after rewrite renders %q, want %q", got, want)
+	}
+	if got := uncached(EngineRelational); got != want {
+		t.Fatalf("uncached eval after rewrite: %q", got)
+	}
+}
+
 // query with identical source text must not collide in the plan cache.
 func TestPlanCacheKeySeparatesRegularXPath(t *testing.T) {
 	// Same source string, two languages.

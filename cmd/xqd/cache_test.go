@@ -1,19 +1,24 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
+	"repro/internal/xmlgen"
 )
 
 // cacheTestServer builds a server over one snapshot document whose backing
@@ -138,6 +143,93 @@ func TestStaleIndexedQueryOverHTTP(t *testing.T) {
 	}
 	if got := get(); got != "3" {
 		t.Fatalf("indexed query after rewrite served a stale result: %s", got)
+	}
+}
+
+// TestCachedReplyIsCompactJSON: a result-cache hit is written as one line
+// of JSON with the result's markup unescaped, and decodes to the same
+// result, count and fixpoints as an uncached reply; /stats still decodes.
+func TestCachedReplyIsCompactJSON(t *testing.T) {
+	_, hs, _ := cacheTestServer(t)
+	q := url.QueryEscape(`with $x seeded by doc("d.xml")/r/a recurse $x/../a`)
+	get := func(extra string) (string, queryResponse) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/query?engine=rel&q=" + q + extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var out queryResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("decode %s: %v", body, err)
+		}
+		return string(body), out
+	}
+	_, want := get("&cache=0")
+	get("")
+	body, hit := get("")
+	if strings.Count(body, "\n") != 1 || !strings.HasSuffix(body, "\n") {
+		t.Fatalf("hit reply is not one line:\n%s", body)
+	}
+	if !strings.Contains(body, `"result":"<a/>"`) || strings.Contains(body, `\u003c`) {
+		t.Fatalf("hit reply escapes the result's markup: %s", body)
+	}
+	if hit.Result != want.Result || hit.Count != want.Count || !reflect.DeepEqual(hit.Fixpoints, want.Fixpoints) {
+		t.Fatalf("hit reply %+v differs from the cache=0 reply %+v", hit, want)
+	}
+	if len(hit.Fixpoints) != 1 {
+		t.Fatalf("fixpoints %+v, want one site", hit.Fixpoints)
+	}
+	var stats statsResponse
+	if code := getJSON(t, hs.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("/stats status %d", code)
+	}
+	if stats.ResultCache.Hits != 1 || stats.ResultCache.Misses != 1 {
+		t.Fatalf("the repeat query did not hit the result cache: %+v", stats.ResultCache)
+	}
+}
+
+// BenchmarkCachedReply measures one result-cache hit through handleQuery,
+// from the parsed request to the written reply: the Table 2 dialogs query
+// on its play document, whose result serializes to about 48 KB.
+func BenchmarkCachedReply(b *testing.B) {
+	dir := b.TempDir()
+	doc, err := xmldoc.ParseString(xmlgen.Play(xmlgen.PlaySized()), "play.xml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Save(filepath.Join(dir, "play.xml"+store.Ext), doc); err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	srv := newServer(st)
+	req := httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape(bench.DialogsQuery), nil)
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.handleQuery(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	serve()
+	b.ReportAllocs()
+	for b.Loop() {
+		serve()
+	}
+	if s := srv.resultCache.Stats(); s.Misses != 1 {
+		b.Fatalf("the repeat query missed the result cache: %+v", s)
 	}
 }
 

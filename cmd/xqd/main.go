@@ -491,7 +491,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, string(xdm.CodeOf(err)), err, "bad_request", errorResponse{})
 	}
 
-	src := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	src := params.Get("q")
 	if src == "" && r.Method == http.MethodPost {
 		// Read one byte past the cap so truncation is detectable rather
 		// than silently evaluating a prefix of the query.
@@ -515,57 +516,57 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.opt0 {
 		opts.Opt = ifpxq.Opt0
 	}
-	switch r.URL.Query().Get("opt") {
+	switch params.Get("opt") {
 	case "":
 	case "0":
 		opts.Opt = ifpxq.Opt0
 	case "1":
 		opts.Opt = ifpxq.Opt1
 	default:
-		badRequest(fmt.Errorf("bad optimizer level %q (use 0 or 1)", r.URL.Query().Get("opt")))
+		badRequest(fmt.Errorf("bad optimizer level %q (use 0 or 1)", params.Get("opt")))
 		return
 	}
-	switch r.URL.Query().Get("engine") {
+	switch params.Get("engine") {
 	case "", "interp", "interpreter":
 	case "rel", "relational":
 		opts.Engine = ifpxq.EngineRelational
 		engLabel = "rel"
 	default:
-		badRequest(fmt.Errorf("unknown engine %q", r.URL.Query().Get("engine")))
+		badRequest(fmt.Errorf("unknown engine %q", params.Get("engine")))
 		return
 	}
-	switch r.URL.Query().Get("mode") {
+	switch params.Get("mode") {
 	case "", "auto":
 	case "naive":
 		opts.Mode = ifpxq.ModeNaive
 	case "delta":
 		opts.Mode = ifpxq.ModeDelta
 	default:
-		badRequest(fmt.Errorf("unknown mode %q", r.URL.Query().Get("mode")))
+		badRequest(fmt.Errorf("unknown mode %q", params.Get("mode")))
 		return
 	}
 	analyze := false
-	switch r.URL.Query().Get("analyze") {
+	switch params.Get("analyze") {
 	case "", "0", "false":
 	case "1", "true":
 		analyze = true
 	default:
-		badRequest(fmt.Errorf("bad analyze %q (use 0 or 1)", r.URL.Query().Get("analyze")))
+		badRequest(fmt.Errorf("bad analyze %q (use 0 or 1)", params.Get("analyze")))
 		return
 	}
 	// ?cache=0 is the per-request escape hatch: parse, compile, and
 	// evaluate from scratch, touching neither cache.
 	useCaches := true
-	switch r.URL.Query().Get("cache") {
+	switch params.Get("cache") {
 	case "", "1", "true":
 	case "0", "false":
 		useCaches = false
 	default:
-		badRequest(fmt.Errorf("bad cache %q (use 0 or 1)", r.URL.Query().Get("cache")))
+		badRequest(fmt.Errorf("bad cache %q (use 0 or 1)", params.Get("cache")))
 		return
 	}
 	timeout := s.queryTimeout
-	if tv := r.URL.Query().Get("timeout_ms"); tv != "" {
+	if tv := params.Get("timeout_ms"); tv != "" {
 		ms, err := strconv.Atoi(tv)
 		if err != nil || ms <= 0 {
 			badRequest(fmt.Errorf("bad timeout_ms %q (need an integer > 0)", tv))
@@ -743,11 +744,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON writes v as one line of JSON. Results are XML, so '<', '>'
+// and '&' are written as themselves rather than HTML-escaped.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	enc.Encode(v)
 }
 

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/algebra"
@@ -370,14 +371,33 @@ func (q *Query) Explain(level OptLevel) (*PlanExplanation, error) {
 // sites in first-execution order on both engines.
 type FixpointStats = core.Site
 
-// Result is an evaluation outcome.
+// Result is an evaluation outcome. Items are read-only: a result served
+// by a ResultCache shares them with the cache entry and every other hit
+// on it, and all of those share one rendering, so String serializes a
+// cached entry once however often it is hit.
 type Result struct {
 	Items     xdm.Sequence
 	Fixpoints []FixpointStats
+	// text is the rendering shared by a cache entry and its hits; nil on
+	// an uncached result, which serializes on every String call.
+	text *rendering
+}
+
+// rendering is a result's serialization, computed by the first String
+// call on any result that shares it.
+type rendering struct {
+	once sync.Once
+	s    string
 }
 
 // String serializes the result sequence as XML/text.
-func (r *Result) String() string { return xmldoc.SerializeSequence(r.Items) }
+func (r *Result) String() string {
+	if r.text == nil {
+		return xmldoc.SerializeSequence(r.Items)
+	}
+	r.text.once.Do(func() { r.text.s = xmldoc.SerializeSequence(r.Items) })
+	return r.text.s
+}
 
 // Strings returns the string value of each item.
 func (r *Result) Strings() []string {
