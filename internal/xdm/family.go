@@ -6,16 +6,28 @@ import "slices"
 // one node set per iteration of the enclosing loop, named by dense int32
 // iteration ids that the caller assigns. §4.1's loop-lifted µ and µ∆ run
 // every live iteration at once; the per-binding fixpoint of Figure 3 is the
-// one-iteration case, iteration 0. Each iteration keeps its members in
-// document order behind its own NodeSet screen, so absorbing a round costs
-// O(|answer| + |new|), never a re-sort or re-dedup of what earlier rounds
-// established.
+// one-iteration case, iteration 0.
 //
 // A family is filled in two ways. Add appends (iteration, item) pairs
 // unscreened, duplicates and any order allowed: a batch, the shape one
-// payload application produces. Absorb folds a batch into an accumulated
-// family and returns ∆; absorbing a batch into an empty family therefore
-// normalizes it.
+// payload application produces, which Nodes returns as added. Absorb folds
+// a batch into an accumulated family and returns ∆ in document order;
+// absorbing a batch into an empty family therefore normalizes it.
+//
+// An accumulated iteration is an append-only log of its members behind
+// its own NodeSet screen: each Absorb appends the round's fresh nodes as
+// one document-ordered run, so absorbing a round costs O(|answer| + |new|),
+// never a re-sort or re-merge of what earlier rounds established. The log
+// is put in document order only when Nodes reads it: the runs absorbed
+// since the last read are sorted and merged with the ordered prefix in one
+// linear pass into a spare buffer the iteration keeps, so a steady-state
+// read allocates nothing. Under Delta nobody reads res until the execution
+// ends, so it is ordered once; Naïve reads it every round and pays one
+// merge a round.
+//
+// A slice returned by Nodes stays valid until the family's next Absorb or
+// Reset. Nodes orders the log in place, so a Family is not safe for
+// concurrent readers.
 //
 // The zero value is an empty one-iteration family. Iteration 0 is stored
 // inline, so a one-iteration family allocates no set slice.
@@ -29,24 +41,41 @@ type Family struct {
 // iterNodes is one iteration's node set. Its screen is built on the second
 // batch that brings it members: until then it is empty.
 type iterNodes struct {
-	seen  NodeSet   // exactly nodes, or empty
-	nodes []NodeRef // document order once absorbed; batch order after Add
+	seen NodeSet // exactly nodes, or empty
+	// nodes[:sorted] is in the order Nodes returns: document order once
+	// absorbed, batch order after Add. nodes[sorted:] holds the
+	// document-ordered runs absorbed since the last read.
+	nodes  []NodeRef
+	sorted int
+	spare  []NodeRef // the buffer the next merge writes, then swaps with nodes
 }
 
 // Len is the family's (iteration, node) pair count over all iterations.
 func (f *Family) Len() int { return f.n }
 
 // Nodes returns iteration iter's members: in distinct document order for an
-// absorbed family, as added for a batch. The slice is owned by f; callers
-// must not modify it.
+// absorbed family, as added for a batch. The slice is owned by f and valid
+// until f's next Absorb or Reset; callers must not modify it.
 func (f *Family) Nodes(iter int32) []NodeRef {
+	s := f.get(iter)
+	if s == nil {
+		return nil
+	}
+	if s.sorted < len(s.nodes) {
+		s.order()
+	}
+	return s.nodes
+}
+
+// get returns iteration iter's set, or nil if no member ever reached it.
+func (f *Family) get(iter int32) *iterNodes {
 	if iter == 0 {
-		return f.first.nodes
+		return &f.first
 	}
 	if int(iter) > len(f.rest) {
 		return nil
 	}
-	return f.rest[iter-1].nodes
+	return &f.rest[iter-1]
 }
 
 func (f *Family) set(iter int32) *iterNodes {
@@ -68,6 +97,7 @@ func (f *Family) Add(iter int32, it Item) error {
 	}
 	s := f.set(iter)
 	s.nodes = append(s.nodes, it.node)
+	s.sorted = len(s.nodes)
 	f.n++
 	return nil
 }
@@ -79,6 +109,7 @@ func (f *Family) AddNodes(iter int32, nodes []NodeRef) {
 	}
 	s := f.set(iter)
 	s.nodes = append(s.nodes, nodes...)
+	s.sorted = len(s.nodes)
 	f.n += len(nodes)
 }
 
@@ -93,6 +124,7 @@ func (f *Family) Reset() {
 
 func (s *iterNodes) reset() {
 	s.nodes = s.nodes[:0]
+	s.sorted = 0
 	s.seen.Reset()
 }
 
@@ -107,7 +139,7 @@ func (f *Family) Absorb(o *Family) *Family {
 	d := f.delta
 	d.Reset()
 	for id := range int32(1 + len(o.rest)) {
-		batch := o.Nodes(id)
+		batch := o.get(id).nodes
 		if len(batch) == 0 {
 			continue
 		}
@@ -133,37 +165,52 @@ func (f *Family) Absorb(o *Family) *Family {
 			}
 			SortNodes(fresh.nodes)
 		}
-		s.nodes = mergeSortedNodes(s.nodes, fresh.nodes)
+		fresh.sorted = len(fresh.nodes)
+		s.log(fresh.nodes)
 		f.n += len(fresh.nodes)
 		d.n += len(fresh.nodes)
 	}
 	return d
 }
 
-// mergeSortedNodes merges two document-ordered runs with no common member
-// into one document-ordered run. When every node of b falls after a's
-// maximum (monotone discovery, the common case for preorder traversals)
-// the merge degenerates to an append reusing a's spare capacity; a full
-// merge allocates with headroom so repeated interleaving amortizes. The
-// result may alias a's backing array; b is never aliased or modified.
-func mergeSortedNodes(a, b []NodeRef) []NodeRef {
-	if len(b) == 0 {
-		return a
+// log appends a document-ordered run of new members. When nothing awaits
+// ordering and the run falls after the last member (monotone discovery,
+// the common case for preorder traversals), the ordered prefix extends
+// over it.
+func (s *iterNodes) log(run []NodeRef) {
+	extends := s.sorted == len(s.nodes) && (s.sorted == 0 || s.nodes[s.sorted-1].Before(run[0]))
+	s.nodes = append(s.nodes, run...)
+	if extends {
+		s.sorted = len(s.nodes)
 	}
-	if len(a) == 0 || a[len(a)-1].Before(b[0]) {
-		return append(a, b...)
+}
+
+// order puts the log in document order: it sorts the runs absorbed since
+// the last read, then merges them with the ordered prefix, which they
+// share no member with, into the spare buffer and swaps the two.
+func (s *iterNodes) order() {
+	head, tail := s.nodes[:s.sorted], s.nodes[s.sorted:]
+	SortNodes(tail)
+	if len(head) == 0 || head[len(head)-1].Before(tail[0]) {
+		s.sorted = len(s.nodes)
+		return
 	}
-	out := make([]NodeRef, 0, 2*(len(a)+len(b)))
+	out := s.spare[:0]
+	if cap(out) < len(s.nodes) {
+		out = make([]NodeRef, 0, cap(s.nodes))
+	}
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Before(b[j]) {
-			out = append(out, a[i])
+	for i < len(head) && j < len(tail) {
+		if head[i].Before(tail[j]) {
+			out = append(out, head[i])
 			i++
 		} else {
-			out = append(out, b[j])
+			out = append(out, tail[j])
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	out = append(out, head[i:]...)
+	out = append(out, tail[j:]...)
+	s.spare, s.nodes = s.nodes[:0], out
+	s.sorted = len(out)
 }

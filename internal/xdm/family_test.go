@@ -45,17 +45,32 @@ func requireNodes(t *testing.T, what string, got []NodeRef, want Sequence) {
 	}
 }
 
+// readSchedules are the ways a fixpoint loop reads res: every round
+// (Naïve, whose feed is res), every third round, or only after the last
+// round (Delta, which reads res once per execution). A read orders the
+// runs absorbed since the last one, so each schedule leaves a different
+// number of them to sort and merge.
+var readSchedules = []struct {
+	name  string
+	every int // read after rounds every-1, 2·every-1, …; 0: after the last only
+}{{"every round", 1}, {"every third round", 3}, {"after the last round", 0}}
+
 // checkAbsorbTrial drives random batches of (iteration, node) pairs over
-// iters iterations through Family.Absorb and checks every round against
-// the union/except oracle: per iteration, ∆ must be exactly the batch's
-// new nodes and res the running union, both in document order. Nodes come
-// from two stored documents and a constructed one; iteration ids arrive
-// interleaved, some iterations are empty in the seed round and first
-// appear later, and every round leaves some out. Batches are
+// iters iterations through Family.Absorb and checks them against the
+// union/except oracle: per iteration, every round's ∆ must be exactly the
+// batch's new nodes in document order, and res, whenever the schedule
+// reads it, the running union in document order. A second read in the
+// same round must leave the slice the first one returned unchanged. Nodes
+// come from two stored documents and a constructed one; iteration ids
+// arrive interleaved, some iterations are empty in the seed round and
+// first appear later, and every round leaves some out. Batches are
 // duplicate-ridden and unsorted, as payload answers are, and now and then
-// one is offered a non-node item, which Add must reject.
-func checkAbsorbTrial(t *testing.T, trial, iters int) {
+// one is offered a non-node item, which Add must reject. The trial runs
+// twice over the same families, with a Reset of res in between, as core's
+// loop resets res after round 0.
+func checkAbsorbTrial(t *testing.T, trial, iters, every int) {
 	t.Helper()
+	const rounds = 8
 	rng := rand.New(rand.NewSource(int64(100 + trial)))
 	docs := []*Document{
 		buildDoc(t, 10+rng.Intn(60), "a"),
@@ -66,45 +81,54 @@ func checkAbsorbTrial(t *testing.T, trial, iters int) {
 		iters = 2 + rng.Intn(7)
 	}
 	var res, batch Family
-	oracle := make([]Sequence, iters)
-	for round := 0; round < 8; round++ {
-		what := fmt.Sprintf("trial %d round %d", trial, round)
-		// Round r draws from the first 1+2r ids only, so higher ids
-		// are empty in the seed round and join later.
-		live := min(iters, 1+2*round)
-		perIter := make([]Sequence, iters)
-		batch.Reset()
-		for k := rng.Intn(30); k > 0; k-- {
-			id := rng.Intn(live)
-			d := docs[rng.Intn(len(docs))]
-			it := NewNode(NodeRef{D: d, Pre: int32(rng.Intn(d.Len()))})
-			if err := batch.Add(int32(id), it); err != nil {
-				t.Fatal(err)
+	for pass := range 2 {
+		res.Reset()
+		oracle := make([]Sequence, iters)
+		for round := range rounds {
+			what := fmt.Sprintf("trial %d pass %d round %d", trial, pass, round)
+			// Round r draws from the first 1+2r ids only, so higher ids
+			// are empty in the seed round and join later.
+			live := min(iters, 1+2*round)
+			perIter := make([]Sequence, iters)
+			batch.Reset()
+			for k := rng.Intn(30); k > 0; k-- {
+				id := rng.Intn(live)
+				d := docs[rng.Intn(len(docs))]
+				it := NewNode(NodeRef{D: d, Pre: int32(rng.Intn(d.Len()))})
+				if err := batch.Add(int32(id), it); err != nil {
+					t.Fatal(err)
+				}
+				perIter[id] = append(perIter[id], it)
 			}
-			perIter[id] = append(perIter[id], it)
-		}
-		if rng.Intn(4) == 0 {
-			n := batch.Len()
-			if err := batch.Add(0, NewInteger(42)); CodeOf(err) != ErrType {
-				t.Fatalf("%s: Add of an integer = %v, want XPTY0004", what, err)
+			if rng.Intn(4) == 0 {
+				n := batch.Len()
+				if err := batch.Add(0, NewInteger(42)); CodeOf(err) != ErrType {
+					t.Fatalf("%s: Add of an integer = %v, want XPTY0004", what, err)
+				}
+				if batch.Len() != n {
+					t.Fatalf("%s: rejected Add changed the batch", what)
+				}
 			}
-			if batch.Len() != n {
-				t.Fatalf("%s: rejected Add changed the batch", what)
+			delta := res.Absorb(&batch)
+			read := round == rounds-1 || every > 0 && round%every == every-1
+			deltaLen, resLen := 0, 0
+			for id := range iters {
+				var want Sequence
+				want, oracle[id] = unionExcept(t, oracle[id], perIter[id])
+				requireNodes(t, fmt.Sprintf("%s iter %d ∆", what, id), delta.Nodes(int32(id)), want)
+				requireNodes(t, fmt.Sprintf("%s iter %d batch", what, id), batch.Nodes(int32(id)), perIter[id])
+				if read {
+					got := res.Nodes(int32(id))
+					requireNodes(t, fmt.Sprintf("%s iter %d res", what, id), got, oracle[id])
+					requireNodes(t, fmt.Sprintf("%s iter %d res, read again", what, id), res.Nodes(int32(id)), oracle[id])
+					requireNodes(t, fmt.Sprintf("%s iter %d res after a second read", what, id), got, oracle[id])
+				}
+				deltaLen += len(want)
+				resLen += len(oracle[id])
 			}
-		}
-		delta := res.Absorb(&batch)
-		deltaLen, resLen := 0, 0
-		for id := range iters {
-			var want Sequence
-			want, oracle[id] = unionExcept(t, oracle[id], perIter[id])
-			requireNodes(t, fmt.Sprintf("%s iter %d ∆", what, id), delta.Nodes(int32(id)), want)
-			requireNodes(t, fmt.Sprintf("%s iter %d res", what, id), res.Nodes(int32(id)), oracle[id])
-			requireNodes(t, fmt.Sprintf("%s iter %d batch", what, id), batch.Nodes(int32(id)), perIter[id])
-			deltaLen += len(want)
-			resLen += len(oracle[id])
-		}
-		if delta.Len() != deltaLen || res.Len() != resLen {
-			t.Fatalf("%s: Len ∆ %d res %d, oracle %d and %d", what, delta.Len(), res.Len(), deltaLen, resLen)
+			if delta.Len() != deltaLen || res.Len() != resLen {
+				t.Fatalf("%s: Len ∆ %d res %d, oracle %d and %d", what, delta.Len(), res.Len(), deltaLen, resLen)
+			}
 		}
 	}
 	// Re-absorbing what res already holds is no growth.
@@ -123,23 +147,62 @@ func checkAbsorbTrial(t *testing.T, trial, iters int) {
 }
 
 // TestFamilyAbsorbMatchesUnionExceptOracle checks the many-iteration
-// family, the relational µ's case, against the union/except oracle.
+// family, the relational µ's case, against the union/except oracle under
+// every read schedule.
 func TestFamilyAbsorbMatchesUnionExceptOracle(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
-		checkAbsorbTrial(t, 2*trial, 0)
+	for _, sched := range readSchedules {
+		t.Run(sched.name, func(t *testing.T) {
+			for trial := 0; trial < 30; trial++ {
+				checkAbsorbTrial(t, 2*trial, 0, sched.every)
+			}
+		})
 	}
 }
 
 // TestAccumulatorMatchesUnionExceptOracle checks the one-iteration family,
-// the interpreter's per-binding fixpoint, against the union/except oracle,
-// and that the zero Family is an empty one-iteration family.
+// the interpreter's per-binding fixpoint, against the union/except oracle
+// under every read schedule, and that the zero Family is an empty
+// one-iteration family.
 func TestAccumulatorMatchesUnionExceptOracle(t *testing.T) {
 	var zero Family
 	if zero.Len() != 0 || zero.Nodes(0) != nil {
 		t.Fatal("the zero Family is not an empty one-iteration family")
 	}
-	for trial := 0; trial < 30; trial++ {
-		checkAbsorbTrial(t, 2*trial+1, 1)
+	for _, sched := range readSchedules {
+		t.Run(sched.name, func(t *testing.T) {
+			for trial := 0; trial < 30; trial++ {
+				checkAbsorbTrial(t, 2*trial+1, 1, sched.every)
+			}
+		})
+	}
+}
+
+// TestAbsorbAndReadAllocateNothing: once its buffers have grown, a family
+// absorbs a round that interleaves res and reads res back in document
+// order without allocating. The read merges into the spare buffer the
+// iteration keeps; a merge that allocated its output would cost one
+// allocation per read.
+func TestAbsorbAndReadAllocateNothing(t *testing.T) {
+	d := buildDoc(t, 200, "a")
+	var even, odd, res Family
+	for pre := int32(1); pre < int32(d.Len()); pre++ {
+		if pre%2 == 0 {
+			even.AddNodes(0, []NodeRef{{D: d, Pre: pre}})
+		} else {
+			odd.AddNodes(0, []NodeRef{{D: d, Pre: pre}})
+		}
+	}
+	round := func() {
+		res.Reset()
+		res.Absorb(&even)
+		res.Absorb(&odd) // every node falls between two of res's
+		if got := res.Nodes(0); len(got) != d.Len()-1 || !got[0].Before(got[1]) {
+			t.Fatalf("res holds %d nodes, want %d in document order", len(got), d.Len()-1)
+		}
+	}
+	round() // warm: grow the log, the spare buffer, the screen and ∆
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("absorbing an interleaving round and reading res: %v allocs, want 0", allocs)
 	}
 }
 

@@ -29,11 +29,25 @@ func (s Sequence) Nodes() ([]NodeRef, error) {
 	out := make([]NodeRef, 0, len(s))
 	for _, it := range s {
 		if !it.IsNode() {
-			return nil, NewError(ErrType, "expected node()*, found "+it.Kind().String())
+			return nil, notNode(it)
 		}
 		out = append(out, it.Node())
 	}
 	return out, nil
+}
+
+// checkNodes returns the error Nodes reports on s, without the copy.
+func checkNodes(s Sequence) error {
+	for _, it := range s {
+		if !it.IsNode() {
+			return notNode(it)
+		}
+	}
+	return nil
+}
+
+func notNode(it Item) error {
+	return NewError(ErrType, "expected node()*, found "+it.Kind().String())
 }
 
 // DDO implements fs:distinct-doc-order: sorts an all-node sequence into
@@ -96,19 +110,26 @@ func Except(a, b Sequence) (Sequence, error) {
 }
 
 // Intersect implements the XQuery `intersect` operator in document order.
+// The set is built over the smaller operand and the larger one is scanned
+// in place, so intersecting with a large fixpoint result costs a set of
+// the small side only.
 func Intersect(a, b Sequence) (Sequence, error) {
-	na, err := a.Nodes()
-	if err != nil {
+	if err := checkNodes(a); err != nil {
 		return nil, err
 	}
-	nb, err := b.Nodes()
-	if err != nil {
+	if err := checkNodes(b); err != nil {
 		return nil, err
 	}
-	in := nodeSet(nb)
+	if len(b) > len(a) {
+		a, b = b, a
+	}
+	in := make(map[NodeRef]bool, len(b))
+	for _, it := range b {
+		in[it.Node()] = true
+	}
 	var keep []NodeRef
-	for _, n := range na {
-		if in[n] {
+	for _, it := range a {
+		if n := it.Node(); in[n] {
 			keep = append(keep, n)
 		}
 	}

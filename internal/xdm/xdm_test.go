@@ -3,6 +3,8 @@ package xdm
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -353,6 +355,72 @@ func TestQuickSetOpsAlgebra(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+
+	// intersect over raw operands — unsorted, duplicate-ridden, of
+	// unequal lengths — in both argument orders, against a map oracle: the
+	// distinct nodes in both, in document order.
+	raw := func(sel []uint8) Sequence {
+		var s Sequence
+		for _, p := range sel {
+			s = append(s, NewNode(NodeRef{doc, int32(int(p) % doc.Len())}))
+		}
+		return s
+	}
+	g := func(aSel, bSel []uint8, extra uint8) bool {
+		a := raw(aSel)
+		b := raw(append(bSel, aSel[:min(len(aSel), int(extra)%4)]...))
+		inB := map[NodeRef]bool{}
+		for _, it := range b {
+			inB[it.Node()] = true
+		}
+		seen := map[NodeRef]bool{}
+		var want []NodeRef
+		for _, it := range a {
+			if n := it.Node(); inB[n] && !seen[n] {
+				seen[n] = true
+				want = append(want, n)
+			}
+		}
+		SortNodes(want)
+		for _, args := range [][2]Sequence{{a, b}, {b, a}} {
+			got, err := Intersect(args[0], args[1])
+			if err != nil || len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if !got[i].Node().Same(want[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+
+	// A non-node operand is XPTY0004, and the error names a's first
+	// non-node item before b's, whichever operand is longer.
+	long := raw([]uint8{1, 2, 3, 4, 5, 6, 7, 8})
+	short := raw([]uint8{2})
+	withItem := func(s Sequence, it Item) Sequence { return append(slices.Clone(s), it) }
+	for _, c := range []struct {
+		name string
+		a, b Sequence
+		want string
+	}{
+		{"a only, a longer", withItem(long, NewInteger(1)), short, "xs:integer"},
+		{"a only, b longer", withItem(short, NewInteger(1)), long, "xs:integer"},
+		{"b only, a longer", long, withItem(short, NewString("x")), "xs:string"},
+		{"b only, b longer", short, withItem(long, NewString("x")), "xs:string"},
+		{"both, a longer", withItem(long, NewInteger(1)), withItem(short, NewString("x")), "xs:integer"},
+		{"both, b longer", withItem(short, NewInteger(1)), withItem(long, NewString("x")), "xs:integer"},
+	} {
+		_, err := Intersect(c.a, c.b)
+		if CodeOf(err) != ErrType || !strings.HasSuffix(err.Error(), "expected node()*, found "+c.want) {
+			t.Errorf("intersect, non-node in %s: %v, want XPTY0004 naming %s", c.name, err, c.want)
+		}
 	}
 }
 

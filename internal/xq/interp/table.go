@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"slices"
+
 	"repro/internal/xdm"
 	"repro/internal/xq/ast"
 )
@@ -28,7 +30,7 @@ type table struct {
 	cells   []*env // the env cell each free variable resolved to, or nil
 	ctx     dynCtx
 	hits    *int64
-	answers map[xdm.NodeRef]xdm.Sequence
+	answers map[xdm.NodeRef][]xdm.NodeRef
 }
 
 func newSiteTable(fp *ast.Fixpoint, hits *int64) *siteTable {
@@ -51,7 +53,7 @@ func (s *siteTable) enter(en *env, ctx dynCtx) *table {
 	if t := s.cur; t != nil && t.ctx == ctx && t.boundIn(en, s.free) {
 		return t
 	}
-	t := &table{cells: make([]*env, len(s.free)), ctx: ctx, hits: s.hits, answers: map[xdm.NodeRef]xdm.Sequence{}}
+	t := &table{cells: make([]*env, len(s.free)), ctx: ctx, hits: s.hits, answers: map[xdm.NodeRef][]xdm.NodeRef{}}
 	for i, v := range s.free {
 		t.cells[i] = en.cell(v)
 	}
@@ -72,28 +74,31 @@ func (t *table) boundIn(en *env, free []string) bool {
 
 // tabledStep is Step on a tabled execution: the body is evaluated on each
 // fed node not yet in the table, one node at a time, and the batch is the
-// union of the fed nodes' answers. Every new entry is charged to the row
-// budget, which so bounds the table's memory too.
+// union of the fed nodes' answers. A new entry's answer goes through
+// Family.Add, which rejects a non-node item in the round that computed it,
+// and is stored as the nodes it added; a hit re-adds them unchecked. Every
+// new entry is charged to the row budget, which so bounds the table's
+// memory too.
 func (b *ifpBody) tabledStep(feed *xdm.Family) (*xdm.Family, error) {
 	b.out.Reset()
 	for _, n := range feed.Nodes(0) {
-		ans, ok := b.tab.answers[n]
-		if ok {
+		if ans, ok := b.tab.answers[n]; ok {
 			*b.tab.hits++
-		} else {
-			out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.Singleton(xdm.NewNode(n))), b.ctx)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.ev.engine.opts.Budget.ChargeRows(len(out)); err != nil {
-				return nil, err
-			}
-			ans = out
-			b.tab.answers[n] = ans
+			b.out.AddNodes(0, ans)
+			continue
 		}
-		if err := b.add(ans); err != nil {
+		out, err := b.ev.eval(b.fp.Body, b.env.bind(b.fp.Var, xdm.Singleton(xdm.NewNode(n))), b.ctx)
+		if err != nil {
 			return nil, err
 		}
+		if err := b.ev.engine.opts.Budget.ChargeRows(len(out)); err != nil {
+			return nil, err
+		}
+		start := b.out.Len()
+		if err := b.add(out); err != nil {
+			return nil, err
+		}
+		b.tab.answers[n] = slices.Clone(b.out.Nodes(0)[start:])
 	}
 	return &b.out, nil
 }

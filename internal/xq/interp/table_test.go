@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -137,5 +138,28 @@ doc("c40.xml")/curriculum/course/count(with $x seeded by . recurse $x/id(./prere
 				t.Errorf("table engaged across changed bindings: body inputs %d, nodes fed %d", site.BodyInputs(), site.Stats.NodesFedBack)
 			}
 		})
+	}
+}
+
+// TestTabledNonNodeAnswerFailsLikeAdd: a table stores an entry's answer as
+// nodes, checked once when the entry is made. A non-node answer must still
+// fail the query with Family.Add's XPTY0004 message, as it does untabled.
+// c5 is reachable from no other course, so its answer is first computed by
+// the fifth execution, which the table serves.
+func TestTabledNonNodeAnswerFailsLikeAdd(t *testing.T) {
+	const query = `
+for $c in doc("curriculum.xml")/curriculum/course
+return count(with $x seeded by $c
+             recurse $x/(if (@code = "c5") then string(@code) else id(./prerequisites/pre_code)))`
+	var msgs []string
+	for _, mode := range []Mode{ModeAuto, ModeNaive} {
+		_, err := EvalString(query, Options{Mode: mode, Docs: testDocs(t)})
+		if xdm.CodeOf(err) != xdm.ErrType {
+			t.Fatalf("mode %v: %v, want XPTY0004", mode, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if want := "inflationary fixed point over a non-node item of type xs:string"; !strings.HasSuffix(msgs[0], want) || msgs[0] != msgs[1] {
+		t.Fatalf("tabled error %q, untabled %q; want both to end %q", msgs[0], msgs[1], want)
 	}
 }
