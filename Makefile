@@ -104,8 +104,9 @@ benchmark-check:
 # coverage step enforces the per-package floors; loadsmoke gates the
 # overload/degradation contract; parity-check gates tracing, round-stats,
 # caching, and indexed-vs-scan parity; benchmark-check vets and tests the
-# separate benchmark/ module; one iteration of BenchmarkCachedReply keeps
-# the xqd reply-path benchmark compiling and running.
+# separate benchmark/ module; one iteration each of BenchmarkCachedReply
+# and BenchmarkSnapshotOpen keeps the xqd reply-path and snapshot-open
+# benchmarks compiling and running.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -117,14 +118,18 @@ ci:
 	$(MAKE) benchmark-check
 	$(MAKE) loadsmoke
 	$(GO) test -run '^$$' -bench CachedReply -benchtime 1x ./cmd/xqd
+	$(GO) test -run '^$$' -bench SnapshotOpen -benchtime 1x ./internal/store
 
-# Differential fuzzing: random documents + random fixpoint queries, every
-# engine/mode/optimizer-level combination must agree byte for
-# byte. CI runs a short smoke; leave FUZZTIME unset locally for an
-# open-ended hunt.
+# Fuzzing, FUZZTIME per target. FuzzDifferential: random documents +
+# random fixpoint queries, every engine/mode/optimizer-level combination
+# must agree byte for byte. FuzzSnapshotOpen: mutated v1/v2 snapshot
+# images with recomputed checksums must fail to open or open into a
+# document every accessor and axis walks without panicking. CI runs a
+# short smoke; raise FUZZTIME locally for an open-ended hunt.
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime $(FUZZTIME) ./internal/difftest
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotOpen -fuzztime $(FUZZTIME) ./internal/store
 
 # Plan-shape gate: diff the explain renderings (raw + optimized plans with
 # property annotations, operator counts) of the paper's query families
@@ -175,4 +180,4 @@ bench-baseline:
 clean:
 	rm -f ifpbench xq xqd distcheck xmlgen benchdiff *.test
 	rm -f cover.out cover.pkg.out BENCH_pr.json
-	rm -rf internal/difftest/testdata/fuzz
+	rm -rf internal/difftest/testdata/fuzz internal/store/testdata/fuzz

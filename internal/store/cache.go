@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -33,8 +34,10 @@ type CacheOptions struct {
 	// generation, and reloads. Nil disables validation: entries live
 	// until evicted, exactly the pre-generation behaviour.
 	Stat func(uri string) (Fingerprint, error)
-	// MaxBytes bounds the cached arena bytes (Document.Stats().ArenaBytes
-	// accounting); 0 means unbounded.
+	// MaxBytes bounds the summed node-table bytes of resident documents
+	// (Document.Stats().ArenaBytes: node columns, value blob, names and
+	// IDs; a snapshot's index sections are not counted); 0 means
+	// unbounded.
 	MaxBytes int64
 	// MaxDocs bounds the number of cached documents; 0 means unbounded.
 	MaxDocs int
@@ -227,22 +230,7 @@ func (c *Cache) Acquire(uri string) (*Pin, error) {
 		c.flights[uri] = fl
 		c.mu.Unlock()
 
-		// Fingerprint before reading: if the file is replaced mid-load we
-		// record the pre-replacement identity and the next hit invalidates
-		// — an extra reload, never a stale serve.
-		var fp Fingerprint
-		if c.opts.Stat != nil {
-			if f, statErr := c.opts.Stat(uri); statErr == nil {
-				fp = f
-			}
-		}
-		loadStart := time.Now()
-		doc, err := c.opts.Loader(uri)
-		loadNs := time.Since(loadStart).Nanoseconds()
-		var bytes int64
-		if err == nil {
-			bytes = doc.Stats().ArenaBytes
-		}
+		fp, doc, bytes, loadNs, err := c.load(uri)
 
 		c.mu.Lock()
 		c.loads++
@@ -265,6 +253,33 @@ func (c *Cache) Acquire(uri string) (*Pin, error) {
 		c.mu.Unlock()
 		return &Pin{c: c, e: e}, nil
 	}
+}
+
+// load fingerprints and loads uri for Acquire's flight. A panic in the
+// Stat callback or the Loader is returned as an error, so the flight
+// always completes: otherwise its done channel would never close and
+// every later Acquire of uri would wait on it forever.
+func (c *Cache) load(uri string) (fp Fingerprint, doc *xdm.Document, bytes, loadNs int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			doc, err = nil, fmt.Errorf("store: loading %s panicked: %v", uri, r)
+		}
+	}()
+	// Fingerprint before reading: if the file is replaced mid-load we
+	// record the pre-replacement identity and the next hit invalidates
+	// — an extra reload, never a stale serve.
+	if c.opts.Stat != nil {
+		if f, statErr := c.opts.Stat(uri); statErr == nil {
+			fp = f
+		}
+	}
+	loadStart := time.Now()
+	doc, err = c.opts.Loader(uri)
+	loadNs = time.Since(loadStart).Nanoseconds()
+	if err == nil {
+		bytes = doc.Stats().ArenaBytes
+	}
+	return fp, doc, bytes, loadNs, err
 }
 
 // invalidateLocked removes a stale entry from the resident set, bumping

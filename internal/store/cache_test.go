@@ -168,6 +168,51 @@ func TestCacheLoaderErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheLoaderPanicReleasesFlight: a Loader that panics fails that
+// Acquire with an error and leaves no flight behind, so the next Acquire
+// of the URI loads again instead of waiting forever on a flight that
+// never completes.
+func TestCacheLoaderPanicReleasesFlight(t *testing.T) {
+	var calls int64
+	c := NewCache(CacheOptions{Loader: func(uri string) (*xdm.Document, error) {
+		if atomic.AddInt64(&calls, 1) == 1 {
+			panic("loader bug")
+		}
+		return xmldoc.ParseString("<doc/>", uri)
+	}})
+	first := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("Acquire panicked: %v", r)
+			}
+		}()
+		_, err = c.Acquire("d.xml")
+		return err
+	}()
+	if first == nil || !strings.Contains(first.Error(), "loader bug") {
+		t.Errorf("first Acquire: %v, want an error naming the loader panic", first)
+	}
+	done := make(chan error, 1)
+	go func() {
+		p, err := c.Acquire("d.xml")
+		if err == nil {
+			p.Release()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("second Acquire: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second Acquire still blocked on the panicked load's flight")
+	}
+	if s := c.Stats(); s.Errors != 1 || s.Misses != 1 || s.Docs != 1 {
+		t.Errorf("stats %+v, want one error, one miss, one resident", s)
+	}
+}
+
 func TestSessionPinsAndDedup(t *testing.T) {
 	var calls int64
 	c := NewCache(CacheOptions{Loader: countingLoader(&calls), MaxDocs: 1})

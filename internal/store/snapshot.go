@@ -47,17 +47,24 @@
 //	           low half of an 8-byte little-endian word (alignment-
 //	           preserving; hardware-accelerated on amd64/arm64)
 //
-// The node vectors are columnar and fixed-width so an mmap'd snapshot is
-// consumed in place: integer vectors are reinterpreted as typed slices
-// (the 8-byte section alignment plus the page-aligned mapping make the
-// casts legal) and every name/value string is an unsafe zero-copy view
-// into the mapped blob — opening a snapshot allocates the node-record
-// array and the ID map, but never copies string data. Flat posting lists
-// are consumed in place the same way (4-aligned within an 8-aligned
-// section); delta-encoded lists decode at open. Version 1 files still
-// open — their index is built lazily from the arena on first use
+// The node vectors are xdm.Document's own columns (see xdm's arena.go), so
+// an opened snapshot is the document: the integer vectors are
+// reinterpreted as typed slices over the read buffer or mapping (the
+// 8-byte section alignment plus the 8-aligned buffer or page-aligned
+// mapping make the casts legal) and the value blob and names are unsafe
+// zero-copy string views into it. Opening a snapshot allocates the name
+// table, the ID map and the index's lookup structures, never a per-node
+// record, and copies no string data. Flat posting lists are consumed in
+// place the same way (4-aligned within an 8-aligned section);
+// delta-encoded lists decode at open. Version 1 files still open — their
+// index is built lazily from the arena on first use
 // (xdm.Document.Index) — and the CRC covers the v2 index sections, so a
-// corrupted index is rejected with the rest of the file.
+// corrupted index is rejected with the rest of the file. The CRC is not
+// what bounds the accessors: a header's counts are checked against the
+// payload before any section offset is computed, and xdm.NewDocument
+// validates the node table structurally, so an image with a recomputed
+// checksum is either rejected or opens into columns that every accessor
+// walks without leaving them (FuzzSnapshotOpen).
 package store
 
 import (
@@ -65,6 +72,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -127,39 +135,51 @@ type sections struct {
 	end                                                             uint64
 }
 
-func (h *header) sectionOffsets() sections {
+// sectionOffsets lays the sections out in order, each starting 8-aligned,
+// and fails when one would end past limit. Each count is checked against
+// the room left before it is multiplied by its width, so no header can
+// wrap the offset arithmetic.
+func (h *header) sectionOffsets(limit uint64) (sections, error) {
 	n := h.nodeCount
 	off := uint64(0)
-	next := func(size uint64) uint64 {
+	var err error
+	next := func(count, width uint64) uint64 {
 		start := off
-		off = align8(start + size)
+		if err != nil {
+			return 0
+		}
+		if start > limit || count > (limit-start)/width {
+			err = fmt.Errorf("snapshot section of %d×%d bytes at offset %d exceeds payload (%d bytes)", count, width, start, limit)
+			return 0
+		}
+		off = align8(start + count*width)
 		return start
 	}
 	var s sections
-	s.uri = next(h.uriLen)
-	s.kinds = next(n)
-	s.parents = next(4 * n)
-	s.sizes = next(4 * n)
-	s.levels = next(4 * n)
-	s.nameIDs = next(4 * n)
-	s.nameEnds = next(4 * h.nameCount)
-	s.nameBlob = next(h.nameBlobLen)
-	s.valueEnds = next(8 * n)
-	s.valueBlob = next(h.valueBlobLen)
-	s.idPres = next(4 * h.idCount)
-	s.idEnds = next(4 * h.idCount)
-	s.idBlob = next(h.idBlobLen)
-	s.postKeys = next(8 * h.postCount)
-	s.postEnds = next(8 * h.postCount)
-	s.postBlob = next(h.postBlobLen)
-	s.pathNames = next(4 * h.pathCount)
-	s.pathKinds = next(h.pathCount)
-	s.pathParents = next(4 * h.pathCount)
-	s.pathCounts = next(4 * h.pathCount)
-	s.pathMins = next(4 * h.pathCount)
-	s.pathMaxs = next(4 * h.pathCount)
+	s.uri = next(h.uriLen, 1)
+	s.kinds = next(n, 1)
+	s.parents = next(n, 4)
+	s.sizes = next(n, 4)
+	s.levels = next(n, 4)
+	s.nameIDs = next(n, 4)
+	s.nameEnds = next(h.nameCount, 4)
+	s.nameBlob = next(h.nameBlobLen, 1)
+	s.valueEnds = next(n, 8)
+	s.valueBlob = next(h.valueBlobLen, 1)
+	s.idPres = next(h.idCount, 4)
+	s.idEnds = next(h.idCount, 4)
+	s.idBlob = next(h.idBlobLen, 1)
+	s.postKeys = next(h.postCount, 8)
+	s.postEnds = next(h.postCount, 8)
+	s.postBlob = next(h.postBlobLen, 1)
+	s.pathNames = next(h.pathCount, 4)
+	s.pathKinds = next(h.pathCount, 1)
+	s.pathParents = next(h.pathCount, 4)
+	s.pathCounts = next(h.pathCount, 4)
+	s.pathMins = next(h.pathCount, 4)
+	s.pathMaxs = next(h.pathCount, 4)
 	s.end = off
-	return s
+	return s, err
 }
 
 // WriteSnapshot serializes the document to w in the current snapshot
@@ -171,39 +191,13 @@ func WriteSnapshot(w io.Writer, d *xdm.Document) error {
 // writeSnapshot serializes in the requested format version; version 1
 // omits the index sections (kept so compat tests can produce v1 files).
 func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
-	n := d.Len()
-
-	// Columnarize the arena: intern names, concatenate values.
-	kinds := make([]byte, n)
-	parents := make([]byte, 4*n)
-	sizes := make([]byte, 4*n)
-	levels := make([]byte, 4*n)
-	nameIDs := make([]byte, 4*n)
-	valueEnds := make([]byte, 8*n)
-	nameTable := map[string]uint32{"": 0}
-	nameList := []string{""}
-	var valueBlob []byte
-	d.VisitArena(func(pre int, kind xdm.NodeKind, name, value string, parent, size, level int32) {
-		kinds[pre] = byte(kind)
-		binary.LittleEndian.PutUint32(parents[4*pre:], uint32(parent))
-		binary.LittleEndian.PutUint32(sizes[4*pre:], uint32(size))
-		binary.LittleEndian.PutUint32(levels[4*pre:], uint32(level))
-		id, ok := nameTable[name]
-		if !ok {
-			id = uint32(len(nameList))
-			nameTable[name] = id
-			nameList = append(nameList, name)
-		}
-		binary.LittleEndian.PutUint32(nameIDs[4*pre:], id)
-		valueBlob = append(valueBlob, value...)
-		binary.LittleEndian.PutUint64(valueEnds[8*pre:], uint64(len(valueBlob)))
-	})
-
-	nameEnds := make([]byte, 4*len(nameList))
+	// The node sections are the document's columns as they are.
+	c := d.Columns()
+	nameEnds := make([]uint32, len(c.Names))
 	var nameBlob []byte
-	for i, name := range nameList {
+	for i, name := range c.Names {
 		nameBlob = append(nameBlob, name...)
-		binary.LittleEndian.PutUint32(nameEnds[4*i:], uint32(len(nameBlob)))
+		nameEnds[i] = uint32(len(nameBlob))
 	}
 
 	// ID index, sorted by ID value so snapshots are deterministic.
@@ -226,8 +220,12 @@ func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
 	// Version 2: serialize the document's name/path index. The index comes
 	// from the same lazy builder queries use (xdm.Document.Index), so the
 	// persistent and in-memory forms agree by construction. Posting lists
-	// are keyed by interned name id; every indexed name is a node name, so
-	// the lookup below cannot miss.
+	// are keyed by name id; every indexed name is a node name, so the
+	// lookup cannot miss.
+	nameID := func(name string) uint32 {
+		id, _ := d.NameID(name)
+		return id
+	}
 	var postKeys, postEnds, postBlob []byte
 	var pathNames, pathKinds, pathParents, pathCounts, pathMins, pathMaxs []byte
 	var postCount, pathCount int
@@ -247,7 +245,7 @@ func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
 			enc, encoded := encodePostings(list)
 			postBlob = append(postBlob, encoded...)
 			binary.LittleEndian.PutUint64(postEnds[8*i:], uint64(len(postBlob)))
-			word := uint64(nameTable[key.Name])<<32 | uint64(key.Kind)<<8 | uint64(enc)
+			word := uint64(nameID(key.Name))<<32 | uint64(key.Kind)<<8 | uint64(enc)
 			binary.LittleEndian.PutUint64(postKeys[8*i:], word)
 		}
 		paths := ix.Paths()
@@ -259,7 +257,7 @@ func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
 		pathMins = make([]byte, 4*pathCount)
 		pathMaxs = make([]byte, 4*pathCount)
 		for i, p := range paths {
-			binary.LittleEndian.PutUint32(pathNames[4*i:], nameTable[p.Name])
+			binary.LittleEndian.PutUint32(pathNames[4*i:], nameID(p.Name))
 			pathKinds[i] = byte(p.Kind)
 			binary.LittleEndian.PutUint32(pathParents[4*i:], uint32(p.Parent))
 			binary.LittleEndian.PutUint32(pathCounts[4*i:], uint32(p.Count))
@@ -269,10 +267,10 @@ func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
 	}
 
 	h := header{
-		nodeCount:    uint64(n),
-		nameCount:    uint64(len(nameList)),
+		nodeCount:    uint64(len(c.Kinds)),
+		nameCount:    uint64(len(c.Names)),
 		nameBlobLen:  uint64(len(nameBlob)),
-		valueBlobLen: uint64(len(valueBlob)),
+		valueBlobLen: uint64(len(c.Values)),
 		idCount:      uint64(len(ids)),
 		idBlobLen:    uint64(len(idBlob)),
 		uriLen:       uint64(len(d.URI)),
@@ -280,7 +278,11 @@ func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
 		postBlobLen:  uint64(len(postBlob)),
 		pathCount:    uint64(pathCount),
 	}
-	h.payloadLen = h.sectionOffsets().end
+	s, err := h.sectionOffsets(math.MaxInt64)
+	if err != nil {
+		return err
+	}
+	h.payloadLen = s.end
 
 	hdrFields := []uint64{h.nodeCount, h.nameCount, h.nameBlobLen, h.valueBlobLen,
 		h.idCount, h.idBlobLen, h.uriLen, h.payloadLen}
@@ -304,8 +306,9 @@ func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
 	crc.Write(hdr)
 	pw := &paddedWriter{w: io.MultiWriter(w, crc)}
 	body := [][]byte{
-		[]byte(d.URI), kinds, parents, sizes, levels, nameIDs,
-		nameEnds, nameBlob, valueEnds, valueBlob, idPres, idEnds, idBlob,
+		[]byte(d.URI), leBytes(c.Kinds), leBytes(c.Parents), leBytes(c.Sizes),
+		leBytes(c.Levels), leBytes(c.NameIDs), leBytes(nameEnds), nameBlob,
+		leBytes(c.ValueEnds), stringBytes(c.Values), idPres, idEnds, idBlob,
 	}
 	if version >= 2 {
 		body = append(body, postKeys, postEnds, postBlob,
@@ -321,8 +324,30 @@ func writeSnapshot(w io.Writer, d *xdm.Document, version byte) error {
 	}
 	var trailer [trailerLen]byte
 	binary.LittleEndian.PutUint64(trailer[:], uint64(crc.Sum32()))
-	_, err := w.Write(trailer[:])
+	_, err = w.Write(trailer[:])
 	return err
+}
+
+// leBytes returns the little-endian bytes of a fixed-width vector: a view
+// of its memory on little-endian hosts, an encoded copy otherwise.
+func leBytes[T xdm.NodeKind | int32 | uint32 | uint64](v []T) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	width := int(unsafe.Sizeof(v[0]))
+	if littleEndianHost {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), width*len(v))
+	}
+	out := make([]byte, 0, width*len(v))
+	for _, x := range v {
+		out = binary.LittleEndian.AppendUint64(out, uint64(x))[:len(out)+width]
+	}
+	return out
+}
+
+// stringBytes returns a read-only byte view of s.
+func stringBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // Posting-list encodings (low byte of the postKeys word).
@@ -416,8 +441,8 @@ func Save(path string, d *xdm.Document) error {
 }
 
 // Load reads a snapshot file fully into memory and decodes it. The
-// returned document's strings reference the read buffer (no per-string
-// copies).
+// returned document's node columns and strings are views of the read
+// buffer (no per-node or per-string copies).
 func Load(path string) (*xdm.Document, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -446,10 +471,11 @@ func Load(path string) (*xdm.Document, error) {
 }
 
 // Decode decodes a snapshot image (version 1 or 2). The returned
-// document's strings are zero-copy views into data; the caller must not
-// mutate it afterwards. Version 2 images carry their name/path index,
-// attached to the document before it is published; version 1 documents
-// build theirs lazily on first use.
+// document's node columns and strings are zero-copy views into data
+// (on little-endian hosts, where data is suitably aligned); the caller
+// must not mutate it afterwards. Version 2 images carry their name/path
+// index, attached to the document before it is published; version 1
+// documents build theirs lazily on first use.
 func Decode(data []byte) (*xdm.Document, error) {
 	if len(data) < headerLenV1+trailerLen {
 		return nil, fmt.Errorf("snapshot truncated (%d bytes)", len(data))
@@ -484,21 +510,17 @@ func Decode(data []byte) (*xdm.Document, error) {
 		return nil, fmt.Errorf("snapshot checksum mismatch (corrupted file): got %08x want %08x", got, want)
 	}
 
-	s := h.sectionOffsets()
+	s, err := h.sectionOffsets(h.payloadLen)
+	if err != nil {
+		return nil, err
+	}
 	if s.end != h.payloadLen {
 		return nil, fmt.Errorf("snapshot sections (%d bytes) exceed payload (%d bytes)", s.end, h.payloadLen)
 	}
 	n := int(h.nodeCount)
 	uri := string(payload[s.uri : s.uri+h.uriLen])
-	kinds := payload[s.kinds : s.kinds+h.nodeCount]
-	parents := int32sAt(payload, s.parents, n)
-	sizes := int32sAt(payload, s.sizes, n)
-	levels := int32sAt(payload, s.levels, n)
-	nameIDs := uint32sAt(payload, s.nameIDs, n)
 	nameEnds := uint32sAt(payload, s.nameEnds, int(h.nameCount))
 	nameBlob := payload[s.nameBlob : s.nameBlob+h.nameBlobLen]
-	valueEnds := uint64sAt(payload, s.valueEnds, n)
-	valueBlob := payload[s.valueBlob : s.valueBlob+h.valueBlobLen]
 
 	// Materialize the (small) interned name table as zero-copy views.
 	names := make([]string, h.nameCount)
@@ -512,49 +534,43 @@ func Decode(data []byte) (*xdm.Document, error) {
 		prev = end
 	}
 
-	loader := xdm.NewArenaLoader(uri, n)
-	var prevEnd uint64
-	for i := 0; i < n; i++ {
-		nameID := nameIDs[i]
-		if uint64(nameID) >= h.nameCount {
-			return nil, fmt.Errorf("snapshot node %d references unknown name id %d", i, nameID)
-		}
-		vend := valueEnds[i]
-		if vend < prevEnd || vend > h.valueBlobLen {
-			return nil, fmt.Errorf("snapshot value offsets corrupt at node %d", i)
-		}
-		loader.SetNode(i, xdm.NodeKind(kinds[i]), names[nameID],
-			viewString(valueBlob[prevEnd:vend]), parents[i], sizes[i], levels[i])
-		prevEnd = vend
-	}
-
 	idPres := int32sAt(payload, s.idPres, int(h.idCount))
 	idEnds := uint32sAt(payload, s.idEnds, int(h.idCount))
 	idBlob := payload[s.idBlob : s.idBlob+h.idBlobLen]
+	ids := make(map[string]int32, h.idCount)
 	prev = 0
 	for i := 0; i < int(h.idCount); i++ {
 		end := idEnds[i]
 		if end < prev || uint64(end) > h.idBlobLen {
 			return nil, fmt.Errorf("snapshot ID offsets corrupt at entry %d", i)
 		}
-		loader.RegisterID(viewString(idBlob[prev:end]), idPres[i])
+		ids[viewString(idBlob[prev:end])] = idPres[i]
 		prev = end
 	}
 
+	var ix *xdm.Index
 	if version >= 2 {
-		ix, err := decodeIndex(&h, &s, payload, names)
-		if err != nil {
+		if ix, err = decodeIndex(&h, &s, payload, names); err != nil {
 			return nil, err
 		}
-		loader.AttachIndex(ix)
 	}
-	return loader.Done()
+	kinds := payload[s.kinds : s.kinds+h.nodeCount]
+	return xdm.NewDocument(uri, xdm.Columns{
+		Kinds:     unsafe.Slice((*xdm.NodeKind)(unsafe.SliceData(kinds)), n),
+		Parents:   int32sAt(payload, s.parents, n),
+		Sizes:     int32sAt(payload, s.sizes, n),
+		Levels:    int32sAt(payload, s.levels, n),
+		NameIDs:   uint32sAt(payload, s.nameIDs, n),
+		Names:     names,
+		ValueEnds: uint64sAt(payload, s.valueEnds, n),
+		Values:    viewString(payload[s.valueBlob : s.valueBlob+h.valueBlobLen]),
+	}, ids, ix)
 }
 
 // decodeIndex reconstructs the xdm.Index from a v2 image's index sections.
 // Flat posting lists stay zero-copy views into the payload; delta lists
-// decode here. The CRC already vouches for the bytes, so validation is
-// limited to what keeps indexing panic-free (name ids, offsets, bounds).
+// decode here. Validation is what keeps indexing panic-free on any image
+// whose checksum holds (name ids, offsets, list order and bounds).
 func decodeIndex(h *header, s *sections, payload []byte, names []string) (*xdm.Index, error) {
 	postKeys := uint64sAt(payload, s.postKeys, int(h.postCount))
 	postEnds := uint64sAt(payload, s.postEnds, int(h.postCount))
@@ -591,8 +607,15 @@ func decodeIndex(h *header, s *sections, payload []byte, names []string) (*xdm.I
 		default:
 			return nil, fmt.Errorf("snapshot posting %d has unknown encoding %d", i, enc)
 		}
-		if len(list) > 0 && (list[0] < 0 || uint64(list[len(list)-1]) >= h.nodeCount) {
-			return nil, fmt.Errorf("snapshot posting %d out of node range", i)
+		// The step kernel cuts lists by binary search and indexes the
+		// node columns with every entry it keeps: each list must ascend
+		// strictly within the non-root node range.
+		last := int32(0)
+		for _, pre := range list {
+			if pre <= last || uint64(pre) >= h.nodeCount {
+				return nil, fmt.Errorf("snapshot posting %d out of node range or order", i)
+			}
+			last = pre
 		}
 		keys[i] = xdm.PostingKey{Name: names[nameID], Kind: kind}
 		lists[i] = list

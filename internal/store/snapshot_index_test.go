@@ -122,7 +122,10 @@ func TestSnapshotIndexCorruption(t *testing.T) {
 	if h.postCount == 0 || h.pathCount == 0 {
 		t.Fatalf("v2 snapshot carries no index sections (post=%d path=%d)", h.postCount, h.pathCount)
 	}
-	s := h.sectionOffsets()
+	s, err := h.sectionOffsets(h.payloadLen)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	flip := func(off uint64) []byte {
 		cp := append([]byte(nil), img...)

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -248,5 +250,38 @@ recurse for $s in $x
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "nope.xqs")); !os.IsNotExist(err) {
 		t.Fatalf("want os.IsNotExist, got %v", err)
+	}
+}
+
+// wrappingImage is a 120-byte v2 image with a valid checksum whose node
+// count makes unchecked section arithmetic wrap: 8854437155380584776
+// nodes lay out, modulo 2^64, to exactly the 8-byte payload the header
+// declares.
+func wrappingImage() []byte {
+	img := make([]byte, headerLenV2+8+trailerLen)
+	copy(img, magic)
+	img[7] = 2
+	binary.LittleEndian.PutUint64(img[8:], 8854437155380584776) // nodeCount
+	binary.LittleEndian.PutUint64(img[8+7*8:], 8)               // payloadLen
+	crc := crc32.Checksum(img[:headerLenV2+8], crcTable)
+	binary.LittleEndian.PutUint64(img[headerLenV2+8:], uint64(crc))
+	return img
+}
+
+// TestDecodeRejectsWrappingSectionCounts: a header count whose section
+// cannot fit in the payload is an error before any offset is computed,
+// not a slice-bounds panic.
+func TestDecodeRejectsWrappingSectionCounts(t *testing.T) {
+	img := wrappingImage()
+	if len(img) != 120 {
+		t.Fatalf("image is %d bytes, want 120", len(img))
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Decode panicked: %v", r)
+		}
+	}()
+	if _, err := Decode(img); err == nil {
+		t.Fatal("Decode accepted a header whose sections wrap around")
 	}
 }

@@ -142,7 +142,7 @@ func (d *Document) Index() *Index {
 	return ix
 }
 
-// attachIndex installs a snapshot-decoded index; called by the arena loader
+// attachIndex installs a snapshot-decoded index; called by NewDocument
 // before the document is published.
 func (d *Document) attachIndex(ix *Index) { d.idx.Store(ix) }
 
@@ -169,16 +169,15 @@ func buildIndex(d *Document) *Index {
 	byKey := map[PostingKey]int{}
 	// nodePath[pre] is the path-trie index of the node at pre, for kinds
 	// that extend paths (document/element/attribute); -1 otherwise.
-	nodePath := make([]int32, len(d.nodes))
+	nodePath := make([]int32, len(d.kinds))
 	type pathEdge struct {
 		parent int32
 		key    PostingKey
 	}
 	pathAt := map[pathEdge]int32{}
-	for pre := range d.nodes {
-		nd := &d.nodes[pre]
+	for pre, kind := range d.kinds {
 		nodePath[pre] = -1
-		switch nd.kind {
+		switch kind {
 		case DocumentNode:
 			ix.paths = append(ix.paths, PathNode{
 				Kind: DocumentNode, Parent: -1,
@@ -186,7 +185,8 @@ func buildIndex(d *Document) *Index {
 			})
 			nodePath[pre] = int32(len(ix.paths) - 1)
 		case ElementNode, AttributeNode:
-			key := PostingKey{Name: nd.name, Kind: nd.kind}
+			name := d.names[d.nameIDs[pre]]
+			key := PostingKey{Name: name, Kind: kind}
 			li, ok := byKey[key]
 			if !ok {
 				li = len(ix.keys)
@@ -197,8 +197,8 @@ func buildIndex(d *Document) *Index {
 			ix.lists[li] = append(ix.lists[li], int32(pre))
 
 			parentPath := int32(-1)
-			if nd.parent >= 0 {
-				parentPath = nodePath[nd.parent]
+			if p := d.parents[pre]; p >= 0 {
+				parentPath = nodePath[p]
 			}
 			edge := pathEdge{parent: parentPath, key: key}
 			pi, ok := pathAt[edge]
@@ -206,7 +206,7 @@ func buildIndex(d *Document) *Index {
 				pi = int32(len(ix.paths))
 				pathAt[edge] = pi
 				ix.paths = append(ix.paths, PathNode{
-					Name: nd.name, Kind: nd.kind, Parent: parentPath,
+					Name: name, Kind: kind, Parent: parentPath,
 					MinPre: int32(pre), MaxPre: int32(pre),
 				})
 			}

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // NodeKind enumerates the node kinds of the XDM.
@@ -62,22 +63,25 @@ var docStamp int64
 
 func nextStamp() int64 { return atomic.AddInt64(&docStamp, 1) }
 
-type nodeData struct {
-	kind   NodeKind
-	name   string // element/attribute name, PI target
-	value  string // text/comment/PI content, attribute value
-	parent int32  // pre of the parent, -1 for the root
-	size   int32  // number of arena slots occupied by the subtree, excluding self
-	level  int32
-}
-
-// Document is an immutable node arena holding one document (or constructed
-// fragment) in document order.
+// Document is an immutable node table holding one document (or
+// constructed fragment) in document order. It is stored as columns
+// indexed by preorder rank — the `.xqs` snapshot's node vectors, which an
+// opened snapshot keeps as views into its file bytes (see arena.go).
 type Document struct {
 	URI   string
 	stamp int64
-	nodes []nodeData
-	ids   map[string]int32 // ID attribute value -> element pre
+
+	kinds     []NodeKind
+	parents   []int32 // pre of the parent, -1 for the root
+	sizes     []int32 // slots occupied by the subtree, excluding self
+	levels    []int32
+	nameIDs   []uint32          // index into names
+	names     []string          // interned names; names[0] is ""
+	nameIx    map[string]uint32 // name -> id; nil while names is small
+	valueEnds []uint64          // cumulative end offsets into values
+	values    string            // node contents, concatenated in preorder
+
+	ids map[string]int32 // ID attribute value -> element pre
 
 	// statsOnce/stats memoize Stats(); derived, not part of the
 	// persistent arena image (see arena.go).
@@ -90,9 +94,38 @@ type Document struct {
 	idx atomic.Pointer[Index]
 }
 
+// smallNames is the name-table size up to which names are looked up by
+// a linear scan; larger tables get a map. Constructed fragments have a
+// name or two, so building one allocates no map.
+const smallNames = 16
+
+// NameID returns the id of name in the document's name table; ok is false
+// when no node of the document carries that name.
+func (d *Document) NameID(name string) (id uint32, ok bool) {
+	if d.nameIx != nil {
+		id, ok := d.nameIx[name]
+		return id, ok
+	}
+	for i, s := range d.names {
+		if s == name {
+			return uint32(i), true
+		}
+	}
+	return 0, false
+}
+
+// value returns the content of the node at pre.
+func (d *Document) value(pre int32) string {
+	var start uint64
+	if pre > 0 {
+		start = d.valueEnds[pre-1]
+	}
+	return d.values[start:d.valueEnds[pre]]
+}
+
 // Len reports the number of nodes in the document, including the document
 // node itself and attribute nodes.
-func (d *Document) Len() int { return len(d.nodes) }
+func (d *Document) Len() int { return len(d.kinds) }
 
 // Root returns the document node.
 func (d *Document) Root() NodeRef { return NodeRef{d, 0} }
@@ -123,21 +156,19 @@ type NodeRef struct {
 // IsValid reports whether the reference points into a document.
 func (n NodeRef) IsValid() bool { return n.D != nil }
 
-func (n NodeRef) data() *nodeData { return &n.D.nodes[n.Pre] }
-
 // Kind returns the node kind.
-func (n NodeRef) Kind() NodeKind { return n.data().kind }
+func (n NodeRef) Kind() NodeKind { return n.D.kinds[n.Pre] }
 
 // Name returns the node name (element/attribute name or PI target);
 // empty for document, text and comment nodes.
-func (n NodeRef) Name() string { return n.data().name }
+func (n NodeRef) Name() string { return n.D.names[n.D.nameIDs[n.Pre]] }
 
 // Level returns the node's depth (document node is level 0).
-func (n NodeRef) Level() int32 { return n.data().level }
+func (n NodeRef) Level() int32 { return n.D.levels[n.Pre] }
 
 // Size returns the number of arena slots the subtree occupies (excluding
 // the node itself, including attribute nodes).
-func (n NodeRef) Size() int32 { return n.data().size }
+func (n NodeRef) Size() int32 { return n.D.sizes[n.Pre] }
 
 // Same reports node identity (the `is` operator).
 func (n NodeRef) Same(m NodeRef) bool { return n.D == m.D && n.Pre == m.Pre }
@@ -153,7 +184,7 @@ func (n NodeRef) Before(m NodeRef) bool {
 
 // Parent returns the parent node; ok is false at the root.
 func (n NodeRef) Parent() (NodeRef, bool) {
-	p := n.data().parent
+	p := n.D.parents[n.Pre]
 	if p < 0 {
 		return NodeRef{}, false
 	}
@@ -163,62 +194,57 @@ func (n NodeRef) Parent() (NodeRef, bool) {
 // Value returns the node's own content: attribute value, text/comment/PI
 // content. For elements and documents it returns the empty string; use
 // StringValue for the concatenated text content.
-func (n NodeRef) Value() string { return n.data().value }
+func (n NodeRef) Value() string { return n.D.value(n.Pre) }
 
 // StringValue returns the XDM string value of the node: the concatenation
 // of all descendant text nodes for documents and elements, and the content
-// for the other kinds.
+// for the other kinds. Contents sit in the value blob in preorder, so when
+// no attribute, comment or PI in the subtree has content, the text is one
+// contiguous run of the blob and is returned without copying.
 func (n NodeRef) StringValue() string {
-	d := n.data()
-	switch d.kind {
+	d := n.D
+	switch d.kinds[n.Pre] {
 	case ElementNode, DocumentNode:
-		var sb strings.Builder
-		end := n.Pre + d.size
+		end := n.Pre + d.sizes[n.Pre]
 		for i := n.Pre + 1; i <= end; i++ {
-			if n.D.nodes[i].kind == TextNode {
-				sb.WriteString(n.D.nodes[i].value)
+			if d.kinds[i] != TextNode && d.valueEnds[i] != d.valueEnds[i-1] {
+				return d.textOf(n.Pre, end)
 			}
 		}
-		return sb.String()
+		return d.values[d.valueEnds[n.Pre]:d.valueEnds[end]]
 	default:
-		return d.value
+		return d.value(n.Pre)
 	}
+}
+
+// textOf concatenates the text nodes in (pre, end].
+func (d *Document) textOf(pre, end int32) string {
+	var sb strings.Builder
+	for i := pre + 1; i <= end; i++ {
+		if d.kinds[i] == TextNode {
+			sb.WriteString(d.value(i))
+		}
+	}
+	return sb.String()
 }
 
 // Children returns the child nodes (attributes excluded) in document order.
 func (n NodeRef) Children() []NodeRef {
-	d := n.data()
-	if d.kind != ElementNode && d.kind != DocumentNode {
-		return nil
-	}
 	var out []NodeRef
-	end := n.Pre + d.size
-	for i := n.Pre + 1; i <= end; {
-		nd := &n.D.nodes[i]
-		if nd.kind == AttributeNode {
-			i++
-			continue
-		}
-		out = append(out, NodeRef{n.D, i})
-		i += nd.size + 1
-	}
+	n.EachChild(func(c NodeRef) bool {
+		out = append(out, c)
+		return true
+	})
 	return out
 }
 
 // Attributes returns the attribute nodes of an element in document order.
 func (n NodeRef) Attributes() []NodeRef {
-	d := n.data()
-	if d.kind != ElementNode {
-		return nil
-	}
 	var out []NodeRef
-	end := n.Pre + d.size
-	for i := n.Pre + 1; i <= end; i++ {
-		if n.D.nodes[i].kind != AttributeNode || n.D.nodes[i].parent != n.Pre {
-			break
-		}
-		out = append(out, NodeRef{n.D, i})
-	}
+	n.EachAttribute(func(a NodeRef) bool {
+		out = append(out, a)
+		return true
+	})
 	return out
 }
 
@@ -226,37 +252,36 @@ func (n NodeRef) Attributes() []NodeRef {
 // document order, stopping early when fn returns false — Children
 // without materializing the slice.
 func (n NodeRef) EachChild(fn func(NodeRef) bool) {
-	d := n.data()
-	if d.kind != ElementNode && d.kind != DocumentNode {
+	d := n.D
+	if k := d.kinds[n.Pre]; k != ElementNode && k != DocumentNode {
 		return
 	}
-	end := n.Pre + d.size
+	end := n.Pre + d.sizes[n.Pre]
 	for i := n.Pre + 1; i <= end; {
-		nd := &n.D.nodes[i]
-		if nd.kind == AttributeNode {
+		if d.kinds[i] == AttributeNode {
 			i++
 			continue
 		}
-		if !fn(NodeRef{n.D, i}) {
+		if !fn(NodeRef{d, i}) {
 			return
 		}
-		i += nd.size + 1
+		i += d.sizes[i] + 1
 	}
 }
 
 // EachAttribute calls fn for each attribute node of an element in
 // document order, stopping early when fn returns false.
 func (n NodeRef) EachAttribute(fn func(NodeRef) bool) {
-	d := n.data()
-	if d.kind != ElementNode {
+	d := n.D
+	if d.kinds[n.Pre] != ElementNode {
 		return
 	}
-	end := n.Pre + d.size
+	end := n.Pre + d.sizes[n.Pre]
 	for i := n.Pre + 1; i <= end; i++ {
-		if n.D.nodes[i].kind != AttributeNode || n.D.nodes[i].parent != n.Pre {
+		if d.kinds[i] != AttributeNode || d.parents[i] != n.Pre {
 			return
 		}
-		if !fn(NodeRef{n.D, i}) {
+		if !fn(NodeRef{d, i}) {
 			return
 		}
 	}
@@ -264,12 +289,14 @@ func (n NodeRef) EachAttribute(fn func(NodeRef) bool) {
 
 // Attribute returns the value of the named attribute; ok is false if absent.
 func (n NodeRef) Attribute(name string) (string, bool) {
-	for _, a := range n.Attributes() {
+	val, found := "", false
+	n.EachAttribute(func(a NodeRef) bool {
 		if a.Name() == name {
-			return a.Value(), true
+			val, found = a.Value(), true
 		}
-	}
-	return "", false
+		return !found
+	})
+	return val, found
 }
 
 // IsAncestorOf reports whether n is a proper ancestor of m.
@@ -277,7 +304,7 @@ func (n NodeRef) IsAncestorOf(m NodeRef) bool {
 	if n.D != m.D {
 		return false
 	}
-	return m.Pre > n.Pre && m.Pre <= n.Pre+n.data().size
+	return m.Pre > n.Pre && m.Pre <= n.Pre+n.Size()
 }
 
 // String renders a short diagnostic form of the node.
@@ -307,35 +334,108 @@ func (n NodeRef) String() string {
 // element is started, before any content.
 type Builder struct {
 	d       *Document
-	stack   []int32
-	content []bool // whether the open element already has non-attribute content
+	values  []byte  // the value blob under construction
+	stack   []int32 // open nodes, document node first
+	content []bool  // whether the open element already has non-attribute content
 	done    bool
+
+	// Inline first buffers for the stack, the name table and the value
+	// blob: a constructed fragment needs no other allocation than the
+	// builder, its document and one column block. The document may keep
+	// its builder's memory alive through them.
+	stackBuf   [8]int32
+	contentBuf [8]bool
+	nameBuf    [4]string
+	valueBuf   [32]byte
 }
 
 // NewBuilder starts a new document with the given URI. The document node is
 // created immediately.
 func NewBuilder(uri string) *Builder {
-	d := &Document{
-		URI:   uri,
-		stamp: atomic.AddInt64(&docStamp, 1),
-		ids:   make(map[string]int32),
-	}
-	d.nodes = append(d.nodes, nodeData{kind: DocumentNode, parent: -1})
-	return &Builder{d: d, stack: []int32{0}, content: []bool{false}}
+	b := &Builder{d: &Document{URI: uri, stamp: nextStamp()}}
+	b.d.names = append(b.nameBuf[:0], "")
+	b.values = b.valueBuf[:0]
+	b.stack = b.stackBuf[:0]
+	b.push(DocumentNode, 0, "")
+	b.stack = append(b.stack, 0)
+	b.content = append(b.contentBuf[:0], false)
+	return b
 }
 
 func (b *Builder) top() int32 { return b.stack[len(b.stack)-1] }
 
-func (b *Builder) push(nd nodeData) int32 {
-	nd.parent = b.top()
-	nd.level = b.d.nodes[nd.parent].level + 1
-	b.d.nodes = append(b.d.nodes, nd)
-	return int32(len(b.d.nodes) - 1)
+// grow moves every column into one fresh block with room for twice the
+// nodes, so a document under construction costs one allocation per
+// doubling. The block is pointer-free; each column is a typed view of
+// its part (valueEnds first, for alignment, then the four 4-byte
+// columns, then kinds).
+func (b *Builder) grow() {
+	d := b.d
+	n := len(d.kinds)
+	c := max(2*n, 8)
+	block := make([]uint64, 3*c+(c+7)/8)
+	words := func(at int) unsafe.Pointer { return unsafe.Pointer(&block[at]) }
+	valueEnds := block[:n:c]
+	parents := unsafe.Slice((*int32)(words(c)), c)[:n]
+	sizes := unsafe.Slice((*int32)(words(c+c/2)), c)[:n]
+	levels := unsafe.Slice((*int32)(words(2*c)), c)[:n]
+	nameIDs := unsafe.Slice((*uint32)(words(2*c+c/2)), c)[:n]
+	kinds := unsafe.Slice((*NodeKind)(words(3*c)), c)[:n]
+	copy(valueEnds, d.valueEnds)
+	copy(parents, d.parents)
+	copy(sizes, d.sizes)
+	copy(levels, d.levels)
+	copy(nameIDs, d.nameIDs)
+	copy(kinds, d.kinds)
+	d.valueEnds, d.parents, d.sizes, d.levels, d.nameIDs, d.kinds =
+		valueEnds, parents, sizes, levels, nameIDs, kinds
+}
+
+// intern returns name's id, adding it to the name table when new.
+func (b *Builder) intern(name string) uint32 {
+	d := b.d
+	if id, ok := d.NameID(name); ok {
+		return id
+	}
+	id := uint32(len(d.names))
+	d.names = append(d.names, name)
+	switch {
+	case d.nameIx != nil:
+		d.nameIx[name] = id
+	case len(d.names) > smallNames:
+		d.nameIx = make(map[string]uint32, 2*len(d.names))
+		for i, s := range d.names {
+			d.nameIx[s] = uint32(i)
+		}
+	}
+	return id
+}
+
+// push appends a node under the innermost open node and returns its pre.
+func (b *Builder) push(kind NodeKind, nameID uint32, value string) int32 {
+	d := b.d
+	pre := len(d.kinds)
+	if pre == cap(d.kinds) {
+		b.grow()
+	}
+	parent, level := int32(-1), int32(0) // the document node
+	if len(b.stack) > 0 {
+		parent = b.top()
+		level = d.levels[parent] + 1
+	}
+	b.values = append(b.values, value...)
+	d.kinds = append(d.kinds, kind)
+	d.parents = append(d.parents, parent)
+	d.sizes = append(d.sizes, 0)
+	d.levels = append(d.levels, level)
+	d.nameIDs = append(d.nameIDs, nameID)
+	d.valueEnds = append(d.valueEnds, uint64(len(b.values)))
+	return int32(pre)
 }
 
 // StartElement opens a new element node.
 func (b *Builder) StartElement(name string) {
-	pre := b.push(nodeData{kind: ElementNode, name: name})
+	pre := b.push(ElementNode, b.intern(name), "")
 	b.content[len(b.content)-1] = true
 	b.stack = append(b.stack, pre)
 	b.content = append(b.content, false)
@@ -344,7 +444,7 @@ func (b *Builder) StartElement(name string) {
 // EndElement closes the innermost open element and fixes its subtree size.
 func (b *Builder) EndElement() {
 	pre := b.top()
-	b.d.nodes[pre].size = int32(len(b.d.nodes)-1) - pre
+	b.d.sizes[pre] = int32(len(b.d.kinds)-1) - pre
 	b.stack = b.stack[:len(b.stack)-1]
 	b.content = b.content[:len(b.content)-1]
 }
@@ -355,46 +455,49 @@ func (b *Builder) Attribute(name, value string) {
 	if b.content[len(b.content)-1] {
 		panic("xdm: Attribute after element content")
 	}
-	if b.d.nodes[b.top()].kind != ElementNode {
+	if b.d.kinds[b.top()] != ElementNode {
 		panic("xdm: Attribute outside element")
 	}
-	b.push(nodeData{kind: AttributeNode, name: name, value: value})
+	b.push(AttributeNode, b.intern(name), value)
 }
 
 // RegisterID declares the given attribute value as an ID for the innermost
 // open element (used by the DTD ATTLIST scan and xml:id).
 func (b *Builder) RegisterID(value string) {
+	if b.d.ids == nil {
+		b.d.ids = make(map[string]int32)
+	}
 	if _, dup := b.d.ids[value]; !dup {
 		b.d.ids[value] = b.top()
 	}
 }
 
-// Text adds a text node. Adjacent text nodes are merged, as the XDM requires.
+// Text adds a text node. Adjacent text nodes are merged, as the XDM
+// requires: the merged text extends the value blob's tail.
 func (b *Builder) Text(value string) {
 	if value == "" {
 		return
 	}
-	if n := len(b.d.nodes); n > 0 {
-		last := &b.d.nodes[n-1]
-		if last.kind == TextNode && last.parent == b.top() && last.size == 0 && int32(n-1) != b.top() {
-			last.value += value
-			return
-		}
+	d := b.d
+	if last := int32(len(d.kinds) - 1); d.kinds[last] == TextNode && d.parents[last] == b.top() {
+		b.values = append(b.values, value...)
+		d.valueEnds[last] = uint64(len(b.values))
+		return
 	}
 	b.content[len(b.content)-1] = true
-	b.push(nodeData{kind: TextNode, value: value})
+	b.push(TextNode, 0, value)
 }
 
 // Comment adds a comment node.
 func (b *Builder) Comment(value string) {
 	b.content[len(b.content)-1] = true
-	b.push(nodeData{kind: CommentNode, value: value})
+	b.push(CommentNode, 0, value)
 }
 
 // PI adds a processing-instruction node.
 func (b *Builder) PI(target, value string) {
 	b.content[len(b.content)-1] = true
-	b.push(nodeData{kind: PINode, name: target, value: value})
+	b.push(PINode, b.intern(target), value)
 }
 
 // CopyTree deep-copies the subtree rooted at src into the document under
@@ -403,17 +506,20 @@ func (b *Builder) PI(target, value string) {
 func (b *Builder) CopyTree(src NodeRef) {
 	switch src.Kind() {
 	case DocumentNode:
-		for _, c := range src.Children() {
+		src.EachChild(func(c NodeRef) bool {
 			b.CopyTree(c)
-		}
+			return true
+		})
 	case ElementNode:
 		b.StartElement(src.Name())
-		for _, a := range src.Attributes() {
+		src.EachAttribute(func(a NodeRef) bool {
 			b.Attribute(a.Name(), a.Value())
-		}
-		for _, c := range src.Children() {
+			return true
+		})
+		src.EachChild(func(c NodeRef) bool {
 			b.CopyTree(c)
-		}
+			return true
+		})
 		b.EndElement()
 	case AttributeNode:
 		b.Attribute(src.Name(), src.Value())
@@ -435,19 +541,46 @@ func (b *Builder) Done() *Document {
 	if len(b.stack) != 1 {
 		panic(fmt.Sprintf("xdm: Builder.Done with %d unclosed elements", len(b.stack)-1))
 	}
-	b.d.nodes[0].size = int32(len(b.d.nodes) - 1)
+	d := b.d
+	d.sizes[0] = int32(len(d.kinds) - 1)
+	// The builder never writes b.values again, so the blob can be
+	// shared rather than copied.
+	d.values = unsafe.String(unsafe.SliceData(b.values), len(b.values))
 	b.done = true
-	return b.d
+	return d
+}
+
+// leafDoc is a fragment of two nodes whose columns live in the document's
+// own allocation.
+type leafDoc struct {
+	Document
+	kindCol                      [2]NodeKind
+	parentCol, sizeCol, levelCol [2]int32
+	nameIDCol                    [2]uint32
+	valueEndCol                  [2]uint64
+	nameCol                      [2]string
 }
 
 // NewLeafDoc creates a fragment document holding one parentless leaf node
 // (attribute or text), as produced by computed constructors, and returns
 // the node. The node's parent is the fragment's document node.
 func NewLeafDoc(kind NodeKind, name, value string) NodeRef {
-	d := &Document{stamp: atomic.AddInt64(&docStamp, 1), ids: map[string]int32{}}
-	d.nodes = append(d.nodes,
-		nodeData{kind: DocumentNode, parent: -1, size: 1},
-		nodeData{kind: kind, name: name, value: value, parent: 0, level: 1})
+	l := &leafDoc{
+		kindCol:     [2]NodeKind{DocumentNode, kind},
+		parentCol:   [2]int32{-1, 0},
+		sizeCol:     [2]int32{1, 0},
+		levelCol:    [2]int32{0, 1},
+		valueEndCol: [2]uint64{0, uint64(len(value))},
+		nameCol:     [2]string{"", name},
+	}
+	d := &l.Document
+	d.stamp = nextStamp()
+	d.kinds, d.parents, d.sizes, d.levels = l.kindCol[:], l.parentCol[:], l.sizeCol[:], l.levelCol[:]
+	d.valueEnds, d.values = l.valueEndCol[:], value
+	d.nameIDs, d.names = l.nameIDCol[:], l.nameCol[:1]
+	if name != "" {
+		d.nameIDs[1], d.names = 1, l.nameCol[:]
+	}
 	return NodeRef{d, 1}
 }
 

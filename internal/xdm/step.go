@@ -32,12 +32,14 @@ const childProbeFanout = 4
 // noKind is a node kind no arena node carries (a test that matches nothing).
 const noKind NodeKind = 0xff
 
-// nodeMatcher is a node test resolved against its axis once per step, so
-// the per-node check in the walks is two compares.
+// nodeMatcher is a node test resolved against its axis, and its name
+// against the stepped document's name table, once per step, so the
+// per-node check in the walks compares a kind byte and a name id.
 type nodeMatcher struct {
 	any  bool     // node(): every kind
 	kind NodeKind // the one kind the test selects
 	name string   // required name; "" accepts any
+	id   uint32   // name's id in the stepped document (see in)
 }
 
 // newNodeMatcher resolves a node test; the principal node kind of the
@@ -71,13 +73,28 @@ func newNodeMatcher(t ast.NodeTest, axis ast.Axis) nodeMatcher {
 	return nodeMatcher{kind: noKind}
 }
 
-func (m nodeMatcher) match(nd *nodeData) bool {
-	return m.any || nd.kind == m.kind && (m.name == "" || nd.name == m.name)
+// in resolves the required name to its id in d; a name no node of d
+// carries makes the test match nothing.
+func (m nodeMatcher) in(d *Document) nodeMatcher {
+	if m.name != "" {
+		id, ok := d.NameID(m.name)
+		if !ok {
+			m.kind = noKind
+		}
+		m.id = id
+	}
+	return m
+}
+
+// match tests the node at i of d, the document m was resolved in.
+func (m *nodeMatcher) match(d *Document, i int32) bool {
+	return m.any || d.kinds[i] == m.kind && (m.name == "" || d.nameIDs[i] == m.id)
 }
 
 // MatchesTest reports whether n passes the node test t of a step over axis.
 func (n NodeRef) MatchesTest(t ast.NodeTest, axis ast.Axis) bool {
-	return newNodeMatcher(t, axis).match(n.data())
+	m := newNodeMatcher(t, axis)
+	return m.any || n.Kind() == m.kind && (m.name == "" || n.Name() == m.name)
 }
 
 // indexEligible reports whether a step's matches are exactly a posting-list
@@ -109,96 +126,100 @@ func indexEligible(axis ast.Axis, t ast.NodeTest) bool {
 // walks after all, counted as a fallback (IndexCounters). Probed and walked
 // results are identical.
 func Step(dst []int32, n NodeRef, axis ast.Axis, t ast.NodeTest, noIndex bool) []int32 {
-	nodes := n.D.nodes
-	self := &nodes[n.Pre]
-	m := newNodeMatcher(t, axis)
+	d := n.D
+	m := newNodeMatcher(t, axis).in(d)
 	if !noIndex && indexEligible(axis, t) {
-		if out, ok := probeStep(dst, n, axis, m); ok {
+		if out, ok := probeStep(dst, n, axis, &m); ok {
 			indexProbes.Add(1)
 			return out
 		}
 		indexFallbacks.Add(1)
 	}
-	end := n.Pre + self.size // last slot of n's subtree
+	if m.kind == noKind {
+		return dst
+	}
+	kinds, parents, sizes := d.kinds, d.parents, d.sizes
+	pre := n.Pre
+	end := pre + sizes[pre] // last slot of n's subtree
 	switch axis {
 	case ast.AxisSelf:
-		if m.match(self) {
-			dst = append(dst, n.Pre)
+		if m.match(d, pre) {
+			dst = append(dst, pre)
 		}
 	case ast.AxisChild:
-		for i := n.Pre + 1; i <= end; {
-			nd := &nodes[i]
-			if nd.kind == AttributeNode {
+		for i := pre + 1; i <= end; {
+			if kinds[i] == AttributeNode {
 				i++
 				continue
 			}
-			if m.match(nd) {
+			if m.match(d, i) {
 				dst = append(dst, i)
 			}
-			i += nd.size + 1
+			i += sizes[i] + 1
 		}
 	case ast.AxisAttribute:
-		if self.kind != ElementNode {
+		if kinds[pre] != ElementNode {
 			break
 		}
-		for i := n.Pre + 1; i <= end && nodes[i].kind == AttributeNode && nodes[i].parent == n.Pre; i++ {
-			if m.match(&nodes[i]) {
+		for i := pre + 1; i <= end && kinds[i] == AttributeNode && parents[i] == pre; i++ {
+			if m.match(d, i) {
 				dst = append(dst, i)
 			}
 		}
 	case ast.AxisDescendant, ast.AxisDescendantOrSelf:
-		if axis == ast.AxisDescendantOrSelf && m.match(self) {
-			dst = append(dst, n.Pre)
+		if axis == ast.AxisDescendantOrSelf && m.match(d, pre) {
+			dst = append(dst, pre)
 		}
-		for i := n.Pre + 1; i <= end; i++ {
-			if nd := &nodes[i]; nd.kind != AttributeNode && m.match(nd) {
+		for i := pre + 1; i <= end; i++ {
+			if kinds[i] != AttributeNode && m.match(d, i) {
 				dst = append(dst, i)
 			}
 		}
 	case ast.AxisParent:
-		if self.parent >= 0 && m.match(&nodes[self.parent]) {
-			dst = append(dst, self.parent)
+		if p := parents[pre]; p >= 0 && m.match(d, p) {
+			dst = append(dst, p)
 		}
 	case ast.AxisAncestor, ast.AxisAncestorOrSelf:
-		if axis == ast.AxisAncestorOrSelf && m.match(self) {
-			dst = append(dst, n.Pre)
+		if axis == ast.AxisAncestorOrSelf && m.match(d, pre) {
+			dst = append(dst, pre)
 		}
-		for p := self.parent; p >= 0; p = nodes[p].parent {
-			if m.match(&nodes[p]) {
+		for p := parents[pre]; p >= 0; p = parents[p] {
+			if m.match(d, p) {
 				dst = append(dst, p)
 			}
 		}
 	case ast.AxisFollowingSibling:
 		// Attribute nodes have no siblings. Past n's subtree, every slot
 		// reached by subtree-sized hops inside the parent is a sibling.
-		if self.kind == AttributeNode || self.parent < 0 {
+		p := parents[pre]
+		if kinds[pre] == AttributeNode || p < 0 {
 			break
 		}
-		pend := self.parent + nodes[self.parent].size
+		pend := p + sizes[p]
 		for i := end + 1; i <= pend; {
-			nd := &nodes[i]
-			if m.match(nd) {
+			if m.match(d, i) {
 				dst = append(dst, i)
 			}
-			i += nd.size + 1
+			i += sizes[i] + 1
 		}
 	case ast.AxisPrecedingSibling:
 		// The slot before a sibling is the last slot of the previous
 		// sibling's subtree (or one of the parent's attributes, which end
 		// the walk): climbing parent links from it lands on that sibling.
-		if self.kind == AttributeNode || self.parent < 0 {
+		// A climb that passes p instead can only come from a corrupt
+		// table, and ends the walk.
+		p := parents[pre]
+		if kinds[pre] == AttributeNode || p < 0 {
 			break
 		}
-		p := self.parent
-		for i := n.Pre - 1; i > p; i-- {
-			for nodes[i].parent != p {
-				i = nodes[i].parent
+		for i := pre - 1; i > p; i-- {
+			for parents[i] > p {
+				i = parents[i]
 			}
-			nd := &nodes[i]
-			if nd.kind == AttributeNode {
+			if parents[i] != p || kinds[i] == AttributeNode {
 				break
 			}
-			if m.match(nd) {
+			if m.match(d, i) {
 				dst = append(dst, i)
 			}
 		}
@@ -206,20 +227,19 @@ func Step(dst []int32, n NodeRef, axis ast.Axis, t ast.NodeTest, noIndex bool) [
 		// Everything after n's subtree, attributes excluded; ancestors all
 		// precede n, so none can appear. An attribute's "subtree" is itself:
 		// its owner's children follow it in document order.
-		for i := end + 1; i < int32(len(nodes)); i++ {
-			if nd := &nodes[i]; nd.kind != AttributeNode && m.match(nd) {
+		for i := end + 1; i < int32(len(kinds)); i++ {
+			if kinds[i] != AttributeNode && m.match(d, i) {
 				dst = append(dst, i)
 			}
 		}
 	case ast.AxisPreceding:
 		// Everything before n except attributes and ancestors; i < n.Pre is
 		// an ancestor of n exactly when its subtree window reaches n.
-		for i := n.Pre - 1; i > 0; i-- {
-			nd := &nodes[i]
-			if nd.kind == AttributeNode || i+nd.size >= n.Pre {
+		for i := pre - 1; i > 0; i-- {
+			if kinds[i] == AttributeNode || i+sizes[i] >= pre {
 				continue
 			}
-			if m.match(nd) {
+			if m.match(d, i) {
 				dst = append(dst, i)
 			}
 		}
@@ -230,7 +250,7 @@ func Step(dst []int32, n NodeRef, axis ast.Axis, t ast.NodeTest, noIndex bool) [
 // probeStep answers an index-eligible step from the name's posting list cut
 // to n's subtree window; ok is false when the walk is judged cheaper (a
 // small window, or child/attribute over a dense one).
-func probeStep(dst []int32, n NodeRef, axis ast.Axis, m nodeMatcher) (out []int32, ok bool) {
+func probeStep(dst []int32, n NodeRef, axis ast.Axis, m *nodeMatcher) (out []int32, ok bool) {
 	size := n.Size()
 	if size < probeMinWindow {
 		return dst, false
@@ -246,13 +266,13 @@ func probeStep(dst []int32, n NodeRef, axis ast.Axis, m nodeMatcher) (out []int3
 			return dst, false
 		}
 		for _, p := range pres {
-			if n.D.nodes[p].parent == n.Pre {
+			if n.D.parents[p] == n.Pre {
 				dst = append(dst, p)
 			}
 		}
 		return dst, true
 	case ast.AxisDescendantOrSelf:
-		if m.match(n.data()) {
+		if m.match(n.D, n.Pre) {
 			dst = append(dst, n.Pre)
 		}
 	}

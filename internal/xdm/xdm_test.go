@@ -440,21 +440,20 @@ func TestQuickGeneralCompareSymmetry(t *testing.T) {
 	}
 }
 
-// TestArenaRoundTrip: a document exported through VisitArena/VisitIDs and
-// reloaded by an ArenaLoader has the same arena and stats under a fresh
-// stamp, and the loader refuses an image whose parent links are corrupt.
+// TestArenaRoundTrip: a document exported through Columns/VisitIDs and
+// rebuilt by NewDocument has the same arena and stats under a fresh
+// stamp, and NewDocument refuses a table whose parent links are corrupt.
 func TestArenaRoundTrip(t *testing.T) {
 	d, _ := buildTestDoc(t)
 	load := func(corrupt bool) (*Document, error) {
-		l := NewArenaLoader(d.URI, d.Len())
-		d.VisitArena(func(pre int, kind NodeKind, name, value string, parent, size, level int32) {
-			if corrupt && pre == 2 {
-				parent = 5
-			}
-			l.SetNode(pre, kind, name, value, parent, size, level)
-		})
-		d.VisitIDs(l.RegisterID)
-		return l.Done()
+		c := d.Columns()
+		if corrupt {
+			c.Parents = append([]int32(nil), c.Parents...)
+			c.Parents[2] = 5
+		}
+		ids := map[string]int32{}
+		d.VisitIDs(func(id string, pre int32) { ids[id] = pre })
+		return NewDocument(d.URI, c, ids, nil)
 	}
 	got, err := load(false)
 	if err != nil {
@@ -465,5 +464,76 @@ func TestArenaRoundTrip(t *testing.T) {
 	}
 	if _, err := load(true); err == nil {
 		t.Error("loader accepted a node whose parent follows it")
+	}
+}
+
+// TestNewDocumentRejects: every structural check NewDocument makes
+// refuses a table that breaks it. Accessors index the columns unchecked,
+// so these checks are what keeps a corrupt snapshot from panicking them.
+func TestNewDocumentRejects(t *testing.T) {
+	d, _ := buildTestDoc(t)
+	// Preorder: 0 doc, 1 r, 2 @a, 3 x, 4 "t1", 5 y, 6 @b, 7 "mid", 8 z, 9 "t2".
+	cases := map[string]struct {
+		mutate func(c *Columns)
+		ids    map[string]int32
+	}{
+		"empty":                {mutate: func(c *Columns) { *c = Columns{} }},
+		"short column":         {mutate: func(c *Columns) { c.Parents = c.Parents[:len(c.Parents)-1] }},
+		"first name not empty": {mutate: func(c *Columns) { c.Names[0] = "r" }},
+		"unknown kind":         {mutate: func(c *Columns) { c.Kinds[4] = PINode + 1 }},
+		"unknown name id":      {mutate: func(c *Columns) { c.NameIDs[3] = uint32(len(c.Names)) }},
+		"value ends decrease":  {mutate: func(c *Columns) { c.ValueEnds[5] = c.ValueEnds[4] - 1 }},
+		"value end past blob":  {mutate: func(c *Columns) { c.ValueEnds[9] = uint64(len(c.Values)) + 1 }},
+		"root not document":    {mutate: func(c *Columns) { c.Kinds[0] = ElementNode }},
+		"root short":           {mutate: func(c *Columns) { c.Sizes[0]-- }},
+		"root level":           {mutate: func(c *Columns) { c.Levels[0] = 1 }},
+		"parent follows":       {mutate: func(c *Columns) { c.Parents[2] = 5 }},
+		"parent negative":      {mutate: func(c *Columns) { c.Parents[4] = -1 }},
+		"size negative":        {mutate: func(c *Columns) { c.Sizes[9] = -1 }},
+		"size past arena":      {mutate: func(c *Columns) { c.Sizes[8] = 2 }},
+		"size wraps int32":     {mutate: func(c *Columns) { c.Sizes[8] = math.MaxInt32 }},
+		"escapes parent":       {mutate: func(c *Columns) { c.Sizes[5] = 2 }},
+		"level":                {mutate: func(c *Columns) { c.Levels[4] = 5 }},
+		"ID on text":           {ids: map[string]int32{"k": 4}},
+		"ID past arena":        {ids: map[string]int32{"k": 10}},
+	}
+	for name, tc := range cases {
+		src := d.Columns()
+		c := Columns{
+			Kinds:     append([]NodeKind(nil), src.Kinds...),
+			Parents:   append([]int32(nil), src.Parents...),
+			Sizes:     append([]int32(nil), src.Sizes...),
+			Levels:    append([]int32(nil), src.Levels...),
+			NameIDs:   append([]uint32(nil), src.NameIDs...),
+			Names:     append([]string(nil), src.Names...),
+			ValueEnds: append([]uint64(nil), src.ValueEnds...),
+			Values:    src.Values,
+		}
+		if _, err := NewDocument("t.xml", c, nil, nil); err != nil {
+			t.Fatalf("%s: pristine copy rejected: %v", name, err)
+		}
+		if tc.mutate != nil {
+			tc.mutate(&c)
+		}
+		if _, err := NewDocument("t.xml", c, tc.ids, nil); err == nil {
+			t.Errorf("%s: NewDocument accepted the corrupt table", name)
+		}
+	}
+}
+
+// TestSmallBuildAllocations: a constructed fragment like the bidder
+// query's `<person id="…">n</person>` costs three allocations — the
+// builder, the document and one column block — and no name map.
+func TestSmallBuildAllocations(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		b := NewBuilder("")
+		b.StartElement("person")
+		b.Attribute("id", "person12")
+		b.Text("3")
+		b.EndElement()
+		b.Done()
+	})
+	if allocs > 3 {
+		t.Errorf("building a 4-node fragment: %.0f allocations, want ≤ 3", allocs)
 	}
 }
