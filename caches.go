@@ -8,14 +8,77 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/algebra/opt"
+	"repro/internal/lru"
 	"repro/internal/obs"
-	"repro/internal/plancache"
 	"repro/internal/xdm"
 )
 
-// CacheStats re-exports the per-cache counter snapshot (hits, misses,
-// evictions, invalidations, entries).
-type CacheStats = plancache.Stats
+// CacheStats is a point-in-time snapshot of one plan or result cache's
+// counters.
+type CacheStats struct {
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`     // entries dropped by LRU pressure
+	Invalidations int64 `json:"invalidations"` // entries flushed by a generation change (ResultCache only)
+	Entries       int   `json:"entries"`       // resident entries
+	MaxEntries    int   `json:"max_entries"`
+}
+
+// bounded is one locked LRU of at most max entries (max <= 0: unbounded)
+// with its counters: each half of the plan cache is one, and the result
+// cache is one plus a store generation.
+type bounded[V any] struct {
+	mu                                     sync.Mutex
+	max                                    int
+	list                                   lru.List[string, V]
+	hits, misses, evictions, invalidations int64
+}
+
+// getLocked returns key's value, promoting it and counting a hit or a miss.
+func (b *bounded[V]) getLocked(key string) (V, bool) {
+	v, ok := b.list.Touch(key)
+	if ok {
+		b.hits++
+	} else {
+		b.misses++
+	}
+	return v, ok
+}
+
+// putLocked inserts or replaces key as the most recent entry and evicts
+// the least recent ones past the bound.
+func (b *bounded[V]) putLocked(key string, v V) {
+	b.list.Put(key, v)
+	for k := range b.list.Backward() {
+		if b.max <= 0 || b.list.Len() <= b.max {
+			break
+		}
+		b.list.Remove(k)
+		b.evictions++
+	}
+}
+
+func (b *bounded[V]) get(key string) (V, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.getLocked(key)
+}
+
+func (b *bounded[V]) put(key string, v V) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.putLocked(key, v)
+}
+
+func (b *bounded[V]) stats() CacheStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return CacheStats{
+		Hits: b.hits, Misses: b.misses, Evictions: b.evictions,
+		Invalidations: b.invalidations,
+		Entries:       b.list.Len(), MaxEntries: b.max,
+	}
+}
 
 // PlanCache caches the work that depends only on the query text and the
 // compilation options: parsed queries and compiled, optimized relational
@@ -24,8 +87,8 @@ type CacheStats = plancache.Stats
 // serves any number of concurrent evaluations. Safe for concurrent use;
 // a nil *PlanCache disables caching with no behaviour change.
 type PlanCache struct {
-	parsed *plancache.Cache // source → *Query
-	plans  *plancache.Cache // (source, mode, strict, opt) → cachedPlan
+	parsed bounded[*Query]     // source → parsed query
+	plans  bounded[cachedPlan] // (source, mode, strict, opt) → plan
 }
 
 // cachedPlan pairs a compiled plan with its stable structural hash — the
@@ -38,7 +101,7 @@ type cachedPlan struct {
 // NewPlanCache builds a plan cache bounding both the parsed-query and
 // compiled-plan LRUs at max entries each (max <= 0: unbounded).
 func NewPlanCache(max int) *PlanCache {
-	return &PlanCache{parsed: plancache.New(max), plans: plancache.New(max)}
+	return &PlanCache{parsed: bounded[*Query]{max: max}, plans: bounded[cachedPlan]{max: max}}
 }
 
 // Parse parses src through the cache: a repeat query returns the
@@ -48,14 +111,14 @@ func (pc *PlanCache) Parse(src string) (*Query, error) {
 	if pc == nil {
 		return Parse(src)
 	}
-	if v, ok := pc.parsed.Get(src); ok {
-		return v.(*Query), nil
+	if q, ok := pc.parsed.get(src); ok {
+		return q, nil
 	}
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	pc.parsed.Put(src, q)
+	pc.parsed.put(src, q)
 	return q, nil
 }
 
@@ -64,7 +127,7 @@ func (pc *PlanCache) Stats() CacheStats {
 	if pc == nil {
 		return CacheStats{}
 	}
-	return pc.plans.Stats()
+	return pc.plans.stats()
 }
 
 // ParseStats snapshots the parsed-query cache counters.
@@ -72,16 +135,7 @@ func (pc *PlanCache) ParseStats() CacheStats {
 	if pc == nil {
 		return CacheStats{}
 	}
-	return pc.parsed.Stats()
-}
-
-// Purge drops every cached query and plan.
-func (pc *PlanCache) Purge() {
-	if pc == nil {
-		return
-	}
-	pc.parsed.Purge()
-	pc.plans.Purge()
+	return pc.parsed.stats()
 }
 
 // planKey identifies one compiled plan: the source text plus everything
@@ -115,8 +169,11 @@ func (q *Query) srcHash() uint64 {
 // on the evaluated result or on any hit.
 // Safe for concurrent use; a nil *ResultCache disables caching.
 type ResultCache struct {
-	rc *plancache.ResultCache
-	st *Store
+	bounded[resultEntry]
+	// gen is the store generation every resident entry was computed at
+	// (guarded by mu).
+	gen int64
+	st  *Store
 }
 
 // resultEntry is one cached outcome plus the doc URIs it depends on.
@@ -130,7 +187,7 @@ type resultEntry struct {
 // store pins the generation at zero — correct when documents are
 // immutable for the process lifetime (in-memory resolvers).
 func NewResultCache(max int, st *Store) *ResultCache {
-	return &ResultCache{rc: plancache.NewResults(max), st: st}
+	return &ResultCache{bounded: bounded[resultEntry]{max: max}, st: st}
 }
 
 // Stats snapshots the result cache counters.
@@ -138,15 +195,7 @@ func (rc *ResultCache) Stats() CacheStats {
 	if rc == nil {
 		return CacheStats{}
 	}
-	return rc.rc.Stats()
-}
-
-// Purge drops every cached result.
-func (rc *ResultCache) Purge() {
-	if rc == nil {
-		return
-	}
-	rc.rc.Purge()
+	return rc.stats()
 }
 
 // generation reads the governing store generation (0 with no store).
@@ -157,37 +206,69 @@ func (rc *ResultCache) generation() int64 {
 	return rc.st.Cache().Generation()
 }
 
-// get probes the cache: peek the entry, revalidate every document it
-// depends on (which bumps the store generation if any file changed on
-// disk), then re-read at the now-current generation — a stale entry
-// misses because the sync flushed it. Hits return a private shallow copy.
+// syncLocked flushes every entry if gen differs from the resident
+// generation, counting the flushed entries as invalidations.
+func (rc *ResultCache) syncLocked(gen int64) {
+	if gen != rc.gen {
+		rc.invalidations += int64(rc.list.Clear())
+		rc.gen = gen
+	}
+}
+
+// get probes the cache: revalidate every document the entry depends on
+// (which bumps the store generation if any file changed on disk), then
+// read at the now-current generation — a stale entry misses because the
+// generation change flushed it.
 func (rc *ResultCache) get(key string) (*Result, bool) {
 	if rc == nil {
 		return nil, false
 	}
-	if v, ok := rc.rc.Peek(key); ok && rc.st != nil {
-		for _, uri := range v.(resultEntry).uris {
-			rc.st.Cache().Validate(uri)
+	if rc.st != nil {
+		rc.mu.Lock()
+		e, ok := rc.list.Lookup(key)
+		rc.mu.Unlock()
+		if ok {
+			for _, uri := range e.uris {
+				rc.st.Cache().Validate(uri)
+			}
 		}
 	}
-	v, ok := rc.rc.Get(key, rc.generation())
+	return rc.getAt(key, rc.generation())
+}
+
+// getAt flushes the cache if the store generation moved to gen, then
+// returns the entry for key, counting a hit or a miss. Hits return a
+// private shallow copy.
+func (rc *ResultCache) getAt(key string, gen int64) (*Result, bool) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.syncLocked(gen)
+	e, ok := rc.getLocked(key)
 	if !ok {
 		return nil, false
 	}
-	return cloneResult(v.(resultEntry).res), true
+	return cloneResult(e.res), true
 }
 
-// put inserts a complete result computed at generation gen (read before
-// the evaluation started — if the store moved mid-evaluation the insert
-// is dropped or flushed rather than trusted). It gives res a fresh
-// rendering first, which the entry shares, so the evaluating caller's
-// own String call primes every later hit.
+// put inserts a complete result computed at generation gen, read before
+// the evaluation started. An insert older than the resident generation is
+// dropped — the store moved while the query ran, so the result may embed
+// stale documents — and a newer one flushes the older residents first.
+// It gives res a fresh rendering first, which the entry shares, so the
+// evaluating caller's own String call primes every later hit.
 func (rc *ResultCache) put(key string, gen int64, res *Result, uris []string) {
 	if rc == nil {
 		return
 	}
 	res.text = &rendering{}
-	rc.rc.Put(key, gen, resultEntry{res: cloneResult(res), uris: uris})
+	e := resultEntry{res: cloneResult(res), uris: uris}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if gen < rc.gen {
+		return
+	}
+	rc.syncLocked(gen)
+	rc.putLocked(key, e)
 }
 
 // cloneResult is a shallow copy: the item sequence and the rendering are
@@ -280,8 +361,7 @@ func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, uint64, error) {
 		return plan, h, nil
 	}
 	key := q.planKey(mode, opts.StrictAlgebraicCheck, optimize != nil)
-	if v, ok := opts.PlanCache.plans.Get(key); ok {
-		cp := v.(cachedPlan)
+	if cp, ok := opts.PlanCache.plans.get(key); ok {
 		return cp.plan, cp.hash, nil
 	}
 	plan, err := algebra.CompilePlan(q.module, mode, opts.StrictAlgebraicCheck, optimize, opts.Trace)
@@ -289,7 +369,7 @@ func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, uint64, error) {
 		return nil, 0, err
 	}
 	h := opt.PlanHash(plan.Root)
-	opts.PlanCache.plans.Put(key, cachedPlan{plan: plan, hash: h})
+	opts.PlanCache.plans.put(key, cachedPlan{plan: plan, hash: h})
 	return plan, h, nil
 }
 

@@ -1,6 +1,7 @@
 package ifpxq
 
 import (
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -207,7 +208,6 @@ func TestResultCacheInvalidatedByStoreRewrite(t *testing.T) {
 	}
 }
 
-// TestPlanCacheKeySeparatesRegularXPath: an XQuery and a Regular XPath
 // TestResultCacheRendersOnce: a cached entry is serialized once. The
 // miss and its hits render what an uncached evaluation renders, the hits
 // read one backing string, concurrent first renderings agree, and after
@@ -306,6 +306,7 @@ func TestResultCacheRendersOnce(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeySeparatesRegularXPath: an XQuery and a Regular XPath
 // query with identical source text must not collide in the plan cache.
 func TestPlanCacheKeySeparatesRegularXPath(t *testing.T) {
 	// Same source string, two languages.
@@ -323,4 +324,171 @@ func TestPlanCacheKeySeparatesRegularXPath(t *testing.T) {
 	if xq.planKey(0, false, true) == rx.planKey(0, false, true) {
 		t.Fatal("plan keys collide across query languages")
 	}
+}
+
+// cached is a distinct cacheable result per value.
+func cached(v string) *Result { return &Result{Items: xdm.Sequence{xdm.NewString(v)}} }
+
+// resident reports whether key is in the result cache, leaving its
+// recency and the counters alone.
+func (rc *ResultCache) resident(key string) bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	_, ok := rc.list.Lookup(key)
+	return ok
+}
+
+// TestPlanCacheLRU: a hit promotes, the least recent entry goes at the
+// bound, a re-put replaces in place, and the counters say so.
+func TestPlanCacheLRU(t *testing.T) {
+	pc := NewPlanCache(2)
+	parse := func(src string) *Query {
+		t.Helper()
+		q, err := pc.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	a, _ := parse("1"), parse("2")
+	if parse("1") != a {
+		t.Fatal("a: repeat parse missed")
+	}
+	parse("3") // evicts 2 (least recent after 1's promotion)
+	if s := pc.ParseStats(); s.Hits != 1 || s.Misses != 3 || s.Evictions != 1 || s.Entries != 2 || s.MaxEntries != 2 {
+		t.Fatalf("stats %+v", s)
+	}
+	if parse("1") != a {
+		t.Fatal("1 evicted out of order")
+	}
+	parse("2") // a miss again: evicts 3
+	if s := pc.ParseStats(); s.Hits != 2 || s.Misses != 4 || s.Evictions != 2 {
+		t.Fatalf("stats after reload %+v", s)
+	}
+	b := MustParse("1")
+	pc.parsed.put("1", b) // replace in place: no eviction
+	if parse("1") != b {
+		t.Fatal("replace did not take")
+	}
+	if s := pc.ParseStats(); s.Evictions != 2 || s.Entries != 2 {
+		t.Fatalf("stats after replace %+v", s)
+	}
+	if s := pc.Stats(); s != (CacheStats{MaxEntries: 2}) {
+		t.Fatalf("plan half touched by parses: %+v", s)
+	}
+}
+
+func TestNilCachesAreDisabled(t *testing.T) {
+	var pc *PlanCache
+	q, err := pc.Parse("1 + 1")
+	if err != nil || q == nil {
+		t.Fatalf("nil plan cache parse: %v %v", q, err)
+	}
+	if s, p := pc.Stats(), pc.ParseStats(); s != (CacheStats{}) || p != (CacheStats{}) {
+		t.Fatalf("nil stats %+v %+v", s, p)
+	}
+	var rc *ResultCache
+	rc.put("k", 0, cached("v"), nil)
+	if _, ok := rc.get("k"); ok {
+		t.Fatal("nil result cache hit")
+	}
+	if rc.generation() != 0 {
+		t.Fatal("nil generation")
+	}
+	if s := rc.Stats(); s != (CacheStats{}) {
+		t.Fatalf("nil stats %+v", s)
+	}
+	res, err := q.Eval(Options{PlanCache: pc, ResultCache: rc})
+	if err != nil || res.String() != "2" {
+		t.Fatalf("eval with nil caches: %v %v", res, err)
+	}
+}
+
+func TestResultCacheGenerationInvalidation(t *testing.T) {
+	rc := NewResultCache(8, nil)
+	rc.put("q1", 0, cached("r1"), nil)
+	rc.put("q2", 0, cached("r2"), nil)
+	if res, ok := rc.getAt("q1", 0); !ok || res.String() != "r1" {
+		t.Fatalf("q1: %v %v", res, ok)
+	}
+	// Generation moves: everything flushes wholesale.
+	if res, ok := rc.getAt("q1", 1); ok {
+		t.Fatalf("stale hit across generations: %v", res)
+	}
+	if rc.resident("q2") {
+		t.Fatal("q2 survived the generation flush")
+	}
+	s := rc.Stats()
+	if s.Invalidations != 2 || s.Hits != 1 || s.Misses != 1 || s.Entries != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+	if rc.gen != 1 {
+		t.Fatalf("generation %d", rc.gen)
+	}
+}
+
+func TestResultCachePutGenerationRules(t *testing.T) {
+	rc := NewResultCache(8, nil)
+	rc.getAt("none", 5)                    // the resident generation becomes 5
+	rc.put("old", 4, cached("stale"), nil) // older than resident generation: dropped
+	if rc.resident("old") {
+		t.Fatal("stale-generation insert accepted")
+	}
+	rc.put("cur", 5, cached("fresh"), nil)
+	if res, ok := rc.getAt("cur", 5); !ok || res.String() != "fresh" {
+		t.Fatalf("cur: %v %v", res, ok)
+	}
+	rc.put("next", 6, cached("newer"), nil) // newer: flushes the gen-5 residents first
+	if rc.resident("cur") {
+		t.Fatal("older resident survived a newer insert")
+	}
+	if res, ok := rc.getAt("next", 6); !ok || res.String() != "newer" {
+		t.Fatalf("next: %v %v", res, ok)
+	}
+	if got := rc.Stats().Invalidations; got != 1 {
+		t.Fatalf("invalidations %d, want 1", got)
+	}
+}
+
+func TestResultCacheBounded(t *testing.T) {
+	rc := NewResultCache(2, nil)
+	for i := 0; i < 4; i++ {
+		rc.put(fmt.Sprintf("k%d", i), 0, cached(fmt.Sprint(i)), nil)
+	}
+	s := rc.Stats()
+	if s.Entries != 2 || s.Evictions != 2 || s.MaxEntries != 2 {
+		t.Fatalf("stats %+v", s)
+	}
+	if !rc.resident("k3") || !rc.resident("k2") || rc.resident("k1") {
+		t.Fatal("bound kept the wrong entries")
+	}
+}
+
+// TestCachesConcurrent hammers both caches from several goroutines; run
+// under -race it checks their locking.
+func TestCachesConcurrent(t *testing.T) {
+	pc := NewPlanCache(16)
+	rc := NewResultCache(16, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := fmt.Sprintf("%d", i%24)
+				if _, err := pc.Parse(k); err != nil {
+					t.Error(err)
+					return
+				}
+				rc.put(k, int64(i%3), cached(k), nil)
+				if res, ok := rc.getAt(k, int64(i%3)); ok && res.String() != k {
+					t.Errorf("key %s served %q", k, res.String())
+					return
+				}
+				pc.Stats()
+				rc.Stats()
+			}
+		}()
+	}
+	wg.Wait()
 }

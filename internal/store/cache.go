@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/xdm"
 )
 
@@ -71,12 +72,9 @@ type CacheStats struct {
 type Cache struct {
 	mu      sync.Mutex
 	opts    CacheOptions
-	entries map[string]*entry
+	docs    lru.List[string, *entry] // resident documents by URI
 	flights map[string]*flight
-	// LRU list: head.next is most recently used, head.prev is the
-	// eviction candidate. head is a sentinel.
-	head  entry
-	bytes int64
+	bytes   int64
 	// pinned counts resident entries with pins > 0, maintained
 	// incrementally on pin transitions so Stats never scans the map.
 	pinned int
@@ -99,16 +97,14 @@ type Cache struct {
 }
 
 type entry struct {
-	uri   string
 	doc   *xdm.Document
 	bytes int64
 	fp    Fingerprint
 	pins  int
 	// detached marks an entry invalidated while pinned: it left the
-	// resident set (map, LRU list, byte/pinned accounting) but live Pins
+	// resident set (recency list, byte/pinned accounting) but live Pins
 	// still reference its document; Release skips cache bookkeeping.
-	detached   bool
-	prev, next *entry
+	detached bool
 }
 
 type flight struct {
@@ -122,23 +118,7 @@ func NewCache(opts CacheOptions) *Cache {
 	if opts.Loader == nil {
 		panic("store: NewCache requires a Loader")
 	}
-	c := &Cache{
-		opts:    opts,
-		entries: make(map[string]*entry),
-		flights: make(map[string]*flight),
-	}
-	c.head.next, c.head.prev = &c.head, &c.head
-	return c
-}
-
-func (c *Cache) unlink(e *entry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) pushFront(e *entry) {
-	e.prev, e.next = &c.head, c.head.next
-	e.prev.next, e.next.prev = e, e
+	return &Cache{opts: opts, flights: make(map[string]*flight)}
 }
 
 // Pin is a pinned reference to a cached document. Release it when the
@@ -178,7 +158,7 @@ func (p *Pin) Release() {
 func (c *Cache) Acquire(uri string) (*Pin, error) {
 	for {
 		c.mu.Lock()
-		if e, ok := c.entries[uri]; ok {
+		if e, ok := c.docs.Lookup(uri); ok {
 			if c.opts.Stat != nil && e.fp != (Fingerprint{}) {
 				// Stat outside the lock — a syscall under c.mu would
 				// serialize every hit against /metrics scrapes and other
@@ -188,7 +168,7 @@ func (c *Cache) Acquire(uri string) (*Pin, error) {
 				c.mu.Unlock()
 				fpNow, statErr := c.opts.Stat(uri)
 				c.mu.Lock()
-				if cur, ok := c.entries[uri]; !ok || cur != e {
+				if cur, ok := c.docs.Lookup(uri); !ok || cur != e {
 					c.mu.Unlock()
 					continue // resident set changed underneath the stat; retry
 				}
@@ -196,7 +176,7 @@ func (c *Cache) Acquire(uri string) (*Pin, error) {
 					// The backing file was replaced or removed: drop the
 					// stale entry and fall through to a fresh load (which
 					// surfaces the error if the file is truly gone).
-					c.invalidateLocked(e)
+					c.invalidateLocked(uri)
 					c.mu.Unlock()
 					continue
 				}
@@ -206,8 +186,7 @@ func (c *Cache) Acquire(uri string) (*Pin, error) {
 			if e.pins == 1 {
 				c.pinned++
 			}
-			c.unlink(e)
-			c.pushFront(e)
+			c.docs.Touch(uri)
 			c.mu.Unlock()
 			return &Pin{c: c, e: e}, nil
 		}
@@ -244,10 +223,9 @@ func (c *Cache) Acquire(uri string) (*Pin, error) {
 			return nil, err
 		}
 		c.misses++
-		e := &entry{uri: uri, doc: doc, bytes: bytes, fp: fp, pins: 1}
-		c.entries[uri] = e
+		e := &entry{doc: doc, bytes: bytes, fp: fp, pins: 1}
+		c.docs.Put(uri, e)
 		c.pinned++
-		c.pushFront(e)
 		c.bytes += bytes
 		c.evictLocked()
 		c.mu.Unlock()
@@ -282,13 +260,12 @@ func (c *Cache) load(uri string) (fp Fingerprint, doc *xdm.Document, bytes, load
 	return fp, doc, bytes, loadNs, err
 }
 
-// invalidateLocked removes a stale entry from the resident set, bumping
-// the generation and the invalidation counter. A pinned entry is detached
-// rather than destroyed: live Pins keep its document (and node identity)
-// alive, but the cache stops serving or accounting for it.
-func (c *Cache) invalidateLocked(e *entry) {
-	c.unlink(e)
-	delete(c.entries, e.uri)
+// invalidateLocked removes uri's stale entry from the resident set,
+// bumping the generation and the invalidation counter. A pinned entry is
+// detached rather than destroyed: live Pins keep its document (and node
+// identity) alive, but the cache stops serving or accounting for it.
+func (c *Cache) invalidateLocked(uri string) {
+	e, _ := c.docs.Remove(uri)
 	c.bytes -= e.bytes
 	if e.pins > 0 {
 		e.detached = true
@@ -307,7 +284,7 @@ func (c *Cache) Validate(uri string) bool {
 		return false
 	}
 	c.mu.Lock()
-	e, ok := c.entries[uri]
+	e, ok := c.docs.Lookup(uri)
 	if !ok || e.fp == (Fingerprint{}) {
 		c.mu.Unlock()
 		return false
@@ -317,13 +294,13 @@ func (c *Cache) Validate(uri string) bool {
 	fpNow, statErr := c.opts.Stat(uri)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.entries[uri]; !ok || cur != e {
+	if cur, ok := c.docs.Lookup(uri); !ok || cur != e {
 		return false
 	}
 	if statErr == nil && fpNow == fpCached {
 		return false
 	}
-	c.invalidateLocked(e)
+	c.invalidateLocked(uri)
 	return true
 }
 
@@ -341,22 +318,10 @@ func (c *Cache) Generation() int64 {
 // evictLocked drops least-recently-used unpinned documents until the
 // cache is back under its budgets (or nothing evictable remains).
 func (c *Cache) evictLocked() {
-	over := func() bool {
+	c.shedLocked(func() bool {
 		return (c.opts.MaxBytes > 0 && c.bytes > c.opts.MaxBytes) ||
-			(c.opts.MaxDocs > 0 && len(c.entries) > c.opts.MaxDocs)
-	}
-	for e := c.head.prev; over() && e != &c.head; {
-		victim := e
-		e = e.prev
-		if victim.pins > 0 {
-			continue
-		}
-		c.unlink(victim)
-		delete(c.entries, victim.uri)
-		c.bytes -= victim.bytes
-		c.evictions++
-		c.gen++
-	}
+			(c.opts.MaxDocs > 0 && c.docs.Len() > c.opts.MaxDocs)
+	})
 }
 
 // Purge drops every unpinned resident document, counting them as
@@ -366,15 +331,21 @@ func (c *Cache) evictLocked() {
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for e := c.head.prev; e != &c.head; {
-		victim := e
-		e = e.prev
-		if victim.pins > 0 {
+	c.shedLocked(func() bool { return true })
+}
+
+// shedLocked evicts unpinned documents, least recently used first, while
+// more is true. Each eviction bumps the generation.
+func (c *Cache) shedLocked(more func() bool) {
+	for uri, e := range c.docs.Backward() {
+		if !more() {
+			return
+		}
+		if e.pins > 0 {
 			continue
 		}
-		c.unlink(victim)
-		delete(c.entries, victim.uri)
-		c.bytes -= victim.bytes
+		c.docs.Remove(uri)
+		c.bytes -= e.bytes
 		c.evictions++
 		c.gen++
 	}
@@ -384,7 +355,7 @@ func (c *Cache) Purge() {
 func (c *Cache) Contains(uri string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[uri]
+	_, ok := c.docs.Lookup(uri)
 	return ok
 }
 
@@ -398,7 +369,7 @@ func (c *Cache) Stats() CacheStats {
 		Hits: c.hits, Misses: c.misses, Errors: c.errors, Evictions: c.evictions,
 		Invalidations: c.invalidations, Generation: c.gen,
 		Loads: c.loads, LoadNs: c.loadNs,
-		Docs: len(c.entries), Pinned: c.pinned, Bytes: c.bytes,
+		Docs: c.docs.Len(), Pinned: c.pinned, Bytes: c.bytes,
 		MaxBytes: c.opts.MaxBytes, MaxDocs: c.opts.MaxDocs,
 	}
 }
@@ -426,9 +397,9 @@ type DocInfo struct {
 func (c *Cache) Docs() []DocInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]DocInfo, 0, len(c.entries))
-	for e := c.head.next; e != &c.head; e = e.next {
-		out = append(out, DocInfo{URI: e.uri, Pins: e.pins, Stats: e.doc.Stats(), Index: e.doc.IndexInfo()})
+	out := make([]DocInfo, 0, c.docs.Len())
+	for uri, e := range c.docs.All() {
+		out = append(out, DocInfo{URI: uri, Pins: e.pins, Stats: e.doc.Stats(), Index: e.doc.IndexInfo()})
 	}
 	return out
 }

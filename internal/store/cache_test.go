@@ -52,6 +52,53 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheDocsMostRecentFirst: Docs lists the resident documents in
+// recency order, a hit moving its document to the front, and reports
+// each one's pins.
+func TestCacheDocsMostRecentFirst(t *testing.T) {
+	var calls int64
+	c := NewCache(CacheOptions{Loader: countingLoader(&calls)})
+	uris := func() string {
+		var out []string
+		for _, d := range c.Docs() {
+			out = append(out, d.URI)
+		}
+		return strings.Join(out, " ")
+	}
+	var held *Pin
+	for _, uri := range []string{"a", "b", "c"} {
+		p, err := c.Acquire(uri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uri == "b" {
+			held = p
+		} else {
+			p.Release()
+		}
+	}
+	if got := uris(); got != "c b a" {
+		t.Fatalf("after loads: %q, want \"c b a\"", got)
+	}
+	for _, uri := range []string{"a", "b"} { // hits
+		p, err := c.Acquire(uri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	}
+	if got := uris(); got != "b a c" {
+		t.Fatalf("after hits: %q, want \"b a c\"", got)
+	}
+	if docs := c.Docs(); docs[0].Pins != 1 || docs[1].Pins != 0 || docs[0].Stats.Nodes == 0 {
+		t.Fatalf("docs %+v", docs)
+	}
+	held.Release()
+	if calls != 3 {
+		t.Fatalf("loader calls = %d, want 3", calls)
+	}
+}
+
 func TestCacheByteBudget(t *testing.T) {
 	var calls int64
 	loader := countingLoader(&calls)
@@ -386,7 +433,7 @@ func TestMmapMappingReuse(t *testing.T) {
 		n := 0
 		abs, _ := filepath.Abs(path)
 		for k := range mappings {
-			if k.path == abs {
+			if k.Path == abs {
 				n++
 			}
 		}

@@ -14,26 +14,20 @@ import (
 func MmapSupported() bool { return mmapSupported }
 
 // mappings retains every snapshot mapping for the life of the process,
-// deduplicated by file identity. Retention is a correctness requirement,
-// not a leak: string data decoded from a mapping escapes into query
-// results as zero-copy views (atomized values, StringValue output), and
-// those strings carry no reference back to the mapping or its Document —
-// so no point where unmapping is provably safe exists. The mappings are
-// read-only and file-backed (clean page cache), so retention costs
-// address space, not resident memory; and because re-opening the same
-// snapshot file reuses its mapping, cache-eviction churn does not
-// accumulate mappings. A rewritten snapshot (different size or mtime)
-// gets, and keeps, a fresh mapping.
+// deduplicated by file identity (a Fingerprint). Retention is a
+// correctness requirement, not a leak: string data decoded from a mapping
+// escapes into query results as zero-copy views (atomized values,
+// StringValue output), and those strings carry no reference back to the
+// mapping or its Document — so no point where unmapping is provably safe
+// exists. The mappings are read-only and file-backed (clean page cache),
+// so retention costs address space, not resident memory; and because
+// re-opening the same snapshot file reuses its mapping, cache-eviction
+// churn does not accumulate mappings. A rewritten snapshot (different
+// size or mtime) gets, and keeps, a fresh mapping.
 var (
 	mapMu    sync.Mutex
-	mappings = map[mapKey][]byte{}
+	mappings = map[Fingerprint][]byte{}
 )
-
-type mapKey struct {
-	path  string
-	size  int64
-	mtime int64
-}
 
 // LoadMmap opens a snapshot by mapping the file read-only and decoding
 // zero-copy views into the mapping — no string bytes are copied, so
@@ -61,7 +55,7 @@ func LoadMmap(path string) (*xdm.Document, error) {
 	if st.Size() < headerLenV1+trailerLen {
 		return nil, fmt.Errorf("store: %s: snapshot truncated (%d bytes)", path, st.Size())
 	}
-	key := mapKey{path: abs, size: st.Size(), mtime: st.ModTime().UnixNano()}
+	key := fingerprintOf(abs, st)
 
 	mapMu.Lock()
 	data, ok := mappings[key]

@@ -112,19 +112,9 @@ func TestSnapshotIndexCorruption(t *testing.T) {
 	}
 	img := buf.Bytes()
 
-	var h header
-	fields := []*uint64{&h.nodeCount, &h.nameCount, &h.nameBlobLen, &h.valueBlobLen,
-		&h.idCount, &h.idBlobLen, &h.uriLen, &h.payloadLen,
-		&h.postCount, &h.postBlobLen, &h.pathCount}
-	for i, p := range fields {
-		*p = binary.LittleEndian.Uint64(img[8+8*i:])
-	}
+	h, s := v2Sections(t, img)
 	if h.postCount == 0 || h.pathCount == 0 {
 		t.Fatalf("v2 snapshot carries no index sections (post=%d path=%d)", h.postCount, h.pathCount)
-	}
-	s, err := h.sectionOffsets(h.payloadLen)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	flip := func(off uint64) []byte {

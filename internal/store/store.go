@@ -118,69 +118,72 @@ func (s *Store) safeJoin(uri string) (string, error) {
 	return filepath.Join(s.opts.Dir, clean), nil
 }
 
-// fingerprint stats the file that would serve uri — resolution order
-// identical to load (snapshot first, then XML fallback) — without reading
+// locate finds the file that serves uri, in resolution order: the
+// snapshot, then the XML file <dir>/<uri> unless NoParseFallback is set
+// or uri itself names a snapshot. It stats without reading and reports
+// whether the file is a snapshot. A snapshot that exists but cannot be
+// stat'ed (permission or I/O failure) is a hard error, never a reason to
+// serve the XML; a URI nothing serves is a not-found error naming every
+// path searched.
+func (s *Store) locate(uri string) (fp Fingerprint, snapshot bool, err error) {
+	snapPath, err := s.SnapshotPath(uri)
+	if err != nil {
+		return Fingerprint{}, false, err
+	}
+	st, err := os.Stat(snapPath)
+	if err == nil {
+		return fingerprintOf(snapPath, st), true, nil
+	}
+	if !os.IsNotExist(err) {
+		return Fingerprint{}, false, xdm.Errorf(xdm.ErrDoc, "doc(%q): snapshot %s: %v", uri, snapPath, err)
+	}
+	searched := "snapshot " + snapPath
+	if !s.opts.NoParseFallback && !strings.HasSuffix(uri, Ext) {
+		xmlPath, err := s.safeJoin(uri)
+		if err != nil {
+			return Fingerprint{}, false, err
+		}
+		if st, err := os.Stat(xmlPath); err == nil {
+			return fingerprintOf(xmlPath, st), false, nil
+		}
+		searched += ", file " + xmlPath
+	}
+	return Fingerprint{}, false, xdm.NotFoundf("doc(%q): not in store (searched %s)", uri, searched)
+}
+
+func fingerprintOf(path string, st os.FileInfo) Fingerprint {
+	return Fingerprint{Path: path, Size: st.Size(), MTime: st.ModTime().UnixNano()}
+}
+
+// fingerprint identifies the file that would serve uri without reading
 // it. The cache calls it to validate hits, so a snapshot or XML file
 // replaced on disk stops being served from memory.
 func (s *Store) fingerprint(uri string) (Fingerprint, error) {
-	snapPath, err := s.SnapshotPath(uri)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	if st, statErr := os.Stat(snapPath); statErr == nil {
-		return Fingerprint{Path: snapPath, Size: st.Size(), MTime: st.ModTime().UnixNano()}, nil
-	} else if !os.IsNotExist(statErr) {
-		return Fingerprint{}, xdm.Errorf(xdm.ErrDoc, "doc(%q): snapshot %s: %v", uri, snapPath, statErr)
-	}
-	if !s.opts.NoParseFallback && !strings.HasSuffix(uri, Ext) {
-		xmlPath, err := s.safeJoin(uri)
-		if err != nil {
-			return Fingerprint{}, err
-		}
-		if st, statErr := os.Stat(xmlPath); statErr == nil {
-			return Fingerprint{Path: xmlPath, Size: st.Size(), MTime: st.ModTime().UnixNano()}, nil
-		}
-	}
-	return Fingerprint{}, xdm.NotFoundf("doc(%q): not in store", uri)
+	fp, _, err := s.locate(uri)
+	return fp, err
 }
 
-// load is the cache loader: snapshot first, then XML, then a not-found
-// error that names everything searched.
+// load is the cache loader: it opens whatever locate finds.
 func (s *Store) load(uri string) (*xdm.Document, error) {
-	snapPath, err := s.SnapshotPath(uri)
+	fp, snapshot, err := s.locate(uri)
 	if err != nil {
 		return nil, err
 	}
-	if _, statErr := os.Stat(snapPath); statErr == nil {
-		var d *xdm.Document
-		if s.opts.Mmap {
-			d, err = LoadMmap(snapPath)
-		} else {
-			d, err = Load(snapPath)
-		}
-		if err != nil {
-			// A present-but-unreadable snapshot is a hard error: falling
-			// back to the XML would mask corruption.
-			return nil, xdm.Errorf(xdm.ErrDoc, "doc(%q): %v", uri, err)
-		}
-		return d, nil
-	} else if !os.IsNotExist(statErr) {
-		// Same reasoning for a snapshot we cannot even stat (permission
-		// or I/O failure): surface it rather than serving the XML.
-		return nil, xdm.Errorf(xdm.ErrDoc, "doc(%q): snapshot %s: %v", uri, snapPath, statErr)
+	if !snapshot {
+		return parseXMLFile(fp.Path, uri)
 	}
-	searched := []string{"snapshot " + snapPath}
-	if !s.opts.NoParseFallback && !strings.HasSuffix(uri, Ext) {
-		xmlPath, err := s.safeJoin(uri)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := os.Stat(xmlPath); err == nil {
-			return parseXMLFile(xmlPath, uri)
-		}
-		searched = append(searched, "file "+xmlPath)
+	var d *xdm.Document
+	if s.opts.Mmap {
+		d, err = LoadMmap(fp.Path)
+	} else {
+		d, err = Load(fp.Path)
 	}
-	return nil, xdm.NotFoundf("doc(%q): not in store (searched %s)", uri, strings.Join(searched, ", "))
+	if err != nil {
+		// A present-but-unreadable snapshot is a hard error: falling
+		// back to the XML would mask corruption.
+		return nil, xdm.Errorf(xdm.ErrDoc, "doc(%q): %v", uri, err)
+	}
+	return d, nil
 }
 
 func parseXMLFile(path, uri string) (*xdm.Document, error) {

@@ -91,12 +91,6 @@ func (m *nodeMatcher) match(d *Document, i int32) bool {
 	return m.any || d.kinds[i] == m.kind && (m.name == "" || d.nameIDs[i] == m.id)
 }
 
-// MatchesTest reports whether n passes the node test t of a step over axis.
-func (n NodeRef) MatchesTest(t ast.NodeTest, axis ast.Axis) bool {
-	m := newNodeMatcher(t, axis)
-	return m.any || n.Kind() == m.kind && (m.name == "" || n.Name() == m.name)
-}
-
 // indexEligible reports whether a step's matches are exactly a posting-list
 // cut: a forward downward axis with a concrete (non-wildcard) name test for
 // that axis's principal node kind — the only kinds the index carries.

@@ -244,22 +244,6 @@ func TestStepMatchesAxisDefinitions(t *testing.T) {
 	}
 }
 
-// TestMatchesTestAgreesWithDefinition pins the exported matcher (the
-// interpreter's predicate arena walk calls it) to the same definition.
-func TestMatchesTestAgreesWithDefinition(t *testing.T) {
-	d := handDoc()
-	for pre := int32(0); pre < int32(d.Len()); pre++ {
-		n := xdm.NodeRef{D: d, Pre: pre}
-		for _, axis := range []ast.Axis{ast.AxisChild, ast.AxisAttribute} {
-			for _, test := range stepTests([]string{"k", "b"}) {
-				if got, want := n.MatchesTest(test, axis), oracleTest(n, test, axis); got != want {
-					t.Fatalf("%v %s::%s: MatchesTest = %v, want %v", n, axis, test, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestStepAxisOrderPins keeps the hand-checked expectations of the retired
 // NodeRef axis methods: counts on a tiny tree, reverse axes nearest-first,
 // and following:: from an attribute context (its owner's content follows it).

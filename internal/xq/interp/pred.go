@@ -87,7 +87,7 @@ func (ev *evaluator) evalCmpPred(hp *cmpPred, en *env, pctx dynCtx) (bool, error
 		// answered by walking the arena with no intermediate sequences.
 		// Non-node candidates fall through so the axis-step error
 		// surfaces exactly as the unhoisted evaluation would raise it.
-		return matchesValueSet(pctx.item.Node(), hp.steps, hp.strs), nil
+		return matchesValueSet(pctx.item.Node(), hp.steps, hp.strs, ev.engine.opts.NoIndex), nil
 	}
 	v, err := ev.eval(hp.dep, en, pctx)
 	if err != nil {
@@ -142,30 +142,22 @@ func simplePath(e ast.Expr) ([]*ast.AxisStep, bool) {
 
 // matchesValueSet reports whether any node reached from n through the
 // step chain has a string value in set — the existential `path = values`
-// comparison, evaluated without materializing any axis.
-func matchesValueSet(n xdm.NodeRef, steps []*ast.AxisStep, set map[string]struct{}) bool {
+// comparison, evaluated without materializing any sequence. Each step
+// runs through the step kernel into a stack buffer.
+func matchesValueSet(n xdm.NodeRef, steps []*ast.AxisStep, set map[string]struct{}, noIndex bool) bool {
+	var buf [16]int32
 	st := steps[0]
-	rest := steps[1:]
-	found := false
-	visit := func(m xdm.NodeRef) bool {
-		if !m.MatchesTest(st.Test, st.Axis) {
+	for _, pre := range xdm.Step(buf[:0], n, st.Axis, st.Test, noIndex) {
+		m := xdm.NodeRef{D: n.D, Pre: pre}
+		if len(steps) == 1 {
+			if _, ok := set[m.StringValue()]; ok {
+				return true
+			}
+		} else if matchesValueSet(m, steps[1:], set, noIndex) {
 			return true
 		}
-		if len(rest) == 0 {
-			if _, ok := set[m.StringValue()]; ok {
-				found = true
-			}
-		} else if matchesValueSet(m, rest, set) {
-			found = true
-		}
-		return !found
 	}
-	if st.Axis == ast.AxisAttribute {
-		n.EachAttribute(visit)
-	} else {
-		n.EachChild(visit)
-	}
-	return found
+	return false
 }
 
 // contextFree reports whether evaluating e can never observe the outer
