@@ -128,13 +128,16 @@ ci:
 # images with recomputed checksums must fail to open or open into a
 # document every accessor and axis walks without panicking.
 # FuzzSnapshotColumns: the same contract for a v2 image with one whole
-# integer written into one entry of one fixed-width section. CI runs a
-# short smoke; raise FUZZTIME locally for an open-ended hunt.
+# integer written into one entry of one fixed-width section. FuzzParse:
+# any query text parses to a module or fails with a *ParseError, never a
+# panic. CI runs a short smoke; raise FUZZTIME locally for an open-ended
+# hunt.
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime $(FUZZTIME) ./internal/difftest
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotOpen -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotColumns -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xq/parser
 
 # Plan-shape gate: diff the explain renderings (raw + optimized plans with
 # property annotations, operator counts) of the paper's query families
@@ -185,4 +188,4 @@ bench-baseline:
 clean:
 	rm -f ifpbench xq xqd distcheck xmlgen benchdiff *.test
 	rm -f cover.out cover.pkg.out BENCH_pr.json
-	rm -rf internal/difftest/testdata/fuzz internal/store/testdata/fuzz
+	rm -rf internal/difftest/testdata/fuzz internal/store/testdata/fuzz internal/xq/parser/testdata/fuzz

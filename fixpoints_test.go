@@ -1,9 +1,12 @@
 package ifpxq
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/xdm"
+	"repro/internal/xmlgen"
 )
 
 // evalFixpoints evaluates src over one in-memory document t.xml and
@@ -145,6 +148,110 @@ func TestNaiveNodesFedAcrossEngines(t *testing.T) {
 			fps := evalFixpoints(t, src, xml, engine, mode)
 			if len(fps) != 1 || fps[0].Stats.NodesFedBack != fed[i] {
 				t.Errorf("engine %d mode %d: fixpoints %+v, want one site feeding %d nodes", engine, mode, fps, fed[i])
+			}
+		}
+	}
+}
+
+// TestReentrantSiteMatchesAcrossModes: core hands each execution of a site
+// its own res from the site's free list. A declared recursive function
+// re-enters its own `with … recurse` site from inside the body, while the
+// outer execution's res is live, so a nested execution that received it
+// would corrupt the outer result. The body adds `. | reach(.)` for every
+// prerequisite that has prerequisites of its own, which is a subset of
+// the closure, so on an acyclic curriculum every mode must answer the
+// plain closure byte for byte: Naïve, Delta without a table (the body
+// reads $k, bound afresh by every call) and tabled Delta (auto on a body
+// that reads no outer variable, whose later executions hit the table).
+func TestReentrantSiteMatchesAcrossModes(t *testing.T) {
+	// Course i requires i+1, and every third course also i+3: nested
+	// executions start in every round, not only in the seeding one, where
+	// res is emptied after the body anyway.
+	var dag strings.Builder
+	dag.WriteString(`<!DOCTYPE curriculum [<!ELEMENT curriculum (course)*><!ATTLIST course code ID #REQUIRED>]><curriculum>`)
+	for i := 1; i <= 9; i++ {
+		fmt.Fprintf(&dag, `<course code="c%d"><prerequisites>`, i)
+		if i < 9 {
+			fmt.Fprintf(&dag, `<pre_code>c%d</pre_code>`, i+1)
+		}
+		if i%3 == 0 && i+3 <= 9 {
+			fmt.Fprintf(&dag, `<pre_code>c%d</pre_code>`, i+3)
+		}
+		dag.WriteString(`</prerequisites></course>`)
+	}
+	dag.WriteString(`</curriculum>`)
+	docs := DocsFromStrings(map[string]string{"dag.xml": dag.String()})
+	const closure = `for $c in doc("dag.xml")/curriculum/course
+return string-join((with $x seeded by $c recurse $x/id(./prerequisites/pre_code))/@code/string(), " ")`
+	want, err := EvalString(closure, Options{Engine: EngineInterpreter, Mode: ModeNaive, Docs: docs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]string{
+		"untabled": `declare function reach($c as node(), $k as xs:string) as node()* {
+  with $x seeded by $c
+  recurse $x/id(./prerequisites/pre_code)[@code != $k]/(if (exists(prerequisites/pre_code)) then (. | reach(., $k)) else .)
+};
+for $c in doc("dag.xml")/curriculum/course return string-join(reach($c, "none")/@code/string(), " ")`,
+		"tabled": `declare function reach($c as node()) as node()* {
+  with $x seeded by $c
+  recurse $x/id(./prerequisites/pre_code)/(if (exists(prerequisites/pre_code)) then (. | reach(.)) else .)
+};
+for $c in doc("dag.xml")/curriculum/course return string-join(reach($c)/@code/string(), " ")`,
+	}
+	for name, q := range queries {
+		for _, mode := range []Mode{ModeNaive, ModeDelta, ModeAuto} {
+			got, err := EvalString(q, Options{Engine: EngineInterpreter, Mode: mode, Docs: docs})
+			if err != nil {
+				t.Fatalf("%s mode %d: %v", name, mode, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s mode %d:\n got %s\nwant %s", name, mode, got, want)
+			}
+			if len(got.Fixpoints) != 1 {
+				t.Fatalf("%s mode %d: %d sites, want 1", name, mode, len(got.Fixpoints))
+			}
+			site := got.Fixpoints[0]
+			if site.Executions <= 9 {
+				t.Fatalf("%s mode %d: %d executions, want nested ones beyond the 9 calls", name, mode, site.Executions)
+			}
+			if tabled := site.TableHits > 0; tabled != (name == "tabled" && mode != ModeNaive) {
+				t.Fatalf("%s mode %d: %d table hits", name, mode, site.TableHits)
+			}
+		}
+	}
+}
+
+// TestRepeatedRelationalSiteMatchesInterpreter: on the relational engine a
+// µ under a `for` runs once for all iterations, and a µ inside another µ's
+// body runs once per outer round, each execution taking the res the last
+// one released. Both must answer as the interpreter does, which executes
+// the inner site once per binding and per round.
+func TestRepeatedRelationalSiteMatchesInterpreter(t *testing.T) {
+	docs := DocsFromStrings(map[string]string{
+		"dag.xml": xmlgen.Curriculum(xmlgen.CurriculumConfig{Courses: 40, MaxPrereqs: 3, CycleFraction: 0.2, Seed: 9}),
+	})
+	for _, q := range []string{
+		`for $c in doc("dag.xml")/curriculum/course
+return count(with $x seeded by $c recurse $x/id(./prerequisites/pre_code))`,
+		`for $c in doc("dag.xml")/curriculum/course[position() <= 10]
+return count(with $y seeded by $c
+             recurse (with $x seeded by $y/id(./prerequisites/pre_code) recurse $x/id(./prerequisites/pre_code)))`,
+	} {
+		for _, mode := range []Mode{ModeNaive, ModeDelta, ModeAuto} {
+			want, err := EvalString(q, Options{Engine: EngineInterpreter, Mode: mode, Docs: docs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := EvalString(q, Options{Engine: EngineRelational, Mode: mode, Docs: docs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("mode %d: relational\n%s\ninterpreter\n%s\nquery %s", mode, got, want, q)
+			}
+			if runs := got.Fixpoints[len(got.Fixpoints)-1].Executions; len(got.Fixpoints) == 2 && runs < 2 {
+				t.Fatalf("mode %d: the inner relational site ran %d times", mode, runs)
 			}
 		}
 	}

@@ -149,6 +149,7 @@ type ExecContext struct {
 	muDeps   map[*Node]map[*Node]bool // µ node → rec-dependent body nodes
 	docs     map[string]*xdm.Document
 	segCache map[segKey][]uint64 // per-query step segment memo (step.go)
+	index    xdm.IndexCounts     // the steps' index probes and fallbacks, flushed by Eval
 	// childNs threads descendant evaluation time through the profiled
 	// recursion so each operator's SelfNs excludes its children; see
 	// evalProfiled.
@@ -172,6 +173,7 @@ func (ctx *ExecContext) init() {
 // Eval executes a plan DAG, memoizing shared sub-plans.
 func Eval(root *Node, ctx *ExecContext) (*Table, error) {
 	ctx.init()
+	defer ctx.index.Flush()
 	return ctx.eval(root)
 }
 

@@ -53,7 +53,9 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	for dep := range body.deps {
 		delete(ctx.memo, dep)
 	}
-	return body.table(res), nil
+	t := body.table(res)
+	x.Release(res)
+	return t, nil
 }
 
 // muBody is the relational side of one µ/µ∆ execution: it binds the feed

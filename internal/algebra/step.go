@@ -72,7 +72,7 @@ func (ctx *ExecContext) stepRows(n *Node, col *Column) ([]int32, *Column) {
 			val: n.ValEq, hasVal: n.ValEqSet}
 		seg, ok := ctx.segCache[key]
 		if !ok {
-			scratch = xdm.Step(scratch[:0], node, n.Axis, n.Test, ctx.NoIndex)
+			scratch = xdm.Step(scratch[:0], node, n.Axis, n.Test, ctx.NoIndex, &ctx.index)
 			stamp := key.word &^ (1<<32 - 1)
 			if len(scratch) > 0 {
 				seg = make([]uint64, 0, len(scratch))

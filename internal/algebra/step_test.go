@@ -141,7 +141,7 @@ func TestStepFromGenericColumn(t *testing.T) {
 	var rows [][]xdm.Item
 	var want []string
 	r := xdm.NodeRef{D: d, Pre: 1}
-	for i, pre := range xdm.Step(nil, r, ast.AxisChild, ast.NodeTest{Kind: ast.TestName, Name: "i"}, true) {
+	for i, pre := range xdm.Step(nil, r, ast.AxisChild, ast.NodeTest{Kind: ast.TestName, Name: "i"}, true, nil) {
 		ctxs := []xdm.NodeRef{{D: d, Pre: pre}}
 		if i%5 == 0 {
 			ctxs = append(ctxs, ctxs[0])
@@ -149,7 +149,7 @@ func TestStepFromGenericColumn(t *testing.T) {
 		for _, c := range ctxs {
 			tag := xdm.NewInteger(int64(len(rows)))
 			rows = append(rows, []xdm.Item{tag, xdm.NewNode(c)})
-			for _, m := range xdm.Step(nil, c, ast.AxisChild, test, true) {
+			for _, m := range xdm.Step(nil, c, ast.AxisChild, test, true, nil) {
 				want = append(want, fmt.Sprintf("%d:%d", tag.Int(), m))
 			}
 		}

@@ -159,7 +159,7 @@ func (s *Sites[K, R]) Enter(key K, describe func() (R, string)) Exec {
 	x, ok := s.execs[key]
 	if !ok {
 		rec, label := describe()
-		x = Exec{cfg: &s.cfg, site: rec.site(), trace: s.cfg.Trace.AddSite(label)}
+		x = Exec{cfg: &s.cfg, site: rec.site(), trace: s.cfg.Trace.AddSite(label), free: new([]*xdm.Family)}
 		s.execs[key] = x
 		s.keys = append(s.keys, key)
 		s.recs = append(s.recs, rec)
@@ -184,6 +184,11 @@ type Exec struct {
 	cfg   *Config
 	site  *Site
 	trace int
+	// free holds the site's released res families. Each execution pops
+	// one, so a re-entrant execution of the site never shares the live
+	// res of the one it runs inside; the list belongs to one evaluation's
+	// Sites, so nothing is shared across evaluations or goroutines.
+	free *[]*xdm.Family
 }
 
 // Site is the report of the execution's site, for the engine to count its
@@ -204,20 +209,49 @@ func (x Exec) Site() *Site { return x.site }
 // `except res` and `union res` are one incremental xdm.Family.Absorb, so
 // the two algorithms differ only in the feed. The execution's counters are
 // added to the site's, also when it fails.
+//
+// res is borrowed from the site: the engine reads it, then hands it back
+// with x.Release, and the site's next execution reuses its buffers (the
+// member log, the spare read buffer, the screen's bitmaps and ∆) instead of
+// regrowing them. A res that is never released is simply collected.
 func Run(x Exec, seed *xdm.Family, body Body) (*xdm.Family, error) {
 	return run(x, seed, body, RoundCap)
 }
 
-func run(x Exec, seed *xdm.Family, body Body, roundCap int) (*xdm.Family, error) {
+// Release hands res, the result of one of the site's Runs, back to the
+// site for its next execution. res and every slice read from it are
+// invalid afterwards; Release it at most once.
+func (x Exec) Release(res *xdm.Family) {
+	if res != nil {
+		*x.free = append(*x.free, res)
+	}
+}
+
+// borrow pops a released family, emptied, or makes one.
+func (x Exec) borrow() *xdm.Family {
+	free := *x.free
+	if len(free) == 0 {
+		return new(xdm.Family)
+	}
+	res := free[len(free)-1]
+	*x.free = free[:len(free)-1]
+	res.Reset()
+	return res
+}
+
+func run(x Exec, seed *xdm.Family, body Body, roundCap int) (_ *xdm.Family, err error) {
 	var st Stats
+	// res first holds the seed in distinct document order, round 0's feed;
+	// apply empties it before absorbing e_rec(e_seed).
+	res := x.borrow()
 	defer func() {
 		x.site.Executions++
 		x.site.Stats.Add(st)
+		if err != nil {
+			x.Release(res)
+		}
 	}()
 	budget := x.cfg.Budget
-	// res first holds the seed in distinct document order, round 0's feed;
-	// apply empties it before absorbing e_rec(e_seed).
-	res := new(xdm.Family)
 	res.Absorb(seed)
 	delta, err := apply(x, body, res, 0, res, res, &st)
 	if err != nil {

@@ -373,3 +373,151 @@ func TestQuickDeltaSubsetOfNaive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fixedBody answers call k of an execution with the preallocated batch
+// answers[k], the last one repeated, after reading the feed in document
+// order as an engine does.
+type fixedBody struct {
+	answers []*xdm.Family
+	k       int
+}
+
+func (b *fixedBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+	feed.Nodes(0)
+	a := b.answers[min(b.k, len(b.answers)-1)]
+	b.k++
+	return a, nil
+}
+
+// TestSecondExecutionAllocatesNothing: a released res is the next
+// execution's, so once a site's first execution has grown res's buffers,
+// a whole second execution — seeding, every round's absorb, Naïve's
+// per-round reads of res and the final read — allocates nothing. Each
+// document shape takes a different read: a small document's dense bitmap
+// is listed, a large document's sparse set and a two-document set are
+// sorted and merged.
+func TestSecondExecutionAllocatesNothing(t *testing.T) {
+	small, _ := graphDoc(300)
+	large, _ := graphDoc(20000)
+	other, _ := graphDoc(50)
+	shapes := []struct {
+		name string
+		node func(i int) xdm.NodeRef // the i-th of the 120 nodes the body reaches
+	}{
+		{"dense", func(i int) xdm.NodeRef { return xdm.NodeRef{D: small, Pre: int32(1 + 2*i)} }},
+		{"sparse", func(i int) xdm.NodeRef { return xdm.NodeRef{D: large, Pre: int32(1 + 97*i)} }},
+		{"two documents", func(i int) xdm.NodeRef {
+			if i%3 == 0 {
+				return xdm.NodeRef{D: other, Pre: int32(1 + i/3)}
+			}
+			return xdm.NodeRef{D: small, Pre: int32(1 + 2*i)}
+		}},
+	}
+	for _, shape := range shapes {
+		for _, alg := range []Algorithm{Naive, Delta} {
+			t.Run(shape.name+"/"+alg.String(), func(t *testing.T) {
+				// Round k answers the nodes i ≡ k (mod 4), so every round's
+				// nodes fall between the ones earlier rounds found; the
+				// last answer repeats and brings nothing new.
+				var seed xdm.Family
+				seed.AddNodes(0, []xdm.NodeRef{shape.node(0)})
+				answers := make([]*xdm.Family, 5)
+				for k := range answers {
+					answers[k] = new(xdm.Family)
+					for i := min(k, 3); i < 120; i += 4 {
+						answers[k].AddNodes(0, []xdm.NodeRef{shape.node(i)})
+					}
+				}
+				body := &fixedBody{answers: answers}
+				x := NewSites[int, *Site](Config{}).Enter(0, func() (*Site, string) { return &Site{Algorithm: alg}, alg.String() })
+				execute := func() {
+					body.k = 0
+					res, err := Run(x, &seed, body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := res.Nodes(0); len(got) != 120 || !got[0].Before(got[1]) {
+						t.Fatalf("res holds %d nodes, want 120 in document order", len(got))
+					}
+					x.Release(res)
+				}
+				execute() // grow res's buffers
+				if allocs := testing.AllocsPerRun(20, execute); allocs != 0 {
+					t.Fatalf("a second execution of the site: %v allocs, want 0", allocs)
+				}
+			})
+		}
+	}
+}
+
+// nestingBody re-enters its own site from inside Step, the way a body
+// calling a recursive function that holds the site does: under Naïve the
+// feed is the execution's live res, and every nested execution, run while
+// the outer ones are live, must take a res of its own.
+type nestingBody struct {
+	t     *testing.T
+	x     Exec
+	verts []xdm.NodeRef
+	live  []*xdm.Family // the feeds, that is the res, of the executions under way
+	out   []xdm.Family  // one batch per nesting level
+	runs  int
+}
+
+func (b *nestingBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+	level := len(b.live)
+	b.live = append(b.live, feed)
+	defer func() { b.live = b.live[:level] }()
+	out := &b.out[level]
+	out.Reset()
+	for _, n := range feed.Nodes(0) {
+		i := int(n.Pre - b.verts[0].Pre)
+		if i+1 < len(b.verts) {
+			out.AddNodes(0, []xdm.NodeRef{b.verts[i+1]})
+		}
+	}
+	if level+1 < len(b.out) && b.runs < 200 {
+		b.runs++
+		var seed xdm.Family
+		seed.AddNodes(0, feed.Nodes(0)[:1])
+		res, err := Run(b.x, &seed, b)
+		if err != nil {
+			return nil, err
+		}
+		for _, outer := range b.live {
+			if res == outer {
+				b.t.Fatalf("a nested execution at level %d received the live res of an outer one", level+1)
+			}
+		}
+		b.x.Release(res)
+	}
+	return out, nil
+}
+
+// TestReentrantExecutionsTakeTheirOwnRes: executions of one site nested
+// three deep, each released before its caller goes on, never share a res
+// with an execution still under way (checked under Naïve, whose feed is
+// res), and under both algorithms the outermost result is the chain's
+// closure whatever the nested ones reused.
+func TestReentrantExecutionsTakeTheirOwnRes(t *testing.T) {
+	_, verts := graphDoc(12)
+	for _, alg := range []Algorithm{Naive, Delta} {
+		x := NewSites[int, *Site](Config{}).Enter(0, func() (*Site, string) { return &Site{Algorithm: alg}, alg.String() })
+		body := &nestingBody{t: t, x: x, verts: verts, out: make([]xdm.Family, 3)}
+		for range 2 {
+			var seed xdm.Family
+			seed.AddNodes(0, verts[:1])
+			res, err := Run(x, &seed, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Nodes(0)
+			if len(got) != len(verts)-1 || !got[0].Same(verts[1]) || !got[len(got)-1].Same(verts[len(verts)-1]) {
+				t.Fatalf("%v: closure of the chain holds %d nodes, want %d", alg, len(got), len(verts)-1)
+			}
+			x.Release(res)
+		}
+		if body.runs == 0 || x.Site().Executions != 2+body.runs {
+			t.Fatalf("%v: %d nested runs, %d executions", alg, body.runs, x.Site().Executions)
+		}
+	}
+}

@@ -71,11 +71,11 @@ func walkDocument(d *xdm.Document) {
 		_, _, _ = n.Children(), n.Attributes(), n.String()
 		_, _ = n.Parent()
 		for _, axis := range fuzzAxes {
-			dst = xdm.Step(dst[:0], n, axis, anyNode, true)
+			dst = xdm.Step(dst[:0], n, axis, anyNode, true, nil)
 		}
 		for _, axis := range []ast.Axis{ast.AxisChild, ast.AxisDescendant, ast.AxisDescendantOrSelf, ast.AxisAttribute} {
 			for _, test := range named {
-				dst = xdm.Step(dst[:0], n, axis, test, false)
+				dst = xdm.Step(dst[:0], n, axis, test, false, nil)
 			}
 		}
 	}

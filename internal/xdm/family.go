@@ -1,6 +1,9 @@
 package xdm
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Family is the node-set family an inflationary fixed point accumulates:
 // one node set per iteration of the enclosing loop, named by dense int32
@@ -18,12 +21,25 @@ import "slices"
 // its own NodeSet screen: each Absorb appends the round's fresh nodes as
 // one document-ordered run, so absorbing a round costs O(|answer| + |new|),
 // never a re-sort or re-merge of what earlier rounds established. The log
-// is put in document order only when Nodes reads it: the runs absorbed
-// since the last read are sorted and merged with the ordered prefix in one
-// linear pass into a spare buffer the iteration keeps, so a steady-state
-// read allocates nothing. Under Delta nobody reads res until the execution
-// ends, so it is ordered once; Naïve reads it every round and pays one
-// merge a round.
+// is put in document order only when Nodes reads it, in one of two ways.
+// When the screen holds the whole log in one document's dense-tier bitmap,
+// and the bitmap is small against the log, the read lists the set bits.
+// Otherwise the runs absorbed since the last read are sorted and merged
+// with the ordered prefix in one linear pass. Either way the output goes
+// to a spare buffer the iteration keeps. Under Delta nobody reads res
+// until the execution ends, so it is ordered once; Naïve reads it every
+// round and pays one read a round.
+//
+// Both the bitmap read and the run sort rest on §4's pre/size/level
+// encoding: within one document a preorder rank is document order, so a
+// one-document run sorts its ranks as plain words in a scratch buffer the
+// family keeps; only a run that spans documents falls back to a
+// comparator sort (sortNodes).
+//
+// Reset empties a family but keeps every buffer: logs, spare buffers,
+// screens and their bitmaps, the sort scratch and ∆. A family reused for
+// the next batch, or for the next execution of a fixpoint site (core keeps
+// a free list per site), allocates nothing once its buffers have grown.
 //
 // A slice returned by Nodes stays valid until the family's next Absorb or
 // Reset. Nodes orders the log in place, so a Family is not safe for
@@ -36,6 +52,7 @@ type Family struct {
 	rest  []iterNodes // iterations 1, 2, …
 	n     int
 	delta *Family // ∆ of the last Absorb, its buffers reused across rounds
+	sort  sortScratch
 }
 
 // iterNodes is one iteration's node set. Its screen is built on the second
@@ -47,7 +64,7 @@ type iterNodes struct {
 	// document-ordered runs absorbed since the last read.
 	nodes  []NodeRef
 	sorted int
-	spare  []NodeRef // the buffer the next merge writes, then swaps with nodes
+	spare  []NodeRef // the buffer the next read writes, then swaps with nodes
 }
 
 // Len is the family's (iteration, node) pair count over all iterations.
@@ -62,7 +79,7 @@ func (f *Family) Nodes(iter int32) []NodeRef {
 		return nil
 	}
 	if s.sorted < len(s.nodes) {
-		s.order()
+		s.order(&f.sort)
 	}
 	return s.nodes
 }
@@ -146,9 +163,7 @@ func (f *Family) Absorb(o *Family) *Family {
 		s, fresh := f.set(id), d.set(id)
 		if len(s.nodes) == 0 {
 			// First members need no screen: sorting drops duplicates.
-			fresh.nodes = append(fresh.nodes, batch...)
-			SortNodes(fresh.nodes)
-			fresh.nodes = slices.Compact(fresh.nodes)
+			fresh.nodes = f.sort.run(append(fresh.nodes, batch...))
 		} else {
 			if s.seen.Len() == 0 {
 				for _, n := range s.nodes {
@@ -163,7 +178,7 @@ func (f *Family) Absorb(o *Family) *Family {
 			if len(fresh.nodes) == 0 {
 				continue
 			}
-			SortNodes(fresh.nodes)
+			fresh.nodes = f.sort.run(fresh.nodes)
 		}
 		fresh.sorted = len(fresh.nodes)
 		s.log(fresh.nodes)
@@ -185,20 +200,62 @@ func (s *iterNodes) log(run []NodeRef) {
 	}
 }
 
-// order puts the log in document order: it sorts the runs absorbed since
-// the last read, then merges them with the ordered prefix, which they
-// share no member with, into the spare buffer and swaps the two.
-func (s *iterNodes) order() {
-	head, tail := s.nodes[:s.sorted], s.nodes[s.sorted:]
-	SortNodes(tail)
+// order puts the log in document order: it lists the screen's bitmap when
+// listable allows, and otherwise sorts the runs absorbed since the last
+// read and merges them with the ordered prefix, which they share no member
+// with.
+func (s *iterNodes) order(sc *sortScratch) {
+	if d, bitmap := s.listable(); bitmap != nil {
+		s.readBits(d, bitmap)
+	} else {
+		s.merge(sc)
+	}
+}
+
+// listable returns the screen's bitmap and its document when the screen
+// holds the whole log in one document's dense tier and the bitmap is at
+// most denseReadRatio words per member; otherwise it returns nil.
+func (s *iterNodes) listable() (*Document, []uint64) {
+	if s.seen.Len() != len(s.nodes) {
+		return nil, nil
+	}
+	d, bitmap := s.seen.dense()
+	if len(bitmap) > denseReadRatio*len(s.nodes) {
+		return nil, nil
+	}
+	return d, bitmap
+}
+
+// denseReadRatio bounds the bitmap words per member at which a read lists
+// the bitmap's set bits rather than sorting and merging: a listing scans
+// every word, so a bitmap far larger than the log would cost more than the
+// sort it replaces.
+const denseReadRatio = 4
+
+// readBits replaces the log with the members listed off the bitmap of
+// their one document d, in preorder: word w holds ranks w·64 … w·64+63.
+func (s *iterNodes) readBits(d *Document, bitmap []uint64) {
+	out := s.spareFor(len(s.nodes))
+	for w, word := range bitmap {
+		for word != 0 {
+			out = append(out, NodeRef{D: d, Pre: int32(w)<<6 + int32(bits.TrailingZeros64(word))})
+			word &= word - 1
+		}
+	}
+	s.spare, s.nodes = s.nodes[:0], out
+	s.sorted = len(out)
+}
+
+// merge sorts the runs absorbed since the last read, then merges them with
+// the ordered prefix into the spare buffer and swaps the two.
+func (s *iterNodes) merge(sc *sortScratch) {
+	head := s.nodes[:s.sorted]
+	tail := sc.run(s.nodes[s.sorted:]) // distinct: sorting drops nothing
 	if len(head) == 0 || head[len(head)-1].Before(tail[0]) {
 		s.sorted = len(s.nodes)
 		return
 	}
-	out := s.spare[:0]
-	if cap(out) < len(s.nodes) {
-		out = make([]NodeRef, 0, cap(s.nodes))
-	}
+	out := s.spareFor(len(s.nodes))
 	i, j := 0, 0
 	for i < len(head) && j < len(tail) {
 		if head[i].Before(tail[j]) {
@@ -213,4 +270,24 @@ func (s *iterNodes) order() {
 	out = append(out, tail[j:]...)
 	s.spare, s.nodes = s.nodes[:0], out
 	s.sorted = len(out)
+}
+
+// spareFor returns the empty spare buffer with room for n members.
+func (s *iterNodes) spareFor(n int) []NodeRef {
+	if cap(s.spare) < n {
+		return make([]NodeRef, 0, cap(s.nodes))
+	}
+	return s.spare[:0]
+}
+
+// sortScratch is the rank-word buffer a family sorts runs in.
+type sortScratch struct {
+	pres []int32
+}
+
+// run puts ns in distinct document order in place and returns it,
+// shortened by the duplicates it dropped.
+func (sc *sortScratch) run(ns []NodeRef) []NodeRef {
+	sc.pres = sortNodes(ns, sc.pres)
+	return slices.Compact(ns)
 }

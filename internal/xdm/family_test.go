@@ -3,6 +3,7 @@ package xdm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -179,30 +180,204 @@ func TestAccumulatorMatchesUnionExceptOracle(t *testing.T) {
 
 // TestAbsorbAndReadAllocateNothing: once its buffers have grown, a family
 // absorbs a round that interleaves res and reads res back in document
-// order without allocating. The read merges into the spare buffer the
-// iteration keeps; a merge that allocated its output would cost one
-// allocation per read.
+// order without allocating, on both reads: a small document's members are
+// listed off the screen's dense bitmap, while members of a large
+// document's sparse tier, or of two documents, are sorted and merged into
+// the spare buffer the iteration keeps. A read that allocated its output
+// would cost one allocation per read.
 func TestAbsorbAndReadAllocateNothing(t *testing.T) {
-	d := buildDoc(t, 200, "a")
-	var even, odd, res Family
-	for pre := int32(1); pre < int32(d.Len()); pre++ {
-		if pre%2 == 0 {
-			even.AddNodes(0, []NodeRef{{D: d, Pre: pre}})
-		} else {
-			odd.AddNodes(0, []NodeRef{{D: d, Pre: pre}})
+	small, large, other := buildDoc(t, 200, "small"), buildDoc(t, 20000, "large"), buildDoc(t, 50, "other")
+	for _, c := range []struct {
+		name  string
+		node  func(i int) NodeRef // the i-th of 150 members
+		lists bool                // whether the read lists the bitmap
+	}{
+		{"dense bitmap", func(i int) NodeRef { return NodeRef{D: small, Pre: int32(1 + i)} }, true},
+		{"sparse tier", func(i int) NodeRef { return NodeRef{D: large, Pre: int32(1 + 97*i)} }, false},
+		{"two documents", func(i int) NodeRef {
+			if i%2 == 0 {
+				return NodeRef{D: other, Pre: int32(1 + i/4)}
+			}
+			return NodeRef{D: small, Pre: int32(1 + i)}
+		}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var even, odd, res Family
+			members := map[NodeRef]bool{}
+			for i := range 150 {
+				n := c.node(i)
+				members[n] = true
+				if i%4 < 2 {
+					even.AddNodes(0, []NodeRef{n})
+				} else {
+					odd.AddNodes(0, []NodeRef{n})
+				}
+			}
+			round := func() {
+				res.Reset()
+				res.Absorb(&even)
+				res.Absorb(&odd) // every node falls between two of res's
+				if _, bitmap := res.first.listable(); (bitmap != nil) != c.lists {
+					t.Fatalf("listable = %v, want %v", bitmap != nil, c.lists)
+				}
+				if got := res.Nodes(0); len(got) != len(members) || !got[0].Before(got[1]) {
+					t.Fatalf("res holds %d nodes, want %d in document order", len(got), len(members))
+				}
+			}
+			round() // warm: grow the log, the spare buffer, the screen and ∆
+			if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+				t.Fatalf("absorbing an interleaving round and reading res: %v allocs, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestBitmapReadMatchesMerge drives one random schedule of rounds through
+// two families and reads every iteration back both ways — one family
+// always lists the screen's bitmap where listable allows, the other always
+// sorts and merges — so each read the bitmap can serve is checked against
+// the merge, which the union/except oracle tests check. Rounds draw from a
+// small document (its screen is listable) and, in some iterations, also
+// from a second document (it is not).
+func TestBitmapReadMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	small, other := buildDoc(t, 150, "small"), buildDoc(t, 40, "other")
+	var listed, merged, batch Family
+	var sc sortScratch
+	lists := 0
+	for round := range 40 {
+		batch.Reset()
+		for range 1 + rng.Intn(40) {
+			id := int32(rng.Intn(3))
+			d := small
+			if id == 2 && rng.Intn(4) == 0 {
+				d = other
+			}
+			batch.AddNodes(id, []NodeRef{{D: d, Pre: int32(rng.Intn(d.Len()))}})
+		}
+		listed.Absorb(&batch)
+		merged.Absorb(&batch)
+		if rng.Intn(3) != 0 {
+			continue // leave runs for a later read
+		}
+		for id := range int32(3) {
+			l, m := listed.set(id), merged.set(id)
+			if l.sorted < len(l.nodes) {
+				if d, bitmap := l.listable(); bitmap != nil {
+					l.readBits(d, bitmap)
+					lists++
+				} else {
+					l.merge(&sc)
+				}
+			}
+			if m.sorted < len(m.nodes) {
+				m.merge(&sc)
+			}
+			if len(l.nodes) != len(m.nodes) || len(l.nodes) != l.sorted {
+				t.Fatalf("round %d iter %d: listed %d nodes (%d ordered), merged %d", round, id, len(l.nodes), l.sorted, len(m.nodes))
+			}
+			for i := range l.nodes {
+				if !l.nodes[i].Same(m.nodes[i]) {
+					t.Fatalf("round %d iter %d: node %d listed %v, merged %v", round, id, i, l.nodes[i], m.nodes[i])
+				}
+			}
 		}
 	}
-	round := func() {
-		res.Reset()
-		res.Absorb(&even)
-		res.Absorb(&odd) // every node falls between two of res's
-		if got := res.Nodes(0); len(got) != d.Len()-1 || !got[0].Before(got[1]) {
-			t.Fatalf("res holds %d nodes, want %d in document order", len(got), d.Len()-1)
+	if lists == 0 {
+		t.Fatal("no read listed a bitmap")
+	}
+}
+
+// TestSortNodesMatchesDocumentOrder: over random batches from one document
+// (sorted as rank words) and from two (sorted by the comparator), with
+// duplicates, SortNodes and sortNodes with a kept scratch buffer give
+// exactly the order NodeRef.Before defines and keep every duplicate; a
+// family's run sort gives the same order with the duplicates dropped.
+// Batches run past 64 nodes, where SortNodes takes the comparator and
+// sortNodes keeps sorting words.
+func TestSortNodesMatchesDocumentOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	docs := []*Document{buildDoc(t, 300, "a"), buildDoc(t, 5000, "b")}
+	var pres []int32
+	var sc sortScratch
+	sorts := map[string]func([]NodeRef){
+		"SortNodes": SortNodes,
+		"sortNodes": func(ns []NodeRef) { pres = sortNodes(ns, pres) },
+	}
+	for trial := range 500 {
+		n := rng.Intn(100)
+		mixed := trial%3 == 0
+		batch := make([]NodeRef, 0, n)
+		for range n {
+			d := docs[trial%2]
+			if mixed {
+				d = docs[rng.Intn(2)]
+			}
+			span := d.Len()
+			if trial%5 == 0 {
+				span = min(span, n/2+1) // dense: many duplicates
+			}
+			batch = append(batch, NodeRef{D: d, Pre: int32(rng.Intn(span))})
+		}
+		if n > 0 && trial%7 == 0 {
+			batch = append(batch, batch[:n/2]...)
+		}
+		var want []NodeRef
+		for name, sort := range sorts {
+			count := map[NodeRef]int{}
+			for _, x := range batch {
+				count[x]++
+			}
+			got := slices.Clone(batch)
+			sort(got)
+			for i := range got {
+				if count[got[i]]--; count[got[i]] < 0 {
+					t.Fatalf("trial %d: %s changed the multiset at %d (%v)", trial, name, i, got[i])
+				}
+				if i > 0 && got[i].Before(got[i-1]) {
+					t.Fatalf("trial %d: %s put %v before %v", trial, name, got[i-1], got[i])
+				}
+			}
+			want = slices.Compact(got)
+		}
+		distinct := sc.run(slices.Clone(batch))
+		if len(distinct) != len(want) {
+			t.Fatalf("trial %d: run sort kept %d nodes, want %d", trial, len(distinct), len(want))
+		}
+		for i := range want {
+			if !distinct[i].Same(want[i]) {
+				t.Fatalf("trial %d: run sort node %d = %v, want %v", trial, i, distinct[i], want[i])
+			}
 		}
 	}
-	round() // warm: grow the log, the spare buffer, the screen and ∆
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Fatalf("absorbing an interleaving round and reading res: %v allocs, want 0", allocs)
+}
+
+// TestSortNodesAllocatesNothing: SortNodes borrows no heap buffer, on a
+// one-document batch that fits its stack buffer and on one that does not,
+// so DDO over more than 64 nodes allocates only its own copy and result.
+func TestSortNodesAllocatesNothing(t *testing.T) {
+	d := buildDoc(t, 1000, "a")
+	for _, n := range []int{40, 200} {
+		batch := make([]NodeRef, n)
+		shuffle := func() {
+			for i := range batch {
+				batch[i] = NodeRef{D: d, Pre: int32((i * 617) % 997)}
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { shuffle(); SortNodes(batch) }); allocs != 0 {
+			t.Fatalf("SortNodes of %d nodes: %v allocs, want 0", n, allocs)
+		}
+	}
+	seq := make(Sequence, 200)
+	for i := range seq {
+		seq[i] = NewNode(NodeRef{D: d, Pre: int32((i * 617) % 997)})
+	}
+	want := testing.AllocsPerRun(100, func() {
+		ns, _ := seq.Nodes()
+		NodeSeq(slices.Clone(ns))
+	})
+	if allocs := testing.AllocsPerRun(100, func() { DDO(seq) }); allocs != want {
+		t.Fatalf("DDO of 200 nodes: %v allocs, want %v (its node list, its copy and its result)", allocs, want)
 	}
 }
 

@@ -45,17 +45,48 @@ type Index struct {
 	bytes      int64 // resident/serialized size of the index sections
 }
 
-// Package-wide probe/fallback counters, moved only by the step kernel
-// (step.go): a probe is a step resolved against a posting list, a fallback
-// is an index-eligible step that walked the arena instead (probe judged
-// unprofitable). Exposed as monotonic totals through xq -store-stats and
-// xqd /metrics.
+// IndexCounts counts one evaluation's index-eligible steps, as the step
+// kernel (step.go) resolves them: a probe is a step resolved against a
+// posting list, a fallback is an index-eligible step that walked the arena
+// instead (probe judged unprofitable). An evaluation counts into its own
+// IndexCounts and adds it to the process-wide totals once, when it ends,
+// so concurrent evaluations never contend on the totals per step.
+type IndexCounts struct {
+	Probes, Fallbacks int64
+}
+
+// count records one index-eligible step, probed or not; a nil c counts
+// nothing.
+func (c *IndexCounts) count(probed bool) {
+	switch {
+	case c == nil:
+	case probed:
+		c.Probes++
+	default:
+		c.Fallbacks++
+	}
+}
+
+// Flush adds c to the process-wide totals and zeroes it.
+func (c *IndexCounts) Flush() {
+	if c.Probes != 0 {
+		indexProbes.Add(c.Probes)
+	}
+	if c.Fallbacks != 0 {
+		indexFallbacks.Add(c.Fallbacks)
+	}
+	*c = IndexCounts{}
+}
+
+// The process-wide probe/fallback totals, moved only by Flush. Exposed as
+// monotonic totals through xq -store-stats and xqd /metrics.
 var (
 	indexProbes    atomic.Int64
 	indexFallbacks atomic.Int64
 )
 
-// IndexCounters returns the process-wide probe/fallback totals.
+// IndexCounters returns the process-wide probe/fallback totals of every
+// evaluation that has ended.
 func IndexCounters() (probes, fallbacks int64) {
 	return indexProbes.Load(), indexFallbacks.Load()
 }

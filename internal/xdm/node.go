@@ -585,8 +585,56 @@ func NewLeafDoc(kind NodeKind, name, value string) NodeRef {
 }
 
 // SortNodes sorts node references into document order in place
-// (stamp-major, preorder-minor) without removing duplicates.
+// (stamp-major, preorder-minor) without removing duplicates. A batch of up
+// to 64 nodes sorts as rank words (sortNodes) in a stack buffer; a longer
+// one has no scratch to borrow, and a buffer of its own would cost an
+// allocation per call, so it keeps the comparator.
 func SortNodes(ns []NodeRef) {
+	var buf [64]int32
+	if len(ns) > len(buf) {
+		sortNodesCmp(ns)
+		return
+	}
+	sortNodes(ns, buf[:0])
+}
+
+// sortNodes is SortNodes with a caller-kept scratch buffer, which it
+// returns, grown if it had to be. Within one document a preorder rank is
+// document order (§4's pre/size/level encoding), so a one-document batch —
+// nearly every batch — sorts its ranks as plain words and writes them
+// back. A batch spanning documents keeps the two-field comparator: packing
+// (stamp, pre) words would sort as fast, but writing them back would need
+// a stamp → document lookup, and such batches (constructed nodes meeting
+// stored ones) are rare and small. A batch already in order is left as
+// it is.
+func sortNodes(ns []NodeRef, scratch []int32) []int32 {
+	if len(ns) < 2 {
+		return scratch
+	}
+	d := ns[0].D
+	pres := slices.Grow(scratch[:0], len(ns))[:len(ns)]
+	sorted := true
+	for i, n := range ns {
+		if n.D != d {
+			sortNodesCmp(ns)
+			return pres
+		}
+		pres[i] = n.Pre
+		if i > 0 && n.Pre < pres[i-1] {
+			sorted = false
+		}
+	}
+	if sorted {
+		return pres
+	}
+	slices.Sort(pres)
+	for i, pre := range pres {
+		ns[i].Pre = pre
+	}
+	return pres
+}
+
+func sortNodesCmp(ns []NodeRef) {
 	slices.SortFunc(ns, func(a, b NodeRef) int {
 		if a.D != b.D {
 			return cmp.Compare(a.D.stamp, b.D.stamp)

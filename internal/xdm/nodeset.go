@@ -18,7 +18,13 @@ type NodeSet struct {
 type docSet struct {
 	small map[int32]struct{} // sparse tier; nil once upgraded
 	bits  []uint64           // dense tier; nil while sparse
+	n     int                // members in this document
 }
+
+// retainDocs bounds the documents a Reset keeps the sets of when they have
+// no members: a set reused across fixpoint executions that meet a fresh
+// constructed fragment each time would otherwise grow a docSet per fragment.
+const retainDocs = 4
 
 // smallDocBits bounds the documents that go straight to the dense tier:
 // up to 4096 nodes the full bitmap is at most 512 bytes — cheaper than
@@ -71,6 +77,7 @@ func (s *NodeSet) Add(n NodeRef) bool {
 			return false
 		}
 		ds.bits[word] |= mask
+		ds.n++
 		s.n++
 		return true
 	}
@@ -78,6 +85,7 @@ func (s *NodeSet) Add(n NodeRef) bool {
 		return false
 	}
 	ds.small[n.Pre] = struct{}{}
+	ds.n++
 	s.n++
 	if len(ds.small) >= densifyAt(n.D) {
 		bits := make([]uint64, (n.D.Len()+63)/64)
@@ -90,13 +98,36 @@ func (s *NodeSet) Add(n NodeRef) bool {
 	return true
 }
 
-// Reset empties the set, retaining upgraded bitmaps for reuse.
+// dense returns the bitmap of the one document that holds every member,
+// when that document's set is in the dense tier: bit p of the bitmap is
+// the member of preorder rank p, so reading the set bits in order lists
+// the members in document order. It returns nil otherwise.
+func (s *NodeSet) dense() (*Document, []uint64) {
+	if s.n == 0 {
+		return nil, nil
+	}
+	for d, ds := range s.docs {
+		if ds.n == s.n {
+			return d, ds.bits
+		}
+	}
+	return nil, nil
+}
+
+// Reset empties the set, retaining the documents' sets, upgraded bitmaps
+// included, for reuse. Past retainDocs documents it drops the sets that
+// had no members since the last Reset.
 func (s *NodeSet) Reset() {
-	for _, ds := range s.docs {
-		if ds.bits != nil {
-			for i := range ds.bits {
-				ds.bits[i] = 0
+	for d, ds := range s.docs {
+		if ds.n == 0 { // already empty
+			if len(s.docs) > retainDocs {
+				delete(s.docs, d)
 			}
+			continue
+		}
+		ds.n = 0
+		if ds.bits != nil {
+			clear(ds.bits)
 		}
 		if ds.small != nil {
 			clear(ds.small)

@@ -116,18 +116,18 @@ func indexEligible(axis ast.Axis, t ast.NodeTest) bool {
 // together with n.D. It allocates only when dst must grow.
 //
 // noIndex forces the arena walk; otherwise an index-eligible step probes the
-// document's name index when that is judged cheaper, counted as a probe, or
-// walks after all, counted as a fallback (IndexCounters). Probed and walked
-// results are identical.
-func Step(dst []int32, n NodeRef, axis ast.Axis, t ast.NodeTest, noIndex bool) []int32 {
+// document's name index when that is judged cheaper, counted as a probe in
+// counts, or walks after all, counted as a fallback; a nil counts counts
+// nothing. Probed and walked results are identical.
+func Step(dst []int32, n NodeRef, axis ast.Axis, t ast.NodeTest, noIndex bool, counts *IndexCounts) []int32 {
 	d := n.D
 	m := newNodeMatcher(t, axis).in(d)
 	if !noIndex && indexEligible(axis, t) {
-		if out, ok := probeStep(dst, n, axis, &m); ok {
-			indexProbes.Add(1)
+		out, ok := probeStep(dst, n, axis, &m)
+		counts.count(ok)
+		if ok {
 			return out
 		}
-		indexFallbacks.Add(1)
 	}
 	if m.kind == noKind {
 		return dst

@@ -213,6 +213,7 @@ func TestStepMatchesAxisDefinitions(t *testing.T) {
 		tests := stepTests(doc.names)
 		for _, noIndex := range []bool{true, false} {
 			probes0, fallbacks0 := xdm.IndexCounters()
+			var counts xdm.IndexCounts
 			for pre := int32(0); pre < int32(d.Len()); pre++ {
 				c := xdm.NodeRef{D: d, Pre: pre}
 				for _, axis := range allAxes {
@@ -224,7 +225,7 @@ func TestStepMatchesAxisDefinitions(t *testing.T) {
 								want = append(want, p)
 							}
 						}
-						got := xdm.Step([]int32{-7}, c, axis, test, noIndex)
+						got := xdm.Step([]int32{-7}, c, axis, test, noIndex, &counts)
 						if got[0] != -7 || !slices.Equal(got[1:], want) {
 							t.Fatalf("%s: %v/%s::%s noIndex=%v:\n got %v\nwant %v",
 								d.URI, c, axis, test, noIndex, got, want)
@@ -232,6 +233,7 @@ func TestStepMatchesAxisDefinitions(t *testing.T) {
 					}
 				}
 			}
+			counts.Flush()
 			probes, fallbacks := xdm.IndexCounters()
 			probes, fallbacks = probes-probes0, fallbacks-fallbacks0
 			if noIndex && (probes != 0 || fallbacks != 0) {
@@ -260,7 +262,7 @@ func TestStepAxisOrderPins(t *testing.T) {
 	}
 	names := func(c xdm.NodeRef, axis ast.Axis) string {
 		s := ""
-		for _, p := range xdm.Step(nil, c, axis, ast.NodeTest{Kind: ast.TestAnyKind}, false) {
+		for _, p := range xdm.Step(nil, c, axis, ast.NodeTest{Kind: ast.TestAnyKind}, false, nil) {
 			n := xdm.NodeRef{D: d, Pre: p}
 			switch n.Kind() {
 			case xdm.TextNode:
@@ -305,7 +307,7 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	for _, c := range []xdm.NodeRef{d.Root(), mid} {
 		for _, axis := range allAxes {
 			for _, test := range []ast.NodeTest{{Kind: ast.TestAnyKind}, {Kind: ast.TestName, Name: "k"}} {
-				if n := testing.AllocsPerRun(10, func() { dst = xdm.Step(dst[:0], c, axis, test, false) }); n != 0 {
+				if n := testing.AllocsPerRun(10, func() { dst = xdm.Step(dst[:0], c, axis, test, false, nil) }); n != 0 {
 					t.Errorf("%v/%s::%s: %v allocs per step", c, axis, test, n)
 				}
 			}

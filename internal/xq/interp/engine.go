@@ -151,6 +151,7 @@ func (en *Engine) Eval() (*Result, error) {
 		globals: map[string]xdm.Sequence{},
 		tabled:  map[*ast.Fixpoint]*siteTable{},
 	}
+	defer ev.index.Flush()
 	var ctx dynCtx
 	if en.opts.ContextItem != nil {
 		ctx = dynCtx{item: *en.opts.ContextItem, ok: true, pos: 1, size: 1}

@@ -59,6 +59,9 @@ type evaluator struct {
 	evalTick uint
 	// stepBuf is evalAxisStep's scratch for the step kernel's output.
 	stepBuf []int32
+	// index counts the evaluation's index probes and fallbacks; Eval adds
+	// it to the process totals when the evaluation ends.
+	index xdm.IndexCounts
 }
 
 func (ev *evaluator) eval(e ast.Expr, en *env, ctx dynCtx) (xdm.Sequence, error) {
@@ -545,7 +548,9 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 	if err != nil {
 		return nil, err
 	}
-	return xdm.NodeSeq(res.Nodes(0)), nil
+	out := xdm.NodeSeq(res.Nodes(0))
+	x.Release(res)
+	return out, nil
 }
 
 // ifpBody is the interpreter's side of one fixpoint execution: it binds

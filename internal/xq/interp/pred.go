@@ -87,7 +87,7 @@ func (ev *evaluator) evalCmpPred(hp *cmpPred, en *env, pctx dynCtx) (bool, error
 		// answered by walking the arena with no intermediate sequences.
 		// Non-node candidates fall through so the axis-step error
 		// surfaces exactly as the unhoisted evaluation would raise it.
-		return matchesValueSet(pctx.item.Node(), hp.steps, hp.strs, ev.engine.opts.NoIndex), nil
+		return matchesValueSet(pctx.item.Node(), hp.steps, hp.strs, ev.engine.opts.NoIndex, &ev.index), nil
 	}
 	v, err := ev.eval(hp.dep, en, pctx)
 	if err != nil {
@@ -144,16 +144,16 @@ func simplePath(e ast.Expr) ([]*ast.AxisStep, bool) {
 // step chain has a string value in set — the existential `path = values`
 // comparison, evaluated without materializing any sequence. Each step
 // runs through the step kernel into a stack buffer.
-func matchesValueSet(n xdm.NodeRef, steps []*ast.AxisStep, set map[string]struct{}, noIndex bool) bool {
+func matchesValueSet(n xdm.NodeRef, steps []*ast.AxisStep, set map[string]struct{}, noIndex bool, counts *xdm.IndexCounts) bool {
 	var buf [16]int32
 	st := steps[0]
-	for _, pre := range xdm.Step(buf[:0], n, st.Axis, st.Test, noIndex) {
+	for _, pre := range xdm.Step(buf[:0], n, st.Axis, st.Test, noIndex, counts) {
 		m := xdm.NodeRef{D: n.D, Pre: pre}
 		if len(steps) == 1 {
 			if _, ok := set[m.StringValue()]; ok {
 				return true
 			}
-		} else if matchesValueSet(m, steps[1:], set, noIndex) {
+		} else if matchesValueSet(m, steps[1:], set, noIndex, counts) {
 			return true
 		}
 	}

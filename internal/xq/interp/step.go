@@ -59,7 +59,7 @@ func (ev *evaluator) evalAxisStep(n *ast.AxisStep, en *env, ctx dynCtx) (xdm.Seq
 	node := ctx.item.Node()
 	// The scratch is free again before any predicate runs (and re-enters
 	// this function): the ranks are turned into items first.
-	ev.stepBuf = xdm.Step(ev.stepBuf[:0], node, n.Axis, n.Test, ev.engine.opts.NoIndex)
+	ev.stepBuf = xdm.Step(ev.stepBuf[:0], node, n.Axis, n.Test, ev.engine.opts.NoIndex, &ev.index)
 	var selected xdm.Sequence
 	if len(ev.stepBuf) > 0 {
 		selected = make(xdm.Sequence, len(ev.stepBuf))
