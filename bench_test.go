@@ -174,7 +174,7 @@ func BenchmarkAblationHoisting(b *testing.B) {
 // the feed, handed back as iteration 0 of a batch, as the interpreter does.
 type childBody struct{ out xdm.Family }
 
-func (b *childBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+func (b *childBody) Step(feed *xdm.Family) (*xdm.Family, error) {
 	b.out.Reset()
 	for _, n := range feed.Nodes(0) {
 		for _, c := range n.Children() {

@@ -82,7 +82,7 @@ func CompilePlan(m *ast.Module, mode FixpointMode, strict bool, optimize func(*P
 	}
 	for _, site := range plan.Mus {
 		// The certificate auto mode picks µ∆ by also tables the body under
-		// every mode (fixpoint.go).
+		// every mode (core.Site.Tabled).
 		site.Mu.Tabled = site.DistributiveExt
 		if strict {
 			site.Mu.Tabled = site.Distributive

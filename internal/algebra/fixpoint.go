@@ -23,6 +23,8 @@ import (
 // place into one xdm.Family, whose iterations are the loop's iter values
 // mapped to dense ids — no round rebuilds or re-sorts what previous rounds
 // already established.
+// A Tabled site is fed ∆ in every round; an iteration-free one (mu.Keys)
+// starts a fresh core table on every execution.
 func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	seedT, err := ctx.kid(n, 0)
 	if err != nil {
@@ -30,11 +32,12 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	}
 	x := ctx.sites.Enter(n, func() (*MuRun, string) {
 		if n.Delta {
-			return &MuRun{Delta: true, Site: core.Site{Algorithm: core.Delta}}, "µ∆"
+			return &MuRun{Delta: true, Site: core.Site{Algorithm: core.Delta, Tabled: n.Tabled}}, "µ∆"
 		}
-		return &MuRun{}, "µ"
+		return &MuRun{Site: core.Site{Tabled: n.Tabled}}, "µ"
 	})
-	body := &muBody{ctx: ctx, mu: n, deps: ctx.bodyDeps(n), hits: &x.Site().TableHits, ids: map[xdm.Key]int32{}}
+	body := &muBody{ctx: ctx, mu: n, deps: ctx.bodyDeps(n), ids: map[xdm.Key]int32{}, out: x.Borrow()}
+	defer x.Release(body.out)
 	if n.Keys != nil {
 		if body.loop, err = ctx.kid(n, 2); err != nil {
 			return nil, err
@@ -43,6 +46,9 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 	seed, err := body.batch(seedT)
 	if err != nil {
 		return nil, err
+	}
+	if n.Tabled && n.Keys != nil {
+		x.Table, x.EmptySeeded = core.FreshTable, body.emptySeeded()
 	}
 	res, err := core.Run(x, seed, body)
 	if err != nil {
@@ -62,44 +68,21 @@ func (ctx *ExecContext) evalMu(n *Node) (*Table, error) {
 // (OpRecBase) table, drops the rec-dependent memo entries so the body
 // re-evaluates, and hands the answer to core's loop as a batch. Each
 // distinct iter value becomes a dense family iteration id the first time
-// the execution meets it.
-//
-// A tabled site's body is certified distributive, e(X) = ∪_{x∈X} e({x})
-// (§3), so a node's answer never needs computing twice, and every round —
-// Naïve's too, since e(res_k) ⊆ res_k ∪ e(∆_k) — is answered from ∆ alone.
-// Keyed by (iteration, node), ∆ is all the body needs: a fed node outside
-// it was answered in an earlier round. An iteration-free body is keyed by
-// the node alone: the body plan runs once per round on the nodes no
-// earlier round answered, each in its own key iteration, and the round's
-// batch is ∆ joined with the memoized answers on the node. core still
-// feeds and counts every row, so the Table 2 counters stay the logical
-// ones; the fed rows the body was not evaluated on are the site's
-// TableHits.
+// the execution meets it. An iteration-free body also answers nodes one
+// at a time (Answer), each in a key iteration of its own.
 type muBody struct {
 	ctx   *ExecContext
 	mu    *Node
 	deps  map[*Node]bool
-	hits  *int64            // the site's core.Site.TableHits
 	ids   map[xdm.Key]int32 // iter value → iteration id
 	iters []xdm.Item        // iteration id → iter value
 	order []int32           // ids by xdm.CompareOrder of their iter values
-	out   xdm.Family        // the batch, reused across rounds
+	out   *xdm.Family       // the batch, borrowed from the site
 	loop  *Table            // the enclosing loop, when the body is compiled against mu.Keys
-
-	keys    map[xdm.NodeRef]int32 // node → key iteration, iteration-free bodies
-	answers xdm.Family            // key iteration → its answer
-	scratch xdm.Family
 }
 
 // Step evaluates the body for one payload application.
-func (b *muBody) Step(feed, delta *xdm.Family) (*xdm.Family, error) {
-	switch {
-	case b.mu.Tabled && b.mu.Keys != nil:
-		return b.keyedStep(feed, delta)
-	case b.mu.Tabled:
-		*b.hits += int64(feed.Len() - delta.Len())
-		feed = delta
-	}
+func (b *muBody) Step(feed *xdm.Family) (*xdm.Family, error) {
 	out, err := b.eval(b.table(feed), b.loop)
 	if err != nil {
 		return nil, err
@@ -107,87 +90,51 @@ func (b *muBody) Step(feed, delta *xdm.Family) (*xdm.Family, error) {
 	return b.batch(out)
 }
 
-// keyedStep is Step on a tabled iteration-free body: each node ∆ brings
-// that no round answered gets a key iteration, the body plan runs once over
-// those, and every ∆ row takes its node's answer. In round 0 an iteration
-// of the enclosing loop with an empty seed still takes the body's constant
-// part, e(∅), which one more key iteration with no node answers.
-func (b *muBody) keyedStep(feed, delta *xdm.Family) (*xdm.Family, error) {
-	first := b.keys == nil
-	if first {
-		b.keys = map[xdm.NodeRef]int32{}
-	}
+// emptySeeded gives ids to the loop's iterations the seed left empty and
+// returns them: a body compiled against key iterations answers them e(∅).
+func (b *muBody) emptySeeded() []int32 {
 	var ids []int32
-	var nodes []xdm.NodeRef
-	for id := range int32(len(b.iters)) {
-		for _, n := range delta.Nodes(id) {
-			if _, ok := b.keys[n]; !ok {
-				k := int32(len(b.keys))
-				b.keys[n] = k
-				ids, nodes = append(ids, k), append(nodes, n)
-			}
+	iterC := b.loop.ColAt(b.loop.Col("iter"))
+	iterR := iterC.reader()
+	for i := 0; i < b.loop.Len(); i++ {
+		k := iterC.key(i)
+		if _, seeded := b.ids[k]; !seeded {
+			ids = append(ids, b.iterID(k, iterR.item(i)))
 		}
 	}
-	var emptySeeded []int32
-	if first {
-		iterC := b.loop.ColAt(b.loop.Col("iter"))
-		iterR := iterC.reader()
-		for i := 0; i < b.loop.Len(); i++ {
-			k := iterC.key(i)
-			if _, seeded := b.ids[k]; !seeded {
-				emptySeeded = append(emptySeeded, b.iterID(k, iterR.item(i)))
-			}
-		}
-		if len(emptySeeded) > 0 {
-			// The zero NodeRef holds e(∅)'s key, so no node takes its id.
-			b.keys[xdm.NodeRef{}] = int32(len(b.keys))
-			ids = append(ids, b.keys[xdm.NodeRef{}])
-		}
-	}
-	*b.hits += int64(feed.Len() - len(nodes))
-	if len(ids) > 0 {
-		if err := b.answer(ids, nodes); err != nil {
-			return nil, err
-		}
-	}
-	b.out.Reset()
-	for id := range int32(len(b.iters)) {
-		for _, n := range delta.Nodes(id) {
-			b.out.AddNodes(id, b.answers.Nodes(b.keys[n]))
-		}
-	}
-	for _, id := range emptySeeded {
-		b.out.AddNodes(id, b.answers.Nodes(b.keys[xdm.NodeRef{}]))
-	}
-	return &b.out, nil
+	return ids
 }
 
-// answer evaluates the body on key iterations ids, the first len(nodes) of
-// which feed one node each, and memoizes their answers. The memo is charged
-// to the row budget.
-func (b *muBody) answer(ids []int32, nodes []xdm.NodeRef) error {
-	iterV := make([]xdm.Item, len(ids))
-	for i, k := range ids {
-		iterV[i] = xdm.NewInteger(int64(k))
+// Answer evaluates an iteration-free body once over one key iteration per
+// node: key i is fed nodes[i] alone, and a trailing zero NodeRef's key is
+// fed nothing, which gives it e(∅).
+func (b *muBody) Answer(nodes []xdm.NodeRef) (*xdm.Family, error) {
+	keyV := make([]xdm.Item, len(nodes))
+	for i := range keyV {
+		keyV[i] = xdm.NewInteger(int64(i))
+	}
+	fed := len(nodes)
+	if fed > 0 && nodes[fed-1] == (xdm.NodeRef{}) {
+		fed--
 	}
 	feed := NewColTable([]string{"iter", "pos", "item"}, []*Column{
-		genericColumn(iterV[:len(nodes)]), repeatColumn(xdm.NewInteger(1), len(nodes)), packedNodeColumn(nodes)})
-	keys := NewColTable([]string{"iter"}, []*Column{genericColumn(iterV)})
+		genericColumn(keyV[:fed]), repeatColumn(xdm.NewInteger(1), fed), packedNodeColumn(nodes[:fed])})
+	keys := NewColTable([]string{"iter"}, []*Column{genericColumn(keyV)})
 	if err := b.ctx.chargeTable(keys); err != nil {
-		return err
+		return nil, err
 	}
 	out, err := b.eval(feed, keys)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	b.scratch.Reset()
+	b.out.Reset()
 	iterR, itemR := out.ColAt(out.Col("iter")).reader(), out.ColAt(out.Col("item")).reader()
 	for i := 0; i < out.Len(); i++ {
-		if err := b.scratch.Add(int32(iterR.item(i).Int()), itemR.item(i)); err != nil {
-			return err
+		if err := b.out.Add(int32(iterR.item(i).Int()), itemR.item(i)); err != nil {
+			return nil, err
 		}
 	}
-	return b.ctx.Budget.ChargeRows(b.answers.Absorb(&b.scratch).Len())
+	return b.out, nil
 }
 
 // eval binds the feed (and the key loop, for a body compiled against one)
@@ -220,7 +167,7 @@ func (b *muBody) batch(t *Table) (*xdm.Family, error) {
 			return nil, err
 		}
 	}
-	return &b.out, nil
+	return b.out, nil
 }
 
 // iterID returns the iteration id of the iter value v with key k,

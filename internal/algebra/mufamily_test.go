@@ -127,7 +127,7 @@ func TestIterSetsAbsorbMatchesPlusMinusOracle(t *testing.T) {
 			xdm.NewString("it"),
 		}
 		rng.Shuffle(len(iters), func(i, j int) { iters[i], iters[j] = iters[j], iters[i] })
-		body := &muBody{ids: map[xdm.Key]int32{}}
+		body := &muBody{ids: map[xdm.Key]int32{}, out: new(xdm.Family)}
 		// The seed draws from the first two iter values only, so the rest
 		// get their ids in later rounds.
 		seedT := randBatch(rng, docs, iters[:2], 1+rng.Intn(20))
@@ -169,7 +169,7 @@ func TestIterSetsAbsorbEmptyBatch(t *testing.T) {
 	docs := []*xdm.Document{randDoc(rng, 40, "a.xml")}
 	iters := []xdm.Item{xdm.NewInteger(1), xdm.NewInteger(2)}
 	seedT := randBatch(rng, docs, iters, 25)
-	body := &muBody{ids: map[xdm.Key]int32{}}
+	body := &muBody{ids: map[xdm.Key]int32{}, out: new(xdm.Family)}
 	seed, err := body.batch(seedT)
 	if err != nil {
 		t.Fatal(err)

@@ -163,8 +163,8 @@ type Node struct {
 	// RecBase points at that leaf so the executor can rebind it. An
 	// iteration-free body is compiled against Keys, a second OpRecBase leaf
 	// of schema iter that evalMu binds to the round's key iterations, and
-	// Kids[2] is then the enclosing loop. Tabled marks a site whose body is
-	// certified distributive: it is evaluated once per key (fixpoint.go).
+	// Kids[2] is then the enclosing loop. Tabled marks a certified body,
+	// which core feeds ∆ and, iteration-free, answers from its table.
 	Delta   bool
 	Tabled  bool
 	RecBase *Node

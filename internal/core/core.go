@@ -10,6 +10,10 @@
 // cancellation, the Table 2 counters and the per-round trace spans therefore
 // live here once, and Sites aggregates each evaluation's fixpoint sites the
 // same way for both engines.
+//
+// So does tabling. A certified body satisfies e(X) = ∪ₓ e({x}) (§3): Run
+// feeds a Tabled site ∆ in every round, and may answer ∆ from the site's
+// table, asking the body only for the misses (Answerer, Tabling).
 package core
 
 import (
@@ -79,13 +83,17 @@ type Body interface {
 	// Step applies e_rec once with the recursion variable bound to feed and
 	// returns the answer as an xdm.Family batch, which the loop absorbs
 	// into res. The first call is the seeding application (feed is the
-	// seed). delta is the previous application's ∆ — the seed itself on
-	// the first call — which a body certified distributive may evaluate
-	// instead of feed even when feed is res (the relational engine's
-	// tabled µ under Naïve), because e(res) ⊆ res ∪ e(∆) then. feed and
-	// delta are valid only during the call, and the batch until the next
-	// one.
-	Step(feed, delta *xdm.Family) (*xdm.Family, error)
+	// seed); at a tabled site every later feed is the previous ∆. feed is
+	// valid only during the call, and the batch until the next one.
+	Step(feed *xdm.Family) (*xdm.Family, error)
+}
+
+// Answerer is a Body that also answers nodes one at a time: iteration i of
+// Answer's family is e({nodes[i]}), and a trailing zero NodeRef asks for
+// e(∅). The family is valid until the next call.
+type Answerer interface {
+	Body
+	Answer(nodes []xdm.NodeRef) (*xdm.Family, error)
 }
 
 // Config is what every fixpoint of one evaluation shares.
@@ -113,11 +121,14 @@ type Config struct {
 type Site struct {
 	Algorithm    Algorithm
 	Distributive bool
-	Executions   int
-	Stats        Stats
-	// TableHits counts the fed nodes the engine answered from earlier
-	// applications instead of evaluating e_rec on them (the interpreter's
-	// tabled µ); core's loop never sets it.
+	// Tabled marks a site certified for tabling: every round is fed ∆,
+	// and an execution may run with the site's table (Exec.Table).
+	Tabled     bool
+	Executions int
+	Stats      Stats
+	// TableHits counts the fed nodes e_rec was not evaluated on: at a
+	// tabled site, res − ∆ of every Naïve round and the nodes of ∆ the
+	// site's table answered.
 	TableHits int64
 }
 
@@ -159,13 +170,16 @@ func (s *Sites[K, R]) Enter(key K, describe func() (R, string)) Exec {
 	x, ok := s.execs[key]
 	if !ok {
 		rec, label := describe()
-		x = Exec{cfg: &s.cfg, site: rec.site(), trace: s.cfg.Trace.AddSite(label), free: new([]*xdm.Family)}
+		x = Exec{cfg: &s.cfg, site: rec.site(), trace: s.cfg.Trace.AddSite(label), rec: len(s.recs), kept: new(kept)}
 		s.execs[key] = x
 		s.keys = append(s.keys, key)
 		s.recs = append(s.recs, rec)
 	}
 	return x
 }
+
+// Record is the engine's record of x's site.
+func (s *Sites[K, R]) Record(x Exec) R { return s.recs[x.rec] }
 
 // All yields every registered site with its record, in first-execution
 // order.
@@ -181,19 +195,29 @@ func (s *Sites[K, R]) All() iter.Seq2[K, R] {
 
 // Exec is one execution of a registered site, as Sites.Enter hands it out.
 type Exec struct {
+	// Table is what the execution does with the site's table, set by the
+	// engine before Run at a Tabled site whose body is an Answerer.
+	Table Tabling
+	// EmptySeeded lists the iterations whose seed was empty: with a table,
+	// each takes e(∅) in round 0.
+	EmptySeeded []int32
+
 	cfg   *Config
 	site  *Site
 	trace int
-	// free holds the site's released res families. Each execution pops
-	// one, so a re-entrant execution of the site never shares the live
-	// res of the one it runs inside; the list belongs to one evaluation's
-	// Sites, so nothing is shared across evaluations or goroutines.
-	free *[]*xdm.Family
+	rec   int // the site's index in Sites.recs
+	kept  *kept
 }
 
-// Site is the report of the execution's site, for the engine to count its
-// TableHits on.
-func (x Exec) Site() *Site { return x.site }
+// kept is what a site keeps across executions: released families, which
+// each execution pops its own of, so a re-entrant one never shares a live
+// res or batch, and the table (with its batch) the last fresh start made.
+// It belongs to one evaluation's Sites, so nothing is shared across
+// goroutines.
+type kept struct {
+	free  []*xdm.Family
+	table *table
+}
 
 // Run computes one execution of the site's inflationary fixed point from
 // the seed batch, with the site's algorithm: Naïve (Figure 3(a))
@@ -218,42 +242,58 @@ func Run(x Exec, seed *xdm.Family, body Body) (*xdm.Family, error) {
 	return run(x, seed, body, RoundCap)
 }
 
-// Release hands res, the result of one of the site's Runs, back to the
-// site for its next execution. res and every slice read from it are
-// invalid afterwards; Release it at most once.
-func (x Exec) Release(res *xdm.Family) {
-	if res != nil {
-		*x.free = append(*x.free, res)
+// Borrow lends the execution an empty family, the engine's batch say,
+// from the site's free list.
+func (x Exec) Borrow() *xdm.Family {
+	k := x.kept
+	if len(k.free) == 0 {
+		return new(xdm.Family)
+	}
+	f := k.free[len(k.free)-1]
+	k.free = k.free[:len(k.free)-1]
+	f.Reset()
+	return f
+}
+
+// Release hands back f, a family Borrow lent or a Run's result, for the
+// site's next executions. f and every slice read from it are invalid
+// afterwards; Release it at most once.
+func (x Exec) Release(f *xdm.Family) {
+	if f != nil {
+		x.kept.free = append(x.kept.free, f)
 	}
 }
 
-// borrow pops a released family, emptied, or makes one.
-func (x Exec) borrow() *xdm.Family {
-	free := *x.free
-	if len(free) == 0 {
-		return new(xdm.Family)
-	}
-	res := free[len(free)-1]
-	*x.free = free[:len(free)-1]
-	res.Reset()
-	return res
+// execution is one Run under way, with its table when it runs tabled.
+type execution struct {
+	Exec
+	body Body
+	res  *xdm.Family
+	st   Stats
+	tab  *table
 }
 
 func run(x Exec, seed *xdm.Family, body Body, roundCap int) (_ *xdm.Family, err error) {
-	var st Stats
 	// res first holds the seed in distinct document order, round 0's feed;
 	// apply empties it before absorbing e_rec(e_seed).
-	res := x.borrow()
+	e := execution{Exec: x, body: body, res: x.Borrow()}
+	if x.Table != Untabled {
+		e.tab = x.open()
+	}
 	defer func() {
 		x.site.Executions++
-		x.site.Stats.Add(st)
+		x.site.Stats.Add(e.st)
+		if e.tab != nil {
+			e.tab.busy = false
+		}
 		if err != nil {
-			x.Release(res)
+			x.Release(e.res)
 		}
 	}()
 	budget := x.cfg.Budget
+	res := e.res
 	res.Absorb(seed)
-	delta, err := apply(x, body, res, 0, res, res, &st)
+	delta, err := e.apply(0, res, res)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +320,7 @@ func run(x Exec, seed *xdm.Family, body Body, roundCap int) (_ *xdm.Family, err 
 		if err := budget.ChargeRows(feed.Len()); err != nil {
 			return nil, err
 		}
-		if delta, err = apply(x, body, res, round+1, feed, delta, &st); err != nil {
+		if delta, err = e.apply(round+1, feed, delta); err != nil {
 			return nil, err
 		}
 		if delta.Len() == 0 { // res is inflationary: no growth ⇒ fixpoint
@@ -290,32 +330,39 @@ func run(x Exec, seed *xdm.Family, body Body, roundCap int) (_ *xdm.Family, err 
 			return nil, err
 		}
 	}
-	st.Depth = st.PayloadCalls - 1
-	st.ResultSize = res.Len()
+	e.st.Depth = e.st.PayloadCalls - 1
+	e.st.ResultSize = res.Len()
 	return res, nil
 }
 
 // apply is one payload application: the cancellation poll, the Table 2
-// counters, and the round's trace span around the body's Step and the
-// absorb of its answer into res. It returns ∆.
-func apply(x Exec, body Body, res *xdm.Family, round int, feed, delta *xdm.Family, st *Stats) (*xdm.Family, error) {
-	if err := x.cfg.Context.Err(); err != nil {
+// counters, and the round's trace span around the body's answer and its
+// absorb into res. A tabled site's body sees only delta, the previous ∆:
+// e(res) ⊆ res ∪ e(∆), so the rest of a Naïve feed is counted as table
+// hits. It returns the new ∆.
+func (e *execution) apply(round int, feed, delta *xdm.Family) (*xdm.Family, error) {
+	if err := e.cfg.Context.Err(); err != nil {
 		return nil, err
 	}
-	// Measured before Step: the feed may alias res, which the absorb grows.
+	// Measured before the body runs: the feed may alias res, which the
+	// absorb grows.
 	fed := int64(feed.Len())
-	st.PayloadCalls++
-	st.NodesFedBack += fed
-	tr := x.cfg.Trace
-	t0, hits := tr.Now(), x.site.TableHits
-	answer, err := body.Step(feed, delta)
+	e.st.PayloadCalls++
+	e.st.NodesFedBack += fed
+	tr := e.cfg.Trace
+	t0, hits := tr.Now(), e.site.TableHits
+	if e.site.Tabled {
+		e.site.TableHits += fed - int64(delta.Len())
+		feed = delta
+	}
+	answer, err := e.step(feed)
 	if err != nil {
 		return nil, err
 	}
 	if round == 0 { // res held the seed; Definition 2.1 leaves it out
-		res.Reset()
+		e.res.Reset()
 	}
-	d := res.Absorb(answer)
-	tr.AddRound(x.trace, round, fed, int64(d.Len()), fed-(x.site.TableHits-hits), tr.Now()-t0)
+	d := e.res.Absorb(answer)
+	tr.AddRound(e.trace, round, fed, int64(d.Len()), fed-(e.site.TableHits-hits), tr.Now()-t0)
 	return d, nil
 }

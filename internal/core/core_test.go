@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/leaktest"
 	"repro/internal/xdm"
@@ -46,7 +47,7 @@ type seqBody struct {
 	out     xdm.Family
 }
 
-func (b *seqBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+func (b *seqBody) Step(feed *xdm.Family) (*xdm.Family, error) {
 	out, err := b.payload(xdm.NodeSeq(feed.Nodes(0)))
 	if err != nil {
 		return nil, err
@@ -382,7 +383,7 @@ type fixedBody struct {
 	k       int
 }
 
-func (b *fixedBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+func (b *fixedBody) Step(feed *xdm.Family) (*xdm.Family, error) {
 	feed.Nodes(0)
 	a := b.answers[min(b.k, len(b.answers)-1)]
 	b.k++
@@ -448,6 +449,39 @@ func TestSecondExecutionAllocatesNothing(t *testing.T) {
 			})
 		}
 	}
+	// A tabled execution that reuses the site's table and finds every fed
+	// node in it allocates nothing either: no map insert, no entry, no
+	// batch regrowth.
+	_, verts := graphDoc(120)
+	chain := make([][]int, len(verts))
+	for i := range len(verts) - 1 {
+		chain[i] = []int{i + 1}
+	}
+	for _, alg := range []Algorithm{Naive, Delta} {
+		t.Run("tabled/"+alg.String(), func(t *testing.T) {
+			x := tabledSite(alg, Config{})
+			body := newTableBody(verts, chain, nil)
+			var seed xdm.Family
+			seed.AddNodes(0, verts[:1])
+			execute := func() {
+				res, err := Run(x, &seed, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x.Release(res)
+			}
+			x.Table = FreshTable
+			execute()
+			x.Table = ReuseTable
+			hits := x.site.TableHits
+			if allocs := testing.AllocsPerRun(20, execute); allocs != 0 {
+				t.Fatalf("a second tabled execution of the site: %v allocs, want 0", allocs)
+			}
+			if len(body.asked) != len(verts) || x.site.BodyInputs() != int64(len(verts)) || x.site.TableHits == hits {
+				t.Fatalf("%d nodes asked, %d body inputs; want each of the %d once", len(body.asked), x.site.BodyInputs(), len(verts))
+			}
+		})
+	}
 }
 
 // nestingBody re-enters its own site from inside Step, the way a body
@@ -463,7 +497,7 @@ type nestingBody struct {
 	runs  int
 }
 
-func (b *nestingBody) Step(feed, _ *xdm.Family) (*xdm.Family, error) {
+func (b *nestingBody) Step(feed *xdm.Family) (*xdm.Family, error) {
 	level := len(b.live)
 	b.live = append(b.live, feed)
 	defer func() { b.live = b.live[:level] }()
@@ -519,5 +553,273 @@ func TestReentrantExecutionsTakeTheirOwnRes(t *testing.T) {
 		if body.runs == 0 || x.Site().Executions != 2+body.runs {
 			t.Fatalf("%v: %d nested runs, %d executions", alg, body.runs, x.Site().Executions)
 		}
+	}
+}
+
+// Site is the report of the execution's site.
+func (x Exec) Site() *Site { return x.site }
+
+// tableBody is a certified body over a graph's vertices: e(X) is base
+// together with the successors of X's nodes, in every iteration. Step
+// answers a whole feed; Answer answers nodes one at a time and counts, per
+// node, the times it was asked, and the times e(∅) was, unless quiet.
+// inAnswer, when set, runs inside every Answer call, before the answers
+// are made.
+type tableBody struct {
+	verts    []xdm.NodeRef
+	adj      [][]int
+	base     []xdm.NodeRef
+	asked    map[xdm.NodeRef]int
+	empties  int
+	quiet    bool
+	inAnswer func()
+	out      xdm.Family
+}
+
+func newTableBody(verts []xdm.NodeRef, adj [][]int, base []xdm.NodeRef) *tableBody {
+	return &tableBody{verts: verts, adj: adj, base: base, asked: map[xdm.NodeRef]int{}}
+}
+
+func (b *tableBody) add(id int32, n xdm.NodeRef) {
+	b.out.AddNodes(id, b.base)
+	if n.D != nil {
+		for _, s := range b.adj[n.Pre-b.verts[0].Pre] {
+			b.out.AddNodes(id, b.verts[s:s+1])
+		}
+	}
+}
+
+func (b *tableBody) Step(feed *xdm.Family) (*xdm.Family, error) {
+	b.out.Reset()
+	for id := range feed.Iters() {
+		b.out.AddNodes(id, b.base)
+		for _, n := range feed.Nodes(id) {
+			b.add(id, n)
+		}
+	}
+	return &b.out, nil
+}
+
+func (b *tableBody) Answer(nodes []xdm.NodeRef) (*xdm.Family, error) {
+	if b.inAnswer != nil {
+		b.inAnswer()
+	}
+	b.out.Reset()
+	for i, n := range nodes {
+		switch {
+		case b.quiet:
+		case n.D == nil:
+			b.empties++
+		default:
+			b.asked[n]++
+		}
+		b.add(int32(i), n)
+	}
+	return &b.out, nil
+}
+
+// tabledSite registers one Tabled site of algorithm alg.
+func tabledSite(alg Algorithm, cfg Config) Exec {
+	return NewSites[int, *Site](cfg).Enter(0, func() (*Site, string) {
+		return &Site{Algorithm: alg, Tabled: true}, alg.String()
+	})
+}
+
+// closure runs one execution of x from seed, one iteration per seed
+// entry, and returns each iteration's result.
+func closure(t *testing.T, x Exec, body Body, seed ...[]xdm.NodeRef) [][]xdm.NodeRef {
+	t.Helper()
+	var f xdm.Family
+	for id, nodes := range seed {
+		f.AddNodes(int32(id), nodes)
+	}
+	res, err := Run(x, &f, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]xdm.NodeRef, len(seed))
+	for id := range seed {
+		out[id] = append([]xdm.NodeRef(nil), res.Nodes(int32(id))...)
+	}
+	x.Release(res)
+	return out
+}
+
+func sameNodes(a, b [][]xdm.NodeRef) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if !a[i][j].Same(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func randomGraph(rng *rand.Rand, n, edges int) [][]int {
+	adj := make([][]int, n)
+	for range edges {
+		from := rng.Intn(n)
+		adj[from] = append(adj[from], rng.Intn(n))
+	}
+	return adj
+}
+
+// TestTableAnswersEachNodeOnce: executions of a tabled site from every
+// vertex of a random graph, the first starting a fresh table and the rest
+// reusing it, ask the body for each node at most once over all of them,
+// and answer what untabled executions answer. Every fed node the body was
+// not asked for is a table hit, under Naïve (whose feed is res) and Delta
+// alike.
+func TestTableAnswersEachNodeOnce(t *testing.T) {
+	_, verts := graphDoc(40)
+	adj := randomGraph(rand.New(rand.NewSource(3)), len(verts), 70)
+	for _, alg := range []Algorithm{Naive, Delta} {
+		oracle := NewSites[int, *Site](Config{}).Enter(0, func() (*Site, string) { return &Site{Algorithm: alg}, "" })
+		x := tabledSite(alg, Config{})
+		body := newTableBody(verts, adj, nil)
+		for i, v := range verts {
+			x.Table = ReuseTable
+			if i == 0 {
+				x.Table = FreshTable
+			}
+			got := closure(t, x, body, []xdm.NodeRef{v})
+			if want := closure(t, oracle, newTableBody(verts, adj, nil), []xdm.NodeRef{v}); !sameNodes(got, want) {
+				t.Fatalf("%v from vertex %d: tabled %v, untabled %v", alg, i, got, want)
+			}
+		}
+		var misses int64
+		for n, k := range body.asked {
+			if k != 1 {
+				t.Fatalf("%v: node %d asked %d times", alg, n.Pre, k)
+			}
+			misses++
+		}
+		site := x.site
+		if site.TableHits != site.Stats.NodesFedBack-misses || site.BodyInputs() != misses {
+			t.Fatalf("%v: %d fed, %d misses, %d table hits", alg, site.Stats.NodesFedBack, misses, site.TableHits)
+		}
+		if site.Stats != oracle.site.Stats {
+			t.Fatalf("%v: tabled counters %+v, untabled %+v", alg, site.Stats, oracle.site.Stats)
+		}
+	}
+}
+
+// TestTableAnswersEmptySetOnce: iterations seeded empty take e(∅), the
+// body's constant part, which no fed node's entry holds: the body is asked
+// for it once per table, however many iterations and executions need it,
+// and those iterations then close over it like a seed.
+func TestTableAnswersEmptySetOnce(t *testing.T) {
+	_, verts := graphDoc(12)
+	adj := make([][]int, len(verts))
+	for i := range len(verts) - 1 {
+		adj[i] = []int{i + 1}
+	}
+	base := verts[8:9]
+	x := tabledSite(Delta, Config{})
+	body := newTableBody(verts, adj, base)
+	x.EmptySeeded = []int32{1, 3}
+	for _, use := range []Tabling{FreshTable, ReuseTable} {
+		x.Table = use
+		got := closure(t, x, body, verts[0:1], nil, verts[5:6], nil)
+		for id, first := range []int{1, 8, 6, 8} {
+			if want := verts[first:]; !sameNodes(got[id:id+1], [][]xdm.NodeRef{want}) {
+				t.Fatalf("%v iteration %d: %d nodes, want the %d from vertex %d", use, id, len(got[id]), len(want), first)
+			}
+		}
+		if body.empties != 1 {
+			t.Fatalf("%v: e(∅) asked %d times, want once", use, body.empties)
+		}
+	}
+}
+
+// TestFreshTableInsideLeavesOuterTable: a fresh start made by an execution
+// nested inside the body of a running one, of the same site, takes a table
+// of its own. The outer execution, whose table is mid-round, still answers
+// its closure right and asks for none of its nodes twice.
+func TestFreshTableInsideLeavesOuterTable(t *testing.T) {
+	_, verts := graphDoc(30)
+	adj := randomGraph(rand.New(rand.NewSource(5)), len(verts), 50)
+	want := closure(t, NewSites[int, *Site](Config{}).Enter(0, func() (*Site, string) { return &Site{Algorithm: Delta}, "" }),
+		newTableBody(verts, adj, nil), verts[0:1])
+	for _, use := range []Tabling{FreshTable, ReuseTable} {
+		x := tabledSite(Delta, Config{})
+		body := newTableBody(verts, adj, nil)
+		nested := 0
+		body.inAnswer = func() {
+			if body.quiet {
+				return
+			}
+			nested++
+			inner := x
+			inner.Table = FreshTable
+			body.quiet = true
+			closure(t, inner, body, verts[len(verts)-1:])
+			body.quiet = false
+		}
+		x.Table = FreshTable
+		body.quiet = true
+		closure(t, x, body, verts[3:4]) // the table a reuse finds
+		body.quiet = false
+		x.Table = use
+		if got := closure(t, x, body, verts[0:1]); !sameNodes(got, want) {
+			t.Fatalf("%v: outer execution answered %v, want %v", use, got, want)
+		}
+		for n, k := range body.asked {
+			if k > 1 {
+				t.Fatalf("%v: outer execution asked node %d %d times", use, n.Pre, k)
+			}
+		}
+		if nested == 0 {
+			t.Fatalf("%v: no execution ran nested", use)
+		}
+	}
+}
+
+// TestTableEntriesChargeRowBudget: each new table entry is charged to the
+// row budget once, on top of what an untabled execution charges, so a row
+// budget an untabled execution fits in can trip on the entries.
+func TestTableEntriesChargeRowBudget(t *testing.T) {
+	_, verts := graphDoc(20)
+	adj := randomGraph(rand.New(rand.NewSource(9)), len(verts), 40)
+	charged := func(use Tabling, maxRows int64) (int64, map[xdm.NodeRef]int, error) {
+		budget := xdm.NewBudget(time.Time{}, 0, maxRows)
+		x := tabledSite(Delta, Config{Budget: budget})
+		x.Table = use
+		body := newTableBody(verts, adj, nil)
+		var seed xdm.Family
+		seed.AddNodes(0, verts[:1])
+		res, err := Run(x, &seed, body)
+		if err == nil {
+			x.Release(res)
+		}
+		return budget.RowsCharged(), body.asked, err
+	}
+	plain, _, err := charged(Untabled, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabled, asked, err := charged(FreshTable, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries int64
+	for n := range asked {
+		entries += int64(len(adj[n.Pre-verts[0].Pre]))
+	}
+	if entries == 0 || tabled != plain+entries {
+		t.Fatalf("tabled execution charged %d rows, untabled %d, entries %d", tabled, plain, entries)
+	}
+	if _, _, err := charged(Untabled, tabled-1); err != nil {
+		t.Fatalf("untabled under %d rows: %v", tabled-1, err)
+	}
+	if _, _, err := charged(FreshTable, tabled-1); xdm.CodeOf(err) != xdm.ErrRows {
+		t.Fatalf("tabled under %d rows: %v, want %s", tabled-1, err, xdm.ErrRows)
 	}
 }

@@ -24,9 +24,9 @@ type Phase struct {
 
 // Round is one fixpoint round at one site: how many rows were fed into the
 // payload, how many genuinely new rows the round produced (the delta), on
-// how many of the fed rows the body was evaluated (fewer than fed when a
-// tabled site answered the rest from earlier rounds), and how long the
-// round took. Round 0 is the seeding application.
+// how many of the fed rows the body was evaluated (fewer than fed when
+// core's table answered the rest of a tabled site's feed), and how long
+// the round took. Round 0 is the seeding application.
 type Round struct {
 	Site      int   `json:"site"`
 	Round     int   `json:"round"`

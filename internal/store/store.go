@@ -87,28 +87,6 @@ func (s *Store) SnapshotPath(uri string) (string, error) {
 	return clean + Ext, nil
 }
 
-// Snapshot parses the XML file for uri (resolution order as usual,
-// snapshots excluded) and writes its snapshot, so subsequent loads take
-// the fast path. It returns the snapshot path.
-func (s *Store) Snapshot(uri string) (string, error) {
-	xmlPath, err := s.safeJoin(uri)
-	if err != nil {
-		return "", err
-	}
-	d, err := parseXMLFile(xmlPath, uri)
-	if err != nil {
-		return "", err
-	}
-	snapPath, err := s.SnapshotPath(uri)
-	if err != nil {
-		return "", err
-	}
-	if err := Save(snapPath, d); err != nil {
-		return "", fmt.Errorf("store: snapshot %s: %w", uri, err)
-	}
-	return snapPath, nil
-}
-
 // safeJoin resolves uri under the store directory, rejecting escapes.
 func (s *Store) safeJoin(uri string) (string, error) {
 	clean := filepath.Clean(filepath.FromSlash(uri))

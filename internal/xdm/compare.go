@@ -39,25 +39,6 @@ func (op CompOp) String() string {
 	return "?"
 }
 
-// GeneralString returns the general-comparison spelling.
-func (op CompOp) GeneralString() string {
-	switch op {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	}
-	return "?"
-}
-
 // CompareValues compares two atomized items under value-comparison
 // semantics: numeric types are promoted to xs:double when mixed; untyped
 // operands are treated as strings against strings/untyped and as doubles

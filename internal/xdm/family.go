@@ -70,6 +70,10 @@ type iterNodes struct {
 // Len is the family's (iteration, node) pair count over all iterations.
 func (f *Family) Len() int { return f.n }
 
+// Iters bounds the iteration ids f holds members in: every such id is
+// below it, though some below it may be empty.
+func (f *Family) Iters() int32 { return int32(1 + len(f.rest)) }
+
 // Nodes returns iteration iter's members: in distinct document order for an
 // absorbed family, as added for a batch. The slice is owned by f and valid
 // until f's next Absorb or Reset; callers must not modify it.

@@ -4,12 +4,10 @@
 // inflationary fixed points through internal/core, choosing between Naïve
 // and Delta per the syntactic distributivity check (or a forced mode).
 //
-// A Delta site whose body is certified distributive is tabled (table.go):
-// from its second execution under the same bindings and focus on — a µ
-// under a for, as in the bidder network and curriculum queries — its body
-// is evaluated once per distinct node over the whole evaluation and each
-// node's answer is reused. Naïve sites and uncertified bodies always
-// evaluate the body on the whole feed.
+// A Delta site whose body is certified distributive is tabled in
+// internal/core: from its second execution under the same bindings and
+// focus on (bindings, eval.go), its body is evaluated once per distinct
+// node over the whole evaluation. Other sites evaluate the whole feed.
 package interp
 
 import (
@@ -89,6 +87,7 @@ type IFPRun struct {
 	Var  string
 	Rule string
 	core.Site
+	bound *bindings // a tabled site's, during the evaluation
 }
 
 // Result is a query evaluation outcome.
@@ -133,9 +132,6 @@ func (en *Engine) Doc(uri string) (*xdm.Document, error) {
 	return d, nil
 }
 
-// AddDoc pre-registers a parsed document under a URI.
-func (en *Engine) AddDoc(uri string, d *xdm.Document) { en.docCache[uri] = d }
-
 // Eval evaluates the module body and returns the result sequence along
 // with fixpoint instrumentation. On a resource-budget truncation
 // (xdm.IsBudget) the returned Result is non-nil with a nil Value and the
@@ -149,7 +145,6 @@ func (en *Engine) Eval() (*Result, error) {
 			Context: en.opts.Context, Budget: en.opts.Budget, Trace: en.opts.Trace,
 		}),
 		globals: map[string]xdm.Sequence{},
-		tabled:  map[*ast.Fixpoint]*siteTable{},
 	}
 	defer ev.index.Flush()
 	var ctx dynCtx
@@ -182,7 +177,9 @@ func (en *Engine) Eval() (*Result, error) {
 func (ev *evaluator) runs() []IFPRun {
 	var out []IFPRun
 	for _, run := range ev.sites.All() {
-		out = append(out, *run)
+		r := *run
+		r.bound = nil
+		out = append(out, r)
 	}
 	return out
 }

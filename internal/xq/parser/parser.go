@@ -36,15 +36,6 @@ func ParseExpr(src string) (ast.Expr, error) {
 	return m.Body, nil
 }
 
-// MustParseExpr parses an expression and panics on error (tests, fixtures).
-func MustParseExpr(src string) ast.Expr {
-	e, err := ParseExpr(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type parser struct {
 	l   *lexer
 	tok token
