@@ -76,33 +76,14 @@ func (q *Query) Analyze(opts Options) (*AnalyzeReport, error) {
 	if _, err := parser.Parse(q.src); err == nil {
 		tr.AddPhase("parse", t0, tr.Now()-t0)
 	}
-	budget := opts.budget()
-	if err := budget.CheckDeadline(); err != nil {
-		return nil, err
-	}
-	docs, done := opts.resolver()
-	defer done()
-	if docs != nil {
-		docs = tracedDocs(tr, docs)
-	}
 	rep := &AnalyzeReport{QueryID: tr.ID(), Engine: opts.Engine, Opt: opts.Opt}
+	prof := obs.NewPlanProfile()
 	start := time.Now()
-	var res *Result
-	var evalErr error
-	switch opts.Engine {
-	case EngineRelational:
-		prof := obs.NewPlanProfile()
-		plan, _, err := q.relationalPlan(&opts)
-		if err != nil {
-			return nil, err
-		}
-		en := relationalEngine(plan, &opts, budget, docs, prof)
-		res, evalErr = relationalResult(en)
-		rep.Plan = algebra.ExplainWith(en.Plan().Root, analyzeAnnotator(en.Plan().Root, prof))
-	default:
-		res, evalErr = interpResult(q.newInterpEngine(&opts, budget, docs))
-	}
+	res, plan, evalErr := q.evaluate(&opts, prof)
 	rep.TotalNs = time.Since(start).Nanoseconds()
+	if plan != nil {
+		rep.Plan = algebra.ExplainWith(plan.Root, analyzeAnnotator(plan.Root, prof))
+	}
 	rep.Result = res
 	rep.Phases = tr.Phases()
 	rep.DroppedRounds = tr.Dropped()

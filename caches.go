@@ -1,9 +1,6 @@
 package ifpxq
 
 import (
-	"fmt"
-	"hash/fnv"
-	"io"
 	"sync"
 
 	"repro/internal/algebra"
@@ -11,6 +8,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/xdm"
+	"repro/internal/xq/ast"
 )
 
 // CacheStats is a point-in-time snapshot of one plan or result cache's
@@ -27,15 +25,15 @@ type CacheStats struct {
 // bounded is one locked LRU of at most max entries (max <= 0: unbounded)
 // with its counters: each half of the plan cache is one, and the result
 // cache is one plus a store generation.
-type bounded[V any] struct {
+type bounded[K comparable, V any] struct {
 	mu                                     sync.Mutex
 	max                                    int
-	list                                   lru.List[string, V]
+	list                                   lru.List[K, V]
 	hits, misses, evictions, invalidations int64
 }
 
 // getLocked returns key's value, promoting it and counting a hit or a miss.
-func (b *bounded[V]) getLocked(key string) (V, bool) {
+func (b *bounded[K, V]) getLocked(key K) (V, bool) {
 	v, ok := b.list.Touch(key)
 	if ok {
 		b.hits++
@@ -47,7 +45,7 @@ func (b *bounded[V]) getLocked(key string) (V, bool) {
 
 // putLocked inserts or replaces key as the most recent entry and evicts
 // the least recent ones past the bound.
-func (b *bounded[V]) putLocked(key string, v V) {
+func (b *bounded[K, V]) putLocked(key K, v V) {
 	b.list.Put(key, v)
 	for k := range b.list.Backward() {
 		if b.max <= 0 || b.list.Len() <= b.max {
@@ -58,19 +56,19 @@ func (b *bounded[V]) putLocked(key string, v V) {
 	}
 }
 
-func (b *bounded[V]) get(key string) (V, bool) {
+func (b *bounded[K, V]) get(key K) (V, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.getLocked(key)
 }
 
-func (b *bounded[V]) put(key string, v V) {
+func (b *bounded[K, V]) put(key K, v V) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.putLocked(key, v)
 }
 
-func (b *bounded[V]) stats() CacheStats {
+func (b *bounded[K, V]) stats() CacheStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return CacheStats{
@@ -87,21 +85,14 @@ func (b *bounded[V]) stats() CacheStats {
 // serves any number of concurrent evaluations. Safe for concurrent use;
 // a nil *PlanCache disables caching with no behaviour change.
 type PlanCache struct {
-	parsed bounded[*Query]     // source → parsed query
-	plans  bounded[cachedPlan] // (source, mode, strict, opt) → plan
-}
-
-// cachedPlan pairs a compiled plan with its stable structural hash — the
-// result cache's key material, computed once at compile time.
-type cachedPlan struct {
-	plan *algebra.Plan
-	hash uint64
+	parsed bounded[string, *Query]          // source → parsed query
+	plans  bounded[queryKey, *algebra.Plan] // query key → plan
 }
 
 // NewPlanCache builds a plan cache bounding both the parsed-query and
 // compiled-plan LRUs at max entries each (max <= 0: unbounded).
 func NewPlanCache(max int) *PlanCache {
-	return &PlanCache{parsed: bounded[*Query]{max: max}, plans: bounded[cachedPlan]{max: max}}
+	return &PlanCache{parsed: bounded[string, *Query]{max: max}, plans: bounded[queryKey, *algebra.Plan]{max: max}}
 }
 
 // Parse parses src through the cache: a repeat query returns the
@@ -138,26 +129,39 @@ func (pc *PlanCache) ParseStats() CacheStats {
 	return pc.parsed.stats()
 }
 
-// planKey identifies one compiled plan: the source text plus everything
-// that shapes compilation. The rxp marker keeps a Regular XPath
-// translation and an XQuery of identical source text apart.
-func (q *Query) planKey(mode algebra.FixpointMode, strict, optimize bool) string {
-	return fmt.Sprintf("m%d|s%t|o%t|x%t|%s", mode, strict, optimize, q.rxp, q.src)
+// queryKey is a query's identity in both caches: its source text, the
+// Regular XPath marker (a translation and an XQuery of identical text must
+// not meet), and the options that shape a relational plan. A compiled plan
+// is a function of this key, so it is the whole plan-cache key; the result
+// cache extends it (resultKey). Keys compare by value, so no two queries
+// can collide.
+type queryKey struct {
+	src  string
+	rxp  bool
+	mode Mode
+	opt  bool // the optimizer runs (every level but Opt0)
 }
 
-// srcHash is the result-cache plan-hash stand-in for the interpreter
-// engine, which has no plan to hash: a stable hash of the source text.
-func (q *Query) srcHash() uint64 {
-	h := fnv.New64a()
-	if q.rxp {
-		io.WriteString(h, "rxp|")
-	}
-	io.WriteString(h, q.src)
-	return h.Sum64()
+// key is q's query key under the given options.
+func (q *Query) key(o *Options) queryKey {
+	return queryKey{src: q.src, rxp: q.rxp, mode: o.Mode, opt: o.Opt != Opt0}
 }
 
-// ResultCache caches complete evaluation results, keyed by plan hash and
-// budget options and valid only at one store generation: the moment any
+// resultKey identifies one complete outcome: the query key, the engine,
+// and every budget knob that changes the observable outcome
+// deterministically. Deadline stays out: it is wall-clock, and since only
+// complete results cache, a hit can only ever be faster than the deadline
+// demanded.
+type resultKey struct {
+	queryKey
+	engine    Engine
+	maxRounds int
+	maxRows   int64
+}
+
+// ResultCache caches complete evaluation results, keyed on the query
+// (resultKey: source, language, mode, optimizer level, engine and budget
+// options) and valid only at one store generation: the moment any
 // document leaves the store cache (replaced on disk, evicted, purged)
 // the generation moves and every cached result flushes wholesale. Each
 // entry also records the document URIs its evaluation touched; a hit
@@ -169,7 +173,7 @@ func (q *Query) srcHash() uint64 {
 // on the evaluated result or on any hit.
 // Safe for concurrent use; a nil *ResultCache disables caching.
 type ResultCache struct {
-	bounded[resultEntry]
+	bounded[resultKey, resultEntry]
 	// gen is the store generation every resident entry was computed at
 	// (guarded by mu).
 	gen int64
@@ -187,7 +191,7 @@ type resultEntry struct {
 // store pins the generation at zero — correct when documents are
 // immutable for the process lifetime (in-memory resolvers).
 func NewResultCache(max int, st *Store) *ResultCache {
-	return &ResultCache{bounded: bounded[resultEntry]{max: max}, st: st}
+	return &ResultCache{bounded: bounded[resultKey, resultEntry]{max: max}, st: st}
 }
 
 // Stats snapshots the result cache counters.
@@ -219,7 +223,7 @@ func (rc *ResultCache) syncLocked(gen int64) {
 // (which bumps the store generation if any file changed on disk), then
 // read at the now-current generation — a stale entry misses because the
 // generation change flushed it.
-func (rc *ResultCache) get(key string) (*Result, bool) {
+func (rc *ResultCache) get(key resultKey) (*Result, bool) {
 	if rc == nil {
 		return nil, false
 	}
@@ -239,7 +243,7 @@ func (rc *ResultCache) get(key string) (*Result, bool) {
 // getAt flushes the cache if the store generation moved to gen, then
 // returns the entry for key, counting a hit or a miss. Hits return a
 // private shallow copy.
-func (rc *ResultCache) getAt(key string, gen int64) (*Result, bool) {
+func (rc *ResultCache) getAt(key resultKey, gen int64) (*Result, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.syncLocked(gen)
@@ -256,7 +260,7 @@ func (rc *ResultCache) getAt(key string, gen int64) (*Result, bool) {
 // stale documents — and a newer one flushes the older residents first.
 // It gives res a fresh rendering first, which the entry shares, so the
 // evaluating caller's own String call primes every later hit.
-func (rc *ResultCache) put(key string, gen int64, res *Result, uris []string) {
+func (rc *ResultCache) put(key resultKey, gen int64, res *Result, uris []string) {
 	if rc == nil {
 		return
 	}
@@ -277,18 +281,6 @@ func (rc *ResultCache) put(key string, gen int64, res *Result, uris []string) {
 // entry.
 func cloneResult(r *Result) *Result {
 	return &Result{Items: r.Items, Fixpoints: append([]FixpointStats(nil), r.Fixpoints...), text: r.text}
-}
-
-// resultKey assembles the full result-cache key: engine, everything that
-// shapes the plan (for the relational engine the hash already encodes
-// mode/strict/opt — repeating them is harmless), and every budget knob
-// that changes the observable outcome deterministically. Deadline stays
-// out: it is wall-clock, and since only complete results cache, a hit
-// can only ever be faster than the deadline demanded.
-func resultKey(o *Options, hash uint64) string {
-	return fmt.Sprintf("e%d|m%d|s%t|o%t|h%016x|r%d|w%d",
-		o.Engine, o.Mode, o.StrictAlgebraicCheck, o.Opt != Opt0, hash,
-		o.MaxRounds, o.MaxRows)
 }
 
 // uriCollector wraps a DocResolver to record which URIs an evaluation
@@ -334,51 +326,38 @@ func (c *uriCollector) uris() []string {
 // relationalPlan obtains the compiled, optimized plan for one evaluation
 // — from the plan cache when the options carry one (the compile and
 // optimize phases then vanish from traces, which is how EXPLAIN ANALYZE
-// shows the cache win), compiling afresh otherwise. The returned hash is
-// the plan's stable structural hash when something downstream needs it
-// (a result cache, or any plan-cache insert), else 0.
-func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, uint64, error) {
-	mode := algebra.ModeAuto
-	switch opts.Mode {
-	case ModeNaive:
-		mode = algebra.ModeNaive
-	case ModeDelta:
-		mode = algebra.ModeDelta
+// shows the cache win), compiling afresh otherwise.
+func (q *Query) relationalPlan(opts *Options) (*algebra.Plan, error) {
+	pc := opts.PlanCache
+	if pc == nil {
+		return compilePlan(q.module, opts.Mode, opts.Opt, opts.Trace)
 	}
-	var optimize func(*algebra.Plan)
-	if opts.Opt != Opt0 {
-		optimize = opt.Optimize
+	key := q.key(opts)
+	if plan, ok := pc.plans.get(key); ok {
+		return plan, nil
 	}
-	if opts.PlanCache == nil {
-		plan, err := algebra.CompilePlan(q.module, mode, opts.StrictAlgebraicCheck, optimize, opts.Trace)
-		if err != nil {
-			return nil, 0, err
-		}
-		var h uint64
-		if opts.ResultCache != nil {
-			h = opt.PlanHash(plan.Root)
-		}
-		return plan, h, nil
+	plan, err := compilePlan(q.module, opts.Mode, opts.Opt, opts.Trace)
+	if err == nil {
+		pc.plans.put(key, plan)
 	}
-	key := q.planKey(mode, opts.StrictAlgebraicCheck, optimize != nil)
-	if cp, ok := opts.PlanCache.plans.get(key); ok {
-		return cp.plan, cp.hash, nil
-	}
-	plan, err := algebra.CompilePlan(q.module, mode, opts.StrictAlgebraicCheck, optimize, opts.Trace)
-	if err != nil {
-		return nil, 0, err
-	}
-	h := opt.PlanHash(plan.Root)
-	opts.PlanCache.plans.put(key, cachedPlan{plan: plan, hash: h})
-	return plan, h, nil
+	return plan, err
 }
 
-// relationalEngine wraps a compiled plan for one evaluation. Only the
-// per-run knobs matter here; mode, strictness, and optimizer level are
-// already baked into the plan.
-func relationalEngine(plan *algebra.Plan, opts *Options, budget *xdm.Budget, docs DocResolver, prof *obs.PlanProfile) *algebra.Engine {
-	return algebra.NewEngineFromPlan(plan, algebra.Options{
-		Docs: docs, NoIndex: opts.NoIndex, Context: opts.Context,
-		Budget: budget, Trace: opts.Trace, Prof: prof,
-	})
+// compilePlan compiles, fixes each µ site's algorithm per mode (auto takes
+// µ∆ where the extended algebraic check certifies the body) and optimizes
+// at the given level: the one place a relational plan is built, for
+// evaluation and for Explain alike.
+func compilePlan(m *ast.Module, mode Mode, level OptLevel, tr *obs.Trace) (*algebra.Plan, error) {
+	var optimize func(*algebra.Plan)
+	if level != Opt0 {
+		optimize = opt.Optimize
+	}
+	fm := algebra.ModeAuto
+	switch mode {
+	case ModeNaive:
+		fm = algebra.ModeNaive
+	case ModeDelta:
+		fm = algebra.ModeDelta
+	}
+	return algebra.CompilePlan(m, fm, false, optimize, tr)
 }

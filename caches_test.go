@@ -307,7 +307,8 @@ func TestResultCacheRendersOnce(t *testing.T) {
 }
 
 // TestPlanCacheKeySeparatesRegularXPath: an XQuery and a Regular XPath
-// query with identical source text must not collide in the plan cache.
+// query with identical source text must not collide in the plan or
+// result cache, which both key on the query key.
 func TestPlanCacheKeySeparatesRegularXPath(t *testing.T) {
 	// Same source string, two languages.
 	src := `child::a`
@@ -321,20 +322,23 @@ func TestPlanCacheKeySeparatesRegularXPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xq.planKey(0, false, true) == rx.planKey(0, false, true) {
-		t.Fatal("plan keys collide across query languages")
+	if xq.key(&Options{}) == rx.key(&Options{}) {
+		t.Fatal("query keys collide across query languages")
 	}
 }
 
 // cached is a distinct cacheable result per value.
 func cached(v string) *Result { return &Result{Items: xdm.Sequence{xdm.NewString(v)}} }
 
-// resident reports whether key is in the result cache, leaving its
+// rk is a result key for the query text src under default options.
+func rk(src string) resultKey { return resultKey{queryKey: queryKey{src: src}} }
+
+// resident reports whether src's key is in the result cache, leaving its
 // recency and the counters alone.
-func (rc *ResultCache) resident(key string) bool {
+func (rc *ResultCache) resident(src string) bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	_, ok := rc.list.Lookup(key)
+	_, ok := rc.list.Lookup(rk(src))
 	return ok
 }
 
@@ -388,8 +392,8 @@ func TestNilCachesAreDisabled(t *testing.T) {
 		t.Fatalf("nil stats %+v %+v", s, p)
 	}
 	var rc *ResultCache
-	rc.put("k", 0, cached("v"), nil)
-	if _, ok := rc.get("k"); ok {
+	rc.put(rk("k"), 0, cached("v"), nil)
+	if _, ok := rc.get(rk("k")); ok {
 		t.Fatal("nil result cache hit")
 	}
 	if rc.generation() != 0 {
@@ -406,13 +410,13 @@ func TestNilCachesAreDisabled(t *testing.T) {
 
 func TestResultCacheGenerationInvalidation(t *testing.T) {
 	rc := NewResultCache(8, nil)
-	rc.put("q1", 0, cached("r1"), nil)
-	rc.put("q2", 0, cached("r2"), nil)
-	if res, ok := rc.getAt("q1", 0); !ok || res.String() != "r1" {
+	rc.put(rk("q1"), 0, cached("r1"), nil)
+	rc.put(rk("q2"), 0, cached("r2"), nil)
+	if res, ok := rc.getAt(rk("q1"), 0); !ok || res.String() != "r1" {
 		t.Fatalf("q1: %v %v", res, ok)
 	}
 	// Generation moves: everything flushes wholesale.
-	if res, ok := rc.getAt("q1", 1); ok {
+	if res, ok := rc.getAt(rk("q1"), 1); ok {
 		t.Fatalf("stale hit across generations: %v", res)
 	}
 	if rc.resident("q2") {
@@ -429,20 +433,20 @@ func TestResultCacheGenerationInvalidation(t *testing.T) {
 
 func TestResultCachePutGenerationRules(t *testing.T) {
 	rc := NewResultCache(8, nil)
-	rc.getAt("none", 5)                    // the resident generation becomes 5
-	rc.put("old", 4, cached("stale"), nil) // older than resident generation: dropped
+	rc.getAt(rk("none"), 5)                    // the resident generation becomes 5
+	rc.put(rk("old"), 4, cached("stale"), nil) // older than resident generation: dropped
 	if rc.resident("old") {
 		t.Fatal("stale-generation insert accepted")
 	}
-	rc.put("cur", 5, cached("fresh"), nil)
-	if res, ok := rc.getAt("cur", 5); !ok || res.String() != "fresh" {
+	rc.put(rk("cur"), 5, cached("fresh"), nil)
+	if res, ok := rc.getAt(rk("cur"), 5); !ok || res.String() != "fresh" {
 		t.Fatalf("cur: %v %v", res, ok)
 	}
-	rc.put("next", 6, cached("newer"), nil) // newer: flushes the gen-5 residents first
+	rc.put(rk("next"), 6, cached("newer"), nil) // newer: flushes the gen-5 residents first
 	if rc.resident("cur") {
 		t.Fatal("older resident survived a newer insert")
 	}
-	if res, ok := rc.getAt("next", 6); !ok || res.String() != "newer" {
+	if res, ok := rc.getAt(rk("next"), 6); !ok || res.String() != "newer" {
 		t.Fatalf("next: %v %v", res, ok)
 	}
 	if got := rc.Stats().Invalidations; got != 1 {
@@ -453,7 +457,7 @@ func TestResultCachePutGenerationRules(t *testing.T) {
 func TestResultCacheBounded(t *testing.T) {
 	rc := NewResultCache(2, nil)
 	for i := 0; i < 4; i++ {
-		rc.put(fmt.Sprintf("k%d", i), 0, cached(fmt.Sprint(i)), nil)
+		rc.put(rk(fmt.Sprintf("k%d", i)), 0, cached(fmt.Sprint(i)), nil)
 	}
 	s := rc.Stats()
 	if s.Entries != 2 || s.Evictions != 2 || s.MaxEntries != 2 {
@@ -480,8 +484,8 @@ func TestCachesConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				rc.put(k, int64(i%3), cached(k), nil)
-				if res, ok := rc.getAt(k, int64(i%3)); ok && res.String() != k {
+				rc.put(rk(k), int64(i%3), cached(k), nil)
+				if res, ok := rc.getAt(rk(k), int64(i%3)); ok && res.String() != k {
 					t.Errorf("key %s served %q", k, res.String())
 					return
 				}

@@ -1,7 +1,9 @@
 // Command distcheck analyzes the distributivity of every inflationary
 // fixed point in a query with both of the paper's approximations: the
 // syntactic ds$x(·) rules of Figure 5 and the algebraic ∪ push-up of
-// Section 4. It reports, per site, which algorithm each engine would pick.
+// Section 4. It reports, per site, which algorithm each engine's auto mode
+// picks: the interpreter decides by the syntactic verdict, the relational
+// engine by the extended algebraic one.
 //
 // Usage:
 //
@@ -12,75 +14,92 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	ifpxq "repro"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its environment made explicit, so the report is
+// testable without spawning a process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("distcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		queryText = flag.String("q", "", "query text")
-		queryFile = flag.String("f", "", "query file")
-		hint      = flag.Bool("hint", false, "apply the §3.2 distributivity-hint rewriting and re-check")
-		explain   = flag.Bool("explain", false, "also print the relational plan")
+		queryText = fs.String("q", "", "query text")
+		queryFile = fs.String("f", "", "query file")
+		hint      = fs.Bool("hint", false, "apply the §3.2 distributivity-hint rewriting and re-check")
+		explain   = fs.Bool("explain", false, "also print the relational plan")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "distcheck:", err)
+		return 1
+	}
 	src := *queryText
 	if *queryFile != "" {
 		data, err := os.ReadFile(*queryFile)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		src = string(data)
 	}
 	if src == "" {
-		fmt.Fprintln(os.Stderr, "distcheck: provide a query with -q or -f")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "distcheck: provide a query with -q or -f")
+		return 2
 	}
 	q, err := ifpxq.Parse(src)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *hint {
 		q = q.Hint()
-		fmt.Println("after hint rewriting:")
-		fmt.Println(" ", q.Source())
+		fmt.Fprintln(stdout, "after hint rewriting:")
+		fmt.Fprintln(stdout, " ", q.Source())
 	}
 	reports := q.Distributivity()
 	if len(reports) == 0 {
-		fmt.Println("no inflationary fixed points in this query")
-		return
+		fmt.Fprintln(stdout, "no inflationary fixed points in this query")
+		return 0
 	}
 	for i, rep := range reports {
-		fmt.Printf("fixpoint %d (recursion variable $%s):\n", i+1, rep.Var)
-		fmt.Printf("  syntactic ds$x(·):  %v", rep.Syntactic)
+		fmt.Fprintf(stdout, "fixpoint %d (recursion variable $%s):\n", i+1, rep.Var)
+		fmt.Fprintf(stdout, "  syntactic ds$x(·):  %v", rep.Syntactic)
 		if rep.Syntactic {
-			fmt.Printf("  (rule %s)\n", rep.SyntacticRule)
+			fmt.Fprintf(stdout, "  (rule %s)\n", rep.SyntacticRule)
 		} else {
-			fmt.Printf("  (%s)\n", rep.SyntacticRule)
+			fmt.Fprintf(stdout, "  (%s)\n", rep.SyntacticRule)
 		}
+		rel := "n/a"
 		if rep.AlgebraicError != "" {
-			fmt.Printf("  algebraic push-up:  n/a (%s)\n", rep.AlgebraicError)
+			fmt.Fprintf(stdout, "  algebraic push-up:  n/a (%s)\n", rep.AlgebraicError)
 		} else {
-			fmt.Printf("  algebraic push-up:  strict=%v extended=%v\n", rep.Algebraic, rep.AlgebraicExt)
+			fmt.Fprintf(stdout, "  algebraic push-up:  strict=%v extended=%v\n", rep.Algebraic, rep.AlgebraicExt)
+			rel = pick(rep.AlgebraicExt)
 		}
-		pick := "Naive"
-		if rep.Syntactic || rep.Algebraic || rep.AlgebraicExt {
-			pick = "Delta"
-		}
-		fmt.Printf("  auto mode runs:     %s\n", pick)
+		fmt.Fprintf(stdout, "  auto mode runs:     %s (interp), %s (rel)\n", pick(rep.Syntactic), rel)
 	}
 	if *explain {
 		plan, err := q.ExplainPlan()
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Println("relational plan:")
-		fmt.Print(plan)
+		fmt.Fprintln(stdout, "relational plan:")
+		fmt.Fprint(stdout, plan)
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "distcheck:", err)
-	os.Exit(1)
+// pick names the algorithm auto mode runs on a certificate.
+func pick(certified bool) string {
+	if certified {
+		return "Delta"
+	}
+	return "Naive"
 }

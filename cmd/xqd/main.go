@@ -31,7 +31,7 @@
 // Repeat queries are served from two caches layered over the store: a
 // compiled-plan cache (parsed queries + optimized relational plans, keyed
 // by source text and compile options) and a result cache (complete
-// results only, keyed by plan hash and budget, valid for exactly one
+// results only, keyed by the query and budget, valid for exactly one
 // store generation — any document replaced on disk, evicted, or purged
 // flushes it). ?cache=0 bypasses both for one request; -plan-cache 0 /
 // -result-cache 0 disable them server-wide.

@@ -129,9 +129,6 @@ func DocsChain(resolvers ...DocResolver) DocResolver {
 type Options struct {
 	Engine Engine
 	Mode   Mode
-	// StrictAlgebraicCheck uses Table 1's exact push rules in the
-	// relational engine's auto decision (default false = extended rules).
-	StrictAlgebraicCheck bool
 	// Opt selects the relational plan optimizer level (default on; Opt0
 	// runs the compiler's verbatim plan). The optimizer is semantics-
 	// preserving: results and fixpoint statistics are byte-identical at
@@ -186,19 +183,21 @@ type Options struct {
 	// costs only nil checks. Query.Analyze supplies one automatically.
 	Trace *obs.Trace
 	// PlanCache, when set, reuses compiled, optimized relational plans
-	// across evaluations keyed on (source, mode, strict, opt level), so a
-	// repeat query skips the compile and optimize phases entirely. Plans
-	// are immutable after compilation (all execution state is per-run),
-	// so one cache is safe under any concurrency. Caching is
-	// semantics-preserving: results, errors, and fixpoint statistics are
-	// byte-identical with and without it (difftest CheckCaching).
+	// across evaluations keyed on the query (source, language, mode,
+	// optimizer level), so a repeat query skips the compile and optimize
+	// phases entirely. Plans are immutable after compilation (all
+	// execution state is per-run), so one cache is safe under any
+	// concurrency. Caching is semantics-preserving: results, errors, and
+	// fixpoint statistics are byte-identical with and without it
+	// (difftest CheckCaching).
 	PlanCache *PlanCache
 	// ResultCache, when set, serves repeat evaluations their complete
-	// cached result, keyed on the plan's structural hash plus the
-	// deterministic budget options, and valid only while the document
-	// store's generation stands still. Incomplete outcomes (errors,
-	// budget truncations) are never cached, and evaluations with a
-	// ContextItem bypass the cache (node identity cannot key it safely).
+	// cached result, keyed on the query (source, language, mode, optimizer
+	// level), the engine and the deterministic budget options, and valid
+	// only while the document store's generation stands still. Incomplete
+	// outcomes (errors, budget truncations) are never cached, and
+	// evaluations with a ContextItem bypass the cache (node identity
+	// cannot key it safely).
 	ResultCache *ResultCache
 }
 
@@ -281,51 +280,59 @@ type FixpointReport struct {
 	AlgebraicError string
 }
 
-// Distributivity analyzes every fixpoint site in the query with both the
-// syntactic and the algebraic check.
+// Distributivity analyzes every fixpoint site in the query — those in
+// prolog variables, then in function bodies, then in the query body, each
+// part in pre-order — with both the syntactic and the algebraic check. A
+// function's site compiles once per call; its algebraic verdicts hold only
+// when they hold for every call. A site no call reaches has none.
 func (q *Query) Distributivity() []FixpointReport {
-	var reports []FixpointReport
-	resolver := dist.ModuleResolver(q.module)
-	var sites []*ast.Fixpoint
-	ast.Walk(q.module.Body, func(e ast.Expr) bool {
-		if fp, ok := e.(*ast.Fixpoint); ok {
-			sites = append(sites, fp)
-		}
-		return true
-	})
-	for _, f := range q.module.Funcs {
-		ast.Walk(f.Body, func(e ast.Expr) bool {
-			if fp, ok := e.(*ast.Fixpoint); ok {
-				sites = append(sites, fp)
-			}
-			return true
-		})
-	}
 	plan, planErr := algebra.CompileModule(q.module)
-	for i, fp := range sites {
-		rep := FixpointReport{Var: fp.Var}
-		syn := dist.Check(fp.Body, fp.Var, resolver)
-		rep.Syntactic = syn.Safe
-		rep.SyntacticRule = syn.Rule
-		if planErr != nil {
-			rep.AlgebraicError = planErr.Error()
-		} else if i < len(plan.Mus) {
-			rep.Algebraic = plan.Mus[i].Distributive
-			rep.AlgebraicExt = plan.Mus[i].DistributiveExt
+	compiled := map[*ast.Fixpoint][]*algebra.MuSite{}
+	if planErr == nil {
+		for _, site := range plan.Mus {
+			compiled[site.Fixpoint] = append(compiled[site.Fixpoint], site)
 		}
-		reports = append(reports, rep)
 	}
+	resolver := dist.ModuleResolver(q.module)
+	var reports []FixpointReport
+	report := func(e ast.Expr) {
+		for _, fp := range ast.Fixpoints(e) {
+			syn := dist.Check(fp.Body, fp.Var, resolver)
+			rep := FixpointReport{Var: fp.Var, Syntactic: syn.Safe, SyntacticRule: syn.Rule}
+			switch sites := compiled[fp]; {
+			case planErr != nil:
+				rep.AlgebraicError = planErr.Error()
+			case len(sites) == 0:
+				rep.AlgebraicError = "no call reaches this site, so it is not compiled"
+			default:
+				rep.Algebraic, rep.AlgebraicExt = true, true
+				for _, site := range sites {
+					rep.Algebraic = rep.Algebraic && site.Distributive
+					rep.AlgebraicExt = rep.AlgebraicExt && site.DistributiveExt
+				}
+			}
+			reports = append(reports, rep)
+		}
+	}
+	for _, v := range q.module.Vars {
+		report(v.Value)
+	}
+	for _, f := range q.module.Funcs {
+		report(f.Body)
+	}
+	report(q.module.Body)
 	return reports
 }
 
 // ExplainPlan renders the raw (pre-optimization) relational plan of the
-// query; Explain returns both the raw and the optimized plan.
+// query, each µ site's algorithm as auto mode picks it; Explain returns
+// both the raw and the optimized plan, annotated.
 func (q *Query) ExplainPlan() (string, error) {
-	plan, err := algebra.CompileModule(q.module)
+	plan, err := compilePlan(q.module, ModeAuto, Opt0, nil)
 	if err != nil {
 		return "", err
 	}
-	return algebra.Explain(plan.Root), nil
+	return algebra.Explain(plan.Raw), nil
 }
 
 // PlanExplanation carries the raw and optimized renderings of a query's
@@ -340,26 +347,21 @@ type PlanExplanation struct {
 }
 
 // Explain compiles the query and renders the raw plan next to the plan the
-// relational engine actually executes at the given optimizer level. At Opt0
-// the optimized rendering is empty: the raw plan is what runs.
+// relational engine actually executes at the given optimizer level, with
+// each µ site's algorithm as auto mode picks it. At Opt0 the optimized
+// rendering is empty: the raw plan is what runs.
 func (q *Query) Explain(level OptLevel) (*PlanExplanation, error) {
-	plan, err := algebra.CompileModule(q.module)
+	plan, err := compilePlan(q.module, ModeAuto, level, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Mirror the engine's default auto decision (extended rules) so the
-	// rendering shows µ vs µ∆ the way evaluation would run them.
-	for _, site := range plan.Mus {
-		site.Mu.Delta = site.DistributiveExt
-	}
 	out := &PlanExplanation{
-		Raw:    algebra.ExplainWith(plan.Root, opt.Annotate(plan.Root)),
-		RawOps: algebra.Operators(plan.Root),
+		Raw:    algebra.ExplainWith(plan.Raw, opt.Annotate(plan.Raw)),
+		RawOps: algebra.Operators(plan.Raw),
 	}
 	if level == Opt0 {
 		return out, nil
 	}
-	opt.Optimize(plan)
 	out.Optimized = algebra.ExplainWith(plan.Root, opt.Annotate(plan.Root))
 	out.OptimizedOps = algebra.Operators(plan.Root)
 	return out, nil
@@ -419,62 +421,55 @@ func (r *Result) Count() int { return len(r.Items) }
 // instrumentation collected before the cutoff. Every other error returns
 // a nil Result, as before.
 func (q *Query) Eval(opts Options) (*Result, error) {
+	res, _, err := q.evaluate(&opts, nil)
+	return res, err
+}
+
+// evaluate is the one evaluation pipeline behind Eval and Analyze: the
+// entry deadline check, the document resolver (traced when opts carries a
+// trace), the relational plan lookup, the result-cache probe and the engine
+// run, under the Result contract documented on Eval. prof, when non-nil,
+// collects the relational plan's per-operator actuals. plan is the
+// relational plan that ran, nil on the interpreter.
+func (q *Query) evaluate(opts *Options, prof *obs.PlanProfile) (res *Result, plan *algebra.Plan, err error) {
 	budget := opts.budget()
 	// The entry check makes an already-expired deadline fail identically
 	// across every engine, mode, and optimizer level: no
 	// engine runs a single operator first.
 	if err := budget.CheckDeadline(); err != nil {
-		return &Result{}, err
+		return &Result{}, nil, err
 	}
 	docs, done := opts.resolver()
 	defer done()
 	if opts.Trace != nil && docs != nil {
 		docs = tracedDocs(opts.Trace, docs)
 	}
-	rcache := opts.ResultCache
-	if opts.ContextItem != nil {
+	// The plan lookup comes before the result probe, so every repeat of a
+	// relational query is a plan-cache hit, its result cached or not.
+	if opts.Engine == EngineRelational {
+		if plan, err = q.relationalPlan(opts); err != nil {
+			return nil, nil, err
+		}
+	}
+	rc := opts.ResultCache
+	if rc == nil || opts.ContextItem != nil {
 		// A context item is bound by node identity; no stable key exists.
-		rcache = nil
+		res, err = q.run(opts, plan, budget, docs, prof)
+		return res, plan, err
 	}
-	switch opts.Engine {
-	case EngineRelational:
-		plan, planHash, err := q.relationalPlan(&opts)
-		if err != nil {
-			return nil, err
-		}
-		if rcache == nil {
-			return relationalResult(relationalEngine(plan, &opts, budget, docs, nil))
-		}
-		key := resultKey(&opts, planHash)
-		if res, ok := rcache.get(key); ok {
-			return res, nil
-		}
-		// Read the generation before evaluating: if the store moves while
-		// we run, the insert below is tagged too old and dropped rather
-		// than trusted.
-		gen := rcache.generation()
-		col := newURICollector(docs)
-		res, err := relationalResult(relationalEngine(plan, &opts, budget, col.resolver(), nil))
-		if err == nil {
-			rcache.put(key, gen, res, col.uris())
-		}
-		return res, err
-	default:
-		if rcache == nil {
-			return interpResult(q.newInterpEngine(&opts, budget, docs))
-		}
-		key := resultKey(&opts, q.srcHash())
-		if res, ok := rcache.get(key); ok {
-			return res, nil
-		}
-		gen := rcache.generation()
-		col := newURICollector(docs)
-		res, err := interpResult(q.newInterpEngine(&opts, budget, col.resolver()))
-		if err == nil {
-			rcache.put(key, gen, res, col.uris())
-		}
-		return res, err
+	key := resultKey{queryKey: q.key(opts), engine: opts.Engine, maxRounds: opts.MaxRounds, maxRows: opts.MaxRows}
+	if res, ok := rc.get(key); ok {
+		return res, plan, nil
 	}
+	// Read the generation before evaluating: if the store moves while we
+	// run, the insert below is tagged too old and dropped rather than
+	// trusted.
+	gen := rc.generation()
+	col := newURICollector(docs)
+	if res, err = q.run(opts, plan, budget, col.resolver(), prof); err == nil {
+		rc.put(key, gen, res, col.uris())
+	}
+	return res, plan, err
 }
 
 // tracedDocs wraps a resolver so each document resolution records one
@@ -486,19 +481,22 @@ func tracedDocs(tr *obs.Trace, docs DocResolver) DocResolver {
 	}
 }
 
-// relationalResult executes the relational engine and packages its outcome
-// under the Result/budget-error contract documented on Eval.
-func relationalResult(en *algebra.Engine) (*Result, error) {
-	seq, runs, err := en.Eval()
+// run executes one engine over docs — the relational one on plan, the
+// interpreter when plan is nil — and packages its outcome under the
+// Result contract documented on Eval. Mode and optimizer level are already
+// baked into a plan; only the per-run knobs matter here.
+func (q *Query) run(opts *Options, plan *algebra.Plan, budget *xdm.Budget, docs DocResolver, prof *obs.PlanProfile) (*Result, error) {
 	var fps []FixpointStats
-	for _, run := range runs {
-		fps = append(fps, run.Site)
+	if plan != nil {
+		seq, runs, err := algebra.NewEngineFromPlan(plan, algebra.Options{
+			Docs: docs, NoIndex: opts.NoIndex, Context: opts.Context,
+			Budget: budget, Trace: opts.Trace, Prof: prof,
+		}).Eval()
+		for _, run := range runs {
+			fps = append(fps, run.Site)
+		}
+		return result(seq, fps, err)
 	}
-	return result(seq, fps, err)
-}
-
-// newInterpEngine builds the interpreter engine for one evaluation.
-func (q *Query) newInterpEngine(opts *Options, budget *xdm.Budget, docs DocResolver) *interp.Engine {
 	mode := interp.ModeAuto
 	switch opts.Mode {
 	case ModeNaive:
@@ -506,21 +504,14 @@ func (q *Query) newInterpEngine(opts *Options, budget *xdm.Budget, docs DocResol
 	case ModeDelta:
 		mode = interp.ModeDelta
 	}
-	return interp.New(q.module, interp.Options{
+	out, err := interp.New(q.module, interp.Options{
 		Mode: mode, Docs: docs, ContextItem: opts.ContextItem,
 		Context: opts.Context, NoIndex: opts.NoIndex,
 		Budget: budget, Trace: opts.Trace,
-	})
-}
-
-// interpResult executes the interpreter engine and packages its outcome
-// under the Result/budget-error contract documented on Eval.
-func interpResult(en *interp.Engine) (*Result, error) {
-	out, err := en.Eval()
+	}).Eval()
 	if out == nil {
 		return nil, err
 	}
-	var fps []FixpointStats
 	for _, run := range out.IFPRuns {
 		fps = append(fps, run.Site)
 	}
@@ -618,87 +609,24 @@ func DocsFromDir(dir string) DocResolver {
 // which rule FOR2 certifies. The caller asserts the bodies are in fact
 // distributive — the rewrite changes the meaning of non-distributive ones.
 func (q *Query) Hint() *Query {
-	rewrite := func(e ast.Expr) ast.Expr {
-		out := rewriteFixpoints(e)
-		return out
+	hint := func(e ast.Expr) ast.Expr {
+		return ast.Rewrite(e, func(x ast.Expr) ast.Expr {
+			if fp, ok := x.(*ast.Fixpoint); ok {
+				fp.Body = dist.Hint(fp.Body, fp.Var)
+			}
+			return x
+		})
 	}
-	m := &ast.Module{Vars: q.module.Vars}
+	m := &ast.Module{Body: hint(q.module.Body)}
+	for _, v := range q.module.Vars {
+		m.Vars = append(m.Vars, &ast.VarDecl{Name: v.Name, Value: hint(v.Value)})
+	}
 	for _, f := range q.module.Funcs {
 		nf := *f
-		nf.Body = rewrite(f.Body)
+		nf.Body = hint(f.Body)
 		m.Funcs = append(m.Funcs, &nf)
 	}
-	m.Body = rewrite(q.module.Body)
 	return &Query{src: ast.FormatModule(m), module: m}
-}
-
-func rewriteFixpoints(e ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	if fp, ok := e.(*ast.Fixpoint); ok {
-		return &ast.Fixpoint{
-			Var:  fp.Var,
-			Seed: rewriteFixpoints(fp.Seed),
-			Body: dist.Hint(rewriteFixpoints(fp.Body), fp.Var),
-		}
-	}
-	// Generic structural rewrite via Substitute of a sentinel: simplest is
-	// a manual walk over Children; reuse ast.Copy + in-place patch.
-	cp := ast.Copy(e)
-	patchChildren(cp)
-	return cp
-}
-
-// patchChildren rewrites Fixpoint descendants of a freshly copied tree in
-// place.
-func patchChildren(e ast.Expr) {
-	switch x := e.(type) {
-	case *ast.Seq:
-		for i := range x.Items {
-			x.Items[i] = rewriteFixpoints(x.Items[i])
-		}
-	case *ast.For:
-		x.In = rewriteFixpoints(x.In)
-		x.Body = rewriteFixpoints(x.Body)
-	case *ast.Let:
-		x.Value = rewriteFixpoints(x.Value)
-		x.Body = rewriteFixpoints(x.Body)
-	case *ast.Quantified:
-		x.In = rewriteFixpoints(x.In)
-		x.Cond = rewriteFixpoints(x.Cond)
-	case *ast.If:
-		x.Cond = rewriteFixpoints(x.Cond)
-		x.Then = rewriteFixpoints(x.Then)
-		x.Else = rewriteFixpoints(x.Else)
-	case *ast.Binary:
-		x.L = rewriteFixpoints(x.L)
-		x.R = rewriteFixpoints(x.R)
-	case *ast.Unary:
-		x.E = rewriteFixpoints(x.E)
-	case *ast.Slash:
-		x.L = rewriteFixpoints(x.L)
-		x.R = rewriteFixpoints(x.R)
-	case *ast.Filter:
-		x.E = rewriteFixpoints(x.E)
-		for i := range x.Preds {
-			x.Preds[i] = rewriteFixpoints(x.Preds[i])
-		}
-	case *ast.AxisStep:
-		for i := range x.Preds {
-			x.Preds[i] = rewriteFixpoints(x.Preds[i])
-		}
-	case *ast.FuncCall:
-		for i := range x.Args {
-			x.Args[i] = rewriteFixpoints(x.Args[i])
-		}
-	case *ast.TypeSwitch:
-		x.Operand = rewriteFixpoints(x.Operand)
-		for _, c := range x.Cases {
-			c.Body = rewriteFixpoints(c.Body)
-		}
-		x.Default = rewriteFixpoints(x.Default)
-	}
 }
 
 // Version identifies the library.

@@ -1,12 +1,14 @@
 package ifpxq
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/xdm"
+	"repro/internal/xq/ast"
 )
 
 func nodeItem(d *xdm.Document) xdm.Item { return xdm.NewNode(d.Root()) }
@@ -182,6 +184,90 @@ recurse if (count($x) >= 1) then $x/id(./prerequisites/pre_code) else ()`)
 	}
 	if r2.Fixpoints[0].Algorithm.String() != "Delta" {
 		t.Errorf("hinted query still runs %v", r2.Fixpoints[0].Algorithm)
+	}
+}
+
+// Two queries whose fixpoint sites the compiler numbers differently from
+// a walk of the query body: a function's site compiles at its call, after
+// nothing of the body, and a prolog variable's site compiles first.
+const (
+	funcSiteQuery = `declare function local:f($s) { with $x seeded by $s recurse $x/b };
+(local:f(doc("a.xml")/a), with $y seeded by doc("a.xml")/a recurse if (count($y) > 2) then () else $y/b)`
+	varSiteQuery = `declare variable $v := with $z seeded by doc("a.xml")/a recurse if (count($z) > 2) then () else $z/b;
+($v, with $x seeded by doc("a.xml")/a recurse $x/b)`
+)
+
+// TestDistributivityPairsVerdictsWithSites: each site reports its own
+// algebraic verdicts, prolog variables included, and a function called
+// twice reports once.
+func TestDistributivityPairsVerdictsWithSites(t *testing.T) {
+	type verdict struct {
+		Var                                string
+		Syntactic, Algebraic, AlgebraicExt bool
+	}
+	for _, c := range []struct {
+		query string
+		want  []verdict
+	}{
+		{funcSiteQuery, []verdict{{"x", true, true, true}, {"y", false, false, false}}},
+		{varSiteQuery, []verdict{{"z", false, false, false}, {"x", true, true, true}}},
+		{`declare function local:f($s) { with $x seeded by $s recurse $x/b }; (local:f(doc("a.xml")/a), local:f(doc("a.xml")/c))`,
+			[]verdict{{"x", true, true, true}}},
+	} {
+		var got []verdict
+		for _, r := range MustParse(c.query).Distributivity() {
+			if r.AlgebraicError != "" {
+				t.Errorf("%s: $%s: %s", c.query, r.Var, r.AlgebraicError)
+			}
+			got = append(got, verdict{r.Var, r.Syntactic, r.Algebraic, r.AlgebraicExt})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s:\ngot  %v\nwant %v", c.query, got, c.want)
+		}
+	}
+	reps := MustParse(`declare function local:f($s) { with $x seeded by $s recurse $x/b }; 1`).Distributivity()
+	if len(reps) != 1 || reps[0].AlgebraicError == "" || reps[0].Algebraic {
+		t.Errorf("a site no call reaches has no algebraic verdict: %+v", reps)
+	}
+}
+
+// TestHintReachesEverySite: the hint rewrites fixpoints under element
+// constructors, in order-by keys and in prolog variables too, and leaves
+// the results alone on distributive bodies.
+func TestHintReachesEverySite(t *testing.T) {
+	d := DocsFromStrings(map[string]string{"a.xml": `<a><b><b/></b><b/></a>`})
+	for _, src := range []string{
+		`<r>{with $x seeded by doc("a.xml")/a recurse $x/b}</r>`,
+		`for $i in (1, 2) order by count(with $x seeded by doc("a.xml")/a recurse $x/b) descending return $i`,
+		`declare variable $v := with $x seeded by doc("a.xml")/a recurse $x/b; count($v)`,
+	} {
+		q := MustParse(src)
+		h := q.Hint()
+		exprs := []ast.Expr{h.Module().Body}
+		for _, v := range h.Module().Vars {
+			exprs = append(exprs, v.Value)
+		}
+		hinted := 0
+		for _, e := range exprs {
+			ast.Walk(e, func(e ast.Expr) bool {
+				if fp, ok := e.(*ast.Fixpoint); ok {
+					if f, ok := fp.Body.(*ast.For); ok {
+						if v, ok := f.In.(*ast.VarRef); ok && v.Name == fp.Var {
+							hinted++
+						}
+					}
+				}
+				return true
+			})
+		}
+		if hinted != 1 {
+			t.Errorf("%s: body not hinted: %s", src, h.Source())
+		}
+		r1, err1 := q.Eval(Options{Docs: d})
+		r2, err2 := h.Eval(Options{Docs: d})
+		if err1 != nil || err2 != nil || r1.String() != r2.String() {
+			t.Errorf("%s: hint changed the result: %v %v / %v %v", src, r1, err1, r2, err2)
+		}
 	}
 }
 

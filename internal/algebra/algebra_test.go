@@ -463,7 +463,7 @@ func TestExplainQ1PlanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := en.Plan().Mus[0].Mu.Kids[1]
-	summary := OperatorSummary(body)
+	summary := OperatorSummary(Operators(body))
 	// Figure 9(a): the recursion body is steps, an id lookup, projections
 	// and joins — and crucially no count aggregate.
 	for _, needed := range []string{"step[child::prerequisites]", "step[child::pre_code]", "id[item]", "recbase"} {

@@ -36,8 +36,11 @@ type Plan struct {
 
 // MuSite describes one compiled fixpoint.
 type MuSite struct {
-	Mu              *Node
-	Var             string
+	Mu *Node
+	// Fixpoint is the query's own site this µ compiles: an inlined
+	// function compiles a copy of its body, so each call's µ names the
+	// declaration's site.
+	Fixpoint        *ast.Fixpoint
 	Distributive    bool // strict Table 1 push-up verdict
 	DistributiveExt bool // extended verdict (left-of-\ pushes, §6 remark)
 	// IterationFree marks a body that reads nothing but its recursion
@@ -80,6 +83,9 @@ type compiler struct {
 	topEnv      cenv
 	hoisted     map[ast.Expr]*Node
 	globals     map[string]*Node // prolog globals, compiled in the top loop
+	// origin maps each fixpoint of an inlined copy to its declaration's;
+	// nil until a call is inlined.
+	origin map[*ast.Fixpoint]*ast.Fixpoint
 }
 
 // isInvariant reports whether an expression's value is the same in every

@@ -315,6 +315,14 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 			body = ast.Substitute(body, prm.Name, &ast.VarRef{Name: fresh})
 			callEnv = callEnv.bind(fresh, argPlan)
 		}
+		// The copy has the declaration's shape, so its sites pair up in order.
+		sites := ast.Fixpoints(decl.Body)
+		for i, fp := range ast.Fixpoints(body) {
+			if c.origin == nil {
+				c.origin = map[*ast.Fixpoint]*ast.Fixpoint{}
+			}
+			c.origin[fp] = sites[i]
+		}
 		return c.compile(body, loop, callEnv)
 	}
 	switch n.Name {
@@ -445,8 +453,11 @@ func (c *compiler) compileFixpoint(n *ast.Fixpoint, loop *Node, env cenv) (*Node
 		return nil, err
 	}
 	mu := &Node{Op: OpMu, RecBase: &Node{Op: OpRecBase}}
-	site := &MuSite{Mu: mu, Var: n.Var,
+	site := &MuSite{Mu: mu, Fixpoint: n,
 		IterationFree: !usesContextFreely(n.Body) && c.readsGlobalsOnly(n.Body, env, n.Var)}
+	if o, ok := c.origin[n]; ok {
+		site.Fixpoint = o
+	}
 	bodyLoop, bodyEnv := loop, env
 	if site.IterationFree {
 		mu.Keys = &Node{Op: OpRecBase, LitCols: []string{"iter"}}

@@ -25,10 +25,7 @@ const (
 // Options configure an Engine.
 type Options struct {
 	Mode FixpointMode
-	// Strict selects the Table 1-exact push rules for the auto decision;
-	// when false the extended rules (left input of `\`) apply.
-	Strict bool
-	Docs   func(uri string) (*xdm.Document, error)
+	Docs func(uri string) (*xdm.Document, error)
 	// Deprecated: ignored; every evaluation is sequential.
 	Parallelism int
 	// NoIndex disables the name-index probe path in the step executor;
@@ -72,7 +69,8 @@ type Engine struct {
 // single evaluation. The returned plan holds no mutable execution state
 // (that all lives in ExecContext, keyed by node pointer), so one compiled
 // plan is safely shared across concurrent evaluations — the contract the
-// serving layer's plan cache relies on.
+// serving layer's plan cache relies on. strict makes auto mode (and
+// tabling) follow Table 1's exact push rules instead of the extended ones.
 func CompilePlan(m *ast.Module, mode FixpointMode, strict bool, optimize func(*Plan), tr *obs.Trace) (*Plan, error) {
 	stopCompile := tr.StartPhase("compile")
 	plan, err := CompileModule(m)
@@ -105,9 +103,9 @@ func CompilePlan(m *ast.Module, mode FixpointMode, strict bool, optimize func(*P
 }
 
 // NewEngine compiles the module and fixes each µ site's algorithm per the
-// requested mode.
+// requested mode, auto mode deciding by the extended rules.
 func NewEngine(m *ast.Module, opts Options) (*Engine, error) {
-	plan, err := CompilePlan(m, opts.Mode, opts.Strict, opts.Optimize, opts.Trace)
+	plan, err := CompilePlan(m, opts.Mode, false, opts.Optimize, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +114,8 @@ func NewEngine(m *ast.Module, opts Options) (*Engine, error) {
 
 // NewEngineFromPlan builds an engine around an already-compiled plan (a
 // plan-cache hit). The plan must have been produced by CompilePlan with
-// the mode, strictness, and optimizer these options imply — the engine
-// does not re-derive any of it.
+// the mode and optimizer these options imply — the engine does not
+// re-derive any of it.
 func NewEngineFromPlan(plan *Plan, opts Options) *Engine {
 	return &Engine{plan: plan, opts: opts}
 }

@@ -155,9 +155,9 @@ func Operators(root *Node) map[string]int {
 	return out
 }
 
-// OperatorSummary renders Operators as a sorted one-line summary.
-func OperatorSummary(root *Node) string {
-	ops := Operators(root)
+// OperatorSummary renders an Operators multiset as a sorted one-line
+// summary.
+func OperatorSummary(ops map[string]int) string {
 	keys := make([]string, 0, len(ops))
 	for k := range ops {
 		keys = append(keys, k)

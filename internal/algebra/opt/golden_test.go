@@ -8,10 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	ifpxq "repro"
 	"repro/internal/algebra"
-	"repro/internal/algebra/opt"
 	"repro/internal/bench"
-	"repro/internal/xq/parser"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden explain files")
@@ -32,39 +31,33 @@ var goldenQueries = []struct {
 	{"hospital", bench.HospitalQuery},
 }
 
-// renderGolden produces the full explain artifact for one query: raw and
-// optimized plans with property annotations plus both operator summaries.
+// renderGolden produces the full explain artifact for one query through
+// Query.Explain, the rendering `xq -explain` prints: raw and optimized
+// plans with property annotations plus both operator summaries.
 func renderGolden(t *testing.T, query string) string {
 	t.Helper()
-	m, err := parser.Parse(query)
+	q, err := ifpxq.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := algebra.CompileModule(m)
+	ex, err := q.Explain(ifpxq.Opt1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Mirror the engine's default auto decision so µ∆ renders as it runs.
-	for _, site := range plan.Mus {
-		site.Mu.Delta = site.DistributiveExt
 	}
 	var sb strings.Builder
 	sb.WriteString("-- raw plan --\n")
-	sb.WriteString(algebra.ExplainWith(plan.Root, opt.Annotate(plan.Root)))
-	rawOps := algebra.OperatorSummary(plan.Root)
-	rawCount := countOps(plan.Root)
-	opt.Optimize(plan)
+	sb.WriteString(ex.Raw)
 	sb.WriteString("-- optimized plan --\n")
-	sb.WriteString(algebra.ExplainWith(plan.Root, opt.Annotate(plan.Root)))
-	fmt.Fprintf(&sb, "-- operators: raw=%d optimized=%d --\n", rawCount, countOps(plan.Root))
-	sb.WriteString("raw: " + rawOps + "\n")
-	sb.WriteString("optimized: " + algebra.OperatorSummary(plan.Root) + "\n")
+	sb.WriteString(ex.Optimized)
+	fmt.Fprintf(&sb, "-- operators: raw=%d optimized=%d --\n", countOps(ex.RawOps), countOps(ex.OptimizedOps))
+	sb.WriteString("raw: " + algebra.OperatorSummary(ex.RawOps) + "\n")
+	sb.WriteString("optimized: " + algebra.OperatorSummary(ex.OptimizedOps) + "\n")
 	return sb.String()
 }
 
-func countOps(root *algebra.Node) int {
+func countOps(ops map[string]int) int {
 	total := 0
-	for _, c := range algebra.Operators(root) {
+	for _, c := range ops {
 		total += c
 	}
 	return total

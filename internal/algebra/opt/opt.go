@@ -9,8 +9,8 @@ import (
 
 // maxPasses bounds the rule-engine fixed point. Each pass is a full
 // liveness + property analysis plus one bottom-up rewrite; rule
-// interactions (a removed δ unprotects columns for the next pruning pass, a
-// pushed σ meets the next π) converge in a handful of passes on real plans.
+// interactions (a removed δ unprotects columns for the next pruning pass)
+// converge in a handful of passes on real plans.
 const maxPasses = 12
 
 // Optimize rewrites a compiled plan in place: the rule engine runs to a

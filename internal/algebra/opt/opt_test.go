@@ -383,45 +383,6 @@ func TestRuleJoinToSemijoinUnderDistinct(t *testing.T) {
 	}
 }
 
-func TestRuleSelectPushdown(t *testing.T) {
-	l := lit([]string{"keep", "v"}, [][]xdm.Item{
-		{xdm.NewBoolean(true), xdm.NewInteger(1)},
-		{xdm.NewBoolean(false), xdm.NewInteger(2)},
-	})
-	r := lit([]string{"w"}, [][]xdm.Item{intRow(7)})
-	cross := &algebra.Node{Op: algebra.OpCross, Kids: []*algebra.Node{l, r}}
-	sel := &algebra.Node{Op: algebra.OpSelect, Kids: []*algebra.Node{cross}, Col: "keep"}
-	p := optimizeRoot(sel)
-	// σ must sit below ×: the cross node's first child is the select.
-	root := p.Root
-	var crossNode *algebra.Node
-	seen := map[*algebra.Node]bool{}
-	var walk func(n *algebra.Node)
-	walk = func(n *algebra.Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		if n.Op == algebra.OpCross {
-			crossNode = n
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(root)
-	if crossNode == nil || crossNode.Kids[0].Op != algebra.OpSelect {
-		t.Errorf("σ not pushed through ×:\n%s", algebra.Explain(root))
-	}
-	tbl, err := algebra.Eval(p.Root, &algebra.ExecContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 {
-		t.Errorf("pushed σ rows = %d, want 1", tbl.Len())
-	}
-}
-
 func TestHashConsingMergesEqualSubtrees(t *testing.T) {
 	mk := func() *algebra.Node {
 		base := lit([]string{"iter", "item"}, [][]xdm.Item{intRow(1, 5)})

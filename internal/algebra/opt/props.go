@@ -5,8 +5,9 @@
 // rewriting rather than operator speed alone: property inference annotates
 // every plan node (live columns, key sets, duplicate-freedom, loop
 // dependence), and a rule engine applies semantics-preserving rewrites to a
-// fixed point (dead-column pruning, selection pushdown, distinct elimination
-// over keyed inputs, join→semijoin reduction, projection collapsing) before
+// fixed point (dead-column pruning, value-equality selection into steps,
+// distinct elimination over keyed inputs, join→semijoin reduction,
+// projection collapsing) before
 // a final hash-consing pass merges structurally identical sub-plans so the
 // executor's DAG memoization fires on equal-but-not-pointer-shared subtrees.
 //

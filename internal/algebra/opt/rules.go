@@ -298,8 +298,6 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 		if r.an.Props(old.Kids[0]).HasKeyWithin(toSet(kid.Schema())) {
 			return kid
 		}
-	case algebra.OpSelect:
-		return r.selectRules(old, n)
 	case algebra.OpJoin:
 		return r.joinRules(old, n)
 	case algebra.OpSemiJoin:
@@ -353,44 +351,6 @@ func (r *rewriter) projectRules(old, n *algebra.Node) *algebra.Node {
 		}
 		if id {
 			return n.Kids[0]
-		}
-	}
-	return n
-}
-
-// selectRules pushes σ down through π, ∪ and ×. Pushdown only fires when
-// the operator below is unshared: pushing through a shared node would
-// duplicate its evaluation for this consumer while the original stays
-// memoized for the others.
-func (r *rewriter) selectRules(old, n *algebra.Node) *algebra.Node {
-	kid := n.Kids[0]
-	if r.parents[old.Kids[0]] != 1 {
-		return n
-	}
-	switch kid.Op {
-	case algebra.OpProject:
-		for _, p := range kid.Proj {
-			if p.Out == n.Col {
-				inner := &algebra.Node{Op: algebra.OpSelect, Kids: []*algebra.Node{kid.Kids[0]}, Col: p.In}
-				return &algebra.Node{Op: algebra.OpProject, Kids: []*algebra.Node{inner}, Proj: kid.Proj}
-			}
-		}
-	case algebra.OpUnion:
-		l := &algebra.Node{Op: algebra.OpSelect, Kids: []*algebra.Node{kid.Kids[0]}, Col: n.Col}
-		rr := &algebra.Node{Op: algebra.OpSelect, Kids: []*algebra.Node{kid.Kids[1]}, Col: n.Col}
-		return &algebra.Node{Op: algebra.OpUnion, Kids: []*algebra.Node{l, rr}}
-	case algebra.OpCross:
-		onL := kid.Kids[0].HasCol(n.Col)
-		onR := kid.Kids[1].HasCol(n.Col)
-		if onL != onR {
-			side := 0
-			if onR {
-				side = 1
-			}
-			sel := &algebra.Node{Op: algebra.OpSelect, Kids: []*algebra.Node{kid.Kids[side]}, Col: n.Col}
-			kids := []*algebra.Node{kid.Kids[0], kid.Kids[1]}
-			kids[side] = sel
-			return &algebra.Node{Op: algebra.OpCross, Kids: kids}
 		}
 	}
 	return n

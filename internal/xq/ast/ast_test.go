@@ -86,3 +86,32 @@ func TestSeqTypeString(t *testing.T) {
 		}
 	}
 }
+
+// TestRewriteReachesWhatWalkReaches: rebuild and Children list the same
+// sub-expressions for every node kind, so a rewrite misses nothing a walk
+// sees, and a copy formats as its original.
+func TestRewriteReachesWhatWalkReaches(t *testing.T) {
+	lit := func(i int64) Expr { return &Literal{Kind: LitInteger, Int: i} }
+	e := &Seq{Items: []Expr{
+		&For{Var: "v", Pos: "p", In: &VarRef{Name: "s"}, OrderBy: &OrderSpec{Key: &ContextItem{}}, Body: &RootExpr{}},
+		&Let{Var: "l", Value: lit(1), Body: &Quantified{Var: "q", In: lit(2),
+			Cond: &If{Cond: lit(3), Then: &Unary{E: lit(4)}, Else: &Binary{Op: OpAdd, L: lit(5), R: lit(6)}}}},
+		&Slash{L: &Filter{E: lit(7), Preds: []Expr{lit(8)}},
+			R: &AxisStep{Axis: AxisChild, Test: NodeTest{Kind: TestName, Name: "b"}, Preds: []Expr{lit(9)}}},
+		&FuncCall{Name: "f", Args: []Expr{lit(10)}},
+		&ElemCtor{Name: "e", Attrs: []*AttrCtor{{Name: "a", Content: []Expr{lit(11)}}},
+			Content: []Expr{&TextCtor{Content: lit(12)}}},
+		&TypeSwitch{Operand: lit(13), Cases: []*TSCase{{Var: "c", Type: SeqType{Item: ITNode}, Body: lit(14)}},
+			DefaultVar: "d", Default: lit(15)},
+		&Fixpoint{Var: "x", Seed: lit(16), Body: &VarRef{Name: "x"}},
+	}}
+	walked, rewritten := 0, 0
+	Walk(e, func(Expr) bool { walked++; return true })
+	cp := Rewrite(e, func(x Expr) Expr { rewritten++; return x })
+	if walked != rewritten {
+		t.Errorf("walk visits %d nodes, rewrite %d", walked, rewritten)
+	}
+	if Format(cp) != Format(e) {
+		t.Errorf("copy formats as %s, original as %s", Format(cp), Format(e))
+	}
+}

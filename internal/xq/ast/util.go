@@ -198,6 +198,18 @@ func ContainsConstructor(e Expr) bool {
 	return found
 }
 
+// Fixpoints lists the fixpoint sites in e, pre-order.
+func Fixpoints(e Expr) []*Fixpoint {
+	var out []*Fixpoint
+	Walk(e, func(x Expr) bool {
+		if fp, ok := x.(*Fixpoint); ok {
+			out = append(out, fp)
+		}
+		return true
+	})
+	return out
+}
+
 // Substitute returns e with every free occurrence of $name replaced by a
 // fresh copy of repl — the paper's e1[e2/$x] notation. The input is not
 // modified.
@@ -206,98 +218,111 @@ func Substitute(e Expr, name string, repl Expr) Expr {
 }
 
 func subst(e Expr, name string, repl Expr, bound map[string]bool) Expr {
+	if v, ok := e.(*VarRef); ok && v.Name == name && !bound[name] {
+		return Copy(repl)
+	}
+	return rebuild(e, func(k Expr, binders ...string) Expr {
+		return subst(k, name, repl, withBound(bound, binders...))
+	})
+}
+
+// Rewrite returns a copy of e rebuilt bottom-up: each node is copied with
+// its rewritten sub-expressions and then handed to fn, whose result takes
+// its place. fn may return its argument, and may modify it unless it is a
+// leaf (literal, variable, context item, root): leaves are shared, every
+// other node fn sees is a fresh copy. fn must map an attribute constructor
+// to an attribute constructor.
+func Rewrite(e Expr, fn func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
 	}
-	switch x := e.(type) {
-	case *Literal, *ContextItem, *RootExpr:
-		return e
-	case *VarRef:
-		if x.Name == name && !bound[name] {
-			return Copy(repl)
-		}
-		return e
-	case *Seq:
-		items := make([]Expr, len(x.Items))
-		for i, it := range x.Items {
-			items[i] = subst(it, name, repl, bound)
-		}
-		return &Seq{Items: items}
-	case *For:
-		inner := withBound(bound, x.Var, x.Pos)
-		nf := &For{Var: x.Var, Pos: x.Pos, In: subst(x.In, name, repl, bound), Body: subst(x.Body, name, repl, inner)}
-		if x.OrderBy != nil {
-			nf.OrderBy = &OrderSpec{Key: subst(x.OrderBy.Key, name, repl, inner), Descending: x.OrderBy.Descending}
-		}
-		return nf
-	case *Let:
-		return &Let{Var: x.Var, Value: subst(x.Value, name, repl, bound),
-			Body: subst(x.Body, name, repl, withBound(bound, x.Var))}
-	case *Quantified:
-		return &Quantified{Every: x.Every, Var: x.Var, In: subst(x.In, name, repl, bound),
-			Cond: subst(x.Cond, name, repl, withBound(bound, x.Var))}
-	case *If:
-		return &If{Cond: subst(x.Cond, name, repl, bound), Then: subst(x.Then, name, repl, bound),
-			Else: subst(x.Else, name, repl, bound)}
-	case *Binary:
-		return &Binary{Op: x.Op, L: subst(x.L, name, repl, bound), R: subst(x.R, name, repl, bound)}
-	case *Unary:
-		return &Unary{E: subst(x.E, name, repl, bound)}
-	case *Slash:
-		return &Slash{L: subst(x.L, name, repl, bound), R: subst(x.R, name, repl, bound)}
-	case *AxisStep:
-		preds := make([]Expr, len(x.Preds))
-		for i, p := range x.Preds {
-			preds[i] = subst(p, name, repl, bound)
-		}
-		return &AxisStep{Axis: x.Axis, Test: x.Test, Preds: preds}
-	case *Filter:
-		preds := make([]Expr, len(x.Preds))
-		for i, p := range x.Preds {
-			preds[i] = subst(p, name, repl, bound)
-		}
-		return &Filter{E: subst(x.E, name, repl, bound), Preds: preds}
-	case *FuncCall:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = subst(a, name, repl, bound)
-		}
-		return &FuncCall{Name: x.Name, Args: args}
-	case *ElemCtor:
-		attrs := make([]*AttrCtor, len(x.Attrs))
-		for i, a := range x.Attrs {
-			attrs[i] = subst(a, name, repl, bound).(*AttrCtor)
-		}
-		content := make([]Expr, len(x.Content))
-		for i, c := range x.Content {
-			content[i] = subst(c, name, repl, bound)
-		}
-		return &ElemCtor{Name: x.Name, NameExpr: subst(x.NameExpr, name, repl, bound), Attrs: attrs, Content: content}
-	case *AttrCtor:
-		content := make([]Expr, len(x.Content))
-		for i, c := range x.Content {
-			content[i] = subst(c, name, repl, bound)
-		}
-		return &AttrCtor{Name: x.Name, NameExpr: subst(x.NameExpr, name, repl, bound), Content: content}
-	case *TextCtor:
-		return &TextCtor{Content: subst(x.Content, name, repl, bound)}
-	case *TypeSwitch:
-		cases := make([]*TSCase, len(x.Cases))
-		for i, c := range x.Cases {
-			cases[i] = &TSCase{Var: c.Var, Type: c.Type, Body: subst(c.Body, name, repl, withBound(bound, c.Var))}
-		}
-		return &TypeSwitch{Operand: subst(x.Operand, name, repl, bound), Cases: cases,
-			DefaultVar: x.DefaultVar, Default: subst(x.Default, name, repl, withBound(bound, x.DefaultVar))}
-	case *Fixpoint:
-		return &Fixpoint{Var: x.Var, Seed: subst(x.Seed, name, repl, bound),
-			Body: subst(x.Body, name, repl, withBound(bound, x.Var))}
-	}
-	return e
+	return fn(rebuild(e, func(k Expr, _ ...string) Expr { return Rewrite(k, fn) }))
 }
 
-// Copy deep-copies an expression tree.
+// Copy deep-copies an expression tree; leaves are immutable and shared.
 func Copy(e Expr) Expr {
-	// Substitution with a never-matching variable name performs a deep copy
-	// of every composite node; leaves are immutable and safely shared.
-	return subst(e, "\x00never", nil, map[string]bool{})
+	return Rewrite(e, func(x Expr) Expr { return x })
+}
+
+// rebuild is the one structural copy of the tree: it returns a copy of e
+// whose direct sub-expressions k are replaced by f(k, binders), binders
+// being the variables e binds around k (For's Var and Pos over its order
+// key and body, Let's and Quantified's Var, a typeswitch clause's variable,
+// a fixpoint's Var over its body). A leaf, or nil, comes back as it is.
+func rebuild(e Expr, f func(k Expr, binders ...string) Expr) Expr {
+	exprs := func(in []Expr) []Expr {
+		out := make([]Expr, len(in))
+		for i, k := range in {
+			out[i] = f(k)
+		}
+		return out
+	}
+	switch x := e.(type) {
+	case *Seq:
+		return &Seq{Items: exprs(x.Items)}
+	case *For:
+		c := *x
+		c.In, c.Body = f(x.In), f(x.Body, x.Var, x.Pos)
+		if x.OrderBy != nil {
+			c.OrderBy = &OrderSpec{Key: f(x.OrderBy.Key, x.Var, x.Pos), Descending: x.OrderBy.Descending}
+		}
+		return &c
+	case *Let:
+		c := *x
+		c.Value, c.Body = f(x.Value), f(x.Body, x.Var)
+		return &c
+	case *Quantified:
+		c := *x
+		c.In, c.Cond = f(x.In), f(x.Cond, x.Var)
+		return &c
+	case *If:
+		return &If{Cond: f(x.Cond), Then: f(x.Then), Else: f(x.Else)}
+	case *Binary:
+		c := *x
+		c.L, c.R = f(x.L), f(x.R)
+		return &c
+	case *Unary:
+		return &Unary{E: f(x.E)}
+	case *Slash:
+		return &Slash{L: f(x.L), R: f(x.R)}
+	case *AxisStep:
+		c := *x
+		c.Preds = exprs(x.Preds)
+		return &c
+	case *Filter:
+		return &Filter{E: f(x.E), Preds: exprs(x.Preds)}
+	case *FuncCall:
+		c := *x
+		c.Args = exprs(x.Args)
+		return &c
+	case *ElemCtor:
+		c := *x
+		c.NameExpr, c.Content = f(x.NameExpr), exprs(x.Content)
+		c.Attrs = make([]*AttrCtor, len(x.Attrs))
+		for i, a := range x.Attrs {
+			c.Attrs[i] = f(a).(*AttrCtor)
+		}
+		return &c
+	case *AttrCtor:
+		c := *x
+		c.NameExpr, c.Content = f(x.NameExpr), exprs(x.Content)
+		return &c
+	case *TextCtor:
+		return &TextCtor{Content: f(x.Content)}
+	case *TypeSwitch:
+		c := *x
+		c.Operand, c.Default = f(x.Operand), f(x.Default, x.DefaultVar)
+		c.Cases = make([]*TSCase, len(x.Cases))
+		for i, tc := range x.Cases {
+			cc := *tc
+			cc.Body = f(tc.Body, tc.Var)
+			c.Cases[i] = &cc
+		}
+		return &c
+	case *Fixpoint:
+		c := *x
+		c.Seed, c.Body = f(x.Seed), f(x.Body, x.Var)
+		return &c
+	}
+	return e
 }
