@@ -106,9 +106,9 @@ benchmark-check:
 # coverage step enforces the per-package floors; loadsmoke gates the
 # overload/degradation contract; parity-check gates tracing, round-stats,
 # caching, and indexed-vs-scan parity; benchmark-check vets and tests the
-# separate benchmark/ module; one iteration each of BenchmarkCachedReply
-# and BenchmarkSnapshotOpen keeps the xqd reply-path and snapshot-open
-# benchmarks compiling and running.
+# separate benchmark/ module; one iteration each of BenchmarkCachedReply,
+# BenchmarkSnapshotOpen and BenchmarkOptimize keeps the xqd reply-path,
+# snapshot-open and plan-optimizer benchmarks compiling and running.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -121,6 +121,7 @@ ci:
 	$(MAKE) loadsmoke
 	$(GO) test -run '^$$' -bench CachedReply -benchtime 1x ./cmd/xqd
 	$(GO) test -run '^$$' -bench SnapshotOpen -benchtime 1x ./internal/store
+	$(GO) test -run '^$$' -bench Optimize -benchtime 1x ./internal/algebra/opt
 
 # Fuzzing, FUZZTIME per target. FuzzDifferential: random documents +
 # random fixpoint queries, every engine/mode/optimizer-level combination

@@ -86,12 +86,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  auto mode runs:     %s (interp), %s (rel)\n", pick(rep.Syntactic), rel)
 	}
 	if *explain {
-		plan, err := q.ExplainPlan()
+		ex, err := q.Explain(ifpxq.ModeAuto, ifpxq.Opt0)
 		if err != nil {
 			return fatal(err)
 		}
 		fmt.Fprintln(stdout, "relational plan:")
-		fmt.Fprint(stdout, plan)
+		fmt.Fprint(stdout, ex.Raw)
 	}
 	return 0
 }

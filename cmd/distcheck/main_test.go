@@ -62,8 +62,8 @@ func TestRejectsMissingQuery(t *testing.T) {
 // when the report says rel's auto mode runs Delta there.
 func TestExplainShowsTheRelationalPick(t *testing.T) {
 	for query, want := range map[string]string{
-		`with $x seeded by doc("a.xml")/a recurse $x/b`:                                 "\nmu-delta\n",
-		`with $x seeded by doc("a.xml")/a recurse if (count($x) > 2) then () else $x/b`: "\nmu\n",
+		`with $x seeded by doc("a.xml")/a recurse $x/b`:                                 "\nmu-delta {",
+		`with $x seeded by doc("a.xml")/a recurse if (count($x) > 2) then () else $x/b`: "\nmu {",
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-explain", "-q", query}, &stdout, &stderr); code != 0 {

@@ -12,9 +12,6 @@
 //	   [-mode auto|naive|delta] [-O 0|1] [-explain] [-stats]
 //	xq -f query.xq -dir testdata
 //	xq -q '...' -store snapshots/ -mmap -store-stats
-//
-// -p is accepted and ignored for one release: every evaluation is
-// sequential.
 package main
 
 import (
@@ -46,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeStats = fs.Bool("store-stats", false, "print document cache statistics")
 		engine     = fs.String("engine", "interp", "engine: interp (tree-at-a-time) or rel (relational)")
 		mode       = fs.String("mode", "auto", "fixpoint algorithm: auto, naive, delta")
-		parallel   = fs.Int("p", 0, "deprecated and ignored: every evaluation is sequential")
 		optLevel   = fs.Int("O", 1, "relational plan optimizer level: 0 = verbatim plan, 1 = rewrite rules on")
 		explain    = fs.Bool("explain", false, "print the relational plans (raw and, at -O1, optimized) instead of evaluating")
 		analyze    = fs.Bool("analyze", false, "EXPLAIN ANALYZE: run the query and print phases, the plan annotated with actuals, and per-round fixpoint spans")
@@ -55,10 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *parallel != 0 {
-		fmt.Fprintln(stderr, "xq: -p is deprecated and ignored; every evaluation is sequential")
-	}
-
 	fatal := func(err error) int {
 		fmt.Fprintln(stderr, "xq:", err)
 		return 1
@@ -90,10 +82,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fatal(fmt.Errorf("unknown optimizer level -O%d (use 0 or 1)", *optLevel))
 	}
+	var fmode ifpxq.Mode
+	switch *mode {
+	case "auto":
+	case "naive":
+		fmode = ifpxq.ModeNaive
+	case "delta":
+		fmode = ifpxq.ModeDelta
+	default:
+		return fatal(fmt.Errorf("unknown mode %q", *mode))
+	}
+
 	if *explain {
-		// Print the plan that actually runs: the raw translation and, when
-		// the optimizer is on, the rewritten plan the executor gets.
-		ex, err := q.Explain(level)
+		// Print the plan that actually runs in this mode: the raw
+		// translation and, when the optimizer is on, the rewritten plan the
+		// executor gets.
+		ex, err := q.Explain(fmode, level)
 		if err != nil {
 			return fatal(err)
 		}
@@ -106,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := ifpxq.Options{Docs: ifpxq.DocsFromDir(*dir), Opt: level}
+	opts := ifpxq.Options{Docs: ifpxq.DocsFromDir(*dir), Mode: fmode, Opt: level}
 	var st *ifpxq.Store
 	if *storeDir != "" {
 		var err error
@@ -124,16 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
-	switch *mode {
-	case "auto":
-	case "naive":
-		opts.Mode = ifpxq.ModeNaive
-	case "delta":
-		opts.Mode = ifpxq.ModeDelta
-	default:
-		return fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
-
 	if *analyze {
 		rep, err := q.Analyze(opts)
 		if err != nil {

@@ -129,8 +129,8 @@ func TestStoreStatsOutput(t *testing.T) {
 }
 
 // TestParallelFlagAndStats: -stats prints the fixpoint counters on both
-// engines, which agree on the answer, and the deprecated -p is accepted
-// with a warning and changes nothing.
+// engines, which agree on the answer, and the removed -p flag is rejected:
+// every evaluation is sequential.
 func TestParallelFlagAndStats(t *testing.T) {
 	storeDir, dirDir := fixtures(t)
 	query := `for $c in doc("curriculum.xml")/curriculum/course
@@ -148,13 +148,12 @@ func TestParallelFlagAndStats(t *testing.T) {
 		} else if out != base {
 			t.Fatalf("engine=%s: output diverges", engine)
 		}
-		if !strings.Contains(stderr, "fixpoint 1:") || strings.Contains(stderr, "deprecated") {
-			t.Fatalf("engine=%s: want -stats output and no deprecation warning:\n%s", engine, stderr)
+		if !strings.Contains(stderr, "fixpoint 1:") {
+			t.Fatalf("engine=%s: want -stats output:\n%s", engine, stderr)
 		}
 	}
-	code, out, stderr := runXQ(t, "-store", storeDir, "-dir", dirDir, "-p", "4", "-q", query)
-	if code != 0 || out != base || !strings.Contains(stderr, "-p is deprecated and ignored") {
-		t.Fatalf("-p 4: exit %d, output equal %v, stderr %q", code, out == base, stderr)
+	if code, _, stderr := runXQ(t, "-p", "4", "-q", query); code != 2 || !strings.Contains(stderr, "-p") {
+		t.Fatalf("-p 4: exit %d, stderr %q; want the unknown-flag error", code, stderr)
 	}
 }
 
@@ -195,6 +194,23 @@ func TestOptLevelParity(t *testing.T) {
 	}
 	if outs[0] != outs[1] {
 		t.Fatalf("-O0 and -O1 disagree:\n-O0: %q\n-O1: %q", outs[0], outs[1])
+	}
+}
+
+// TestExplainHonoursMode: -explain renders each µ site as the given -mode
+// runs it, so a certified site is µ under -mode naive.
+func TestExplainHonoursMode(t *testing.T) {
+	query := `with $x seeded by doc("a.xml")/a recurse $x/b`
+	for mode, want := range map[string]string{"auto": "\nmu-delta {", "naive": "\nmu {", "delta": "\nmu-delta {"} {
+		for _, level := range []string{"0", "1"} {
+			code, out, stderr := runXQ(t, "-explain", "-mode", mode, "-O", level, "-q", query)
+			if code != 0 {
+				t.Fatalf("-mode %s -O%s: exit %d stderr %q", mode, level, code, stderr)
+			}
+			if !strings.Contains(out, want) {
+				t.Errorf("-mode %s -O%s: plan lacks %q:\n%s", mode, level, want, out)
+			}
+		}
 	}
 }
 

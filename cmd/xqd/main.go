@@ -25,8 +25,7 @@
 //	    [-max-rows N] [-max-rounds N] [-drain-timeout 10s]
 //
 // Every query evaluates its fixpoint rounds sequentially; the server's
-// parallelism is across requests. -p and -max-p are accepted and ignored
-// for one release (a start-up log line says so when either is set).
+// parallelism is across requests.
 //
 // Repeat queries are served from two caches layered over the store: a
 // compiled-plan cache (parsed queries + optimized relational plans, keyed
@@ -96,14 +95,12 @@ func main() {
 		noParse    = flag.Bool("no-parse", false, "serve snapshots only, never parse XML")
 		planCacheN = flag.Int("plan-cache", 256, "compiled-plan cache entries (0 = disabled); also bounds the parsed-query cache")
 		resCacheN  = flag.Int("result-cache", 512, "result cache entries (0 = disabled); entries flush when any store document changes")
-		parallel   = flag.Int("p", 1, "deprecated and ignored: every query evaluates sequentially")
 		optLevel   = flag.Int("O", 1, "default relational plan optimizer level (0 = verbatim plan)")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query evaluation deadline (0 = unbounded); ?timeout_ms= can only tighten it")
 		maxConc      = flag.Int64("max-concurrent", 0, "admission capacity in concurrently evaluating queries (0 = 4×GOMAXPROCS)")
 		queueLimit   = flag.Int("queue-limit", 64, "admission wait-queue length; beyond it requests are shed with 429")
 		queueTimeout = flag.Duration("queue-timeout", 15*time.Second, "max time a request waits for admission before a 429")
-		maxP         = flag.Int("max-p", 0, "deprecated and ignored: every query evaluates sequentially")
 		maxBody      = flag.Int64("max-body", 1<<20, "max POST body bytes; larger queries get 413")
 		maxRows      = flag.Int64("max-rows", 0, "per-query row-materialization budget (0 = unbounded)")
 		maxRounds    = flag.Int("max-rounds", 0, "per-query fixpoint round budget (0 = engine default cap)")
@@ -166,9 +163,6 @@ func main() {
 
 	log.Printf("xqd: serving store %s on %s (mmap=%v, O=%d, capacity=%d, queue=%d, query-timeout=%s)",
 		*storeDir, *addr, *mmap, *optLevel, capacity, *queueLimit, *queryTimeout)
-	if *parallel != 1 || *maxP != 0 {
-		log.Printf("xqd: -p and -max-p are deprecated and ignored; every query evaluates sequentially")
-	}
 
 	if *debugAddr != "" {
 		// pprof lives on its own listener so profiling endpoints are never

@@ -324,17 +324,6 @@ func (q *Query) Distributivity() []FixpointReport {
 	return reports
 }
 
-// ExplainPlan renders the raw (pre-optimization) relational plan of the
-// query, each µ site's algorithm as auto mode picks it; Explain returns
-// both the raw and the optimized plan, annotated.
-func (q *Query) ExplainPlan() (string, error) {
-	plan, err := compilePlan(q.module, ModeAuto, Opt0, nil)
-	if err != nil {
-		return "", err
-	}
-	return algebra.Explain(plan.Raw), nil
-}
-
 // PlanExplanation carries the raw and optimized renderings of a query's
 // relational plan, each annotated with the optimizer's inferred properties
 // (live columns, key sets, node-only columns, loop dependence), plus the
@@ -347,11 +336,11 @@ type PlanExplanation struct {
 }
 
 // Explain compiles the query and renders the raw plan next to the plan the
-// relational engine actually executes at the given optimizer level, with
-// each µ site's algorithm as auto mode picks it. At Opt0 the optimized
-// rendering is empty: the raw plan is what runs.
-func (q *Query) Explain(level OptLevel) (*PlanExplanation, error) {
-	plan, err := compilePlan(q.module, ModeAuto, level, nil)
+// relational engine actually executes in the given mode at the given
+// optimizer level, each µ site as µ or µ∆ as that mode runs it. At Opt0
+// the optimized rendering is empty: the raw plan is what runs.
+func (q *Query) Explain(mode Mode, level OptLevel) (*PlanExplanation, error) {
+	plan, err := compilePlan(q.module, mode, level, nil)
 	if err != nil {
 		return nil, err
 	}

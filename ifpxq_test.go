@@ -88,20 +88,20 @@ recurse if (count($x) > 2) then $x/id(prerequisites/pre_code) else ()`)
 
 func TestExplainPlan(t *testing.T) {
 	q := MustParse(q1)
-	plan, err := q.ExplainPlan()
+	ex, err := q.Explain(ModeAuto, Opt0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, needed := range []string{"mu", "recbase", "id[item]"} {
-		if !strings.Contains(plan, needed) {
-			t.Errorf("plan misses %q:\n%s", needed, plan)
+		if !strings.Contains(ex.Raw, needed) {
+			t.Errorf("plan misses %q:\n%s", needed, ex.Raw)
 		}
 	}
 }
 
 func TestExplainRawAndOptimized(t *testing.T) {
 	q := MustParse(q1)
-	ex, err := q.Explain(OptDefault)
+	ex, err := q.Explain(ModeAuto, OptDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestExplainRawAndOptimized(t *testing.T) {
 		t.Errorf("optimizer did not shrink the plan: raw %d ops, optimized %d ops",
 			total(ex.RawOps), total(ex.OptimizedOps))
 	}
-	at0, err := q.Explain(Opt0)
+	at0, err := q.Explain(ModeAuto, Opt0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func (c *compiler) readsGlobalsOnly(e ast.Expr, env cenv, except string) bool {
 func (c *compiler) globalEnv(loop *Node) cenv {
 	env := cenv{vars: make(map[string]*Node, len(c.globals))}
 	for name, g := range c.globals {
-		env.vars[name] = &Node{Op: OpCross, Kids: []*Node{loop, project(g, pp("pos", "pos"), pp("item", "item"))}}
+		env.vars[name] = &Node{Op: OpCross, Kids: []*Node{loop, Project(g, pp("pos", "pos"), pp("item", "item"))}}
 	}
 	return env
 }
@@ -199,8 +199,38 @@ func (e cenv) bind(name string, p *Node) cenv {
 
 // ---- small plan-construction helpers ------------------------------------
 
-func project(kid *Node, pairs ...ProjPair) *Node {
+// Project builds π_pairs(kid). It is the one π constructor, for the
+// compiler and the optimizer alike: a π over a π becomes one π over the
+// inner π's input, and a π that reproduces its input's schema column for
+// column is its input. No plan either builds holds π∘π or an identity π.
+func Project(kid *Node, pairs ...ProjPair) *Node {
+	if kid.Op == OpProject {
+		composed := make([]ProjPair, len(pairs))
+		for i, p := range pairs {
+			in, _ := kid.ProjIn(p.In)
+			composed[i] = ProjPair{Out: p.Out, In: in}
+		}
+		kid, pairs = kid.Kids[0], composed
+	}
+	schema := kid.Schema()
+	identity := len(pairs) == len(schema)
+	for i := 0; identity && i < len(pairs); i++ {
+		identity = pairs[i].Out == schema[i] && pairs[i].In == schema[i]
+	}
+	if identity {
+		return kid
+	}
 	return &Node{Op: OpProject, Kids: []*Node{kid}, Proj: pairs}
+}
+
+// ProjIn maps an output column of the π n to the input column it reads.
+func (n *Node) ProjIn(out string) (string, bool) {
+	for _, p := range n.Proj {
+		if p.Out == out {
+			return p.In, true
+		}
+	}
+	return "", false
 }
 
 func pp(out, in string) ProjPair { return ProjPair{Out: out, In: in} }
@@ -245,16 +275,16 @@ func rownum(kid *Node, col string, sortCols, groupCols []string) *Node {
 // document-order rank. Both operators are order/duplicate bookkeeping in
 // the §4.1 sense.
 func ddoNodes(q *Node) *Node {
-	d := distinct(project(q, pp("iter", "iter"), pp("item", "item")))
+	d := distinct(Project(q, pp("iter", "iter"), pp("item", "item")))
 	d.Bookkeeping = true
 	rn := rownum(d, "pos", []string{"item"}, []string{"iter"})
 	rn.Bookkeeping = true
-	return project(rn, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+	return Project(rn, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
 }
 
 // iters projects a plan to its distinct iterations.
 func iters(q *Node) *Node {
-	d := distinct(project(q, pp("iter", "iter")))
+	d := distinct(Project(q, pp("iter", "iter")))
 	d.Template = true // ⋉-macro internals: set-level, transparent to ∪ push
 	return d
 }
@@ -293,7 +323,7 @@ func (c *compiler) compile(e ast.Expr, loop *Node, env cenv) (*Node, error) {
 			return nil, xdm.NewError(xdm.ErrCtxItem, "context item is undefined for '/'")
 		}
 		r := numop(env.dot, "root", NumRootOf, "item")
-		return attach(project(r, pp("iter", "iter"), pp("item", "root")), "pos", xdm.NewInteger(1)), nil
+		return attach(Project(r, pp("iter", "iter"), pp("item", "root")), "pos", xdm.NewInteger(1)), nil
 	case *ast.Seq:
 		return c.compileSeq(n, loop, env)
 	case *ast.For:
@@ -314,7 +344,7 @@ func (c *compiler) compile(e ast.Expr, loop *Node, env cenv) (*Node, error) {
 			return nil, err
 		}
 		neg := numop(v, "res", NumNeg, "item")
-		return project(neg, pp("iter", "iter"), pp("pos", "pos"), pp("item", "res")), nil
+		return Project(neg, pp("iter", "iter"), pp("pos", "pos"), pp("item", "res")), nil
 	case *ast.Slash:
 		return c.compileSlash(n, loop, env)
 	case *ast.AxisStep:
@@ -343,7 +373,7 @@ func (c *compiler) compile(e ast.Expr, loop *Node, env cenv) (*Node, error) {
 			return nil, err
 		}
 		atom := numop(content, "a", NumAtomize, "item")
-		content = project(atom, pp("iter", "iter"), pp("pos", "pos"), pp("item", "a"))
+		content = Project(atom, pp("iter", "iter"), pp("pos", "pos"), pp("item", "a"))
 		return &Node{Op: OpCtor, Ctor: CtorText, Kids: []*Node{loop, content}}, nil
 	case *ast.TypeSwitch:
 		return nil, unsupported("typeswitch")
@@ -372,7 +402,7 @@ func (c *compiler) compileSeq(n *ast.Seq, loop *Node, env cenv) (*Node, error) {
 	}
 	rn := rownum(acc, "npos", []string{"ord", "pos"}, []string{"iter"})
 	rn.Bookkeeping = true
-	return project(rn, pp("iter", "iter"), pp("pos", "npos"), pp("item", "item")), nil
+	return Project(rn, pp("iter", "iter"), pp("pos", "npos"), pp("item", "item")), nil
 }
 
 // compileFor is the loop-lifting core: each binding of $v becomes one inner
@@ -387,33 +417,33 @@ func (c *compiler) compileFor(n *ast.For, loop *Node, env cenv) (*Node, error) {
 		return nil, err
 	}
 	mapT := rowtag(q1, "inner") // iter|pos|item|inner
-	innerLoop := project(mapT, pp("iter", "inner"))
+	innerLoop := Project(mapT, pp("iter", "inner"))
 	lifted, err := c.liftEnv(env, mapT)
 	if err != nil {
 		return nil, err
 	}
-	vPlan := attach(project(mapT, pp("iter", "inner"), pp("item", "item")), "pos", xdm.NewInteger(1))
+	vPlan := attach(Project(mapT, pp("iter", "inner"), pp("item", "item")), "pos", xdm.NewInteger(1))
 	lifted = lifted.bind(n.Var, vPlan)
 	if n.Pos != "" {
 		rank := rownum(mapT, "atpos", []string{"pos"}, []string{"iter"})
-		pPlan := attach(project(rank, pp("iter", "inner"), pp("item", "atpos")), "pos", xdm.NewInteger(1))
+		pPlan := attach(Project(rank, pp("iter", "inner"), pp("item", "atpos")), "pos", xdm.NewInteger(1))
 		lifted = lifted.bind(n.Pos, pPlan)
 	}
 	body, err := c.compile(n.Body, innerLoop, lifted)
 	if err != nil {
 		return nil, err
 	}
-	back := project(mapT, pp("outer", "iter"), pp("in2", "inner"), pp("bpos", "pos"))
+	back := Project(mapT, pp("outer", "iter"), pp("in2", "inner"), pp("bpos", "pos"))
 	joined := join(body, back, JoinPred{L: "iter", R: "in2", Cmp: NumEq})
 	rn := rownum(joined, "npos", []string{"bpos", "pos"}, []string{"outer"})
 	rn.Bookkeeping = true
-	return project(rn, pp("iter", "outer"), pp("pos", "npos"), pp("item", "item")), nil
+	return Project(rn, pp("iter", "outer"), pp("pos", "npos"), pp("item", "item")), nil
 }
 
 // liftEnv maps every environment plan from the outer iteration space into
 // the inner one defined by mapT's inner column.
 func (c *compiler) liftEnv(env cenv, mapT *Node) (cenv, error) {
-	mapping := project(mapT, pp("outer", "iter"), pp("inner", "inner"))
+	mapping := Project(mapT, pp("outer", "iter"), pp("inner", "inner"))
 	lift := func(p *Node) *Node {
 		if p == nil {
 			return nil
@@ -423,7 +453,7 @@ func (c *compiler) liftEnv(env cenv, mapT *Node) (cenv, error) {
 		if p.HasCol("pos") {
 			cols = append(cols, pp("pos", "pos"))
 		}
-		return project(j, cols...)
+		return Project(j, cols...)
 	}
 	out := cenv{vars: make(map[string]*Node, len(env.vars)), local: env.local}
 	for k, v := range env.vars {
@@ -517,7 +547,7 @@ func (c *compiler) compileCondition(e ast.Expr, loop *Node, env cenv) (*Node, er
 // atomized applies fn:data to a plan's item column, keeping the schema.
 func atomized(q *Node) *Node {
 	a := numop(q, "atm", NumAtomize, "item")
-	return project(a, pp("iter", "iter"), pp("pos", "pos"), pp("item", "atm"))
+	return Project(a, pp("iter", "iter"), pp("pos", "pos"), pp("item", "atm"))
 }
 
 // compileComparisonIters lowers a general/value/node comparison used as a
@@ -541,7 +571,7 @@ func (c *compiler) compileComparisonIters(n *ast.Binary, loop *Node, env cenv) (
 	if cmp != NumIs && cmp != NumPrecedes && cmp != NumFollows {
 		l, r = atomized(l), atomized(r)
 	}
-	r = project(r, pp("riter", "iter"), pp("ritem", "item"))
+	r = Project(r, pp("riter", "iter"), pp("ritem", "item"))
 	matched := join(l, r,
 		JoinPred{L: "iter", R: "riter", Cmp: NumEq},
 		JoinPred{L: "item", R: "ritem", Cmp: cmp})
@@ -636,7 +666,7 @@ func (c *compiler) compileBinary(n *ast.Binary, loop *Node, env cenv) (*Node, er
 		if err != nil {
 			return nil, err
 		}
-		r = project(r, pp("riter", "iter"), pp("ritem", "item"))
+		r = Project(r, pp("riter", "iter"), pp("ritem", "item"))
 		kept := semijoin(l, r,
 			JoinPred{L: "iter", R: "riter", Cmp: NumEq},
 			JoinPred{L: "item", R: "ritem", Cmp: NumIs})
@@ -650,8 +680,8 @@ func (c *compiler) compileBinary(n *ast.Binary, loop *Node, env cenv) (*Node, er
 		if err != nil {
 			return nil, err
 		}
-		lp := distinct(project(l, pp("iter", "iter"), pp("item", "item")))
-		rp := distinct(project(r, pp("iter", "iter"), pp("item", "item")))
+		lp := distinct(Project(l, pp("iter", "iter"), pp("item", "item")))
+		rp := distinct(Project(r, pp("iter", "iter"), pp("item", "item")))
 		// Node-set dedup around the difference is duplicate bookkeeping in
 		// the §4.1 sense; the difference operator proper is what Table 1
 		// marks non-pushable (strict) / left-pushable (extended, §6).
@@ -668,14 +698,14 @@ func (c *compiler) compileBinary(n *ast.Binary, loop *Node, env cenv) (*Node, er
 		if err != nil {
 			return nil, err
 		}
-		r = project(r, pp("riter", "iter"), pp("ritem", "item"))
+		r = Project(r, pp("riter", "iter"), pp("ritem", "item"))
 		j := join(l, r, JoinPred{L: "iter", R: "riter", Cmp: NumEq})
 		kind := map[ast.BinOp]NumKind{
 			ast.OpAdd: NumAdd, ast.OpSub: NumSub, ast.OpMul: NumMul,
 			ast.OpDiv: NumDiv, ast.OpIDiv: NumIDiv, ast.OpMod: NumMod,
 		}[n.Op]
 		res := numop(j, "res", kind, "item", "ritem")
-		return attach(project(res, pp("iter", "iter"), pp("item", "res")), "pos", xdm.NewInteger(1)), nil
+		return attach(Project(res, pp("iter", "iter"), pp("item", "res")), "pos", xdm.NewInteger(1)), nil
 	case ast.OpTo:
 		return nil, unsupported("range expression 'to'")
 	}

@@ -28,30 +28,30 @@ func (c *compiler) compileSlash(n *ast.Slash, loop *Node, env cenv) (*Node, erro
 	}
 	d := ddoNodes(q1)
 	mapT := rowtag(d, "inner")
-	innerLoop := project(mapT, pp("iter", "inner"))
+	innerLoop := Project(mapT, pp("iter", "inner"))
 	lifted, err := c.liftEnv(env, mapT)
 	if err != nil {
 		return nil, err
 	}
-	lifted.dot = project(mapT, pp("iter", "inner"), pp("item", "item"))
+	lifted.dot = Project(mapT, pp("iter", "inner"), pp("item", "item"))
 	cpos := rownum(mapT, "cp", []string{"pos"}, []string{"iter"})
-	lifted.pos = project(cpos, pp("iter", "inner"), pp("item", "cp"))
+	lifted.pos = Project(cpos, pp("iter", "inner"), pp("item", "cp"))
 	cnt := &Node{Op: OpGroupCount, Kids: []*Node{d}, GroupCols: []string{"iter"}, Col: "sz"}
-	szJoin := join(mapT, project(cnt, pp("citer", "iter"), pp("sz", "sz")),
+	szJoin := join(mapT, Project(cnt, pp("citer", "iter"), pp("sz", "sz")),
 		JoinPred{L: "iter", R: "citer", Cmp: NumEq})
-	lifted.last = project(szJoin, pp("iter", "inner"), pp("item", "sz"))
+	lifted.last = Project(szJoin, pp("iter", "inner"), pp("item", "sz"))
 	r, err := c.compile(n.R, innerLoop, lifted)
 	if err != nil {
 		return nil, err
 	}
-	back := project(mapT, pp("outer", "iter"), pp("in2", "inner"), pp("spos", "pos"))
+	back := Project(mapT, pp("outer", "iter"), pp("in2", "inner"), pp("spos", "pos"))
 	joined := join(r, back, JoinPred{L: "iter", R: "in2", Cmp: NumEq})
 	if producesAtomics(n.R) {
 		rn := rownum(joined, "npos", []string{"spos", "pos"}, []string{"outer"})
 		rn.Bookkeeping = true
-		return project(rn, pp("iter", "outer"), pp("pos", "npos"), pp("item", "item")), nil
+		return Project(rn, pp("iter", "outer"), pp("pos", "npos"), pp("item", "item")), nil
 	}
-	return ddoNodes(project(joined, pp("iter", "outer"), pp("item", "item"))), nil
+	return ddoNodes(Project(joined, pp("iter", "outer"), pp("item", "item"))), nil
 }
 
 // predsUsePosLast reports whether any predicate mentions fn:position or
@@ -82,28 +82,28 @@ func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, en
 		ranked.Template = true
 		if lit, ok := p.(*ast.Literal); ok && lit.Kind == ast.LitInteger {
 			eq := numop(attach(ranked, "want", xdm.NewInteger(lit.Int)), "keep", NumEq, "prank", "want")
-			q = project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"), pp("src", "src"))
+			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"), pp("src", "src"))
 			continue
 		}
 		// Boolean predicate: one inner iteration per candidate node.
 		mapT := rowtag(ranked, "inner")
-		innerLoop := project(mapT, pp("iter", "inner"))
+		innerLoop := Project(mapT, pp("iter", "inner"))
 		lifted, err := c.liftEnv(env, mapT)
 		if err != nil {
 			return nil, err
 		}
-		lifted.dot = project(mapT, pp("iter", "inner"), pp("item", "item"))
-		lifted.pos = project(mapT, pp("iter", "inner"), pp("item", "prank"))
+		lifted.dot = Project(mapT, pp("iter", "inner"), pp("item", "item"))
+		lifted.pos = Project(mapT, pp("iter", "inner"), pp("item", "prank"))
 		lifted.last = nil // excluded by predsUsePosLast
 		ci, err := c.compilePredicate(p, innerLoop, lifted)
 		if err != nil {
 			return nil, err
 		}
-		keep := semijoin(mapT, project(ci, pp("pi", "iter")),
+		keep := semijoin(mapT, Project(ci, pp("pi", "iter")),
 			JoinPred{L: "inner", R: "pi", Cmp: NumEq})
-		q = project(keep, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"), pp("src", "src"))
+		q = Project(keep, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"), pp("src", "src"))
 	}
-	return ddoNodes(project(q, pp("iter", "iter"), pp("item", "item"))), nil
+	return ddoNodes(Project(q, pp("iter", "iter"), pp("item", "item"))), nil
 }
 
 // fusedStepBase produces the pre-predicate step relation
@@ -127,10 +127,10 @@ func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env c
 			if err != nil {
 				return nil, err
 			}
-			top = ddoNodes(project(top, pp("iter", "iter"), pp("item", "item")))
+			top = ddoNodes(Project(top, pp("iter", "iter"), pp("item", "item")))
 			c.hoisted[st] = top
 		}
-		adapted := &Node{Op: OpCross, Kids: []*Node{loop, project(top, pp("pos", "pos"), pp("item", "item"))}}
+		adapted := &Node{Op: OpCross, Kids: []*Node{loop, Project(top, pp("pos", "pos"), pp("item", "item"))}}
 		return attach(adapted, "src", xdm.NewInteger(0)), nil
 	}
 	q1, err := c.compile(l, loop, env)
@@ -139,12 +139,12 @@ func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env c
 	}
 	m := rowtag(ddoNodes(q1), "src")
 	step := &Node{Op: OpStep,
-		Kids: []*Node{project(m, pp("iter", "iter"), pp("item", "item"), pp("src", "src"))},
+		Kids: []*Node{Project(m, pp("iter", "iter"), pp("item", "item"), pp("src", "src"))},
 		Axis: st.Axis, Test: st.Test, ItemCol: "item"}
 	rn := rownum(step, "spos", []string{"item"}, []string{"iter", "src"})
 	rn.Desc = st.Axis.Reverse()
 	rn.Template = true
-	return project(rn, pp("iter", "iter"), pp("pos", "spos"), pp("item", "item"), pp("src", "src")), nil
+	return Project(rn, pp("iter", "iter"), pp("pos", "spos"), pp("item", "item"), pp("src", "src")), nil
 }
 
 // producesAtomics decides statically whether the right-hand side of a path
@@ -178,12 +178,12 @@ func (c *compiler) compileAxisStep(n *ast.AxisStep, loop *Node, env cenv) (*Node
 	if env.dot == nil {
 		return nil, xdm.NewError(xdm.ErrCtxItem, "axis step without context item")
 	}
-	step := &Node{Op: OpStep, Kids: []*Node{project(env.dot, pp("iter", "iter"), pp("item", "item"))},
+	step := &Node{Op: OpStep, Kids: []*Node{Project(env.dot, pp("iter", "iter"), pp("item", "item"))},
 		Axis: n.Axis, Test: n.Test, ItemCol: "item"}
 	rn := rownum(step, "pos", []string{"item"}, []string{"iter"})
 	rn.Desc = n.Axis.Reverse()
 	rn.Template = true
-	q := project(rn, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+	q := Project(rn, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
 	q, err := c.compilePreds(q, n.Preds, loop, env, true)
 	if err != nil {
 		return nil, err
@@ -204,39 +204,39 @@ func (c *compiler) compilePreds(q *Node, preds []ast.Expr, loop *Node, env cenv,
 		ranked.Template = inStep
 		if lit, ok := p.(*ast.Literal); ok && lit.Kind == ast.LitInteger {
 			eq := numop(attach(ranked, "want", xdm.NewInteger(lit.Int)), "keep", NumEq, "prank", "want")
-			q = project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
 			continue
 		}
 		if fc, ok := p.(*ast.FuncCall); ok && fc.Name == "last" && len(fc.Args) == 0 {
 			cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: inStep}
-			j := join(ranked, project(cnt, pp("citer", "iter"), pp("sz", "sz")),
+			j := join(ranked, Project(cnt, pp("citer", "iter"), pp("sz", "sz")),
 				JoinPred{L: "iter", R: "citer", Cmp: NumEq})
 			eq := numop(j, "keep", NumEq, "prank", "sz")
-			q = project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
 			continue
 		}
 		// Boolean or run-time positional predicate: one inner iteration per
 		// candidate row.
 		mapT := rowtag(ranked, "pinner")
-		innerLoop := project(mapT, pp("iter", "pinner"))
-		lifted, err := c.liftEnv(env, project(mapT, pp("iter", "iter"), pp("pos", "pos"),
+		innerLoop := Project(mapT, pp("iter", "pinner"))
+		lifted, err := c.liftEnv(env, Project(mapT, pp("iter", "iter"), pp("pos", "pos"),
 			pp("item", "item"), pp("inner", "pinner")))
 		if err != nil {
 			return nil, err
 		}
-		lifted.dot = project(mapT, pp("iter", "pinner"), pp("item", "item"))
-		lifted.pos = project(mapT, pp("iter", "pinner"), pp("item", "prank"))
+		lifted.dot = Project(mapT, pp("iter", "pinner"), pp("item", "item"))
+		lifted.pos = Project(mapT, pp("iter", "pinner"), pp("item", "prank"))
 		cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: inStep}
-		szJoin := join(mapT, project(cnt, pp("citer", "iter"), pp("sz", "sz")),
+		szJoin := join(mapT, Project(cnt, pp("citer", "iter"), pp("sz", "sz")),
 			JoinPred{L: "iter", R: "citer", Cmp: NumEq})
-		lifted.last = project(szJoin, pp("iter", "pinner"), pp("item", "sz"))
+		lifted.last = Project(szJoin, pp("iter", "pinner"), pp("item", "sz"))
 		ci, err := c.compilePredicate(p, innerLoop, lifted)
 		if err != nil {
 			return nil, err
 		}
-		keep := semijoin(mapT, project(ci, pp("pi", "iter")),
+		keep := semijoin(mapT, Project(ci, pp("pi", "iter")),
 			JoinPred{L: "pinner", R: "pi", Cmp: NumEq})
-		q = project(keep, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+		q = Project(keep, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
 	}
 	return q, nil
 }
@@ -254,7 +254,7 @@ func (c *compiler) compilePredicate(p ast.Expr, loop *Node, env cenv) (*Node, er
 	if err != nil {
 		return nil, err
 	}
-	j := join(v, project(env.pos, pp("piter", "iter"), pp("prank", "item")),
+	j := join(v, Project(env.pos, pp("piter", "iter"), pp("prank", "item")),
 		JoinPred{L: "iter", R: "piter", Cmp: NumEq})
 	return iters(sel(numop(j, "keep", NumPredicate, "item", "prank"), "keep")), nil
 }
@@ -342,7 +342,7 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 			return nil, err
 		}
 		cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "cnt"}
-		nonEmpty := project(cnt, pp("iter", "iter"), pp("item", "cnt"))
+		nonEmpty := Project(cnt, pp("iter", "iter"), pp("item", "cnt"))
 		zero := attach(antijoin(loop, iters(q), JoinPred{L: "iter", R: "iter", Cmp: NumEq}),
 			"item", xdm.NewInteger(0))
 		return attach(union(nonEmpty, zero), "pos", xdm.NewInteger(1)), nil
@@ -358,7 +358,7 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 			return nil, err
 		}
 		a := numop(q, "a", NumAtomize, "item")
-		return project(a, pp("iter", "iter"), pp("pos", "pos"), pp("item", "a")), nil
+		return Project(a, pp("iter", "iter"), pp("pos", "pos"), pp("item", "a")), nil
 	case "string", "number", "name", "local-name":
 		var q *Node
 		var err error
@@ -376,7 +376,7 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 		kind := map[string]NumKind{"string": NumStringOf, "number": NumNumberOf,
 			"name": NumNameOf, "local-name": NumNameOf}[n.Name]
 		r := numop(q, "r", kind, "item")
-		mapped := project(r, pp("iter", "iter"), pp("item", "r"))
+		mapped := Project(r, pp("iter", "iter"), pp("item", "r"))
 		// fn:string(()) is "" and fn:number(()) is NaN: fill empty iters.
 		var fillVal xdm.Item
 		if n.Name == "number" {
@@ -412,10 +412,10 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 		} else {
 			return nil, xdm.NewError(xdm.ErrCtxItem, "fn:id requires a node context")
 		}
-		ctxP := project(ctxPlan, pp("citer", "iter"), pp("cnode", "item"))
+		ctxP := Project(ctxPlan, pp("citer", "iter"), pp("cnode", "item"))
 		j := join(v, ctxP, JoinPred{L: "iter", R: "citer", Cmp: NumEq})
 		idl := &Node{Op: OpIDLookup, Kids: []*Node{j}, ItemCol: "item", Col: "cnode"}
-		return ddoNodes(project(idl, pp("iter", "iter"), pp("item", "item"))), nil
+		return ddoNodes(Project(idl, pp("iter", "iter"), pp("item", "item"))), nil
 	case "root":
 		var q *Node
 		var err error
@@ -431,7 +431,7 @@ func (c *compiler) compileCall(n *ast.FuncCall, loop *Node, env cenv) (*Node, er
 			}
 		}
 		r := numop(q, "r", NumRootOf, "item")
-		return project(r, pp("iter", "iter"), pp("pos", "pos"), pp("item", "r")), nil
+		return Project(r, pp("iter", "iter"), pp("pos", "pos"), pp("item", "r")), nil
 	}
 	return nil, unsupported("function %s#%d", n.Name, len(n.Args))
 }
@@ -511,7 +511,7 @@ func (c *compiler) compileElemCtor(n *ast.ElemCtor, loop *Node, env cenv) (*Node
 	}
 	rn := rownum(content, "npos", []string{"ord", "pos"}, []string{"iter"})
 	rn.Bookkeeping = true
-	ordered := project(rn, pp("iter", "iter"), pp("pos", "npos"), pp("item", "item"))
+	ordered := Project(rn, pp("iter", "iter"), pp("pos", "npos"), pp("item", "item"))
 	return &Node{Op: OpCtor, Ctor: CtorElem, CtorName: n.Name, Kids: []*Node{loop, ordered}}, nil
 }
 
@@ -541,7 +541,7 @@ func (c *compiler) compileAttrCtor(n *ast.AttrCtor, loop *Node, env cenv) (*Node
 			return nil, err
 		}
 		a := numop(q, "a", NumAtomize, "item")
-		content = project(a, pp("iter", "iter"), pp("pos", "pos"), pp("item", "a"))
+		content = Project(a, pp("iter", "iter"), pp("pos", "pos"), pp("item", "a"))
 	default:
 		return nil, unsupported("attribute value mixing literals and expressions")
 	}

@@ -40,7 +40,7 @@ func renderGolden(t *testing.T, query string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := q.Explain(ifpxq.Opt1)
+	ex, err := q.Explain(ifpxq.ModeAuto, ifpxq.Opt1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func constStringFor(kid *algebra.Node, col string) (string, bool) {
 	for {
 		switch cur.Op {
 		case algebra.OpProject:
-			mapped, ok := projIn(cur, col)
+			mapped, ok := cur.ProjIn(col)
 			if !ok {
 				return "", false
 			}
@@ -100,16 +100,6 @@ func constStringFor(kid *algebra.Node, col string) (string, bool) {
 	}
 }
 
-// projIn maps an output column of a π to its input column.
-func projIn(p *algebra.Node, out string) (string, bool) {
-	for _, pr := range p.Proj {
-		if pr.Out == out {
-			return pr.In, true
-		}
-	}
-	return "", false
-}
-
 // pushValEq traces col through the semijoin's left input — unshared π
 // links and exactly one ⊚data — to the step producing it, and returns a
 // clone of the chain with the filter folded into the step. The chain must
@@ -128,7 +118,7 @@ func (r *rewriter) pushValEq(kid *algebra.Node, col string, val string) (*algebr
 		}
 		switch cur.Op {
 		case algebra.OpProject:
-			mapped, ok := projIn(cur, col)
+			mapped, ok := cur.ProjIn(col)
 			if !ok {
 				return nil, false
 			}

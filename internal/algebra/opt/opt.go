@@ -8,9 +8,11 @@ import (
 )
 
 // maxPasses bounds the rule-engine fixed point. Each pass is a full
-// liveness + property analysis plus one bottom-up rewrite; rule
-// interactions (a removed δ unprotects columns for the next pruning pass)
-// converge in a handful of passes on real plans.
+// liveness + property analysis plus one bottom-up rewrite. Every rule reads
+// current facts (liveness passes through dead producers, δ asks for the
+// properties of its rewritten input, π is built normalized), so a pass
+// leaves little for the next: the paper's four queries settle in two to
+// four passes, the last of which only confirms that nothing changed.
 const maxPasses = 12
 
 // Optimize rewrites a compiled plan in place: the rule engine runs to a
@@ -18,12 +20,16 @@ const maxPasses = 12
 // (so the executor's per-node memoization fires on equal-but-not-shared
 // subtrees), and µ sites are re-pointed at their rewritten operators.
 // Plan.Raw keeps the verbatim compiler output for explain diagnostics.
-func Optimize(p *algebra.Plan) {
+func Optimize(p *algebra.Plan) { optimize(p) }
+
+// optimize is Optimize, returning the number of rule passes it ran.
+func optimize(p *algebra.Plan) (passes int) {
 	if p == nil || p.Root == nil {
-		return
+		return 0
 	}
 	root := p.Root
-	for i := 0; i < maxPasses; i++ {
+	for passes < maxPasses {
+		passes++
 		r := newRewriter(root)
 		next := r.rewrite(root)
 		if !r.changed {
@@ -34,6 +40,7 @@ func Optimize(p *algebra.Plan) {
 	root = hashCons(root)
 	p.Root = root
 	remapMus(p, root)
+	return passes
 }
 
 // remapMus re-points every µ site at its counterpart in the optimized DAG.

@@ -318,29 +318,6 @@ func TestRuleDistinctKeptOverDuplicates(t *testing.T) {
 	}
 }
 
-func TestRuleJoinToSemijoinKeyedRight(t *testing.T) {
-	l := lit([]string{"iter", "v"}, [][]xdm.Item{intRow(1, 10), intRow(2, 20), intRow(2, 20)})
-	r := lit([]string{"riter"}, [][]xdm.Item{intRow(2), intRow(3)})
-	rt := &algebra.Node{Op: algebra.OpDistinct, Kids: []*algebra.Node{r}}
-	j := &algebra.Node{Op: algebra.OpJoin, Kids: []*algebra.Node{l, rt},
-		Preds: []algebra.JoinPred{{L: "iter", R: "riter", Cmp: algebra.NumEq}}}
-	root := &algebra.Node{Op: algebra.OpProject, Kids: []*algebra.Node{j},
-		Proj: []algebra.ProjPair{{Out: "iter", In: "iter"}, {Out: "v", In: "v"}}}
-	p := optimizeRoot(root)
-	ops := algebra.Operators(p.Root)
-	if ops["semijoin[iter=riter]"] != 1 {
-		t.Errorf("keyed right side with dead columns should become a semijoin:\n%s",
-			algebra.Explain(p.Root))
-	}
-	tbl, err := algebra.Eval(p.Root, &algebra.ExecContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 2 { // both iter=2 duplicates survive: exact bag equality
-		t.Errorf("semijoin result rows = %d, want 2", tbl.Len())
-	}
-}
-
 func TestRuleJoinKeptWhenRightUnkeyed(t *testing.T) {
 	l := lit([]string{"iter"}, [][]xdm.Item{intRow(1)})
 	r := lit([]string{"riter"}, [][]xdm.Item{intRow(1), intRow(1)})

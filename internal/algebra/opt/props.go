@@ -6,10 +6,12 @@
 // every plan node (live columns, key sets, duplicate-freedom, loop
 // dependence), and a rule engine applies semantics-preserving rewrites to a
 // fixed point (dead-column pruning, value-equality selection into steps,
-// distinct elimination over keyed inputs, join→semijoin reduction,
-// projection collapsing) before
-// a final hash-consing pass merges structurally identical sub-plans so the
-// executor's DAG memoization fires on equal-but-not-pointer-shared subtrees.
+// distinct elimination over keyed inputs, join→semijoin reduction under
+// δ∘π) before a final hash-consing pass merges structurally identical
+// sub-plans so the executor's DAG memoization fires on
+// equal-but-not-pointer-shared subtrees. A pruned π is rebuilt through
+// algebra.Project, the compiler's own π constructor, which composes π∘π
+// and drops identity π; no rule of this package does either.
 //
 // Every rewrite preserves the executed relation exactly — row multiset AND
 // row order — so -O0 and -O1 plans produce byte-identical results and

@@ -83,9 +83,17 @@ func kidRequirements(n *algebra.Node, live colset) []colset {
 			req[n.Proj[0].In] = true // cardinality: never project to zero columns
 		}
 		return []colset{req}
-	case algebra.OpAttach:
+	case algebra.OpAttach, algebra.OpRowTag, algebra.OpNumOp, algebra.OpRowNum:
+		// A producer whose column is dead is about to be removed, so it
+		// reads nothing of its own: its parent's live set passes through,
+		// and a chain of dead producers resolves in one sweep.
 		req := live.clone()
-		delete(req, n.Col)
+		if live[n.Col] {
+			delete(req, n.Col)
+			for _, c := range slices.Concat(n.NumArgs, n.SortCols, n.GroupCols) {
+				req[c] = true
+			}
+		}
 		return []colset{req}
 	case algebra.OpSelect:
 		req := live.clone()
@@ -130,27 +138,6 @@ func kidRequirements(n *algebra.Node, live colset) []colset {
 		return []colset{toSet(n.Kids[0].Schema()), toSet(n.Kids[1].Schema())}
 	case algebra.OpGroupCount:
 		return []colset{toSet(n.GroupCols)}
-	case algebra.OpNumOp:
-		req := live.clone()
-		delete(req, n.Col)
-		for _, a := range n.NumArgs {
-			req[a] = true
-		}
-		return []colset{req}
-	case algebra.OpRowTag:
-		req := live.clone()
-		delete(req, n.Col)
-		return []colset{req}
-	case algebra.OpRowNum:
-		req := live.clone()
-		delete(req, n.Col)
-		for _, c := range n.SortCols {
-			req[c] = true
-		}
-		for _, c := range n.GroupCols {
-			req[c] = true
-		}
-		return []colset{req}
 	case algebra.OpStep:
 		req := live.clone()
 		req[n.ItemCol] = true
@@ -178,8 +165,9 @@ func kidRequirements(n *algebra.Node, live colset) []colset {
 }
 
 // rewriter applies one full rule pass over a plan DAG: liveness and
-// properties are computed on the input tree, then every node is rewritten
-// bottom-up exactly once (memoized, preserving sharing).
+// properties are computed on the input tree (properties of nodes minted in
+// the pass are inferred when asked), then every node is rewritten bottom-up
+// exactly once (memoized, preserving sharing).
 type rewriter struct {
 	live    map[*algebra.Node]colset
 	parents map[*algebra.Node]int
@@ -203,8 +191,7 @@ func newRewriter(root *algebra.Node) *rewriter {
 // distinct through a projection keeping only left-side columns:
 // δ(π_L(J ⋈ R)) ≡ δ(π_L(J ⋉ R)) — the duplicates a matching right row
 // would multiply into the left rows are collapsed by δ anyway, so the join
-// can skip materializing them. (The key-based conversion in joinRules
-// needs no δ context but does need a keyed right side.)
+// can skip materializing them.
 func (r *rewriter) findSemiJoinContexts(root *algebra.Node) {
 	seen := map[*algebra.Node]bool{}
 	var walk func(n *algebra.Node)
@@ -280,7 +267,7 @@ func (r *rewriter) rewrite(old *algebra.Node) *algebra.Node {
 
 // rules applies the local rewrites to n (the node with already-rewritten
 // children); old is its pre-pass counterpart, the key into liveness and
-// property maps.
+// the semijoin contexts. Properties are asked of the rewritten nodes.
 func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 	switch n.Op {
 	case algebra.OpAttach, algebra.OpRowTag, algebra.OpNumOp, algebra.OpRowNum:
@@ -294,12 +281,16 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 		return r.projectRules(old, n)
 	case algebra.OpDistinct:
 		// δ over a keyed input is the identity (and preserves row order).
+		// The key is read off the rewritten input, so a δ over a join that
+		// became a semijoin below it goes in the same pass.
 		kid := n.Kids[0]
-		if r.an.Props(old.Kids[0]).HasKeyWithin(toSet(kid.Schema())) {
+		if r.an.Props(kid).HasKeyWithin(toSet(kid.Schema())) {
 			return kid
 		}
 	case algebra.OpJoin:
-		return r.joinRules(old, n)
+		if r.semi[old] {
+			return &algebra.Node{Op: algebra.OpSemiJoin, Kids: n.Kids, Preds: n.Preds}
+		}
 	case algebra.OpSemiJoin:
 		return r.semiJoinRules(old, n)
 	case algebra.OpUnion:
@@ -308,81 +299,23 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 	return n
 }
 
+// projectRules drops the pairs no ancestor reads (keeping at least one: a
+// zero-column table would lose its row count) and rebuilds through
+// algebra.Project, which composes π∘π and returns the input of an
+// identity π.
 func (r *rewriter) projectRules(old, n *algebra.Node) *algebra.Node {
-	// Dead-column pruning: drop pairs no ancestor reads (keeping at least
-	// one — a zero-column table would lose its row count).
-	live := r.live[old]
-	if slices.ContainsFunc(n.Proj, func(p algebra.ProjPair) bool { return !live[p.Out] }) {
-		var pairs []algebra.ProjPair
-		for _, p := range n.Proj {
-			if live[p.Out] {
-				pairs = append(pairs, p)
-			}
-		}
-		if len(pairs) == 0 {
+	dead := func(p algebra.ProjPair) bool { return !r.live[old][p.Out] }
+	pairs := n.Proj
+	if slices.ContainsFunc(pairs, dead) {
+		if pairs = slices.DeleteFunc(slices.Clone(pairs), dead); len(pairs) == 0 {
 			pairs = n.Proj[:1]
 		}
-		if len(pairs) != len(n.Proj) {
-			n = &algebra.Node{Op: algebra.OpProject, Kids: n.Kids, Proj: pairs}
-		}
 	}
-	// π∘π collapsing: compose the rename maps into one projection.
-	if kid := n.Kids[0]; kid.Op == algebra.OpProject {
-		inOf := make(map[string]string, len(kid.Proj))
-		for _, kp := range kid.Proj {
-			inOf[kp.Out] = kp.In
-		}
-		composed := make([]algebra.ProjPair, len(n.Proj))
-		for i, p := range n.Proj {
-			composed[i] = algebra.ProjPair{Out: p.Out, In: inOf[p.In]}
-		}
-		n = &algebra.Node{Op: algebra.OpProject, Kids: []*algebra.Node{kid.Kids[0]}, Proj: composed}
+	m := algebra.Project(n.Kids[0], pairs...)
+	if m.Op == algebra.OpProject && m.Kids[0] == n.Kids[0] && len(m.Proj) == len(n.Proj) {
+		return n // nothing pruned, composed or dropped
 	}
-	// Identity elimination: a projection that reproduces its input schema
-	// verbatim is a no-op.
-	kidSchema := n.Kids[0].Schema()
-	if len(n.Proj) == len(kidSchema) {
-		id := true
-		for i, p := range n.Proj {
-			if p.Out != p.In || p.In != kidSchema[i] {
-				id = false
-				break
-			}
-		}
-		if id {
-			return n.Kids[0]
-		}
-	}
-	return n
-}
-
-// joinRules reduces ⋈ to ⋉ when the right side contributes no live columns
-// and either (a) the equality predicates cover a key of the right side —
-// every probe row meets at most one build row, so the join's bag equals the
-// semijoin's exactly — or (b) the join sits in a recorded δ∘π context.
-func (r *rewriter) joinRules(old, n *algebra.Node) *algebra.Node {
-	if r.semi[old] {
-		return &algebra.Node{Op: algebra.OpSemiJoin, Kids: n.Kids, Preds: n.Preds}
-	}
-	if !schemasDisjoint(n) {
-		return n
-	}
-	rS := toSet(n.Kids[1].Schema())
-	for c := range r.live[old] {
-		if rS[c] {
-			return n
-		}
-	}
-	var eqR []string
-	for _, p := range n.Preds {
-		if p.Cmp == algebra.NumEq {
-			eqR = append(eqR, p.R)
-		}
-	}
-	if len(eqR) == 0 || !r.an.Props(old.Kids[1]).HasKeyWithin(toSet(eqR)) {
-		return n
-	}
-	return &algebra.Node{Op: algebra.OpSemiJoin, Kids: n.Kids, Preds: n.Preds}
+	return m
 }
 
 // alignUnion restores the executor's ∪ invariant — the right input carries
