@@ -100,7 +100,8 @@ benchmark-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# What CI runs (see .github/workflows/ci.yml). The -race pass covers the
+# What CI runs (see .github/workflows/ci.yml). fmt-check and vet are the
+# lint job's first steps; the -race pass covers the
 # concurrent store/xqd tests and the admission controller; the plain
 # pass runs the differential-harness seed block (internal/difftest); the
 # coverage step enforces the per-package floors; loadsmoke gates the
@@ -111,6 +112,7 @@ benchmark-check:
 # snapshot-open and plan-optimizer benchmarks compiling and running.
 ci:
 	$(GO) build ./...
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
@@ -187,6 +189,6 @@ bench-baseline:
 	$(GO) run ./cmd/ifpbench -json BENCH_baseline.json
 
 clean:
-	rm -f ifpbench xq xqd distcheck xmlgen benchdiff *.test
+	rm -f ifpbench xq xqd xqload distcheck xmlgen benchdiff *.test
 	rm -f cover.out cover.pkg.out BENCH_pr.json
 	rm -rf internal/difftest/testdata/fuzz internal/store/testdata/fuzz internal/xq/parser/testdata/fuzz

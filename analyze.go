@@ -134,16 +134,8 @@ const maxRenderedRounds = 64
 // tests can sanitize them with a single time-unit regex.
 func (r *AnalyzeReport) Render() string {
 	var b strings.Builder
-	engine := "interp"
-	if r.Engine == EngineRelational {
-		engine = "rel"
-	}
-	level := "O1"
-	if r.Opt == Opt0 {
-		level = "O0"
-	}
-	fmt.Fprintf(&b, "-- explain analyze %s: engine=%s opt=%s total=%s --\n",
-		r.QueryID, engine, level, fmtNs(r.TotalNs))
+	fmt.Fprintf(&b, "-- explain analyze %s: engine=%s opt=O%s total=%s --\n",
+		r.QueryID, r.Engine, r.Opt, fmtNs(r.TotalNs))
 	// Merge repeated phases by name, keeping first-appearance order.
 	var order []string
 	merged := map[string]int64{}

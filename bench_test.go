@@ -148,11 +148,11 @@ func BenchmarkAblationHoisting(b *testing.B) {
 	docs := func(string) (*xdm.Document, error) { return doc, nil }
 	b.Run("hoisted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			en, err := algebra.NewEngine(m, algebra.Options{Mode: algebra.ModeDelta, Docs: docs})
+			plan, err := algebra.CompilePlan(m, core.ModeDelta, false, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := en.Eval(); err != nil {
+			if _, _, err := algebra.NewEngineFromPlan(plan, algebra.Options{Docs: docs}).Eval(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -139,12 +139,12 @@ type queryKey struct {
 	src  string
 	rxp  bool
 	mode Mode
-	opt  bool // the optimizer runs (every level but Opt0)
+	opt  OptLevel
 }
 
 // key is q's query key under the given options.
 func (q *Query) key(o *Options) queryKey {
-	return queryKey{src: q.src, rxp: q.rxp, mode: o.Mode, opt: o.Opt != Opt0}
+	return queryKey{src: q.src, rxp: q.rxp, mode: o.Mode, opt: o.Opt}
 }
 
 // resultKey identifies one complete outcome: the query key, the engine,
@@ -352,12 +352,5 @@ func compilePlan(m *ast.Module, mode Mode, level OptLevel, tr *obs.Trace) (*alge
 	if level != Opt0 {
 		optimize = opt.Optimize
 	}
-	fm := algebra.ModeAuto
-	switch mode {
-	case ModeNaive:
-		fm = algebra.ModeNaive
-	case ModeDelta:
-		fm = algebra.ModeDelta
-	}
-	return algebra.CompilePlan(m, fm, false, optimize, tr)
+	return algebra.CompilePlan(m, mode, false, optimize, tr)
 }

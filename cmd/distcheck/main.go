@@ -81,9 +81,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  algebraic push-up:  n/a (%s)\n", rep.AlgebraicError)
 		} else {
 			fmt.Fprintf(stdout, "  algebraic push-up:  strict=%v extended=%v\n", rep.Algebraic, rep.AlgebraicExt)
-			rel = pick(rep.AlgebraicExt)
+			rel = ifpxq.ModeAuto.Pick(rep.AlgebraicExt).String()
 		}
-		fmt.Fprintf(stdout, "  auto mode runs:     %s (interp), %s (rel)\n", pick(rep.Syntactic), rel)
+		fmt.Fprintf(stdout, "  auto mode runs:     %s (interp), %s (rel)\n", ifpxq.ModeAuto.Pick(rep.Syntactic), rel)
 	}
 	if *explain {
 		ex, err := q.Explain(ifpxq.ModeAuto, ifpxq.Opt0)
@@ -94,12 +94,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, ex.Raw)
 	}
 	return 0
-}
-
-// pick names the algorithm auto mode runs on a certificate.
-func pick(certified bool) string {
-	if certified {
-		return "Delta"
-	}
-	return "Naive"
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	ifpxq "repro"
 	"repro/internal/xdm"
@@ -41,8 +42,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeDir   = fs.String("store", "", "snapshot store directory (searched before -dir)")
 		mmap       = fs.Bool("mmap", false, "open store snapshots via mmap")
 		storeStats = fs.Bool("store-stats", false, "print document cache statistics")
-		engine     = fs.String("engine", "interp", "engine: interp (tree-at-a-time) or rel (relational)")
-		mode       = fs.String("mode", "auto", "fixpoint algorithm: auto, naive, delta")
+		engine     = fs.String("engine", ifpxq.EngineInterpreter.String(), "engine: interp (tree-at-a-time) or rel (relational)")
+		mode       = fs.String("mode", ifpxq.ModeAuto.String(), "fixpoint algorithm: auto, naive, delta")
 		optLevel   = fs.Int("O", 1, "relational plan optimizer level: 0 = verbatim plan, 1 = rewrite rules on")
 		explain    = fs.Bool("explain", false, "print the relational plans (raw and, at -O1, optimized) instead of evaluating")
 		analyze    = fs.Bool("analyze", false, "EXPLAIN ANALYZE: run the query and print phases, the plan annotated with actuals, and per-round fixpoint spans")
@@ -74,23 +75,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
-	level := ifpxq.Opt1
-	switch *optLevel {
-	case 0:
-		level = ifpxq.Opt0
-	case 1:
-	default:
-		return fatal(fmt.Errorf("unknown optimizer level -O%d (use 0 or 1)", *optLevel))
+	level, err := ifpxq.ParseOptLevel(strconv.Itoa(*optLevel))
+	if err != nil {
+		return fatal(fmt.Errorf("-O%d: %w", *optLevel, err))
 	}
-	var fmode ifpxq.Mode
-	switch *mode {
-	case "auto":
-	case "naive":
-		fmode = ifpxq.ModeNaive
-	case "delta":
-		fmode = ifpxq.ModeDelta
-	default:
-		return fatal(fmt.Errorf("unknown mode %q", *mode))
+	fmode, err := ifpxq.ParseMode(*mode)
+	if err != nil {
+		return fatal(err)
+	}
+	eng, err := ifpxq.ParseEngine(*engine)
+	if err != nil {
+		return fatal(err)
 	}
 
 	if *explain {
@@ -110,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := ifpxq.Options{Docs: ifpxq.DocsFromDir(*dir), Mode: fmode, Opt: level}
+	opts := ifpxq.Options{Engine: eng, Docs: ifpxq.DocsFromDir(*dir), Mode: fmode, Opt: level}
 	var st *ifpxq.Store
 	if *storeDir != "" {
 		var err error
@@ -119,14 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 		opts.Store = st
-	}
-	switch *engine {
-	case "rel", "relational":
-		opts.Engine = ifpxq.EngineRelational
-	case "interp", "interpreter":
-		opts.Engine = ifpxq.EngineInterpreter
-	default:
-		return fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
 	if *analyze {
 		rep, err := q.Analyze(opts)

@@ -20,7 +20,7 @@
 //
 //	xqd -store snapshots/ [-addr :8090] [-mmap] [-cache-bytes N] [-cache-docs N]
 //	    [-plan-cache N] [-result-cache N]
-//	    [-O 0|1] [-query-timeout 30s] [-max-concurrent N]
+//	    [-query-timeout 30s] [-max-concurrent N]
 //	    [-queue-limit N] [-queue-timeout 15s] [-max-body N]
 //	    [-max-rows N] [-max-rounds N] [-drain-timeout 10s]
 //
@@ -39,8 +39,11 @@
 //
 //	GET/POST /query?q=…&engine=interp|rel&mode=auto|naive|delta&opt=0|1&timeout_ms=N&cache=0|1
 //	    evaluates q (POST bodies carry the query text when q is absent)
-//	    and returns JSON including elapsed_us and doc_wait_us — the part
-//	    of the latency spent resolving documents, 0 on a warm cache.
+//	    under the engine, mode and optimizer level named in ifpxq's text
+//	    forms (interp, auto and 1 when absent; there is no server-wide
+//	    default flag), and returns JSON including elapsed_us and
+//	    doc_wait_us — the part of the latency spent resolving documents,
+//	    0 on a warm cache.
 //	    timeout_ms tightens the deadline below -query-timeout; evaluation
 //	    is cancelled when the client disconnects. Unknown parameters
 //	    (including the retired p=N) are ignored.
@@ -95,7 +98,6 @@ func main() {
 		noParse    = flag.Bool("no-parse", false, "serve snapshots only, never parse XML")
 		planCacheN = flag.Int("plan-cache", 256, "compiled-plan cache entries (0 = disabled); also bounds the parsed-query cache")
 		resCacheN  = flag.Int("result-cache", 512, "result cache entries (0 = disabled); entries flush when any store document changes")
-		optLevel   = flag.Int("O", 1, "default relational plan optimizer level (0 = verbatim plan)")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query evaluation deadline (0 = unbounded); ?timeout_ms= can only tighten it")
 		maxConc      = flag.Int64("max-concurrent", 0, "admission capacity in concurrently evaluating queries (0 = 4×GOMAXPROCS)")
@@ -114,10 +116,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *optLevel != 0 && *optLevel != 1 {
-		fmt.Fprintf(os.Stderr, "xqd: unknown optimizer level -O%d (use 0 or 1)\n", *optLevel)
-		os.Exit(2)
-	}
 	st, err := ifpxq.OpenStore(ifpxq.StoreOptions{
 		Dir: *storeDir, Mmap: *mmap,
 		MaxBytes: *cacheBytes, MaxDocs: *cacheDocs,
@@ -129,7 +127,6 @@ func main() {
 	}
 	srv := newServer(st)
 	srv.setCaches(*planCacheN, *resCacheN)
-	srv.opt0 = *optLevel == 0
 	srv.logRequests = *logRequests
 	srv.queryTimeout = *queryTimeout
 	srv.maxBody = *maxBody
@@ -161,8 +158,8 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	log.Printf("xqd: serving store %s on %s (mmap=%v, O=%d, capacity=%d, queue=%d, query-timeout=%s)",
-		*storeDir, *addr, *mmap, *optLevel, capacity, *queueLimit, *queryTimeout)
+	log.Printf("xqd: serving store %s on %s (mmap=%v, capacity=%d, queue=%d, query-timeout=%s)",
+		*storeDir, *addr, *mmap, capacity, *queueLimit, *queryTimeout)
 
 	if *debugAddr != "" {
 		// pprof lives on its own listener so profiling endpoints are never
@@ -204,9 +201,6 @@ func main() {
 type server struct {
 	store *store.Store
 	ctrl  *admission.Controller
-	// opt0 disables the relational plan optimizer by default; requests
-	// override per query with ?opt=0|1.
-	opt0 bool
 	// planCache holds parsed queries and compiled relational plans;
 	// resultCache holds complete results pinned to the store generation.
 	// Either may be nil (disabled via -plan-cache/-result-cache 0); a
@@ -464,14 +458,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Outcome bookkeeping shared by the metrics plane and the request log;
 	// every return path sets outcome exactly once (via fail or the success
 	// tail) before the deferred accounting runs.
-	outcome, errCode, engLabel := "ok", "", "interp"
+	outcome, errCode := "ok", ""
+	var opts ifpxq.Options
 	var rounds, rows int64
 	var queueWait, execDur time.Duration
 	defer func() {
 		s.metrics.queries.With(outcome).Inc()
 		if s.logRequests {
 			s.logf("xqd: query id=%s engine=%s outcome=%s code=%s rounds=%d rows=%d queue_wait_us=%d exec_us=%d total_us=%d",
-				qid, engLabel, outcome, errCode, rounds, rows,
+				qid, opts.Engine, outcome, errCode, rounds, rows,
 				queueWait.Microseconds(), execDur.Microseconds(),
 				time.Since(reqStart).Microseconds())
 		}
@@ -506,37 +501,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		badRequest(fmt.Errorf("missing query: pass ?q= or a POST body"))
 		return
 	}
-	var opts ifpxq.Options
-	if s.opt0 {
-		opts.Opt = ifpxq.Opt0
-	}
-	switch params.Get("opt") {
-	case "":
-	case "0":
-		opts.Opt = ifpxq.Opt0
-	case "1":
-		opts.Opt = ifpxq.Opt1
-	default:
-		badRequest(fmt.Errorf("bad optimizer level %q (use 0 or 1)", params.Get("opt")))
+	var err error
+	if opts.Opt, err = ifpxq.ParseOptLevel(params.Get("opt")); err != nil {
+		badRequest(err)
 		return
 	}
-	switch params.Get("engine") {
-	case "", "interp", "interpreter":
-	case "rel", "relational":
-		opts.Engine = ifpxq.EngineRelational
-		engLabel = "rel"
-	default:
-		badRequest(fmt.Errorf("unknown engine %q", params.Get("engine")))
+	if opts.Engine, err = ifpxq.ParseEngine(params.Get("engine")); err != nil {
+		badRequest(err)
 		return
 	}
-	switch params.Get("mode") {
-	case "", "auto":
-	case "naive":
-		opts.Mode = ifpxq.ModeNaive
-	case "delta":
-		opts.Mode = ifpxq.ModeDelta
-	default:
-		badRequest(fmt.Errorf("unknown mode %q", params.Get("mode")))
+	if opts.Mode, err = ifpxq.ParseMode(params.Get("mode")); err != nil {
+		badRequest(err)
 		return
 	}
 	analyze := false
@@ -576,7 +551,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// plan cache, so a repeat query skips the parser entirely (a nil
 	// PlanCache parses directly).
 	var q *ifpxq.Query
-	var err error
 	if useCaches {
 		q, err = s.planCache.Parse(src)
 		opts.PlanCache, opts.ResultCache = s.planCache, s.resultCache
@@ -650,7 +624,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(start)
 	execDur = elapsed
-	s.metrics.latency.With(engLabel).Observe(elapsed.Seconds())
+	s.metrics.latency.With(opts.Engine.String()).Observe(elapsed.Seconds())
 	if res != nil {
 		for _, fp := range res.Fixpoints {
 			rounds += int64(fp.Stats.Depth)

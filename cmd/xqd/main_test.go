@@ -34,7 +34,7 @@ func testServer(t *testing.T, opts store.Options, configure ...func(*server)) (*
 	}
 	srv := newServer(st)
 	// Configuration runs before the listener exists: handler goroutines
-	// only ever read fields like opt0, never race a test-side write.
+	// only ever read fields like maxRows, never race a test-side write.
 	for _, c := range configure {
 		c(srv)
 	}
@@ -125,16 +125,6 @@ func TestOptLevels(t *testing.T) {
 	var e errorResponse
 	if code := getJSON(t, hs.URL+"/query?opt=2&q="+q, &e); code != http.StatusBadRequest {
 		t.Fatalf("bad opt level: status %d (%+v)", code, e)
-	}
-
-	// A server started with -O 0 defaults requests to the verbatim plan.
-	_, hs0 := testServer(t, store.Options{}, func(s *server) { s.opt0 = true })
-	var served queryResponse
-	if code := getJSON(t, hs0.URL+"/query?engine=rel&q="+q, &served); code != http.StatusOK {
-		t.Fatalf("-O0 server status %d", code)
-	}
-	if served.Result != o0.Result {
-		t.Fatalf("-O0 server default diverges: %q vs %q", served.Result, o0.Result)
 	}
 }
 

@@ -49,13 +49,8 @@ func main() {
 					depth = fp.Stats.Depth
 				}
 			}
-			engName := map[ifpxq.Engine]string{
-				ifpxq.EngineInterpreter: "interpreter",
-				ifpxq.EngineRelational:  "relational ",
-			}[engine]
-			modeName := map[ifpxq.Mode]string{ifpxq.ModeNaive: "Naive", ifpxq.ModeDelta: "Delta"}[mode]
-			fmt.Printf("%s %-5s: %4d persons, %7d nodes fed back, depth %2d, %v\n",
-				engName, modeName, res.Count(), fed, depth, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("%-6v %-5v: %4d persons, %7d nodes fed back, depth %2d, %v\n",
+				engine, mode, res.Count(), fed, depth, time.Since(start).Round(time.Millisecond))
 		}
 	}
 }

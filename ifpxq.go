@@ -15,6 +15,7 @@ package ifpxq
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,32 +47,75 @@ const (
 	EngineRelational
 )
 
+// String is the engine's text form, "interp" or "rel": the one ParseEngine
+// reads and the engine label of xqd's metrics.
+func (e Engine) String() string {
+	if e == EngineRelational {
+		return "rel"
+	}
+	return "interp"
+}
+
+// ParseEngine reads an engine's text form or its long name (interpreter,
+// relational); the empty text is EngineInterpreter.
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "", "interp", "interpreter":
+		return EngineInterpreter, nil
+	case "rel", "relational":
+		return EngineRelational, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q", s)
+}
+
 // OptLevel selects how the relational plan optimizer runs. The zero value
-// is "on": every evaluation gets the property-driven rewrite pass unless
+// is Opt1: every evaluation gets the property-driven rewrite pass unless
 // the caller explicitly asks for the compiler's verbatim plan.
 type OptLevel uint8
 
 // Optimizer levels.
 const (
-	// OptDefault is Opt1: the optimizer is on by default.
-	OptDefault OptLevel = iota
-	// Opt0 executes the verbatim loop-lifting translation (-O0).
-	Opt0
 	// Opt1 runs property inference + the rewrite rule engine + sub-plan
 	// hash-consing between compilation and execution (-O1).
-	Opt1
+	Opt1 OptLevel = iota
+	// Opt0 executes the verbatim loop-lifting translation (-O0).
+	Opt0
 )
 
-// Mode selects the fixpoint algorithm.
-type Mode uint8
+// String is the level's text form, "0" or "1", the one ParseOptLevel reads.
+func (l OptLevel) String() string {
+	if l == Opt0 {
+		return "0"
+	}
+	return "1"
+}
+
+// ParseOptLevel reads a level's text form; the empty text is Opt1.
+func ParseOptLevel(s string) (OptLevel, error) {
+	switch s {
+	case "", "1":
+		return Opt1, nil
+	case "0":
+		return Opt0, nil
+	}
+	return 0, fmt.Errorf("bad optimizer level %q (use 0 or 1)", s)
+}
+
+// Mode selects the fixpoint algorithm: core.Mode, whose Pick is the one
+// place a site's algorithm is decided.
+type Mode = core.Mode
 
 // Fixpoint modes. ModeAuto lets the engine's distributivity check decide —
 // the processor-in-control behaviour the paper advocates.
 const (
-	ModeAuto Mode = iota
-	ModeNaive
-	ModeDelta
+	ModeAuto  = core.ModeAuto
+	ModeNaive = core.ModeNaive
+	ModeDelta = core.ModeDelta
 )
+
+// ParseMode reads a mode's text form (auto, naive, delta); the empty text
+// is ModeAuto.
+func ParseMode(s string) (Mode, error) { return core.ParseMode(s) }
 
 // DocResolver resolves fn:doc URIs.
 type DocResolver = func(uri string) (*xdm.Document, error)
@@ -486,15 +530,8 @@ func (q *Query) run(opts *Options, plan *algebra.Plan, budget *xdm.Budget, docs 
 		}
 		return result(seq, fps, err)
 	}
-	mode := interp.ModeAuto
-	switch opts.Mode {
-	case ModeNaive:
-		mode = interp.ModeNaive
-	case ModeDelta:
-		mode = interp.ModeDelta
-	}
 	out, err := interp.New(q.module, interp.Options{
-		Mode: mode, Docs: docs, ContextItem: opts.ContextItem,
+		Mode: opts.Mode, Docs: docs, ContextItem: opts.ContextItem,
 		Context: opts.Context, NoIndex: opts.NoIndex,
 		Budget: budget, Trace: opts.Trace,
 	}).Eval()

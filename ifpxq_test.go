@@ -101,7 +101,7 @@ func TestExplainPlan(t *testing.T) {
 
 func TestExplainRawAndOptimized(t *testing.T) {
 	q := MustParse(q1)
-	ex, err := q.Explain(ModeAuto, OptDefault)
+	ex, err := q.Explain(ModeAuto, Opt1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/leaktest"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
 	"repro/internal/xmlgen"
+	"repro/internal/xq/ast"
 	"repro/internal/xq/dist"
 	"repro/internal/xq/interp"
 	"repro/internal/xq/parser"
@@ -61,16 +63,24 @@ func docs(t testing.TB) func(string) (*xdm.Document, error) {
 	}
 }
 
-func relEval(t *testing.T, src string, mode FixpointMode) (xdm.Sequence, []MuRun) {
+// compileEngine builds an engine the way production does: CompilePlan in
+// mode (optimize, when non-nil, rewrites the plan), then NewEngineFromPlan.
+func compileEngine(t *testing.T, m *ast.Module, mode core.Mode, optimize func(*Plan), opts Options) (*Plan, *Engine) {
+	t.Helper()
+	plan, err := CompilePlan(m, mode, false, optimize, nil)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return plan, NewEngineFromPlan(plan, opts)
+}
+
+func relEval(t *testing.T, src string, mode core.Mode) (xdm.Sequence, []MuRun) {
 	t.Helper()
 	m, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	en, err := NewEngine(m, Options{Mode: mode, Docs: docs(t)})
-	if err != nil {
-		t.Fatalf("compile %q: %v", src, err)
-	}
+	_, en := compileEngine(t, m, mode, nil, Options{Docs: docs(t)})
 	seq, runs, err := en.Eval()
 	if err != nil {
 		t.Fatalf("exec %q: %v", src, err)
@@ -183,7 +193,7 @@ const q1 = `(with $x seeded by doc("curriculum.xml")/curriculum/course[@code = "
 recurse $x/id(./prerequisites/pre_code))/@code/string()`
 
 func TestRelationalQ1(t *testing.T) {
-	for _, mode := range []FixpointMode{ModeAuto, ModeNaive, ModeDelta} {
+	for _, mode := range []core.Mode{ModeAuto, ModeNaive, ModeDelta} {
 		seq, runs := relEval(t, q1, mode)
 		if got := xmldoc.SerializeSequence(seq); got != "c2 c3 c4" {
 			t.Errorf("mode %d: Q1 = %q, want \"c2 c3 c4\"", mode, got)
@@ -199,14 +209,11 @@ func TestQ1AlgebraicallyDistributive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := NewEngine(m, Options{Mode: ModeAuto, Docs: docs(t)})
-	if err != nil {
-		t.Fatal(err)
+	plan, _ := compileEngine(t, m, ModeAuto, nil, Options{Docs: docs(t)})
+	if len(plan.Mus) != 1 {
+		t.Fatalf("µ sites = %d, want 1", len(plan.Mus))
 	}
-	if len(en.Plan().Mus) != 1 {
-		t.Fatalf("µ sites = %d, want 1", len(en.Plan().Mus))
-	}
-	site := en.Plan().Mus[0]
+	site := plan.Mus[0]
 	if !site.Distributive {
 		t.Errorf("Q1 body not algebraically distributive (strict):\n%s", Explain(site.Mu.Kids[1]))
 	}
@@ -226,11 +233,8 @@ recurse if (count($x/self::a)) then $x/* else ()`
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := NewEngine(m, Options{Mode: ModeAuto, Docs: docs(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := en.Plan().Mus[0]
+	plan, _ := compileEngine(t, m, ModeAuto, nil, Options{Docs: docs(t)})
+	site := plan.Mus[0]
 	if site.Distributive || site.DistributiveExt {
 		t.Errorf("Example 2.4 body wrongly certified distributive:\n%s", Explain(site.Mu.Kids[1]))
 	}
@@ -274,11 +278,8 @@ recurse ` + body
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := NewEngine(m, Options{Mode: ModeAuto, Docs: docs(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := en.Plan().Mus[0]
+	plan, en := compileEngine(t, m, ModeAuto, nil, Options{Docs: docs(t)})
+	site := plan.Mus[0]
 	if !site.Distributive {
 		t.Errorf("algebraic check rejects the unfolded id(·) variant:\n%s", Explain(site.Mu.Kids[1]))
 	}
@@ -337,16 +338,13 @@ func curriculumDocs(t *testing.T, courses int) func(string) (*xdm.Document, erro
 	return func(uri string) (*xdm.Document, error) { return doc, nil }
 }
 
-func evalClosure(t *testing.T, opts Options) (xdm.Sequence, []MuRun, error) {
+func evalClosure(t *testing.T, mode core.Mode, opts Options) (xdm.Sequence, []MuRun, error) {
 	t.Helper()
 	m, err := parser.Parse(closureQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := NewEngine(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, en := compileEngine(t, m, mode, nil, opts)
 	return en.Eval()
 }
 
@@ -355,12 +353,12 @@ func evalClosure(t *testing.T, opts Options) (xdm.Sequence, []MuRun, error) {
 // sequence and the same µ instrumentation.
 func TestMuParallelMatchesSequential(t *testing.T) {
 	docs := curriculumDocs(t, 260)
-	for _, mode := range []FixpointMode{ModeNaive, ModeDelta} {
-		want, wantRuns, err := evalClosure(t, Options{Mode: mode, Docs: docs})
+	for _, mode := range []core.Mode{ModeNaive, ModeDelta} {
+		want, wantRuns, err := evalClosure(t, mode, Options{Docs: docs})
 		if err != nil {
 			t.Fatalf("mode=%v: %v", mode, err)
 		}
-		got, gotRuns, err := evalClosure(t, Options{Mode: mode, Docs: docs, Parallelism: 4})
+		got, gotRuns, err := evalClosure(t, mode, Options{Docs: docs, Parallelism: 4})
 		if err != nil {
 			t.Fatalf("mode=%v Parallelism=4: %v", mode, err)
 		}
@@ -379,14 +377,14 @@ func TestMuCancellation(t *testing.T) {
 
 	pre, cancelPre := context.WithCancel(context.Background())
 	cancelPre()
-	if _, _, err := evalClosure(t, Options{Docs: docs, Context: pre}); !errors.Is(err, context.Canceled) {
+	if _, _, err := evalClosure(t, ModeAuto, Options{Docs: docs, Context: pre}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: got %v, want context.Canceled", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := evalClosure(t, Options{Docs: docs, Context: ctx})
+		_, _, err := evalClosure(t, ModeAuto, Options{Docs: docs, Context: ctx})
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)
@@ -415,11 +413,8 @@ func TestMuErrorDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want string
-	for i, mode := range []FixpointMode{ModeAuto, ModeNaive, ModeDelta, ModeAuto} {
-		en, err := NewEngine(m, Options{Mode: mode, Docs: docs})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, mode := range []core.Mode{ModeAuto, ModeNaive, ModeDelta, ModeAuto} {
+		_, en := compileEngine(t, m, mode, nil, Options{Docs: docs})
 		_, _, evalErr := en.Eval()
 		if xdm.CodeOf(evalErr) != xdm.ErrType {
 			t.Fatalf("mode=%v: got %v, want a type error", mode, evalErr)
@@ -458,11 +453,8 @@ func TestExplainQ1PlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := NewEngine(m, Options{Docs: docs(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := en.Plan().Mus[0].Mu.Kids[1]
+	plan, _ := compileEngine(t, m, ModeAuto, nil, Options{Docs: docs(t)})
+	body := plan.Mus[0].Mu.Kids[1]
 	summary := OperatorSummary(Operators(body))
 	// Figure 9(a): the recursion body is steps, an id lookup, projections
 	// and joins — and crucially no count aggregate.

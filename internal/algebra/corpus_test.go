@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/algebra/opt"
+	"repro/internal/core"
 	"repro/internal/xmldoc"
 	"repro/internal/xq/interp"
 	"repro/internal/xq/parser"
@@ -103,39 +104,32 @@ func TestDifferentialCorpus(t *testing.T) {
 		name     string
 		optimize func(*algebra.Plan)
 	}
-	modes := []struct {
-		rel    algebra.FixpointMode
-		interp interp.Mode
-	}{
-		{algebra.ModeAuto, interp.ModeAuto},
-		{algebra.ModeNaive, interp.ModeNaive},
-		{algebra.ModeDelta, interp.ModeDelta},
-	}
+	modes := []core.Mode{core.ModeAuto, core.ModeNaive, core.ModeDelta}
 	for _, src := range corpus {
 		m, err := parser.Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		for _, mode := range modes {
-			ir, err := interp.New(m, interp.Options{Mode: mode.interp, Docs: algebra.Docs(t)}).Eval()
+			ir, err := interp.New(m, interp.Options{Mode: mode, Docs: algebra.Docs(t)}).Eval()
 			if err != nil {
-				t.Fatalf("interp %v %q: %v", mode.interp, src, err)
+				t.Fatalf("interp %v %q: %v", mode, src, err)
 			}
 			want := xmldoc.SerializeSequence(ir.Value)
 			for _, lv := range []level{{"-O0", nil}, {"-O1", opt.Optimize}} {
-				en, err := algebra.NewEngine(m, algebra.Options{Mode: mode.rel, Docs: algebra.Docs(t), Optimize: lv.optimize})
+				plan, err := algebra.CompilePlan(m, mode, false, lv.optimize, nil)
 				if err != nil {
 					if _, ok := err.(*algebra.UnsupportedError); ok {
 						continue // constructs the relational backend declines
 					}
 					t.Fatalf("rel compile %q: %v", src, err)
 				}
-				rs, _, err := en.Eval()
+				rs, _, err := algebra.NewEngineFromPlan(plan, algebra.Options{Docs: algebra.Docs(t)}).Eval()
 				if err != nil {
-					t.Fatalf("rel %v %s exec %q: %v", mode.interp, lv.name, src, err)
+					t.Fatalf("rel %v %s exec %q: %v", mode, lv.name, src, err)
 				}
 				if got := xmldoc.SerializeSequence(rs); got != want {
-					t.Errorf("engines disagree on %q (%v, %s):\n  interp: %q\n  rel:    %q", src, mode.interp, lv.name, want, got)
+					t.Errorf("engines disagree on %q (%v, %s):\n  interp: %q\n  rel:    %q", src, mode, lv.name, want, got)
 				}
 			}
 		}

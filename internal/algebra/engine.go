@@ -3,28 +3,23 @@ package algebra
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/xdm"
 	"repro/internal/xq/ast"
 )
 
-// FixpointMode selects how compiled µ sites evaluate.
-type FixpointMode uint8
-
-// Fixpoint modes.
+// The fixpoint modes, re-exported from core: auto trades µ for µ∆ exactly
+// where the extended algebraic check certifies the body (the
+// MonetDB/XQuery behaviour of §5).
 const (
-	// ModeAuto trades µ for µ∆ exactly when the algebraic distributivity
-	// check certifies the body (the MonetDB/XQuery behaviour of §5).
-	ModeAuto FixpointMode = iota
-	// ModeNaive forces µ everywhere.
-	ModeNaive
-	// ModeDelta forces µ∆ everywhere (unsafe for non-distributive bodies).
-	ModeDelta
+	ModeAuto  = core.ModeAuto
+	ModeNaive = core.ModeNaive
+	ModeDelta = core.ModeDelta
 )
 
 // Options configure an Engine.
 type Options struct {
-	Mode FixpointMode
 	Docs func(uri string) (*xdm.Document, error)
 	// Deprecated: ignored; every evaluation is sequential.
 	Parallelism int
@@ -39,14 +34,9 @@ type Options struct {
 	// checks the deadline and round budget between rounds. Budget errors
 	// unwind with the MuRun stats collected so far.
 	Budget *xdm.Budget
-	// Optimize, when non-nil, rewrites the compiled plan between
-	// compilation and execution (callers pass opt.Optimize from
-	// internal/algebra/opt; nil executes the compiler's verbatim plan).
-	// It runs after the per-site µ/µ∆ decision, so rewrites see the final
-	// Delta flags and the distributivity check always judges the raw plan.
-	Optimize func(*Plan)
-	// Trace, when non-nil, records the compile/optimize/exec phases and
-	// one span per fixpoint round at every µ site. Prof, when non-nil,
+	// Trace, when non-nil, records the exec phase and one span per
+	// fixpoint round at every µ site (CompilePlan takes its own trace for
+	// the compile and optimize phases). Prof, when non-nil,
 	// accumulates per-operator actuals (calls, rows in/out, self time,
 	// gathers, alloc estimate) keyed by *Node — the EXPLAIN ANALYZE data.
 	// Both are read-only instrumentation: results and MuRun stats are
@@ -71,7 +61,7 @@ type Engine struct {
 // plan is safely shared across concurrent evaluations — the contract the
 // serving layer's plan cache relies on. strict makes auto mode (and
 // tabling) follow Table 1's exact push rules instead of the extended ones.
-func CompilePlan(m *ast.Module, mode FixpointMode, strict bool, optimize func(*Plan), tr *obs.Trace) (*Plan, error) {
+func CompilePlan(m *ast.Module, mode core.Mode, strict bool, optimize func(*Plan), tr *obs.Trace) (*Plan, error) {
 	stopCompile := tr.StartPhase("compile")
 	plan, err := CompileModule(m)
 	stopCompile()
@@ -85,14 +75,7 @@ func CompilePlan(m *ast.Module, mode FixpointMode, strict bool, optimize func(*P
 		if strict {
 			site.Mu.Tabled = site.Distributive
 		}
-		switch mode {
-		case ModeNaive:
-			site.Mu.Delta = false
-		case ModeDelta:
-			site.Mu.Delta = true
-		default:
-			site.Mu.Delta = site.Mu.Tabled
-		}
+		site.Mu.Delta = mode.Pick(site.Mu.Tabled) == core.Delta
 	}
 	if optimize != nil {
 		stopOpt := tr.StartPhase("optimize")
@@ -102,26 +85,12 @@ func CompilePlan(m *ast.Module, mode FixpointMode, strict bool, optimize func(*P
 	return plan, nil
 }
 
-// NewEngine compiles the module and fixes each µ site's algorithm per the
-// requested mode, auto mode deciding by the extended rules.
-func NewEngine(m *ast.Module, opts Options) (*Engine, error) {
-	plan, err := CompilePlan(m, opts.Mode, false, opts.Optimize, opts.Trace)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{plan: plan, opts: opts}, nil
-}
-
-// NewEngineFromPlan builds an engine around an already-compiled plan (a
-// plan-cache hit). The plan must have been produced by CompilePlan with
-// the mode and optimizer these options imply — the engine does not
-// re-derive any of it.
+// NewEngineFromPlan builds an engine around a plan from CompilePlan, which
+// fixed its µ/µ∆ picks and ran its optimizer; the engine re-derives none
+// of it, so one plan (a plan-cache hit) serves any number of engines.
 func NewEngineFromPlan(plan *Plan, opts Options) *Engine {
 	return &Engine{plan: plan, opts: opts}
 }
-
-// Plan exposes the compiled plan (explain output, tests).
-func (e *Engine) Plan() *Plan { return e.plan }
 
 // Eval executes the plan and returns the result sequence plus fixpoint
 // instrumentation, one MuRun per µ site in first-execution order.

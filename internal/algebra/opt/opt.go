@@ -8,7 +8,7 @@ import (
 )
 
 // maxPasses bounds the rule-engine fixed point. Each pass is a full
-// liveness + property analysis plus one bottom-up rewrite. Every rule reads
+// liveness analysis plus one bottom-up rewrite. Every rule reads
 // current facts (liveness passes through dead producers, δ asks for the
 // properties of its rewritten input, π is built normalized), so a pass
 // leaves little for the next: the paper's four queries settle in two to
@@ -27,10 +27,14 @@ func optimize(p *algebra.Plan) (passes int) {
 	if p == nil || p.Root == nil {
 		return 0
 	}
-	root := p.Root
+	// A node's properties are a function of its subtree, which no pass
+	// mutates, so one lazily filled analysis serves every pass: a node that
+	// survives a pass keeps its entry, and a node a pass mints is inferred
+	// when first asked.
+	root, an := p.Root, newAnalysis()
 	for passes < maxPasses {
 		passes++
-		r := newRewriter(root)
+		r := newRewriter(root, an)
 		next := r.rewrite(root)
 		if !r.changed {
 			break

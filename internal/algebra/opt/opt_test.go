@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/algebra/opt"
+	"repro/internal/core"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
 	"repro/internal/xq/parser"
@@ -68,17 +69,17 @@ func docs(t testing.TB) func(string) (*xdm.Document, error) {
 
 // evalBoth runs one query through the relational engine with the optimizer
 // off and on, returning both outcomes plus the two engines' plans.
-func evalBoth(t *testing.T, src string, mode algebra.FixpointMode) (raw, optd string, rawRuns, optRuns []algebra.MuRun, rawPlan, optPlan *algebra.Plan) {
+func evalBoth(t *testing.T, src string, mode core.Mode) (raw, optd string, rawRuns, optRuns []algebra.MuRun, rawPlan, optPlan *algebra.Plan) {
 	t.Helper()
 	m, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	e0, err := algebra.NewEngine(m, algebra.Options{Mode: mode, Docs: docs(t)})
+	p0, err := algebra.CompilePlan(m, mode, false, nil, nil)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	s0, r0, err := e0.Eval()
+	s0, r0, err := algebra.NewEngineFromPlan(p0, algebra.Options{Docs: docs(t)}).Eval()
 	if err != nil {
 		t.Fatalf("exec -O0 %q: %v", src, err)
 	}
@@ -86,15 +87,15 @@ func evalBoth(t *testing.T, src string, mode algebra.FixpointMode) (raw, optd st
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := algebra.NewEngine(m2, algebra.Options{Mode: mode, Docs: docs(t), Optimize: opt.Optimize})
+	p1, err := algebra.CompilePlan(m2, mode, false, opt.Optimize, nil)
 	if err != nil {
 		t.Fatalf("compile -O1 %q: %v", src, err)
 	}
-	s1, r1, err := e1.Eval()
+	s1, r1, err := algebra.NewEngineFromPlan(p1, algebra.Options{Docs: docs(t)}).Eval()
 	if err != nil {
 		t.Fatalf("exec -O1 %q: %v", src, err)
 	}
-	return xmldoc.SerializeSequence(s0), xmldoc.SerializeSequence(s1), r0, r1, e0.Plan(), e1.Plan()
+	return xmldoc.SerializeSequence(s0), xmldoc.SerializeSequence(s1), r0, r1, p0, p1
 }
 
 // differentialQueries covers every operator family the rules touch:
@@ -136,7 +137,7 @@ var differentialQueries = []string{
 
 func TestOptimizedPlansAgreeWithRaw(t *testing.T) {
 	for _, src := range differentialQueries {
-		for _, mode := range []algebra.FixpointMode{algebra.ModeNaive, algebra.ModeAuto} {
+		for _, mode := range []core.Mode{core.ModeNaive, core.ModeAuto} {
 			raw, optd, r0, r1, _, _ := evalBoth(t, src, mode)
 			if raw != optd {
 				t.Errorf("mode=%v query %s:\n -O0: %q\n -O1: %q", mode, src, raw, optd)
@@ -168,7 +169,7 @@ func TestOptimizerShrinksBenchmarkPlans(t *testing.T) {
 			recurse $x/parents/patient[diagnosis = "hd"])`,
 	}
 	for name, src := range queries {
-		_, _, _, _, p0, p1 := evalBoth(t, src, algebra.ModeAuto)
+		_, _, _, _, p0, p1 := evalBoth(t, src, core.ModeAuto)
 		if before, after := opCount(p0.Root), opCount(p1.Root); after >= before {
 			t.Errorf("%s: optimized plan has %d operators, raw %d — no reduction:\n%s",
 				name, after, before, algebra.Explain(p1.Root))
@@ -181,11 +182,10 @@ func TestPlanKeepsRawRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := algebra.NewEngine(m, algebra.Options{Docs: docs(t), Optimize: opt.Optimize})
+	p, err := algebra.CompilePlan(m, core.ModeAuto, false, opt.Optimize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := en.Plan()
 	if p.Raw == nil || p.Raw == p.Root {
 		t.Fatalf("optimizer should preserve the raw root separately (raw=%p root=%p)", p.Raw, p.Root)
 	}
@@ -197,11 +197,10 @@ func TestMuSitesRemapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := algebra.NewEngine(m, algebra.Options{Docs: docs(t), Optimize: opt.Optimize})
+	p, err := algebra.CompilePlan(m, core.ModeAuto, false, opt.Optimize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := en.Plan()
 	if len(p.Mus) != 1 {
 		t.Fatalf("want one µ site, got %d", len(p.Mus))
 	}

@@ -62,7 +62,8 @@ const (
 	maxKeyCols = 8
 )
 
-// Analysis memoizes inferred properties over one plan DAG.
+// Analysis memoizes inferred properties per node. They are a function of
+// the node's subtree, so one analysis serves every DAG that shares it.
 type Analysis struct {
 	props map[*algebra.Node]*Props
 	slab  []Props // backing store handed out by infer, a chunk at a time
@@ -70,10 +71,13 @@ type Analysis struct {
 
 // Analyze infers properties bottom-up for every node reachable from root.
 func Analyze(root *algebra.Node) *Analysis {
-	a := &Analysis{props: map[*algebra.Node]*Props{}}
+	a := newAnalysis()
 	a.infer(root)
 	return a
 }
+
+// newAnalysis is an empty analysis, filled as Props is asked.
+func newAnalysis() *Analysis { return &Analysis{props: map[*algebra.Node]*Props{}} }
 
 // Props returns the inferred properties of n (inferring on first use, so
 // the analysis can serve nodes off the original DAG lazily).

@@ -7,6 +7,7 @@ import (
 	ifpxq "repro"
 	"repro/internal/algebra"
 	"repro/internal/algebra/opt"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/xq/parser"
 )
@@ -19,21 +20,21 @@ func TestTemplateRowNumsNeverSort(t *testing.T) {
 	for _, g := range analyzeGoldens {
 		docs := ifpxq.DocsFromStrings(map[string]string{g.uri: g.xml()})
 		for level, optimize := range []func(*algebra.Plan){nil, opt.Optimize} {
-			for _, mode := range []algebra.FixpointMode{algebra.ModeAuto, algebra.ModeNaive} {
+			for _, mode := range []core.Mode{core.ModeAuto, core.ModeNaive} {
 				m, err := parser.Parse(g.query)
 				if err != nil {
 					t.Fatal(err)
 				}
 				prof := obs.NewPlanProfile()
-				en, err := algebra.NewEngine(m, algebra.Options{Mode: mode, Docs: docs, Optimize: optimize, Prof: prof})
+				plan, err := algebra.CompilePlan(m, mode, false, optimize, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := en.Eval(); err != nil {
+				if _, _, err := algebra.NewEngineFromPlan(plan, algebra.Options{Docs: docs, Prof: prof}).Eval(); err != nil {
 					t.Fatalf("%s -O%d mode %d: %v", g.name, level, mode, err)
 				}
 				ran := 0
-				for _, n := range planNodes(en.Plan().Root) {
+				for _, n := range planNodes(plan.Root) {
 					st, ok := prof.Stats(n)
 					if n.Op != algebra.OpRowNum || !n.Template || !ok {
 						continue

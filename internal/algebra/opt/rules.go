@@ -164,10 +164,10 @@ func kidRequirements(n *algebra.Node, live colset) []colset {
 	return reqs
 }
 
-// rewriter applies one full rule pass over a plan DAG: liveness and
-// properties are computed on the input tree (properties of nodes minted in
-// the pass are inferred when asked), then every node is rewritten bottom-up
-// exactly once (memoized, preserving sharing).
+// rewriter applies one full rule pass over a plan DAG: liveness is computed
+// on the input tree, properties are read from the optimization's one
+// analysis (inferred when first asked), then every node is rewritten
+// bottom-up exactly once (memoized, preserving sharing).
 type rewriter struct {
 	live    map[*algebra.Node]colset
 	parents map[*algebra.Node]int
@@ -177,10 +177,10 @@ type rewriter struct {
 	changed bool
 }
 
-func newRewriter(root *algebra.Node) *rewriter {
+func newRewriter(root *algebra.Node, an *Analysis) *rewriter {
 	live, parents := liveness(root)
 	r := &rewriter{
-		live: live, parents: parents, an: Analyze(root),
+		live: live, parents: parents, an: an,
 		semi: map[*algebra.Node]bool{}, memo: map[*algebra.Node]*algebra.Node{},
 	}
 	r.findSemiJoinContexts(root)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
 	"repro/internal/xq/ast"
@@ -109,16 +110,13 @@ func walkPlan(root *Node, visit func(*Node)) {
 
 // evalWith compiles src and evaluates it with the given mode and plan
 // mutation hook (nil = verbatim plan).
-func evalWith(t *testing.T, src string, mode FixpointMode, mutate func(*Plan)) (xdm.Sequence, []MuRun) {
+func evalWith(t *testing.T, src string, mode core.Mode, mutate func(*Plan)) (xdm.Sequence, []MuRun) {
 	t.Helper()
 	m, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	en, err := NewEngine(m, Options{Mode: mode, Docs: segDocs(t), Optimize: mutate})
-	if err != nil {
-		t.Fatalf("compile %q: %v", src, err)
-	}
+	_, en := compileEngine(t, m, mode, mutate, Options{Docs: segDocs(t)})
 	seq, runs, err := en.Eval()
 	if err != nil {
 		t.Fatalf("exec %q: %v", src, err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/algebra/opt"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
 	"repro/internal/xmlgen"
@@ -60,7 +61,7 @@ return count(reach($c, $k))`, false, false},
 recurse ($x/name | doc("shop.xml")/shop))`, false, false},
 		{"row budget", bench.BidderNetworkQuery, true, true},
 	}
-	modes := []algebra.FixpointMode{algebra.ModeAuto, algebra.ModeNaive, algebra.ModeDelta}
+	modes := []core.Mode{core.ModeAuto, core.ModeNaive, core.ModeDelta}
 	for _, c := range cases {
 		m, err := parser.Parse(c.query)
 		if err != nil {

@@ -186,26 +186,25 @@ func (p *Prepared) eval(c Cell) Outcome {
 		out.Depth = max(out.Depth, s.Stats.Depth)
 		out.BodyInputs += s.BodyInputs()
 	}
+	mode := core.ModeNaive
+	if c.Alg == core.Delta {
+		mode = core.ModeDelta
+	}
 	if c.Engine == EngineRelational {
-		mode := algebra.ModeNaive
-		if c.Alg == core.Delta {
-			mode = algebra.ModeDelta
-		}
 		var optimize func(*algebra.Plan)
 		if c.Opt != 0 {
 			optimize = opt.Optimize
 		}
-		en, err := algebra.NewEngine(p.module, algebra.Options{
-			Mode: mode, Docs: p.docs,
-			NoIndex: c.Ix == 0, Optimize: optimize, Trace: tr,
-		})
+		plan, err := algebra.CompilePlan(p.module, mode, false, optimize, tr)
 		if err != nil {
 			return Outcome{Err: err}
 		}
-		for _, site := range en.Plan().Mus {
+		for _, site := range plan.Mus {
 			out.Distributive = out.Distributive || site.Distributive
 		}
-		seq, ifps, err := en.Eval()
+		seq, ifps, err := algebra.NewEngineFromPlan(plan, algebra.Options{
+			Docs: p.docs, NoIndex: c.Ix == 0, Trace: tr,
+		}).Eval()
 		if err != nil {
 			return Outcome{Err: err}
 		}
@@ -214,10 +213,6 @@ func (p *Prepared) eval(c Cell) Outcome {
 			tally(run.Site)
 		}
 	} else {
-		mode := interp.ModeNaive
-		if c.Alg == core.Delta {
-			mode = interp.ModeDelta
-		}
 		res, err := interp.New(p.module, interp.Options{
 			Mode: mode, Docs: p.docs, NoIndex: c.Ix == 0, Trace: tr,
 		}).Eval()

@@ -18,6 +18,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"iter"
 
 	"repro/internal/obs"
@@ -44,6 +45,56 @@ func (a Algorithm) String() string {
 		return "Delta"
 	}
 	return "Naive"
+}
+
+// Mode is the fixpoint setting every query carries: leave the algorithm to
+// the processor, or force one.
+type Mode uint8
+
+// Fixpoint modes.
+const (
+	// ModeAuto runs Delta exactly where the engine certifies the body
+	// distributive — the processor-in-control behaviour of §3.
+	ModeAuto Mode = iota
+	// ModeNaive forces Naïve everywhere.
+	ModeNaive
+	// ModeDelta forces Delta everywhere (unsafe for non-distributive
+	// bodies; Example 2.4 reproduces the divergence).
+	ModeDelta
+)
+
+// Pick is the one place a fixpoint site's algorithm is decided: the
+// algorithm a site runs under m, given whether its engine certified the
+// body distributive.
+func (m Mode) Pick(certified bool) Algorithm {
+	if m == ModeDelta || m == ModeAuto && certified {
+		return Delta
+	}
+	return Naive
+}
+
+// String is the mode's text form, the one ParseMode reads.
+func (m Mode) String() string {
+	switch m {
+	case ModeNaive:
+		return "naive"
+	case ModeDelta:
+		return "delta"
+	}
+	return "auto"
+}
+
+// ParseMode reads a mode's text form; the empty text is ModeAuto.
+func ParseMode(s string) (Mode, error) {
+	for m := ModeAuto; m <= ModeDelta; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	if s == "" {
+		return ModeAuto, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 // Stats instruments one fixpoint computation with the quantities reported

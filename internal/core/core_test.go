@@ -823,3 +823,22 @@ func TestTableEntriesChargeRowBudget(t *testing.T) {
 		t.Fatalf("tabled under %d rows: %v, want %s", tabled-1, err, xdm.ErrRows)
 	}
 }
+
+// TestModePick pins §3's decision rule, the one every engine and distcheck
+// use: auto runs Delta exactly on a certified body, and a forced mode
+// ignores the certificate.
+func TestModePick(t *testing.T) {
+	for _, c := range []struct {
+		mode      Mode
+		certified bool
+		want      Algorithm
+	}{
+		{ModeAuto, false, Naive}, {ModeAuto, true, Delta},
+		{ModeNaive, false, Naive}, {ModeNaive, true, Naive},
+		{ModeDelta, false, Delta}, {ModeDelta, true, Delta},
+	} {
+		if got := c.mode.Pick(c.certified); got != c.want {
+			t.Errorf("%v.Pick(%v) = %v, want %v", c.mode, c.certified, got, c.want)
+		}
+	}
+}

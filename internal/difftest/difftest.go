@@ -212,14 +212,10 @@ type combo struct {
 	mode   ifpxq.Mode
 }
 
-// String names the flags that reproduce the configuration (-O0/-O1 as the
-// CLIs spell them).
+// String names the flags that reproduce the configuration, in the text
+// forms the CLIs read.
 func (k config) String() string {
-	o := 1
-	if k.opt == ifpxq.Opt0 {
-		o = 0
-	}
-	return fmt.Sprintf("engine=%v mode=%v -O%d", k.engine, k.mode, o)
+	return fmt.Sprintf("engine=%v mode=%v -O%v", k.engine, k.mode, k.opt)
 }
 
 // outcome is one evaluation's observable behaviour.

@@ -181,11 +181,11 @@ func engineResults(t *testing.T, query string, docs func(string) (*xdm.Document,
 	}
 	out["interp"] = xmldoc.SerializeSequence(ires.Value) + istats
 
-	ren, err := algebra.NewEngine(m, algebra.Options{Docs: docs})
+	plan, err := algebra.CompilePlan(m, algebra.ModeAuto, false, nil, nil)
 	if err != nil {
 		t.Fatalf("algebra compile: %v", err)
 	}
-	seq, runs, err := ren.Eval()
+	seq, runs, err := algebra.NewEngineFromPlan(plan, algebra.Options{Docs: docs}).Eval()
 	if err != nil {
 		t.Fatalf("algebra: %v", err)
 	}

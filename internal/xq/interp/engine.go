@@ -21,38 +21,20 @@ import (
 	"repro/internal/xq/parser"
 )
 
-// Mode selects how the engine evaluates `with … seeded by … recurse`.
-type Mode uint8
-
-// IFP evaluation modes.
+// The fixpoint modes, re-exported from core: auto picks Delta exactly where
+// the syntactic distributivity check certifies the body.
 const (
-	// ModeAuto runs the syntactic distributivity check on the recursion
-	// body and picks Delta when it certifies, Naïve otherwise — the
-	// processor-in-control behaviour the paper advocates.
-	ModeAuto Mode = iota
-	// ModeNaive forces algorithm Naïve.
-	ModeNaive
-	// ModeDelta forces algorithm Delta (unsafe for non-distributive
-	// bodies; used for experiments such as reproducing Example 2.4).
-	ModeDelta
+	ModeAuto  = core.ModeAuto
+	ModeNaive = core.ModeNaive
+	ModeDelta = core.ModeDelta
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeNaive:
-		return "naive"
-	case ModeDelta:
-		return "delta"
-	}
-	return "auto"
-}
 
 // DocResolver resolves fn:doc URIs to parsed documents.
 type DocResolver func(uri string) (*xdm.Document, error)
 
 // Options configure an Engine.
 type Options struct {
-	Mode         Mode
+	Mode         core.Mode
 	MaxCallDepth int // user-defined function recursion; 0 = 8192
 	ContextItem  *xdm.Item
 	Docs         DocResolver

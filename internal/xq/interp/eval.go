@@ -521,10 +521,7 @@ func (ev *evaluator) evalFixpoint(n *ast.Fixpoint, en *env, ctx dynCtx) (xdm.Seq
 	}
 	x := ev.sites.Enter(n, func() (*IFPRun, string) {
 		res := ev.engine.distCheck(n)
-		alg := core.Naive
-		if mode := ev.engine.opts.Mode; mode == ModeDelta || mode == ModeAuto && res.Safe {
-			alg = core.Delta
-		}
+		alg := ev.engine.opts.Mode.Pick(res.Safe)
 		run := &IFPRun{Var: n.Var, Rule: res.Rule, Site: core.Site{Algorithm: alg, Distributive: res.Safe}}
 		if alg == core.Delta && res.Safe {
 			run.Tabled, run.bound = true, newBindings(n)

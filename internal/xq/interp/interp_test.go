@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
 	"repro/internal/xq/parser"
@@ -379,7 +380,7 @@ const q1 = `with $x seeded by doc("curriculum.xml")/curriculum/course[@code = "c
 recurse $x/id(./prerequisites/pre_code)`
 
 func TestQ1Prerequisites(t *testing.T) {
-	for _, mode := range []Mode{ModeAuto, ModeNaive, ModeDelta} {
+	for _, mode := range []core.Mode{ModeAuto, ModeNaive, ModeDelta} {
 		res := evalQuery(t, `(`+q1+`)/@code/string()`, Options{Mode: mode})
 		got := xmldoc.SerializeSequence(res.Value)
 		if got != "c2 c3 c4" {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/xdm"
 	"repro/internal/xmldoc"
 	"repro/internal/xmlgen"
@@ -95,7 +96,7 @@ doc("c40.xml")/curriculum/course/count(with $x seeded by . recurse $x/id(./prere
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			eval := func(mode Mode, budget *xdm.Budget) (*Result, string) {
+			eval := func(mode core.Mode, budget *xdm.Budget) (*Result, string) {
 				res, err := EvalString(c.query, Options{Mode: mode, Docs: resolve, Budget: budget})
 				if err != nil {
 					return res, "error " + string(xdm.CodeOf(err))
@@ -152,7 +153,7 @@ for $c in doc("curriculum.xml")/curriculum/course
 return count(with $x seeded by $c
              recurse $x/(if (@code = "c5") then string(@code) else id(./prerequisites/pre_code)))`
 	var msgs []string
-	for _, mode := range []Mode{ModeAuto, ModeNaive} {
+	for _, mode := range []core.Mode{ModeAuto, ModeNaive} {
 		_, err := EvalString(query, Options{Mode: mode, Docs: testDocs(t)})
 		if xdm.CodeOf(err) != xdm.ErrType {
 			t.Fatalf("mode %v: %v, want XPTY0004", mode, err)
