@@ -74,3 +74,24 @@ func TestExplainShowsTheRelationalPick(t *testing.T) {
 		}
 	}
 }
+
+// TestValueJoinSiteStaysDelta: the body `doc("a.xml")//b[. = $x]` compiles
+// its predicate to a value join against the hoisted candidates, and the
+// site keeps both algebraic certificates, so rel still runs it as µ∆.
+func TestValueJoinSiteStaysDelta(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-explain", "-q", `with $x seeded by doc("a.xml")/a recurse doc("a.xml")//b[. = $x]`}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"strict=true extended=true", "Naive (interp), Delta (rel)", "\nmu-delta {", "join[key=fkey]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "cross {") && strings.HasSuffix(line, " rec}") {
+			t.Errorf("a cross reads the recursion:\n%s", out)
+		}
+	}
+}

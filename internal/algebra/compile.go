@@ -95,9 +95,20 @@ type compiler struct {
 // the top loop and crossed into inner iteration spaces — the classic
 // loop-invariant hoisting Pathfinder performs as a plan rewrite.
 func (c *compiler) isInvariant(e ast.Expr, env cenv) bool {
-	if usesContextFreely(e) || !c.readsGlobalsOnly(e, env, "") {
-		return false
-	}
+	return !usesContextFreely(e) && c.readsGlobalsOnly(e, env, "") && c.plain(e)
+}
+
+// readsFocusAndGlobals reports whether e's value per context item is the
+// same in every iteration of any loop: like isInvariant, except that e may
+// read the context item (not its position or size).
+func (c *compiler) readsFocusAndGlobals(e ast.Expr, env cenv) bool {
+	return c.readsGlobalsOnly(e, env, "") && c.plain(e) && !predsUsePosLast([]ast.Expr{e})
+}
+
+// plain reports whether e contains no fixpoint, no node constructor (fresh
+// identities) and no call of a user function (conservative: its body may
+// hold either).
+func (c *compiler) plain(e ast.Expr) bool {
 	ok := true
 	ast.Walk(e, func(x ast.Expr) bool {
 		switch v := x.(type) {

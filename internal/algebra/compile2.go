@@ -54,6 +54,22 @@ func (c *compiler) compileSlash(n *ast.Slash, loop *Node, env cenv) (*Node, erro
 	return ddoNodes(Project(joined, pp("iter", "outer"), pp("item", "item"))), nil
 }
 
+// rankIsTemplate reports whether the per-context rank a predicate p sees,
+// after the predicates earlier, is step-template bookkeeping that the
+// distributivity check may step over. It is while p reads no position, or
+// while the ranked rows are the step's matches for one context node as
+// filtered by predicates that read nothing but the candidate and prolog
+// globals. An earlier predicate that reads another variable — a
+// recursion variable, say — may filter by a whole set, and a position
+// taken among the survivors depends on all of it: in
+// `doc("a.xml")//b[@c != $x/@c][1]`, e(S) is not ∪ e({n}).
+func (c *compiler) rankIsTemplate(p ast.Expr, earlier []ast.Expr, env cenv) bool {
+	if !mayBeNumeric(p) && !predsUsePosLast([]ast.Expr{p}) {
+		return true
+	}
+	return c.readsGlobalsOnly(&ast.Seq{Items: earlier}, env, "")
+}
+
 // predsUsePosLast reports whether any predicate mentions fn:position or
 // fn:last (such steps go through the general loop-lifted path).
 func predsUsePosLast(preds []ast.Expr) bool {
@@ -73,13 +89,13 @@ func predsUsePosLast(preds []ast.Expr) bool {
 // iteration map: the step join runs directly over L's nodes, tagged with
 // their source row so predicate positions stay per context node.
 func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) (*Node, error) {
-	q, err := c.fusedStepBase(l, st, loop, env)
+	q, applied, err := c.fusedStepBase(l, st, loop, env)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range st.Preds {
+	for i, p := range st.Preds[applied:] {
 		ranked := rownum(q, "prank", []string{"pos"}, []string{"iter", "src"})
-		ranked.Template = true
+		ranked.Template = c.rankIsTemplate(p, st.Preds[:applied+i], env)
 		if lit, ok := p.(*ast.Literal); ok && lit.Kind == ast.LitInteger {
 			eq := numop(attach(ranked, "want", xdm.NewInteger(lit.Int)), "keep", NumEq, "prank", "want")
 			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"), pp("src", "src"))
@@ -107,11 +123,12 @@ func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, en
 }
 
 // fusedStepBase produces the pre-predicate step relation
-// iter|pos|item|src. When the step's input (and the step itself) is
-// loop-invariant and the predicates carry no positional semantics against
-// it, the bare step is hoisted: compiled once in the top loop, shared
-// across the plan, and crossed into the current iteration space.
-func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) (*Node, error) {
+// iter|pos|item|src and the number of st's predicates it has already
+// applied. When the step's input (and the step itself) is loop-invariant
+// and the predicates carry no positional semantics against it, the bare
+// step is hoisted: compiled once in the top loop, shared across the plan,
+// and joined (valueJoin) or else crossed into the current iteration space.
+func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) (*Node, int, error) {
 	allBoolean := true
 	for _, p := range st.Preds {
 		if mayBeNumeric(p) {
@@ -123,19 +140,23 @@ func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env c
 		if !ok {
 			bare := &ast.AxisStep{Axis: st.Axis, Test: st.Test} // predicates stay per-loop
 			var err error
-			top, err = c.fusedStepBase(l, bare, c.topLoop, c.topEnv)
+			top, _, err = c.fusedStepBase(l, bare, c.topLoop, c.topEnv)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			top = ddoNodes(Project(top, pp("iter", "iter"), pp("item", "item")))
 			c.hoisted[st] = top
 		}
+		if dep, free, ok := c.joinOperands(st.Preds, env); ok {
+			q, err := c.valueJoin(top, dep, free, loop, env)
+			return q, 1, err
+		}
 		adapted := &Node{Op: OpCross, Kids: []*Node{loop, Project(top, pp("pos", "pos"), pp("item", "item"))}}
-		return attach(adapted, "src", xdm.NewInteger(0)), nil
+		return attach(adapted, "src", xdm.NewInteger(0)), 0, nil
 	}
 	q1, err := c.compile(l, loop, env)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	m := rowtag(ddoNodes(q1), "src")
 	step := &Node{Op: OpStep,
@@ -144,7 +165,69 @@ func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env c
 	rn := rownum(step, "spos", []string{"item"}, []string{"iter", "src"})
 	rn.Desc = st.Axis.Reverse()
 	rn.Template = true
-	return Project(rn, pp("iter", "iter"), pp("pos", "spos"), pp("item", "item"), pp("src", "src")), nil
+	return Project(rn, pp("iter", "iter"), pp("pos", "spos"), pp("item", "item"), pp("src", "src")), 0, nil
+}
+
+// joinOperands recognizes the first predicate of a hoisted step as
+// `dep = free`, in either operand order, where = is the general
+// comparison, free cannot see the context (ast.ContextFree) and holds no
+// fixpoint, constructor or user function, and dep reads the candidate and
+// prolog globals only. Every other shape — another comparison, a local
+// variable in dep, both or neither operand context-free — has ok false.
+func (c *compiler) joinOperands(preds []ast.Expr, env cenv) (dep, free ast.Expr, ok bool) {
+	if len(preds) == 0 {
+		return nil, nil, false
+	}
+	b, isBin := preds[0].(*ast.Binary)
+	if !isBin || b.Op != ast.OpGenEq {
+		return nil, nil, false
+	}
+	dep, free = b.L, b.R
+	if ast.ContextFree(dep) {
+		dep, free = free, dep
+	}
+	ok = ast.ContextFree(free) && !ast.ContextFree(dep) && c.plain(free) && c.readsFocusAndGlobals(dep, env)
+	return dep, free, ok
+}
+
+// valueJoin applies `dep = free` to the hoisted candidates top as one
+// equi-join, where the crossed plan would pair every iteration of loop
+// with every candidate and compare per pair. dep is compiled once per
+// candidate in the top loop — a side with no recursion input, so the
+// executor keeps it across fixpoint rounds — and free once per iteration
+// of loop; both are atomized and joined on the general-comparison
+// equality the crossed plan's comparison join applies (the joinKeys
+// kernel), so exactly the same (iteration, candidate) pairs match. δ then
+// keeps one row per pair; it realizes the ⋉ and is marked Template, as in
+// iters. The candidate's pos and item ride along from the top-loop side,
+// so no per-round join goes back to the candidates.
+//
+// Both operands are evaluated on rows the crossed plan never builds: free
+// in an iteration that has no candidate, dep on a candidate no iteration
+// pairs with. Nothing can observe that while the relational engine
+// glosses kernel errors; eager errors (ROADMAP 3(b)) must restrict both
+// sides to such rows when they land.
+func (c *compiler) valueJoin(top *Node, dep, free ast.Expr, loop *Node, env cenv) (*Node, error) {
+	cands := rowtag(top, "cand")
+	candLoop := Project(cands, pp("iter", "cand"))
+	candEnv := c.globalEnv(candLoop)
+	candEnv.dot = Project(cands, pp("iter", "cand"), pp("item", "item"))
+	d, err := c.compile(dep, candLoop, candEnv)
+	if err != nil {
+		return nil, err
+	}
+	f, err := c.compile(free, loop, env)
+	if err != nil {
+		return nil, err
+	}
+	keyed := join(Project(atomized(d), pp("dcand", "iter"), pp("key", "item")),
+		Project(cands, pp("cand", "cand"), pp("pos", "pos"), pp("item", "item")),
+		JoinPred{L: "dcand", R: "cand", Cmp: NumEq})
+	matched := join(keyed, Project(atomized(f), pp("iter", "iter"), pp("fkey", "item")),
+		JoinPred{L: "key", R: "fkey", Cmp: NumEq})
+	pairs := distinct(Project(matched, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item")))
+	pairs.Template = true
+	return attach(pairs, "src", xdm.NewInteger(0)), nil
 }
 
 // producesAtomics decides statically whether the right-hand side of a path
@@ -199,16 +282,17 @@ func (c *compiler) compileAxisStep(n *ast.AxisStep, loop *Node, env cenv) (*Node
 // predicate over a general primary ($x[1]) stays semantic and blocks the
 // ∪ push-up, per §3.1.
 func (c *compiler) compilePreds(q *Node, preds []ast.Expr, loop *Node, env cenv, inStep bool) (*Node, error) {
-	for _, p := range preds {
+	for i, p := range preds {
+		template := inStep && c.rankIsTemplate(p, preds[:i], env)
 		ranked := rownum(q, "prank", []string{"pos"}, []string{"iter"})
-		ranked.Template = inStep
+		ranked.Template = template
 		if lit, ok := p.(*ast.Literal); ok && lit.Kind == ast.LitInteger {
 			eq := numop(attach(ranked, "want", xdm.NewInteger(lit.Int)), "keep", NumEq, "prank", "want")
 			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
 			continue
 		}
 		if fc, ok := p.(*ast.FuncCall); ok && fc.Name == "last" && len(fc.Args) == 0 {
-			cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: inStep}
+			cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: template}
 			j := join(ranked, Project(cnt, pp("citer", "iter"), pp("sz", "sz")),
 				JoinPred{L: "iter", R: "citer", Cmp: NumEq})
 			eq := numop(j, "keep", NumEq, "prank", "sz")
@@ -226,7 +310,7 @@ func (c *compiler) compilePreds(q *Node, preds []ast.Expr, loop *Node, env cenv,
 		}
 		lifted.dot = Project(mapT, pp("iter", "pinner"), pp("item", "item"))
 		lifted.pos = Project(mapT, pp("iter", "pinner"), pp("item", "prank"))
-		cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: inStep}
+		cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: template}
 		szJoin := join(mapT, Project(cnt, pp("citer", "iter"), pp("sz", "sz")),
 			JoinPred{L: "iter", R: "citer", Cmp: NumEq})
 		lifted.last = Project(szJoin, pp("iter", "pinner"), pp("item", "sz"))

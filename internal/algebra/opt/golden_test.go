@@ -10,6 +10,7 @@ import (
 
 	ifpxq "repro"
 	"repro/internal/algebra"
+	"repro/internal/algebra/opt"
 	"repro/internal/bench"
 )
 
@@ -97,6 +98,37 @@ func TestGoldenCoversMarkers(t *testing.T) {
 	for _, want := range []string{"#1 ", "^1", "key=", "rec", "mu"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("bidder golden misses %q", want)
+		}
+	}
+}
+
+// TestGoldenBodiesCrossNothing: in the optimized plans of the four goldens
+// no cross depends on a fixpoint's recursion base or key leaf — a hoisted
+// step's candidates meet each round's iterations through a value join,
+// never through iterations × candidates. A cross of two top-loop inputs
+// (the document leaf) may sit below a body; it is evaluated once.
+func TestGoldenBodiesCrossNothing(t *testing.T) {
+	for _, g := range goldenQueries {
+		p := compileRaw(t, g.query)
+		opt.Optimize(p)
+		for _, s := range p.Mus {
+			memo := map[*algebra.Node]bool{}
+			var rec func(n *algebra.Node) bool
+			rec = func(n *algebra.Node) bool {
+				if v, ok := memo[n]; ok {
+					return v
+				}
+				v := n == s.Mu.RecBase || n == s.Mu.Keys
+				for _, k := range n.Kids {
+					v = rec(k) || v
+				}
+				memo[n] = v
+				if n.Op == algebra.OpCross && v {
+					t.Errorf("%s: a cross in the µ body reads the recursion:\n%s", g.name, algebra.Explain(n))
+				}
+				return v
+			}
+			rec(s.Mu.Kids[1])
 		}
 	}
 }

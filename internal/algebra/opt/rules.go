@@ -302,10 +302,16 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 // projectRules drops the pairs no ancestor reads (keeping at least one: a
 // zero-column table would lose its row count) and rebuilds through
 // algebra.Project, which composes π∘π and returns the input of an
-// identity π.
+// identity π. A π with every pair live over its unchanged input is
+// returned as it is when that input is no π: Project built it over this
+// very input, so there is nothing to compose or drop. alignUnion's trim
+// is the one π built without Project, and its input may be a π.
 func (r *rewriter) projectRules(old, n *algebra.Node) *algebra.Node {
 	dead := func(p algebra.ProjPair) bool { return !r.live[old][p.Out] }
 	pairs := n.Proj
+	if !slices.ContainsFunc(pairs, dead) && n.Kids[0] == old.Kids[0] && n.Kids[0].Op != algebra.OpProject {
+		return n
+	}
 	if slices.ContainsFunc(pairs, dead) {
 		if pairs = slices.DeleteFunc(slices.Clone(pairs), dead); len(pairs) == 0 {
 			pairs = n.Proj[:1]

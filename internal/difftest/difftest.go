@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	ifpxq "repro"
@@ -46,6 +47,14 @@ var OptLevels = []ifpxq.OptLevel{ifpxq.Opt1, ifpxq.Opt0}
 func Generate(seed int64) Case {
 	rng := rand.New(rand.NewSource(seed))
 	c := Case{Seed: seed}
+	if seed%7 == 0 {
+		// Every seventh seed compares values (valuesQuery), alternating
+		// between its two shapes; every other seed keeps the case it has
+		// always generated.
+		c.URI, c.XML = "vals.xml", valuesXML(rng)
+		c.Query = valuesQuery(rng, c.URI, seed%14 == 7)
+		return c
+	}
 	switch rng.Intn(6) {
 	case 0: // curriculum: fn:id closures over the prerequisite graph
 		n := 15 + rng.Intn(50)
@@ -188,6 +197,73 @@ return $a + count(with $x seeded by $c/prerequisites recurse $x/child::nosuch)`,
 		c.Query = "child::hospital/" + regularClosures[rng.Intn(len(regularClosures))]
 	}
 	return c
+}
+
+// valueForms are lexical forms of a small integer that all cast to the
+// same xs:double but differ as strings, so a comparison against a number
+// and one against a string or untyped value match different nodes.
+var valueForms = []string{"%d", "%d.0", " %d ", "0%d", "%de0"}
+
+// valuesXML builds a document of <v> elements, each with an n attribute
+// and one or two <w> children holding small integers in varied lexical
+// forms. Every value casts to xs:double, so comparing it with a number
+// never fails on either engine.
+func valuesXML(rng *rand.Rand) string {
+	form := func() string {
+		return fmt.Sprintf(valueForms[rng.Intn(len(valueForms))], rng.Intn(5))
+	}
+	var sb strings.Builder
+	sb.WriteString("<vals>")
+	for i, n := 0, 6+rng.Intn(15); i < n; i++ {
+		fmt.Fprintf(&sb, `<v n="%s"><w>%s</w>`, form(), form())
+		if rng.Intn(2) == 0 {
+			fmt.Fprintf(&sb, "<w>%s</w>", form())
+		}
+		sb.WriteString("</v>")
+	}
+	sb.WriteString("</vals>")
+	return sb.String()
+}
+
+// valuesQuery draws a query over valuesXML whose value predicates sit on
+// a step from the document — a candidate set that is the same in every
+// iteration — inside a for loop (inLoop) or in fixpoint bodies: `path =
+// $v` and `. = $v` in either operand order, which the relational engine
+// joins on value, next to `!=` and positional predicates, which keep its
+// crossed plan. The compared atoms mix numbers, strings and untyped
+// values. Each shape also holds a fixpoint whose body reads only $x and
+// steps from it, which the syntactic certificate accepts.
+func valuesQuery(rng *rand.Rand, uri string, inLoop bool) string {
+	atom := func() string {
+		k := rng.Intn(5)
+		switch rng.Intn(5) {
+		case 0:
+			return fmt.Sprint(k)
+		case 1:
+			return fmt.Sprintf("%d.0", k)
+		case 2:
+			return fmt.Sprintf("%q", fmt.Sprintf(valueForms[rng.Intn(len(valueForms))], k))
+		case 3:
+			return fmt.Sprintf("doc(%q)//v[%d]/@n", uri, 1+rng.Intn(6))
+		}
+		return fmt.Sprintf("doc(%q)//v[%d]/w[1]", uri, 1+rng.Intn(6))
+	}
+	if !inLoop {
+		return fmt.Sprintf(`
+(count(with $x seeded by doc(%[1]q)//v[@n = %[2]s]
+       recurse (doc(%[1]q)//v[@n = $x/w/(. + 0)], doc(%[1]q)//w[. = $x/@n]/..)),
+ count(with $x seeded by doc(%[1]q)//v[w = %[3]s] recurse $x/following-sibling::v[w = %[4]s]))`,
+			uri, atom(), atom(), atom())
+	}
+	return fmt.Sprintf(`
+for $v in (%[2]s, %[3]s, %[4]s)
+return (count(doc(%[1]q)//v[@n = $v]), count(doc(%[1]q)//w[. = $v]), count(doc(%[1]q)//v[$v = w]),
+        count(doc(%[1]q)//v[@n != $v]), count(doc(%[1]q)//v[@n = $v][1]), count(doc(%[1]q)//v[1][w = $v]),
+        count(with $x seeded by doc(%[1]q)//v[@n = $v] recurse $x/following-sibling::v[w = $v]),
+        count(with $x seeded by doc(%[1]q)//v[@n = $v] recurse $x/following-sibling::v[@n = %[5]s]),
+        count(with $x seeded by doc(%[1]q)//v[@n = $v]
+              recurse (doc(%[1]q)//v[$x/@n = w], doc(%[1]q)//v[w = $x/@n/(. + 0)],
+                       doc(%[1]q)//v[@n != $x/@n][1])))`, uri, atom(), atom(), atom(), atom())
 }
 
 // regularClosures are the Regular XPath paths Generate applies below the

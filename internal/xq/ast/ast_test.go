@@ -115,3 +115,29 @@ func TestRewriteReachesWhatWalkReaches(t *testing.T) {
 		t.Errorf("copy formats as %s, original as %s", Format(cp), Format(e))
 	}
 }
+
+func TestContextFree(t *testing.T) {
+	step := func(name string) *AxisStep {
+		return &AxisStep{Axis: AxisChild, Test: NodeTest{Kind: TestName, Name: name}}
+	}
+	one := &Literal{Kind: LitInteger, Int: 1}
+	for _, c := range []struct {
+		e    Expr
+		want bool
+	}{
+		{one, true},
+		{&VarRef{Name: "v"}, true},
+		{&Slash{L: &VarRef{Name: "b"}, R: step("a")}, true},
+		{&Filter{E: &VarRef{Name: "s"}, Preds: []Expr{&FuncCall{Name: "position"}}}, true},
+		{&Seq{Items: []Expr{one, &VarRef{Name: "v"}}}, true},
+		{&ContextItem{}, false},
+		{step("a"), false},
+		{&Slash{L: step("a"), R: step("b")}, false},
+		{&Seq{Items: []Expr{one, step("a")}}, false},
+		{&FuncCall{Name: "string", Args: []Expr{&VarRef{Name: "v"}}}, false}, // unrecognized: conservative
+	} {
+		if got := ContextFree(c.e); got != c.want {
+			t.Errorf("ContextFree(%s) = %v, want %v", Format(c.e), got, c.want)
+		}
+	}
+}

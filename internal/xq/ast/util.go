@@ -198,6 +198,33 @@ func ContainsConstructor(e Expr) bool {
 	return found
 }
 
+// ContextFree reports whether evaluating e can never observe the outer
+// context item, position, or size — a path rooted at a variable or
+// literal, however it continues: steps, predicates, and positional
+// functions to the right of the root draw their context from the path's
+// own intermediate results. Conservative: anything unrecognized counts
+// as context-dependent. A predicate operand that is context-free has one
+// value for every candidate, so both engines evaluate it once per
+// predicate application rather than once per candidate.
+func ContextFree(e Expr) bool {
+	switch x := e.(type) {
+	case *Literal, *VarRef:
+		return true
+	case *Seq:
+		for _, it := range x.Items {
+			if !ContextFree(it) {
+				return false
+			}
+		}
+		return true
+	case *Slash:
+		return ContextFree(x.L)
+	case *Filter:
+		return ContextFree(x.E)
+	}
+	return false
+}
+
 // Fixpoints lists the fixpoint sites in e, pre-order.
 func Fixpoints(e Expr) []*Fixpoint {
 	var out []*Fixpoint

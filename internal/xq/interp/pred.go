@@ -48,9 +48,9 @@ func (ev *evaluator) hoistCmp(p ast.Expr, en *env, nitems int) (*cmpPred, error)
 	var dep, free ast.Expr
 	freeRight := false
 	switch {
-	case contextFree(b.R) && !contextFree(b.L):
+	case ast.ContextFree(b.R) && !ast.ContextFree(b.L):
 		dep, free, freeRight = b.L, b.R, true
-	case contextFree(b.L) && !contextFree(b.R):
+	case ast.ContextFree(b.L) && !ast.ContextFree(b.R):
 		dep, free = b.R, b.L
 	default:
 		return nil, nil
@@ -156,31 +156,6 @@ func matchesValueSet(n xdm.NodeRef, steps []*ast.AxisStep, set map[string]struct
 		} else if matchesValueSet(m, steps[1:], set, noIndex, counts) {
 			return true
 		}
-	}
-	return false
-}
-
-// contextFree reports whether evaluating e can never observe the outer
-// context item, position, or size — a path rooted at a variable or
-// literal, however it continues: steps, predicates, and positional
-// functions to the right of the root draw their context from the path's
-// own intermediate results. Conservative: anything unrecognized counts
-// as context-dependent.
-func contextFree(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Literal, *ast.VarRef:
-		return true
-	case *ast.Seq:
-		for _, it := range x.Items {
-			if !contextFree(it) {
-				return false
-			}
-		}
-		return true
-	case *ast.Slash:
-		return contextFree(x.L)
-	case *ast.Filter:
-		return contextFree(x.E)
 	}
 	return false
 }
