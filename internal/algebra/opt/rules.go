@@ -309,10 +309,11 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 func (r *rewriter) projectRules(old, n *algebra.Node) *algebra.Node {
 	dead := func(p algebra.ProjPair) bool { return !r.live[old][p.Out] }
 	pairs := n.Proj
-	if !slices.ContainsFunc(pairs, dead) && n.Kids[0] == old.Kids[0] && n.Kids[0].Op != algebra.OpProject {
+	pruned := slices.ContainsFunc(pairs, dead)
+	if !pruned && n.Kids[0] == old.Kids[0] && n.Kids[0].Op != algebra.OpProject {
 		return n
 	}
-	if slices.ContainsFunc(pairs, dead) {
+	if pruned {
 		if pairs = slices.DeleteFunc(slices.Clone(pairs), dead); len(pairs) == 0 {
 			pairs = n.Proj[:1]
 		}

@@ -1,6 +1,7 @@
 // Package difftest is the differential fuzz harness for the fixpoint
 // engines: from one integer seed it derives a random document (through
-// internal/xmlgen) and a random fixpoint or Regular XPath query, then
+// internal/xmlgen, or valuesXML) and a random fixpoint, value-predicate
+// or Regular XPath query, then
 // checks that every evaluation strategy the repository offers — Naïve vs
 // Delta (the paper's Figure 3 pair), tree-at-a-time vs relational, and
 // verbatim (-O0) vs optimized (-O1) relational plans — produces
