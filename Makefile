@@ -133,7 +133,9 @@ ci:
 # FuzzSnapshotColumns: the same contract for a v2 image with one whole
 # integer written into one entry of one fixed-width section. FuzzParse:
 # any query text parses to a module or fails with a *ParseError, never a
-# panic. CI runs a short smoke; raise FUZZTIME locally for an open-ended
+# panic. FuzzPromText: any bytes parse to a series map or fail, never a
+# panic, and a parsed map written back as `name value` lines parses to
+# itself. CI runs a short smoke; raise FUZZTIME locally for an open-ended
 # hunt.
 FUZZTIME ?= 60s
 fuzz:
@@ -141,6 +143,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotOpen -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotColumns -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xq/parser
+	$(GO) test -run '^$$' -fuzz FuzzPromText -fuzztime $(FUZZTIME) ./internal/obs
 
 # Plan-shape gate: diff the explain renderings (raw + optimized plans with
 # property annotations, operator counts) of the paper's query families
@@ -191,4 +194,4 @@ bench-baseline:
 clean:
 	rm -f ifpbench xq xqd xqload distcheck xmlgen benchdiff *.test
 	rm -f cover.out cover.pkg.out BENCH_pr.json
-	rm -rf internal/difftest/testdata/fuzz internal/store/testdata/fuzz internal/xq/parser/testdata/fuzz
+	rm -rf internal/difftest/testdata/fuzz internal/store/testdata/fuzz internal/xq/parser/testdata/fuzz internal/obs/testdata/fuzz

@@ -25,8 +25,9 @@ func unsupported(format string, args ...any) error {
 // evaluation order, each carrying its algebraic distributivity verdict.
 type Plan struct {
 	// Root is the plan the executor runs. CompileModule emits the verbatim
-	// loop-lifting translation; an optimizer pass (see Options.Optimize and
-	// internal/algebra/opt) may replace it with a rewritten DAG.
+	// loop-lifting translation; the optimizer CompilePlan takes as its
+	// optimize argument (internal/algebra/opt) may replace it with a
+	// rewritten DAG.
 	Root *Node
 	// Raw is the pre-optimization root, kept for explain output and
 	// raw-vs-optimized diagnostics. Root == Raw until an optimizer runs.
@@ -102,7 +103,7 @@ func (c *compiler) isInvariant(e ast.Expr, env cenv) bool {
 // same in every iteration of any loop: like isInvariant, except that e may
 // read the context item (not its position or size).
 func (c *compiler) readsFocusAndGlobals(e ast.Expr, env cenv) bool {
-	return c.readsGlobalsOnly(e, env, "") && c.plain(e) && !predsUsePosLast([]ast.Expr{e})
+	return c.readsGlobalsOnly(e, env, "") && c.plain(e) && !calls(e, "position", "last")
 }
 
 // plain reports whether e contains no fixpoint, no node constructor (fresh
@@ -367,7 +368,7 @@ func (c *compiler) compile(e ast.Expr, loop *Node, env cenv) (*Node, error) {
 		}
 		// Predicates over a general primary rank the sequence itself —
 		// semantic ϱ, not a step template (the $x[1] case of §3.1).
-		return c.compilePreds(base, n.Preds, loop, env, false)
+		return c.compilePreds(base, n.Preds, 0, []string{"iter"}, env, false)
 	case *ast.FuncCall:
 		return c.compileCall(n, loop, env)
 	case *ast.Fixpoint:
@@ -429,10 +430,7 @@ func (c *compiler) compileFor(n *ast.For, loop *Node, env cenv) (*Node, error) {
 	}
 	mapT := rowtag(q1, "inner") // iter|pos|item|inner
 	innerLoop := Project(mapT, pp("iter", "inner"))
-	lifted, err := c.liftEnv(env, mapT)
-	if err != nil {
-		return nil, err
-	}
+	lifted := c.liftEnv(env, mapT)
 	vPlan := attach(Project(mapT, pp("iter", "inner"), pp("item", "item")), "pos", xdm.NewInteger(1))
 	lifted = lifted.bind(n.Var, vPlan)
 	if n.Pos != "" {
@@ -453,7 +451,7 @@ func (c *compiler) compileFor(n *ast.For, loop *Node, env cenv) (*Node, error) {
 
 // liftEnv maps every environment plan from the outer iteration space into
 // the inner one defined by mapT's inner column.
-func (c *compiler) liftEnv(env cenv, mapT *Node) (cenv, error) {
+func (c *compiler) liftEnv(env cenv, mapT *Node) cenv {
 	mapping := Project(mapT, pp("outer", "iter"), pp("inner", "inner"))
 	lift := func(p *Node) *Node {
 		if p == nil {
@@ -473,7 +471,7 @@ func (c *compiler) liftEnv(env cenv, mapT *Node) (cenv, error) {
 	out.dot = lift(env.dot)
 	out.pos = lift(env.pos)
 	out.last = lift(env.last)
-	return out, nil
+	return out
 }
 
 // compileCondition compiles a boolean-context expression to the relation

@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/xdm"
@@ -14,12 +15,11 @@ import (
 // context item; results are mapped back and, for node-producing steps,
 // ddo-normalized.
 func (c *compiler) compileSlash(n *ast.Slash, loop *Node, env cenv) (*Node, error) {
-	// Fast path: a plain axis step on the right needs no iteration map —
-	// the step join applies per node, keeping the source tag for
-	// per-context predicate positions (the relational face of XPath's
-	// step-at-a-time evaluation). Predicates touching position()/last()
-	// take the general path.
-	if st, ok := n.R.(*ast.AxisStep); ok && !predsUsePosLast(st.Preds) {
+	// Fast path: an axis step on the right needs no iteration map — the
+	// step join applies per node and keeps the source tag, so predicate
+	// positions and sizes still count per context node (the relational
+	// face of XPath's step-at-a-time evaluation).
+	if st, ok := n.R.(*ast.AxisStep); ok {
 		return c.compileFusedStep(n.L, st, loop, env)
 	}
 	q1, err := c.compile(n.L, loop, env)
@@ -29,10 +29,7 @@ func (c *compiler) compileSlash(n *ast.Slash, loop *Node, env cenv) (*Node, erro
 	d := ddoNodes(q1)
 	mapT := rowtag(d, "inner")
 	innerLoop := Project(mapT, pp("iter", "inner"))
-	lifted, err := c.liftEnv(env, mapT)
-	if err != nil {
-		return nil, err
-	}
+	lifted := c.liftEnv(env, mapT)
 	lifted.dot = Project(mapT, pp("iter", "inner"), pp("item", "item"))
 	cpos := rownum(mapT, "cp", []string{"pos"}, []string{"iter"})
 	lifted.pos = Project(cpos, pp("iter", "inner"), pp("item", "cp"))
@@ -64,60 +61,36 @@ func (c *compiler) compileSlash(n *ast.Slash, loop *Node, env cenv) (*Node, erro
 // taken among the survivors depends on all of it: in
 // `doc("a.xml")//b[@c != $x/@c][1]`, e(S) is not ∪ e({n}).
 func (c *compiler) rankIsTemplate(p ast.Expr, earlier []ast.Expr, env cenv) bool {
-	if !mayBeNumeric(p) && !predsUsePosLast([]ast.Expr{p}) {
+	if !mayBeNumeric(p) && !calls(p, "position", "last") {
 		return true
 	}
 	return c.readsGlobalsOnly(&ast.Seq{Items: earlier}, env, "")
 }
 
-// predsUsePosLast reports whether any predicate mentions fn:position or
-// fn:last (such steps go through the general loop-lifted path).
-func predsUsePosLast(preds []ast.Expr) bool {
+// calls reports whether e calls a function of one of the given names
+// anywhere, nested predicates included.
+func calls(e ast.Expr, names ...string) bool {
 	found := false
-	for _, p := range preds {
-		ast.Walk(p, func(e ast.Expr) bool {
-			if fc, ok := e.(*ast.FuncCall); ok && (fc.Name == "position" || fc.Name == "last") {
-				found = true
-			}
-			return !found
-		})
-	}
+	ast.Walk(e, func(x ast.Expr) bool {
+		if fc, ok := x.(*ast.FuncCall); ok && slices.Contains(names, fc.Name) {
+			found = true
+		}
+		return !found
+	})
 	return found
 }
 
 // compileFusedStep lowers L/axis::test[preds] without the per-step
 // iteration map: the step join runs directly over L's nodes, tagged with
-// their source row so predicate positions stay per context node.
+// their source row, and the predicates group by (iter, src) so that
+// positions and sizes stay per context node.
 func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) (*Node, error) {
 	q, applied, err := c.fusedStepBase(l, st, loop, env)
+	if err == nil && applied < len(st.Preds) {
+		q, err = c.compilePreds(q, st.Preds, applied, []string{"iter", "src"}, env, true)
+	}
 	if err != nil {
 		return nil, err
-	}
-	for i, p := range st.Preds[applied:] {
-		ranked := rownum(q, "prank", []string{"pos"}, []string{"iter", "src"})
-		ranked.Template = c.rankIsTemplate(p, st.Preds[:applied+i], env)
-		if lit, ok := p.(*ast.Literal); ok && lit.Kind == ast.LitInteger {
-			eq := numop(attach(ranked, "want", xdm.NewInteger(lit.Int)), "keep", NumEq, "prank", "want")
-			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"), pp("src", "src"))
-			continue
-		}
-		// Boolean predicate: one inner iteration per candidate node.
-		mapT := rowtag(ranked, "inner")
-		innerLoop := Project(mapT, pp("iter", "inner"))
-		lifted, err := c.liftEnv(env, mapT)
-		if err != nil {
-			return nil, err
-		}
-		lifted.dot = Project(mapT, pp("iter", "inner"), pp("item", "item"))
-		lifted.pos = Project(mapT, pp("iter", "inner"), pp("item", "prank"))
-		lifted.last = nil // excluded by predsUsePosLast
-		ci, err := c.compilePredicate(p, innerLoop, lifted)
-		if err != nil {
-			return nil, err
-		}
-		keep := semijoin(mapT, Project(ci, pp("pi", "iter")),
-			JoinPred{L: "inner", R: "pi", Cmp: NumEq})
-		q = Project(keep, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"), pp("src", "src"))
 	}
 	return ddoNodes(Project(q, pp("iter", "iter"), pp("item", "item"))), nil
 }
@@ -125,17 +98,16 @@ func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, en
 // fusedStepBase produces the pre-predicate step relation
 // iter|pos|item|src and the number of st's predicates it has already
 // applied. When the step's input (and the step itself) is loop-invariant
-// and the predicates carry no positional semantics against it, the bare
-// step is hoisted: compiled once in the top loop, shared across the plan,
-// and joined (valueJoin) or else crossed into the current iteration space.
+// and no predicate reads a position or a size — a hoisted step's matches
+// are one set per iteration, not one per context node — the bare step is
+// hoisted: compiled once in the top loop, shared across the plan, and
+// joined (valueJoin) or else crossed into the current iteration space.
 func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) (*Node, int, error) {
-	allBoolean := true
+	hoist := c.topLoop != nil && loop != c.topLoop
 	for _, p := range st.Preds {
-		if mayBeNumeric(p) {
-			allBoolean = false
-		}
+		hoist = hoist && !mayBeNumeric(p) && !calls(p, "position", "last")
 	}
-	if c.topLoop != nil && loop != c.topLoop && allBoolean && c.isInvariant(l, env) {
+	if hoist && c.isInvariant(l, env) {
 		top, ok := c.hoisted[st]
 		if !ok {
 			bare := &ast.AxisStep{Axis: st.Axis, Test: st.Test} // predicates stay per-loop
@@ -267,9 +239,11 @@ func (c *compiler) compileAxisStep(n *ast.AxisStep, loop *Node, env cenv) (*Node
 	rn.Desc = n.Axis.Reverse()
 	rn.Template = true
 	q := Project(rn, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
-	q, err := c.compilePreds(q, n.Preds, loop, env, true)
-	if err != nil {
-		return nil, err
+	if len(n.Preds) > 0 {
+		var err error
+		if q, err = c.compilePreds(q, n.Preds, 0, []string{"iter"}, env, true); err != nil {
+			return nil, err
+		}
 	}
 	if n.Axis.Reverse() {
 		q = ddoNodes(q) // axis order was reverse; results go out in doc order
@@ -277,50 +251,61 @@ func (c *compiler) compileAxisStep(n *ast.AxisStep, loop *Node, env cenv) (*Node
 	return q, nil
 }
 
-// compilePreds applies predicates to an iter|pos|item plan. inStep marks
+// compilePreds applies preds[from:] to a plan iter|pos|item that also
+// carries group's other columns. Positions and sizes count within group:
+// [iter] for a filter or a step from the context item, [iter, src] for a
+// fused step, whose src tells its context nodes apart. inStep marks that
 // per-context-node positional machinery as step-template internals; a
 // predicate over a general primary ($x[1]) stays semantic and blocks the
 // ∪ push-up, per §3.1.
-func (c *compiler) compilePreds(q *Node, preds []ast.Expr, loop *Node, env cenv, inStep bool) (*Node, error) {
-	for i, p := range preds {
-		template := inStep && c.rankIsTemplate(p, preds[:i], env)
-		ranked := rownum(q, "prank", []string{"pos"}, []string{"iter"})
-		ranked.Template = template
+func (c *compiler) compilePreds(q *Node, preds []ast.Expr, from int, group []string, env cenv, inStep bool) (*Node, error) {
+	cols := append(make([]ProjPair, 0, len(group)+2), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+	for _, g := range group[1:] {
+		cols = append(cols, pp(g, g))
+	}
+	// sized joins rows (which carry group's columns) with their group's
+	// row count in of, as sz.
+	sized := func(rows, of *Node, template bool) *Node {
+		cnt := &Node{Op: OpGroupCount, Kids: []*Node{of}, GroupCols: group, Col: "sz", Template: template}
+		var onGroup []JoinPred
+		var counts []ProjPair
+		for _, g := range group {
+			onGroup = append(onGroup, JoinPred{L: g, R: "c" + g, Cmp: NumEq})
+			counts = append(counts, pp("c"+g, g))
+		}
+		return join(rows, Project(cnt, append(counts, pp("sz", "sz"))...), onGroup...)
+	}
+	for i := from; i < len(preds); i++ {
+		p := preds[i]
+		ranked := rownum(q, "prank", []string{"pos"}, group)
+		ranked.Template = inStep && c.rankIsTemplate(p, preds[:i], env)
 		if lit, ok := p.(*ast.Literal); ok && lit.Kind == ast.LitInteger {
 			eq := numop(attach(ranked, "want", xdm.NewInteger(lit.Int)), "keep", NumEq, "prank", "want")
-			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+			q = Project(sel(eq, "keep"), cols...)
 			continue
 		}
 		if fc, ok := p.(*ast.FuncCall); ok && fc.Name == "last" && len(fc.Args) == 0 {
-			cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: template}
-			j := join(ranked, Project(cnt, pp("citer", "iter"), pp("sz", "sz")),
-				JoinPred{L: "iter", R: "citer", Cmp: NumEq})
-			eq := numop(j, "keep", NumEq, "prank", "sz")
-			q = Project(sel(eq, "keep"), pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+			eq := numop(sized(ranked, q, ranked.Template), "keep", NumEq, "prank", "sz")
+			q = Project(sel(eq, "keep"), cols...)
 			continue
 		}
 		// Boolean or run-time positional predicate: one inner iteration per
 		// candidate row.
-		mapT := rowtag(ranked, "pinner")
-		innerLoop := Project(mapT, pp("iter", "pinner"))
-		lifted, err := c.liftEnv(env, Project(mapT, pp("iter", "iter"), pp("pos", "pos"),
-			pp("item", "item"), pp("inner", "pinner")))
-		if err != nil {
-			return nil, err
+		mapT := rowtag(ranked, "inner")
+		innerLoop := Project(mapT, pp("iter", "inner"))
+		lifted := c.liftEnv(env, mapT)
+		lifted.dot = Project(mapT, pp("iter", "inner"), pp("item", "item"))
+		lifted.pos = Project(mapT, pp("iter", "inner"), pp("item", "prank"))
+		if calls(p, "last") {
+			lifted.last = Project(sized(mapT, q, ranked.Template), pp("iter", "inner"), pp("item", "sz"))
 		}
-		lifted.dot = Project(mapT, pp("iter", "pinner"), pp("item", "item"))
-		lifted.pos = Project(mapT, pp("iter", "pinner"), pp("item", "prank"))
-		cnt := &Node{Op: OpGroupCount, Kids: []*Node{q}, GroupCols: []string{"iter"}, Col: "sz", Template: template}
-		szJoin := join(mapT, Project(cnt, pp("citer", "iter"), pp("sz", "sz")),
-			JoinPred{L: "iter", R: "citer", Cmp: NumEq})
-		lifted.last = Project(szJoin, pp("iter", "pinner"), pp("item", "sz"))
 		ci, err := c.compilePredicate(p, innerLoop, lifted)
 		if err != nil {
 			return nil, err
 		}
 		keep := semijoin(mapT, Project(ci, pp("pi", "iter")),
-			JoinPred{L: "pinner", R: "pi", Cmp: NumEq})
-		q = Project(keep, pp("iter", "iter"), pp("pos", "pos"), pp("item", "item"))
+			JoinPred{L: "inner", R: "pi", Cmp: NumEq})
+		q = Project(keep, cols...)
 	}
 	return q, nil
 }

@@ -408,11 +408,11 @@ func (ctx *ExecContext) evalOp(n *Node) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(n.GroupCols) != 1 {
-			return nil, xdm.Errorf(xdm.ErrType, "algebra: grouped count supports one group column, got %d", len(n.GroupCols))
+		gs := make([]*Column, len(n.GroupCols), len(n.GroupCols)+1)
+		for i, name := range n.GroupCols {
+			gs[i] = in.cols[in.Col(name)]
 		}
-		g := in.cols[in.Col(n.GroupCols[0])]
-		keys := identityKeys([]*Column{g})[0]
+		keys := identityKeys(gs)[0]
 		groups := newHashIndex(in.n, 0)
 		counts := make([]int64, in.n) // per group, at its first row
 		var firsts []int32            // each group's first row, in input order
@@ -427,7 +427,10 @@ func (ctx *ExecContext) evalOp(n *Node) (*Table, error) {
 		for i, r := range firsts {
 			cvals[i] = xdm.NewInteger(counts[r])
 		}
-		return NewColTable(n.Schema(), []*Column{g.gather(firsts), genericColumn(cvals)}), nil
+		for i, g := range gs {
+			gs[i] = g.gather(firsts)
+		}
+		return NewColTable(n.Schema(), append(gs, genericColumn(cvals))), nil
 	case OpNumOp:
 		return ctx.evalNumOp(n)
 	case OpRowTag:

@@ -399,3 +399,31 @@ func TestRowSetPackedMatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupCountComposite: a grouped count keys on every group column
+// (a fused step's [last()] counts per iteration and context node), emits
+// one row per group in first-appearance order, and counts each group's
+// rows.
+func TestGroupCountComposite(t *testing.T) {
+	var rows [][]xdm.Item
+	for _, r := range [][3]int64{{1, 1, 7}, {1, 1, 8}, {1, 2, 7}, {2, 1, 7}, {1, 2, 9}, {1, 1, 9}} {
+		rows = append(rows, []xdm.Item{xdm.NewInteger(r[0]), xdm.NewInteger(r[1]), xdm.NewInteger(r[2])})
+	}
+	n := &Node{Op: OpGroupCount, Kids: []*Node{NewLit([]string{"iter", "src", "item"}, rows)},
+		GroupCols: []string{"iter", "src"}, Col: "sz"}
+	got, err := Eval(n, &ExecContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][3]int64{{1, 1, 3}, {1, 2, 2}, {2, 1, 1}}
+	if got.Len() != len(want) {
+		t.Fatalf("%d groups, want %d", got.Len(), len(want))
+	}
+	for i, w := range want {
+		g := [3]int64{got.ColAt(got.Col("iter")).Item(i).Int(), got.ColAt(got.Col("src")).Item(i).Int(),
+			got.ColAt(got.Col("sz")).Item(i).Int()}
+		if g != w {
+			t.Errorf("group %d is (iter, src, sz) %v, want %v", i, g, w)
+		}
+	}
+}

@@ -141,7 +141,7 @@ return <person>{ $p/@id }{ count(with $x seeded by $p recurse bidder($x)) }</per
 count(with $x seeded by $doc//person[@id = "person%d"] recurse bidder($x))`,
 				rng.Intn(cfg.People))
 		}
-	case 3: // play: horizontal following-sibling recursion
+	case 3: // play: horizontal following-sibling recursion, and positional steps
 		cfg := xmlgen.PlayConfig{
 			Acts:             1,
 			ScenesPerAct:     1 + rng.Intn(2),
@@ -151,9 +151,10 @@ count(with $x seeded by $doc//person[@id = "person%d"] recurse bidder($x))`,
 		}
 		c.URI, c.XML = "play.xml", xmlgen.Play(cfg)
 		c.Query = fmt.Sprintf(`
-count(with $x seeded by doc(%q)//SPEECH[not(preceding-sibling::SPEECH[1]/SPEAKER != SPEAKER)]
-recurse for $s in $x
-        return $s/following-sibling::SPEECH[1][SPEAKER != $s/SPEAKER])`, c.URI)
+(count(with $x seeded by doc(%q)//SPEECH[not(preceding-sibling::SPEECH[1]/SPEAKER != SPEAKER)]
+ recurse for $s in $x
+         return $s/following-sibling::SPEECH[1][SPEAKER != $s/SPEAKER]),
+ %s)`, c.URI, positionalQuery(rng, c.URI))
 	case 4: // wide tables and empty columns through the columnar executor
 		n := 15 + rng.Intn(40)
 		cfg := xmlgen.CurriculumConfig{
@@ -265,6 +266,41 @@ return (count(doc(%[1]q)//v[@n = $v]), count(doc(%[1]q)//w[. = $v]), count(doc(%
         count(with $x seeded by doc(%[1]q)//v[@n = $v]
               recurse (doc(%[1]q)//v[$x/@n = w], doc(%[1]q)//v[w = $x/@n/(. + 0)],
                        doc(%[1]q)//v[@n != $x/@n][1])))`, uri, atom(), atom(), atom(), atom())
+}
+
+// positionalSteps are steps from a SPEECH whose predicate reads a
+// position or a size, on forward (first) and reverse (second) axes; a %d
+// stands for a small position.
+var positionalSteps = [2][]string{
+	{"following-sibling::SPEECH[last()]", "following-sibling::SPEECH[position() = %d]",
+		"following-sibling::SPEECH[last() - 1]", "descendant-or-self::*[position() = last()]"},
+	{"preceding-sibling::SPEECH[last()]", "preceding-sibling::SPEECH[position() = %d]",
+		"preceding-sibling::SPEECH[last() - 1]", "ancestor::*[position() = %d]"},
+}
+
+// positionalQuery draws a query over a play whose steps rank their matches
+// per context node: positionalSteps and `SPEECH[position() = …]` below
+// every SCENE. They sit in a for body over paths from the document —
+// the loop-invariant shape whose bare step the relational compiler hoists
+// when no predicate reads a position or a size — and in fixpoint bodies,
+// one of which also holds such an invariant path.
+func positionalQuery(rng *rand.Rand, uri string) string {
+	step := func(reverse int) string {
+		s := positionalSteps[reverse][rng.Intn(len(positionalSteps[reverse]))]
+		if strings.Contains(s, "%d") {
+			s = fmt.Sprintf(s, 1+rng.Intn(3))
+		}
+		return s
+	}
+	return fmt.Sprintf(`
+for $k in (%[2]d, %[3]d)
+return (count(doc(%[1]q)//SCENE/SPEECH[position() = $k]), count(doc(%[1]q)//SCENE/SPEECH[last() - $k]),
+        count(doc(%[1]q)//SPEECH[SPEAKER = %[4]q]/%[5]s), count(doc(%[1]q)//SPEECH[position() = 3]/%[6]s),
+        count(with $x seeded by doc(%[1]q)//SCENE/SPEECH[position() = $k] recurse $x/%[5]s),
+        count(with $x seeded by doc(%[1]q)//SCENE/SPEECH[1] recurse $x/following-sibling::SPEECH[position() = $k]),
+        count(with $x seeded by doc(%[1]q)//SCENE/SPEECH[last()]
+              recurse ($x/%[6]s, doc(%[1]q)//SCENE/SPEECH[position() = last()])))`,
+		uri, 1+rng.Intn(3), 1+rng.Intn(3), []string{"ROMEO", "JULIET", "NURSE"}[rng.Intn(3)], step(0), step(1))
 }
 
 // regularClosures are the Regular XPath paths Generate applies below the
