@@ -108,8 +108,9 @@ benchmark-check:
 # overload/degradation contract; parity-check gates tracing, round-stats,
 # caching, and indexed-vs-scan parity; benchmark-check vets and tests the
 # separate benchmark/ module; one iteration each of BenchmarkCachedReply,
-# BenchmarkSnapshotOpen and BenchmarkOptimize keeps the xqd reply-path,
-# snapshot-open and plan-optimizer benchmarks compiling and running.
+# BenchmarkSnapshotOpen, BenchmarkOptimize and BenchmarkCompile keeps the
+# xqd reply-path, snapshot-open, plan-optimizer and plan-compiler
+# benchmarks compiling and running.
 ci:
 	$(GO) build ./...
 	$(MAKE) fmt-check
@@ -123,7 +124,7 @@ ci:
 	$(MAKE) loadsmoke
 	$(GO) test -run '^$$' -bench CachedReply -benchtime 1x ./cmd/xqd
 	$(GO) test -run '^$$' -bench SnapshotOpen -benchtime 1x ./internal/store
-	$(GO) test -run '^$$' -bench Optimize -benchtime 1x ./internal/algebra/opt
+	$(GO) test -run '^$$' -bench 'Optimize|Compile' -benchtime 1x ./internal/algebra/opt
 
 # Fuzzing, FUZZTIME per target. FuzzDifferential: random documents +
 # random fixpoint queries, every engine/mode/optimizer-level combination

@@ -560,11 +560,14 @@ func atomized(q *Node) *Node {
 }
 
 // compileComparisonIters lowers a general/value/node comparison used as a
-// condition into the relation of satisfied iterations: a join on iter plus
-// the item predicate — the paper's existential semantics, ⋉-shaped.
-// General and value comparisons atomize their operands; node comparisons
-// (is, <<, >>) do not.
+// condition into the relation of satisfied iterations: a ⋉ on iter plus
+// the item predicate — the paper's existential semantics. General and
+// value comparisons atomize their operands; node comparisons (is, <<, >>)
+// do not.
 func (c *compiler) compileComparisonIters(n *ast.Binary, loop *Node, env cenv) (*Node, error) {
+	if q, ok, err := c.valueEqStep(n, loop, env); ok {
+		return q, err
+	}
 	l, err := c.compile(n.L, loop, env)
 	if err != nil {
 		return nil, err
@@ -581,10 +584,67 @@ func (c *compiler) compileComparisonIters(n *ast.Binary, loop *Node, env cenv) (
 		l, r = atomized(l), atomized(r)
 	}
 	r = Project(r, pp("riter", "iter"), pp("ritem", "item"))
-	matched := join(l, r,
+	matched := semijoin(l, r,
 		JoinPred{L: "iter", R: "riter", Cmp: NumEq},
 		JoinPred{L: "item", R: "ritem", Cmp: cmp})
 	return iters(matched), nil
+}
+
+// valueEqStep lowers `path = "s"` and `path eq "s"`, s a string literal on
+// either side, to the iterations in which the step ending path has a match
+// whose string value is s: the step itself filters (Node.ValEq), before
+// its matches are memoized and fanned out, and no literal or join is
+// built. ok is false unless path's last step is a predicate-free axis step
+// from the context item, or L/axis::test with an L that fusedStepBase
+// would not hoist.
+//
+// The join this replaces keeps the same iterations. Atomizing a node
+// yields untyped(StringValue), and untyped against a string compares as
+// codepoint strings with no error path (xdm.GeneralCompareItems). The
+// literal's side holds one row in every iteration of loop, and the step's
+// iterations are loop's, so the iter predicate drops nothing. A numeric
+// literal stays on the join: untyped against a number compares as
+// xs:double, which is not string equality and can raise errors.
+func (c *compiler) valueEqStep(n *ast.Binary, loop *Node, env cenv) (*Node, bool, error) {
+	if n.Op != ast.OpGenEq && n.Op != ast.OpValEq {
+		return nil, false, nil
+	}
+	path, val := n.L, n.R
+	if _, ok := path.(*ast.Literal); ok {
+		path, val = val, path
+	}
+	lit, ok := val.(*ast.Literal)
+	if !ok || lit.Kind != ast.LitString {
+		return nil, false, nil
+	}
+	var st *ast.AxisStep
+	var from ast.Expr // nil: the step runs from the context item
+	switch p := path.(type) {
+	case *ast.AxisStep:
+		st = p
+	case *ast.Slash:
+		st, _ = p.R.(*ast.AxisStep)
+		from = p.L
+	}
+	switch {
+	case st == nil || len(st.Preds) > 0:
+		return nil, false, nil
+	case from == nil && env.dot == nil:
+		return nil, false, nil // the general path reports the missing context
+	case from != nil && c.hoists(from, st, loop, env):
+		return nil, false, nil
+	}
+	ctx := env.dot
+	if from != nil {
+		q, err := c.compile(from, loop, env)
+		if err != nil {
+			return nil, true, err
+		}
+		ctx = q
+	}
+	step := &Node{Op: OpStep, Kids: []*Node{Project(ctx, pp("iter", "iter"), pp("item", "item"))},
+		Axis: st.Axis, Test: st.Test, ItemCol: "item", ValEq: lit.Str, ValEqSet: true}
+	return iters(step), true, nil
 }
 
 func cmpKind(op ast.BinOp) (NumKind, error) {

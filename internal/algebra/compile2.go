@@ -103,11 +103,7 @@ func (c *compiler) compileFusedStep(l ast.Expr, st *ast.AxisStep, loop *Node, en
 // hoisted: compiled once in the top loop, shared across the plan, and
 // joined (valueJoin) or else crossed into the current iteration space.
 func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) (*Node, int, error) {
-	hoist := c.topLoop != nil && loop != c.topLoop
-	for _, p := range st.Preds {
-		hoist = hoist && !mayBeNumeric(p) && !calls(p, "position", "last")
-	}
-	if hoist && c.isInvariant(l, env) {
+	if c.hoists(l, st, loop, env) {
 		top, ok := c.hoisted[st]
 		if !ok {
 			bare := &ast.AxisStep{Axis: st.Axis, Test: st.Test} // predicates stay per-loop
@@ -138,6 +134,19 @@ func (c *compiler) fusedStepBase(l ast.Expr, st *ast.AxisStep, loop *Node, env c
 	rn.Desc = st.Axis.Reverse()
 	rn.Template = true
 	return Project(rn, pp("iter", "iter"), pp("pos", "spos"), pp("item", "item"), pp("src", "src")), 0, nil
+}
+
+// hoists reports whether fusedStepBase hoists the step l/st out of loop.
+func (c *compiler) hoists(l ast.Expr, st *ast.AxisStep, loop *Node, env cenv) bool {
+	if c.topLoop == nil || loop == c.topLoop {
+		return false
+	}
+	for _, p := range st.Preds {
+		if mayBeNumeric(p) || calls(p, "position", "last") {
+			return false
+		}
+	}
+	return c.isInvariant(l, env)
 }
 
 // joinOperands recognizes the first predicate of a hoisted step as

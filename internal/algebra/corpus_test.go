@@ -80,6 +80,23 @@ func TestDifferentialCorpus(t *testing.T) {
 		`for $v in (10, "10", 10.0, " 10 ", "1e1") return count(doc("shop.xml")/shop/item[@price = $v])`,
 		`for $i in doc("shop.xml")/shop/item, $j in doc("shop.xml")/shop/item where $i/@price = $j/@price return ($i/name/string(), $j/name/string())`,
 		`for $c in ("a", "b") return doc("shop.xml")/shop/item[@cat = $c]/name/string()`,
+		// `path = "s"` filters inside the step on the string value: either
+		// operand order, eq, an element's string value, no trimming, a
+		// missing attribute, and the shapes that keep the join (a numeric
+		// literal, a step predicate, a hoisted path).
+		`doc("shop.xml")/shop/item["a" = @cat]/name/string()`,
+		`doc("shop.xml")/shop/item[@cat eq "a"]/name/string()`,
+		`doc("shop.xml")/shop/item[not(@cat = "a")]/name/string()`,
+		`doc("shop.xml")/shop[item = "pear"]/item[1]/name/string()`,
+		`doc("shop.xml")/shop/item[name/text() = "fig"]/@price/string()`,
+		`count(doc("shop.xml")/shop/item[@cat = "a "])`,
+		`count(doc("shop.xml")/shop/item[@missing = ""])`,
+		`for $i in doc("shop.xml")/shop/item where $i/name = "kiwi" return $i/@price/string()`,
+		`doc("shop.xml")/shop/item/name = "fig"`,
+		`doc("shop.xml")/shop/item[@price = 10]/name/string()`,
+		`doc("shop.xml")/shop/item[name[1] = "fig"]/@price/string()`,
+		`for $i in (1, 2) where doc("shop.xml")/shop/item/@cat = "c" return $i`,
+		`for $i in (1, 2) return ($i, doc("shop.xml")/shop/item/name = "fig")`,
 		// A predicate that may be numeric is a position test when it is
 		// one, per context node on a step, over the sequence on a filter,
 		// and an effective boolean value otherwise.

@@ -150,10 +150,9 @@ type Node struct {
 	Axis    ast.Axis
 	Test    ast.NodeTest
 	ItemCol string // input node column consumed by step/id lookup
-	// ValEq/ValEqSet push a value-equality σ into the step: only matches
-	// whose string value equals ValEq survive. Set by the optimizer when a
-	// semijoin pred compares the step's atomized column against a string
-	// constant (opt/indexrules.go has the soundness argument).
+	// ValEq/ValEqSet make the step a value-equality σ as well: only
+	// matches whose string value equals ValEq survive. Set by the compiler
+	// for `path = "s"` (compiler.valueEqStep has the soundness argument).
 	ValEq    string
 	ValEqSet bool
 	// OpCtor

@@ -11,8 +11,8 @@ import (
 // liveness analysis plus one bottom-up rewrite. Every rule reads
 // current facts (liveness passes through dead producers, δ asks for the
 // properties of its rewritten input, π is built normalized), so a pass
-// leaves little for the next: the paper's four queries settle in two to
-// four passes, the last of which only confirms that nothing changed.
+// leaves little for the next: the paper's four queries settle in two
+// passes, the second of which only confirms that nothing changed.
 const maxPasses = 12
 
 // Optimize rewrites a compiled plan in place: the rule engine runs to a
@@ -82,7 +82,7 @@ func remapMus(p *algebra.Plan, root *algebra.Node) {
 // the evidence the rewrite rules act on.
 func Annotate(root *algebra.Node) func(*algebra.Node) string {
 	an := Analyze(root)
-	live, _ := liveness(root)
+	live := liveness(root)
 	return func(n *algebra.Node) string {
 		parts := make([]string, 0, 2)
 		if l, ok := live[n]; ok {

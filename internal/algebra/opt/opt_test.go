@@ -99,7 +99,7 @@ func evalBoth(t *testing.T, src string, mode core.Mode) (raw, optd string, rawRu
 }
 
 // differentialQueries covers every operator family the rules touch:
-// conditions (join→semijoin under δ), fixpoints over fused and general
+// conditions (⋉ and value-filtered steps under δ), fixpoints over fused and general
 // paths (ddo elimination over keyed feeds), constructors (consing
 // exclusion), sequence/union plumbing, grouping, and numeric plumbing.
 var differentialQueries = []string{
@@ -334,28 +334,6 @@ func TestRuleJoinKeptWhenRightUnkeyed(t *testing.T) {
 	}
 	if tbl.Len() != 2 {
 		t.Errorf("join result rows = %d, want 2", tbl.Len())
-	}
-}
-
-func TestRuleJoinToSemijoinUnderDistinct(t *testing.T) {
-	// δ(π_left(join)) converts even without a key on the right.
-	l := lit([]string{"iter"}, [][]xdm.Item{intRow(1), intRow(2)})
-	r := lit([]string{"riter"}, [][]xdm.Item{intRow(1), intRow(1)})
-	j := &algebra.Node{Op: algebra.OpJoin, Kids: []*algebra.Node{l, r},
-		Preds: []algebra.JoinPred{{L: "iter", R: "riter", Cmp: algebra.NumEq}}}
-	pr := &algebra.Node{Op: algebra.OpProject, Kids: []*algebra.Node{j},
-		Proj: []algebra.ProjPair{{Out: "iter", In: "iter"}}}
-	d := &algebra.Node{Op: algebra.OpDistinct, Kids: []*algebra.Node{pr}}
-	p := optimizeRoot(d)
-	if ops := algebra.Operators(p.Root); ops["semijoin[iter=riter]"] != 1 {
-		t.Errorf("δ∘π context should reduce the join:\n%s", algebra.Explain(p.Root))
-	}
-	tbl, err := algebra.Eval(p.Root, &algebra.ExecContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 {
-		t.Errorf("result rows = %d, want 1", tbl.Len())
 	}
 }
 

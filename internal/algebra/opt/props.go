@@ -5,11 +5,13 @@
 // rewriting rather than operator speed alone: property inference annotates
 // every plan node (live columns, key sets, duplicate-freedom, loop
 // dependence), and a rule engine applies semantics-preserving rewrites to a
-// fixed point (dead-column pruning, value-equality selection into steps,
-// distinct elimination over keyed inputs, join→semijoin reduction under
-// δ∘π) before a final hash-consing pass merges structurally identical
-// sub-plans so the executor's DAG memoization fires on
-// equal-but-not-pointer-shared subtrees. A pruned π is rebuilt through
+// fixed point (dead-producer and dead-column pruning, distinct elimination
+// over keyed inputs, union alignment) before a final hash-consing pass
+// merges structurally identical sub-plans so the executor's DAG
+// memoization fires on equal-but-not-pointer-shared subtrees. These are
+// the rewrites that need whole-plan facts; a local simplification of a
+// pattern the compiler emits (a comparison's ⋉, a value-filtered step)
+// belongs in the compiler, which emits the simplified form directly. A pruned π is rebuilt through
 // algebra.Project, the compiler's own π constructor, which composes π∘π
 // and drops identity π; no rule of this package does either.
 //

@@ -18,32 +18,24 @@ func (s colset) clone() colset {
 }
 
 // liveness computes, for every node reachable from root, the union over all
-// parents of the output columns they read (the live-column property), plus
-// the number of parent edges per node. The root's full schema counts as
-// live: result extraction may read any of it.
-func liveness(root *algebra.Node) (map[*algebra.Node]colset, map[*algebra.Node]int) {
-	parents := map[*algebra.Node]int{}
+// parents of the output columns they read (the live-column property). The
+// root's full schema counts as live: result extraction may read any of it.
+func liveness(root *algebra.Node) map[*algebra.Node]colset {
+	// pending counts each node's parent edges; a node is processed once
+	// all of them have contributed (plans are DAGs, so the worklist drains
+	// completely).
+	pending := map[*algebra.Node]int{}
 	var count func(n *algebra.Node)
-	seen := map[*algebra.Node]bool{}
 	count = func(n *algebra.Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
 		for _, k := range n.Kids {
-			parents[k]++
-			count(k)
+			if pending[k]++; pending[k] == 1 {
+				count(k)
+			}
 		}
 	}
 	count(root)
 
 	live := map[*algebra.Node]colset{root: toSet(root.Schema())}
-	pending := map[*algebra.Node]int{}
-	for n, c := range parents {
-		pending[n] = c
-	}
-	// Process each node once all its parent edges have contributed (plans
-	// are DAGs, so the worklist drains completely).
 	queue := []*algebra.Node{root}
 	for len(queue) > 0 {
 		n := queue[0]
@@ -63,7 +55,7 @@ func liveness(root *algebra.Node) (map[*algebra.Node]colset, map[*algebra.Node]i
 			}
 		}
 	}
-	return live, parents
+	return live
 }
 
 // kidRequirements returns, per child, the columns the operator needs from
@@ -170,68 +162,13 @@ func kidRequirements(n *algebra.Node, live colset) []colset {
 // bottom-up exactly once (memoized, preserving sharing).
 type rewriter struct {
 	live    map[*algebra.Node]colset
-	parents map[*algebra.Node]int
 	an      *Analysis
-	semi    map[*algebra.Node]bool // joins convertible under a δ∘π context
 	memo    map[*algebra.Node]*algebra.Node
 	changed bool
 }
 
 func newRewriter(root *algebra.Node, an *Analysis) *rewriter {
-	live, parents := liveness(root)
-	r := &rewriter{
-		live: live, parents: parents, an: an,
-		semi: map[*algebra.Node]bool{}, memo: map[*algebra.Node]*algebra.Node{},
-	}
-	r.findSemiJoinContexts(root)
-	return r
-}
-
-// findSemiJoinContexts marks joins that sit, unshared, under a full-row
-// distinct through a projection keeping only left-side columns:
-// δ(π_L(J ⋈ R)) ≡ δ(π_L(J ⋉ R)) — the duplicates a matching right row
-// would multiply into the left rows are collapsed by δ anyway, so the join
-// can skip materializing them.
-func (r *rewriter) findSemiJoinContexts(root *algebra.Node) {
-	seen := map[*algebra.Node]bool{}
-	var walk func(n *algebra.Node)
-	walk = func(n *algebra.Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		if n.Op == algebra.OpDistinct {
-			if p := n.Kids[0]; p.Op == algebra.OpProject && r.parents[p] == 1 {
-				if j := p.Kids[0]; j.Op == algebra.OpJoin && r.parents[j] == 1 &&
-					schemasDisjoint(j) && insWithin(p.Proj, toSet(j.Kids[0].Schema())) {
-					r.semi[j] = true
-				}
-			}
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(root)
-}
-
-func schemasDisjoint(j *algebra.Node) bool {
-	lS := toSet(j.Kids[0].Schema())
-	for _, c := range j.Kids[1].Schema() {
-		if lS[c] {
-			return false
-		}
-	}
-	return true
-}
-
-func insWithin(pairs []algebra.ProjPair, cols colset) bool {
-	for _, p := range pairs {
-		if !cols[p.In] {
-			return false
-		}
-	}
-	return true
+	return &rewriter{live: liveness(root), an: an, memo: map[*algebra.Node]*algebra.Node{}}
 }
 
 // rewrite rebuilds the DAG under old with all rules applied, reusing
@@ -266,8 +203,8 @@ func (r *rewriter) rewrite(old *algebra.Node) *algebra.Node {
 }
 
 // rules applies the local rewrites to n (the node with already-rewritten
-// children); old is its pre-pass counterpart, the key into liveness and
-// the semijoin contexts. Properties are asked of the rewritten nodes.
+// children); old is its pre-pass counterpart, the key into liveness.
+// Properties are asked of the rewritten nodes.
 func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 	switch n.Op {
 	case algebra.OpAttach, algebra.OpRowTag, algebra.OpNumOp, algebra.OpRowNum:
@@ -281,18 +218,12 @@ func (r *rewriter) rules(old, n *algebra.Node) *algebra.Node {
 		return r.projectRules(old, n)
 	case algebra.OpDistinct:
 		// δ over a keyed input is the identity (and preserves row order).
-		// The key is read off the rewritten input, so a δ over a join that
-		// became a semijoin below it goes in the same pass.
+		// The key is read off the rewritten input, so a δ whose input a
+		// rule below it changed goes in the same pass.
 		kid := n.Kids[0]
 		if r.an.Props(kid).HasKeyWithin(toSet(kid.Schema())) {
 			return kid
 		}
-	case algebra.OpJoin:
-		if r.semi[old] {
-			return &algebra.Node{Op: algebra.OpSemiJoin, Kids: n.Kids, Preds: n.Preds}
-		}
-	case algebra.OpSemiJoin:
-		return r.semiJoinRules(old, n)
 	case algebra.OpUnion:
 		return alignUnion(n)
 	}

@@ -5,15 +5,15 @@ import (
 	"repro/internal/xq/ast"
 )
 
-// segKey identifies one step segment: the matches of (axis, test, pushed
-// value filter) from one context node, as packed identity words. The word
+// segKey identifies one step segment: the matches of (axis, test, value
+// filter) from one context node, as packed identity words. The word
 // already encodes (document stamp, pre) — stamps are globally unique.
 type segKey struct {
 	word uint64
 	axis ast.Axis
 	kind ast.TestKind
 	name string
-	// Pushed-down value-equality filter (Node.ValEq); steps differing only
+	// The step's value-equality filter (Node.ValEq); steps differing only
 	// in the filter must not share segments.
 	val    string
 	hasVal bool

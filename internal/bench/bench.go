@@ -137,7 +137,8 @@ type Outcome struct {
 	// query's fixpoint body (syntactic for interp, algebraic for rel).
 	Distributive bool
 	// Phases are the evaluation's traced pipeline phases (compile/
-	// optimize/exec for rel, exec for interp), cumulative ns by name.
+	// optimize/exec for rel, exec for interp), cumulative ns by name; nil
+	// for an untraced evaluation.
 	Phases map[string]int64
 	// Err is why the evaluation failed; the counters are then meaningless.
 	Err error
@@ -177,9 +178,8 @@ func (p *Prepared) ID(c Cell) string {
 	return fmt.Sprintf("%s/%s/%s", p.Exp.ID, c.Engine, c.Alg)
 }
 
-// eval evaluates the cell once, untimed.
-func (p *Prepared) eval(c Cell) Outcome {
-	tr := obs.NewTrace("bench")
+// eval evaluates the cell once, traced into tr when tr is not nil.
+func (p *Prepared) eval(c Cell, tr *obs.Trace) Outcome {
 	var out Outcome
 	tally := func(s core.Site) {
 		out.NodesFed += s.Stats.NodesFedBack
@@ -232,13 +232,15 @@ func (p *Prepared) eval(c Cell) Outcome {
 // Bench returns the benchmark function of one cell — the only place a
 // Table 2 cell is timed. Run (ifpbench's table, -markdown and -json) drives
 // it through testing.Benchmark, BenchmarkTable2 through `go test -bench`.
-// The last evaluation's outcome lands in *last: testing.Benchmark discards
-// what b.Fatal prints, so a failure must reach Run some other way.
+// The timed evaluations run without an obs.Trace, whose per-round log
+// would otherwise count in the engine's allocations. The last evaluation's
+// outcome lands in *last: testing.Benchmark discards what b.Fatal prints,
+// so a failure must reach Run some other way.
 func (p *Prepared) Bench(c Cell, last *Outcome) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			*last = p.eval(c)
+			*last = p.eval(c, nil)
 			if last.Err != nil {
 				b.Fatal(last.Err)
 			}
@@ -308,7 +310,8 @@ func armsAgree(ref, e Entry) error {
 }
 
 // measure runs one cell's Bench under testing.Benchmark and packages the
-// result as a snapshot entry.
+// result as a snapshot entry, its phases from one more evaluation, traced
+// and untimed.
 func (p *Prepared) measure(c Cell) (Entry, error) {
 	e := Entry{ID: p.ID(c), Exp: p.Exp.ID, Engine: c.Engine, Alg: c.Alg.String(), Config: c.Config}
 	// Collect between cells: an earlier cell's giant tables otherwise
@@ -324,10 +327,14 @@ func (p *Prepared) measure(c Cell) (Entry, error) {
 	if res.N == 0 {
 		return e, fmt.Errorf("benchmark produced no measurement")
 	}
+	traced := p.eval(c, obs.NewTrace("bench"))
+	if traced.Err != nil {
+		return e, traced.Err
+	}
 	e.NsOp = float64(res.NsPerOp())
 	e.BytesOp = res.AllocedBytesPerOp()
 	e.AllocsOp = res.AllocsPerOp()
-	e.NodesFed, e.Depth, e.ResultLen, e.PhaseNs = out.NodesFed, out.Depth, out.ResultLen, out.Phases
+	e.NodesFed, e.Depth, e.ResultLen, e.PhaseNs = out.NodesFed, out.Depth, out.ResultLen, traced.Phases
 	e.BodyInputs = out.BodyInputs
 	return e, nil
 }

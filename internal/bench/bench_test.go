@@ -45,7 +45,7 @@ func TestExperimentsAgreeAcrossEnginesAndAlgorithms(t *testing.T) {
 		var naiveFed, deltaFed int64
 		deltaInputs := map[string]int64{}
 		for _, c := range Cells(Default) {
-			o := prep.eval(c)
+			o := prep.eval(c, nil)
 			if o.Err != nil {
 				t.Fatalf("%s: %v", prep.ID(c), o.Err)
 			}

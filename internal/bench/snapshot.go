@@ -118,8 +118,8 @@ type Entry struct {
 	// benchdiff gates it exactly. Absent in files written before it was
 	// recorded.
 	BodyInputs int64 `json:"body_inputs,omitempty"`
-	// PhaseNs breaks the cell's last evaluation into traced pipeline
-	// phases (cumulative ns by phase name). Absent in files written before
+	// PhaseNs breaks one traced evaluation of the cell, run after the
+	// timed ones, into pipeline phases (cumulative ns by phase name). Absent in files written before
 	// the trace API; benchdiff ignores it.
 	PhaseNs map[string]int64 `json:"phase_ns,omitempty"`
 }
